@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"bytes"
-
 	"qpp/internal/plan"
 	"qpp/internal/types"
 )
@@ -11,17 +9,16 @@ import (
 // expression is compiled once per execution (arg/argCost live in the
 // aggregate's state template and are copied into every group's states).
 type aggState struct {
-	spec       plan.AggSpec
-	arg        evalFn
-	argCost    plan.ExprCost
-	count      int64
-	sum        float64
-	sumIsI     bool
-	sumI       int64
-	minMax     types.Value
-	seenAny    bool
-	seen       map[string]bool // for DISTINCT aggregates
-	keyScratch []byte          // reused DISTINCT key buffer
+	spec    plan.AggSpec
+	arg     evalFn
+	argCost plan.ExprCost
+	count   int64
+	sum     float64
+	sumIsI  bool
+	sumI    int64
+	minMax  types.Value
+	seenAny bool
+	seen    *hashTable // values already counted, for DISTINCT aggregates
 }
 
 func (a *aggState) update(ctx *execCtx, row plan.Row) {
@@ -43,13 +40,13 @@ func (a *aggState) updateValue(ctx *execCtx, v types.Value) {
 	}
 	if a.spec.Distinct {
 		if a.seen == nil {
-			a.seen = map[string]bool{}
+			a.seen = new(hashTable)
+			a.seen.init(1, 4)
 		}
-		a.keyScratch = v.AppendKey(a.keyScratch[:0])
-		if a.seen[string(a.keyScratch)] {
+		key := [1]types.Value{v}
+		if _, added := a.seen.insert(key[:]); !added {
 			return
 		}
-		a.seen[string(a.keyScratch)] = true
 		ctx.clock.HashOps(1)
 	}
 	a.count++
@@ -126,10 +123,14 @@ type aggregate struct {
 	groupFns   []evalFn
 	groupCols  []int // when every GROUP BY expr is a bare column: its ordinals
 	groupCosts plan.ExprCost
-	stateTmpl  []aggState // per-execution template with compiled arguments
-	keyBuf     []byte     // reused rendered group key for the current row
-	valBuf     []types.Value
+	stateTmpl  []aggState    // per-execution template with compiled arguments
+	valBuf     []types.Value // reused group-key values of the current row
 	drained    bool
+
+	// Hashed drains: table maps a group key to its index in groups, so
+	// groups is in first-appearance order — the emission order.
+	table  hashTable
+	groups []aggGroup
 
 	// Batched-drain argument plan, one entry per aggregate (bchild only).
 	argMode []int8
@@ -138,12 +139,11 @@ type aggregate struct {
 	argVals [][]float64
 	argNull [][]bool
 
-	// Group-allocation slabs: per-group objects are carved out of fixed-
-	// capacity chunks so a large GROUP BY makes dozens of allocations
-	// instead of three per group. Chunks are never regrown in place
-	// (pointers into them must stay valid); a full chunk is simply
-	// replaced and kept alive by the groups referencing it.
-	slabGroups []aggGroup
+	// Group-allocation slabs: per-group states and keys are carved out of
+	// fixed-capacity chunks so a large GROUP BY makes dozens of allocations
+	// instead of two per group. Chunks are never regrown in place (slices
+	// into them must stay valid); a full chunk is simply replaced and kept
+	// alive by the groups referencing it.
 	slabStates []aggState
 	slabKeys   []types.Value
 }
@@ -228,18 +228,11 @@ func (a *aggregate) classifyArgs() {
 	}
 }
 
-// slabChunk is the number of groups each slab chunk holds, sized from
-// the optimizer's output estimate so a four-group aggregate does not
-// reserve a thousand-group chunk.
+// slabChunk is the number of groups the next slab chunk holds: as many as
+// exist already, so chunks double and a four-group aggregate does not
+// reserve a thousand-group chunk whatever the optimizer estimated.
 func (a *aggregate) slabChunk() int {
-	hint := a.groupHint()
-	if hint < 16 {
-		hint = 16
-	}
-	if hint > 4096 {
-		hint = 4096
-	}
-	return hint
+	return min(max(len(a.groups), 16), 4096)
 }
 
 // newStates copies the compiled template into a fresh group accumulator
@@ -276,13 +269,11 @@ func (a *aggregate) copyKeys() []types.Value {
 	return out
 }
 
-// newGroup carves one group out of the group slab.
+// newGroup appends a group with fresh accumulators. The pointer is valid
+// until the next newGroup.
 func (a *aggregate) newGroup(keys []types.Value) *aggGroup {
-	if len(a.slabGroups) == cap(a.slabGroups) {
-		a.slabGroups = make([]aggGroup, 0, a.slabChunk())
-	}
-	a.slabGroups = append(a.slabGroups, aggGroup{keys: keys, states: a.newStates()})
-	return &a.slabGroups[len(a.slabGroups)-1]
+	a.groups = append(reserve(a.groups, 1), aggGroup{keys: keys, states: a.newStates()})
+	return &a.groups[len(a.groups)-1]
 }
 
 func (a *aggregate) drain(ctx *execCtx) error {
@@ -297,46 +288,21 @@ func (a *aggregate) drain(ctx *execCtx) error {
 	}
 }
 
-// groupKey evaluates the group-by expressions for row into a.valBuf and
-// renders their composite key into a.keyBuf. Both buffers are reused
-// across rows; callers copy them out only when a new group is created.
+// groupKey evaluates the group-by expressions for row into a.valBuf,
+// which is reused across rows; callers copy it out only when a new group
+// is created.
 func (a *aggregate) groupKey(ctx *execCtx, row plan.Row) {
 	ctx.clock.CPUOps(a.groupCosts.Ops, a.groupCosts.NumericOps)
-	a.keyBuf = a.keyBuf[:0]
 	a.valBuf = a.valBuf[:0]
 	if a.groupCols != nil { // all bare columns: skip the closure calls
-		for i, idx := range a.groupCols {
-			v := row[idx]
-			a.valBuf = append(a.valBuf, v)
-			if i > 0 {
-				a.keyBuf = append(a.keyBuf, 0)
-			}
-			a.keyBuf = v.AppendKey(a.keyBuf)
+		for _, idx := range a.groupCols {
+			a.valBuf = append(a.valBuf, row[idx])
 		}
 		return
 	}
-	for i, g := range a.groupFns {
-		v := g(ctx.ectx, row)
-		a.valBuf = append(a.valBuf, v)
-		if i > 0 {
-			a.keyBuf = append(a.keyBuf, 0)
-		}
-		a.keyBuf = v.AppendKey(a.keyBuf)
+	for _, g := range a.groupFns {
+		a.valBuf = append(a.valBuf, g(ctx.ectx, row))
 	}
-}
-
-// groupHint sizes the group hash table from the optimizer's output
-// cardinality estimate, clamped to keep a wild estimate from reserving
-// unbounded memory.
-func (a *aggregate) groupHint() int {
-	est := int(a.node.Est.Rows)
-	if est < 1 {
-		est = 1
-	}
-	if est > 1<<16 {
-		est = 1 << 16
-	}
-	return est
 }
 
 // aggGroup is one hashed group's key values and accumulator states.
@@ -345,36 +311,34 @@ type aggGroup struct {
 	states []aggState
 }
 
+// startHashed readies the group table for a hashed drain.
+func (a *aggregate) startHashed() {
+	n := startCap(a.node.Est.Rows)
+	a.table.init(len(a.node.GroupBy), n)
+	a.groups = make([]aggGroup, 0, n)
+}
+
 // lookupGroup finds or creates the group for the current row, charging
-// the group-key render and hash probe exactly as the row engine does.
+// the group-key evaluation and hash probe exactly as the row engine does.
 // Shared by the row and batched hashed drains.
-func (a *aggregate) lookupGroup(ctx *execCtx, row plan.Row, groups map[string]*aggGroup, order *[]string) *aggGroup {
+func (a *aggregate) lookupGroup(ctx *execCtx, row plan.Row) *aggGroup {
 	if len(a.node.GroupBy) == 0 {
-		if len(groups) == 0 {
-			g := a.newGroup(nil)
-			groups[""] = g
-			*order = append(*order, "")
-			return g
+		if len(a.groups) == 0 {
+			return a.newGroup(nil)
 		}
-		return groups[""]
+		return &a.groups[0]
 	}
 	a.groupKey(ctx, row)
 	ctx.clock.HashOps(1)
-	if g, ok := groups[string(a.keyBuf)]; ok { // no-alloc probe with reused buffer
-		return g
+	id, added := a.table.insert(a.valBuf)
+	if added {
+		return a.newGroup(a.copyKeys())
 	}
-	key := string(a.keyBuf)
-	g := a.newGroup(a.copyKeys())
-	groups[key] = g
-	*order = append(*order, key)
-	return g
+	return &a.groups[id]
 }
 
 func (a *aggregate) drainHashed(ctx *execCtx) error {
-	groups := make(map[string]*aggGroup, a.groupHint())
-	// Deterministic output order: first appearance. Sized like the hash
-	// table so per-group appends don't regrow it row by row.
-	order := make([]string, 0, a.groupHint())
+	a.startHashed()
 	for {
 		row, ok, err := a.child.Next(ctx)
 		if err != nil {
@@ -384,12 +348,12 @@ func (a *aggregate) drainHashed(ctx *execCtx) error {
 			break
 		}
 		ctx.clock.CPUTuples(1)
-		g := a.lookupGroup(ctx, row, groups, &order)
+		g := a.lookupGroup(ctx, row)
 		for i := range g.states {
 			g.states[i].update(ctx, row)
 		}
 	}
-	return a.finishHashed(ctx, groups, order)
+	return a.finishHashed(ctx)
 }
 
 // drainHashedVec is the batched hashed drain: it consumes scan windows
@@ -398,8 +362,7 @@ func (a *aggregate) drainHashed(ctx *execCtx) error {
 // charge sequence — scan replay, tuple CPU, group key, hash probe, then
 // per-aggregate argument cost and accumulation — is drainHashed's exactly.
 func (a *aggregate) drainHashedVec(ctx *execCtx) error {
-	groups := make(map[string]*aggGroup, a.groupHint())
-	order := make([]string, 0, a.groupHint())
+	a.startHashed()
 	for {
 		b, ok, err := a.bchild.NextBatch(ctx)
 		if err != nil {
@@ -422,7 +385,7 @@ func (a *aggregate) drainHashedVec(ctx *execCtx) error {
 			b.BeforeRow(ctx, w)
 			row := rows[w]
 			ctx.clock.CPUTuples(1)
-			g := a.lookupGroup(ctx, row, groups, &order)
+			g := a.lookupGroup(ctx, row)
 			for j := range g.states {
 				st := &g.states[j]
 				switch a.argMode[j] {
@@ -443,25 +406,19 @@ func (a *aggregate) drainHashedVec(ctx *execCtx) error {
 			}
 		}
 	}
-	return a.finishHashed(ctx, groups, order)
+	return a.finishHashed(ctx)
 }
 
 // finishHashed is the shared tail of both hashed drains: the empty-input
 // single group, spill accounting, the pipeline barrier, and emission in
 // first-appearance order into a result buffer presized to the group count.
-func (a *aggregate) finishHashed(ctx *execCtx, groups map[string]*aggGroup, order []string) error {
+func (a *aggregate) finishHashed(ctx *execCtx) error {
 	// A query with no GROUP BY emits exactly one row even on empty input.
-	if len(a.node.GroupBy) == 0 && len(groups) == 0 {
-		groups[""] = a.newGroup(nil)
-		order = append(order, "")
+	if len(a.node.GroupBy) == 0 && len(a.groups) == 0 {
+		a.newGroup(nil)
 	}
-	// Spill accounting when the group table exceeds work_mem. Cells are
-	// counted in integers so the total is exact regardless of the map's
-	// iteration order.
-	var cells int
-	for _, g := range groups {
-		cells += len(g.keys) + len(g.states)
-	}
+	// Spill accounting when the group table exceeds work_mem.
+	cells := len(a.groups) * (len(a.node.GroupBy) + len(a.stateTmpl))
 	bytes := float64(cells) * 16
 	if workBytes := float64(ctx.clock.WorkMemPages()) * 8192; bytes > workBytes {
 		pages := (bytes - workBytes) / 8192
@@ -470,17 +427,16 @@ func (a *aggregate) finishHashed(ctx *execCtx, groups map[string]*aggGroup, orde
 	}
 	ctx.clock.Barrier()
 	if a.results == nil {
-		a.results = make([]plan.Row, 0, len(order))
+		a.results = make([]plan.Row, 0, len(a.groups))
 	}
-	for _, key := range order {
-		g := groups[key]
-		a.emit(ctx, g.keys, g.states)
+	for i := range a.groups {
+		a.emit(ctx, a.groups[i].keys, a.groups[i].states)
 	}
+	a.table, a.groups = hashTable{}, nil
 	return nil
 }
 
 func (a *aggregate) drainSorted(ctx *execCtx) error {
-	var curKey []byte
 	var curKeys []types.Value
 	var states []aggState
 	started := false
@@ -494,11 +450,10 @@ func (a *aggregate) drainSorted(ctx *execCtx) error {
 		}
 		ctx.clock.CPUTuples(1)
 		a.groupKey(ctx, row)
-		if !started || !bytes.Equal(a.keyBuf, curKey) {
+		if !started || !sameKey(a.valBuf, curKeys) {
 			if started {
 				a.emit(ctx, curKeys, states)
 			}
-			curKey = append(curKey[:0], a.keyBuf...)
 			curKeys = append([]types.Value(nil), a.valBuf...)
 			states = a.newStates()
 			started = true

@@ -5,20 +5,17 @@ import (
 	"qpp/internal/types"
 )
 
-// appendJoinKey renders the hash-key values of a row into buf (reused by
+// joinKey evaluates the hash-key expressions of row into buf (reused by
 // the caller across rows); a null in any key column yields ok=false
 // (nulls never join).
-func appendJoinKey(ctx *execCtx, fns []evalFn, row plan.Row, buf []byte) ([]byte, bool) {
+func joinKey(ctx *execCtx, fns []evalFn, row plan.Row, buf []types.Value) ([]types.Value, bool) {
 	buf = buf[:0]
-	for i, fn := range fns {
+	for _, fn := range fns {
 		v := fn(ctx.ectx, row)
 		if v.IsNull() {
 			return buf, false
 		}
-		if i > 0 {
-			buf = append(buf, 0)
-		}
-		buf = v.AppendKey(buf)
+		buf = append(buf, v)
 	}
 	return buf, true
 }
@@ -38,25 +35,30 @@ func concatInto(dst, a, b plan.Row) plan.Row {
 
 // hashJoin implements inner, left-outer, semi, and anti hash joins. The
 // right child (wrapped in a Hash node by the planner) is the build side.
+//
+// Build rows are kept in arrival order in rows; table maps each distinct
+// key to an id, head[id] is that key's first row and next links the rest,
+// so rows with one key are found in arrival order without a slice per key.
 type hashJoin struct {
 	node  *plan.Node
 	left  iterator
 	right iterator
 	reuse bool // parent never retains emitted rows
 
-	table      map[string][]plan.Row
-	built      bool
+	table      hashTable
+	rows       []plan.Row
+	next       []int32 // next build row with the same key, -1 at chain end
+	head       []int32 // per key id: first row of its chain
 	nullRight  plan.Row
 	cur        plan.Row // current left row with pending matches
-	curMatches []plan.Row
+	curMatches []int32  // its build rows, join filter applied; reused
 	curIdx     int
 	keysL      []evalFn
 	keysR      []evalFn
 	filter     compiledFilter
 	joinF      compiledFilter
-	keyBuf     []byte   // reused rendered-key buffer
-	scratch    plan.Row // reused output row
-	buildRows  float64
+	keyBuf     []types.Value // reused evaluated-key buffer
+	scratch    plan.Row      // reused output row
 	buildBytes float64
 }
 
@@ -66,6 +68,7 @@ func (h *hashJoin) Open(ctx *execCtx) error {
 	h.joinF = ctx.compileFilter(h.node.JoinFilter)
 	h.keysL = ctx.compileScalars(h.node.HashKeysL)
 	h.keysR = ctx.compileScalars(h.node.HashKeysR)
+	h.keyBuf = make([]types.Value, 0, len(h.keysR))
 	h.nullRight = make(plan.Row, len(h.node.Children[1].Cols))
 	for i := range h.nullRight {
 		h.nullRight[i] = types.Null
@@ -76,23 +79,14 @@ func (h *hashJoin) Open(ctx *execCtx) error {
 	return h.build(ctx)
 }
 
-// buildHint sizes the hash table from the build side's cardinality
-// estimate, clamped against wild estimates.
-func (h *hashJoin) buildHint() int {
-	est := int(h.node.Children[1].Est.Rows)
-	if est < 1 {
-		est = 1
-	}
-	if est > 1<<16 {
-		est = 1 << 16
-	}
-	return est
-}
-
 func (h *hashJoin) build(ctx *execCtx) error {
-	h.table = make(map[string][]plan.Row, h.buildHint())
-	h.built = true
-	h.buildRows, h.buildBytes = 0, 0
+	n := startCap(h.node.Children[1].Est.Rows)
+	h.table.init(len(h.keysR), n)
+	h.rows = make([]plan.Row, 0, n)
+	h.next = make([]int32, 0, n)
+	h.head = make([]int32, 0, n)
+	tail := make([]int32, 0, n) // per key id: last row of its chain so far
+	h.buildBytes = 0
 	if err := h.right.Open(ctx); err != nil {
 		return err
 	}
@@ -105,14 +99,21 @@ func (h *hashJoin) build(ctx *execCtx) error {
 			break
 		}
 		var hasKey bool
-		h.keyBuf, hasKey = appendJoinKey(ctx, h.keysR, row, h.keyBuf)
+		h.keyBuf, hasKey = joinKey(ctx, h.keysR, row, h.keyBuf)
 		if !hasKey {
 			continue
 		}
 		ctx.clock.HashOps(1)
-		bucket := h.table[string(h.keyBuf)] // no-alloc probe
-		h.table[string(h.keyBuf)] = append(bucket, row)
-		h.buildRows++
+		r := int32(len(h.rows))
+		h.rows = append(reserve(h.rows, 1), row)
+		h.next = append(reserve(h.next, 1), -1)
+		if id, added := h.table.insert(h.keyBuf); added {
+			h.head = append(reserve(h.head, 1), r)
+			tail = append(reserve(tail, 1), r)
+		} else {
+			h.next[tail[id]] = r
+			tail[id] = r
+		}
 		for _, v := range row {
 			h.buildBytes += float64(v.Width())
 		}
@@ -141,13 +142,38 @@ func (h *hashJoin) emitScratch(out plan.Row) plan.Row {
 	return out
 }
 
+// probe collects into curMatches the build rows whose key equals left's
+// and that pass the join filter (semi/anti/left semantics decide match
+// existence after it), in build order.
+func (h *hashJoin) probe(ctx *execCtx, left plan.Row) {
+	h.curMatches = h.curMatches[:0]
+	var hasKey bool
+	h.keyBuf, hasKey = joinKey(ctx, h.keysL, left, h.keyBuf)
+	if !hasKey {
+		return
+	}
+	id := h.table.find(h.keyBuf)
+	if id < 0 {
+		return
+	}
+	for r := h.head[id]; r >= 0; r = h.next[r] {
+		if h.node.JoinFilter != nil {
+			h.scratch = concatInto(h.scratch, left, h.rows[r])
+			if !h.joinF.eval(ctx, h.scratch) {
+				continue
+			}
+		}
+		h.curMatches = append(h.curMatches, r)
+	}
+}
+
 // Next implements iterator.
 func (h *hashJoin) Next(ctx *execCtx) (plan.Row, bool, error) {
 	for {
 		// Emit pending matches of the current left row. curMatches have
 		// already passed the join filter.
 		for h.cur != nil && h.curIdx < len(h.curMatches) {
-			right := h.curMatches[h.curIdx]
+			right := h.rows[h.curMatches[h.curIdx]]
 			h.curIdx++
 			out := concatInto(h.scratch, h.cur, right)
 			h.scratch = out
@@ -167,41 +193,18 @@ func (h *hashJoin) Next(ctx *execCtx) (plan.Row, bool, error) {
 			return nil, false, nil
 		}
 		ctx.clock.HashOps(1)
-		var hasKey bool
-		h.keyBuf, hasKey = appendJoinKey(ctx, h.keysL, left, h.keyBuf)
-		var matches []plan.Row
-		if hasKey {
-			matches = h.table[string(h.keyBuf)] // no-alloc probe
-		}
-		// Apply the join filter for semi/anti/left semantics before deciding
-		// match existence.
-		if h.node.JoinFilter != nil && len(matches) > 0 {
-			kept := make([]plan.Row, 0, len(matches))
-			for _, r := range matches {
-				h.scratch = concatInto(h.scratch, left, r)
-				if h.joinF.eval(ctx, h.scratch) {
-					kept = append(kept, r)
-				}
-			}
-			matches = kept
-		}
+		h.probe(ctx, left)
+		matched := len(h.curMatches) > 0
 		switch h.node.JoinType {
-		case plan.JoinSemi:
-			if len(matches) > 0 {
-				ctx.clock.CPUTuples(1)
-				if h.filter.eval(ctx, left) {
-					return left, true, nil
-				}
-			}
-		case plan.JoinAnti:
-			if len(matches) == 0 {
+		case plan.JoinSemi, plan.JoinAnti:
+			if matched == (h.node.JoinType == plan.JoinSemi) {
 				ctx.clock.CPUTuples(1)
 				if h.filter.eval(ctx, left) {
 					return left, true, nil
 				}
 			}
 		case plan.JoinLeft:
-			if len(matches) == 0 {
+			if !matched {
 				out := concatInto(h.scratch, left, h.nullRight)
 				h.scratch = out
 				ctx.clock.CPUTuples(1)
@@ -210,14 +213,10 @@ func (h *hashJoin) Next(ctx *execCtx) (plan.Row, bool, error) {
 				}
 				continue
 			}
-			h.cur = left
-			h.curMatches = matches
-			h.curIdx = 0
+			h.cur, h.curIdx = left, 0
 		default: // inner
-			if len(matches) > 0 {
-				h.cur = left
-				h.curMatches = matches
-				h.curIdx = 0
+			if matched {
+				h.cur, h.curIdx = left, 0
 			}
 		}
 	}
@@ -226,7 +225,6 @@ func (h *hashJoin) Next(ctx *execCtx) (plan.Row, bool, error) {
 // ReScan implements iterator.
 func (h *hashJoin) ReScan(ctx *execCtx, outer plan.Row) error {
 	h.cur = nil
-	h.curMatches = nil
 	// The hash table survives a rescan; only the probe side restarts.
 	return h.left.ReScan(ctx, outer)
 }
@@ -235,7 +233,8 @@ func (h *hashJoin) ReScan(ctx *execCtx, outer plan.Row) error {
 func (h *hashJoin) Close() {
 	h.left.Close()
 	h.right.Close()
-	h.table = nil
+	h.table = hashTable{}
+	h.rows, h.next, h.head = nil, nil, nil
 }
 
 // nestedLoop joins by rescanning the inner side per outer row; the inner

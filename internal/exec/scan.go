@@ -61,11 +61,11 @@ type indexScan struct {
 	node      *plan.Node
 	table     *storage.Table
 	index     *storage.Index
-	matches   []int
+	matches   []int32 // row offsets, aliasing the index
 	pos       int
 	filter    compiledFilter
-	lookupFns []evalFn // compiled LookupExprs (or LookupConsts)
-	keyBuf    []byte   // reused rendered-key buffer for full-key lookups
+	lookupFns []evalFn      // compiled LookupExprs (or LookupConsts)
+	keyBuf    []types.Value // reused evaluated-key buffer
 }
 
 // Open implements iterator.
@@ -101,36 +101,24 @@ func (s *indexScan) reposition(ctx *execCtx, outer plan.Row) error {
 
 // lookup evaluates the compiled key expressions over row (nil for
 // constant keys) and probes the index. This runs once per rescan inside
-// nested loops — the executor's hottest reposition path — so the full-key
-// probe renders into a reused byte buffer instead of building a string.
+// nested loops — the executor's hottest reposition path — so the key
+// values go into a reused buffer and the index probe allocates nothing.
 // nullAborts makes a NULL key column yield no matches without charging
 // the index descent (parameterized lookups only — nulls never join).
 func (s *indexScan) lookup(ctx *execCtx, row plan.Row, nullAborts bool) {
-	fullKey := len(s.lookupFns) == len(s.index.Cols)
-	buf := s.keyBuf[:0]
-	var first types.Value
-	for i, fn := range s.lookupFns {
+	s.keyBuf = s.keyBuf[:0]
+	for _, fn := range s.lookupFns {
 		v := fn(ctx.ectx, row)
 		if nullAborts && v.IsNull() {
-			s.keyBuf = buf
 			s.matches = nil
 			return
 		}
-		if i == 0 {
-			first = v
-		}
-		if fullKey {
-			if i > 0 {
-				buf = append(buf, 0)
-			}
-			buf = v.AppendKey(buf)
-		}
+		s.keyBuf = append(s.keyBuf, v)
 	}
-	s.keyBuf = buf
-	if fullKey {
-		s.matches = s.index.LookupKey(buf)
+	if len(s.keyBuf) == len(s.index.Cols) {
+		s.matches = s.index.Lookup(s.keyBuf)
 	} else {
-		s.matches = s.index.LookupPrefix(first)
+		s.matches = s.index.LookupPrefix(s.keyBuf[0])
 	}
 	// Charge the B-tree descent: the root/internal page (hot, so usually a
 	// cache hit) plus the leaf page holding the first match.
@@ -148,7 +136,7 @@ func (s *indexScan) Next(ctx *execCtx) (plan.Row, bool, error) {
 	for s.pos < len(s.matches) {
 		rid := s.matches[s.pos]
 		s.pos++
-		pg := s.table.PageOf(rid)
+		pg := s.table.PageOf(int(rid))
 		ctx.clock.ReadPage(s.table.Meta.Name, pg, false)
 		s.node.Act.Pages++
 		ctx.clock.CPUTuples(1)

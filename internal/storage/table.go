@@ -8,6 +8,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -64,39 +65,73 @@ func NewTable(meta *catalog.Table, rows []Row) *Table {
 func (t *Table) PageOf(i int) int64 { return int64(i / t.RowsPerPage) }
 
 // Index is an ordered secondary structure over one or more columns: row
-// offsets sorted by key, with an equality hash on the full key for O(1)
-// point lookups. It stands in for the B-tree primary-key indexes the TPC-H
-// spec mandates.
+// offsets sorted by key, with an equality hash table on the full key for
+// O(1) point lookups. It stands in for the B-tree primary-key indexes the
+// TPC-H spec mandates.
+//
+// The equality table stores no keys of its own. Rows with equal keys are
+// adjacent in ordered (in heap order, the sort being stable), so each slot
+// holds only the position in ordered of a key's first row; a probe hashes
+// the lookup values (types.HashKey), compares them with that row's columns
+// (types.KeyEqual — integer keys, which is every TPC-H primary key, cost
+// two integer compares) and returns the run of equal rows. Offsets and
+// slots are int32: a table here is an in-memory slice of rows, far below
+// 2^31 of them.
 type Index struct {
 	Name    string
 	Table   *Table
-	Cols    []int // column ordinals, in key order
-	ordered []int // row offsets sorted by key
-	hash    map[string][]int
+	Cols    []int   // column ordinals, in key order
+	ordered []int32 // row offsets sorted by key
+	slots   []int32 // open addressing, position in ordered + 1; 0 = empty
 	// LeafPages approximates the index size for the cost model.
 	LeafPages int64
 }
 
 // BuildIndex constructs an index over the given column ordinals.
 func BuildIndex(name string, t *Table, cols []int) *Index {
-	idx := &Index{Name: name, Table: t, Cols: cols, hash: make(map[string][]int, len(t.Rows))}
-	idx.ordered = make([]int, len(t.Rows))
+	if len(t.Rows) > math.MaxInt32 {
+		panic(fmt.Sprintf("storage: table %q has %d rows, beyond the index's int32 offsets", t.Meta.Name, len(t.Rows)))
+	}
+	idx := &Index{Name: name, Table: t, Cols: cols}
+	idx.ordered = make([]int32, len(t.Rows))
 	for i := range t.Rows {
-		idx.ordered[i] = i
+		idx.ordered[i] = int32(i)
 	}
 	sort.SliceStable(idx.ordered, func(a, b int) bool {
 		return idx.compareRows(idx.ordered[a], idx.ordered[b]) < 0
 	})
-	for i := range t.Rows {
-		k := idx.keyOf(i)
-		idx.hash[k] = append(idx.hash[k], i)
+	// Load ≤ ½. A key with a NULL column equals no lookup, so its rows
+	// stay out of the table (they sort last and are reachable by scan).
+	size := 8
+	for size < 2*len(t.Rows) {
+		size *= 2
+	}
+	idx.slots = make([]int32, size)
+	mask := uint32(size - 1)
+	key := make([]types.Value, len(cols))
+	for pos, off := range idx.ordered {
+		if pos > 0 && idx.compareRows(idx.ordered[pos-1], off) == 0 {
+			continue // not the first row of its key
+		}
+		for i, c := range cols {
+			key[i] = t.Rows[off][c]
+		}
+		h, ok := hashKey(key)
+		if !ok {
+			continue
+		}
+		s := uint32(h) & mask
+		for idx.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		idx.slots[s] = int32(pos) + 1
 	}
 	// ~200 key entries per 8 KiB leaf page, a B-tree-like density.
 	idx.LeafPages = int64(len(t.Rows)/200) + 1
 	return idx
 }
 
-func (idx *Index) compareRows(a, b int) int {
+func (idx *Index) compareRows(a, b int32) int {
 	ra, rb := idx.Table.Rows[a], idx.Table.Rows[b]
 	for _, c := range idx.Cols {
 		va, vb := ra[c], rb[c]
@@ -109,6 +144,19 @@ func (idx *Index) compareRows(a, b int) int {
 			}
 			continue
 		}
+		// Integers order exactly (types.Compare goes through float64), so
+		// rows the equality table tells apart are never interleaved.
+		if ai, ok := va.KeyInt(); ok {
+			if bi, ok := vb.KeyInt(); ok {
+				if ai != bi {
+					if ai < bi {
+						return -1
+					}
+					return 1
+				}
+				continue
+			}
+		}
 		if cmp := types.Compare(va, vb); cmp != 0 {
 			return cmp
 		}
@@ -116,65 +164,74 @@ func (idx *Index) compareRows(a, b int) int {
 	return 0
 }
 
-func (idx *Index) keyOf(row int) string {
-	r := idx.Table.Rows[row]
-	k := ""
+// hashKey hashes a full key; ok=false when it holds a NULL, which equals
+// nothing.
+func hashKey(vals []types.Value) (h uint64, ok bool) {
+	for _, v := range vals {
+		if v.IsNull() {
+			return 0, false
+		}
+		h = types.HashKey(h, v)
+	}
+	return h, true
+}
+
+// matches reports whether the row at offset off has exactly the key vals.
+func (idx *Index) matches(off int32, vals []types.Value) bool {
+	r := idx.Table.Rows[off]
 	for i, c := range idx.Cols {
-		if i > 0 {
-			k += "\x00"
+		if !types.KeyEqual(r[c], vals[i]) {
+			return false
 		}
-		k += r[c].Key()
 	}
-	return k
+	return true
 }
 
-// KeyFor renders lookup values into the index's key encoding. The number
-// of values must equal the number of key columns.
-func (idx *Index) KeyFor(vals []types.Value) string {
-	k := ""
-	for i, v := range vals {
-		if i > 0 {
-			k += "\x00"
+// Lookup returns the row offsets whose full key equals vals, in heap
+// order; the slice aliases the index and must not be modified. The number
+// of values must equal the number of key columns. A NULL among vals
+// matches nothing. Lookup does not allocate.
+func (idx *Index) Lookup(vals []types.Value) []int32 {
+	h, ok := hashKey(vals)
+	if !ok {
+		return nil
+	}
+	mask := uint32(len(idx.slots) - 1)
+	for s := uint32(h) & mask; idx.slots[s] != 0; s = (s + 1) & mask {
+		lo := int(idx.slots[s] - 1)
+		if !idx.matches(idx.ordered[lo], vals) {
+			continue
 		}
-		k += v.Key()
+		hi := lo + 1
+		for hi < len(idx.ordered) && idx.matches(idx.ordered[hi], vals) {
+			hi++
+		}
+		return idx.ordered[lo:hi:hi]
 	}
-	return k
-}
-
-// Lookup returns the row offsets whose full key equals vals.
-func (idx *Index) Lookup(vals []types.Value) []int {
-	return idx.hash[idx.KeyFor(vals)]
-}
-
-// LookupKey returns the row offsets whose rendered key (the KeyFor
-// encoding: Value.Key pieces joined by NUL) equals key. Taking the key as
-// bytes lets the executor probe with a reused buffer — the string(key)
-// conversion in a map index expression does not allocate.
-func (idx *Index) LookupKey(key []byte) []int {
-	return idx.hash[string(key)]
+	return nil
 }
 
 // LookupPrefix returns row offsets whose leading key column equals v,
 // in key order. Used for single-column equality on composite keys.
-func (idx *Index) LookupPrefix(v types.Value) []int {
+func (idx *Index) LookupPrefix(v types.Value) []int32 {
 	c := idx.Cols[0]
 	lo := sort.Search(len(idx.ordered), func(i int) bool {
 		rv := idx.Table.Rows[idx.ordered[i]][c]
 		return rv.IsNull() || types.Compare(rv, v) >= 0
 	})
-	var out []int
-	for i := lo; i < len(idx.ordered); i++ {
-		rv := idx.Table.Rows[idx.ordered[i]][c]
+	hi := lo
+	for hi < len(idx.ordered) {
+		rv := idx.Table.Rows[idx.ordered[hi]][c]
 		if rv.IsNull() || !types.Equal(rv, v) {
 			break
 		}
-		out = append(out, idx.ordered[i])
+		hi++
 	}
-	return out
+	return idx.ordered[lo:hi:hi]
 }
 
 // Ordered returns all row offsets in key order (an index full scan).
-func (idx *Index) Ordered() []int { return idx.ordered }
+func (idx *Index) Ordered() []int32 { return idx.ordered }
 
 // Database bundles schema, heap tables, indexes and statistics.
 type Database struct {

@@ -177,8 +177,11 @@ func (v Value) String() string {
 	}
 }
 
-// Key renders the value as a hashable group/join key. Unlike String it is
-// exact for floats.
+// Key renders the value exactly (unlike String, floats keep every digit):
+// the spelling ANALYZE uses to name most-common values and to feed its
+// sketches. It is not an equality key — Int(1000000) and Float(1e6) render
+// differently, Str("NULL") and NULL the same; equality structures use
+// KeyEqual and HashKey.
 func (v Value) Key() string {
 	switch v.Kind {
 	case KindFloat:
@@ -191,10 +194,8 @@ func (v Value) Key() string {
 }
 
 // AppendKey appends exactly the bytes of Key() to buf and returns the
-// extended slice. The executor's hash-aggregation and hash-join hot paths
-// use it with a reused per-operator buffer so building a composite key
-// costs no allocations (the map key string is only materialized when a
-// new group or build row is inserted).
+// extended slice, so a per-row caller with a reused buffer allocates
+// nothing.
 func (v Value) AppendKey(buf []byte) []byte {
 	switch v.Kind {
 	case KindFloat:

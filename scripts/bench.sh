@@ -44,7 +44,7 @@ trap cleanup EXIT
 # speedup (results are bit-identical by the differential suite).
 go test -run '^$' -bench 'BenchmarkExecutionQ6|BenchmarkExprCompiled|BenchmarkExprInterpreted|BenchmarkExecutionBatch' \
 	-benchmem -benchtime=1s "$@" . | tee "$tmp"
-go test -run '^$' -bench 'BenchmarkScalarEval' \
+go test -run '^$' -bench 'BenchmarkScalarEval|BenchmarkHashJoinBuildProbe|BenchmarkHashAggregate' \
 	-benchmem -benchtime=1s "$@" ./internal/exec/ | tee -a "$tmp"
 # Cold planning vs trace replay: the per-query optimization cost the
 # plan cache amortizes (BENCH_plancache.json below holds the end-to-end

@@ -29,6 +29,9 @@
 #                    template signature (literal perturbation must never
 #                    change a query's canonical key; see
 #                    internal/plancache and DESIGN.md §15)
+#  11. bench self-test — `bench/run.sh test`: gofmt, vet and the unit
+#                    tests of the repo's benchmark (BENCHMARK.json), a
+#                    nested module that stages 1-5 do not descend into
 #
 # The parallel execution layer (internal/parallel, workload builds, fold
 # training, figure drivers) is only trusted because stage 5 passes clean;
@@ -112,5 +115,8 @@ go test -fuzz=FuzzSketch -fuzztime=5s -run '^$' ./internal/sketch
 
 banner "plancache fuzz smoke (FuzzCanonicalSignature, 5s)"
 go test -fuzz=FuzzCanonicalSignature -fuzztime=5s -run '^$' ./internal/plancache
+
+banner "bench self-test (bench/run.sh test)"
+bash bench/run.sh test
 
 banner "CI OK"
