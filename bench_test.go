@@ -411,7 +411,7 @@ func BenchmarkExecutionQ6(b *testing.B) {
 }
 
 // benchmarkExecQuery executes one planned instance of a template end to
-// end under the given engine options, reporting allocations. The plan is
+// end under the given options, reporting allocations. The plan is
 // built once outside the timer; each iteration re-runs it on a fresh
 // clock exactly as the workload layer does.
 func benchmarkExecQuery(b *testing.B, tmpl int, opts exec.Options) {
@@ -453,17 +453,6 @@ func BenchmarkExprCompiled(b *testing.B) {
 func BenchmarkExprInterpreted(b *testing.B) {
 	for _, tmpl := range []int{1, 6, 18} {
 		b.Run(fmt.Sprintf("q%d", tmpl), func(b *testing.B) { benchmarkExecQuery(b, tmpl, exec.Options{Interpret: true}) })
-	}
-}
-
-// BenchmarkExecutionBatch runs the same Q1/Q6/Q18 hot paths through the
-// batched columnar engine (Options.Vectorize). The ratio to
-// BenchmarkExprCompiled is the batch-engine speedup recorded in
-// BENCH_exec.json; results and virtual clock readings are bit-identical
-// to the row engine by construction (see the differential suite).
-func BenchmarkExecutionBatch(b *testing.B) {
-	for _, tmpl := range []int{1, 6, 18} {
-		b.Run(fmt.Sprintf("q%d", tmpl), func(b *testing.B) { benchmarkExecQuery(b, tmpl, exec.Options{Vectorize: true}) })
 	}
 }
 

@@ -111,14 +111,6 @@ func TestHotAllocCoversServingPackages(t *testing.T) {
 	checkFixture(t, "hotalloc", "hotalloc", "qpp/cmd/qppserve")
 }
 
-// The batch engine's OpenBatch/NextBatch/ReScanBatch are hot entry
-// points like Open/Next/ReScan: per-batch boxing must be reported, and
-// the same pattern in a cold method must stay silent (the fixture's
-// coldDescribe carries no want comment).
-func TestHotAllocCoversBatchEntryPoints(t *testing.T) {
-	checkFixture(t, "hotalloc", "hotalloc3", "qpp/internal/exec")
-}
-
 func TestHotAllocIgnoresColdPackages(t *testing.T) {
 	pkg := loadFixture(t, "hotalloc", "example.com/hotalloc")
 	if findings := Check(pkg, []Rule{ruleByName(t, "hotalloc")}); len(findings) != 0 {

@@ -53,8 +53,7 @@ func init() {
 			"strings helpers (Join, Repeat, ...), strings.Builder writes, and " +
 			"string concatenation; render into a reused []byte buffer " +
 			"(types.Value.AppendKey) and probe maps with m[string(buf)] instead. " +
-			"In functions reachable from a hot entry point (exec Next/Open/ReScan " +
-			"and their batch-engine NextBatch/OpenBatch/ReScanBatch equivalents, " +
+			"In functions reachable from a hot entry point (exec Next/Open/ReScan, " +
 			"serve ServeHTTP/handle*/wrap*) it additionally reports escape-shaped " +
 			"allocations: capturing closures built per iteration, non-pointer " +
 			"values boxed into interface arguments, and append-growth of slices " +
@@ -119,12 +118,8 @@ func hotEntryPoint(pkgPath string, fd *ast.FuncDecl) bool {
 	switch pkgPath {
 	case "qpp/internal/exec":
 		// Operator methods run once per tuple (Next) or per restart
-		// (Open, ReScan) of a potentially re-scanned inner input. The
-		// batch engine's equivalents run once per window of ~1k rows —
-		// still hot: a per-batch allocation is a per-1k-rows allocation,
-		// and their loop bodies run per row.
-		return fd.Recv != nil && (name == "Next" || name == "Open" || name == "ReScan" ||
-			name == "NextBatch" || name == "OpenBatch" || name == "ReScanBatch")
+		// (Open, ReScan) of a potentially re-scanned inner input.
+		return fd.Recv != nil && (name == "Next" || name == "Open" || name == "ReScan")
 	case "qpp/internal/serve", "qpp/cmd/qppserve":
 		return name == "ServeHTTP" || strings.HasPrefix(name, "handle") || strings.HasPrefix(name, "wrap")
 	case "qpp/internal/plancache":

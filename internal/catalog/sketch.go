@@ -15,7 +15,7 @@ import (
 // AnalyzeRows which materializes every distinct value and every numeric
 // cell. AnalyzeRows stays available as the exact differential oracle
 // (see TestSketchVsExactStats) the same way Options.Interpret anchors
-// the vectorized engine.
+// the compiled evaluator.
 //
 // Determinism: the sketches hash with a fixed seed and break ties by key
 // bytes, so repeated runs over the same rows produce bit-identical

@@ -27,14 +27,7 @@ func (a *aggState) update(ctx *execCtx, row plan.Row) {
 		return
 	}
 	ctx.clock.CPUOps(a.argCost.Ops, a.argCost.NumericOps)
-	a.updateValue(ctx, a.arg(ctx.ectx, row))
-}
-
-// updateValue accumulates an already-evaluated argument value. The batch
-// engine's aggregation kernels materialize argument columns and feed them
-// through here, so accumulation and its clock charges stay one code path
-// for both engines. Callers have already charged the argument's own cost.
-func (a *aggState) updateValue(ctx *execCtx, v types.Value) {
+	v := a.arg(ctx.ectx, row)
 	if v.IsNull() {
 		return
 	}
@@ -112,10 +105,6 @@ func (a *aggState) result() types.Value {
 type aggregate struct {
 	node  *plan.Node
 	child iterator
-	// bchild, when set, replaces child: the batch engine drains the scan
-	// window-at-a-time with vectorized argument evaluation (drainHashedVec).
-	// Exactly one of child/bchild is non-nil.
-	bchild *vSeqScan
 
 	results    []plan.Row
 	pos        int
@@ -132,13 +121,6 @@ type aggregate struct {
 	table  hashTable
 	groups []aggGroup
 
-	// Batched-drain argument plan, one entry per aggregate (bchild only).
-	argMode []int8
-	argCol  []int   // argColMode: column ordinal read straight off the row
-	argVec  []*fvec // argFloatMode: lowered column-at-a-time evaluator
-	argVals [][]float64
-	argNull [][]bool
-
 	// Group-allocation slabs: per-group states and keys are carved out of
 	// fixed-capacity chunks so a large GROUP BY makes dozens of allocations
 	// instead of two per group. Chunks are never regrown in place (slices
@@ -147,14 +129,6 @@ type aggregate struct {
 	slabStates []aggState
 	slabKeys   []types.Value
 }
-
-// Argument evaluation modes for the batched drain.
-const (
-	argFnMode    int8 = iota // compiled closure (the row engine's path)
-	argNoneMode              // count(*): no argument at all
-	argColMode               // bare column reference
-	argFloatMode             // lowered always-float expression
-)
 
 // Open implements iterator.
 func (a *aggregate) Open(ctx *execCtx) error {
@@ -188,44 +162,7 @@ func (a *aggregate) Open(ctx *execCtx) error {
 	a.results = nil
 	a.pos = 0
 	a.drained = false
-	if a.bchild != nil {
-		a.classifyArgs()
-		return a.bchild.OpenBatch(ctx)
-	}
 	return a.child.Open(ctx)
-}
-
-// classifyArgs picks the batched evaluation mode for each aggregate
-// argument: nothing for count(*), a direct row read for bare columns, a
-// lowered float kernel when the expression is statically Float-or-NULL,
-// and the compiled closure otherwise. Every mode charges the clock
-// exactly as aggState.update does.
-func (a *aggregate) classifyArgs() {
-	n := len(a.node.Aggs)
-	a.argMode = make([]int8, n)
-	a.argCol = make([]int, n)
-	a.argVec = make([]*fvec, n)
-	a.argVals = make([][]float64, n)
-	a.argNull = make([][]bool, n)
-	cols := a.bchild.table.Columns()
-	for i, s := range a.node.Aggs {
-		switch {
-		case s.Arg == nil:
-			a.argMode[i] = argNoneMode
-		default:
-			if col, ok := s.Arg.(*plan.Col); ok {
-				a.argMode[i] = argColMode
-				a.argCol[i] = col.Idx
-				continue
-			}
-			if fv, afloat := lowerFvec(s.Arg, cols); fv != nil && afloat {
-				a.argMode[i] = argFloatMode
-				a.argVec[i] = fv
-				continue
-			}
-			a.argMode[i] = argFnMode
-		}
-	}
 }
 
 // slabChunk is the number of groups the next slab chunk holds: as many as
@@ -278,14 +215,10 @@ func (a *aggregate) newGroup(keys []types.Value) *aggGroup {
 
 func (a *aggregate) drain(ctx *execCtx) error {
 	a.drained = true
-	switch {
-	case a.node.Op == plan.OpGroupAgg:
+	if a.node.Op == plan.OpGroupAgg {
 		return a.drainSorted(ctx)
-	case a.bchild != nil:
-		return a.drainHashedVec(ctx)
-	default:
-		return a.drainHashed(ctx)
 	}
+	return a.drainHashed(ctx)
 }
 
 // groupKey evaluates the group-by expressions for row into a.valBuf,
@@ -319,8 +252,7 @@ func (a *aggregate) startHashed() {
 }
 
 // lookupGroup finds or creates the group for the current row, charging
-// the group-key evaluation and hash probe exactly as the row engine does.
-// Shared by the row and batched hashed drains.
+// the group-key evaluation and the hash probe.
 func (a *aggregate) lookupGroup(ctx *execCtx, row plan.Row) *aggGroup {
 	if len(a.node.GroupBy) == 0 {
 		if len(a.groups) == 0 {
@@ -356,61 +288,8 @@ func (a *aggregate) drainHashed(ctx *execCtx) error {
 	return a.finishHashed(ctx)
 }
 
-// drainHashedVec is the batched hashed drain: it consumes scan windows
-// directly, materializes lowered aggregate arguments column-at-a-time,
-// and then walks the selection replaying charges per row. The per-row
-// charge sequence — scan replay, tuple CPU, group key, hash probe, then
-// per-aggregate argument cost and accumulation — is drainHashed's exactly.
-func (a *aggregate) drainHashedVec(ctx *execCtx) error {
-	a.startHashed()
-	for {
-		b, ok, err := a.bchild.NextBatch(ctx)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		sel := b.Sel
-		if len(sel) == 0 {
-			continue
-		}
-		for j, fv := range a.argVec {
-			if a.argMode[j] == argFloatMode {
-				a.argVals[j], a.argNull[j] = fv.eval(b.lo, sel)
-			}
-		}
-		rows := b.Rows
-		for si, w := range sel {
-			b.BeforeRow(ctx, w)
-			row := rows[w]
-			ctx.clock.CPUTuples(1)
-			g := a.lookupGroup(ctx, row)
-			for j := range g.states {
-				st := &g.states[j]
-				switch a.argMode[j] {
-				case argNoneMode:
-					st.count++
-				case argColMode:
-					ctx.clock.CPUOps(st.argCost.Ops, st.argCost.NumericOps)
-					st.updateValue(ctx, row[a.argCol[j]])
-				case argFloatMode:
-					ctx.clock.CPUOps(st.argCost.Ops, st.argCost.NumericOps)
-					if nm := a.argNull[j]; nm != nil && nm[si] {
-						continue
-					}
-					st.updateValue(ctx, types.Float(a.argVals[j][si]))
-				default: // argFnMode
-					st.update(ctx, row)
-				}
-			}
-		}
-	}
-	return a.finishHashed(ctx)
-}
-
-// finishHashed is the shared tail of both hashed drains: the empty-input
-// single group, spill accounting, the pipeline barrier, and emission in
+// finishHashed is the tail of the hashed drain: the empty-input single
+// group, spill accounting, the pipeline barrier, and emission in
 // first-appearance order into a result buffer presized to the group count.
 func (a *aggregate) finishHashed(ctx *execCtx) error {
 	// A query with no GROUP BY emits exactly one row even on empty input.
@@ -506,9 +385,6 @@ func (a *aggregate) ReScan(ctx *execCtx, outer plan.Row) error {
 		a.results = nil
 		a.drained = false
 		a.pos = 0
-		if a.bchild != nil {
-			return a.bchild.ReScanBatch(ctx, outer)
-		}
 		return a.child.ReScan(ctx, outer)
 	}
 	a.pos = 0
@@ -516,10 +392,4 @@ func (a *aggregate) ReScan(ctx *execCtx, outer plan.Row) error {
 }
 
 // Close implements iterator.
-func (a *aggregate) Close() {
-	if a.bchild != nil {
-		a.bchild.CloseBatch()
-		return
-	}
-	a.child.Close()
-}
+func (a *aggregate) Close() { a.child.Close() }

@@ -275,6 +275,104 @@ func checkExprDifferential(t *testing.T, r *rand.Rand, s plan.Scalar) {
 	}
 }
 
+// genSelPredicate draws a random scan-filter predicate over the two-column
+// schema (col 0 of kind k, col 1 float): Col-op-Const in both operand
+// orders, BETWEEN/IN/LIKE/IS NULL with their negated forms, and
+// conjunctions with a float comparison — literals include NaN, ±Inf and
+// the occasional NULL.
+func genSelPredicate(r *rand.Rand, k types.Kind) plan.Scalar {
+	col := &plan.Col{Idx: 0, K: k}
+	cv := func() *plan.Const {
+		v := genValue(r, k)
+		if v.IsNull() { // keep NULL literals rare: they short-circuit everything
+			v = genValue(r, k)
+		}
+		return &plan.Const{V: v}
+	}
+	ops := []plan.BinOp{plan.BEq, plan.BNe, plan.BLt, plan.BLe, plan.BGt, plan.BGe}
+	switch r.Intn(5) {
+	case 0:
+		op := ops[r.Intn(len(ops))]
+		if r.Intn(2) == 0 {
+			return &plan.Bin{Op: op, L: col, R: cv(), K: types.KindBool}
+		}
+		return &plan.Bin{Op: op, L: cv(), R: col, K: types.KindBool}
+	case 1:
+		if k == types.KindString {
+			return plan.NewLike(col, []string{"%a%", "B%", "%o", "a_c", "foo"}[r.Intn(5)], r.Intn(2) == 0)
+		}
+		return &plan.Between{E: col, Lo: cv(), Hi: cv(), Negated: r.Intn(2) == 0}
+	case 2:
+		list := make([]plan.Scalar, 1+r.Intn(3))
+		for i := range list {
+			list[i] = cv()
+		}
+		return &plan.In{E: col, List: list, Negated: r.Intn(2) == 0}
+	case 3:
+		return &plan.IsNull{E: col, Negated: r.Intn(2) == 0}
+	default:
+		fcol := &plan.Col{Idx: 1, K: types.KindFloat}
+		fv := genValue(r, types.KindFloat)
+		if fv.IsNull() {
+			fv = types.Float(0)
+		}
+		lhs := genSelPredicate(r, k)
+		rhs := &plan.Bin{Op: ops[r.Intn(len(ops))], L: fcol, R: &plan.Const{V: fv}, K: types.KindBool}
+		return &plan.Bin{Op: plan.BAnd, L: lhs, R: rhs, K: types.KindBool}
+	}
+}
+
+// genFloatExpr draws a random +−×÷ tree over float column 0, int column 1
+// and numeric literals (division by zero and NULL propagation included).
+func genFloatExpr(r *rand.Rand, depth int) plan.Scalar {
+	if depth == 0 || r.Intn(3) == 0 {
+		switch r.Intn(4) {
+		case 0:
+			return &plan.Col{Idx: 0, K: types.KindFloat}
+		case 1:
+			return &plan.Col{Idx: 1, K: types.KindInt}
+		case 2:
+			return &plan.Const{V: types.Float((r.Float64() - 0.5) * 100)}
+		default:
+			return &plan.Const{V: types.Int(r.Int63n(7))}
+		}
+	}
+	ops := []plan.BinOp{plan.BAdd, plan.BSub, plan.BMul, plan.BDiv}
+	return &plan.Bin{
+		Op: ops[r.Intn(len(ops))],
+		L:  genFloatExpr(r, depth-1),
+		R:  genFloatExpr(r, depth-1),
+		K:  types.KindFloat,
+	}
+}
+
+// TestQuickCompiledGenerated feeds generated expressions — shapes the
+// TPC-H templates never produce — through checkExprDifferential.
+func TestQuickCompiledGenerated(t *testing.T) {
+	kinds := []types.Kind{types.KindFloat, types.KindInt, types.KindDate, types.KindString}
+	gens := []struct {
+		name string
+		gen  func(*rand.Rand) plan.Scalar
+	}{
+		{"predicate", func(r *rand.Rand) plan.Scalar { return genSelPredicate(r, kinds[r.Intn(len(kinds))]) }},
+		{"float", func(r *rand.Rand) plan.Scalar { return genFloatExpr(r, 1+r.Intn(3)) }},
+	}
+	for _, g := range gens {
+		gen := g.gen
+		t.Run(g.name, func(t *testing.T) {
+			cfg := &quick.Config{MaxCount: 4000, Rand: rand.New(rand.NewSource(23))}
+			f := func(seed int64) bool {
+				r := rand.New(rand.NewSource(seed))
+				checkExprDifferential(t, r, gen(r))
+				return true
+			}
+			if err := quick.Check(f, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestQuickCompiledBinary cross-checks compiled binary operators against
 // the interpreter over testing/quick-generated operands in every Col/Const
 // placement (which select different specialized fast paths).

@@ -46,14 +46,6 @@ type Options struct {
 	// times; this escape hatch exists for the differential tests and as a
 	// debugging aid.
 	Interpret bool
-	// Vectorize runs the batched columnar engine: sequential scans produce
-	// ~1k-row windows with kernel-evaluated selection vectors, and batched
-	// consumers (hashed aggregation today) process them window-at-a-time.
-	// Like Interpret, it changes real time only: rows and virtual times are
-	// identical to the row engine, which remains the differential oracle
-	// (vector_test.go pins the equivalence). Operators without a batched
-	// form compose through a row adapter. Ignored when Interpret is set.
-	Vectorize bool
 }
 
 // Result is the outcome of a query execution.
@@ -76,8 +68,6 @@ type execCtx struct {
 	// repeated executions of one plan tree skip compilation entirely. Nil
 	// when Options.Interpret is set.
 	compiled map[plan.Scalar]evalFn
-	// vectorize routes eligible operators through the batch engine.
-	vectorize bool
 }
 
 func (c *execCtx) overTime() bool {
@@ -105,7 +95,6 @@ func Run(db *storage.Database, root *plan.Node, clock *vclock.Clock, opts Option
 
 	ectx := &plan.Ctx{Params: make([]types.Value, root.NumParams)}
 	ctx := &execCtx{db: db, clock: clock, ectx: ectx, limit: opts.TimeLimit, trace: opts.Trace}
-	ctx.vectorize = opts.Vectorize && !opts.Interpret
 	if !opts.Interpret {
 		// Closures are pure functions of the plan tree, so they survive
 		// across Runs on the root's ExecCache (plan trees are never shared
@@ -212,12 +201,6 @@ func build(ctx *execCtx, n *plan.Node, reuse bool) (iterator, error) {
 	var inner iterator
 	switch n.Op {
 	case plan.OpSeqScan:
-		if vs := vecScan(ctx, n); vs != nil {
-			// The batch scan manages its own actuals and spans, so its row
-			// adapter is installed without an instrumented wrapper (which
-			// would double-count).
-			return &batchToRow{src: vs}, nil
-		}
 		t, ok := ctx.db.Table(n.Table)
 		if !ok {
 			return nil, fmt.Errorf("exec: unknown table %q", n.Table)
@@ -307,15 +290,6 @@ func build(ctx *execCtx, n *plan.Node, reuse bool) (iterator, error) {
 		}
 		inner = &nestedLoop{node: n, outer: left, inner: right, reuse: reuse}
 	case plan.OpHashAggregate, plan.OpGroupAgg, plan.OpAggregate:
-		// Hashed aggregation over a batchable scan drains it window-at-a-
-		// time with vectorized argument evaluation; GroupAggregate needs
-		// its input ordered, which only the row path guarantees it sees.
-		if n.Op != plan.OpGroupAgg {
-			if vs := vecScan(ctx, n.Children[0]); vs != nil {
-				inner = &aggregate{node: n, bchild: vs}
-				break
-			}
-		}
 		child, err := build(ctx, n.Children[0], true) // rows only accumulated
 		if err != nil {
 			return nil, err

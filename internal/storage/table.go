@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"qpp/internal/catalog"
 	"qpp/internal/types"
@@ -29,11 +28,6 @@ type Table struct {
 	RowsPerPage int
 	// Pages is the heap size in pages.
 	Pages int64
-
-	// Columnar decomposition, built lazily by Columns(). The Once makes
-	// concurrent first uses safe; the vectors themselves are immutable.
-	colOnce sync.Once
-	cols    []*types.ColVec
 }
 
 // NewTable builds a table and computes its page layout.
@@ -243,7 +237,7 @@ type Database struct {
 	// (catalog.AnalyzeRowsSketch, one bounded-memory pass) to the exact
 	// oracle (catalog.AnalyzeRows). The exact path exists for the
 	// differential stats tests, mirroring how Options.Interpret anchors
-	// the vectorized engine.
+	// the compiled evaluator.
 	ExactStats bool
 }
 

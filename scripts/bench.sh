@@ -39,10 +39,7 @@ cleanup() {
 trap cleanup EXIT
 
 # Full-query pairs (root package) + pure-expression pairs (internal/exec).
-# BenchmarkExecutionBatch is the batched columnar engine over the same
-# Q1/Q6/Q18 plans; its ratio to BenchmarkExprCompiled is the batch-engine
-# speedup (results are bit-identical by the differential suite).
-go test -run '^$' -bench 'BenchmarkExecutionQ6|BenchmarkExprCompiled|BenchmarkExprInterpreted|BenchmarkExecutionBatch' \
+go test -run '^$' -bench 'BenchmarkExecutionQ6|BenchmarkExprCompiled|BenchmarkExprInterpreted' \
 	-benchmem -benchtime=1s "$@" . | tee "$tmp"
 go test -run '^$' -bench 'BenchmarkScalarEval|BenchmarkHashJoinBuildProbe|BenchmarkHashAggregate' \
 	-benchmem -benchtime=1s "$@" ./internal/exec/ | tee -a "$tmp"
@@ -83,15 +80,6 @@ END {
 	}
 	print "{"
 	printf "  \"go\": \"%s\",\n", goversion
-	# Frozen pre-batch-engine reference (the row engine as recorded the
-	# day the vectorized engine landed, same box): the denominator for
-	# the batch-engine speedup, kept verbatim so later regenerations on
-	# faster row engines do not silently move the goalposts.
-	print "  \"baseline\": ["
-	print "    {\"name\": \"BenchmarkExprCompiled/q1\", \"iterations\": 64, \"ns_per_op\": 16034654, \"bytes_per_op\": 212936, \"allocs_per_op\": 723},"
-	print "    {\"name\": \"BenchmarkExprCompiled/q6\", \"iterations\": 355, \"ns_per_op\": 3483115, \"bytes_per_op\": 202280, \"allocs_per_op\": 683},"
-	print "    {\"name\": \"BenchmarkExprCompiled/q18\", \"iterations\": 18, \"ns_per_op\": 72256549, \"bytes_per_op\": 55041916, \"allocs_per_op\": 101196}"
-	print "  ],"
 	print "  \"benchmarks\": ["
 	for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n - 1 ? "," : "")
 	print "  ]"

@@ -11,13 +11,7 @@
 #                    BENCH_*.json artifacts and guards the analysis cost
 #                    with BenchmarkAnalyzeRepo; see internal/analysis
 #                    and DESIGN.md §12
-#   5. go test -race — the full suite under the race detector. This
-#                    includes the vectorized differential suite
-#                    (TestVectorizedMatchesRowEngine: all 18 templates
-#                    under Options.Vectorize on/off asserting identical
-#                    rows and a bit-identical virtual clock), so the
-#                    batch engine's equivalence proof runs under -race
-#                    on every CI pass without a second multi-minute run
+#   5. go test -race — the full suite under the race detector
 #   6. coverage    — statement coverage floor over the -short suite
 #   7. fuzz smoke  — 5s of FuzzParse on the SQL grammar
 #   8. serve smoke — 5s of FuzzPredictRequest on the qppserve /predict
