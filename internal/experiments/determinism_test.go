@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qpp/internal/plan"
+	"qpp/internal/qpp"
 	"qpp/internal/workload"
 )
 
@@ -147,6 +148,53 @@ func TestParallelDeterminism(t *testing.T) {
 		}
 		if got, want := fig6.Metrics.String(), refFig6.Metrics.String(); got != want {
 			t.Fatalf("workers=%d: fig6 metrics dump diverges:\n%s\nvs\n%s", workers, got, want)
+		}
+	}
+}
+
+// TestTrainMemoDoesNotChangeFigures: the training memo only decides who
+// trains a model, never what the model is. Figures 6 to 9 computed with a
+// memo, at 1, 2 and 8 workers (where requesters of one model race for
+// it), equal the serial figures computed with no memo at all, down to the
+// registries' internals.
+func TestTrainMemoDoesNotChangeFigures(t *testing.T) {
+	cfg := determinismConfig(t)
+	cfg.Observe = true
+	cfg.Parallelism = 1
+	env, err := BuildEnv(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	figures := []struct {
+		name string
+		run  func(*Env, *qpp.TrainMemo) (any, error)
+	}{
+		{"fig6", func(e *Env, m *qpp.TrainMemo) (any, error) { return fig6(e, m) }},
+		{"fig7", func(e *Env, m *qpp.TrainMemo) (any, error) { return fig7(e, m) }},
+		{"fig8", func(e *Env, m *qpp.TrainMemo) (any, error) { return fig8(e, m) }},
+		{"fig9", func(e *Env, m *qpp.TrainMemo) (any, error) { return fig9(e, m) }},
+	}
+	for _, fig := range figures {
+		ref, err := fig.run(env, nil)
+		if err != nil {
+			t.Fatalf("%s, no memo, serial: %v", fig.name, err)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			e := *env
+			e.Cfg.Parallelism = workers
+			for _, memo := range []*qpp.TrainMemo{new(qpp.TrainMemo), nil} {
+				if memo == nil && workers == 1 {
+					continue // the reference itself
+				}
+				got, err := fig.run(&e, memo)
+				if err != nil {
+					t.Fatalf("%s, memo=%v, workers=%d: %v", fig.name, memo != nil, workers, err)
+				}
+				if !reflect.DeepEqual(got, ref) {
+					t.Fatalf("%s, memo=%v, workers=%d diverges from the memo-less serial run:\n%+v\nvs\n%+v",
+						fig.name, memo != nil, workers, got, ref)
+				}
+			}
 		}
 	}
 }

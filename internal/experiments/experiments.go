@@ -160,6 +160,33 @@ func (e *Env) forEachPar(n int, fn func(i int) error) error {
 	return parallel.ForEach(n, e.Cfg.Parallelism, fn)
 }
 
+// planCfg and opCfg are the paper's plan- and operator-level model
+// configurations, training through memo. Every figure driver makes one
+// qpp.TrainMemo per call and lets go of it on return: a driver's folds,
+// feature combinations, strategies and held-out templates keep asking for
+// models an earlier step of the same call already trained, but a memo
+// kept on the Env would make a second call cost nothing like the first.
+func planCfg(memo *qpp.TrainMemo) qpp.PlanModelConfig {
+	cfg := qpp.DefaultPlanModelConfig()
+	cfg.Memo = memo
+	return cfg
+}
+
+func opCfg(memo *qpp.TrainMemo) qpp.PlanModelConfig {
+	cfg := qpp.OpModelConfig()
+	cfg.Memo = memo
+	return cfg
+}
+
+// hybridCfg is the paper's Algorithm-1 configuration for a strategy, all
+// its models training through memo.
+func hybridCfg(s qpp.Strategy, memo *qpp.TrainMemo) qpp.HybridConfig {
+	cfg := qpp.DefaultHybridConfig(s)
+	cfg.PlanCfg.Memo = memo
+	cfg.OpCfg.Memo = memo
+	return cfg
+}
+
 // figRegistry returns a fresh registry for a figure driver when the obs
 // layer is on, nil otherwise. Drivers record into it only after their
 // parallel slots are assembled, in record order, so the dump is

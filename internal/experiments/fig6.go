@@ -41,13 +41,16 @@ type Fig6Result struct {
 }
 
 // Fig6 runs plan- and operator-level static prediction on both datasets.
-func Fig6(env *Env) (*Fig6Result, error) {
+func Fig6(env *Env) (*Fig6Result, error) { return fig6(env, new(qpp.TrainMemo)) }
+
+// fig6 is Fig6 training through memo (nil: every model trained afresh).
+func fig6(env *Env, memo *qpp.TrainMemo) (*Fig6Result, error) {
 	out := &Fig6Result{Metrics: env.figRegistry()}
 
 	run := func(ds *workload.Dataset, large bool) error {
 		// Plan-level: all templates.
 		recs := ds.Records
-		planPred, err := crossValPlanLevel(env, recs)
+		planPred, err := crossValPlanLevel(env, recs, memo)
 		if err != nil {
 			return err
 		}
@@ -56,7 +59,7 @@ func Fig6(env *Env) (*Fig6Result, error) {
 
 		// Operator-level: the 14 templates without subquery structures.
 		opRecs := workload.FilterTemplates(recs, tpch.OperatorLevelTemplates)
-		opPred, err := crossValOperatorLevel(env, opRecs)
+		opPred, err := crossValOperatorLevel(env, opRecs, memo)
 		if err != nil {
 			return err
 		}
@@ -115,12 +118,12 @@ func bestBandMean(errs []TemplateError, band float64) (float64, int) {
 
 // crossValPlanLevel produces out-of-fold plan-level predictions, training
 // the folds concurrently (each fold writes only its own test slots).
-func crossValPlanLevel(env *Env, recs []*qpp.QueryRecord) ([]float64, error) {
+func crossValPlanLevel(env *Env, recs []*qpp.QueryRecord, memo *qpp.TrainMemo) ([]float64, error) {
 	folds := stratifiedFolds(recs, env.Cfg.Folds, env.Cfg.Seed)
 	pred := make([]float64, len(recs))
 	if err := env.forEachPar(len(folds), func(fi int) error {
 		f := folds[fi]
-		m, err := qpp.TrainPlanLevel(subset(recs, f.Train), qpp.FeatEstimates, qpp.DefaultPlanModelConfig())
+		m, err := qpp.TrainPlanLevel(subset(recs, f.Train), qpp.FeatEstimates, planCfg(memo))
 		if err != nil {
 			return err
 		}
@@ -136,12 +139,12 @@ func crossValPlanLevel(env *Env, recs []*qpp.QueryRecord) ([]float64, error) {
 
 // crossValOperatorLevel produces out-of-fold operator-level predictions,
 // training the folds concurrently.
-func crossValOperatorLevel(env *Env, recs []*qpp.QueryRecord) ([]float64, error) {
+func crossValOperatorLevel(env *Env, recs []*qpp.QueryRecord, memo *qpp.TrainMemo) ([]float64, error) {
 	folds := stratifiedFolds(recs, env.Cfg.Folds, env.Cfg.Seed)
 	pred := make([]float64, len(recs))
 	if err := env.forEachPar(len(folds), func(fi int) error {
 		f := folds[fi]
-		m, err := qpp.TrainOperatorModels(subset(recs, f.Train), qpp.FeatEstimates, qpp.OpModelConfig())
+		m, err := qpp.TrainOperatorModels(subset(recs, f.Train), qpp.FeatEstimates, opCfg(memo))
 		if err != nil {
 			return err
 		}

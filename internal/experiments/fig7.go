@@ -28,7 +28,12 @@ type Fig7Result struct {
 }
 
 // Fig7 evaluates the three feature-source combinations on the large dataset.
-func Fig7(env *Env) (*Fig7Result, error) {
+func Fig7(env *Env) (*Fig7Result, error) { return fig7(env, new(qpp.TrainMemo)) }
+
+// fig7 is Fig7 training through memo (nil: every model trained afresh).
+// Actual/actual and actual/estimate train on the same features and
+// differ only in what they are tested on.
+func fig7(env *Env, memo *qpp.TrainMemo) (*Fig7Result, error) {
 	recs := env.Large.Records
 	opRecs := workload.FilterTemplates(recs, tpch.OperatorLevelTemplates)
 	folds := stratifiedFolds(recs, env.Cfg.Folds, env.Cfg.Seed)
@@ -49,7 +54,7 @@ func Fig7(env *Env) (*Fig7Result, error) {
 		planPred := make([]float64, len(recs))
 		if err := env.forEachPar(len(folds), func(fi int) error {
 			f := folds[fi]
-			m, err := qpp.TrainPlanLevel(subset(recs, f.Train), c.train, qpp.DefaultPlanModelConfig())
+			m, err := qpp.TrainPlanLevel(subset(recs, f.Train), c.train, planCfg(memo))
 			if err != nil {
 				return err
 			}
@@ -71,7 +76,7 @@ func Fig7(env *Env) (*Fig7Result, error) {
 		opPred := make([]float64, len(opRecs))
 		if err := env.forEachPar(len(opFolds), func(fi int) error {
 			f := opFolds[fi]
-			m, err := qpp.TrainOperatorModels(subset(opRecs, f.Train), c.train, qpp.OpModelConfig())
+			m, err := qpp.TrainOperatorModels(subset(opRecs, f.Train), c.train, opCfg(memo))
 			if err != nil {
 				return err
 			}

@@ -32,7 +32,12 @@ type Fig8Result struct {
 }
 
 // Fig8 runs Algorithm 1 under each strategy.
-func Fig8(env *Env) (*Fig8Result, error) {
+func Fig8(env *Env) (*Fig8Result, error) { return fig8(env, new(qpp.TrainMemo)) }
+
+// fig8 is Fig8 training through memo (nil: every model trained afresh).
+// The strategies order the same candidate sub-plans of one training set
+// differently, so most of what one models another models too.
+func fig8(env *Env, memo *qpp.TrainMemo) (*Fig8Result, error) {
 	recs := workload.FilterTemplates(env.Large.Records, tpch.OperatorLevelTemplates)
 	folds := stratifiedFolds(recs, 5, env.Cfg.Seed)
 	train := subset(recs, folds[0].Train)
@@ -45,7 +50,7 @@ func Fig8(env *Env) (*Fig8Result, error) {
 	accepted := make([]int, len(strategies))
 	if err := env.forEachPar(len(strategies), func(si int) error {
 		s := strategies[si]
-		cfg := qpp.DefaultHybridConfig(s)
+		cfg := hybridCfg(s, memo)
 		cfg.MaxIters = 30
 		cfg.TargetError = 0 // run all iterations so the curves are comparable
 		cfg.EvalRecs = test

@@ -33,7 +33,13 @@ type Fig9Result struct {
 
 // Fig9 runs the leave-one-template-out comparison over the paper's 12
 // dynamic-workload templates.
-func Fig9(env *Env) (*Fig9Result, error) {
+func Fig9(env *Env) (*Fig9Result, error) { return fig9(env, new(qpp.TrainMemo)) }
+
+// fig9 is Fig9 training through memo (nil: every model trained afresh).
+// Both hybrid strategies and online modelling model the sub-plans of one
+// training set, and a sub-plan the held-out template does not contain
+// has the same occurrences whichever template is held out.
+func fig9(env *Env, memo *qpp.TrainMemo) (*Fig9Result, error) {
 	recs := workload.FilterTemplates(env.Large.Records, tpch.DynamicWorkloadTemplates)
 	// Each held-out template trains its methods independently; rows are
 	// computed concurrently into index-addressed slots and assembled in
@@ -48,7 +54,7 @@ func Fig9(env *Env) (*Fig9Result, error) {
 		row := DynamicRow{Template: heldOut}
 
 		// Plan-level.
-		pl, err := qpp.TrainPlanLevel(train, qpp.FeatEstimates, qpp.DefaultPlanModelConfig())
+		pl, err := qpp.TrainPlanLevel(train, qpp.FeatEstimates, planCfg(memo))
 		if err != nil {
 			return err
 		}
@@ -57,7 +63,7 @@ func Fig9(env *Env) (*Fig9Result, error) {
 		})
 
 		// Operator-level.
-		ops, err := qpp.TrainOperatorModels(train, qpp.FeatEstimates, qpp.OpModelConfig())
+		ops, err := qpp.TrainOperatorModels(train, qpp.FeatEstimates, opCfg(memo))
 		if err != nil {
 			return err
 		}
@@ -67,7 +73,7 @@ func Fig9(env *Env) (*Fig9Result, error) {
 
 		// Hybrid, error-based and size-based.
 		for _, s := range []qpp.Strategy{qpp.ErrorBased, qpp.SizeBased} {
-			cfg := qpp.DefaultHybridConfig(s)
+			cfg := hybridCfg(s, memo)
 			h, _, err := qpp.TrainHybrid(train, cfg)
 			if err != nil {
 				return err
@@ -87,6 +93,7 @@ func Fig9(env *Env) (*Fig9Result, error) {
 		idx := qpp.BuildSubplanIndex(train)
 		onlineCfg := qpp.DefaultOnlineConfig()
 		onlineCfg.Cache = qpp.NewOnlineCache()
+		onlineCfg.PlanCfg.Memo = memo
 		row.Online = evalOn(test, func(r *qpp.QueryRecord) (float64, error) {
 			p, _, err := qpp.OnlinePredict(idx, ops, r, onlineCfg)
 			return p, err

@@ -44,6 +44,7 @@ type SVR struct {
 
 	sv        *Matrix   // support vectors (rows)
 	lastIters int       // SMO iterations used by the last Fit
+	lastCap   int       // iteration cap the last Fit ran under
 	coef      []float64 // alpha_i - alpha_i^* per support vector
 	b         float64   // bias term
 	gamma     float64   // resolved gamma actually used
@@ -100,6 +101,35 @@ func (s *SVR) Fit(x *Matrix, y []float64) error {
 		s.gamma = 1.0 / float64(max(1, x.Cols))
 	}
 
+	sol := s.dual(x, y)
+	maxIter := s.MaxIter
+	if maxIter <= 0 {
+		maxIter = max(10000, 100*sol.n)
+	}
+	s.lastIters, s.lastCap = sol.solve(maxIter), maxIter
+
+	// Collapse to alpha - alpha* and keep only support vectors.
+	var svRows [][]float64
+	var coef []float64
+	for i := 0; i < l; i++ {
+		a := sol.alpha[i] - sol.alpha[i+l]
+		if math.Abs(a) > 1e-12 {
+			svRows = append(svRows, append([]float64(nil), x.Row(i)...))
+			coef = append(coef, a)
+		}
+	}
+	sv, err := MatrixFromRows(svRows)
+	if err != nil {
+		return err
+	}
+	s.sv, s.coef, s.b = sv, coef, -sol.rho()
+	return nil
+}
+
+// dual builds the 2l-variable dual problem of x, y under s's resolved
+// hyperparameters, at its starting point.
+func (s *SVR) dual(x *Matrix, y []float64) smoSolver {
+	l := x.Rows
 	// Precompute the l x l kernel matrix; training sets here are small
 	// (hundreds of rows), so the dense matrix is cheap.
 	k := NewMatrix(l, l)
@@ -137,7 +167,7 @@ func (s *SVR) Fit(x *Matrix, y []float64) error {
 		}
 	}
 
-	sol := smoSolver{
+	return smoSolver{
 		n:     n,
 		l:     l,
 		k:     k,
@@ -148,28 +178,6 @@ func (s *SVR) Fit(x *Matrix, y []float64) error {
 		tol:   s.Tol,
 		nu:    s.Kind == NuSVR,
 	}
-	maxIter := s.MaxIter
-	if maxIter <= 0 {
-		maxIter = max(10000, 100*n)
-	}
-	s.lastIters = sol.solve(maxIter)
-
-	// Collapse to alpha - alpha* and keep only support vectors.
-	var svRows [][]float64
-	var coef []float64
-	for i := 0; i < l; i++ {
-		a := sol.alpha[i] - sol.alpha[i+l]
-		if math.Abs(a) > 1e-12 {
-			svRows = append(svRows, append([]float64(nil), x.Row(i)...))
-			coef = append(coef, a)
-		}
-	}
-	sv, err := MatrixFromRows(svRows)
-	if err != nil {
-		return err
-	}
-	s.sv, s.coef, s.b = sv, coef, -sol.rho()
-	return nil
 }
 
 // Predict returns the SVR output for one feature row.
@@ -184,6 +192,18 @@ func (s *SVR) Predict(row []float64) float64 {
 // NumSupportVectors reports the number of support vectors kept after Fit.
 func (s *SVR) NumSupportVectors() int { return len(s.coef) }
 
+// Iterations reports the SMO iterations the last Fit used (0 for a model
+// that was loaded, not fitted).
+func (s *SVR) Iterations() int { return s.lastIters }
+
+// Converged reports whether the last Fit stopped by itself (no pair
+// violating the KKT conditions by Tol or more was left, or a step could
+// not move) and not because it ran into the iteration cap: MaxIter, or
+// max(10000, 200 per row) by default. A capped fit is still a usable
+// model, only not the optimum. False for a model that was loaded, not
+// fitted.
+func (s *SVR) Converged() bool { return s.lastIters < s.lastCap }
+
 // smoSolver carries the state of the 2l-variable SMO optimization.
 type smoSolver struct {
 	n     int       // number of dual variables (2l)
@@ -197,6 +217,15 @@ type smoSolver struct {
 	c     float64
 	tol   float64
 	nu    bool // use Solver_NU pair selection / rho
+
+	// The maximal violator in I_up of each sign class for the current
+	// (alpha, g): its index (-1 when the class has no member of I_up) and
+	// its -y*G. scanViolators sets them once after the gradient is
+	// initialized; from then on update keeps them current inside its
+	// gradient loop, so selecting a pair never re-reads the gradient for
+	// them. Ties go to the lowest index, as a scan in ascending t gives.
+	upP, upN     int
+	gmaxP, gmaxN float64
 }
 
 // q returns Q[i][j] = sign_i * sign_j * K[i%l][j%l].
@@ -208,12 +237,27 @@ func (s *smoSolver) q(i, j int) float64 {
 	return v
 }
 
+// solve runs SMO until no violating pair is left, a step makes no
+// progress, or maxIter iterations are spent; it returns the iterations
+// used (maxIter itself when the cap stopped it).
 func (s *smoSolver) solve(maxIter int) int {
+	s.init()
+	for iter := 0; iter < maxIter; iter++ {
+		i, j := s.selectWorkingSet()
+		if i < 0 || !s.update(i, j) {
+			return iter
+		}
+	}
+	return maxIter
+}
+
+// init computes the kernel diagonal, the gradient G = p + Q*alpha (alpha
+// may be nonzero for nu-SVR) and the first iteration's maximal violators.
+func (s *smoSolver) init() {
 	s.kd = make([]float64, s.l)
 	for t := 0; t < s.l; t++ {
 		s.kd[t] = s.k.At(t, t)
 	}
-	// Initialize gradient G = p + Q*alpha (alpha may be nonzero for nu-SVR).
 	s.g = append([]float64(nil), s.p...)
 	for j := 0; j < s.n; j++ {
 		if s.alpha[j] == 0 {
@@ -224,95 +268,138 @@ func (s *smoSolver) solve(maxIter int) int {
 			s.g[i] += aj * s.q(i, j)
 		}
 	}
-	const tau = 1e-12
-	for iter := 0; iter < maxIter; iter++ {
-		i, j := s.selectWorkingSet()
-		if i < 0 {
-			return iter
-		}
-		ai, aj := s.alpha[i], s.alpha[j]
-		qij := s.q(i, j)
-		if s.sign[i] != s.sign[j] {
-			quad := s.q(i, i) + s.q(j, j) + 2*qij
-			if quad <= 0 {
-				quad = tau
-			}
-			delta := (-s.g[i] - s.g[j]) / quad
-			diff := ai - aj
-			s.alpha[i] += delta
-			s.alpha[j] += delta
-			if diff > 0 {
-				if s.alpha[j] < 0 {
-					s.alpha[j] = 0
-					s.alpha[i] = diff
-				}
-			} else {
-				if s.alpha[i] < 0 {
-					s.alpha[i] = 0
-					s.alpha[j] = -diff
-				}
-			}
-			if diff > 0 {
-				if s.alpha[i] > s.c {
-					s.alpha[i] = s.c
-					s.alpha[j] = s.c - diff
-				}
-			} else {
-				if s.alpha[j] > s.c {
-					s.alpha[j] = s.c
-					s.alpha[i] = s.c + diff
-				}
-			}
-		} else {
-			quad := s.q(i, i) + s.q(j, j) - 2*qij
-			if quad <= 0 {
-				quad = tau
-			}
-			delta := (s.g[i] - s.g[j]) / quad
-			sum := ai + aj
-			s.alpha[i] -= delta
-			s.alpha[j] += delta
-			if sum > s.c {
-				if s.alpha[i] > s.c {
-					s.alpha[i] = s.c
-					s.alpha[j] = sum - s.c
-				}
-			} else {
-				if s.alpha[j] < 0 {
-					s.alpha[j] = 0
-					s.alpha[i] = sum
-				}
-			}
-			if sum > s.c {
-				if s.alpha[j] > s.c {
-					s.alpha[j] = s.c
-					s.alpha[i] = sum - s.c
-				}
-			} else {
-				if s.alpha[i] < 0 {
-					s.alpha[i] = 0
-					s.alpha[j] = sum
-				}
+	s.scanViolators()
+}
+
+// scanViolators finds the maximal violator of each sign class from
+// scratch: sign +1 is in I_up when alpha < C and violates by -G, sign -1
+// when alpha > 0 and violates by +G.
+func (s *smoSolver) scanViolators() {
+	l, c := s.l, s.c
+	aP, aN := s.alpha[:l], s.alpha[l:][:l]
+	gP, gN := s.g[:l], s.g[l:][:l]
+	gmaxP, gmaxN := math.Inf(-1), math.Inf(-1)
+	upP, upN := -1, -1
+	for t := 0; t < l; t++ {
+		if aP[t] < c {
+			if yg := -gP[t]; yg > gmaxP {
+				gmaxP, upP = yg, t
 			}
 		}
-		di, dj := s.alpha[i]-ai, s.alpha[j]-aj
-		if di == 0 && dj == 0 {
-			return iter
-		}
-		// Gradient update via raw kernel rows: Q[t][i] = sign_t sign_i K,
-		// and sign_{t+l} = -sign_t, so the two halves get opposite deltas.
-		ki := s.k.Row(i % s.l)
-		kj := s.k.Row(j % s.l)
-		wi := float64(s.sign[i]) * di
-		wj := float64(s.sign[j]) * dj
-		gLow := s.g[s.l:]
-		for t := 0; t < s.l; t++ {
-			v := wi*ki[t] + wj*kj[t]
-			s.g[t] += v
-			gLow[t] -= v
+		if aN[t] > 0 {
+			if yg := gN[t]; yg > gmaxN {
+				gmaxN, upN = yg, t+l
+			}
 		}
 	}
-	return maxIter
+	s.upP, s.gmaxP, s.upN, s.gmaxN = upP, gmaxP, upN, gmaxN
+}
+
+// update takes the analytic step on the pair (i, j), clips it to the box,
+// and brings the gradient and the per-class maximal violators up to date
+// in one pass over the rows. It reports false when the step moved neither
+// variable (the solver is stuck and stops).
+func (s *smoSolver) update(i, j int) bool {
+	const tau = 1e-12
+	ai, aj := s.alpha[i], s.alpha[j]
+	qij := s.q(i, j)
+	if s.sign[i] != s.sign[j] {
+		quad := s.q(i, i) + s.q(j, j) + 2*qij
+		if quad <= 0 {
+			quad = tau
+		}
+		delta := (-s.g[i] - s.g[j]) / quad
+		diff := ai - aj
+		s.alpha[i] += delta
+		s.alpha[j] += delta
+		if diff > 0 {
+			if s.alpha[j] < 0 {
+				s.alpha[j] = 0
+				s.alpha[i] = diff
+			}
+		} else {
+			if s.alpha[i] < 0 {
+				s.alpha[i] = 0
+				s.alpha[j] = -diff
+			}
+		}
+		if diff > 0 {
+			if s.alpha[i] > s.c {
+				s.alpha[i] = s.c
+				s.alpha[j] = s.c - diff
+			}
+		} else {
+			if s.alpha[j] > s.c {
+				s.alpha[j] = s.c
+				s.alpha[i] = s.c + diff
+			}
+		}
+	} else {
+		quad := s.q(i, i) + s.q(j, j) - 2*qij
+		if quad <= 0 {
+			quad = tau
+		}
+		delta := (s.g[i] - s.g[j]) / quad
+		sum := ai + aj
+		s.alpha[i] -= delta
+		s.alpha[j] += delta
+		if sum > s.c {
+			if s.alpha[i] > s.c {
+				s.alpha[i] = s.c
+				s.alpha[j] = sum - s.c
+			}
+		} else {
+			if s.alpha[j] < 0 {
+				s.alpha[j] = 0
+				s.alpha[i] = sum
+			}
+		}
+		if sum > s.c {
+			if s.alpha[j] > s.c {
+				s.alpha[j] = s.c
+				s.alpha[i] = sum - s.c
+			}
+		} else {
+			if s.alpha[i] < 0 {
+				s.alpha[i] = 0
+				s.alpha[j] = sum
+			}
+		}
+	}
+	di, dj := s.alpha[i]-ai, s.alpha[j]-aj
+	if di == 0 && dj == 0 {
+		return false
+	}
+	// Gradient update via raw kernel rows: Q[t][i] = sign_t sign_i K,
+	// and sign_{t+l} = -sign_t, so the two halves get opposite deltas.
+	// Each row's new gradient is compared for the next iteration's
+	// maximal violators as soon as it is written: the same comparisons,
+	// in the same ascending-t order, as scanViolators would make after
+	// the loop.
+	l, c := s.l, s.c
+	ki := s.k.Row(i % l)[:l]
+	kj := s.k.Row(j % l)[:l]
+	wi := float64(s.sign[i]) * di
+	wj := float64(s.sign[j]) * dj
+	aP, aN := s.alpha[:l], s.alpha[l:][:l]
+	gP, gN := s.g[:l], s.g[l:][:l]
+	gmaxP, gmaxN := math.Inf(-1), math.Inf(-1)
+	upP, upN := -1, -1
+	for t := 0; t < l; t++ {
+		v := wi*ki[t] + wj*kj[t]
+		gp, gn := gP[t]+v, gN[t]-v
+		gP[t], gN[t] = gp, gn
+		if aP[t] < c {
+			if yg := -gp; yg > gmaxP {
+				gmaxP, upP = yg, t
+			}
+		}
+		if aN[t] > 0 && gn > gmaxN {
+			gmaxN, upN = gn, t+l
+		}
+	}
+	s.upP, s.gmaxP, s.upN, s.gmaxN = upP, gmaxP, upN, gmaxN
+	return true
 }
 
 // selectWorkingSet returns the next working pair using libsvm's
@@ -321,74 +408,17 @@ func (s *smoSolver) solve(maxIter int) int {
 // among violating members of I_low. For nu problems the pair is restricted
 // to one sign class, following libsvm's Solver_NU.
 func (s *smoSolver) selectWorkingSet() (int, int) {
-	const tau = 1e-12
-	// secondOrderJ picks j among candidates in I_low (restricted to the
-	// given sign class for nu problems) given the chosen i.
-	secondOrderJ := func(i int, gmax float64, class int8) (int, float64) {
-		j := -1
-		objMin := math.Inf(1)
-		gmin := math.Inf(1)
-		ki := s.k.Row(i % s.l)
-		kdi := s.kd[i%s.l]
-		// consider evaluates candidate t with precomputed -y_t*G_t.
-		consider := func(t, tl int, ygt float64) {
-			if ygt < gmin {
-				gmin = ygt
-			}
-			b := gmax - ygt
-			if b <= 0 {
-				return
-			}
-			// y_i y_t Q_it = K_it regardless of signs.
-			quad := kdi + s.kd[tl] - 2*ki[tl]
-			if quad <= 0 {
-				quad = tau
-			}
-			if obj := -b * b / quad; obj < objMin {
-				objMin = obj
-				j = t
-			}
-		}
-		// First half: sign +1, I_low means alpha > 0, -yG = -G.
-		if class >= 0 {
-			for t := 0; t < s.l; t++ {
-				if s.alpha[t] > 0 {
-					consider(t, t, -s.g[t])
-				}
-			}
-		}
-		// Second half: sign -1, I_low means alpha < C, -yG = +G.
-		if class <= 0 {
-			for t := s.l; t < s.n; t++ {
-				if s.alpha[t] < s.c {
-					consider(t, t-s.l, s.g[t])
-				}
-			}
-		}
-		return j, gmin
-	}
-
 	if !s.nu {
-		gmax := math.Inf(-1)
-		i := -1
-		for t := 0; t < s.l; t++ { // sign +1: I_up means alpha < C
-			if s.alpha[t] < s.c {
-				if yg := -s.g[t]; yg > gmax {
-					gmax, i = yg, t
-				}
-			}
-		}
-		for t := s.l; t < s.n; t++ { // sign -1: I_up means alpha > 0
-			if s.alpha[t] > 0 {
-				if yg := s.g[t]; yg > gmax {
-					gmax, i = yg, t
-				}
-			}
+		// One scan over t = 0..2l-1 keeps the first index reaching the
+		// maximum, so the sign -1 half wins only when strictly larger.
+		i, gmax := s.upP, s.gmaxP
+		if s.gmaxN > gmax {
+			i, gmax = s.upN, s.gmaxN
 		}
 		if i < 0 {
 			return -1, -1
 		}
-		j, gmin := secondOrderJ(i, gmax, 0)
+		j, gmin := s.secondOrderJ(i, gmax, 0)
 		if j < 0 || gmax-gmin < s.tol {
 			return -1, -1
 		}
@@ -397,36 +427,21 @@ func (s *smoSolver) selectWorkingSet() (int, int) {
 
 	// Solver_NU: best violator per sign class, second-order j within the
 	// same class, then take the class with the larger violation.
-	gmaxP, gmaxN := math.Inf(-1), math.Inf(-1)
-	ip, in := -1, -1
-	for t := 0; t < s.l; t++ { // sign +1
-		if s.alpha[t] < s.c {
-			if yg := -s.g[t]; yg > gmaxP {
-				gmaxP, ip = yg, t
-			}
-		}
-	}
-	for t := s.l; t < s.n; t++ { // sign -1
-		if s.alpha[t] > 0 {
-			if yg := s.g[t]; yg > gmaxN {
-				gmaxN, in = yg, t
-			}
-		}
-	}
+	ip, in := s.upP, s.upN
 	jp, jn := -1, -1
 	gminP, gminN := math.Inf(1), math.Inf(1)
 	if ip >= 0 {
-		jp, gminP = secondOrderJ(ip, gmaxP, 1)
+		jp, gminP = s.secondOrderJ(ip, s.gmaxP, 1)
 	}
 	if in >= 0 {
-		jn, gminN = secondOrderJ(in, gmaxN, -1)
+		jn, gminN = s.secondOrderJ(in, s.gmaxN, -1)
 	}
 	vp, vn := math.Inf(-1), math.Inf(-1)
 	if ip >= 0 && jp >= 0 {
-		vp = gmaxP - gminP
+		vp = s.gmaxP - gminP
 	}
 	if in >= 0 && jn >= 0 {
-		vn = gmaxN - gminN
+		vn = s.gmaxN - gminN
 	}
 	if math.Max(vp, vn) < s.tol {
 		return -1, -1
@@ -435,6 +450,72 @@ func (s *smoSolver) selectWorkingSet() (int, int) {
 		return ip, jp
 	}
 	return in, jn
+}
+
+// secondOrderJ picks j for the chosen i (whose violation is gmax) among
+// the members of I_low, restricted to one sign class when class is +1 or
+// -1 (nu problems) and over both when it is 0: the candidate with the
+// largest second-order objective decrease, lowest index on ties. It also
+// returns the smallest -y*G seen, which the stopping test needs.
+func (s *smoSolver) secondOrderJ(i int, gmax float64, class int8) (int, float64) {
+	const tau = 1e-12
+	l := s.l
+	ki := s.k.Row(i % l)[:l]
+	kd := s.kd[:l]
+	kdi := kd[i%l]
+	j := -1
+	objMin, gmin := math.Inf(1), math.Inf(1)
+	// First half: sign +1, I_low means alpha > 0, -yG = -G.
+	if class >= 0 {
+		alpha, g := s.alpha[:l], s.g[:l]
+		for t := 0; t < l; t++ {
+			if !(alpha[t] > 0) {
+				continue
+			}
+			ygt := -g[t]
+			if ygt < gmin {
+				gmin = ygt
+			}
+			b := gmax - ygt
+			if b <= 0 {
+				continue
+			}
+			// y_i y_t Q_it = K_it regardless of signs.
+			quad := kdi + kd[t] - 2*ki[t]
+			if quad <= 0 {
+				quad = tau
+			}
+			if obj := -b * b / quad; obj < objMin {
+				objMin, j = obj, t
+			}
+		}
+	}
+	// Second half: sign -1, I_low means alpha < C, -yG = +G.
+	if class <= 0 {
+		c := s.c
+		alpha, g := s.alpha[l:][:l], s.g[l:][:l]
+		for t := 0; t < l; t++ {
+			if !(alpha[t] < c) {
+				continue
+			}
+			ygt := g[t]
+			if ygt < gmin {
+				gmin = ygt
+			}
+			b := gmax - ygt
+			if b <= 0 {
+				continue
+			}
+			quad := kdi + kd[t] - 2*ki[t]
+			if quad <= 0 {
+				quad = tau
+			}
+			if obj := -b * b / quad; obj < objMin {
+				objMin, j = obj, t+l
+			}
+		}
+	}
+	return j, gmin
 }
 
 // rho computes the bias following libsvm (calculate_rho); the returned

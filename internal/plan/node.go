@@ -301,6 +301,31 @@ func (n *Node) writeSignature(sb *strings.Builder) {
 	}
 }
 
+// SignatureOver returns n.Signature() given the signatures of n's
+// children, in order. A caller that visits a whole tree bottom-up gets
+// every node's signature in time linear in the output, where calling
+// Signature on each node renders every subtree once per ancestor.
+func (n *Node) SignatureOver(children []string) string {
+	// What n itself contributes is the signature of n without children;
+	// rendering a childless copy keeps writeSignature the one place that
+	// knows the format (and the code Signature runs unchanged).
+	leaf := *n
+	leaf.Children = nil
+	var sb strings.Builder
+	leaf.writeSignature(&sb)
+	if len(children) > 0 {
+		sb.WriteString("(")
+		for i, c := range children {
+			if i > 0 {
+				sb.WriteString(",")
+			}
+			sb.WriteString(c)
+		}
+		sb.WriteString(")")
+	}
+	return sb.String()
+}
+
 // CardQError returns the cardinality q-error of the node's row estimate
 // against its observed per-loop output: max(est/act, act/est), with both
 // sides floored at one row so empty results do not divide by zero. The

@@ -239,6 +239,21 @@ func TestNodeSizeWalkSignature(t *testing.T) {
 	if other.Signature() == sig {
 		t.Fatal("different scan target must change signature")
 	}
+	// Assembled bottom-up from the children's signatures, every node's
+	// signature is the one rendered from the node itself.
+	var bottomUp func(n *Node) string
+	bottomUp = func(n *Node) string {
+		var kids []string
+		for _, c := range n.Children {
+			kids = append(kids, bottomUp(c))
+		}
+		got := n.SignatureOver(kids)
+		if want := n.Signature(); got != want {
+			t.Fatalf("SignatureOver gives %q, Signature %q", got, want)
+		}
+		return got
+	}
+	bottomUp(root)
 }
 
 func TestSubPlanListAndSubqueryStructures(t *testing.T) {

@@ -225,33 +225,89 @@ func (e *hybridEval) avgErr(sig string) float64 {
 	return e.errSum[sig] / float64(e.errCnt[sig])
 }
 
+// nodeEval is what one evaluation pass needs to know about a plan node:
+// its signature, its operator count, whether the signature has a
+// plan-level model (applicable or not) and what PredictNode returns.
+type nodeEval struct {
+	node     *plan.Node
+	sig      string
+	size     int
+	modelled bool
+	st, rt   float64
+}
+
+// evalNodes appends one nodeEval per node of the tree under n, in
+// pre-order, and returns n's. Each node is visited once, children first:
+// its signature is assembled from theirs and its prediction composed
+// from theirs, so a tree costs time linear in its size where calling
+// Signature and PredictNode on every node costs each subtree once per
+// ancestor. The values are the ones PredictNode computes (a node under
+// an applicable plan-level model is predicted although PredictNode would
+// not descend to it; the prediction is a function of the subtree alone).
+func (h *HybridPredictor) evalNodes(n *plan.Node, out *[]nodeEval) nodeEval {
+	at := len(*out)
+	*out = append(*out, nodeEval{})
+	var kids [2]nodeEval
+	var sigBuf [2]string
+	sigs := sigBuf[:0]
+	size := 1
+	for i, c := range n.Children {
+		e := h.evalNodes(c, out)
+		sigs = append(sigs, e.sig)
+		size += e.size
+		if i < len(kids) {
+			kids[i] = e
+		}
+	}
+	e := nodeEval{node: n, sig: n.SignatureOver(sigs), size: size}
+	// From here on this is PredictNode, with the signature and the
+	// children's predictions already known.
+	pm, ok := h.Plans[e.sig]
+	e.modelled = ok
+	if ok {
+		f := PlanFeatures(n, h.Mode)
+		if ok = pm.Run.InRange(f, ApplicabilityMargin); ok {
+			e.st = pm.Start.Predict(f)
+			e.rt = pm.Run.Predict(f)
+			if e.rt < e.st {
+				e.rt = e.st
+			}
+		}
+	}
+	if !ok {
+		e.st, e.rt = h.Ops.predictWithChildren(n, kids[0].st, kids[0].rt, kids[1].st, kids[1].rt)
+	}
+	(*out)[at] = e
+	return e
+}
+
 func evalHybrid(h *HybridPredictor, recs []*QueryRecord) *hybridEval {
 	ev := &hybridEval{freq: map[string]int{}, errSum: map[string]float64{}, errCnt: map[string]int{}}
 	var actual, predicted []float64
+	var nodes []nodeEval // per-record scratch, reused
 	for _, r := range recs {
 		if r.Root.HasSubqueryStructures() {
 			continue
 		}
-		_, rt := h.PredictNode(r.Root)
+		nodes = nodes[:0]
+		root := h.evalNodes(r.Root, &nodes)
 		actual = append(actual, r.Time)
-		predicted = append(predicted, rt)
-		// Per-node bookkeeping: occurrences strictly inside a region
-		// covered by a plan-level model are consumed and no longer count.
-		var walk func(n *plan.Node, covered bool)
-		walk = func(n *plan.Node, covered bool) {
-			sig := n.Signature()
-			_, hasModel := h.Plans[sig]
-			if !covered && n != r.Root && n.Size() >= 2 {
-				ev.freq[sig]++
-				_, prt := h.PredictNode(n)
-				ev.errSum[sig] += mlearn.RelativeError(n.Act.RunTime, prt)
-				ev.errCnt[sig]++
+		predicted = append(predicted, root.rt)
+		// Per-node bookkeeping, in pre-order: occurrences strictly inside
+		// a region covered by a plan-level model are consumed and no
+		// longer count. Node k's subtree is nodes[k : k+size], so the
+		// nodes under a modelled one are those before coveredEnd.
+		coveredEnd := 0
+		for k, e := range nodes {
+			if k >= coveredEnd && k > 0 && e.size >= 2 {
+				ev.freq[e.sig]++
+				ev.errSum[e.sig] += mlearn.RelativeError(e.node.Act.RunTime, e.rt)
+				ev.errCnt[e.sig]++
 			}
-			for _, c := range n.Children {
-				walk(c, covered || hasModel)
+			if e.modelled && k+e.size > coveredEnd {
+				coveredEnd = k + e.size
 			}
 		}
-		walk(r.Root, false)
 	}
 	ev.overall = mlearn.MeanRelativeError(actual, predicted)
 	return ev

@@ -19,6 +19,13 @@ type opModel struct {
 }
 
 func trainOpModel(x *mlearn.Matrix, y []float64, cfg PlanModelConfig) (*opModel, error) {
+	if cfg.Memo != nil {
+		return cfg.Memo.opModel(x, y, cfg)
+	}
+	return fitOpModel(x, y, cfg)
+}
+
+func fitOpModel(x *mlearn.Matrix, y []float64, cfg PlanModelConfig) (*opModel, error) {
 	om := &opModel{}
 	factory := cfg.factory()
 	if cfg.FeatureSelection && x.Rows >= 12 {

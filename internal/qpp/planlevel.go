@@ -38,6 +38,11 @@ type PlanModelConfig struct {
 	// templates, where absolute-loss fitting would sacrifice the small
 	// occurrences' relative accuracy.
 	LogTarget bool
+	// Memo, when non-nil, makes TrainPlanModel train each distinct
+	// (features, targets, configuration) once per memo and hand the same
+	// model to every later request (see TrainMemo); nil trains every
+	// time. It does not change any trained model.
+	Memo *TrainMemo
 }
 
 // DefaultPlanModelConfig returns the paper's configuration: nu-SVR with
@@ -89,10 +94,20 @@ type PlanModel struct {
 }
 
 // TrainPlanModel fits a plan-level model on raw feature rows and targets.
+// With cfg.Memo set the model may be one an earlier, identical request
+// trained, shared with that requester: a PlanModel must not be written
+// after training.
 func TrainPlanModel(x *mlearn.Matrix, y []float64, cfg PlanModelConfig) (*PlanModel, error) {
 	if x.Rows != len(y) || x.Rows == 0 {
 		return nil, fmt.Errorf("qpp: plan model: %d feature rows, %d targets", x.Rows, len(y))
 	}
+	if cfg.Memo != nil {
+		return cfg.Memo.planModel(x, y, cfg)
+	}
+	return trainPlanModel(x, y, cfg)
+}
+
+func trainPlanModel(x *mlearn.Matrix, y []float64, cfg PlanModelConfig) (*PlanModel, error) {
 	yt := y
 	if cfg.LogTarget {
 		yt = make([]float64, len(y))
