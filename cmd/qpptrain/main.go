@@ -13,150 +13,134 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"path/filepath"
 
-	"qpp"
+	"qpp/internal/mlearn"
 	"qpp/internal/prof"
+	"qpp/internal/qpp"
+	"qpp/internal/serve"
+	"qpp/internal/tpch"
+	"qpp/internal/workload"
 )
 
 func main() {
-	sf := flag.Float64("sf", 0.01, "TPC-H scale factor")
-	perTemplate := flag.Int("per-template", 20, "training queries per template")
-	testPerTemplate := flag.Int("test-per-template", 5, "test queries per template (evaluation)")
-	seed := flag.Int64("seed", 42, "generation seed")
-	out := flag.String("out", "", "directory to materialize trained models into")
-	load := flag.String("load", "", "directory to load materialized models from (skips training)")
-	strategy := flag.String("strategy", "error", "hybrid strategy: error, size, frequency")
-	par := flag.Int("parallel", 0, "worker goroutines for workload execution (0 = GOMAXPROCS, 1 = serial)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatalf("qpptrain: %v", err)
+	}
+}
+
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("qpptrain", flag.ExitOnError)
+	sf := fs.Float64("sf", 0.01, "TPC-H scale factor")
+	perTemplate := fs.Int("per-template", 20, "training queries per template")
+	testPerTemplate := fs.Int("test-per-template", 5, "test queries per template (evaluation)")
+	seed := fs.Int64("seed", 42, "generation seed")
+	out := fs.String("out", "", "directory to materialize trained models into")
+	load := fs.String("load", "", "directory to load materialized models from (skips training)")
+	strategy := fs.String("strategy", "error", "hybrid strategy: error, size, frequency")
+	par := fs.Int("parallel", 0, "worker goroutines for workload execution (0 = GOMAXPROCS, 1 = serial)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	stopCPU, err := prof.StartCPU(*cpuProfile)
 	if err != nil {
-		log.Fatalf("qpptrain: %v", err)
+		return err
 	}
 	defer stopCPU()
 	defer func() {
-		if err := prof.WriteHeap(*memProfile); err != nil {
-			log.Fatalf("qpptrain: %v", err)
+		if herr := prof.WriteHeap(*memProfile); err == nil {
+			err = herr
 		}
 	}()
 
-	var strat qperf.HybridStrategy
+	var strat qpp.Strategy
 	switch *strategy {
 	case "size":
-		strat = qperf.SizeBased
+		strat = qpp.SizeBased
 	case "frequency":
-		strat = qperf.FrequencyBased
+		strat = qpp.FrequencyBased
 	default:
-		strat = qperf.ErrorBased
+		strat = qpp.ErrorBased
 	}
 
-	var planModel *qperf.PlanLevelModel
-	var hybridModel *qperf.HybridModel
-
+	var snap *serve.Snapshot
+	hybridName := "hybrid(materialized)"
 	if *load != "" {
-		planModel, hybridModel, err = loadModels(*load)
+		snap, err = serve.LoadSnapshot(*load)
 		if err != nil {
-			log.Fatalf("qpptrain: %v", err)
+			return err
 		}
-		fmt.Printf("loaded materialized models from %s (hybrid carries %d sub-plan models)\n",
-			*load, hybridModel.NumPlanModels())
+		fmt.Fprintf(stdout, "loaded materialized models from %s (hybrid carries %d sub-plan models)\n",
+			*load, snap.Hybrid.NumPlanModels())
 	} else {
-		fmt.Printf("executing training workload (SF %v, %d per template)...\n", *sf, *perTemplate)
-		train, err := qperf.BuildWorkload(qperf.WorkloadConfig{
+		fmt.Fprintf(stdout, "executing training workload (SF %v, %d per template) and training models...\n", *sf, *perTemplate)
+		snap, _, err = serve.TrainSnapshot(serve.TrainConfig{
 			ScaleFactor: *sf,
-			Templates:   qperf.OperatorLevelTemplates(),
 			PerTemplate: *perTemplate,
 			Seed:        *seed,
+			Strategy:    strat,
 			Parallelism: *par,
 		})
 		if err != nil {
-			log.Fatalf("qpptrain: %v", err)
+			return err
 		}
-		fmt.Printf("training models on %d executed queries...\n", train.Len())
-		planModel, err = qperf.TrainPlanLevelModel(train)
-		if err != nil {
-			log.Fatalf("qpptrain: plan-level: %v", err)
-		}
-		hybridModel, err = qperf.TrainHybridModel(train, strat)
-		if err != nil {
-			log.Fatalf("qpptrain: hybrid: %v", err)
-		}
+		hybridName = fmt.Sprintf("hybrid(%s)", strat)
 		if *out != "" {
-			if err := saveModels(*out, planModel, hybridModel); err != nil {
-				log.Fatalf("qpptrain: %v", err)
+			if err := serve.SaveSnapshot(*out, snap); err != nil {
+				return err
 			}
-			fmt.Printf("materialized models into %s\n", *out)
+			fmt.Fprintf(stdout, "materialized models into %s\n", *out)
 		}
 	}
 
 	// Evaluate on a fresh workload (different parameters, same templates).
-	fmt.Printf("evaluating on a fresh workload (%d per template)...\n", *testPerTemplate)
-	test, err := qperf.BuildWorkload(qperf.WorkloadConfig{
+	fmt.Fprintf(stdout, "evaluating on a fresh workload (%d per template)...\n", *testPerTemplate)
+	test, err := workload.Build(workload.Config{
 		ScaleFactor: *sf,
-		Templates:   qperf.OperatorLevelTemplates(),
+		Templates:   tpch.OperatorLevelTemplates,
 		PerTemplate: *testPerTemplate,
 		Seed:        *seed + 100000,
 		Parallelism: *par,
 	})
 	if err != nil {
-		log.Fatalf("qpptrain: %v", err)
+		return err
 	}
-	for _, p := range []qperf.Predictor{planModel, hybridModel} {
-		mre, skipped, err := qperf.MeanRelativeError(p, test)
-		if err != nil {
-			log.Fatalf("qpptrain: evaluate %s: %v", p.Name(), err)
+	type model struct {
+		name    string
+		predict func(*qpp.QueryRecord) (float64, error)
+	}
+	models := []model{
+		{"plan-level", func(r *qpp.QueryRecord) (float64, error) { return snap.Plan.Predict(r), nil }},
+		{hybridName, snap.Hybrid.Predict},
+	}
+	if snap.Baseline != nil { // nil for directories materialized before the baseline was saved
+		models = append(models, model{"cost-model", func(r *qpp.QueryRecord) (float64, error) { return snap.Baseline.Predict(r), nil }})
+	}
+	for _, m := range models {
+		var act, pred []float64
+		skipped := 0
+		for _, r := range test.Records {
+			v, err := m.predict(r)
+			if err == qpp.ErrSubqueryPlan {
+				skipped++
+				continue
+			}
+			if err != nil {
+				return fmt.Errorf("evaluate %s: %w", m.name, err)
+			}
+			act = append(act, r.Time)
+			pred = append(pred, v)
 		}
 		note := ""
 		if skipped > 0 {
 			note = fmt.Sprintf(" (%d skipped)", skipped)
 		}
-		fmt.Printf("  %-22s test MRE %.1f%%%s\n", p.Name(), 100*mre, note)
+		fmt.Fprintf(stdout, "  %-22s test MRE %.1f%%%s\n", m.name, 100*mlearn.MeanRelativeError(act, pred), note)
 	}
-}
-
-func saveModels(dir string, pl *qperf.PlanLevelModel, hy *qperf.HybridModel) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	pf, err := os.Create(filepath.Join(dir, "plan_level.json"))
-	if err != nil {
-		return err
-	}
-	defer pf.Close()
-	if err := pl.Save(pf); err != nil {
-		return err
-	}
-	hf, err := os.Create(filepath.Join(dir, "hybrid.json"))
-	if err != nil {
-		return err
-	}
-	defer hf.Close()
-	return hy.Save(hf)
-}
-
-func loadModels(dir string) (*qperf.PlanLevelModel, *qperf.HybridModel, error) {
-	pf, err := os.Open(filepath.Join(dir, "plan_level.json"))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer pf.Close()
-	pl, err := qperf.LoadPlanLevelModel(pf)
-	if err != nil {
-		return nil, nil, err
-	}
-	hf, err := os.Open(filepath.Join(dir, "hybrid.json"))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer hf.Close()
-	hy, err := qperf.LoadHybridModel(hf)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pl, hy, nil
+	return nil
 }

@@ -2,9 +2,9 @@ package exec
 
 // Operator benchmarks of the typed hash table's two big customers, on a
 // generated SF 0.01 database: the layer's own number next to the whole-
-// query BenchmarkExecutionBatch (scripts/bench.sh records all of them in
-// BENCH_exec.json). Each iteration is one exec.Run of a hand-built plan, so
-// allocs/op is what a query pays for the operator and its two scans.
+// query BenchmarkExecutionQ6 of the root package. Each iteration is one
+// exec.Run of a hand-built plan, so allocs/op is what a query pays for
+// the operator and its two scans.
 
 import (
 	"sync"

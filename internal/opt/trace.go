@@ -90,15 +90,6 @@ func PlanTraced(db *storage.Database, stmt *sql.SelectStmt) (*plan.Node, *JoinTr
 	return root, p.rec, nil
 }
 
-// PlanSQLTraced parses and plans a SQL string with trace recording.
-func PlanSQLTraced(db *storage.Database, query string) (*plan.Node, *JoinTrace, error) {
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return nil, nil, err
-	}
-	return PlanTraced(db, stmt)
-}
-
 // PlanReplay plans stmt substituting the recorded merge sequence for the
 // DP join-order search. Everything else — scan construction, physical
 // join choice, selectivity math, aggregation strategy, costing — runs

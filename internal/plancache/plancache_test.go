@@ -226,6 +226,19 @@ func compareRows(t *testing.T, tmpl int, a, b []plan.Row) {
 // the cache-chosen plan must return exactly the rows the cold optimizer
 // plan returns. When the cache happens to choose the same join order,
 // virtual latency must also be bit-identical.
+//
+// It also carries the plan-quality gate: executed under the same
+// virtual-clock seed, the cache-chosen plan is no slower than the cold
+// plan on at least 90% of draws — over all templates, and separately over
+// the templates that hold more than one candidate skeleton, which get 12
+// draws instead of 3 because they are the only ones where the learned
+// selector chooses anything (16 of the 18 hold one candidate and tie by
+// construction, so the all-template rate cannot fall below 89% whatever
+// the selector does at 3 draws each). Measured: 71 of 72 over all
+// templates, 23 of 24 on the two multi-candidate ones (T2, T8); with the
+// selector replaced by "take the costliest candidate" 58 of 72 and 10 of
+// 24 (the benchmark tool this gate came from measured 105 of 108 with 6
+// draws for every template).
 func TestCacheDifferential(t *testing.T) {
 	db := tpchDB(t)
 	const trainDraws = 5
@@ -243,8 +256,21 @@ func TestCacheDifferential(t *testing.T) {
 		t.Fatalf("cache covers %d of %d templates", cache.Len(), len(tpch.Templates))
 	}
 	prof := vclock.DefaultProfile()
+	type tally struct {
+		name        string
+		wins, draws int
+	}
+	all, multi := &tally{name: "all templates"}, &tally{name: "multi-candidate templates"}
 	for _, tmpl := range tpch.Templates {
-		for d := int64(0); d < 3; d++ {
+		sig, _, err := Canonicalize(genSQL(t, tmpl, 2000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups, draws := []*tally{all}, int64(3)
+		if len(cache.Template(sig).Candidates) > 1 {
+			groups, draws = []*tally{all, multi}, 12
+		}
+		for d := int64(0); d < draws; d++ {
 			q := genSQL(t, tmpl, 2000+d)
 			cached, out, err := cache.Plan(q)
 			if err != nil {
@@ -270,6 +296,21 @@ func TestCacheDifferential(t *testing.T) {
 				math.Float64bits(rf.Elapsed) != math.Float64bits(rc.Elapsed) {
 				t.Fatalf("template %d draw %d: identical plans, diverged latency", tmpl, d)
 			}
+			for _, g := range groups {
+				g.draws++
+				if rc.Elapsed <= rf.Elapsed*(1+1e-9) {
+					g.wins++
+				}
+			}
+		}
+	}
+	if multi.draws == 0 {
+		t.Fatal("no template holds more than one candidate: the selector is not exercised")
+	}
+	for _, g := range []*tally{all, multi} {
+		t.Logf("%s: cache-chosen plan no slower than the cold plan on %d of %d draws", g.name, g.wins, g.draws)
+		if 10*g.wins < 9*g.draws {
+			t.Errorf("%s: want >= 90%% of draws", g.name)
 		}
 	}
 }

@@ -135,9 +135,6 @@ func PlanFeatures(root *plan.Node, mode FeatureMode) []float64 {
 // opFeatureNames is the Table-2 per-operator feature list.
 var opFeatureNames = []string{"np", "nt", "nt1", "nt2", "sel", "st1", "rt1", "st2", "rt2"}
 
-// OpFeatureNames returns the operator-level feature names (Table 2).
-func OpFeatureNames() []string { return append([]string(nil), opFeatureNames...) }
-
 // NumOpFeatures is the operator-level feature vector length.
 func NumOpFeatures() int { return len(opFeatureNames) }
 

@@ -1,25 +1,6 @@
 package serve
 
-import (
-	"math"
-	"sort"
-)
-
-// Load-test summary statistics shared by cmd/qppload and its tests.
-// Latencies are wall-clock seconds; the JSON reports milliseconds, the
-// natural unit for serving latencies.
-
-// LevelStats summarizes one concurrency level of a load run.
-type LevelStats struct {
-	Concurrency   int     `json:"concurrency"`
-	Requests      int     `json:"requests"`
-	Errors        int     `json:"errors"`
-	P50Millis     float64 `json:"p50_ms"`
-	P99Millis     float64 `json:"p99_ms"`
-	MeanMillis    float64 `json:"mean_ms"`
-	MaxMillis     float64 `json:"max_ms"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-}
+import "math"
 
 // Percentile returns the nearest-rank q-quantile (0 < q <= 1) of a
 // sorted sample: the smallest element with at least ceil(q*n) elements
@@ -38,33 +19,4 @@ func Percentile(sorted []float64, q float64) float64 {
 		rank = n
 	}
 	return sorted[rank-1]
-}
-
-// Summarize computes one level's statistics from per-request latencies
-// (successful requests only), the error count, and the wall-clock
-// duration of the whole level.
-func Summarize(concurrency int, latencies []float64, errors int, wallSeconds float64) LevelStats {
-	st := LevelStats{
-		Concurrency: concurrency,
-		Requests:    len(latencies) + errors,
-		Errors:      errors,
-	}
-	if len(latencies) == 0 {
-		return st
-	}
-	sorted := append([]float64(nil), latencies...)
-	sort.Float64s(sorted)
-	var sum float64
-	for _, v := range sorted {
-		sum += v
-	}
-	const toMillis = 1000
-	st.P50Millis = Percentile(sorted, 0.50) * toMillis
-	st.P99Millis = Percentile(sorted, 0.99) * toMillis
-	st.MeanMillis = sum / float64(len(sorted)) * toMillis
-	st.MaxMillis = sorted[len(sorted)-1] * toMillis
-	if wallSeconds > 0 {
-		st.ThroughputRPS = float64(st.Requests) / wallSeconds
-	}
-	return st
 }

@@ -22,29 +22,3 @@ func TestPercentile(t *testing.T) {
 		t.Errorf("empty sample: %g", got)
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	lat := []float64{0.004, 0.001, 0.002, 0.003} // seconds, unsorted
-	st := Summarize(4, lat, 1, 2.0)
-	if st.Concurrency != 4 || st.Requests != 5 || st.Errors != 1 {
-		t.Fatalf("counts: %+v", st)
-	}
-	if st.P50Millis != 2 || st.P99Millis != 4 || st.MaxMillis != 4 {
-		t.Fatalf("percentiles: %+v", st)
-	}
-	if st.MeanMillis != 2.5 {
-		t.Fatalf("mean: %+v", st)
-	}
-	if st.ThroughputRPS != 2.5 { // 5 requests / 2 s
-		t.Fatalf("throughput: %+v", st)
-	}
-	// Summarize must not mutate the caller's sample.
-	if lat[0] != 0.004 {
-		t.Fatal("input latencies were sorted in place")
-	}
-
-	empty := Summarize(2, nil, 3, 1.0)
-	if empty.Requests != 3 || empty.P50Millis != 0 {
-		t.Fatalf("all-errors level: %+v", empty)
-	}
-}

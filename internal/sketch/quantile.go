@@ -204,23 +204,6 @@ func (q *Quantile) Bounds(bins int) []float64 {
 	return bounds
 }
 
-// Rank returns the estimated number of observations <= x.
-func (q *Quantile) Rank(x float64) uint64 {
-	var r uint64
-	for l, lv := range q.levels {
-		w := uint64(1) << uint(l)
-		// Levels are only guaranteed sorted after compaction; level 0
-		// may hold an unsorted tail, so scan linearly. Level sizes are
-		// bounded by the cap, keeping this O(cap · levels).
-		for _, v := range lv {
-			if v <= x {
-				r += w
-			}
-		}
-	}
-	return r
-}
-
 // MarshalBinary renders the sketch canonically: levels are sorted
 // before encoding, so states equal as multisets marshal identically.
 func (q *Quantile) MarshalBinary() ([]byte, error) {

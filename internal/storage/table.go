@@ -233,12 +233,6 @@ type Database struct {
 	Tables  map[string]*Table
 	Indexes map[string]*Index // keyed by table name (primary key index)
 	Stats   map[string]*catalog.TableStats
-	// ExactStats switches Load from the default streaming-sketch ANALYZE
-	// (catalog.AnalyzeRowsSketch, one bounded-memory pass) to the exact
-	// oracle (catalog.AnalyzeRows). The exact path exists for the
-	// differential stats tests, mirroring how Options.Interpret anchors
-	// the compiled evaluator.
-	ExactStats bool
 }
 
 // NewDatabase returns an empty database over the given schema.
@@ -268,11 +262,7 @@ func (db *Database) Load(name string, rows []Row) error {
 	if len(meta.PrimaryKey) > 0 {
 		db.Indexes[name] = BuildIndex(name+"_pkey", t, meta.PrimaryKey)
 	}
-	if db.ExactStats {
-		db.Stats[name] = catalog.AnalyzeRows(meta, rows)
-	} else {
-		db.Stats[name] = catalog.AnalyzeRowsSketch(meta, rows)
-	}
+	db.Stats[name] = catalog.AnalyzeRowsSketch(meta, rows)
 	return nil
 }
 

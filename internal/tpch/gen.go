@@ -18,9 +18,6 @@ type GenConfig struct {
 	ScaleFactor float64
 	// Seed makes generation deterministic.
 	Seed int64
-	// ExactStats analyzes loaded tables with the exact oracle instead of
-	// the default streaming-sketch ANALYZE (see storage.Database.ExactStats).
-	ExactStats bool
 }
 
 // Cardinalities per the spec at SF 1.
@@ -45,7 +42,6 @@ func Generate(cfg GenConfig) (*storage.Database, error) {
 		return nil, fmt.Errorf("tpch: scale factor must be positive, got %v", cfg.ScaleFactor)
 	}
 	db := storage.NewDatabase(Schema())
-	db.ExactStats = cfg.ExactStats
 	scale := func(base int) int {
 		n := int(float64(base) * cfg.ScaleFactor)
 		if n < 1 {

@@ -61,9 +61,6 @@ type Config struct {
 	// changes while queries run, and pass two reuses the per-index noise
 	// seeds of pass one.
 	Feedback bool
-	// ExactStats analyzes the generated database with the exact oracle
-	// instead of the default streaming-sketch ANALYZE.
-	ExactStats bool
 }
 
 // Dataset is an executed workload: the database plus one record per query
@@ -102,7 +99,7 @@ func Build(cfg Config) (*Dataset, error) {
 	if templates == nil {
 		templates = tpch.Templates
 	}
-	db, err := tpch.Generate(tpch.GenConfig{ScaleFactor: cfg.ScaleFactor, Seed: cfg.Seed, ExactStats: cfg.ExactStats})
+	db, err := tpch.Generate(tpch.GenConfig{ScaleFactor: cfg.ScaleFactor, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}

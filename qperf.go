@@ -20,7 +20,6 @@ package qperf
 
 import (
 	"fmt"
-	"io"
 
 	"qpp/internal/exec"
 	"qpp/internal/mlearn"
@@ -422,75 +421,4 @@ func (p *Progressive) PredictAt(q *Query, elapsed float64) (float64, error) {
 // total runtime.
 func (p *Progressive) Trajectory(q *Query, fractions []float64) ([]qpp.TrajectoryPoint, error) {
 	return p.inner.Trajectory(q.rec, fractions)
-}
-
-// PlanLevelModel is a concrete plan-level predictor that supports
-// materialization (the paper's offline pre-building): Save writes the
-// trained model as JSON; LoadPlanLevelModel restores it without
-// retraining.
-type PlanLevelModel struct {
-	inner *qpp.PlanLevelPredictor
-}
-
-// TrainPlanLevelModel fits a materializable plan-level model.
-func TrainPlanLevelModel(train *Workload) (*PlanLevelModel, error) {
-	m, err := qpp.TrainPlanLevel(train.records(), qpp.FeatEstimates, qpp.DefaultPlanModelConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &PlanLevelModel{inner: m}, nil
-}
-
-// Name implements Predictor.
-func (m *PlanLevelModel) Name() string { return "plan-level" }
-
-// Predict implements Predictor.
-func (m *PlanLevelModel) Predict(q *Query) (float64, error) { return m.inner.Predict(q.rec), nil }
-
-// Save materializes the model as JSON.
-func (m *PlanLevelModel) Save(w io.Writer) error { return m.inner.Save(w) }
-
-// LoadPlanLevelModel restores a materialized plan-level model.
-func LoadPlanLevelModel(r io.Reader) (*PlanLevelModel, error) {
-	inner, err := qpp.LoadPlanLevel(r)
-	if err != nil {
-		return nil, err
-	}
-	return &PlanLevelModel{inner: inner}, nil
-}
-
-// HybridModel is a concrete hybrid predictor with materialization support.
-type HybridModel struct {
-	inner *qpp.HybridPredictor
-	name  string
-}
-
-// TrainHybridModel runs Algorithm 1 and returns a materializable model.
-func TrainHybridModel(train *Workload, strategy HybridStrategy) (*HybridModel, error) {
-	m, _, err := qpp.TrainHybrid(train.records(), qpp.DefaultHybridConfig(strategy))
-	if err != nil {
-		return nil, err
-	}
-	return &HybridModel{inner: m, name: fmt.Sprintf("hybrid(%s)", strategy)}, nil
-}
-
-// Name implements Predictor.
-func (m *HybridModel) Name() string { return m.name }
-
-// Predict implements Predictor.
-func (m *HybridModel) Predict(q *Query) (float64, error) { return m.inner.Predict(q.rec) }
-
-// NumPlanModels reports how many sub-plan models Algorithm 1 accepted.
-func (m *HybridModel) NumPlanModels() int { return m.inner.NumPlanModels() }
-
-// Save materializes the model as JSON.
-func (m *HybridModel) Save(w io.Writer) error { return m.inner.Save(w) }
-
-// LoadHybridModel restores a materialized hybrid model.
-func LoadHybridModel(r io.Reader) (*HybridModel, error) {
-	inner, err := qpp.LoadHybrid(r)
-	if err != nil {
-		return nil, err
-	}
-	return &HybridModel{inner: inner, name: "hybrid(materialized)"}, nil
 }

@@ -7,10 +7,10 @@
 #   4. qpplint     — the repo's own invariants (determinism taint, lock
 #                    state, guarded fields, hot-path allocations, map
 #                    order, float equality, dropped errors); writes the
-#                    machine-readable report to LINT.json next to the
-#                    BENCH_*.json artifacts and guards the analysis cost
-#                    with BenchmarkAnalyzeRepo; see internal/analysis
-#                    and DESIGN.md §12
+#                    machine-readable report to LINT.json at the repo
+#                    root and guards the analysis cost with
+#                    BenchmarkAnalyzeRepo; see internal/analysis and
+#                    DESIGN.md §12
 #   5. go test -race — the full suite under the race detector, then the
 #                    training differential tests and the memo's
 #                    once-per-key test three more times (-count=3)
