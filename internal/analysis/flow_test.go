@@ -131,6 +131,27 @@ func TestHotAllocEscapesNeedHotPackage(t *testing.T) {
 	}
 }
 
+// TestHotAllocRowStorage checks the executor's one-allocator rule: every
+// make or append-copy of a []types.Value (under either spelling) is a
+// finding anywhere in the package, other element types and reuse of an
+// existing row are not, and the rule is silent outside the executor.
+func TestHotAllocRowStorage(t *testing.T) {
+	load := func(asPath string) (*Module, *Package) {
+		pkgs := loadFixtureModule(t, []struct{ Dir, AsPath string }{
+			{filepath.Join("testdata", "src", "rowalloctypes"), "qpp/internal/types"},
+			{filepath.Join("testdata", "src", "rowalloc"), asPath},
+		})
+		return NewModule(pkgs), pkgs[1]
+	}
+	m, pkg := load("qpp/internal/exec")
+	matchWants(t, pkg, m.Check(pkg, []Rule{ruleByName(t, "hotalloc")}))
+
+	m, pkg = load("qpp/internal/serve")
+	if findings := m.Check(pkg, []Rule{ruleByName(t, "hotalloc")}); len(findings) != 0 {
+		t.Fatalf("row-storage check fired outside the executor: %v", findings)
+	}
+}
+
 // TestUnusedIgnore runs the full rule set over the suppress fixture: the
 // stale ignore is reported, the live one is not.
 func TestUnusedIgnore(t *testing.T) {

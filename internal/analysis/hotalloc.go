@@ -57,7 +57,9 @@ func init() {
 			"serve ServeHTTP/handle*/wrap*) it additionally reports escape-shaped " +
 			"allocations: capturing closures built per iteration, non-pointer " +
 			"values boxed into interface arguments, and append-growth of slices " +
-			"declared outside the loop without preallocation or reuse",
+			"declared outside the loop without preallocation or reuse. In the " +
+			"executor package, every make or append-copy of a []types.Value " +
+			"(plan.Row) is reported: row storage comes from the per-query arena",
 		Run: runHotAlloc,
 	})
 }
@@ -101,6 +103,9 @@ func runHotAlloc(pass *Pass) {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
+			}
+			if pass.Pkg.Path == "qpp/internal/exec" {
+				checkRowAllocs(pass, fd)
 			}
 			obj, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
 			if !ok || !reach[obj.FullName()] {
@@ -159,6 +164,63 @@ func (m *Module) hotReachable() map[string]bool {
 	m.hotReach = reach
 	m.hotOK = true
 	return reach
+}
+
+// checkRowAllocs reports row storage the executor takes from the heap:
+// make([]types.Value, …) and the copy idiom append([]types.Value(nil), …),
+// under either spelling of the type (plan.Row is an alias). The executor
+// has one allocator for rows, the per-query arena, so that a worker's next
+// query overwrites the same memory; the check covers the whole package —
+// Run and its helpers are not reachable from Next/Open/ReScan, and the
+// sites there that legitimately stay on the heap should say why too.
+func checkRowAllocs(pass *Pass, fd *ast.FuncDecl) {
+	info := pass.Pkg.Info
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		fun, ok := ast.Unparen(call.Fun).(*ast.Ident)
+		if !ok {
+			return true
+		}
+		if _, isBuiltin := info.Uses[fun].(*types.Builtin); !isBuiltin {
+			return true
+		}
+		first := ast.Unparen(call.Args[0])
+		switch fun.Name {
+		case "make":
+			if !isRowType(info.TypeOf(first)) {
+				return true
+			}
+		case "append":
+			conv, ok := first.(*ast.CallExpr)
+			if !ok || len(conv.Args) != 1 || !info.Types[conv.Fun].IsType() ||
+				!info.Types[conv.Args[0]].IsNil() || !isRowType(info.TypeOf(conv.Fun)) {
+				return true
+			}
+		default:
+			return true
+		}
+		pass.Reportf(call.Pos(),
+			"%s of a []types.Value in the executor: row storage comes from the arena (execCtx.rows), which the next query reuses",
+			fun.Name)
+		return true
+	})
+}
+
+// isRowType reports whether t is a slice of qpp/internal/types.Value.
+func isRowType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	s, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	named, ok := types.Unalias(s.Elem()).(*types.Named)
+	return ok && named.Obj().Name() == "Value" && named.Obj().Pkg() != nil &&
+		named.Obj().Pkg().Path() == "qpp/internal/types"
 }
 
 // hotLoop is one for/range loop inside a hot-reachable function.

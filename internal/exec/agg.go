@@ -121,13 +121,12 @@ type aggregate struct {
 	table  hashTable
 	groups []aggGroup
 
-	// Group-allocation slabs: per-group states and keys are carved out of
-	// fixed-capacity chunks so a large GROUP BY makes dozens of allocations
-	// instead of two per group. Chunks are never regrown in place (slices
-	// into them must stay valid); a full chunk is simply replaced and kept
-	// alive by the groups referencing it.
+	// Per-group states are carved out of fixed-capacity chunks so a large
+	// GROUP BY makes dozens of allocations instead of one per group (the
+	// keys come from the row arena). Chunks are never regrown in place
+	// (slices into them must stay valid); a full chunk is simply replaced
+	// and kept alive by the groups referencing it.
 	slabStates []aggState
-	slabKeys   []types.Value
 }
 
 // Open implements iterator.
@@ -159,6 +158,7 @@ func (a *aggregate) Open(ctx *execCtx) error {
 		}
 		a.stateTmpl[i] = st
 	}
+	a.valBuf = ctx.rows.alloc(len(a.node.GroupBy))
 	a.results = nil
 	a.pos = 0
 	a.drained = false
@@ -186,23 +186,6 @@ func (a *aggregate) newStates() []aggState {
 	a.slabStates = a.slabStates[:lo+n]
 	out := a.slabStates[lo : lo+n : lo+n] // capped: appends can't cross groups
 	copy(out, a.stateTmpl)
-	return out
-}
-
-// copyKeys snapshots the current group-key values out of the reused
-// valBuf into the key slab.
-func (a *aggregate) copyKeys() []types.Value {
-	n := len(a.valBuf)
-	if n == 0 {
-		return nil
-	}
-	if len(a.slabKeys)+n > cap(a.slabKeys) {
-		a.slabKeys = make([]types.Value, 0, a.slabChunk()*n)
-	}
-	lo := len(a.slabKeys)
-	a.slabKeys = a.slabKeys[:lo+n]
-	out := a.slabKeys[lo : lo+n : lo+n] // capped: appends can't cross groups
-	copy(out, a.valBuf)
 	return out
 }
 
@@ -264,7 +247,7 @@ func (a *aggregate) lookupGroup(ctx *execCtx, row plan.Row) *aggGroup {
 	ctx.clock.HashOps(1)
 	id, added := a.table.insert(a.valBuf)
 	if added {
-		return a.newGroup(a.copyKeys())
+		return a.newGroup(ctx.rows.copyOf(a.valBuf))
 	}
 	return &a.groups[id]
 }
@@ -333,7 +316,7 @@ func (a *aggregate) drainSorted(ctx *execCtx) error {
 			if started {
 				a.emit(ctx, curKeys, states)
 			}
-			curKeys = append([]types.Value(nil), a.valBuf...)
+			curKeys = ctx.rows.copyOf(a.valBuf)
 			states = a.newStates()
 			started = true
 		}
@@ -351,7 +334,7 @@ func (a *aggregate) drainSorted(ctx *execCtx) error {
 }
 
 func (a *aggregate) emit(ctx *execCtx, keys []types.Value, states []aggState) {
-	out := make(plan.Row, 0, len(keys)+len(states))
+	out := ctx.rows.alloc(len(keys) + len(states))[:0]
 	out = append(out, keys...)
 	for i := range states {
 		out = append(out, states[i].result())

@@ -268,11 +268,13 @@ func compile(s plan.Scalar) evalFn {
 			args[i] = compile(a)
 		}
 		idx := x.Idx
+		// One argument buffer per closure, not per call: RunSubPlan copies
+		// the values into the parameter slots before anything else runs.
+		vals := make([]types.Value, len(args)) //qpplint:ignore hotalloc captured by a closure cached on ExecCache, which outlives the Run
 		return func(ctx *plan.Ctx, row plan.Row) types.Value {
 			if ctx == nil || ctx.RunSubPlan == nil {
 				return types.Null
 			}
-			vals := make([]types.Value, len(args))
 			for i, a := range args {
 				vals[i] = a(ctx, row)
 			}
@@ -667,7 +669,7 @@ func compileIn(in *plan.In) evalFn {
 	e := compile(in.E)
 	neg := in.Negated
 
-	constVals := make([]types.Value, 0, len(in.List))
+	constVals := make([]types.Value, 0, len(in.List)) //qpplint:ignore hotalloc captured by a closure cached on ExecCache, which outlives the Run
 	allConst := true
 	for _, item := range in.List {
 		c, ok := item.(*plan.Const)

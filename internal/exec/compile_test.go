@@ -528,20 +528,18 @@ func TestCompiledMatchesInterpretedQueries(t *testing.T) {
 // of the root package, which nothing enforces): compiling the plan's
 // expressions to closures once per run must not cost more heap objects
 // than evaluating the trees row by row. One planned node is re-run on a
-// fresh clock, as the workload layer does. Measured objects per run,
-// compiled vs interpreted: Q1 689 vs 699, Q6 669 vs 671, Q18 16029 vs
-// 16045.
+// fresh clock, as the workload layer does, on an arena both sides have
+// warmed (AllocsPerRun's own warm-up call grows it). Measured objects per
+// run, compiled vs interpreted: Q1 57 vs 67, Q6 43 vs 45, Q18 210 vs 226
+// (before the row arena and the slice-backed page cache: 689 vs 699, 669
+// vs 671, 16029 vs 16045). The comparison is strict without the race
+// detector only: with it sync.Pool.Put drops arenas at random, a Run that
+// starts on a fresh one allocates its chunks, and Q6's margin of 2 objects
+// would flake.
 func TestCompiledAllocatesNoMoreThanInterpreted(t *testing.T) {
 	db := diffDB(t)
 	for _, tmpl := range []int{1, 6, 18} {
-		qs, err := tpch.GenWorkload([]int{tmpl}, 1, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		node, err := opt.PlanSQL(db, qs[0].SQL)
-		if err != nil {
-			t.Fatalf("t%d: plan: %v", tmpl, err)
-		}
+		node := planTemplate(t, db, tmpl)
 		objects := func(interpret bool) float64 {
 			return testing.AllocsPerRun(3, func() {
 				clock := vclock.NewClock(vclock.DefaultProfile(), int64(500+tmpl))
@@ -552,7 +550,7 @@ func TestCompiledAllocatesNoMoreThanInterpreted(t *testing.T) {
 		}
 		compiled, interpreted := objects(false), objects(true)
 		t.Logf("t%d: %.0f objects per run compiled, %.0f interpreted", tmpl, compiled, interpreted)
-		if compiled > interpreted {
+		if compiled > interpreted && !raceEnabled {
 			t.Errorf("t%d: compiled run allocates %.0f objects, interpreted %.0f", tmpl, compiled, interpreted)
 		}
 	}

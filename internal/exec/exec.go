@@ -68,6 +68,8 @@ type execCtx struct {
 	// repeated executions of one plan tree skip compilation entirely. Nil
 	// when Options.Interpret is set.
 	compiled map[plan.Scalar]evalFn
+	// rows is where every row the operators create comes from (arena.go).
+	rows *rowArena
 }
 
 func (c *execCtx) overTime() bool {
@@ -93,8 +95,10 @@ type iterator interface {
 func Run(db *storage.Database, root *plan.Node, clock *vclock.Clock, opts Options) (*Result, error) {
 	root.Walk(func(n *plan.Node) { n.Act = plan.Actuals{} })
 
-	ectx := &plan.Ctx{Params: make([]types.Value, root.NumParams)}
-	ctx := &execCtx{db: db, clock: clock, ectx: ectx, limit: opts.TimeLimit, trace: opts.Trace}
+	ectx := &plan.Ctx{Params: make([]types.Value, root.NumParams)} //qpplint:ignore hotalloc parameter slots must start as NULLs: one small zeroed slice per Run
+	rows := arenaPool.Get().(*rowArena)
+	defer rows.recycle()
+	ctx := &execCtx{db: db, clock: clock, ectx: ectx, limit: opts.TimeLimit, trace: opts.Trace, rows: rows}
 	if !opts.Interpret {
 		// Closures are pure functions of the plan tree, so they survive
 		// across Runs on the root's ExecCache (plan trees are never shared
@@ -151,13 +155,32 @@ func Run(db *storage.Database, root *plan.Node, clock *vclock.Clock, opts Option
 	if ectx.Err != nil {
 		return nil, ectx.Err
 	}
+	copyOut(out)
 	return &Result{Rows: out, Elapsed: clock.Now()}, nil
+}
+
+// copyOut moves the result rows off the arena into one heap array, so
+// nothing a caller holds aliases memory the next Run overwrites.
+func copyOut(rows []plan.Row) {
+	total := 0
+	for _, r := range rows {
+		total += len(r)
+	}
+	flat := make([]types.Value, total) //qpplint:ignore hotalloc Result.Rows outlive the arena
+	for i, r := range rows {
+		n := copy(flat, r)
+		rows[i], flat = flat[:n:n], flat[n:]
+	}
 }
 
 // runScalarPlan executes a sub-plan to completion and returns its single
 // scalar output (NULL when it yields no rows). Instrumentation on the
-// sub-plan's nodes accumulates across invocations.
+// sub-plan's nodes accumulates across invocations. The result is a Value,
+// copied before the deferred release runs, so every row the sub-plan
+// allocated is dead on return and a sub-plan run 10⁴ times reuses one
+// stretch of the arena.
 func runScalarPlan(ctx *execCtx, p *plan.Node) (types.Value, error) {
+	defer ctx.rows.release(ctx.rows.mark())
 	// reuse stays false: the first row is held across the drain loop below.
 	it, err := build(ctx, p, false)
 	if err != nil {

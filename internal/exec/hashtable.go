@@ -61,7 +61,7 @@ func (t *hashTable) init(ncols, capacity int) {
 		t.ikeys = make([][2]int64, 0, capacity)
 	} else {
 		t.hashes = make([]uint64, 0, capacity)
-		t.vkeys = make([]types.Value, 0, capacity*ncols)
+		t.vkeys = make([]types.Value, 0, capacity*ncols) //qpplint:ignore hotalloc the key store regrows by doubling, and an arena cannot free the outgrown copy
 	}
 }
 
@@ -206,7 +206,7 @@ func (t *hashTable) demote() {
 	t.ints = false
 	capacity := max(cap(t.ikeys), 4)
 	t.hashes = make([]uint64, 0, capacity)
-	t.vkeys = make([]types.Value, 0, capacity*t.ncols)
+	t.vkeys = make([]types.Value, 0, capacity*t.ncols) //qpplint:ignore hotalloc the key store regrows by doubling, and an arena cannot free the outgrown copy
 	for _, k := range t.ikeys {
 		for c := 0; c < t.ncols; c++ {
 			t.vkeys = append(t.vkeys, types.Int(k[c]))

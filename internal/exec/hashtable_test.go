@@ -417,7 +417,7 @@ func TestHashTableHitsDoNotAllocate(t *testing.T) {
 	// The operator around the table: probing a built hash join.
 	db := testDB(t)
 	join, _, _ := hashJoinTree(plan.JoinInner)
-	ctx := &execCtx{db: db, clock: noNoiseClock(), ectx: &plan.Ctx{}, compiled: map[plan.Scalar]evalFn{}}
+	ctx := &execCtx{db: db, clock: noNoiseClock(), ectx: &plan.Ctx{}, compiled: map[plan.Scalar]evalFn{}, rows: new(rowArena)}
 	left, err := build(ctx, join.Children[0], true)
 	if err != nil {
 		t.Fatal(err)

@@ -22,12 +22,12 @@ func joinKey(ctx *execCtx, fns []evalFn, row plan.Row, buf []types.Value) ([]typ
 
 // concatInto overwrites dst with a followed by b, reusing dst's backing
 // array when it has capacity. Joins keep one scratch row and drop it
-// (forcing a fresh allocation) whenever a concatenated row escapes to a
+// (forcing a fresh arena row) whenever a concatenated row escapes to a
 // parent that retains rows.
-func concatInto(dst, a, b plan.Row) plan.Row {
+func concatInto(ctx *execCtx, dst, a, b plan.Row) plan.Row {
 	n := len(a) + len(b)
 	if cap(dst) < n {
-		dst = make(plan.Row, 0, n) // one exact-size array, not two append growths
+		dst = ctx.rows.alloc(n)
 	}
 	dst = append(dst[:0], a...)
 	return append(dst, b...)
@@ -68,8 +68,8 @@ func (h *hashJoin) Open(ctx *execCtx) error {
 	h.joinF = ctx.compileFilter(h.node.JoinFilter)
 	h.keysL = ctx.compileScalars(h.node.HashKeysL)
 	h.keysR = ctx.compileScalars(h.node.HashKeysR)
-	h.keyBuf = make([]types.Value, 0, len(h.keysR))
-	h.nullRight = make(plan.Row, len(h.node.Children[1].Cols))
+	h.keyBuf = ctx.rows.alloc(len(h.keysR))
+	h.nullRight = ctx.rows.alloc(len(h.node.Children[1].Cols))
 	for i := range h.nullRight {
 		h.nullRight[i] = types.Null
 	}
@@ -158,7 +158,7 @@ func (h *hashJoin) probe(ctx *execCtx, left plan.Row) {
 	}
 	for r := h.head[id]; r >= 0; r = h.next[r] {
 		if h.node.JoinFilter != nil {
-			h.scratch = concatInto(h.scratch, left, h.rows[r])
+			h.scratch = concatInto(ctx, h.scratch, left, h.rows[r])
 			if !h.joinF.eval(ctx, h.scratch) {
 				continue
 			}
@@ -175,7 +175,7 @@ func (h *hashJoin) Next(ctx *execCtx) (plan.Row, bool, error) {
 		for h.cur != nil && h.curIdx < len(h.curMatches) {
 			right := h.rows[h.curMatches[h.curIdx]]
 			h.curIdx++
-			out := concatInto(h.scratch, h.cur, right)
+			out := concatInto(ctx, h.scratch, h.cur, right)
 			h.scratch = out
 			ctx.clock.CPUTuples(1)
 			if !h.filter.eval(ctx, out) {
@@ -205,7 +205,7 @@ func (h *hashJoin) Next(ctx *execCtx) (plan.Row, bool, error) {
 			}
 		case plan.JoinLeft:
 			if !matched {
-				out := concatInto(h.scratch, left, h.nullRight)
+				out := concatInto(ctx, h.scratch, left, h.nullRight)
 				h.scratch = out
 				ctx.clock.CPUTuples(1)
 				if h.filter.eval(ctx, out) {
@@ -257,7 +257,7 @@ type nestedLoop struct {
 func (n *nestedLoop) Open(ctx *execCtx) error {
 	n.joinF = ctx.compileFilter(n.node.JoinFilter)
 	n.filter = ctx.compileFilter(n.node.Filter)
-	n.nullInner = make(plan.Row, len(n.node.Children[1].Cols))
+	n.nullInner = ctx.rows.alloc(len(n.node.Children[1].Cols))
 	for i := range n.nullInner {
 		n.nullInner[i] = types.Null
 	}
@@ -314,7 +314,7 @@ func (n *nestedLoop) Next(ctx *execCtx) (plan.Row, bool, error) {
 				}
 			case plan.JoinLeft:
 				if !wasMatched {
-					out := concatInto(n.scratch, outerRow, n.nullInner)
+					out := concatInto(ctx, n.scratch, outerRow, n.nullInner)
 					n.scratch = out
 					ctx.clock.CPUTuples(1)
 					if n.filter.eval(ctx, out) {
@@ -324,7 +324,7 @@ func (n *nestedLoop) Next(ctx *execCtx) (plan.Row, bool, error) {
 			}
 			continue
 		}
-		out := concatInto(n.scratch, n.curOuter, inner)
+		out := concatInto(ctx, n.scratch, n.curOuter, inner)
 		n.scratch = out
 		ctx.clock.CPUTuples(1)
 		if n.node.JoinFilter != nil && !n.joinF.eval(ctx, out) {
@@ -437,7 +437,7 @@ func (m *mergeJoin) Next(ctx *execCtx) (plan.Row, bool, error) {
 		if m.groupIdx < len(m.rightRows) {
 			right := m.rightRows[m.groupIdx]
 			m.groupIdx++
-			out := concatInto(m.scratch, m.leftRow, right)
+			out := concatInto(ctx, m.scratch, m.leftRow, right)
 			m.scratch = out
 			ctx.clock.CPUTuples(1)
 			if m.node.JoinFilter != nil && !m.joinF.eval(ctx, out) {

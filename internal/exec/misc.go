@@ -260,7 +260,7 @@ func (p *project) Next(ctx *execCtx) (plan.Row, bool, error) {
 		ctx.clock.CPUOps(p.projCost.Ops, p.projCost.NumericOps)
 		out := p.out
 		if out == nil {
-			out = make(plan.Row, len(p.projFns))
+			out = ctx.rows.alloc(len(p.projFns))
 		}
 		for i, fn := range p.projFns {
 			out[i] = fn(ctx.ectx, row)

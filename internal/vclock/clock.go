@@ -253,79 +253,74 @@ func (c *Clock) chargeCPURaw(t float64) {
 // WorkMemPages exposes the spill threshold for operators.
 func (c *Clock) WorkMemPages() int { return c.prof.WorkMemPages }
 
-// bufferSim is an LRU page cache keyed by (table, page).
+// bufferSim is an LRU page cache keyed by (table, page). Entries live in
+// one slice linked by index, and both it and the map grow with the pages a
+// query actually touches — most touch a few hundred of the pool's 2 048 —
+// instead of one heap object per page and a map presized to the pool. A
+// key is the table's index in tables above the page number (< 2⁴⁸), so
+// the map hashes one word, not a string.
 type bufferSim struct {
 	capacity int
-	entries  map[pageKey]*pageEntry
-	head     *pageEntry // most recent
-	tail     *pageEntry // least recent
-}
-
-type pageKey struct {
-	table string
-	page  int64
+	tables   []string // names seen so far; a query touches a handful
+	index    map[uint64]int32
+	// entries[0] is the sentinel of a circular list: its next is the most
+	// recently used page, its prev the least.
+	entries []pageEntry
 }
 
 type pageEntry struct {
-	key        pageKey
-	prev, next *pageEntry
+	key        uint64
+	prev, next int32
 }
 
 func newBufferSim(capacity int) *bufferSim {
-	if capacity < 1 {
-		capacity = 1
+	return &bufferSim{capacity: max(capacity, 1), index: map[uint64]int32{}, entries: make([]pageEntry, 1, 16)}
+}
+
+func (b *bufferSim) key(table string, page int64) uint64 {
+	t := 0
+	for t < len(b.tables) && b.tables[t] != table {
+		t++
 	}
-	return &bufferSim{capacity: capacity, entries: make(map[pageKey]*pageEntry, capacity)}
+	if t == len(b.tables) {
+		b.tables = append(b.tables, table)
+	}
+	return uint64(t)<<48 | uint64(page)
 }
 
 // access touches a page, returning true if it was cached; either way the
 // page ends up most-recently-used.
 func (b *bufferSim) access(table string, page int64) bool {
-	k := pageKey{table, page}
-	if e, ok := b.entries[k]; ok {
-		b.moveToFront(e)
+	k := b.key(table, page)
+	if i, ok := b.index[k]; ok {
+		b.unlink(i)
+		b.pushFront(i)
 		return true
 	}
-	e := &pageEntry{key: k}
-	b.entries[k] = e
-	b.pushFront(e)
-	if len(b.entries) > b.capacity {
-		evict := b.tail
-		b.unlink(evict)
-		delete(b.entries, evict.key)
+	var i int32
+	if len(b.index) < b.capacity {
+		i = int32(len(b.entries))
+		b.entries = append(b.entries, pageEntry{})
+	} else { // full: the least recently used page gives up its slot
+		i = b.entries[0].prev
+		b.unlink(i)
+		delete(b.index, b.entries[i].key)
 	}
+	b.entries[i].key = k
+	b.index[k] = i
+	b.pushFront(i)
 	return false
 }
 
-func (b *bufferSim) pushFront(e *pageEntry) {
-	e.next = b.head
-	if b.head != nil {
-		b.head.prev = e
-	}
-	b.head = e
-	if b.tail == nil {
-		b.tail = e
-	}
+func (b *bufferSim) pushFront(i int32) {
+	first := b.entries[0].next
+	b.entries[i].prev, b.entries[i].next = 0, first
+	b.entries[first].prev = i
+	b.entries[0].next = i
 }
 
-func (b *bufferSim) unlink(e *pageEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		b.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		b.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (b *bufferSim) moveToFront(e *pageEntry) {
-	if b.head == e {
-		return
-	}
-	b.unlink(e)
-	b.pushFront(e)
+func (b *bufferSim) unlink(i int32) {
+	e := b.entries[i]
+	b.entries[e.prev].next = e.next
+	b.entries[e.next].prev = e.prev
 }

@@ -234,6 +234,104 @@ func TestBufferPoolBoundary(t *testing.T) {
 	}
 }
 
+type pageKey struct {
+	table string
+	page  int64
+}
+
+// refBufferSim is the pointer-linked LRU the clock used before the
+// index-linked slice: one heap entry per page, the new page inserted before
+// the eviction. It is kept as the oracle of TestBufferSimMatchesPointerList.
+type refBufferSim struct {
+	capacity   int
+	entries    map[pageKey]*refEntry // keyed by the name itself, as it was
+	head, tail *refEntry
+}
+
+type refEntry struct {
+	key        pageKey
+	prev, next *refEntry
+}
+
+func (b *refBufferSim) access(table string, page int64) bool {
+	k := pageKey{table, page}
+	if e, ok := b.entries[k]; ok {
+		if b.head != e {
+			b.unlink(e)
+			b.pushFront(e)
+		}
+		return true
+	}
+	e := &refEntry{key: k}
+	b.entries[k] = e
+	b.pushFront(e)
+	if len(b.entries) > b.capacity {
+		evict := b.tail
+		b.unlink(evict)
+		delete(b.entries, evict.key)
+	}
+	return false
+}
+
+func (b *refBufferSim) pushFront(e *refEntry) {
+	e.next = b.head
+	if b.head != nil {
+		b.head.prev = e
+	}
+	b.head = e
+	if b.tail == nil {
+		b.tail = e
+	}
+}
+
+func (b *refBufferSim) unlink(e *refEntry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		b.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		b.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
+
+// TestBufferSimMatchesPointerList drives the slice-backed LRU and the
+// pointer-list oracle with the same page sequences — working sets below,
+// at and several times past the capacity, over two tables, with a hot page
+// re-touched throughout as an index root is — and requires the same
+// hit/miss answer on every access, which is the eviction order.
+func TestBufferSimMatchesPointerList(t *testing.T) {
+	for _, capacity := range []int{1, 2, 7, 64} {
+		for _, span := range []int64{1, int64(capacity), int64(capacity) + 1, 5 * int64(capacity)} {
+			got := newBufferSim(capacity)
+			want := &refBufferSim{capacity: capacity, entries: map[pageKey]*refEntry{}}
+			rng := rand.New(rand.NewSource(int64(capacity)*1000 + span))
+			for i := 0; i < 4000; i++ {
+				table, page := "a", rng.Int63n(span)
+				switch rng.Intn(8) {
+				case 0:
+					table = "b"
+				case 1:
+					page = 0 // the hot page
+				case 2:
+					page = int64(i) % span // a sequential sweep
+				}
+				if g, w := got.access(table, page), want.access(table, page); g != w {
+					t.Fatalf("capacity %d span %d access %d (%s/%d): hit=%v, pointer list says %v",
+						capacity, span, i, table, page, g, w)
+				}
+			}
+			if len(got.index) != len(want.entries) || len(got.entries)-1 > capacity {
+				t.Fatalf("capacity %d span %d: %d pages indexed in %d slots, pointer list holds %d",
+					capacity, span, len(got.index), len(got.entries)-1, len(want.entries))
+			}
+		}
+	}
+}
+
 func TestSpillAccountingEdgeCases(t *testing.T) {
 	// WorkMemPages = 0 means every operator spills; the clock must pass
 	// the zero budget through and charge spill I/O exactly.

@@ -12,8 +12,9 @@
 #                    BenchmarkAnalyzeRepo; see internal/analysis and
 #                    DESIGN.md §12
 #   5. go test -race — the full suite under the race detector, then the
-#                    training differential tests and the memo's
-#                    once-per-key test three more times (-count=3)
+#                    training differential tests, the memo's
+#                    once-per-key test and the executor's arena-safety
+#                    tests three more times (-count=3)
 #   6. coverage    — statement coverage floor over the -short suite
 #   7. fuzz smoke  — 5s of FuzzParse on the SQL grammar
 #   8. serve smoke — 5s of FuzzPredictRequest on the qppserve /predict
@@ -88,10 +89,14 @@ go test -race ./... "$@"
 # are scheduled (DESIGN.md §6): the three differential tests against the
 # pre-ISSUE-15 code and the once-per-key memo test run three more times,
 # so a double training that only some interleavings produce cannot land.
-banner "go test -race -short -count=3 (training differentials, memo once-per-key)"
+banner "go test -race -short -count=3 (training differentials, memo once-per-key, arena safety)"
 go test -race -short -count=3 -run 'TestSMOMatchesReferenceSolver' ./internal/mlearn
 go test -race -short -count=3 -run 'TestEvalHybridMatchesReference|TestTrainMemoTrainsOncePerKey' ./internal/qpp
 go test -race -short -count=3 -run 'TestTrainMemoDoesNotChangeFigures' ./internal/experiments
+# Which pooled arena a Run gets differs from run to run under -race
+# (sync.Pool.Put drops items at random), so one pass is weak evidence that
+# recycled row memory is never observable.
+go test -race -short -count=3 -run 'TestResultRowsSurviveArenaReuse|TestSubPlanReleaseIsInvisible' ./internal/exec
 
 # The floor is set a safe margin under the measured total (78.7% at the
 # time stage 6 was added) so flaky fractions of a percent don't fail CI,
