@@ -29,20 +29,38 @@ func (p *planner) costSeqScan(n *plan.Node, tableRows, tablePages, sel, filterOp
 	n.Est.Width = n.Width()
 }
 
-// costIndexScan fills the estimate for an index scan expected to fetch
-// matchRows of a table clustered on the index key.
-func (p *planner) costIndexScan(n *plan.Node, matchRows, tableRows, tablePages, sel float64) {
+// est is the part of a plan.Estimate that join costing reads and writes.
+// Every join formula is a pure function over it, so the join-order search
+// (which builds no nodes, see joinorder.go) and the node-filling cost*
+// methods share one definition of each number.
+type est struct{ rows, width, startup, total float64 }
+
+func estOf(n *plan.Node) est {
+	return est{n.Est.Rows, n.Est.Width, n.Est.StartupCost, n.Est.TotalCost}
+}
+
+func (e est) fill(n *plan.Node, sel float64) {
+	n.Est.Rows, n.Est.Width, n.Est.Selectivity = e.rows, e.width, sel
+	n.Est.StartupCost, n.Est.TotalCost = e.startup, e.total
+}
+
+// indexScanEst estimates an index scan expected to fetch matchRows of a
+// table clustered on the index key; pages is the heap pages it touches.
+func indexScanEst(matchRows, tablePages, sel, width float64) (e est, pages float64) {
 	fetched := math.Max(1, matchRows)
 	// Heap pages touched, assuming index-order clustering.
-	pages := math.Min(tablePages, fetched/4+2)
-	n.Est.Pages = pages
-	n.Est.Rows = math.Max(1, matchRows*sel)
-	n.Est.Selectivity = sel
-	n.Est.StartupCost = 0
-	n.Est.TotalCost = randomPageCost*2 + // descent
+	pages = math.Min(tablePages, fetched/4+2)
+	e = est{rows: math.Max(1, matchRows*sel), width: width}
+	e.total = randomPageCost*2 + // descent
 		randomPageCost*pages + cpuIndexTupleCost*fetched + cpuTupleCost*fetched
-	n.Est.Width = n.Width()
-	_ = tableRows
+	return e, pages
+}
+
+// costIndexScan fills the estimate for an index scan (see indexScanEst).
+func (p *planner) costIndexScan(n *plan.Node, matchRows, tablePages, sel float64) {
+	e, pages := indexScanEst(matchRows, tablePages, sel, n.Width())
+	e.fill(n, sel)
+	n.Est.Pages = pages
 }
 
 // costSort fills the estimate for a sort over its child.
@@ -57,7 +75,7 @@ func (p *planner) costSort(n *plan.Node) {
 	n.Est.TotalCost = n.Est.StartupCost + cpuTupleCost*rows
 	// External sort I/O when the input exceeds work_mem.
 	bytes := rows * math.Max(8, c.Est.Width)
-	if workBytes := float64(p.workMemPages) * 8192; bytes > workBytes {
+	if bytes > p.workBytes() {
 		pages := bytes / 8192
 		n.Est.Pages = pages
 		n.Est.StartupCost += 2 * seqPageCost * pages
@@ -65,25 +83,22 @@ func (p *planner) costSort(n *plan.Node) {
 	}
 }
 
-// costMaterialize fills the estimate for a materialize node.
-func (p *planner) costMaterialize(n *plan.Node) {
-	c := n.Children[0]
-	rows := math.Max(1, c.Est.Rows)
-	n.Est.Rows = c.Est.Rows
-	n.Est.Width = c.Est.Width
-	n.Est.Selectivity = 1
-	n.Est.StartupCost = c.Est.StartupCost
-	n.Est.TotalCost = c.Est.TotalCost + 2*cpuOperatorCost*rows
+func materializeEst(c est) est {
+	return est{c.rows, c.width, c.startup, c.total + 2*cpuOperatorCost*math.Max(1, c.rows)}
 }
 
-// rescanCost is the cost of re-reading a materialized child.
-func rescanCost(inner *plan.Node) float64 {
-	rows := math.Max(1, inner.Est.Rows)
-	switch inner.Op {
+// costMaterialize fills the estimate for a materialize node.
+func (p *planner) costMaterialize(n *plan.Node) {
+	materializeEst(estOf(n.Children[0])).fill(n, 1)
+}
+
+// rescanCost is the cost of re-reading a nested loop's inner side.
+func rescanCost(op plan.OpType, inner est) float64 {
+	switch op {
 	case plan.OpMaterialize, plan.OpSort:
-		return cpuOperatorCost * rows
+		return cpuOperatorCost * math.Max(1, inner.rows)
 	default:
-		return inner.Est.TotalCost
+		return inner.total
 	}
 }
 
@@ -130,61 +145,79 @@ func (p *planner) costResult(n *plan.Node, projOps, sel float64) {
 	n.Est.TotalCost = c.Est.TotalCost + cpuOperatorCost*projOps*rows + cpuTupleCost*rows
 }
 
-// costHash fills the estimate for a Hash build node.
-func (p *planner) costHash(n *plan.Node) {
-	c := n.Children[0]
-	rows := math.Max(1, c.Est.Rows)
-	n.Est.Rows = c.Est.Rows
-	n.Est.Width = c.Est.Width
-	n.Est.Selectivity = 1
-	n.Est.StartupCost = c.Est.TotalCost + cpuOperatorCost*rows
-	n.Est.TotalCost = n.Est.StartupCost
+func hashEst(c est) est {
+	startup := c.total + cpuOperatorCost*math.Max(1, c.rows)
+	return est{c.rows, c.width, startup, startup}
 }
 
-// costHashJoin fills the estimate for a hash join whose right child is the
-// Hash build node. joinRows is the estimated output cardinality.
-func (p *planner) costHashJoin(n *plan.Node, joinRows float64) {
-	l, r := n.Children[0], n.Children[1]
-	probeRows := math.Max(1, l.Est.Rows)
-	n.Est.Rows = math.Max(1, joinRows)
-	n.Est.Width = n.Width()
-	n.Est.Selectivity = 1
-	n.Est.StartupCost = r.Est.TotalCost + l.Est.StartupCost
-	n.Est.TotalCost = n.Est.StartupCost +
-		(l.Est.TotalCost - l.Est.StartupCost) +
-		cpuOperatorCost*probeRows + cpuTupleCost*math.Max(1, joinRows)
-	// Batched (spilling) hash join I/O.
-	buildBytes := math.Max(1, r.Est.Rows) * math.Max(8, r.Est.Width)
-	if workBytes := float64(p.workMemPages) * 8192; buildBytes > workBytes {
-		pages := buildBytes / 8192
-		n.Est.Pages = pages
-		n.Est.TotalCost += 2 * seqPageCost * pages
+// costHash fills the estimate for a Hash build node.
+func (p *planner) costHash(n *plan.Node) {
+	hashEst(estOf(n.Children[0])).fill(n, 1)
+}
+
+// hashJoinEst estimates a hash join of probe side l with Hash build node
+// h; joinRows is the estimated output cardinality, width the output row
+// width. spillPages is non-zero for a batched (spilling) join, whose I/O
+// is in the total.
+func hashJoinEst(l, h est, joinRows, width, workBytes float64) (e est, spillPages float64) {
+	e = est{rows: math.Max(1, joinRows), width: width, startup: h.total + l.startup}
+	e.total = e.startup +
+		(l.total - l.startup) +
+		cpuOperatorCost*math.Max(1, l.rows) + cpuTupleCost*math.Max(1, joinRows)
+	if buildBytes := math.Max(1, h.rows) * math.Max(8, h.width); buildBytes > workBytes {
+		spillPages = buildBytes / 8192
+		e.total += 2 * seqPageCost * spillPages
 	}
+	return e, spillPages
+}
+
+func (p *planner) workBytes() float64 { return float64(p.workMemPages) * 8192 }
+
+// costHashJoin fills the estimate for a hash join whose right child is the
+// Hash build node.
+func (p *planner) costHashJoin(n *plan.Node, joinRows float64) {
+	e, spillPages := hashJoinEst(estOf(n.Children[0]), estOf(n.Children[1]), joinRows, n.Width(), p.workBytes())
+	e.fill(n, 1)
+	if spillPages > 0 {
+		n.Est.Pages = spillPages
+	}
+}
+
+// nestedLoopEst estimates a nested loop that runs inner side r once and
+// re-reads it at cost rescan for every further outer row.
+func nestedLoopEst(l, r est, rescan, joinRows, width float64) est {
+	outerRows := math.Max(1, l.rows)
+	return est{rows: math.Max(1, joinRows), width: width, startup: l.startup + r.startup,
+		total: l.total + r.total +
+			(outerRows-1)*rescan +
+			cpuTupleCost*outerRows*math.Max(1, r.rows)}
 }
 
 // costNestedLoop fills the estimate for a nested-loop join.
 func (p *planner) costNestedLoop(n *plan.Node, joinRows float64) {
 	l, r := n.Children[0], n.Children[1]
-	outerRows := math.Max(1, l.Est.Rows)
-	n.Est.Rows = math.Max(1, joinRows)
-	n.Est.Width = n.Width()
-	n.Est.Selectivity = 1
-	n.Est.StartupCost = l.Est.StartupCost + r.Est.StartupCost
-	n.Est.TotalCost = l.Est.TotalCost + r.Est.TotalCost +
-		(outerRows-1)*rescanCost(r) +
-		cpuTupleCost*outerRows*math.Max(1, r.Est.Rows)
+	nestedLoopEst(estOf(l), estOf(r), rescanCost(r.Op, estOf(r)), joinRows, n.Width()).fill(n, 1)
+}
+
+// indexLoopEst estimates a nested loop whose inner side is a parameterized
+// index scan: idx is the cost of one lookup, paid per outer row.
+func indexLoopEst(l, idx est, joinRows, width float64) est {
+	return est{rows: math.Max(1, joinRows), width: width, startup: l.startup,
+		total: l.total +
+			math.Max(1, l.rows)*idx.total +
+			cpuTupleCost*math.Max(1, joinRows)}
+}
+
+func mergeJoinEst(l, r est, joinRows, width float64) est {
+	return est{rows: math.Max(1, joinRows), width: width, startup: l.startup + r.startup,
+		total: l.total + r.total +
+			cpuOperatorCost*(math.Max(1, l.rows)+math.Max(1, r.rows)) +
+			cpuTupleCost*math.Max(1, joinRows)}
 }
 
 // costMergeJoin fills the estimate for a merge join over sorted inputs.
 func (p *planner) costMergeJoin(n *plan.Node, joinRows float64) {
-	l, r := n.Children[0], n.Children[1]
-	n.Est.Rows = math.Max(1, joinRows)
-	n.Est.Width = n.Width()
-	n.Est.Selectivity = 1
-	n.Est.StartupCost = l.Est.StartupCost + r.Est.StartupCost
-	n.Est.TotalCost = l.Est.TotalCost + r.Est.TotalCost +
-		cpuOperatorCost*(math.Max(1, l.Est.Rows)+math.Max(1, r.Est.Rows)) +
-		cpuTupleCost*math.Max(1, joinRows)
+	mergeJoinEst(estOf(n.Children[0]), estOf(n.Children[1]), joinRows, n.Width()).fill(n, 1)
 }
 
 // costSubqueryScan fills the estimate for a derived-table scan.

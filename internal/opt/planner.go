@@ -32,6 +32,12 @@ type planner struct {
 	rec       *JoinTrace
 	replay    *JoinTrace
 	replayIdx int
+
+	// verify, when non-nil, is shown every searched block — its inputs,
+	// the merges chosen and the tree built from them — and may reject it.
+	// Production never sets it; the differential tests do, to run the
+	// node-building reference search they keep on the very same inputs.
+	verify func(scans []*joinTree, edges []joinEdge, steps []JoinStep, tree *joinTree) error
 }
 
 // Plan compiles a parsed SELECT into a costed physical plan over db.
@@ -222,7 +228,7 @@ func (p *planner) planSelect(stmt *sql.SelectStmt, corr *subCtx) (*plan.Node, er
 		}
 		scans = append(scans, t)
 	}
-	tree, err := p.orderJoins(scans, edges, sc)
+	tree, err := p.orderJoins(scans, edges)
 	if err != nil {
 		return nil, err
 	}
@@ -504,7 +510,7 @@ func (p *planner) planOutput(stmt *sql.SelectStmt, tree *joinTree, sc *scope, co
 			op = plan.OpAggregate
 		} else {
 			groupBytes := groupsEst * (aggWidth(aggCols) + 64)
-			if groupBytes > float64(p.workMemPages)*8192 {
+			if groupBytes > p.workBytes() {
 				op = plan.OpGroupAgg
 				// Sort the join output on the group keys first.
 				sortKeys := make([]plan.SortKey, 0, len(groups))
@@ -710,8 +716,7 @@ func (p *planner) buildScan(ri *relInfo, localConj []sql.Expr, sc *scope, corr *
 				LookupConsts: []plan.Scalar{lookupKey},
 			}
 			node.Cols = p.planColumnsFromStats(schema, st)
-			matches := math.Max(1, float64(st.RowCount)/p.ndvOf(ri.id, meta.PrimaryKey[0], float64(st.RowCount)))
-			p.costIndexScan(node, matches, float64(st.RowCount), float64(st.Pages), sel)
+			p.costIndexScan(node, p.pkMatches(ri, meta.PrimaryKey[0], st), float64(st.Pages), sel)
 			return &joinTree{set: relSet(0).with(ri.id), node: node, schema: schema}, nil
 		}
 		node := &plan.Node{Op: plan.OpSeqScan, Table: ri.table, Alias: ri.alias, Filter: filter}
@@ -762,8 +767,7 @@ func (p *planner) asEquiEdge(c sql.Expr, sc *scope) (joinEdge, bool) {
 	if lerr != nil || rerr != nil || lRel == rRel {
 		return joinEdge{}, false
 	}
-	used := false
-	return joinEdge{lRel: lRel, lCol: lCol, rRel: rRel, rCol: rCol, raw: c, used: &used}, true
+	return joinEdge{lRel: lRel, lCol: lCol, rRel: rRel, rCol: rCol}, true
 }
 
 // applyLeftJoin attaches a LEFT OUTER JOIN to the current tree.
@@ -826,7 +830,7 @@ func (p *planner) applyLeftJoin(tree *joinTree, ri *relInfo, on sql.Expr, sc *sc
 	node := &plan.Node{
 		Op: plan.OpHashJoin, JoinType: plan.JoinLeft,
 		Children:  []*plan.Node{tree.node, hash},
-		Cols:      p.planColumns(outSchema, 0),
+		Cols:      p.planColumns(outSchema),
 		HashKeysL: kl, HashKeysR: kr,
 		JoinFilter: joinFilter,
 	}

@@ -11,6 +11,7 @@ package opt
 
 import (
 	"fmt"
+	"math/bits"
 
 	"qpp/internal/catalog"
 	"qpp/internal/plan"
@@ -46,13 +47,12 @@ func schemaOf(r *relInfo) []schemaCol {
 }
 
 // planColumns converts a schema to plan node column metadata.
-func (p *planner) planColumns(schema []schemaCol, rows float64) []plan.Column {
+func (p *planner) planColumns(schema []schemaCol) []plan.Column {
 	out := make([]plan.Column, len(schema))
 	for i, sc := range schema {
 		w := p.colWidth(sc)
 		out[i] = plan.Column{Name: sc.name, K: sc.kind, Width: w}
 	}
-	_ = rows
 	return out
 }
 
@@ -108,14 +108,7 @@ type relSet uint64
 func (s relSet) has(id int) bool       { return s&(1<<uint(id)) != 0 }
 func (s relSet) with(id int) relSet    { return s | 1<<uint(id) }
 func (s relSet) union(o relSet) relSet { return s | o }
-func (s relSet) count() int {
-	n := 0
-	for s != 0 {
-		s &= s - 1
-		n++
-	}
-	return n
-}
+func (s relSet) count() int            { return bits.OnesCount64(uint64(s)) }
 
 // freeRels returns the set of this block's relations referenced by the
 // expression, descending into subqueries (whose own relations shadow

@@ -65,17 +65,6 @@ func (t *JoinTrace) Steps() int {
 	return n
 }
 
-// appendSteps emits the post-order merge sequence that built t. Leaves
-// (base scans) have no provenance and emit nothing.
-func appendSteps(out []JoinStep, t *joinTree) []JoinStep {
-	if t.provL == nil {
-		return out
-	}
-	out = appendSteps(out, t.provL)
-	out = appendSteps(out, t.provR)
-	return append(out, JoinStep{L: uint64(t.provL.set), R: uint64(t.provR.set)})
-}
-
 // PlanTraced plans stmt exactly like Plan while recording the join-order
 // merge trace of every query block. The returned trace replays through
 // PlanReplay to skip the DP search on future statements with the same
@@ -108,45 +97,4 @@ func PlanReplay(db *storage.Database, stmt *sql.SelectStmt, trace *JoinTrace) (*
 		return nil, fmt.Errorf("opt: join trace mismatch: %d of %d blocks consumed", p.replayIdx, len(trace.Blocks))
 	}
 	return root, nil
-}
-
-// replayJoins consumes the next trace block instead of searching. Each
-// recorded merge rebuilds its fragment through the same bestJoin the
-// search used, so identical inputs yield identical trees.
-func (p *planner) replayJoins(scans []*joinTree, edges []joinEdge, sc *scope) (*joinTree, error) {
-	if p.replayIdx >= len(p.replay.Blocks) {
-		return nil, fmt.Errorf("opt: join trace mismatch: more query blocks than recorded")
-	}
-	steps := p.replay.Blocks[p.replayIdx]
-	p.replayIdx++
-	if len(scans) == 1 {
-		if len(steps) != 0 {
-			return nil, fmt.Errorf("opt: join trace mismatch: single-relation block has %d recorded merges", len(steps))
-		}
-		return scans[0], nil
-	}
-	memo := make(map[relSet]*joinTree, 2*len(scans))
-	var full relSet
-	for _, s := range scans {
-		memo[s.set] = s
-		full = full.union(s.set)
-	}
-	var cur *joinTree
-	for _, st := range steps {
-		l, lok := memo[relSet(st.L)]
-		r, rok := memo[relSet(st.R)]
-		if !lok || !rok {
-			return nil, fmt.Errorf("opt: join trace mismatch: merge of unknown fragments %#x x %#x", st.L, st.R)
-		}
-		t, err := p.bestJoin(l, r, edges, sc)
-		if err != nil {
-			return nil, err
-		}
-		memo[t.set] = t
-		cur = t
-	}
-	if cur == nil || cur.set != full {
-		return nil, fmt.Errorf("opt: join trace mismatch: recorded merges do not cover the FROM list")
-	}
-	return cur, nil
 }

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -210,18 +211,19 @@ func TestTraceMismatchErrors(t *testing.T) {
 	}
 }
 
+// BenchmarkPlanSQL and BenchmarkPlanReplay time, per template, a cold
+// parse+plan against a parse+replay of the query's own join trace: the
+// pair the plan cache's rebind layer trades on (DESIGN.md §15 keeps the
+// table).
 func BenchmarkPlanSQL(b *testing.B) {
 	db := tpchDB(b)
-	for _, c := range []struct {
-		name string
-		tmpl int
-	}{{"q1", 1}, {"q6", 6}, {"q5", 5}, {"q8", 8}} {
-		gq, err := tpch.GenQuery(c.tmpl, rand.New(rand.NewSource(1)))
+	for _, tmpl := range tpch.Templates {
+		gq, err := tpch.GenQuery(tmpl, rand.New(rand.NewSource(1)))
 		if err != nil {
 			b.Fatal(err)
 		}
 		q := gq.SQL
-		b.Run(c.name, func(b *testing.B) {
+		b.Run(fmt.Sprintf("q%d", tmpl), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := PlanSQL(db, q); err != nil {
@@ -234,11 +236,8 @@ func BenchmarkPlanSQL(b *testing.B) {
 
 func BenchmarkPlanReplay(b *testing.B) {
 	db := tpchDB(b)
-	for _, c := range []struct {
-		name string
-		tmpl int
-	}{{"q5", 5}, {"q8", 8}} {
-		gq, err := tpch.GenQuery(c.tmpl, rand.New(rand.NewSource(1)))
+	for _, tmpl := range tpch.Templates {
+		gq, err := tpch.GenQuery(tmpl, rand.New(rand.NewSource(1)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -251,7 +250,7 @@ func BenchmarkPlanReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(c.name, func(b *testing.B) {
+		b.Run(fmt.Sprintf("q%d", tmpl), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				stmt2, err := sql.Parse(q)

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"qpp/internal/plancache"
 	"qpp/internal/qpp"
@@ -240,6 +241,37 @@ func TestPredictErrors(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", eb.Error, tc.wantInError)
 			}
 		})
+	}
+}
+
+// TestPredictManyWayJoinIsBounded: the join search is exponential in the
+// relations of a block and capped (opt falls back to greedy merging above
+// ten), so a short hostile body — twenty aliases of one table, 800 bytes —
+// is answered like any other request instead of pinning a core behind
+// nothing but the body cap. The deadline is the test's own: the server
+// has none to rely on.
+func TestPredictManyWayJoinIsBounded(t *testing.T) {
+	s := newTestServer(t, Options{})
+	var from, conj []string
+	for i := 0; i < 20; i++ {
+		from = append(from, fmt.Sprintf("orders o%d", i))
+		if i > 0 {
+			conj = append(conj, fmt.Sprintf("o0.o_orderkey = o%d.o_orderkey", i))
+		}
+	}
+	body := predictBody(t, "select count(*) from "+strings.Join(from, ", ")+" where "+strings.Join(conj, " and "))
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() { done <- do(s, http.MethodPost, "/predict", body) }()
+	select {
+	case w := <-done:
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body.String())
+		}
+		if res := decodeResult(t, w); res.LatencySec <= 0 {
+			t.Fatalf("nonpositive predicted latency %g", res.LatencySec)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a 20-way join was not answered within 5s")
 	}
 }
 

@@ -26,7 +26,12 @@
 #                    template signature (literal perturbation must never
 #                    change a query's canonical key; see
 #                    internal/plancache and DESIGN.md §15)
-#  11. bench self-test — `bench/run.sh test`: gofmt, vet and the unit
+#  11. join-search smoke — 5s of FuzzJoinSearch on the optimizer's
+#                    cost-only join search (seed → random join graph →
+#                    merge sequence and built tree must equal those of
+#                    the node-building reference search kept in
+#                    internal/opt's tests; see DESIGN.md §17)
+#  12. bench self-test — `bench/run.sh test`: gofmt, vet and the unit
 #                    tests of the repo's benchmark (BENCHMARK.json), a
 #                    nested module that stages 1-5 do not descend into
 #
@@ -125,6 +130,9 @@ go test -fuzz=FuzzSketch -fuzztime=5s -run '^$' ./internal/sketch
 
 banner "plancache fuzz smoke (FuzzCanonicalSignature, 5s)"
 go test -fuzz=FuzzCanonicalSignature -fuzztime=5s -run '^$' ./internal/plancache
+
+banner "join-search fuzz smoke (FuzzJoinSearch, 5s)"
+go test -fuzz=FuzzJoinSearch -fuzztime=5s -run '^$' ./internal/opt
 
 banner "bench self-test (bench/run.sh test)"
 bash bench/run.sh test
