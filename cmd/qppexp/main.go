@@ -37,7 +37,7 @@ import (
 )
 
 func main() {
-	expFlag := flag.String("exp", "all", "comma-separated experiments: fig4,fig5,fig6,fig7,fig8,fig9,esterr")
+	expFlag := flag.String("exp", "all", "comma-separated experiments: fig4,fig5,fig6,fig7,fig8,fig9")
 	quick := flag.Bool("quick", false, "reduced scale for a fast run")
 	largeSF := flag.Float64("large-sf", 0, "override large scale factor")
 	smallSF := flag.Float64("small-sf", 0, "override small scale factor")
@@ -117,7 +117,6 @@ func main() {
 		{"fig8", runFig8},
 		{"fig9", runFig9},
 		{"fig4", runFig4},
-		{"esterr", runEstErr},
 	}
 	var selected []driver
 	for _, d := range drivers {
@@ -305,20 +304,6 @@ func runFig9(env *experiments.Env, w io.Writer) (*obs.Registry, error) {
 	}
 	fmt.Fprintf(w, "  mean %10s %10s %12s %12s %9s\n",
 		pct(res.PlanMean), pct(res.OpMean), pct(res.ErrMean), pct(res.SizeMean), pct(res.OnlineMean))
-	return res.Metrics, nil
-}
-
-func runEstErr(env *experiments.Env, w io.Writer) (*obs.Registry, error) {
-	res, err := experiments.FigEst(env)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintln(w, "## Cardinality feedback — per-operator q-error, optimizer estimates vs feedback-corrected (small DB)")
-	fmt.Fprintln(w, "  tmpl   qerr off   qerr on   operators")
-	for _, r := range res.Templates {
-		fmt.Fprintf(w, "  T%-4d %9.3f %9.3f %8d\n", r.Template, r.QErrOff, r.QErrOn, r.N)
-	}
-	fmt.Fprintf(w, "  overall geometric-mean q-error: %.3f -> %.3f\n", res.OverallOff, res.OverallOn)
 	return res.Metrics, nil
 }
 

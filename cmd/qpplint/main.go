@@ -11,7 +11,7 @@
 //	qpplint                      # lint the whole module (same as ./...)
 //	qpplint ./...                # ditto
 //	qpplint ./internal/qpp ./internal/mlearn
-//	qpplint -rules lockstate,hotalloc ./...   # only these rules
+//	qpplint -rules maporder,hotalloc ./...    # only these rules
 //	qpplint -rules -nondeterminism ./...      # everything but this rule
 //	qpplint -json ./... > LINT.json           # machine-readable report
 //	qpplint -list                # describe the registered rules

@@ -3,8 +3,11 @@ package qperf_test
 import (
 	"os"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
+
+	"qpp/internal/analysis"
 )
 
 // docPathRE matches the repository paths the prose documents cite:
@@ -37,4 +40,69 @@ func TestDocsCiteExistingPaths(t *testing.T) {
 			}
 		}
 	}
+}
+
+// section returns the part of a file between the first line containing
+// from and the next line containing to.
+func section(t *testing.T, file, from, to string) string {
+	t.Helper()
+	text, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(text), from)
+	if !ok {
+		t.Fatalf("%s has no %q", file, from)
+	}
+	body, _, ok := strings.Cut(rest, to)
+	if !ok {
+		t.Fatalf("%s has no %q after %q", file, to, from)
+	}
+	return body
+}
+
+// sameNames fails unless the names a document lists are exactly the ones
+// the code accepts.
+func sameNames(t *testing.T, where string, documented, accepted []string) {
+	t.Helper()
+	sort.Strings(documented)
+	sort.Strings(accepted)
+	if strings.Join(documented, " ") != strings.Join(accepted, " ") {
+		t.Errorf("%s lists %v, the code has %v", where, documented, accepted)
+	}
+}
+
+func submatches(re *regexp.Regexp, text string) []string {
+	var out []string
+	for _, m := range re.FindAllStringSubmatch(text, -1) {
+		out = append(out, m[1])
+	}
+	return out
+}
+
+// TestDocsNameExistingRulesAndDrivers fails when the prose names a lint
+// rule or a figure driver the code does not have, or leaves one out:
+// DESIGN.md §7's rule list and the stage-4 header of scripts/ci.sh
+// against the analysis registry, README's driver list against the table
+// qppexp selects -exp names from.
+func TestDocsNameExistingRulesAndDrivers(t *testing.T) {
+	var rules []string
+	for _, r := range analysis.Rules() {
+		rules = append(rules, r.Name)
+	}
+	sameNames(t, "DESIGN.md §7 rule list",
+		submatches(regexp.MustCompile("(?m)^- `([a-z]+)` — "), section(t, "DESIGN.md", "**Rules.**", "**Suppression.**")), rules)
+	sameNames(t, "scripts/ci.sh stage-4 header",
+		submatches(regexp.MustCompile("`([a-z]+)`"), section(t, "scripts/ci.sh", "#   4. qpplint", "#   5. ")), rules)
+
+	main, err := os.ReadFile("cmd/qppexp/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drivers := submatches(regexp.MustCompile(`\{"([a-z0-9]+)", run[A-Za-z0-9]+\},`), string(main))
+	if len(drivers) == 0 {
+		t.Fatal("found no driver table in cmd/qppexp/main.go")
+	}
+	sameNames(t, "README.md driver list",
+		submatches(regexp.MustCompile("(?m)^- `([a-z0-9]+)` — "), section(t, "README.md", "## Reproducing the paper's evaluation", "\n## ")), drivers)
 }

@@ -1,5 +1,5 @@
 // Package analysis is qpplint: a standard-library-only static-analysis
-// engine that enforces the repository's determinism, concurrency and
+// engine that enforces the repository's determinism, allocation and
 // numeric invariants at review time instead of at runtime.
 //
 // The replay guarantee from the parallel-execution work — a fixed seed
@@ -57,8 +57,8 @@ func Rules() []Rule {
 }
 
 // Pass carries one package through one rule. Mod gives interprocedural
-// rules the whole-module view (call graph, taint and lock summaries);
-// for a single-package Check it contains just that package.
+// rules the whole-module view (call graph, taint summaries); for a
+// single-package Check it contains just that package.
 type Pass struct {
 	Pkg      *Package
 	Mod      *Module

@@ -119,11 +119,8 @@ func TestHotAllocIgnoresColdPackages(t *testing.T) {
 }
 
 func TestMapOrderRule(t *testing.T) { checkFixture(t, "maporder", "maporder", "example.com/maporder") }
-func TestGuardedFieldRule(t *testing.T) {
-	checkFixture(t, "guardedfield", "guarded", "example.com/guarded")
-}
-func TestFloatEqRule(t *testing.T) { checkFixture(t, "floateq", "floateq", "example.com/floateq") }
-func TestErrDropRule(t *testing.T) { checkFixture(t, "errdrop", "errdrop", "example.com/errdrop") }
+func TestFloatEqRule(t *testing.T)  { checkFixture(t, "floateq", "floateq", "example.com/floateq") }
+func TestErrDropRule(t *testing.T)  { checkFixture(t, "errdrop", "errdrop", "example.com/errdrop") }
 
 // TestSuppressionComments asserts the escape hatch works for every rule:
 // each fixture contains one deliberately-violating, suppressed line, so
@@ -135,7 +132,6 @@ func TestSuppressionComments(t *testing.T) {
 		{"nondeterminism", "nondet", "qpp/internal/exec"},
 		{"hotalloc", "hotalloc", "qpp/internal/exec"},
 		{"maporder", "maporder", "example.com/maporder"},
-		{"guardedfield", "guarded", "example.com/guarded"},
 		{"floateq", "floateq", "example.com/floateq"},
 		{"errdrop", "errdrop", "example.com/errdrop"},
 	}
@@ -161,7 +157,7 @@ func TestSuppressionComments(t *testing.T) {
 
 func TestRuleRegistry(t *testing.T) {
 	rules := Rules()
-	want := []string{"errdrop", "floateq", "guardedfield", "hotalloc", "lockstate", "maporder", "nondeterminism", "unusedignore"}
+	want := []string{"errdrop", "floateq", "hotalloc", "maporder", "nondeterminism", "unusedignore"}
 	var got []string
 	for _, r := range rules {
 		got = append(got, r.Name)

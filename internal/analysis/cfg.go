@@ -1,12 +1,11 @@
 package analysis
 
 // Control-flow graph construction. Every flow-sensitive pass in this
-// package (guardedfield, lockstate, the taint half of nondeterminism,
-// hotalloc's reachability gating) runs over the same per-function CFG:
-// basic blocks of statement-granularity nodes connected by the edges a
-// real execution can take, including branch joins, loop back-edges,
-// early returns, and the panic/os.Exit edges that matter for
-// lock-balance checking.
+// package (the taint half of nondeterminism, hotalloc's reachability
+// gating) runs over the same per-function CFG: basic blocks of
+// statement-granularity nodes connected by the edges a real execution
+// can take, including branch joins, loop back-edges, early returns, and
+// the panic/os.Exit edges that end a path without returning a value.
 //
 // Structured statements are decomposed: an *ast.IfStmt never appears as
 // a block node — its Cond expression does, and its branches become
@@ -381,9 +380,7 @@ func (b *cfgBuilder) branchTarget(label *ast.Ident, isContinue bool) *cfgBlock {
 }
 
 // isTerminatingCall reports whether an expression statement never
-// returns: panic(...), os.Exit(...), log.Fatal*(...). These edges feed
-// the lock-balance pass — a panic between Lock and Unlock leaks the
-// lock unless the unlock is deferred.
+// returns: panic(...), os.Exit(...), log.Fatal*(...).
 func isTerminatingCall(e ast.Expr) bool {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {

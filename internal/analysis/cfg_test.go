@@ -36,7 +36,7 @@ func countVisits(cfg *funcCFG) int {
 		transfer: func(_ ast.Node, s int) int { return s + 1 },
 	}
 	visits := 0
-	d.replay(d.run(), func(ast.Node, int) { visits++ }, nil)
+	d.replay(d.run(), func(ast.Node, int) { visits++ })
 	return visits
 }
 

@@ -66,10 +66,9 @@ func (d *dataflow[S]) flowThrough(blk *cfgBlock, state S) S {
 	return state
 }
 
-// replay re-walks every reachable block calling visit with the state in
-// force immediately before each node. exit is called with the final
-// state of the exit block (the join over all return/panic paths).
-func (d *dataflow[S]) replay(in map[*cfgBlock]S, visit func(ast.Node, S), exit func(S)) {
+// replay re-walks every reachable block calling visit (when non-nil)
+// with the state in force immediately before each node.
+func (d *dataflow[S]) replay(in map[*cfgBlock]S, visit func(ast.Node, S)) {
 	for _, blk := range d.cfg.reachable() {
 		state, ok := in[blk]
 		if !ok {
@@ -80,9 +79,6 @@ func (d *dataflow[S]) replay(in map[*cfgBlock]S, visit func(ast.Node, S), exit f
 				visit(n, state)
 			}
 			state = d.transfer(n, state)
-		}
-		if blk == d.cfg.exit && exit != nil {
-			exit(state)
 		}
 	}
 }

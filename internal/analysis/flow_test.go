@@ -98,25 +98,6 @@ func TestNondeterminismInterprocedural(t *testing.T) {
 	}
 }
 
-func TestLockStateRule(t *testing.T) {
-	checkFixture(t, "lockstate", "lockstate", "example.com/lockstate")
-}
-
-// TestLockStateSuppression mirrors TestSuppressionComments for the new
-// rule: stripping the ignore comment yields strictly more findings.
-func TestLockStateSuppression(t *testing.T) {
-	pkg := loadFixture(t, "lockstate", "example.com/lockstate")
-	rule := ruleByName(t, "lockstate")
-	suppressed := Check(pkg, []Rule{rule})
-	var raw []Finding
-	pass := &Pass{Pkg: pkg, Mod: NewModule([]*Package{pkg}), rule: rule.Name, findings: &raw}
-	rule.Run(pass)
-	if len(raw) <= len(suppressed) {
-		t.Fatalf("expected the lockstate ignore to hide findings: raw=%d suppressed=%d",
-			len(raw), len(suppressed))
-	}
-}
-
 // TestHotAllocEscapes checks the reachability-gated escape analysis:
 // findings in functions called from Next, silence in cold functions
 // and on preallocated/reused/non-capturing shapes.
@@ -174,8 +155,8 @@ func TestUnusedIgnore(t *testing.T) {
 
 // TestJSONReportRoundTrip encodes a report and decodes it back.
 func TestJSONReportRoundTrip(t *testing.T) {
-	pkg := loadFixture(t, "lockstate", "example.com/lockstate")
-	findings := Check(pkg, []Rule{ruleByName(t, "lockstate")})
+	pkg := loadFixture(t, "floateq", "example.com/floateq")
+	findings := Check(pkg, []Rule{ruleByName(t, "floateq")})
 	if len(findings) == 0 {
 		t.Fatal("no findings to report")
 	}
@@ -199,19 +180,19 @@ func TestJSONReportRoundTrip(t *testing.T) {
 		if filepath.IsAbs(f.File) {
 			t.Errorf("finding path %q was not relativized", f.File)
 		}
-		if f.Rule != "lockstate" || f.Line <= 0 {
+		if f.Rule != "floateq" || f.Line <= 0 {
 			t.Errorf("malformed finding %+v", f)
 		}
 	}
-	if back.ByRule["lockstate"] != len(findings) {
-		t.Errorf("by_rule[lockstate] = %d, want %d", back.ByRule["lockstate"], len(findings))
+	if back.ByRule["floateq"] != len(findings) {
+		t.Errorf("by_rule[floateq] = %d, want %d", back.ByRule["floateq"], len(findings))
 	}
 	if n, ok := back.ByRule["errdrop"]; !ok || n != 0 {
 		t.Errorf("clean rules must appear with zero counts, got %v", back.ByRule)
 	}
 
 	summary := rep.Summary()
-	if !strings.Contains(summary, "lockstate:") || !strings.Contains(summary, "clean:") {
+	if !strings.Contains(summary, "floateq:") || !strings.Contains(summary, "clean:") {
 		t.Errorf("summary %q lacks per-rule counts", summary)
 	}
 }

@@ -64,7 +64,7 @@ func NewReport(root string, ran []Rule, findings []Finding) Report {
 }
 
 // Summary renders the per-rule counts as one line, non-zero rules
-// first: `3 findings (hotalloc:2 lockstate:1; clean: errdrop, ...)`.
+// first: `3 findings (hotalloc:2 maporder:1; clean: errdrop, ...)`.
 func (r Report) Summary() string {
 	names := make([]string, 0, len(r.ByRule))
 	for name := range r.ByRule {

@@ -1,9 +1,9 @@
 package analysis
 
 // Module-wide analysis state. Interprocedural passes (nondeterminism
-// taint, lock summaries, hot-path reachability) need to see every
-// package at once: a wall-clock read two calls deep only matters when
-// some deterministic-core function can reach it. A Module bundles the
+// taint, hot-path reachability) need to see every package at once: a
+// wall-clock read two calls deep only matters when some
+// deterministic-core function can reach it. A Module bundles the
 // loaded packages with a function index, a static call graph, and
 // memoized per-pass summaries so that running all rules over N packages
 // computes each module-level analysis exactly once.
@@ -42,14 +42,10 @@ type Module struct {
 	cfgs map[*ast.BlockStmt]*funcCFG
 
 	// Memoized pass state, built on first use.
-	nondet    map[string]*nondetSummary
-	nondetOK  bool
-	locks     map[string]*lockSummary
-	locksOK   bool
-	hotReach  map[string]bool
-	hotOK     bool
-	lockPairs []lockPair
-	pairsOK   bool
+	nondet   map[string]*nondetSummary
+	nondetOK bool
+	hotReach map[string]bool
+	hotOK    bool
 }
 
 // NewModule indexes every function declaration in the given packages.

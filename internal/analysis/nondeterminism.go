@@ -324,7 +324,7 @@ func (m *Module) scanResultTaint(info *FuncInfo, sums map[string]*nondetSummary)
 		equal:    taintEqual,
 		transfer: ta.transfer,
 	}
-	d.replay(d.run(), nil, nil)
+	d.replay(d.run(), nil)
 	return ta.resultTaint
 }
 
@@ -712,6 +712,6 @@ func reportTaintedReturns(pass *Pass, f *ast.File, sums map[string]*nondetSummar
 					"return value depends on %s via %s; sort or make the helper deterministic",
 					src.what, src.chainString(src.what))
 			}
-		}, nil)
+		})
 	}
 }

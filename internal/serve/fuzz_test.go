@@ -49,6 +49,10 @@ func FuzzPredictRequest(f *testing.F) {
 	// body.
 	f.Add(append([]byte(`{"sql": "select * from lineitem -- `), 0xff, 0xfe, 0x00, '"', '}'))
 
+	// The 62-way cross join whose cost-model prediction overflows at the
+	// scale factors qppserve runs at (and nearly does here).
+	f.Add([]byte(predictBody(f, crossJoinSQL(62))))
+
 	s := newTestServer(f, Options{})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		w := do(s, http.MethodPost, "/predict", string(body))

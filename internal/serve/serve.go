@@ -30,7 +30,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -261,8 +263,9 @@ type ErrorBody struct {
 func writeJSON(w http.ResponseWriter, status int, v any) int {
 	b, err := json.Marshal(v)
 	if err != nil {
-		// Unreachable for the fixed response types; keep the contract
-		// that every response has a body anyway.
+		// The response types hold nothing Marshal rejects but a
+		// non-finite float, and predictOne lets none through; keep the
+		// contract that every response has a body anyway.
 		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
 		return http.StatusInternalServerError
 	}
@@ -320,6 +323,10 @@ func (s *Server) planFor(snap *Snapshot, sqlText string) (node *plan.Node, err e
 	return node, nil
 }
 
+// errNotALatency is the Skipped reason of a model whose output is NaN,
+// ±Inf or negative.
+var errNotALatency = errors.New("non-finite or negative model output")
+
 // predictOne plans one query and runs every model in the snapshot over
 // it. The snapshot is passed in by the caller so one request (or one
 // batch) observes exactly one snapshot.
@@ -336,28 +343,39 @@ func (s *Server) predictOne(snap *Snapshot, sql string) (*PredictResult, int, st
 		ModelVersion: snap.Version,
 		Predictions:  map[string]float64{},
 	}
-	planPred := snap.Plan.Predict(rec)
-	res.Predictions["plan-level"] = planPred
-	res.LatencySec = planPred
-	if snap.Baseline != nil {
-		res.Predictions["cost-model"] = snap.Baseline.Predict(rec)
-	}
-	skip := func(model string, err error) {
+	// offer files one model's answer: under Predictions when it is a
+	// latency (finite, non-negative), under Skipped with the reason
+	// otherwise. A model far outside its training range can overflow or
+	// diverge, and json.Marshal rejects NaN and ±Inf.
+	offer := func(model string, v float64, err error) {
+		if err == nil && !(v >= 0 && v <= math.MaxFloat64) {
+			err = errNotALatency
+		}
+		if err == nil {
+			res.Predictions[model] = v
+			return
+		}
 		if res.Skipped == nil {
 			res.Skipped = map[string]string{}
 		}
 		res.Skipped[model] = err.Error()
 	}
-	if op, err := snap.Hybrid.Ops.Predict(rec, qpp.ChildTimesPredicted); err == nil {
-		res.Predictions["operator-level"] = op
-	} else {
-		skip("operator-level", err)
+	offer("plan-level", snap.Plan.Predict(rec), nil)
+	if snap.Baseline != nil {
+		offer("cost-model", snap.Baseline.Predict(rec), nil)
 	}
-	if hy, err := snap.Hybrid.Predict(rec); err == nil {
-		res.Predictions["hybrid"] = hy
-		res.LatencySec = hy
-	} else {
-		skip("hybrid", err)
+	op, err := snap.Hybrid.Ops.Predict(rec, qpp.ChildTimesPredicted)
+	offer("operator-level", op, err)
+	hy, err := snap.Hybrid.Predict(rec)
+	offer("hybrid", hy, err)
+	served := false
+	for _, model := range [...]string{"hybrid", "plan-level", "operator-level"} {
+		if res.LatencySec, served = res.Predictions[model]; served {
+			break
+		}
+	}
+	if !served {
+		return nil, http.StatusUnprocessableEntity, "no model produced a finite, non-negative latency for this plan"
 	}
 	feats := qpp.PlanFeatures(node, snap.Plan.Mode)
 	in := snap.Plan.Model.InRange(feats, s.margin)

@@ -275,6 +275,77 @@ func TestPredictManyWayJoinIsBounded(t *testing.T) {
 	}
 }
 
+// crossJoinSQL is an n-way cross join of lineitem: a few hundred bytes
+// whose estimated cost overflows float64 from roughly sixty relations up
+// at the scale factors qppserve runs at.
+func crossJoinSQL(n int) string {
+	from := make([]string, n)
+	for i := range from {
+		from[i] = fmt.Sprintf("lineitem l%d", i)
+	}
+	return "select count(*) from " + strings.Join(from, ", ")
+}
+
+// TestPredictNonFiniteOutputIsSkipped: a model that overflows on an
+// off-manifold plan is reported under skipped, the request is still
+// answered 200 from the models that stayed finite (it used to be a 500:
+// json.Marshal rejects +Inf). The baseline's slope stands in for the
+// larger scale factor at which the trained one overflows on this text.
+func TestPredictNonFiniteOutputIsSkipped(t *testing.T) {
+	db, snapA, _ := testEnv(t)
+	snap := *snapA
+	var err error
+	snap.Baseline, err = qpp.LoadCostBaseline(strings.NewReader(
+		fmt.Sprintf(`{"format": %d, "slope": 1e308, "intercept": 0}`, qpp.FormatVersion)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(db, &snap, Options{Now: (&fakeClock{}).now})
+	w := do(s, http.MethodPost, "/predict", predictBody(t, crossJoinSQL(62)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	res := decodeResult(t, w)
+	if got := res.Skipped["cost-model"]; got != errNotALatency.Error() {
+		t.Fatalf("cost-model skipped reason %q, want %q (predictions %v)", got, errNotALatency, res.Predictions)
+	}
+	if v, ok := res.Predictions["cost-model"]; ok {
+		t.Fatalf("overflowed cost-model still listed as a prediction: %g", v)
+	}
+	if hy, ok := res.Predictions["hybrid"]; !ok || res.LatencySec != hy {
+		t.Fatalf("headline %g should be the hybrid prediction: %v", res.LatencySec, res.Predictions)
+	}
+}
+
+// TestPredictNoUsableModelIs422: when every model that could supply the
+// headline latency diverges, the answer is a structured 422. The snapshot
+// is what a corrupted model directory loads as: a log-target plan-level
+// constant whose exp overflows, operator models with negative fallbacks.
+func TestPredictNoUsableModelIs422(t *testing.T) {
+	db, _, _ := testEnv(t)
+	pl, err := qpp.LoadPlanLevel(strings.NewReader(fmt.Sprintf(
+		`{"format": %d, "model": {"cols": [], "model": {"type": "constant", "state": {"value": 1000}}, "log_target": true}}`,
+		qpp.FormatVersion)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hy, err := qpp.LoadHybrid(strings.NewReader(fmt.Sprintf(
+		`{"format": %d, "ops": {"format": %d, "fallback_start": -1, "fallback_run": -1}}`,
+		qpp.FormatVersion, qpp.FormatVersion)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(db, &Snapshot{Version: "vBad", Plan: pl, Hybrid: hy}, Options{Now: (&fakeClock{}).now})
+	w := do(s, http.MethodPost, "/predict", predictBody(t, templateSQL(t, 3, 7)))
+	if w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", w.Code, w.Body.String())
+	}
+	var eb ErrorBody
+	if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || !strings.Contains(eb.Error, "no model") {
+		t.Fatalf("422 without a structured error body: %q", w.Body.String())
+	}
+}
+
 func TestPredictBodyCap(t *testing.T) {
 	s := newTestServer(t, Options{MaxBodyBytes: 128})
 	big := predictBody(t, "select * from "+strings.Repeat("x", 4096))

@@ -52,15 +52,6 @@ type Config struct {
 	// per-operator-class work profile) merged in workload order. Off by
 	// default — tracing adds per-iterator-call bookkeeping.
 	Observe bool
-	// Feedback closes the cardinality loop: after a first execution pass,
-	// per-operator actual row counts are harvested into an
-	// opt.FeedbackStore (serially, in workload order) and every query is
-	// re-planned and re-executed with the frozen store correcting its
-	// Est.Rows annotations. The two-pass, epoch-based protocol keeps the
-	// bit-identical-at-any-worker-count guarantee: the store never
-	// changes while queries run, and pass two reuses the per-index noise
-	// seeds of pass one.
-	Feedback bool
 }
 
 // Dataset is an executed workload: the database plus one record per query
@@ -81,10 +72,6 @@ type Dataset struct {
 	// registries are merged serially in workload order, so the dump is
 	// byte-identical for every worker count.
 	Metrics *obs.Registry
-	// Feedback is the per-template cardinality store harvested from the
-	// first execution pass when Config.Feedback was set; nil otherwise.
-	// Records then reflect the second, feedback-corrected pass.
-	Feedback *opt.FeedbackStore
 }
 
 // Build generates, plans and executes the workload.
@@ -124,43 +111,21 @@ func Build(cfg Config) (*Dataset, error) {
 	recs := make([]*qpp.QueryRecord, len(queries))
 	traces := make([]*obs.Trace, len(queries))
 	timedOut := make([]bool, len(queries))
-	runPass := func(fb *opt.FeedbackStore) error {
-		return parallel.ForEach(len(queries), cfg.Parallelism, func(i int) error {
-			rec, tr, err := RunQueryFeedback(db, queries[i], prof, seeds[i], cfg.TimeLimit, cfg.Observe, fb)
-			if err == exec.ErrTimeout {
-				timedOut[i] = true
-				return nil
-			}
-			if err != nil {
-				return fmt.Errorf("workload: template %d: %w", queries[i].Template, err)
-			}
-			recs[i] = rec
-			traces[i] = tr
+	err = parallel.ForEach(len(queries), cfg.Parallelism, func(i int) error {
+		rec, tr, err := RunQueryTraced(db, queries[i], prof, seeds[i], cfg.TimeLimit, cfg.Observe)
+		if err == exec.ErrTimeout {
+			timedOut[i] = true
 			return nil
-		})
-	}
-	if err := runPass(nil); err != nil {
+		}
+		if err != nil {
+			return fmt.Errorf("workload: template %d: %w", queries[i].Template, err)
+		}
+		recs[i] = rec
+		traces[i] = tr
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	if cfg.Feedback {
-		// Epoch boundary: harvest observed cardinalities serially in
-		// workload order (the deterministic merge order), freeze the
-		// store, then re-plan and re-execute everything against it. The
-		// store is read-only during pass two, so worker scheduling cannot
-		// influence which corrections a query sees.
-		fb := opt.NewFeedbackStore()
-		for i := range queries {
-			if !timedOut[i] && recs[i] != nil {
-				fb.Record(recs[i].Root)
-			}
-		}
-		ds.Feedback = fb
-		for i := range timedOut {
-			timedOut[i] = false
-		}
-		if err := runPass(fb); err != nil {
-			return nil, err
-		}
 	}
 	// Assemble in workload order so Records and TimedOut match the serial
 	// protocol exactly.
@@ -232,22 +197,9 @@ func RunQuery(db *storage.Database, q tpch.Query, prof vclock.DeviceProfile, noi
 // exclusive I/O / CPU / numeric attribution. Tracing does not alter the
 // virtual clock, so the record is bit-identical either way.
 func RunQueryTraced(db *storage.Database, q tpch.Query, prof vclock.DeviceProfile, noiseSeed int64, timeLimit float64, trace bool) (*qpp.QueryRecord, *obs.Trace, error) {
-	return RunQueryFeedback(db, q, prof, noiseSeed, timeLimit, trace, nil)
-}
-
-// RunQueryFeedback is RunQueryTraced with an optional frozen feedback
-// store applied to the freshly planned tree before execution: observed
-// per-template cardinalities override the optimizer's Est.Rows
-// annotations (plan choice is already made, so only the annotations —
-// and everything derived from them, like QPP features — change). A nil
-// store is a plain traced run.
-func RunQueryFeedback(db *storage.Database, q tpch.Query, prof vclock.DeviceProfile, noiseSeed int64, timeLimit float64, trace bool, fb *opt.FeedbackStore) (*qpp.QueryRecord, *obs.Trace, error) {
 	node, err := opt.PlanSQL(db, q.SQL)
 	if err != nil {
 		return nil, nil, fmt.Errorf("plan: %w", err)
-	}
-	if fb != nil {
-		fb.Apply(node)
 	}
 	clock := vclock.NewClock(prof, noiseSeed)
 	opts := exec.Options{TimeLimit: timeLimit}

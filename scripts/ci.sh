@@ -4,17 +4,22 @@
 #   1. gofmt       — formatting drift (includes testdata fixtures)
 #   2. go vet      — the toolchain's default analyzers
 #   3. go build    — everything compiles
-#   4. qpplint     — the repo's own invariants (determinism taint, lock
-#                    state, guarded fields, hot-path allocations, map
-#                    order, float equality, dropped errors); writes the
+#   4. qpplint     — the repo's own invariants, six rules:
+#                    `nondeterminism` (determinism taint), `maporder`,
+#                    `hotalloc` (hot-path allocations), `floateq`,
+#                    `errdrop`, `unusedignore`; writes the
 #                    machine-readable report to LINT.json at the repo
 #                    root and guards the analysis cost with
 #                    BenchmarkAnalyzeRepo; see internal/analysis and
-#                    DESIGN.md §12
+#                    DESIGN.md §7 (what each rule is the only catcher
+#                    of) and §12
 #   5. go test -race — the full suite under the race detector, then the
 #                    training differential tests, the memo's
-#                    once-per-key test and the executor's arena-safety
-#                    tests three more times (-count=3)
+#                    once-per-key test, the shared online-cache test and
+#                    the executor's arena-safety tests three more times
+#                    (-count=3); with the lock-analysis lint rules gone
+#                    (DESIGN.md §7) this stage is what catches an
+#                    unguarded access to a mutex-protected field
 #   6. coverage    — statement coverage floor over the -short suite
 #   7. fuzz smoke  — 5s of FuzzParse on the SQL grammar
 #   8. serve smoke — 5s of FuzzPredictRequest on the qppserve /predict
@@ -67,7 +72,7 @@ go vet ./...
 banner "go build ./..."
 go build ./...
 
-banner "qpplint ./... (report: LINT.json)"
+banner "qpplint ./... (six rules; report: LINT.json)"
 # The JSON report is written even when findings fail the gate, so a red
 # CI run still uploads the artifact explaining why.
 go run ./cmd/qpplint -json ./... >LINT.json || {
@@ -94,9 +99,11 @@ go test -race ./... "$@"
 # are scheduled (DESIGN.md §6): the three differential tests against the
 # pre-ISSUE-15 code and the once-per-key memo test run three more times,
 # so a double training that only some interleavings produce cannot land.
-banner "go test -race -short -count=3 (training differentials, memo once-per-key, arena safety)"
+# The online-cache test is the only place one OnlineCache is shared
+# between goroutines.
+banner "go test -race -short -count=3 (training differentials, memo once-per-key, shared online cache, arena safety)"
 go test -race -short -count=3 -run 'TestSMOMatchesReferenceSolver' ./internal/mlearn
-go test -race -short -count=3 -run 'TestEvalHybridMatchesReference|TestTrainMemoTrainsOncePerKey' ./internal/qpp
+go test -race -short -count=3 -run 'TestEvalHybridMatchesReference|TestTrainMemoTrainsOncePerKey|TestOnlineCacheConcurrentUse' ./internal/qpp
 go test -race -short -count=3 -run 'TestTrainMemoDoesNotChangeFigures' ./internal/experiments
 # Which pooled arena a Run gets differs from run to run under -race
 # (sync.Pool.Put drops items at random), so one pass is weak evidence that
