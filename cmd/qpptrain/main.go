@@ -17,7 +17,6 @@ import (
 	"log"
 	"os"
 
-	"qpp/internal/mlearn"
 	"qpp/internal/prof"
 	"qpp/internal/qpp"
 	"qpp/internal/serve"
@@ -122,25 +121,15 @@ func run(args []string, stdout io.Writer) (err error) {
 		models = append(models, model{"cost-model", func(r *qpp.QueryRecord) (float64, error) { return snap.Baseline.Predict(r), nil }})
 	}
 	for _, m := range models {
-		var act, pred []float64
-		skipped := 0
-		for _, r := range test.Records {
-			v, err := m.predict(r)
-			if err == qpp.ErrSubqueryPlan {
-				skipped++
-				continue
-			}
-			if err != nil {
-				return fmt.Errorf("evaluate %s: %w", m.name, err)
-			}
-			act = append(act, r.Time)
-			pred = append(pred, v)
+		mre, skipped, err := qpp.MeanRelativeError(test.Records, m.predict)
+		if err != nil {
+			return fmt.Errorf("evaluate %s: %w", m.name, err)
 		}
 		note := ""
 		if skipped > 0 {
 			note = fmt.Sprintf(" (%d skipped)", skipped)
 		}
-		fmt.Fprintf(stdout, "  %-22s test MRE %.1f%%%s\n", m.name, 100*mlearn.MeanRelativeError(act, pred), note)
+		fmt.Fprintf(stdout, "  %-22s test MRE %.1f%%%s\n", m.name, 100*mre, note)
 	}
 	return nil
 }

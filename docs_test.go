@@ -42,6 +42,25 @@ func TestDocsCiteExistingPaths(t *testing.T) {
 	}
 }
 
+// TestReadmeListsEveryExample is the reverse of TestDocsCiteExistingPaths
+// for examples: README's runnable-programs block names exactly the
+// directories under examples/, so an example cannot be added without a
+// line there or deleted with its line left behind.
+func TestReadmeListsEveryExample(t *testing.T) {
+	entries, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dirs []string
+	for _, e := range entries {
+		if e.IsDir() {
+			dirs = append(dirs, e.Name())
+		}
+	}
+	sameNames(t, "README.md runnable-programs block",
+		submatches(regexp.MustCompile(`(?m)^go run \./examples/([a-z0-9_]+)`), section(t, "README.md", "Runnable programs:", "\n```\n")), dirs)
+}
+
 // section returns the part of a file between the first line containing
 // from and the next line containing to.
 func section(t *testing.T, file, from, to string) string {

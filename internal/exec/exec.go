@@ -389,8 +389,6 @@ func (w *instrumented) Next(ctx *execCtx) (plan.Row, bool, error) {
 				ctx.trace.MarkFirstRow(w.span)
 			}
 		}
-	} else {
-		w.node.Act.CompletedAt = ctx.clock.Now()
 	}
 	return row, ok, nil
 }

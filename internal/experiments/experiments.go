@@ -152,6 +152,36 @@ func stratifiedFolds(recs []*qpp.QueryRecord, k int, seed int64) []mlearn.Fold {
 	return mlearn.StratifiedKFold(workload.TemplateLabels(recs), k, seed)
 }
 
+// predictFn is how a trained method answers one record.
+type predictFn = func(*qpp.QueryRecord) (float64, error)
+
+// infallible adapts a method whose Predict cannot fail.
+func infallible(predict func(*qpp.QueryRecord) float64) predictFn {
+	return func(r *qpp.QueryRecord) (float64, error) { return predict(r), nil }
+}
+
+// crossVal returns out-of-fold predictions for recs over
+// template-stratified folds: fit trains on a fold's training records and
+// the method it returns predicts that fold's test records. Folds train
+// concurrently; each writes only its own test slots.
+func (e *Env) crossVal(recs []*qpp.QueryRecord, fit func(train []*qpp.QueryRecord) (predictFn, error)) ([]float64, error) {
+	folds := stratifiedFolds(recs, e.Cfg.Folds, e.Cfg.Seed)
+	pred := make([]float64, len(recs))
+	err := e.forEachPar(len(folds), func(fi int) error {
+		predict, err := fit(subset(recs, folds[fi].Train))
+		if err != nil {
+			return err
+		}
+		for _, i := range folds[fi].Test {
+			if pred[i], err = predict(recs[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return pred, err
+}
+
 // forEachPar fans n independent sub-experiments (cross-validation folds,
 // held-out templates, strategies) across the configured worker pool.
 // Callers write results only to index-addressed slots, which keeps every

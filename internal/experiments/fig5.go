@@ -47,20 +47,14 @@ func Fig5(env *Env) (*Fig5Result, error) {
 	}
 	out.Slope, out.Intercept = full.Coefficients()
 
-	folds := stratifiedFolds(recs, env.Cfg.Folds, env.Cfg.Seed)
-	pred := make([]float64, len(recs))
-	// Folds train concurrently; each writes only its own test slots.
-	if err := env.forEachPar(len(folds), func(fi int) error {
-		f := folds[fi]
-		cb, err := qpp.TrainCostBaseline(subset(recs, f.Train))
+	pred, err := env.crossVal(recs, func(train []*qpp.QueryRecord) (predictFn, error) {
+		cb, err := qpp.TrainCostBaseline(train)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for _, i := range f.Test {
-			pred[i] = cb.Predict(recs[i])
-		}
-		return nil
-	}); err != nil {
+		return infallible(cb.Predict), nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	act := make([]float64, len(recs))

@@ -50,7 +50,7 @@ func fig6(env *Env, memo *qpp.TrainMemo) (*Fig6Result, error) {
 	run := func(ds *workload.Dataset, large bool) error {
 		// Plan-level: all templates.
 		recs := ds.Records
-		planPred, err := crossValPlanLevel(env, recs, memo)
+		planPred, err := env.crossVal(recs, fitPlanLevel(qpp.FeatEstimates, qpp.FeatEstimates, memo))
 		if err != nil {
 			return err
 		}
@@ -59,7 +59,7 @@ func fig6(env *Env, memo *qpp.TrainMemo) (*Fig6Result, error) {
 
 		// Operator-level: the 14 templates without subquery structures.
 		opRecs := workload.FilterTemplates(recs, tpch.OperatorLevelTemplates)
-		opPred, err := crossValOperatorLevel(env, opRecs, memo)
+		opPred, err := env.crossVal(opRecs, fitOperatorLevel(qpp.FeatEstimates, qpp.FeatEstimates, qpp.ChildTimesPredicted, memo))
 		if err != nil {
 			return err
 		}
@@ -116,48 +116,27 @@ func bestBandMean(errs []TemplateError, band float64) (float64, int) {
 	return sum / float64(n), n
 }
 
-// crossValPlanLevel produces out-of-fold plan-level predictions, training
-// the folds concurrently (each fold writes only its own test slots).
-func crossValPlanLevel(env *Env, recs []*qpp.QueryRecord, memo *qpp.TrainMemo) ([]float64, error) {
-	folds := stratifiedFolds(recs, env.Cfg.Folds, env.Cfg.Seed)
-	pred := make([]float64, len(recs))
-	if err := env.forEachPar(len(folds), func(fi int) error {
-		f := folds[fi]
-		m, err := qpp.TrainPlanLevel(subset(recs, f.Train), qpp.FeatEstimates, planCfg(memo))
+// fitPlanLevel and fitOperatorLevel are crossVal's fit for the two static
+// methods: train in one feature mode, predict in another (Figure 7 trains
+// on actuals and tests on estimates).
+func fitPlanLevel(trainMode, testMode qpp.FeatureMode, memo *qpp.TrainMemo) func([]*qpp.QueryRecord) (predictFn, error) {
+	return func(train []*qpp.QueryRecord) (predictFn, error) {
+		m, err := qpp.TrainPlanLevel(train, trainMode, planCfg(memo))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for _, i := range f.Test {
-			pred[i] = m.Predict(recs[i])
-		}
-		return nil
-	}); err != nil {
-		return nil, err
+		m.Mode = testMode
+		return infallible(m.Predict), nil
 	}
-	return pred, nil
 }
 
-// crossValOperatorLevel produces out-of-fold operator-level predictions,
-// training the folds concurrently.
-func crossValOperatorLevel(env *Env, recs []*qpp.QueryRecord, memo *qpp.TrainMemo) ([]float64, error) {
-	folds := stratifiedFolds(recs, env.Cfg.Folds, env.Cfg.Seed)
-	pred := make([]float64, len(recs))
-	if err := env.forEachPar(len(folds), func(fi int) error {
-		f := folds[fi]
-		m, err := qpp.TrainOperatorModels(subset(recs, f.Train), qpp.FeatEstimates, opCfg(memo))
+func fitOperatorLevel(trainMode, testMode qpp.FeatureMode, src qpp.ChildTimeSource, memo *qpp.TrainMemo) func([]*qpp.QueryRecord) (predictFn, error) {
+	return func(train []*qpp.QueryRecord) (predictFn, error) {
+		m, err := qpp.TrainOperatorModels(train, trainMode, opCfg(memo))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for _, i := range f.Test {
-			p, err := m.Predict(recs[i], qpp.ChildTimesPredicted)
-			if err != nil {
-				return err
-			}
-			pred[i] = p
-		}
-		return nil
-	}); err != nil {
-		return nil, err
+		m.Mode = testMode
+		return func(r *qpp.QueryRecord) (float64, error) { return m.Predict(r, src) }, nil
 	}
-	return pred, nil
 }

@@ -36,8 +36,6 @@ func Fig7(env *Env) (*Fig7Result, error) { return fig7(env, new(qpp.TrainMemo)) 
 func fig7(env *Env, memo *qpp.TrainMemo) (*Fig7Result, error) {
 	recs := env.Large.Records
 	opRecs := workload.FilterTemplates(recs, tpch.OperatorLevelTemplates)
-	folds := stratifiedFolds(recs, env.Cfg.Folds, env.Cfg.Seed)
-	opFolds := stratifiedFolds(opRecs, env.Cfg.Folds, env.Cfg.Seed)
 
 	type combo struct {
 		train, test qpp.FeatureMode
@@ -50,21 +48,8 @@ func fig7(env *Env, memo *qpp.TrainMemo) (*Fig7Result, error) {
 	}
 	out := &Fig7Result{Metrics: env.figRegistry()}
 	for _, c := range combos {
-		// Plan-level; folds train concurrently.
-		planPred := make([]float64, len(recs))
-		if err := env.forEachPar(len(folds), func(fi int) error {
-			f := folds[fi]
-			m, err := qpp.TrainPlanLevel(subset(recs, f.Train), c.train, planCfg(memo))
-			if err != nil {
-				return err
-			}
-			// The predictor extracts features in its training mode; override
-			// with the test-side mode.
-			for _, i := range f.Test {
-				planPred[i] = m.Model.Predict(qpp.PlanFeatures(recs[i].Root, c.test))
-			}
-			return nil
-		}); err != nil {
+		planPred, err := env.crossVal(recs, fitPlanLevel(c.train, c.test, memo))
+		if err != nil {
 			return nil, err
 		}
 		// Operator-level. Child-time features are observed actuals in the
@@ -73,23 +58,8 @@ func fig7(env *Env, memo *qpp.TrainMemo) (*Fig7Result, error) {
 		if c.train == qpp.FeatActuals && c.test == qpp.FeatActuals {
 			src = qpp.ChildTimesActual
 		}
-		opPred := make([]float64, len(opRecs))
-		if err := env.forEachPar(len(opFolds), func(fi int) error {
-			f := opFolds[fi]
-			m, err := qpp.TrainOperatorModels(subset(opRecs, f.Train), c.train, opCfg(memo))
-			if err != nil {
-				return err
-			}
-			m.Mode = c.test
-			for _, i := range f.Test {
-				p, err := m.Predict(opRecs[i], src)
-				if err != nil {
-					return err
-				}
-				opPred[i] = p
-			}
-			return nil
-		}); err != nil {
+		opPred, err := env.crossVal(opRecs, fitOperatorLevel(c.train, c.test, src, memo))
+		if err != nil {
 			return nil, err
 		}
 		out.Combos = append(out.Combos, FeatureCombo{

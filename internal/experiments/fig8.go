@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"qpp/internal/mlearn"
 	"qpp/internal/obs"
 	"qpp/internal/qpp"
 	"qpp/internal/tpch"
@@ -60,16 +59,11 @@ func fig8(env *Env, memo *qpp.TrainMemo) (*Fig8Result, error) {
 		}
 		// Point 0: operator-level only.
 		base := &qpp.HybridPredictor{Ops: h.Ops, Plans: map[string]*qpp.SubplanModels{}, Mode: cfg.Mode}
-		var act, pred []float64
-		for _, r := range test {
-			p, err := base.Predict(r)
-			if err != nil {
-				continue
-			}
-			act = append(act, r.Time)
-			pred = append(pred, p)
+		baseErr, _, err := qpp.MeanRelativeError(test, base.Predict)
+		if err != nil {
+			return err
 		}
-		curve := []IterPoint{{Iter: 0, Error: mlearn.MeanRelativeError(act, pred)}}
+		curve := []IterPoint{{Iter: 0, Error: baseErr}}
 		for _, st := range stats {
 			curve = append(curve, IterPoint{Iter: st.Iter, Error: st.TestError})
 		}

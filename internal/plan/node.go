@@ -97,11 +97,6 @@ type Actuals struct {
 	Rows      float64 // rows emitted (summed over rescans)
 	Pages     float64 // pages this operator itself read (scans, spills)
 	Loops     int     // number of (re)scans
-	// CompletedAt is the absolute virtual time at which the operator
-	// produced its last row (0 if it never finished). It enables
-	// progressive prediction: at a mid-execution checkpoint, operators
-	// with CompletedAt <= checkpoint have fully observed timings.
-	CompletedAt float64
 }
 
 // AggFunc enumerates aggregate functions.

@@ -1,7 +1,6 @@
 package qpp
 
 import (
-	"fmt"
 	"sort"
 
 	"qpp/internal/mlearn"
@@ -82,27 +81,45 @@ type HybridPredictor struct {
 // operator-level composition.
 const ApplicabilityMargin = 0.5
 
-// PredictNode returns start/run estimates for the sub-plan rooted at n.
-func (h *HybridPredictor) PredictNode(n *plan.Node) (st, rt float64) {
-	if pm, ok := h.Plans[n.Signature()]; ok {
+// predictStep is the hybrid method's one decision (Section 3.4): the
+// sub-plan rooted at n, whose signature is sig, is answered by its
+// materialised plan-level models when it has them and n's Table-1
+// features lie within their widened training range, and by the operator
+// models over its children's times otherwise. children is asked for
+// those times only in the second case, so a traversal that computes them
+// on demand never visits a node under an applicable model. modelled
+// reports whether sig has models at all, applicable or not. Nothing else
+// in the package consults Plans or a model's training range to predict.
+func (h *HybridPredictor) predictStep(n *plan.Node, sig string, children func() (st1, rt1, st2, rt2 float64)) (st, rt float64, modelled bool) {
+	pm, modelled := h.Plans[sig]
+	if modelled {
 		f := PlanFeatures(n, h.Mode)
 		if pm.Run.InRange(f, ApplicabilityMargin) {
-			st = pm.Start.Predict(f)
-			rt = pm.Run.Predict(f)
+			st, rt = pm.Start.Predict(f), pm.Run.Predict(f)
 			if rt < st {
 				rt = st
 			}
-			return st, rt
+			return st, rt, true
 		}
 	}
-	var st1, rt1, st2, rt2 float64
-	if len(n.Children) > 0 {
-		st1, rt1 = h.PredictNode(n.Children[0])
-	}
-	if len(n.Children) > 1 {
-		st2, rt2 = h.PredictNode(n.Children[1])
-	}
-	return h.Ops.predictWithChildren(n, st1, rt1, st2, rt2)
+	st1, rt1, st2, rt2 := children()
+	st, rt = h.Ops.predictWithChildren(n, st1, rt1, st2, rt2)
+	return st, rt, modelled
+}
+
+// PredictNode returns start/run estimates for the sub-plan rooted at n,
+// top-down: children are predicted only where predictStep asks for them.
+func (h *HybridPredictor) PredictNode(n *plan.Node) (st, rt float64) {
+	st, rt, _ = h.predictStep(n, n.Signature(), func() (st1, rt1, st2, rt2 float64) {
+		if len(n.Children) > 0 {
+			st1, rt1 = h.PredictNode(n.Children[0])
+		}
+		if len(n.Children) > 1 {
+			st2, rt2 = h.PredictNode(n.Children[1])
+		}
+		return st1, rt1, st2, rt2
+	})
+	return st, rt
 }
 
 // Predict estimates a query's latency.
@@ -227,7 +244,7 @@ func (e *hybridEval) avgErr(sig string) float64 {
 
 // nodeEval is what one evaluation pass needs to know about a plan node:
 // its signature, its operator count, whether the signature has a
-// plan-level model (applicable or not) and what PredictNode returns.
+// plan-level model (applicable or not) and what predictStep returns.
 type nodeEval struct {
 	node     *plan.Node
 	sig      string
@@ -237,9 +254,10 @@ type nodeEval struct {
 }
 
 // evalNodes appends one nodeEval per node of the tree under n, in
-// pre-order, and returns n's. Each node is visited once, children first:
-// its signature is assembled from theirs and its prediction composed
-// from theirs, so a tree costs time linear in its size where calling
+// pre-order, and returns n's. It is the exhaustive, bottom-up traversal
+// Algorithm 1's bookkeeping needs: each node is visited once, children
+// first, its signature assembled from theirs and its prediction handed
+// theirs, so a tree costs time linear in its size where calling
 // Signature and PredictNode on every node costs each subtree once per
 // ancestor. The values are the ones PredictNode computes (a node under
 // an applicable plan-level model is predicted although PredictNode would
@@ -260,23 +278,9 @@ func (h *HybridPredictor) evalNodes(n *plan.Node, out *[]nodeEval) nodeEval {
 		}
 	}
 	e := nodeEval{node: n, sig: n.SignatureOver(sigs), size: size}
-	// From here on this is PredictNode, with the signature and the
-	// children's predictions already known.
-	pm, ok := h.Plans[e.sig]
-	e.modelled = ok
-	if ok {
-		f := PlanFeatures(n, h.Mode)
-		if ok = pm.Run.InRange(f, ApplicabilityMargin); ok {
-			e.st = pm.Start.Predict(f)
-			e.rt = pm.Run.Predict(f)
-			if e.rt < e.st {
-				e.rt = e.st
-			}
-		}
-	}
-	if !ok {
-		e.st, e.rt = h.Ops.predictWithChildren(n, kids[0].st, kids[0].rt, kids[1].st, kids[1].rt)
-	}
+	e.st, e.rt, e.modelled = h.predictStep(n, e.sig, func() (st1, rt1, st2, rt2 float64) {
+		return kids[0].st, kids[0].rt, kids[1].st, kids[1].rt
+	})
 	(*out)[at] = e
 	return e
 }
@@ -361,50 +365,26 @@ func TrainHybrid(recs []*QueryRecord, cfg HybridConfig) (*HybridPredictor, []Ite
 			break
 		}
 		occs := idx.occ[sig]
-		models, err := trainSubplanModels(occs, cfg.Mode, cfg.PlanCfg)
-		stat := IterationStat{
-			Iter: iter, Signature: sig, Size: idx.size[sig], Occurrence: len(occs),
-		}
-		if err != nil {
+		stat := IterationStat{Iter: iter, Signature: sig, Size: idx.size[sig], Occurrence: len(occs)}
+		if models, err := trainSubplanModels(occs, cfg.Mode, cfg.PlanCfg); err != nil {
 			rejected[sig] = true
-			stat.Accepted = false
-			stat.TrainError = ev.overall
-			stat.TestError = h.testError(cfg.EvalRecs)
-			stats = append(stats, stat)
-			continue
-		}
-		h.Plans[sig] = models
-		newEv := evalHybrid(h, recs)
-		if newEv.overall <= ev.overall-cfg.Epsilon {
-			ev = newEv
-			stat.Accepted = true
 		} else {
-			delete(h.Plans, sig)
-			rejected[sig] = true
-			stat.Accepted = false
+			h.Plans[sig] = models
+			if newEv := evalHybrid(h, recs); newEv.overall <= ev.overall-cfg.Epsilon {
+				ev = newEv
+				stat.Accepted = true
+			} else {
+				delete(h.Plans, sig)
+				rejected[sig] = true
+			}
 		}
 		stat.TrainError = ev.overall
-		stat.TestError = h.testError(cfg.EvalRecs)
+		if stat.TestError, _, err = MeanRelativeError(cfg.EvalRecs, h.Predict); err != nil {
+			return nil, nil, err
+		}
 		stats = append(stats, stat)
 	}
 	return h, stats, nil
-}
-
-// testError evaluates the current model set on a held-out workload.
-func (h *HybridPredictor) testError(recs []*QueryRecord) float64 {
-	if len(recs) == 0 {
-		return 0
-	}
-	var act, pred []float64
-	for _, r := range recs {
-		if r.Root.HasSubqueryStructures() {
-			continue
-		}
-		_, rt := h.PredictNode(r.Root)
-		act = append(act, r.Time)
-		pred = append(pred, rt)
-	}
-	return mlearn.MeanRelativeError(act, pred)
 }
 
 // nextCandidate picks the next sub-plan to model per the strategy.
@@ -471,9 +451,4 @@ func (h *HybridPredictor) nextCandidate(idx *SubplanIndex, ev *hybridEval, rejec
 		})
 	}
 	return cands[0].sig
-}
-
-// String renders a short summary for logs.
-func (h *HybridPredictor) String() string {
-	return fmt.Sprintf("hybrid{%d plan models}", len(h.Plans))
 }

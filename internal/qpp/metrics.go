@@ -50,17 +50,9 @@ func MetricValue(rec *QueryRecord, m Metric) float64 {
 	}
 }
 
-// MetricPredictor is a plan-level model for an arbitrary performance
-// metric.
-type MetricPredictor struct {
-	Model  *PlanModel
-	Mode   FeatureMode
-	Metric Metric
-}
-
 // TrainPlanLevelMetric fits a plan-level model predicting the given
 // metric instead of latency, using the same Table-1 static features.
-func TrainPlanLevelMetric(recs []*QueryRecord, metric Metric, mode FeatureMode, cfg PlanModelConfig) (*MetricPredictor, error) {
+func TrainPlanLevelMetric(recs []*QueryRecord, metric Metric, mode FeatureMode, cfg PlanModelConfig) (*PlanLevelPredictor, error) {
 	if err := validateRecords(recs); err != nil {
 		return nil, err
 	}
@@ -74,12 +66,7 @@ func TrainPlanLevelMetric(recs []*QueryRecord, metric Metric, mode FeatureMode, 
 	if err != nil {
 		return nil, fmt.Errorf("qpp: %s model: %w", metric, err)
 	}
-	return &MetricPredictor{Model: pm, Mode: mode, Metric: metric}, nil
-}
-
-// Predict estimates the metric for a planned query.
-func (p *MetricPredictor) Predict(rec *QueryRecord) float64 {
-	return p.Model.Predict(PlanFeatures(rec.Root, p.Mode))
+	return &PlanLevelPredictor{Model: pm, Mode: mode}, nil
 }
 
 // MetricFloor is the smallest actual magnitude a relative error divides
@@ -103,17 +90,4 @@ func MetricFloor(m Metric) float64 {
 // and NaN/Inf estimates, so figure output never carries NaN or Inf.
 func MetricRelativeError(m Metric, actual, estimate float64) float64 {
 	return mlearn.RelativeErrorFloor(actual, estimate, MetricFloor(m))
-}
-
-// Eval returns the predictor's mean relative error over records, using
-// the metric's floor (0 when recs is empty).
-func (p *MetricPredictor) Eval(recs []*QueryRecord) float64 {
-	if len(recs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, r := range recs {
-		s += MetricRelativeError(p.Metric, MetricValue(r, p.Metric), p.Predict(r))
-	}
-	return s / float64(len(recs))
 }

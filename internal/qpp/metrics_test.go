@@ -80,17 +80,53 @@ func TestMetricPredictorEvalFinite(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
-		e := p.Eval(recs)
+		var e float64
+		for _, r := range recs {
+			e += qpp.MetricRelativeError(m, qpp.MetricValue(r, m), p.Predict(r)) / float64(len(recs))
+		}
 		if math.IsNaN(e) || math.IsInf(e, 0) || e < 0 {
 			t.Fatalf("%s: eval error %v not finite and non-negative", m, e)
 		}
 	}
-	var none []*qpp.QueryRecord
-	p, err := qpp.TrainPlanLevelMetric(recs, qpp.MetricLatency, qpp.FeatEstimates, qpp.DefaultPlanModelConfig())
-	if err != nil {
-		t.Fatal(err)
+}
+
+func TestMetricPredictors(t *testing.T) {
+	ds := testDataset(t)
+	for _, m := range []qpp.Metric{qpp.MetricPagesRead, qpp.MetricRowsOut, qpp.MetricLatency} {
+		p, err := qpp.TrainPlanLevelMetric(ds.Records, m, qpp.FeatEstimates, qpp.DefaultPlanModelConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var act, pred []float64
+		for _, r := range ds.Records {
+			act = append(act, qpp.MetricValue(r, m))
+			pred = append(pred, p.Predict(r))
+		}
+		// In-sample accuracy sanity: the model must carry real signal.
+		var num, den float64
+		for i := range act {
+			num += math.Abs(act[i] - pred[i])
+			den += math.Abs(act[i]) + 1e-9
+		}
+		if num/den > 0.5 {
+			t.Fatalf("%s: weighted error %.3f too high", m, num/den)
+		}
 	}
-	if e := p.Eval(none); e != 0 {
-		t.Fatalf("empty eval %v", e)
+	if qpp.MetricPagesRead.String() != "pages-read" || qpp.MetricLatency.String() != "latency" {
+		t.Fatal("metric names")
+	}
+}
+
+func TestMetricValueExtraction(t *testing.T) {
+	ds := testDataset(t)
+	r := ds.Records[0]
+	if qpp.MetricValue(r, qpp.MetricLatency) != r.Time {
+		t.Fatal("latency metric")
+	}
+	if qpp.MetricValue(r, qpp.MetricPagesRead) <= 0 {
+		t.Fatal("pages metric should be positive")
+	}
+	if qpp.MetricValue(r, qpp.MetricRowsOut) != r.Root.Act.Rows {
+		t.Fatal("rows metric")
 	}
 }

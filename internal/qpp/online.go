@@ -136,20 +136,7 @@ func BuildOnlineModels(idx *SubplanIndex, ops *OperatorLevelPredictor, queryRoot
 			copy(x.Row(i), PlanFeatures(o.node, cfg.Mode))
 			rt[i] = o.node.Act.RunTime
 		}
-		folds := mlearn.KFold(len(occs), cfg.Folds, cfg.Seed)
-		yt := rt
-		if cfg.PlanCfg.LogTarget {
-			yt = make([]float64, len(rt))
-			for i, v := range rt {
-				yt[i] = math.Log(math.Max(v, 0) + logEps)
-			}
-		}
-		cvPred, err := mlearn.CrossValPredict(cfg.PlanCfg.factory(), x, yt, folds)
-		if cfg.PlanCfg.LogTarget && err == nil {
-			for i := range cvPred {
-				cvPred[i] = math.Exp(cvPred[i]) - logEps
-			}
-		}
+		cvPred, err := cfg.PlanCfg.crossValPredict(x, rt, mlearn.KFold(len(occs), cfg.Folds, cfg.Seed))
 		cvErr := math.Inf(1)
 		if err == nil {
 			cvErr = mlearn.MeanRelativeError(rt, cvPred)

@@ -12,56 +12,26 @@ import (
 // operator-level models cannot cope with (Section 5.3, footnote 2).
 var ErrSubqueryPlan = fmt.Errorf("qpp: plan contains init-plan/sub-plan structures; operator-level models do not apply")
 
-// opModel is one per-operator-type regressor (start-time or run-time).
-type opModel struct {
-	cols  []int
-	model mlearn.Regressor
-}
-
-func trainOpModel(x *mlearn.Matrix, y []float64, cfg PlanModelConfig) (*opModel, error) {
-	if cfg.Memo != nil {
-		return cfg.Memo.opModel(x, y, cfg)
-	}
-	return fitOpModel(x, y, cfg)
-}
-
-func fitOpModel(x *mlearn.Matrix, y []float64, cfg PlanModelConfig) (*opModel, error) {
-	om := &opModel{}
-	factory := cfg.factory()
-	if cfg.FeatureSelection && x.Rows >= 12 {
-		cols, _, err := mlearn.ForwardFeatureSelection(factory, x, y, mlearn.FeatureSelectionConfig{
-			Folds: cfg.Folds, Seed: cfg.Seed,
-		})
-		if err != nil {
-			return nil, err
+// MeanRelativeError evaluates predict over executed records with the
+// paper's metric. Records it answers ErrSubqueryPlan for are skipped and
+// counted; any other error ends the evaluation and is returned, so a
+// method that fails cannot score as one that predicts perfectly.
+func MeanRelativeError(recs []*QueryRecord, predict func(*QueryRecord) (float64, error)) (mre float64, skipped int, err error) {
+	act := make([]float64, 0, len(recs))
+	pred := make([]float64, 0, len(recs))
+	for _, r := range recs {
+		v, perr := predict(r)
+		if perr == ErrSubqueryPlan {
+			skipped++
+			continue
 		}
-		om.cols = cols
-	} else {
-		om.cols = make([]int, x.Cols)
-		for i := range om.cols {
-			om.cols[i] = i
+		if perr != nil {
+			return 0, skipped, perr
 		}
+		act = append(act, r.Time)
+		pred = append(pred, v)
 	}
-	xt := mlearn.SelectColumns(x, om.cols)
-	m := factory()
-	if err := m.Fit(xt, y); err != nil {
-		c := &mlearn.ConstantModel{}
-		if err2 := c.Fit(xt, y); err2 != nil {
-			return nil, err
-		}
-		om.model = c
-		return om, nil
-	}
-	om.model = m
-	return om, nil
-}
-
-func (om *opModel) predict(f []float64) float64 {
-	out := om.model.Predict(mlearn.SelectRow(f, om.cols))
-	if out < 0 {
-		out = 0
-	}
-	return out
+	return mlearn.MeanRelativeError(act, pred), skipped, nil
 }
 
 // ChildTimeSource selects where child start/run time features come from at
@@ -81,8 +51,8 @@ const (
 // OperatorLevelPredictor holds one start-time and one run-time model per
 // operator type and composes them hierarchically over plans.
 type OperatorLevelPredictor struct {
-	start map[plan.OpType]*opModel
-	run   map[plan.OpType]*opModel
+	start map[plan.OpType]*PlanModel
+	run   map[plan.OpType]*PlanModel
 	Mode  FeatureMode
 	// fallbackStart/Run predict for operator types unseen in training.
 	fallbackStart *mlearn.ConstantModel
@@ -133,8 +103,8 @@ func TrainOperatorModels(recs []*QueryRecord, mode FeatureMode, cfg PlanModelCon
 		return nil, fmt.Errorf("qpp: no operator samples in training data")
 	}
 	p := &OperatorLevelPredictor{
-		start:         map[plan.OpType]*opModel{},
-		run:           map[plan.OpType]*opModel{},
+		start:         map[plan.OpType]*PlanModel{},
+		run:           map[plan.OpType]*PlanModel{},
 		Mode:          mode,
 		fallbackStart: &mlearn.ConstantModel{Value: mlearn.Mean(allST)},
 		fallbackRun:   &mlearn.ConstantModel{Value: mlearn.Mean(allRT)},
@@ -148,11 +118,11 @@ func TrainOperatorModels(recs []*QueryRecord, mode FeatureMode, cfg PlanModelCon
 			st[i] = s.st
 			rt[i] = s.rt
 		}
-		sm, err := trainOpModel(x, st, cfg)
+		sm, err := trainModel(x, st, cfg, opMinRows)
 		if err != nil {
 			return nil, fmt.Errorf("qpp: start model for %s: %w", op, err)
 		}
-		rm, err := trainOpModel(x, rt, cfg)
+		rm, err := trainModel(x, rt, cfg, opMinRows)
 		if err != nil {
 			return nil, fmt.Errorf("qpp: run model for %s: %w", op, err)
 		}
@@ -188,12 +158,12 @@ func (p *OperatorLevelPredictor) PredictNode(n *plan.Node, src ChildTimeSource) 
 func (p *OperatorLevelPredictor) predictWithChildren(n *plan.Node, st1, rt1, st2, rt2 float64) (st, rt float64) {
 	f := OpFeatures(n, p.Mode, st1, rt1, st2, rt2)
 	if sm, ok := p.start[n.Op]; ok {
-		st = sm.predict(f)
+		st = sm.Predict(f)
 	} else {
 		st = p.fallbackStart.Predict(nil)
 	}
 	if rm, ok := p.run[n.Op]; ok {
-		rt = rm.predict(f)
+		rt = rm.Predict(f)
 	} else {
 		rt = p.fallbackRun.Predict(nil)
 	}

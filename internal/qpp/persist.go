@@ -23,7 +23,7 @@ import (
 // FormatVersion is the on-disk model snapshot format revision. Bump it
 // whenever a state struct changes shape or meaning; loaders reject
 // files written under any other revision.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // checkFormat validates a decoded state's format version. A zero
 // version also catches pre-versioning files, whose decoded struct lacks
@@ -35,7 +35,9 @@ func checkFormat(kind string, got int) error {
 	return nil
 }
 
-type planModelState struct {
+// modelState is the one persisted shape of a fitted model, whatever its
+// granularity.
+type modelState struct {
 	Cols       []int           `json:"cols"`
 	Model      json.RawMessage `json:"model"`
 	LogTarget  bool            `json:"log_target"`
@@ -44,21 +46,38 @@ type planModelState struct {
 	TrainError float64         `json:"train_error"`
 }
 
-func (pm *PlanModel) marshal() (*planModelState, error) {
+func (pm *PlanModel) marshal() (*modelState, error) {
 	raw, err := mlearn.MarshalModel(pm.model)
 	if err != nil {
 		return nil, err
 	}
-	return &planModelState{
+	return &modelState{
 		Cols: pm.cols, Model: raw, LogTarget: pm.logTarget,
 		Lo: pm.lo, Hi: pm.hi, TrainError: pm.TrainError,
 	}, nil
 }
 
-func unmarshalPlanModel(st *planModelState) (*PlanModel, error) {
+// unmarshalModel restores the model stored under the name what, which is
+// to be fed feature rows of the given width. Snapshot files are outside
+// input: a state that Predict or InRange would index a row out of range
+// with is refused here, naming the field, not met inside a request.
+func unmarshalModel(what string, st *modelState, width int) (*PlanModel, error) {
+	switch {
+	case st == nil:
+		return nil, fmt.Errorf("qpp: snapshot has no model for %s", what)
+	case len(st.Lo) != width:
+		return nil, fmt.Errorf("qpp: snapshot %s: lo has %d entries, the feature vector %d", what, len(st.Lo), width)
+	case len(st.Hi) != width:
+		return nil, fmt.Errorf("qpp: snapshot %s: hi has %d entries, the feature vector %d", what, len(st.Hi), width)
+	}
+	for _, c := range st.Cols {
+		if c < 0 || c >= width {
+			return nil, fmt.Errorf("qpp: snapshot %s: cols names column %d of a %d-feature vector", what, c, width)
+		}
+	}
 	m, err := mlearn.UnmarshalModel(st.Model)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("qpp: snapshot %s: %w", what, err)
 	}
 	return &PlanModel{
 		cols: st.Cols, model: m, logTarget: st.LogTarget,
@@ -66,31 +85,10 @@ func unmarshalPlanModel(st *planModelState) (*PlanModel, error) {
 	}, nil
 }
 
-type opModelState struct {
-	Cols  []int           `json:"cols"`
-	Model json.RawMessage `json:"model"`
-}
-
-func (om *opModel) marshal() (*opModelState, error) {
-	raw, err := mlearn.MarshalModel(om.model)
-	if err != nil {
-		return nil, err
-	}
-	return &opModelState{Cols: om.cols, Model: raw}, nil
-}
-
-func unmarshalOpModel(st *opModelState) (*opModel, error) {
-	m, err := mlearn.UnmarshalModel(st.Model)
-	if err != nil {
-		return nil, err
-	}
-	return &opModel{cols: st.Cols, model: m}, nil
-}
-
 type planLevelState struct {
-	Format int             `json:"format"`
-	Model  *planModelState `json:"model"`
-	Mode   FeatureMode     `json:"mode"`
+	Format int         `json:"format"`
+	Model  *modelState `json:"model"`
+	Mode   FeatureMode `json:"mode"`
 }
 
 // Save materializes the plan-level predictor as JSON.
@@ -111,10 +109,7 @@ func LoadPlanLevel(r io.Reader) (*PlanLevelPredictor, error) {
 	if err := checkFormat("plan-level", st.Format); err != nil {
 		return nil, err
 	}
-	if st.Model == nil {
-		return nil, fmt.Errorf("qpp: plan-level snapshot has no model")
-	}
-	pm, err := unmarshalPlanModel(st.Model)
+	pm, err := unmarshalModel("plan-level", st.Model, NumPlanFeatures())
 	if err != nil {
 		return nil, err
 	}
@@ -122,38 +117,55 @@ func LoadPlanLevel(r io.Reader) (*PlanLevelPredictor, error) {
 }
 
 type operatorLevelState struct {
-	Format        int                      `json:"format"`
-	Start         map[string]*opModelState `json:"start"`
-	Run           map[string]*opModelState `json:"run"`
-	Mode          FeatureMode              `json:"mode"`
-	FallbackStart float64                  `json:"fallback_start"`
-	FallbackRun   float64                  `json:"fallback_run"`
+	Format        int                    `json:"format"`
+	Start         map[string]*modelState `json:"start"`
+	Run           map[string]*modelState `json:"run"`
+	Mode          FeatureMode            `json:"mode"`
+	FallbackStart float64                `json:"fallback_start"`
+	FallbackRun   float64                `json:"fallback_run"`
+}
+
+// marshalOpModels and unmarshalOpModels convert one side (start or run)
+// of the per-operator-type models.
+func marshalOpModels(models map[plan.OpType]*PlanModel) (map[string]*modelState, error) {
+	out := map[string]*modelState{}
+	for op, m := range models {
+		st, err := m.marshal()
+		if err != nil {
+			return nil, err
+		}
+		out[string(op)] = st
+	}
+	return out, nil
+}
+
+func unmarshalOpModels(side string, states map[string]*modelState) (map[plan.OpType]*PlanModel, error) {
+	out := map[plan.OpType]*PlanModel{}
+	for op, st := range states {
+		m, err := unmarshalModel(op+" "+side, st, NumOpFeatures())
+		if err != nil {
+			return nil, err
+		}
+		out[plan.OpType(op)] = m
+	}
+	return out, nil
 }
 
 // Save materializes the operator-level predictor as JSON.
 func (p *OperatorLevelPredictor) Save(w io.Writer) error {
 	st := operatorLevelState{
-		Format: FormatVersion,
-		Start:  map[string]*opModelState{},
-		Run:    map[string]*opModelState{},
-		Mode:   p.Mode,
+		Format:        FormatVersion,
+		Mode:          p.Mode,
+		FallbackStart: p.fallbackStart.Value,
+		FallbackRun:   p.fallbackRun.Value,
 	}
-	for op, m := range p.start {
-		s, err := m.marshal()
-		if err != nil {
-			return err
-		}
-		st.Start[string(op)] = s
+	var err error
+	if st.Start, err = marshalOpModels(p.start); err != nil {
+		return err
 	}
-	for op, m := range p.run {
-		s, err := m.marshal()
-		if err != nil {
-			return err
-		}
-		st.Run[string(op)] = s
+	if st.Run, err = marshalOpModels(p.run); err != nil {
+		return err
 	}
-	st.FallbackStart = p.fallbackStart.Value
-	st.FallbackRun = p.fallbackRun.Value
 	return json.NewEncoder(w).Encode(st)
 }
 
@@ -167,25 +179,16 @@ func LoadOperatorLevel(r io.Reader) (*OperatorLevelPredictor, error) {
 		return nil, err
 	}
 	p := &OperatorLevelPredictor{
-		start:         map[plan.OpType]*opModel{},
-		run:           map[plan.OpType]*opModel{},
 		Mode:          st.Mode,
 		fallbackStart: &mlearn.ConstantModel{Value: st.FallbackStart},
 		fallbackRun:   &mlearn.ConstantModel{Value: st.FallbackRun},
 	}
-	for op, s := range st.Start {
-		m, err := unmarshalOpModel(s)
-		if err != nil {
-			return nil, err
-		}
-		p.start[plan.OpType(op)] = m
+	var err error
+	if p.start, err = unmarshalOpModels("start", st.Start); err != nil {
+		return nil, err
 	}
-	for op, s := range st.Run {
-		m, err := unmarshalOpModel(s)
-		if err != nil {
-			return nil, err
-		}
-		p.run[plan.OpType(op)] = m
+	if p.run, err = unmarshalOpModels("run", st.Run); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -218,15 +221,15 @@ func LoadCostBaseline(r io.Reader) (*CostModelBaseline, error) {
 }
 
 type subplanModelsState struct {
-	Start *planModelState `json:"start"`
-	Run   *planModelState `json:"run"`
+	Start *modelState `json:"start"`
+	Run   *modelState `json:"run"`
 }
 
 type hybridState struct {
-	Format int                            `json:"format"`
-	Ops    json.RawMessage                `json:"ops"`
-	Plans  map[string]*subplanModelsState `json:"plans"`
-	Mode   FeatureMode                    `json:"mode"`
+	Format int                           `json:"format"`
+	Ops    json.RawMessage               `json:"ops"`
+	Plans  map[string]subplanModelsState `json:"plans"`
+	Mode   FeatureMode                   `json:"mode"`
 }
 
 // Save materializes the hybrid predictor: the operator models plus every
@@ -236,7 +239,7 @@ func (h *HybridPredictor) Save(w io.Writer) error {
 	if err := h.Ops.Save(&opsBuf); err != nil {
 		return err
 	}
-	st := hybridState{Format: FormatVersion, Ops: json.RawMessage(opsBuf.Bytes()), Plans: map[string]*subplanModelsState{}, Mode: h.Mode}
+	st := hybridState{Format: FormatVersion, Ops: json.RawMessage(opsBuf.Bytes()), Plans: map[string]subplanModelsState{}, Mode: h.Mode}
 	for sig, pm := range h.Plans {
 		start, err := pm.Start.marshal()
 		if err != nil {
@@ -246,7 +249,7 @@ func (h *HybridPredictor) Save(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		st.Plans[sig] = &subplanModelsState{Start: start, Run: run}
+		st.Plans[sig] = subplanModelsState{Start: start, Run: run}
 	}
 	return json.NewEncoder(w).Encode(st)
 }
@@ -266,11 +269,11 @@ func LoadHybrid(r io.Reader) (*HybridPredictor, error) {
 	}
 	h := &HybridPredictor{Ops: ops, Plans: map[string]*SubplanModels{}, Mode: st.Mode}
 	for sig, s := range st.Plans {
-		start, err := unmarshalPlanModel(s.Start)
+		start, err := unmarshalModel("sub-plan "+sig+" start", s.Start, NumPlanFeatures())
 		if err != nil {
 			return nil, err
 		}
-		run, err := unmarshalPlanModel(s.Run)
+		run, err := unmarshalModel("sub-plan "+sig+" run", s.Run, NumPlanFeatures())
 		if err != nil {
 			return nil, err
 		}

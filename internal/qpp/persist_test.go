@@ -2,6 +2,8 @@ package qpp_test
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -22,9 +24,9 @@ func TestPlanLevelMaterialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range ds.Records[:10] {
+	for _, r := range ds.Records {
 		a, b := orig.Predict(r), loaded.Predict(r)
-		if a != b {
+		if math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("materialized model diverges: %v vs %v", a, b)
 		}
 	}
@@ -45,10 +47,10 @@ func TestOperatorLevelMaterialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs[:10] {
+	for _, r := range recs {
 		a, _ := orig.Predict(r, qpp.ChildTimesPredicted)
 		b, _ := loaded.Predict(r, qpp.ChildTimesPredicted)
-		if a != b {
+		if math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("materialized op models diverge: %v vs %v", a, b)
 		}
 	}
@@ -74,10 +76,13 @@ func TestHybridMaterialization(t *testing.T) {
 	if loaded.NumPlanModels() != orig.NumPlanModels() {
 		t.Fatalf("plan model count %d vs %d", loaded.NumPlanModels(), orig.NumPlanModels())
 	}
-	for _, r := range recs[:10] {
+	if orig.NumPlanModels() == 0 {
+		t.Fatal("no sub-plan model to round-trip")
+	}
+	for _, r := range recs {
 		a, _ := orig.Predict(r)
 		b, _ := loaded.Predict(r)
-		if a != b {
+		if math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("materialized hybrid diverges: %v vs %v", a, b)
 		}
 	}
@@ -133,15 +138,15 @@ func TestLoadRejectsFormatMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.String()
-	if !strings.Contains(good, `"format":1`) {
+	if !strings.Contains(good, `"format":2`) {
 		t.Fatalf("saved state does not carry the format version: %s", good[:80])
 	}
 
 	for _, tc := range []struct {
 		name, body string
 	}{
-		{"missing version", strings.Replace(good, `"format":1`, `"format":0`, 1)},
-		{"future version", strings.Replace(good, `"format":1`, `"format":99`, 1)},
+		{"missing version", strings.Replace(good, `"format":2`, `"format":0`, 1)},
+		{"future version", strings.Replace(good, `"format":2`, `"format":99`, 1)},
 	} {
 		_, err := qpp.LoadPlanLevel(strings.NewReader(tc.body))
 		if err == nil {
@@ -152,15 +157,21 @@ func TestLoadRejectsFormatMismatch(t *testing.T) {
 		}
 	}
 
-	// The same gate guards every loader.
-	if _, err := qpp.LoadOperatorLevel(strings.NewReader(`{"format":0}`)); err == nil || !strings.Contains(err.Error(), "format version") {
-		t.Fatalf("operator-level loader must reject version 0, got: %v", err)
-	}
-	if _, err := qpp.LoadHybrid(strings.NewReader(`{"format":0}`)); err == nil || !strings.Contains(err.Error(), "format version") {
-		t.Fatalf("hybrid loader must reject version 0, got: %v", err)
-	}
-	if _, err := qpp.LoadCostBaseline(strings.NewReader(`{"format":0}`)); err == nil || !strings.Contains(err.Error(), "format version") {
-		t.Fatalf("baseline loader must reject version 0, got: %v", err)
+	// The same gate guards every loader, against pre-versioning files
+	// (0) and against the previous revision (1: operator models without a
+	// training range).
+	for _, v := range []int{0, 1} {
+		body := fmt.Sprintf(`{"format":%d}`, v)
+		for name, load := range map[string]func() error{
+			"plan-level":     func() error { _, err := qpp.LoadPlanLevel(strings.NewReader(body)); return err },
+			"operator-level": func() error { _, err := qpp.LoadOperatorLevel(strings.NewReader(body)); return err },
+			"hybrid":         func() error { _, err := qpp.LoadHybrid(strings.NewReader(body)); return err },
+			"cost-baseline":  func() error { _, err := qpp.LoadCostBaseline(strings.NewReader(body)); return err },
+		} {
+			if err := load(); err == nil || !strings.Contains(err.Error(), "format version") || !strings.Contains(err.Error(), "retrain and re-save") {
+				t.Errorf("%s loader must reject version %d, got: %v", name, v, err)
+			}
+		}
 	}
 }
 
@@ -168,9 +179,77 @@ func TestLoadRejectsFormatMismatch(t *testing.T) {
 // operator-level blob inside a hybrid snapshot: the embedded loader's
 // version gate must still fire.
 func TestHybridEmbeddedOpsVersionChecked(t *testing.T) {
-	if _, err := qpp.LoadHybrid(strings.NewReader(
-		`{"format":1,"ops":{"format":0},"plans":{},"mode":0}`)); err == nil ||
-		!strings.Contains(err.Error(), "format version") {
-		t.Fatalf("embedded ops version must be checked, got: %v", err)
+	for _, v := range []int{0, 1, 3} {
+		body := fmt.Sprintf(`{"format":2,"ops":{"format":%d},"plans":{},"mode":0}`, v)
+		if _, err := qpp.LoadHybrid(strings.NewReader(body)); err == nil ||
+			!strings.Contains(err.Error(), "format version") {
+			t.Fatalf("embedded ops version %d must be refused, got: %v", v, err)
+		}
+	}
+}
+
+// TestLoadRejectsInconsistentModelState: snapshot files are outside input
+// (qppserve -models, POST /reload). A model state that Predict or InRange
+// would index a feature row out of range with must be a load error that
+// names the field; before the loaders checked, the first two bodies died
+// with a nil dereference at load and the third inside the first request.
+func TestLoadRejectsInconsistentModelState(t *testing.T) {
+	const constant = `{"type":"constant","state":{"value":1}}`
+	bounds := func(n int) string {
+		return "[" + strings.TrimSuffix(strings.Repeat("0,", n), ",") + "]"
+	}
+	planW, opW := qpp.NumPlanFeatures(), qpp.NumOpFeatures()
+	model := func(cols string, lo, hi int) string {
+		return fmt.Sprintf(`{"cols":%s,"model":%s,"lo":%s,"hi":%s}`, cols, constant, bounds(lo), bounds(hi))
+	}
+	ops := func(start string) string {
+		return fmt.Sprintf(`{"format":2,"start":%s,"run":{},"mode":0}`, start)
+	}
+	planLevel := func(m string) func() error {
+		return func() error {
+			_, err := qpp.LoadPlanLevel(strings.NewReader(`{"format":2,"model":` + m + `,"mode":0}`))
+			return err
+		}
+	}
+	opLevel := func(start string) func() error {
+		return func() error { _, err := qpp.LoadOperatorLevel(strings.NewReader(ops(start))); return err }
+	}
+	hybrid := func(plans string) func() error {
+		return func() error {
+			_, err := qpp.LoadHybrid(strings.NewReader(`{"format":2,"ops":` + ops(`{}`) + `,"plans":` + plans + `,"mode":0}`))
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		load func() error
+		want string // "" = must load
+	}{
+		{"hybrid: sub-plan entry without models", hybrid(`{"x":{}}`), "no model for sub-plan x start"},
+		{"operator-level: null start model", opLevel(`{"SeqScan":null}`), "no model for SeqScan start"},
+		{"plan-level: column 999, one lo, no hi", planLevel(`{"cols":[999],"model":` + constant + `,"lo":[0],"hi":[]}`), "lo has 1 entries"},
+
+		{"plan-level: no model", planLevel(`null`), "no model for plan-level"},
+		{"hybrid: null sub-plan entry", hybrid(`{"x":null}`), "no model for sub-plan x start"},
+		{"hybrid: sub-plan entry without a run model", hybrid(`{"x":{"start":` + model(`[0]`, planW, planW) + `}}`), "no model for sub-plan x run"},
+		{"plan-level: lo shorter than hi", planLevel(model(`[0]`, planW-1, planW)), "lo has"},
+		{"plan-level: hi shorter than lo", planLevel(model(`[0]`, planW, planW-1)), "hi has"},
+		{"plan-level: operator-width bounds", planLevel(model(`[0]`, opW, opW)), "lo has"},
+		{"operator-level: plan-width bounds", opLevel(`{"SeqScan":` + model(`[0]`, planW, planW) + `}`), "lo has"},
+		{"plan-level: column past the vector", planLevel(model(fmt.Sprintf(`[0,%d]`, planW), planW, planW)), "cols names column"},
+		{"plan-level: negative column", planLevel(model(`[-1]`, planW, planW)), "cols names column -1"},
+		{"operator-level: column past the vector", opLevel(`{"SeqScan":` + model(fmt.Sprintf(`[%d]`, opW), opW, opW) + `}`), "cols names column"},
+
+		{"plan-level: consistent", planLevel(model(fmt.Sprintf(`[0,%d]`, planW-1), planW, planW)), ""},
+		{"operator-level: consistent", opLevel(`{"SeqScan":` + model(`[0]`, opW, opW) + `}`), ""},
+		{"hybrid: consistent", hybrid(`{"x":{"start":` + model(`[0]`, planW, planW) + `,"run":` + model(`[1]`, planW, planW) + `}}`), ""},
+	} {
+		err := tc.load()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }

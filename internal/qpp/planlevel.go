@@ -78,8 +78,40 @@ func (cfg PlanModelConfig) factory() mlearn.ModelFactory {
 // logEps keeps log-space targets finite for near-zero latencies.
 const logEps = 1e-9
 
-// PlanModel is one trained plan-level prediction model: a feature subset
-// plus a fitted regressor mapping a Table-1 feature vector to a latency.
+// toLog maps a latency to the space LogTarget models are fit in; fromLog
+// maps a prediction made there back.
+func toLog(v float64) float64   { return math.Log(math.Max(v, 0) + logEps) }
+func fromLog(v float64) float64 { return math.Exp(v) - logEps }
+
+// targets returns y as the regressor is to see it.
+func (cfg PlanModelConfig) targets(y []float64) []float64 {
+	if !cfg.LogTarget {
+		return y
+	}
+	yt := make([]float64, len(y))
+	for i, v := range y {
+		yt[i] = toLog(v)
+	}
+	return yt
+}
+
+// crossValPredict returns out-of-fold predictions of cfg's regressor over
+// every column of x, in y's unit.
+func (cfg PlanModelConfig) crossValPredict(x *mlearn.Matrix, y []float64, folds []mlearn.Fold) ([]float64, error) {
+	pred, err := mlearn.CrossValPredict(cfg.factory(), x, cfg.targets(y), folds)
+	if err != nil || !cfg.LogTarget {
+		return pred, err
+	}
+	for i, v := range pred {
+		pred[i] = fromLog(v)
+	}
+	return pred, nil
+}
+
+// PlanModel is the one fitted model of this package, at every
+// granularity the paper has (Sections 3.1-3.2): a selected subset of a
+// static feature vector (Table 1 for whole plans and sub-plans, Table 2
+// for operators) plus a regressor from it to a time.
 type PlanModel struct {
 	cols      []int
 	model     mlearn.Regressor
@@ -93,31 +125,39 @@ type PlanModel struct {
 	TrainError float64
 }
 
+// Feature selection needs rows to cross-validate on: below these counts a
+// model keeps every column. Operator models pool far more rows per model
+// than plan and sub-plan models and get the higher floor.
+const (
+	planMinRows = 6
+	opMinRows   = 12
+)
+
 // TrainPlanModel fits a plan-level model on raw feature rows and targets.
 // With cfg.Memo set the model may be one an earlier, identical request
 // trained, shared with that requester: a PlanModel must not be written
 // after training.
 func TrainPlanModel(x *mlearn.Matrix, y []float64, cfg PlanModelConfig) (*PlanModel, error) {
-	if x.Rows != len(y) || x.Rows == 0 {
-		return nil, fmt.Errorf("qpp: plan model: %d feature rows, %d targets", x.Rows, len(y))
-	}
-	if cfg.Memo != nil {
-		return cfg.Memo.planModel(x, y, cfg)
-	}
-	return trainPlanModel(x, y, cfg)
+	return trainModel(x, y, cfg, planMinRows)
 }
 
-func trainPlanModel(x *mlearn.Matrix, y []float64, cfg PlanModelConfig) (*PlanModel, error) {
-	yt := y
-	if cfg.LogTarget {
-		yt = make([]float64, len(y))
-		for i, v := range y {
-			yt[i] = math.Log(math.Max(v, 0) + logEps)
-		}
+// trainModel is TrainPlanModel with the feature-selection row floor of
+// the caller's model granularity.
+func trainModel(x *mlearn.Matrix, y []float64, cfg PlanModelConfig, minRows int) (*PlanModel, error) {
+	if x.Rows != len(y) || x.Rows == 0 {
+		return nil, fmt.Errorf("qpp: model: %d feature rows, %d targets", x.Rows, len(y))
 	}
+	if cfg.Memo != nil {
+		return cfg.Memo.model(x, y, cfg, minRows)
+	}
+	return fitModel(x, y, cfg, minRows)
+}
+
+func fitModel(x *mlearn.Matrix, y []float64, cfg PlanModelConfig, minRows int) (*PlanModel, error) {
+	yt := cfg.targets(y)
 	factory := cfg.factory()
 	pm := &PlanModel{logTarget: cfg.LogTarget}
-	if cfg.FeatureSelection && x.Rows >= 6 {
+	if cfg.FeatureSelection && x.Rows >= minRows {
 		cols, cvErr, err := mlearn.ForwardFeatureSelection(factory, x, yt, mlearn.FeatureSelectionConfig{
 			Folds: cfg.Folds, Seed: cfg.Seed,
 		})
@@ -133,12 +173,10 @@ func trainPlanModel(x *mlearn.Matrix, y []float64, cfg PlanModelConfig) (*PlanMo
 		}
 	}
 	xt := mlearn.SelectColumns(x, pm.cols)
-	pm.lo = make([]float64, x.Cols)
-	pm.hi = make([]float64, x.Cols)
-	for j := 0; j < x.Cols; j++ {
-		col := x.Col(j)
-		pm.lo[j], pm.hi[j] = col[0], col[0]
-		for _, v := range col {
+	pm.lo = append([]float64(nil), x.Row(0)...)
+	pm.hi = append([]float64(nil), x.Row(0)...)
+	for i := 1; i < x.Rows; i++ {
+		for j, v := range x.Row(i) {
 			pm.lo[j] = math.Min(pm.lo[j], v)
 			pm.hi[j] = math.Max(pm.hi[j], v)
 		}
@@ -162,7 +200,7 @@ func trainPlanModel(x *mlearn.Matrix, y []float64, cfg PlanModelConfig) (*PlanMo
 func (pm *PlanModel) Predict(features []float64) float64 {
 	out := pm.model.Predict(mlearn.SelectRow(features, pm.cols))
 	if pm.logTarget {
-		out = math.Exp(out) - logEps
+		out = fromLog(out)
 	}
 	if out < 0 {
 		out = 0
@@ -197,7 +235,8 @@ func (pm *PlanModel) InRange(features []float64, margin float64) bool {
 func (pm *PlanModel) SelectedFeatures() []int { return append([]int(nil), pm.cols...) }
 
 // PlanLevelPredictor is the paper's plan-level QPP method: a single model
-// over whole-query Table-1 features.
+// over whole-query Table-1 features, predicting latency or whichever other
+// Metric it was trained on.
 type PlanLevelPredictor struct {
 	Model *PlanModel
 	Mode  FeatureMode
@@ -205,23 +244,11 @@ type PlanLevelPredictor struct {
 
 // TrainPlanLevel builds a plan-level predictor from executed queries.
 func TrainPlanLevel(recs []*QueryRecord, mode FeatureMode, cfg PlanModelConfig) (*PlanLevelPredictor, error) {
-	if err := validateRecords(recs); err != nil {
-		return nil, err
-	}
-	x := mlearn.NewMatrix(len(recs), NumPlanFeatures())
-	y := make([]float64, len(recs))
-	for i, r := range recs {
-		copy(x.Row(i), PlanFeatures(r.Root, mode))
-		y[i] = r.Time
-	}
-	pm, err := TrainPlanModel(x, y, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &PlanLevelPredictor{Model: pm, Mode: mode}, nil
+	return TrainPlanLevelMetric(recs, MetricLatency, mode, cfg)
 }
 
-// Predict estimates the latency of a (planned, unexecuted) query.
+// Predict estimates the latency (or trained metric) of a planned,
+// unexecuted query.
 func (p *PlanLevelPredictor) Predict(rec *QueryRecord) float64 {
 	return p.Model.Predict(PlanFeatures(rec.Root, p.Mode))
 }

@@ -31,11 +31,11 @@ type TrainMemo struct {
 	hash func(x *mlearn.Matrix, y []float64, cfg memoConfig) uint64
 }
 
-// memoConfig is what a trained model depends on besides its data: which
-// of the two trainers it comes from and every field of the
-// PlanModelConfig but the memo handle, floats by their bits.
+// memoConfig is what a trained model depends on besides its data: the
+// feature-selection row floor and every field of the PlanModelConfig but
+// the memo handle, floats by their bits.
 type memoConfig struct {
-	op               bool // trainOpModel's, not TrainPlanModel's
+	minRows          int
 	kind             ModelKind
 	featureSelection bool
 	logTarget        bool
@@ -44,9 +44,9 @@ type memoConfig struct {
 	c, nu, lambda    uint64
 }
 
-func memoConfigOf(cfg PlanModelConfig, op bool) memoConfig {
+func memoConfigOf(cfg PlanModelConfig, minRows int) memoConfig {
 	return memoConfig{
-		op:               op,
+		minRows:          minRows,
 		kind:             cfg.Kind,
 		featureSelection: cfg.FeatureSelection,
 		logTarget:        cfg.LogTarget,
@@ -66,8 +66,7 @@ type memoEntry struct {
 	x    *mlearn.Matrix
 	y    []float64
 	once sync.Once
-	pm   *PlanModel // when !cfg.op
-	om   *opModel   // when cfg.op
+	pm   *PlanModel
 	err  error
 }
 
@@ -104,11 +103,8 @@ func memoHash(x *mlearn.Matrix, y []float64, cfg memoConfig) uint64 {
 	if cfg.logTarget {
 		flags |= 2
 	}
-	if cfg.op {
-		flags |= 4
-	}
 	for _, v := range [...]uint64{
-		uint64(cfg.kind), flags, uint64(cfg.folds), uint64(cfg.seed), cfg.c, cfg.nu, cfg.lambda,
+		uint64(cfg.minRows), uint64(cfg.kind), flags, uint64(cfg.folds), uint64(cfg.seed), cfg.c, cfg.nu, cfg.lambda,
 		uint64(x.Rows), uint64(x.Cols),
 	} {
 		mix(v)
@@ -148,14 +144,8 @@ func (m *TrainMemo) entry(x *mlearn.Matrix, y []float64, key memoConfig) *memoEn
 	return e
 }
 
-func (m *TrainMemo) planModel(x *mlearn.Matrix, y []float64, cfg PlanModelConfig) (*PlanModel, error) {
-	e := m.entry(x, y, memoConfigOf(cfg, false))
-	e.once.Do(func() { e.pm, e.err = trainPlanModel(e.x, e.y, cfg) })
+func (m *TrainMemo) model(x *mlearn.Matrix, y []float64, cfg PlanModelConfig, minRows int) (*PlanModel, error) {
+	e := m.entry(x, y, memoConfigOf(cfg, minRows))
+	e.once.Do(func() { e.pm, e.err = fitModel(e.x, e.y, cfg, minRows) })
 	return e.pm, e.err
-}
-
-func (m *TrainMemo) opModel(x *mlearn.Matrix, y []float64, cfg PlanModelConfig) (*opModel, error) {
-	e := m.entry(x, y, memoConfigOf(cfg, true))
-	e.once.Do(func() { e.om, e.err = fitOpModel(e.x, e.y, cfg) })
-	return e.om, e.err
 }

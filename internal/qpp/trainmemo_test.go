@@ -217,7 +217,7 @@ func TestSharedPlanModelConcurrentReads(t *testing.T) {
 // memoConfig knows it.
 func TestTrainMemoKeyCoversConfig(t *testing.T) {
 	base := DefaultPlanModelConfig()
-	baseKey := memoConfigOf(base, false)
+	baseKey := memoConfigOf(base, planMinRows)
 	rt := reflect.TypeOf(base)
 	for i := 0; i < rt.NumField(); i++ {
 		name := rt.Field(i).Name
@@ -226,7 +226,7 @@ func TestTrainMemoKeyCoversConfig(t *testing.T) {
 		switch {
 		case name == "Memo":
 			f.Set(reflect.ValueOf(new(TrainMemo)))
-			if memoConfigOf(changed, false) != baseKey {
+			if memoConfigOf(changed, planMinRows) != baseKey {
 				t.Fatal("the memo handle is part of the key")
 			}
 			continue
@@ -239,16 +239,16 @@ func TestTrainMemoKeyCoversConfig(t *testing.T) {
 		default:
 			t.Fatalf("PlanModelConfig.%s: a kind this test cannot perturb; extend it and memoConfig", name)
 		}
-		if memoConfigOf(changed, false) == baseKey {
+		if memoConfigOf(changed, planMinRows) == baseKey {
 			t.Errorf("PlanModelConfig.%s does not separate memo keys", name)
 		}
 	}
-	if memoConfigOf(base, true) == baseKey {
+	if memoConfigOf(base, opMinRows) == baseKey {
 		t.Error("operator models and plan models share keys")
 	}
 
 	// End to end: through one memo, a changed field trains its own model
-	// and the two trainers never answer each other's requests.
+	// and the two row floors never answer each other's requests.
 	x, y := memoProblem(30)
 	memo := new(TrainMemo)
 	base.Memo = memo
@@ -277,7 +277,7 @@ func TestTrainMemoKeyCoversConfig(t *testing.T) {
 		}
 	}
 	before := memo.entries()
-	if om, err := trainOpModel(x, y, base); err != nil || om == nil {
+	if om, err := trainModel(x, y, base, opMinRows); err != nil || om == nil || om == first {
 		t.Fatalf("operator model through the memo: %v", err)
 	}
 	if memo.entries() != before+1 {

@@ -360,7 +360,9 @@ func (s *Server) predictOne(snap *Snapshot, sql string) (*PredictResult, int, st
 		}
 		res.Skipped[model] = err.Error()
 	}
-	offer("plan-level", snap.Plan.Predict(rec), nil)
+	// One Table-1 vector serves the plan-level model and the confidence check.
+	feats := qpp.PlanFeatures(node, snap.Plan.Mode)
+	offer("plan-level", snap.Plan.Model.Predict(feats), nil)
 	if snap.Baseline != nil {
 		offer("cost-model", snap.Baseline.Predict(rec), nil)
 	}
@@ -377,7 +379,6 @@ func (s *Server) predictOne(snap *Snapshot, sql string) (*PredictResult, int, st
 	if !served {
 		return nil, http.StatusUnprocessableEntity, "no model produced a finite, non-negative latency for this plan"
 	}
-	feats := qpp.PlanFeatures(node, snap.Plan.Mode)
 	in := snap.Plan.Model.InRange(feats, s.margin)
 	level := "low"
 	if in {

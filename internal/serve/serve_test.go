@@ -323,9 +323,10 @@ func TestPredictNonFiniteOutputIsSkipped(t *testing.T) {
 // constant whose exp overflows, operator models with negative fallbacks.
 func TestPredictNoUsableModelIs422(t *testing.T) {
 	db, _, _ := testEnv(t)
+	zeros := "[" + strings.TrimSuffix(strings.Repeat("0,", qpp.NumPlanFeatures()), ",") + "]"
 	pl, err := qpp.LoadPlanLevel(strings.NewReader(fmt.Sprintf(
-		`{"format": %d, "model": {"cols": [], "model": {"type": "constant", "state": {"value": 1000}}, "log_target": true}}`,
-		qpp.FormatVersion)))
+		`{"format": %d, "model": {"cols": [], "model": {"type": "constant", "state": {"value": 1000}}, "log_target": true, "lo": %s, "hi": %s}}`,
+		qpp.FormatVersion, zeros, zeros)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,18 +627,35 @@ func TestLoadSnapshotFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Stale format version.
-	path := filepath.Join(dir, "plan_level.json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	// Stale format version: a pre-versioning file (0) and the previous
+	// revision (operator models without a training range), in any one of
+	// the three files.
+	current := fmt.Sprintf(`"format":%d`, qpp.FormatVersion)
+	var path string
+	for _, name := range []string{"cost_baseline.json", "hybrid.json", "plan_level.json"} {
+		path = filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), current) {
+			t.Fatalf("%s does not carry %s", name, current)
+		}
+		for stale := 0; stale < qpp.FormatVersion; stale++ {
+			old := strings.Replace(string(data), current, fmt.Sprintf(`"format":%d`, stale), 1)
+			if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadSnapshot(dir); err == nil || !strings.Contains(err.Error(), "format version") {
+				t.Fatalf("%s at format %d must fail with a version error, got: %v", name, stale, err)
+			}
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	stale := strings.Replace(string(data), `"format":1`, `"format":0`, 1)
-	if err := os.WriteFile(path, []byte(stale), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSnapshot(dir); err == nil || !strings.Contains(err.Error(), "format version") {
-		t.Fatalf("stale snapshot must fail with a version error, got: %v", err)
+	if _, err := LoadSnapshot(dir); err != nil {
+		t.Fatalf("restored files must load: %v", err)
 	}
 
 	// Corrupt JSON.

@@ -22,7 +22,6 @@ import (
 	"fmt"
 
 	"qpp/internal/exec"
-	"qpp/internal/mlearn"
 	"qpp/internal/obs"
 	"qpp/internal/opt"
 	"qpp/internal/plan"
@@ -192,11 +191,15 @@ func BuildWorkload(cfg WorkloadConfig) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Workload{}
-	for _, r := range ds.Records {
-		w.queries = append(w.queries, &Query{rec: r})
+	return wrapRecords(ds.Records), nil
+}
+
+func wrapRecords(recs []*qpp.QueryRecord) *Workload {
+	w := &Workload{queries: make([]*Query, len(recs))}
+	for i, r := range recs {
+		w.queries[i] = &Query{rec: r}
 	}
-	return w, nil
+	return w
 }
 
 // NewWorkload wraps already-executed queries.
@@ -212,31 +215,14 @@ func (w *Workload) Len() int { return len(w.queries) }
 
 // Filter keeps only queries from the given templates.
 func (w *Workload) Filter(templates []int) *Workload {
-	want := map[int]bool{}
-	for _, t := range templates {
-		want[t] = true
-	}
-	out := &Workload{}
-	for _, q := range w.queries {
-		if want[q.Template()] {
-			out.queries = append(out.queries, q)
-		}
-	}
-	return out
+	return wrapRecords(workload.FilterTemplates(w.records(), templates))
 }
 
 // SplitTemplate partitions into (other templates, the held-out template) —
 // the paper's dynamic-workload protocol.
 func (w *Workload) SplitTemplate(heldOut int) (train, test *Workload) {
-	train, test = &Workload{}, &Workload{}
-	for _, q := range w.queries {
-		if q.Template() == heldOut {
-			test.queries = append(test.queries, q)
-		} else {
-			train.queries = append(train.queries, q)
-		}
-	}
-	return train, test
+	tr, te := workload.SplitLeaveTemplateOut(w.records(), heldOut)
+	return wrapRecords(tr), wrapRecords(te)
 }
 
 func (w *Workload) records() []*qpp.QueryRecord {
@@ -334,20 +320,9 @@ func (p predictor) Predict(q *Query) (float64, error) { return p.fn(q) }
 // metric; queries the predictor cannot handle (ErrSubqueryPlan) are
 // skipped and counted.
 func MeanRelativeError(p Predictor, test *Workload) (mre float64, skipped int, err error) {
-	var act, pred []float64
-	for _, q := range test.queries {
-		v, perr := p.Predict(q)
-		if perr == qpp.ErrSubqueryPlan {
-			skipped++
-			continue
-		}
-		if perr != nil {
-			return 0, skipped, perr
-		}
-		act = append(act, q.Latency())
-		pred = append(pred, v)
-	}
-	return mlearn.MeanRelativeError(act, pred), skipped, nil
+	return qpp.MeanRelativeError(test.records(), func(r *qpp.QueryRecord) (float64, error) {
+		return p.Predict(&Query{rec: r})
+	})
 }
 
 // Templates lists the 18 supported TPC-H templates.
@@ -391,34 +366,4 @@ func TrainMetricPredictor(train *Workload, metric Metric) (Predictor, error) {
 	return predictor{"plan-level/" + metric.String(), func(q *Query) (float64, error) {
 		return m.Predict(q.rec), nil
 	}}, nil
-}
-
-// Progressive refines latency predictions mid-execution using the timings
-// of operators that have already finished (the paper's Section 7
-// "progressive prediction" extension).
-type Progressive struct {
-	inner *qpp.ProgressivePredictor
-}
-
-// NewProgressive trains operator-level models and wraps them for
-// progressive prediction.
-func NewProgressive(train *Workload) (*Progressive, error) {
-	ops, err := qpp.TrainOperatorModels(train.records(), qpp.FeatEstimates, qpp.OpModelConfig())
-	if err != nil {
-		return nil, err
-	}
-	base := &qpp.HybridPredictor{Ops: ops, Plans: map[string]*qpp.SubplanModels{}, Mode: qpp.FeatEstimates}
-	return &Progressive{inner: qpp.NewProgressivePredictor(base)}, nil
-}
-
-// PredictAt estimates total latency given `elapsed` virtual seconds of
-// observed execution.
-func (p *Progressive) PredictAt(q *Query, elapsed float64) (float64, error) {
-	return p.inner.PredictAt(q.rec, elapsed)
-}
-
-// Trajectory reports predictions at the given fractions of the query's
-// total runtime.
-func (p *Progressive) Trajectory(q *Query, fractions []float64) ([]qpp.TrajectoryPoint, error) {
-	return p.inner.Trajectory(q.rec, fractions)
 }

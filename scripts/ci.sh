@@ -96,14 +96,15 @@ banner "go test -race ./... $*"
 go test -race ./... "$@"
 
 # The training path promises bit-identical models however its requesters
-# are scheduled (DESIGN.md §6): the three differential tests against the
-# pre-ISSUE-15 code and the once-per-key memo test run three more times,
+# are scheduled (DESIGN.md §6): the differential tests against the
+# pre-ISSUE-15 code and the pre-ISSUE-23 operator trainer and the
+# once-per-key memo test run three more times,
 # so a double training that only some interleavings produce cannot land.
 # The online-cache test is the only place one OnlineCache is shared
 # between goroutines.
 banner "go test -race -short -count=3 (training differentials, memo once-per-key, shared online cache, arena safety)"
 go test -race -short -count=3 -run 'TestSMOMatchesReferenceSolver' ./internal/mlearn
-go test -race -short -count=3 -run 'TestEvalHybridMatchesReference|TestTrainMemoTrainsOncePerKey|TestOnlineCacheConcurrentUse' ./internal/qpp
+go test -race -short -count=3 -run 'TestEvalHybridMatchesReference|TestOperatorModelsMatchReferenceTrainer|TestTrainMemoTrainsOncePerKey|TestOnlineCacheConcurrentUse' ./internal/qpp
 go test -race -short -count=3 -run 'TestTrainMemoDoesNotChangeFigures' ./internal/experiments
 # Which pooled arena a Run gets differs from run to run under -race
 # (sync.Pool.Put drops items at random), so one pass is weak evidence that
