@@ -7,13 +7,13 @@
 package main
 
 import (
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 
+	"qpp/internal/storage"
 	"qpp/internal/tpch"
 )
 
@@ -45,25 +45,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("tpchgen: %v", err)
 		}
-		w := csv.NewWriter(f)
-		header := make([]string, len(t.Meta.Columns))
-		for i, c := range t.Meta.Columns {
-			header[i] = c.Name
-		}
-		if err := w.Write(header); err != nil {
-			log.Fatalf("tpchgen: %v", err)
-		}
-		row := make([]string, len(header))
-		for _, r := range t.Rows {
-			for i, v := range r {
-				row[i] = v.String()
-			}
-			if err := w.Write(row); err != nil {
-				log.Fatalf("tpchgen: %v", err)
-			}
-		}
-		w.Flush()
-		if err := w.Error(); err != nil {
+		if err := storage.WriteCSV(t, f); err != nil {
 			log.Fatalf("tpchgen: %v", err)
 		}
 		if err := f.Close(); err != nil {

@@ -1,7 +1,11 @@
 package qperf_test
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -124,4 +128,43 @@ func TestDocsNameExistingRulesAndDrivers(t *testing.T) {
 	}
 	sameNames(t, "README.md driver list",
 		submatches(regexp.MustCompile("(?m)^- `([a-z0-9]+)` — "), section(t, "README.md", "## Reproducing the paper's evaluation", "\n## ")), drivers)
+}
+
+// TestUnsafeOnlyInTypes: the value layout is the one place the module
+// reasons about memory by hand (internal/types/value.go keeps a string as
+// pointer + length). Every other non-test file outside the nested bench/
+// module stays within the type system, so checkptr under -race on that one
+// package is the whole audit.
+func TestUnsafeOnlyInTypes(t *testing.T) {
+	var importers []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (path == "bench" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"unsafe"` {
+				importers = append(importers, filepath.ToSlash(path))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(importers, " "); got != "internal/types/value.go" {
+		t.Errorf(`"unsafe" is imported by [%s], want internal/types/value.go only`, got)
+	}
 }

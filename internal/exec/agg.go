@@ -53,7 +53,7 @@ func (a *aggState) update(ctx *execCtx, row plan.Row) {
 			ctx.clock.CPUOps(1, 0)
 		}
 		if a.sumIsI && v.Kind == types.KindInt {
-			a.sumI += v.I
+			a.sumI += v.I()
 		} else {
 			a.sumIsI = false
 			a.sum += v.AsFloat()

@@ -6,19 +6,21 @@ import (
 	"qpp/internal/types"
 )
 
-// arenaChunk is the number of Values per arena chunk (320 KiB): large
+// arenaChunk is the number of Values per arena chunk (192 KiB): large
 // enough that a chunk holds hundreds of join rows, small enough that the
 // tail a query leaves unused is noise.
 const arenaChunk = 8192
 
 // arenaKeep is the most chunks an arena keeps when it goes back to the
-// pool (40 MiB). Measured at SF 0.005, the benchmark's scale: 19 of the 22
-// templates fill at most 4 chunks (≤ 1.3 MB), T18 19 (6.2 MB), T7 21
-// (6.9 MB), T9 95–97 (32 MB), so every query there runs entirely on
-// recycled memory; batch_exec pass_s read 0.68 s at this cap and 0.83 s
-// at 24 chunks, where each T9 asks the runtime for 24 MB of fresh spans.
-// At the figure drivers' larger scales the cap bounds what one arena can
-// pin until the collector empties the pool.
+// pool (24 MiB). Measured at SF 0.005, the benchmark's scale: 19 of the 22
+// templates fill at most 4 chunks (≤ 0.8 MB), T18 19 (3.7 MB), T7 21
+// (4.1 MB), T9 95–97 (19 MB), so every query there runs entirely on
+// recycled memory; with 40-byte Values batch_exec pass_s read 0.68 s at
+// this cap and 0.83 s at 24 chunks, where each T9 asked the runtime for
+// fresh spans. Both constants count Values, so the chunk counts did not
+// move when the Value shrank to 24 bytes. At the figure drivers' larger
+// scales the cap bounds what one arena can pin until the collector empties
+// the pool.
 const arenaKeep = 128
 
 // rowArena owns the row memory of one query: every []types.Value an

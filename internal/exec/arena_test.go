@@ -64,7 +64,7 @@ func requireSameRows(t *testing.T, what string, got, want []plan.Row) {
 			t.Fatalf("%s: row %d has %d columns, want %d", what, i, len(got[i]), len(want[i]))
 		}
 		for j := range want[i] {
-			if !sameValue(got[i][j], want[i][j]) {
+			if !types.Identical(got[i][j], want[i][j]) {
 				t.Fatalf("%s: row %d col %d is %#v, want %#v", what, i, j, got[i][j], want[i][j])
 			}
 		}
@@ -153,16 +153,16 @@ func TestSubPlanReleaseIsInvisible(t *testing.T) {
 // TestSteadyStateRunAllocation pins what a repeat Run of one planned node
 // hands to the collector once the arena is warm: the join, sort and hash
 // table side arrays, the aggregate's state slabs, the clock's page cache
-// and the copied-out result — no row storage. Measured: Q9 3.07 MB, Q18
-// 4.57 MB (parent commit: 36.4 MB and 10.8 MB); the limits leave 10 %. A
-// fresh arena per Run, instead of a pooled one, costs Q9 32 MB of chunks
-// and Q18 6 MB, and fails both.
+// and the copied-out result — no row storage. Measured at 24-byte Values:
+// Q9 2.99 MB, Q18 4.35 MB (before the arena: 36.4 MB and 10.8 MB); the
+// limits leave 10 %. A fresh arena per Run, instead of a pooled one, costs
+// Q9 19 MB of chunks and Q18 3.7 MB, and fails both.
 func TestSteadyStateRunAllocation(t *testing.T) {
 	db := diffDB(t)
 	for _, tc := range []struct {
 		tmpl  int
 		limit uint64
-	}{{9, 3_400_000}, {18, 5_000_000}} {
+	}{{9, 3_290_000}, {18, 4_790_000}} {
 		node := planTemplate(t, db, tc.tmpl)
 		runTemplate(t, db, node, tc.tmpl, Options{}) // compiles the closures, grows the arena
 		best := uint64(math.MaxUint64)

@@ -91,7 +91,7 @@ func benchScalar(b *testing.B, s plan.Scalar, compiled bool) {
 	if compiled {
 		eval = compile(s)
 	}
-	if got, want := eval(ectx, row), s.Eval(ectx, row); !sameValue(got, want) {
+	if got, want := eval(ectx, row), s.Eval(ectx, row); !types.Identical(got, want) {
 		b.Fatalf("compiled %#v != interpreted %#v", got, want)
 	}
 	b.ReportAllocs()

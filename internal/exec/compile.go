@@ -164,9 +164,9 @@ func compile(s plan.Scalar) evalFn {
 			v := e(ctx, row)
 			switch v.Kind {
 			case types.KindInt:
-				return types.Int(-v.I)
+				return types.Int(-v.I())
 			case types.KindFloat:
-				return types.Float(-v.F)
+				return types.Float(-v.F())
 			default:
 				return types.Null
 			}
@@ -206,7 +206,7 @@ func compile(s plan.Scalar) evalFn {
 			if v.Kind == types.KindNull {
 				return types.Null
 			}
-			return types.Bool(match(v.S) != neg)
+			return types.Bool(match(v.S()) != neg)
 		}
 	case *plan.DateAdd:
 		e := compile(x.E)
@@ -218,11 +218,11 @@ func compile(s plan.Scalar) evalFn {
 			}
 			switch unit {
 			case "day":
-				return types.Date(v.I + int64(n))
+				return types.Date(v.I() + int64(n))
 			case "month":
-				return types.Date(types.AddMonths(v.I, n))
+				return types.Date(types.AddMonths(v.I(), n))
 			default:
-				return types.Date(types.AddYears(v.I, n))
+				return types.Date(types.AddYears(v.I(), n))
 			}
 		}
 	case *plan.ExtractYear:
@@ -232,7 +232,7 @@ func compile(s plan.Scalar) evalFn {
 			if v.Kind == types.KindNull {
 				return types.Null
 			}
-			return types.Int(int64(types.Year(v.I)))
+			return types.Int(int64(types.Year(v.I())))
 		}
 	case *plan.Substring:
 		e := compile(x.E)
@@ -242,7 +242,7 @@ func compile(s plan.Scalar) evalFn {
 			if v.Kind == types.KindNull {
 				return types.Null
 			}
-			str := v.S
+			str := v.S()
 			from := start - 1
 			if from < 0 {
 				from = 0
@@ -343,9 +343,9 @@ func arithValues(op plan.BinOp, l, r types.Value) types.Value {
 	}
 	if l.Kind == types.KindDate && r.Kind == types.KindInt {
 		if op == plan.BAdd {
-			return types.Date(l.I + r.I)
+			return types.Date(l.I() + r.I())
 		}
-		return types.Date(l.I - r.I)
+		return types.Date(l.I() - r.I())
 	}
 	lf, rf := l.AsFloat(), r.AsFloat()
 	var out float64
@@ -417,16 +417,16 @@ func compileArith(op plan.BinOp, l, r plan.Scalar) evalFn {
 		if floatFast && lv.Kind == types.KindFloat && rv.Kind == types.KindFloat {
 			switch op {
 			case plan.BAdd:
-				return types.Float(lv.F + rv.F)
+				return types.Float(lv.F() + rv.F())
 			case plan.BSub:
-				return types.Float(lv.F - rv.F)
+				return types.Float(lv.F() - rv.F())
 			case plan.BMul:
-				return types.Float(lv.F * rv.F)
+				return types.Float(lv.F() * rv.F())
 			default: // BDiv
-				if rv.F == 0 {
+				if rv.F() == 0 {
 					return types.Null
 				}
-				return types.Float(lv.F / rv.F)
+				return types.Float(lv.F() / rv.F())
 			}
 		}
 		return arithValues(op, lv, rv)
@@ -541,10 +541,10 @@ func compileColConstNumCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 			v := row[idx]
 			switch v.Kind {
 			case types.KindInt, types.KindDate:
-				f := float64(v.I)
+				f := float64(v.I())
 				return types.Bool(!(f < cf) && !(f > cf))
 			case types.KindFloat:
-				return types.Bool(!(v.F < cf) && !(v.F > cf))
+				return types.Bool(!(v.F() < cf) && !(v.F() > cf))
 			}
 			return cmpValues(op, v, c)
 		}
@@ -553,10 +553,10 @@ func compileColConstNumCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 			v := row[idx]
 			switch v.Kind {
 			case types.KindInt, types.KindDate:
-				f := float64(v.I)
+				f := float64(v.I())
 				return types.Bool(f < cf || f > cf)
 			case types.KindFloat:
-				return types.Bool(v.F < cf || v.F > cf)
+				return types.Bool(v.F() < cf || v.F() > cf)
 			}
 			return cmpValues(op, v, c)
 		}
@@ -565,9 +565,9 @@ func compileColConstNumCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 			v := row[idx]
 			switch v.Kind {
 			case types.KindInt, types.KindDate:
-				return types.Bool(float64(v.I) < cf)
+				return types.Bool(float64(v.I()) < cf)
 			case types.KindFloat:
-				return types.Bool(v.F < cf)
+				return types.Bool(v.F() < cf)
 			}
 			return cmpValues(op, v, c)
 		}
@@ -576,9 +576,9 @@ func compileColConstNumCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 			v := row[idx]
 			switch v.Kind {
 			case types.KindInt, types.KindDate:
-				return types.Bool(!(float64(v.I) > cf))
+				return types.Bool(!(float64(v.I()) > cf))
 			case types.KindFloat:
-				return types.Bool(!(v.F > cf))
+				return types.Bool(!(v.F() > cf))
 			}
 			return cmpValues(op, v, c)
 		}
@@ -587,9 +587,9 @@ func compileColConstNumCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 			v := row[idx]
 			switch v.Kind {
 			case types.KindInt, types.KindDate:
-				return types.Bool(float64(v.I) > cf)
+				return types.Bool(float64(v.I()) > cf)
 			case types.KindFloat:
-				return types.Bool(v.F > cf)
+				return types.Bool(v.F() > cf)
 			}
 			return cmpValues(op, v, c)
 		}
@@ -598,9 +598,9 @@ func compileColConstNumCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 			v := row[idx]
 			switch v.Kind {
 			case types.KindInt, types.KindDate:
-				return types.Bool(!(float64(v.I) < cf))
+				return types.Bool(!(float64(v.I()) < cf))
 			case types.KindFloat:
-				return types.Bool(!(v.F < cf))
+				return types.Bool(!(v.F() < cf))
 			}
 			return cmpValues(op, v, c)
 		}
@@ -609,13 +609,13 @@ func compileColConstNumCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 
 // compileColConstStrCmp is the string `Col op Const` fast path.
 func compileColConstStrCmp(op plan.BinOp, idx int, c types.Value) evalFn {
-	cs := c.S
+	cs := c.S()
 	switch op {
 	case plan.BEq:
 		return func(_ *plan.Ctx, row plan.Row) types.Value {
 			v := row[idx]
 			if v.Kind == types.KindString {
-				return types.Bool(v.S == cs)
+				return types.Bool(v.S() == cs)
 			}
 			return cmpValues(op, v, c)
 		}
@@ -623,7 +623,7 @@ func compileColConstStrCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 		return func(_ *plan.Ctx, row plan.Row) types.Value {
 			v := row[idx]
 			if v.Kind == types.KindString {
-				return types.Bool(v.S != cs)
+				return types.Bool(v.S() != cs)
 			}
 			return cmpValues(op, v, c)
 		}
@@ -631,7 +631,7 @@ func compileColConstStrCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 		return func(_ *plan.Ctx, row plan.Row) types.Value {
 			v := row[idx]
 			if v.Kind == types.KindString {
-				return types.Bool(v.S < cs)
+				return types.Bool(v.S() < cs)
 			}
 			return cmpValues(op, v, c)
 		}
@@ -639,7 +639,7 @@ func compileColConstStrCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 		return func(_ *plan.Ctx, row plan.Row) types.Value {
 			v := row[idx]
 			if v.Kind == types.KindString {
-				return types.Bool(v.S <= cs)
+				return types.Bool(v.S() <= cs)
 			}
 			return cmpValues(op, v, c)
 		}
@@ -647,7 +647,7 @@ func compileColConstStrCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 		return func(_ *plan.Ctx, row plan.Row) types.Value {
 			v := row[idx]
 			if v.Kind == types.KindString {
-				return types.Bool(v.S > cs)
+				return types.Bool(v.S() > cs)
 			}
 			return cmpValues(op, v, c)
 		}
@@ -655,7 +655,7 @@ func compileColConstStrCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 		return func(_ *plan.Ctx, row plan.Row) types.Value {
 			v := row[idx]
 			if v.Kind == types.KindString {
-				return types.Bool(v.S >= cs)
+				return types.Bool(v.S() >= cs)
 			}
 			return cmpValues(op, v, c)
 		}
@@ -703,7 +703,7 @@ func compileIn(in *plan.In) evalFn {
 		case allStr && in.E.Kind() == types.KindString:
 			set := make(map[string]bool, len(constVals))
 			for _, v := range constVals {
-				set[v.S] = true
+				set[v.S()] = true
 			}
 			return func(ctx *plan.Ctx, row plan.Row) types.Value {
 				v := e(ctx, row)
@@ -711,7 +711,7 @@ func compileIn(in *plan.In) evalFn {
 					return types.Null
 				}
 				if v.Kind == types.KindString {
-					return types.Bool(set[v.S] != neg)
+					return types.Bool(set[v.S()] != neg)
 				}
 				return inConstValues(v)
 			}

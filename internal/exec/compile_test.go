@@ -23,12 +23,6 @@ import (
 	"qpp/internal/vclock"
 )
 
-// sameValue compares two values bit-exactly (NaN payloads included).
-func sameValue(a, b types.Value) bool {
-	return a.Kind == b.Kind && a.I == b.I && a.S == b.S &&
-		math.Float64bits(a.F) == math.Float64bits(b.F)
-}
-
 var diffDBOnce struct {
 	sync.Once
 	db  *storage.Database
@@ -269,7 +263,7 @@ func checkExprDifferential(t *testing.T, r *rand.Rand, s plan.Scalar) {
 		row, ctx := sh.genInputs(r)
 		want := s.Eval(ctx, row)
 		got := fn(ctx, row)
-		if !sameValue(got, want) {
+		if !types.Identical(got, want) {
 			t.Fatalf("expression %s\nrow %v\ncompiled %#v\ninterpreted %#v", s, row, got, want)
 		}
 	}
@@ -383,7 +377,7 @@ func TestQuickCompiledBinary(t *testing.T) {
 		b := &plan.Bin{Op: op, L: l, R: r, K: types.KindBool}
 		want := b.Eval(nil, row)
 		got := compile(b)(nil, row)
-		if !sameValue(got, want) {
+		if !types.Identical(got, want) {
 			return fmt.Errorf("%s on %v: compiled %#v, interpreted %#v", b, row, got, want)
 		}
 		return nil
@@ -432,12 +426,12 @@ func TestQuickCompiledBoolOps(t *testing.T) {
 			lc, rc := &plan.Col{Idx: 0, K: types.KindBool}, &plan.Col{Idx: 1, K: types.KindBool}
 			for _, op := range []plan.BinOp{plan.BAnd, plan.BOr} {
 				b := &plan.Bin{Op: op, L: lc, R: rc, K: types.KindBool}
-				if got, want := compile(b)(nil, row), b.Eval(nil, row); !sameValue(got, want) {
+				if got, want := compile(b)(nil, row), b.Eval(nil, row); !types.Identical(got, want) {
 					t.Errorf("%s on %v: compiled %#v, interpreted %#v", b, row, got, want)
 				}
 			}
 			n := &plan.Not{E: lc}
-			if got, want := compile(n)(nil, row), n.Eval(nil, row); !sameValue(got, want) {
+			if got, want := compile(n)(nil, row), n.Eval(nil, row); !types.Identical(got, want) {
 				t.Errorf("%s on %v: compiled %#v, interpreted %#v", n, row, got, want)
 			}
 		}
@@ -461,7 +455,7 @@ func TestCompiledNaNEdges(t *testing.T) {
 					{Op: op, L: &plan.Const{V: c}, R: col, K: types.KindBool},
 				} {
 					got, want := compile(b)(nil, row), b.Eval(nil, row)
-					if !sameValue(got, want) {
+					if !types.Identical(got, want) {
 						t.Errorf("%s on %v: compiled %#v, interpreted %#v", b, row, got, want)
 					}
 				}
@@ -512,7 +506,7 @@ func TestCompiledMatchesInterpretedQueries(t *testing.T) {
 					t.Fatalf("row %d arity diverged", i)
 				}
 				for j := range compiled.Rows[i] {
-					if !sameValue(compiled.Rows[i][j], interpreted.Rows[i][j]) {
+					if !types.Identical(compiled.Rows[i][j], interpreted.Rows[i][j]) {
 						t.Fatalf("row %d col %d diverged: compiled %#v, interpreted %#v",
 							i, j, compiled.Rows[i][j], interpreted.Rows[i][j])
 					}
@@ -530,7 +524,7 @@ func TestCompiledMatchesInterpretedQueries(t *testing.T) {
 // than evaluating the trees row by row. One planned node is re-run on a
 // fresh clock, as the workload layer does, on an arena both sides have
 // warmed (AllocsPerRun's own warm-up call grows it). Measured objects per
-// run, compiled vs interpreted: Q1 57 vs 67, Q6 43 vs 45, Q18 210 vs 226
+// run, compiled vs interpreted: Q1 58 vs 68, Q6 44 vs 46, Q18 213 vs 229
 // (before the row arena and the slice-backed page cache: 689 vs 699, 669
 // vs 671, 16029 vs 16045). The comparison is strict without the race
 // detector only: with it sync.Pool.Put drops arenas at random, a Run that
@@ -577,9 +571,9 @@ func TestCompiledLikeMatchers(t *testing.T) {
 			for _, in := range inputs {
 				row := plan.Row{in}
 				got, want := fn(nil, row), l.Eval(nil, row)
-				if !sameValue(got, want) {
+				if !types.Identical(got, want) {
 					t.Errorf("LIKE %q (negated=%v) on %q: compiled %#v, interpreted %#v",
-						pat, negated, in.S, got, want)
+						pat, negated, in.S(), got, want)
 				}
 			}
 		}

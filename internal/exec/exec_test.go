@@ -125,7 +125,7 @@ func TestHashJoinInner(t *testing.T) {
 		t.Fatalf("rows %d want 50", len(res.Rows))
 	}
 	for _, r := range res.Rows {
-		if r[0].I != r[2].I {
+		if r[0].I() != r[2].I() {
 			t.Fatalf("join key mismatch %v", r)
 		}
 	}
@@ -166,7 +166,7 @@ func TestHashJoinSemiAnti(t *testing.T) {
 		t.Fatalf("anti rows %d", len(res.Rows))
 	}
 	for _, r := range res.Rows {
-		if r[0].I%2 == 0 {
+		if r[0].I()%2 == 0 {
 			t.Fatalf("anti join leaked matching row %v", r)
 		}
 	}
@@ -240,7 +240,7 @@ func TestAggregateHashAndHaving(t *testing.T) {
 		t.Fatalf("groups %d want 5", len(res.Rows))
 	}
 	for _, r := range res.Rows {
-		if r[1].I != 10 {
+		if r[1].I() != 10 {
 			t.Fatalf("group count %v", r)
 		}
 	}
@@ -263,7 +263,7 @@ func TestAggregatePlainOnEmptyInput(t *testing.T) {
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows %d want 1", len(res.Rows))
 	}
-	if res.Rows[0][0].I != 0 || !res.Rows[0][1].IsNull() {
+	if res.Rows[0][0].I() != 0 || !res.Rows[0][1].IsNull() {
 		t.Fatalf("empty agg %v", res.Rows[0])
 	}
 }
@@ -280,10 +280,10 @@ func TestSortAndLimit(t *testing.T) {
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows %d", len(res.Rows))
 	}
-	if res.Rows[0][1].I != 9 || res.Rows[0][0].I != 9 {
+	if res.Rows[0][1].I() != 9 || res.Rows[0][0].I() != 9 {
 		t.Fatalf("order wrong: %v", res.Rows[0])
 	}
-	if res.Rows[1][0].I != 19 {
+	if res.Rows[1][0].I() != 19 {
 		t.Fatalf("order wrong: %v", res.Rows[1])
 	}
 }
@@ -307,7 +307,7 @@ func TestGroupAggregateSorted(t *testing.T) {
 	}
 	var total int64
 	for _, r := range res.Rows {
-		total += r[1].I
+		total += r[1].I()
 	}
 	if total != 99*100/2 {
 		t.Fatalf("sum of sums %d", total)
@@ -330,7 +330,7 @@ func TestInitPlanAndParams(t *testing.T) {
 	scan.InitPlanSlots = []int{0}
 	scan.NumParams = 1
 	res := run(t, db, scan)
-	if len(res.Rows) != 1 || res.Rows[0][0].I != 99 {
+	if len(res.Rows) != 1 || res.Rows[0][0].I() != 99 {
 		t.Fatalf("rows %v", res.Rows)
 	}
 	if !ip.Act.Executed {
@@ -384,7 +384,7 @@ func TestMergeJoin(t *testing.T) {
 		t.Fatalf("merge join rows %d want 50", len(res.Rows))
 	}
 	for _, r := range res.Rows {
-		if r[0].I != r[2].I {
+		if r[0].I() != r[2].I() {
 			t.Fatalf("key mismatch %v", r)
 		}
 	}
@@ -410,7 +410,7 @@ func TestProjectResult(t *testing.T) {
 		},
 	}
 	res := run(t, db, proj)
-	if len(res.Rows) != 100 || res.Rows[5][0].I != 10 {
+	if len(res.Rows) != 100 || res.Rows[5][0].I() != 10 {
 		t.Fatalf("projection wrong: %v", res.Rows[5])
 	}
 }

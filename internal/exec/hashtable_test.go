@@ -178,7 +178,7 @@ func TestHashKeySemantics(t *testing.T) {
 					Cols: make([]plan.Column, 1),
 					Aggs: []plan.AggSpec{{Func: plan.AggCount, Arg: icol(0), Distinct: true, K: types.KindInt}},
 				}
-				if got := run(t, db, agg).Rows[0][0].I; got != int64(wantGroups) {
+				if got := run(t, db, agg).Rows[0][0].I(); got != int64(wantGroups) {
 					t.Errorf("count(distinct): %d, want %d", got, wantGroups)
 				}
 			}
@@ -261,18 +261,18 @@ func modelKey(key []types.Value) (s string, nonNull bool) {
 			nonNull = false
 			s += "n;"
 		case types.KindString:
-			s += fmt.Sprintf("s%d:%s;", len(v.S), v.S)
+			s += fmt.Sprintf("s%d:%s;", len(v.S()), v.S())
 		case types.KindFloat:
 			switch {
-			case math.IsNaN(v.F):
+			case math.IsNaN(v.F()):
 				s += "nan;"
-			case v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e18:
-				s += fmt.Sprintf("i%d;", int64(v.F))
+			case v.F() == math.Trunc(v.F()) && math.Abs(v.F()) < 1e18:
+				s += fmt.Sprintf("i%d;", int64(v.F()))
 			default:
-				s += fmt.Sprintf("f%x;", math.Float64bits(v.F))
+				s += fmt.Sprintf("f%x;", math.Float64bits(v.F()))
 			}
 		default:
-			s += fmt.Sprintf("i%d;", v.I)
+			s += fmt.Sprintf("i%d;", v.I())
 		}
 	}
 	return s, nonNull
@@ -355,7 +355,7 @@ func TestHashTableMatchesModel(t *testing.T) {
 			t.Fatalf("seed %d: join produced %d rows, model %d", seed, len(got), len(want))
 		}
 		for i, r := range got {
-			if pair := [2]int64{r[ncols].I, r[2*ncols+1].I}; pair != want[i] {
+			if pair := [2]int64{r[ncols].I(), r[2*ncols+1].I()}; pair != want[i] {
 				t.Fatalf("seed %d: join row %d is (probe %d, build %d), model (probe %d, build %d)",
 					seed, i, pair[0], pair[1], want[i][0], want[i][1])
 			}
@@ -370,12 +370,12 @@ func TestHashTableMatchesModel(t *testing.T) {
 		for i, g := range groups {
 			first := build[model[order[i]][0]]
 			for c := 0; c < ncols; c++ {
-				if !sameValue(g[c], first[c]) {
+				if !types.Identical(g[c], first[c]) {
 					t.Fatalf("seed %d: group %d key column %d is %v, first-seen row has %v", seed, i, c, g[c], first[c])
 				}
 			}
-			if g[ncols].I != int64(len(model[order[i]])) {
-				t.Fatalf("seed %d: group %d counts %d rows, model %d", seed, i, g[ncols].I, len(model[order[i]]))
+			if g[ncols].I() != int64(len(model[order[i]])) {
+				t.Fatalf("seed %d: group %d counts %d rows, model %d", seed, i, g[ncols].I(), len(model[order[i]]))
 			}
 		}
 	}

@@ -123,7 +123,7 @@ func TestHashJoinWithJoinFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range res.Rows {
-		if r[1].I >= 5 {
+		if r[1].I() >= 5 {
 			t.Fatalf("join filter leaked row %v", r)
 		}
 	}

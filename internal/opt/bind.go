@@ -130,6 +130,9 @@ func (b *binder) bind(e sql.Expr) (plan.Scalar, error) {
 		if err != nil {
 			return nil, err
 		}
+		if kindKnownNot(ex, types.KindString) {
+			return nil, fmt.Errorf("opt: LIKE requires a text operand, got %s", ex.Kind())
+		}
 		return plan.NewLike(ex, v.Pattern, v.Negated), nil
 	case *sql.IsNullExpr:
 		inner, err := b.bind(v.E)
@@ -145,18 +148,24 @@ func (b *binder) bind(e sql.Expr) (plan.Scalar, error) {
 		if err != nil {
 			return nil, err
 		}
+		if kindKnownNot(inner, types.KindDate) {
+			return nil, fmt.Errorf("opt: EXTRACT(year) requires a date operand, got %s", inner.Kind())
+		}
 		return &plan.ExtractYear{E: inner}, nil
 	case *sql.SubstringExpr:
 		inner, err := b.bind(v.E)
 		if err != nil {
 			return nil, err
 		}
+		if kindKnownNot(inner, types.KindString) {
+			return nil, fmt.Errorf("opt: SUBSTRING requires a text operand, got %s", inner.Kind())
+		}
 		start, sok := constValue(v.Start)
 		length, lok := constValue(v.Len)
-		if !sok || !lok {
-			return nil, fmt.Errorf("opt: SUBSTRING requires constant bounds")
+		if !sok || !lok || start.Kind != types.KindInt || length.Kind != types.KindInt {
+			return nil, fmt.Errorf("opt: SUBSTRING requires constant integer bounds")
 		}
-		return &plan.Substring{E: inner, Start: int(start.I), Len: int(length.I)}, nil
+		return &plan.Substring{E: inner, Start: int(start.I()), Len: int(length.I())}, nil
 	case *sql.SubqueryExpr:
 		return b.bindScalarSubquery(v.Sub)
 	case *sql.ExistsExpr:
@@ -171,6 +180,14 @@ func (b *binder) bind(e sql.Expr) (plan.Scalar, error) {
 	default:
 		return nil, fmt.Errorf("opt: cannot bind %T", e)
 	}
+}
+
+// kindKnownNot reports whether s's static kind is known (a NULL constant
+// or an untyped parameter is not) and differs from want: the operand kinds
+// the binder refuses rather than let Eval read a payload of another kind.
+func kindKnownNot(s plan.Scalar, want types.Kind) bool {
+	k := s.Kind()
+	return k != types.KindNull && k != want
 }
 
 func (b *binder) bindColumn(ref *sql.ColumnRef) (plan.Scalar, error) {

@@ -44,13 +44,13 @@ func TestDifferentialRandomFilters(t *testing.T) {
 		}
 		var want int64
 		for _, r := range orders.Rows {
-			inRange := r[0].I >= int64(loKey) && r[0].I <= int64(hiKey)
-			prioMatch := r[5].S == prio
+			inRange := r[0].I() >= int64(loKey) && r[0].I() <= int64(hiKey)
+			prioMatch := r[5].S() == prio
 			if (useOr && (inRange || prioMatch)) || (!useOr && inRange && prioMatch) {
 				want++
 			}
 		}
-		if got := res.Rows[0][0].I; got != want {
+		if got := res.Rows[0][0].I(); got != want {
 			t.Fatalf("trial %d (%s): got %d want %d\nquery: %s", trial, connector, got, want, q)
 		}
 	}
@@ -84,22 +84,22 @@ func TestDifferentialRandomJoins(t *testing.T) {
 		}
 		match := map[int64]bool{}
 		for _, c := range cust.Rows {
-			if c[6].S == seg && c[5].F < maxBal {
-				match[c[0].I] = true
+			if c[6].S() == seg && c[5].F() < maxBal {
+				match[c[0].I()] = true
 			}
 		}
 		var wantN int64
 		var wantSum float64
 		for _, o := range orders.Rows {
-			if match[o[1].I] {
+			if match[o[1].I()] {
 				wantN++
-				wantSum += o[3].F
+				wantSum += o[3].F()
 			}
 		}
-		if res.Rows[0][0].I != wantN {
-			t.Fatalf("trial %d: count %d want %d", trial, res.Rows[0][0].I, wantN)
+		if res.Rows[0][0].I() != wantN {
+			t.Fatalf("trial %d: count %d want %d", trial, res.Rows[0][0].I(), wantN)
 		}
-		gotSum := res.Rows[0][1].F
+		gotSum := res.Rows[0][1].F()
 		if wantN > 0 && (gotSum-wantSum > 1e-6*wantSum || wantSum-gotSum > 1e-6*wantSum) {
 			t.Fatalf("trial %d: sum %v want %v", trial, gotSum, wantSum)
 		}

@@ -62,10 +62,10 @@ func TestQ21ExistsFallback(t *testing.T) {
 func TestCountDistinct(t *testing.T) {
 	db := tpchDB(t)
 	_, rows := runQuery(t, db, "select count(distinct n_regionkey), count(n_regionkey) from nation")
-	if rows[0][0].I != 5 {
+	if rows[0][0].I() != 5 {
 		t.Fatalf("count distinct %v want 5", rows[0][0])
 	}
-	if rows[0][1].I != 25 {
+	if rows[0][1].I() != 25 {
 		t.Fatalf("plain count %v want 25", rows[0][1])
 	}
 }
@@ -73,7 +73,7 @@ func TestCountDistinct(t *testing.T) {
 func TestSumDistinct(t *testing.T) {
 	db := tpchDB(t)
 	_, rows := runQuery(t, db, "select sum(distinct n_regionkey) from nation")
-	if rows[0][0].I != 0+1+2+3+4 {
+	if rows[0][0].I() != 0+1+2+3+4 {
 		t.Fatalf("sum distinct %v want 10", rows[0][0])
 	}
 }

@@ -409,7 +409,7 @@ func TestLargeJoinBlocksAreBounded(t *testing.T) {
 			t.Errorf("%s: planned in %v, budget %v", c.name, best, budget)
 		}
 		_, rows := runQuery(t, db, query)
-		if len(rows) != 1 || rows[0][0].I != orders.RowCount {
+		if len(rows) != 1 || rows[0][0].I() != orders.RowCount {
 			t.Errorf("%s: got %v, want one row counting %d orders", c.name, rows, orders.RowCount)
 		}
 	}

@@ -74,17 +74,17 @@ func TestPlanFilterCorrectness(t *testing.T) {
 	var wantCount int64
 	var wantSum float64
 	for _, r := range li.Rows {
-		if r[10].I >= lo && r[10].I < hi &&
-			r[6].F >= 0.05-1e-9 && r[6].F <= 0.07+1e-9 && r[4].F < 24 {
+		if r[10].I() >= lo && r[10].I() < hi &&
+			r[6].F() >= 0.05-1e-9 && r[6].F() <= 0.07+1e-9 && r[4].F() < 24 {
 			wantCount++
-			wantSum += r[5].F * r[6].F
+			wantSum += r[5].F() * r[6].F()
 		}
 	}
-	if rows[0][0].I != wantCount {
-		t.Fatalf("count %v want %v", rows[0][0].I, wantCount)
+	if rows[0][0].I() != wantCount {
+		t.Fatalf("count %v want %v", rows[0][0].I(), wantCount)
 	}
-	if math.Abs(rows[0][1].F-wantSum) > 1e-6*math.Max(1, wantSum) {
-		t.Fatalf("sum %v want %v", rows[0][1].F, wantSum)
+	if math.Abs(rows[0][1].F()-wantSum) > 1e-6*math.Max(1, wantSum) {
+		t.Fatalf("sum %v want %v", rows[0][1].F(), wantSum)
 	}
 }
 
@@ -97,18 +97,18 @@ func TestPlanJoinCorrectness(t *testing.T) {
 	orders, _ := db.Table(tpch.Orders)
 	seg := map[int64]bool{}
 	for _, c := range cust.Rows {
-		if c[6].S == "BUILDING" {
-			seg[c[0].I] = true
+		if c[6].S() == "BUILDING" {
+			seg[c[0].I()] = true
 		}
 	}
 	var want int64
 	for _, o := range orders.Rows {
-		if seg[o[1].I] {
+		if seg[o[1].I()] {
 			want++
 		}
 	}
-	if rows[0][0].I != want {
-		t.Fatalf("join count %v want %v", rows[0][0].I, want)
+	if rows[0][0].I() != want {
+		t.Fatalf("join count %v want %v", rows[0][0].I(), want)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestPlanGroupByHavingOrder(t *testing.T) {
 		t.Fatalf("groups %d want 5", len(rows))
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i][1].I > rows[i-1][1].I {
+		if rows[i][1].I() > rows[i-1][1].I() {
 			t.Fatal("not sorted by count desc")
 		}
 	}
@@ -207,7 +207,7 @@ func TestQ13LeftJoinShape(t *testing.T) {
 	// custdist counts must sum to the number of customers.
 	var total int64
 	for _, r := range rows {
-		total += r[1].I
+		total += r[1].I()
 	}
 	cust, _ := db.Table(tpch.Customer)
 	if total != int64(len(cust.Rows)) {
@@ -329,7 +329,7 @@ func TestConstValue(t *testing.T) {
 	}
 	be2 := conjs[1].(*sql.BinaryExpr)
 	v2, ok := constValue(be2.R)
-	if !ok || v2.I != 12 {
+	if !ok || v2.I() != 12 {
 		t.Fatalf("arith const %v", v2)
 	}
 }

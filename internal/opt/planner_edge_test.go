@@ -1,10 +1,12 @@
 package opt
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
 	"qpp/internal/plan"
+	"qpp/internal/tpch"
 )
 
 func TestCrossJoinFallback(t *testing.T) {
@@ -12,8 +14,8 @@ func TestCrossJoinFallback(t *testing.T) {
 	// No join predicate between region and nation: forces the greedy
 	// cross-product fallback.
 	node, rows := runQuery(t, db, "select count(*) from region, nation where r_regionkey = 0")
-	if rows[0][0].I != 25 {
-		t.Fatalf("cross join count %v want 25", rows[0][0].I)
+	if rows[0][0].I() != 25 {
+		t.Fatalf("cross join count %v want 25", rows[0][0].I())
 	}
 	found := false
 	node.Walk(func(n *plan.Node) {
@@ -43,7 +45,7 @@ func TestOrderByAlias(t *testing.T) {
 		t.Fatalf("rows %d", len(rows))
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i][1].I > rows[i-1][1].I {
+		if rows[i][1].I() > rows[i-1][1].I() {
 			t.Fatal("not sorted by aliased count")
 		}
 	}
@@ -58,7 +60,7 @@ func TestScalarSubqueryInWhere(t *testing.T) {
 		t.Fatalf("expected one init plan:\n%s", plan.Explain(node))
 	}
 	cust, _ := db.Table("customer")
-	n := rows[0][0].I
+	n := rows[0][0].I()
 	if n <= 0 || n >= int64(len(cust.Rows)) {
 		t.Fatalf("above-average customers %d out of range", n)
 	}
@@ -134,11 +136,11 @@ func TestIsNullPredicate(t *testing.T) {
 	// Generated data has no NULLs, so IS NULL yields zero rows and IS NOT
 	// NULL keeps all of them.
 	_, rows := runQuery(t, db, "select count(*) from nation where n_comment is null")
-	if rows[0][0].I != 0 {
+	if rows[0][0].I() != 0 {
 		t.Fatalf("is null count %v want 0", rows[0][0])
 	}
 	_, rows = runQuery(t, db, "select count(*) from nation where n_comment is not null")
-	if rows[0][0].I != 25 {
+	if rows[0][0].I() != 25 {
 		t.Fatalf("is not null count %v want 25", rows[0][0])
 	}
 	// IS NULL catches LEFT JOIN null extension (anti-join idiom).
@@ -151,15 +153,55 @@ func TestIsNullPredicate(t *testing.T) {
 	orders, _ := db.Table("orders")
 	hasOrder := map[int64]bool{}
 	for _, o := range orders.Rows {
-		hasOrder[o[1].I] = true
+		hasOrder[o[1].I()] = true
 	}
 	var want int64
 	for _, c := range cust.Rows {
-		if !hasOrder[c[0].I] {
+		if !hasOrder[c[0].I()] {
 			want++
 		}
 	}
-	if rows[0][0].I != want {
+	if rows[0][0].I() != want {
 		t.Fatalf("left-join is-null count %v want %v", rows[0][0], want)
+	}
+}
+
+// TestWrongKindOperandsAreBindErrors: SUBSTRING, EXTRACT(YEAR) and LIKE read
+// one payload of their operand, and a value of another kind reads as the
+// zero value there, so each of these statements used to plan and return
+// wrong rows (substring from 0, year 1970, a match against ""). The binder
+// refuses them; their well-typed twins and all 22 templates still plan.
+func TestWrongKindOperandsAreBindErrors(t *testing.T) {
+	db := tpchDB(t)
+	for _, c := range []struct {
+		sql  string
+		want string // "" = must plan; otherwise a fragment of the opt: error
+	}{
+		{"select substring(c_phone from 'a' for 2) from customer", "constant integer bounds"},
+		{"select substring(c_phone from 1.5 for 2) from customer", "constant integer bounds"},
+		{"select extract(year from c_acctbal) from customer", "requires a date operand"},
+		{"select c_name from customer where c_acctbal like '1%'", "requires a text operand"},
+		{"select substring(c_custkey from 1 for 2) from customer", "requires a text operand"},
+		{"select substring(c_phone from 1 for 2) from customer", ""},
+		{"select extract(year from o_orderdate) from orders", ""},
+		{"select c_name from customer where c_phone like '1%'", ""},
+	} {
+		_, err := PlanSQL(db, c.sql)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("PlanSQL(%q): %v", c.sql, err)
+		case c.want != "" && (err == nil || !strings.HasPrefix(err.Error(), "opt: ") || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("PlanSQL(%q): err = %v, want an opt: error containing %q", c.sql, err, c.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(24))
+	for _, tmpl := range append(append([]int(nil), tpch.Templates...), tpch.ExtraTemplates...) {
+		q, err := tpch.GenQuery(tmpl, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := PlanSQL(db, q.SQL); err != nil {
+			t.Errorf("template %d no longer plans: %v", tmpl, err)
+		}
 	}
 }

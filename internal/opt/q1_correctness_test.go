@@ -46,16 +46,16 @@ func TestQ1FullCorrectness(t *testing.T) {
 	want := map[string]*agg{}
 	li, _ := db.Table(tpch.Lineitem)
 	for _, r := range li.Rows {
-		if r[10].I > cutoff {
+		if r[10].I() > cutoff {
 			continue
 		}
-		key := r[8].S + "|" + r[9].S
+		key := r[8].S() + "|" + r[9].S()
 		a := want[key]
 		if a == nil {
 			a = &agg{}
 			want[key] = a
 		}
-		qty, price, disc, tax := r[4].F, r[5].F, r[6].F, r[7].F
+		qty, price, disc, tax := r[4].F(), r[5].F(), r[6].F(), r[7].F()
 		a.qty += qty
 		a.price += price
 		a.disc += price * (1 - disc)
@@ -71,7 +71,7 @@ func TestQ1FullCorrectness(t *testing.T) {
 	}
 	prevKey := ""
 	for _, row := range res.Rows {
-		key := row[0].S + "|" + row[1].S
+		key := row[0].S() + "|" + row[1].S()
 		if key <= prevKey {
 			t.Fatalf("output not ordered: %q after %q", key, prevKey)
 		}
@@ -80,18 +80,18 @@ func TestQ1FullCorrectness(t *testing.T) {
 		if a == nil {
 			t.Fatalf("unexpected group %q", key)
 		}
-		if !approx(row[2].F, a.qty) || !approx(row[3].F, a.price) ||
-			!approx(row[4].F, a.disc) || !approx(row[5].F, a.charge) {
+		if !approx(row[2].F(), a.qty) || !approx(row[3].F(), a.price) ||
+			!approx(row[4].F(), a.disc) || !approx(row[5].F(), a.charge) {
 			t.Fatalf("group %q sums wrong: %v", key, row)
 		}
-		if !approx(row[6].F, a.qty/float64(a.n)) {
-			t.Fatalf("group %q avg_qty %v want %v", key, row[6].F, a.qty/float64(a.n))
+		if !approx(row[6].F(), a.qty/float64(a.n)) {
+			t.Fatalf("group %q avg_qty %v want %v", key, row[6].F(), a.qty/float64(a.n))
 		}
-		if !approx(row[7].F, a.discount/float64(a.n)) {
+		if !approx(row[7].F(), a.discount/float64(a.n)) {
 			t.Fatalf("group %q avg_disc wrong", key)
 		}
-		if row[8].I != a.n {
-			t.Fatalf("group %q count %d want %d", key, row[8].I, a.n)
+		if row[8].I() != a.n {
+			t.Fatalf("group %q count %d want %d", key, row[8].I(), a.n)
 		}
 	}
 }

@@ -45,9 +45,9 @@ func constValue(e sql.Expr) (types.Value, bool) {
 		}
 		switch inner.Kind {
 		case types.KindInt:
-			return types.Int(-inner.I), true
+			return types.Int(-inner.I()), true
 		case types.KindFloat:
-			return types.Float(-inner.F), true
+			return types.Float(-inner.F()), true
 		}
 		return types.Null, false
 	case *sql.BinaryExpr:
@@ -63,11 +63,11 @@ func constValue(e sql.Expr) (types.Value, bool) {
 			}
 			switch iv.Unit {
 			case "day":
-				return types.Date(l.I + int64(n)), true
+				return types.Date(l.I() + int64(n)), true
 			case "month":
-				return types.Date(types.AddMonths(l.I, n)), true
+				return types.Date(types.AddMonths(l.I(), n)), true
 			case "year":
-				return types.Date(types.AddYears(l.I, n)), true
+				return types.Date(types.AddYears(l.I(), n)), true
 			}
 			return types.Null, false
 		}

@@ -10,6 +10,7 @@ import (
 	"qpp/internal/plan"
 	"qpp/internal/sql"
 	"qpp/internal/tpch"
+	"qpp/internal/types"
 	"qpp/internal/vclock"
 )
 
@@ -171,7 +172,7 @@ func TestTraceReplayExecutionIdentical(t *testing.T) {
 		}
 		for i := range rf.Rows {
 			for j := range rf.Rows[i] {
-				if rf.Rows[i][j] != rr.Rows[i][j] {
+				if !types.Identical(rf.Rows[i][j], rr.Rows[i][j]) {
 					t.Fatalf("template %d: row %d col %d diverged", tmpl, i, j)
 				}
 			}

@@ -88,7 +88,7 @@ func (c *Const) Cost() ExprCost { return ExprCost{} }
 // String implements Scalar.
 func (c *Const) String() string {
 	if c.V.Kind == types.KindString {
-		return "'" + c.V.S + "'"
+		return "'" + c.V.S() + "'"
 	}
 	return c.V.String()
 }
@@ -164,9 +164,9 @@ func (b *Bin) Eval(ctx *Ctx, row Row) types.Value {
 		// Date ± integer days.
 		if l.Kind == types.KindDate && r.Kind == types.KindInt {
 			if b.Op == BAdd {
-				return types.Date(l.I + r.I)
+				return types.Date(l.I() + r.I())
 			}
-			return types.Date(l.I - r.I)
+			return types.Date(l.I() - r.I())
 		}
 		lf, rf := l.AsFloat(), r.AsFloat()
 		var out float64
@@ -250,9 +250,9 @@ func (n *Neg) Eval(ctx *Ctx, row Row) types.Value {
 	v := n.E.Eval(ctx, row)
 	switch v.Kind {
 	case types.KindInt:
-		return types.Int(-v.I)
+		return types.Int(-v.I())
 	case types.KindFloat:
-		return types.Float(-v.F)
+		return types.Float(-v.F())
 	default:
 		return types.Null
 	}
@@ -439,7 +439,7 @@ func (l *Like) Eval(ctx *Ctx, row Row) types.Value {
 	if v.IsNull() {
 		return types.Null
 	}
-	return types.Bool(l.re.MatchString(v.S) != l.Negated)
+	return types.Bool(l.re.MatchString(v.S()) != l.Negated)
 }
 
 // Matches reports whether s matches the raw pattern (before negation).
@@ -481,11 +481,11 @@ func (d *DateAdd) Eval(ctx *Ctx, row Row) types.Value {
 	}
 	switch d.Unit {
 	case "day":
-		return types.Date(v.I + int64(d.N))
+		return types.Date(v.I() + int64(d.N))
 	case "month":
-		return types.Date(types.AddMonths(v.I, d.N))
+		return types.Date(types.AddMonths(v.I(), d.N))
 	default:
-		return types.Date(types.AddYears(v.I, d.N))
+		return types.Date(types.AddYears(v.I(), d.N))
 	}
 }
 
@@ -509,7 +509,7 @@ func (e *ExtractYear) Eval(ctx *Ctx, row Row) types.Value {
 	if v.IsNull() {
 		return types.Null
 	}
-	return types.Int(int64(types.Year(v.I)))
+	return types.Int(int64(types.Year(v.I())))
 }
 
 // Cost implements Scalar.
@@ -533,7 +533,7 @@ func (s *Substring) Eval(ctx *Ctx, row Row) types.Value {
 	if v.IsNull() {
 		return types.Null
 	}
-	str := v.S
+	str := v.S()
 	from := s.Start - 1
 	if from < 0 {
 		from = 0

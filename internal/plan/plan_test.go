@@ -27,7 +27,7 @@ func TestBinArithmetic(t *testing.T) {
 		{&Bin{Op: BDiv, L: cint(7), R: cint(0), K: types.KindFloat}, types.Null},
 	}
 	for i, c := range cases {
-		if got := eval(c.e, row); got != c.want {
+		if got := eval(c.e, row); !types.Identical(got, c.want) {
 			t.Errorf("case %d: got %v want %v", i, got, c.want)
 		}
 	}
@@ -85,16 +85,16 @@ func TestDateArithmetic(t *testing.T) {
 		t.Fatalf("got %v", got)
 	}
 	day := &DateAdd{E: col(0, types.KindDate), N: 90, Unit: "day"}
-	if got := eval(day, row); got.I != d+90 {
+	if got := eval(day, row); got.I() != d+90 {
 		t.Fatalf("got %v", got)
 	}
 	// Date + int days through Bin.
 	plus := &Bin{Op: BAdd, L: col(0, types.KindDate), R: cint(10), K: types.KindDate}
-	if got := eval(plus, row); got.Kind != types.KindDate || got.I != d+10 {
+	if got := eval(plus, row); got.Kind != types.KindDate || got.I() != d+10 {
 		t.Fatalf("got %v", got)
 	}
 	ext := &ExtractYear{E: col(0, types.KindDate)}
-	if got := eval(ext, row); got.I != 1994 {
+	if got := eval(ext, row); got.I() != 1994 {
 		t.Fatalf("year %v", got)
 	}
 }
@@ -137,7 +137,7 @@ func TestCaseInBetweenSubstring(t *testing.T) {
 		Whens: []When{{Cond: bin(BGt, col(0, types.KindInt), cint(3)), Then: cint(1)}},
 		Else:  cint(0), K: types.KindInt,
 	}
-	if got := eval(caseE, row); got.I != 1 {
+	if got := eval(caseE, row); got.I() != 1 {
 		t.Fatalf("case %v", got)
 	}
 	caseNoElse := &Case{Whens: []When{{Cond: bin(BGt, col(0, types.KindInt), cint(99)), Then: cint(1)}}, K: types.KindInt}
@@ -157,11 +157,11 @@ func TestCaseInBetweenSubstring(t *testing.T) {
 		t.Fatal("between inclusive")
 	}
 	sub := &Substring{E: col(1, types.KindString), Start: 1, Len: 2}
-	if got := eval(sub, row); got.S != "13" {
+	if got := eval(sub, row); got.S() != "13" {
 		t.Fatalf("substring %v", got)
 	}
 	subOOB := &Substring{E: col(1, types.KindString), Start: 99, Len: 2}
-	if got := eval(subOOB, row); got.S != "" {
+	if got := eval(subOOB, row); got.S() != "" {
 		t.Fatal("substring out of bounds")
 	}
 }
@@ -169,7 +169,7 @@ func TestCaseInBetweenSubstring(t *testing.T) {
 func TestParamAndSubPlan(t *testing.T) {
 	ctx := &Ctx{Params: []types.Value{types.Int(42)}}
 	p := &ParamRef{Idx: 0, K: types.KindInt}
-	if got := p.Eval(ctx, nil); got.I != 42 {
+	if got := p.Eval(ctx, nil); got.I() != 42 {
 		t.Fatalf("param %v", got)
 	}
 	if got := p.Eval(&Ctx{}, nil); !got.IsNull() {
@@ -178,13 +178,13 @@ func TestParamAndSubPlan(t *testing.T) {
 	calls := 0
 	ctx.RunSubPlan = func(idx int, args []types.Value) (types.Value, error) {
 		calls++
-		if idx != 3 || args[0].I != 42 {
+		if idx != 3 || args[0].I() != 42 {
 			t.Fatalf("subplan call idx=%d args=%v", idx, args)
 		}
 		return types.Float(7), nil
 	}
 	sp := &SubPlan{Idx: 3, Args: []Scalar{p}, Mode: SubPlanScalar, K: types.KindFloat}
-	if got := sp.Eval(ctx, nil); got.F != 7 {
+	if got := sp.Eval(ctx, nil); got.F() != 7 {
 		t.Fatalf("subplan %v", got)
 	}
 	if calls != 1 {

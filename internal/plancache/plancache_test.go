@@ -12,6 +12,7 @@ import (
 	"qpp/internal/sql"
 	"qpp/internal/storage"
 	"qpp/internal/tpch"
+	"qpp/internal/types"
 	"qpp/internal/vclock"
 )
 
@@ -214,7 +215,7 @@ func compareRows(t *testing.T, tmpl int, a, b []plan.Row) {
 			t.Fatalf("template %d: row %d width diverged", tmpl, i)
 		}
 		for j := range a[i] {
-			if a[i][j] != b[i][j] {
+			if !types.Identical(a[i][j], b[i][j]) {
 				t.Fatalf("template %d: row %d col %d diverged: %v vs %v", tmpl, i, j, a[i][j], b[i][j])
 			}
 		}

@@ -42,6 +42,11 @@ func FuzzPredictRequest(f *testing.F) {
 		`{"sql": "select count(*) from lineitem; drop table lineitem"}`,
 		`{"sql": "select * from lineitem where l_quantity < "}`,
 		`{"sql": "   "}`,
+		// Wrong-kind operands: bind errors, so 4xx.
+		`{"sql": "select substring(c_phone from 'a' for 2) from customer"}`,
+		`{"sql": "select substring(c_phone from 1.5 for 2) from customer"}`,
+		`{"sql": "select extract(year from c_acctbal) from customer"}`,
+		`{"sql": "select c_name from customer where c_acctbal like '1%'"}`,
 	} {
 		f.Add([]byte(s))
 	}

@@ -35,7 +35,7 @@ type Literal struct{ Value types.Value }
 func (l *Literal) SQL() string {
 	switch l.Value.Kind {
 	case types.KindString:
-		return "'" + strings.ReplaceAll(l.Value.S, "'", "''") + "'"
+		return "'" + strings.ReplaceAll(l.Value.S(), "'", "''") + "'"
 	case types.KindDate:
 		return "date '" + l.Value.String() + "'"
 	default:

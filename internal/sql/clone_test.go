@@ -3,6 +3,8 @@ package sql
 import (
 	"math/rand"
 	"testing"
+
+	"qpp/internal/types"
 )
 
 // cloneQueries exercises every AST node kind the parser produces.
@@ -44,9 +46,14 @@ func mutateLiterals(s *SelectStmt) {
 		switch v := e.(type) {
 		case nil:
 		case *Literal:
-			v.Value.I ^= 1
-			v.Value.F += 1
-			v.Value.S += "x"
+			switch v.Value.Kind {
+			case types.KindFloat:
+				v.Value = types.Float(v.Value.F() + 1)
+			case types.KindString:
+				v.Value = types.Str(v.Value.S() + "x")
+			default:
+				v.Value = types.Int(v.Value.I() ^ 1)
+			}
 		case *Interval:
 			v.N++
 		case *LikeExpr:

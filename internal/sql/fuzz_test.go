@@ -31,6 +31,11 @@ func FuzzParse(f *testing.F) {
 		"select substring(s from 1 for 2) || 'x' from t",
 		"select ((((((1))))))",
 		"select 1 from t where not not a like '%x_'",
+		// Wrong-kind operands the binder refuses (the parser accepts them).
+		"select substring(c_phone from 'a' for 2) from customer",
+		"select substring(c_phone from 1.5 for 2) from customer",
+		"select extract(year from c_acctbal) from customer",
+		"select c_name from customer where c_acctbal like '1%'",
 	} {
 		f.Add(s)
 	}

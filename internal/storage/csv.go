@@ -84,7 +84,11 @@ func parseValue(kind types.Kind, field string) (types.Value, error) {
 	}
 }
 
-// WriteCSV writes a table (with header) in the format ReadCSV accepts.
+// WriteCSV writes a table (with header) in the format ReadCSV accepts,
+// spelling every cell so that ReadCSV gives back an Identical value: floats
+// keep every digit (Key's shortest exact form; String rounds to two
+// decimals). A string cell spelled NULL would be read back as SQL NULL, so
+// it is an error.
 func WriteCSV(t *Table, w io.Writer) error {
 	cw := csv.NewWriter(w)
 	header := make([]string, len(t.Meta.Columns))
@@ -95,9 +99,19 @@ func WriteCSV(t *Table, w io.Writer) error {
 		return err
 	}
 	rec := make([]string, len(header))
-	for _, row := range t.Rows {
+	for r, row := range t.Rows {
 		for i, v := range row {
-			rec[i] = v.String()
+			switch v.Kind {
+			case types.KindFloat:
+				rec[i] = v.Key()
+			case types.KindString:
+				if rec[i] = v.S(); rec[i] == "NULL" {
+					return fmt.Errorf("storage: csv %s row %d, column %q: the string %q would be read back as SQL NULL",
+						t.Meta.Name, r+1, t.Meta.Columns[i].Name, rec[i])
+				}
+			default:
+				rec[i] = v.String()
+			}
 		}
 		if err := cw.Write(rec); err != nil {
 			return err

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -28,6 +30,10 @@ func TestCSVRoundTrip(t *testing.T) {
 		{types.Int(1), types.Float(9.5), types.Str("widget, large"), types.Date(types.MustDate("1994-01-01"))},
 		{types.Int(2), types.Float(-1.25), types.Str(`quoted "name"`), types.Date(types.MustDate("1998-12-31"))},
 		{types.Null, types.Float(0), types.Str(""), types.Date(0)},
+		// Floats String() would round: the writer spells them exactly.
+		{types.Int(-1 << 63), types.Float(0.1 + 0.2), types.Str("NULL "), types.Date(-1)},
+		{types.Int(3), types.Float(math.Copysign(0, -1)), types.Str("null"), types.Date(20000)},
+		{types.Int(4), types.Float(5e-324), types.Str("a\nb"), types.Date(1)},
 	}
 	tab := NewTable(meta, rows)
 	var buf bytes.Buffer
@@ -43,17 +49,20 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 	for i := range rows {
 		for j := range rows[i] {
-			a, b := rows[i][j], got[i][j]
-			if a.IsNull() != b.IsNull() {
-				t.Fatalf("row %d col %d null mismatch", i, j)
-			}
-			if !a.IsNull() && !types.Equal(a, b) {
-				// Floats go through %.2f formatting; compare strings.
-				if a.String() != b.String() {
-					t.Fatalf("row %d col %d: %v vs %v", i, j, a, b)
-				}
+			if a, b := rows[i][j], got[i][j]; !types.Identical(a, b) {
+				t.Fatalf("row %d col %d: wrote %s %v, read %s %v", i, j, a.Kind, a.Key(), b.Kind, b.Key())
 			}
 		}
+	}
+}
+
+// A string cell spelled NULL cannot be told from SQL NULL on the way back
+// in, so WriteCSV refuses it instead of silently changing the table.
+func TestWriteCSVRejectsNullSpelledString(t *testing.T) {
+	tab := NewTable(csvMeta(), []Row{{types.Int(1), types.Float(1), types.Str("NULL"), types.Date(0)}})
+	err := WriteCSV(tab, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), `column "name"`) {
+		t.Fatalf("WriteCSV of a string cell NULL: err = %v, want an error naming the column", err)
 	}
 }
 

@@ -62,7 +62,7 @@ func TestIndexLookupPrefix(t *testing.T) {
 		t.Fatalf("prefix lookup got %d rows, want 3", len(got))
 	}
 	for i, r := range got {
-		if tab.Rows[r][0].I != 7 || tab.Rows[r][1].I != int64(i) {
+		if tab.Rows[r][0].I() != 7 || tab.Rows[r][1].I() != int64(i) {
 			t.Fatalf("row %v out of order", tab.Rows[r])
 		}
 	}

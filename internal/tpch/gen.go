@@ -224,7 +224,7 @@ func genOrdersAndLineitems(rng *rand.Rand, nOrd, nCust, nPart, nSupp int, parts 
 			pk := int64(1 + rng.Intn(nPart))
 			sk := suppForPart(pk, rng.Intn(4), nSupp)
 			qty := float64(1 + rng.Intn(50))
-			price := qty * parts[pk-1][7].F // l_extendedprice = qty * p_retailprice
+			price := qty * parts[pk-1][7].F() // l_extendedprice = qty * p_retailprice
 			disc := float64(rng.Intn(11)) / 100
 			tax := float64(rng.Intn(9)) / 100
 			ship := odate + int64(1+rng.Intn(121))

@@ -3,6 +3,8 @@ package tpch
 import (
 	"strings"
 	"testing"
+
+	"qpp/internal/types"
 )
 
 func TestGenerateCardinalities(t *testing.T) {
@@ -48,7 +50,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	tb, _ := b.Table(Orders)
 	for i := range ta.Rows {
 		for j := range ta.Rows[i] {
-			if ta.Rows[i][j] != tb.Rows[i][j] {
+			if !types.Identical(ta.Rows[i][j], tb.Rows[i][j]) {
 				t.Fatalf("row %d col %d differs: %v vs %v", i, j, ta.Rows[i][j], tb.Rows[i][j])
 			}
 		}
@@ -69,19 +71,19 @@ func TestGenerateReferentialIntegrity(t *testing.T) {
 	nCust, nPart, nSupp := int64(len(cust.Rows)), int64(len(part.Rows)), int64(len(supp.Rows))
 	orderKeys := map[int64]bool{}
 	for _, r := range orders.Rows {
-		orderKeys[r[0].I] = true
-		if ck := r[1].I; ck < 1 || ck > nCust || ck%3 == 0 {
+		orderKeys[r[0].I()] = true
+		if ck := r[1].I(); ck < 1 || ck > nCust || ck%3 == 0 {
 			t.Fatalf("bad custkey %d", ck)
 		}
 	}
 	for _, r := range li.Rows {
-		if !orderKeys[r[0].I] {
-			t.Fatalf("lineitem orphan orderkey %d", r[0].I)
+		if !orderKeys[r[0].I()] {
+			t.Fatalf("lineitem orphan orderkey %d", r[0].I())
 		}
-		if pk := r[1].I; pk < 1 || pk > nPart {
+		if pk := r[1].I(); pk < 1 || pk > nPart {
 			t.Fatalf("bad partkey %d", pk)
 		}
-		if sk := r[2].I; sk < 1 || sk > nSupp {
+		if sk := r[2].I(); sk < 1 || sk > nSupp {
 			t.Fatalf("bad suppkey %d", sk)
 		}
 	}
@@ -96,11 +98,11 @@ func TestGenerateDateInvariants(t *testing.T) {
 	orders, _ := db.Table(Orders)
 	odate := map[int64]int64{}
 	for _, r := range orders.Rows {
-		odate[r[0].I] = r[4].I
+		odate[r[0].I()] = r[4].I()
 	}
 	for _, r := range li.Rows {
-		ship, commit, receipt := r[10].I, r[11].I, r[12].I
-		od := odate[r[0].I]
+		ship, commit, receipt := r[10].I(), r[11].I(), r[12].I()
+		od := odate[r[0].I()]
 		if ship <= od || receipt <= ship {
 			t.Fatalf("date ordering violated: o=%d ship=%d receipt=%d", od, ship, receipt)
 		}
@@ -108,10 +110,10 @@ func TestGenerateDateInvariants(t *testing.T) {
 			t.Fatalf("commit date out of spec window")
 		}
 		// returnflag/linestatus consistency with CurrentDate.
-		if ship > CurrentDate && r[9].S != "O" {
+		if ship > CurrentDate && r[9].S() != "O" {
 			t.Fatalf("future ship must be linestatus O")
 		}
-		if receipt <= CurrentDate && r[8].S == "N" {
+		if receipt <= CurrentDate && r[8].S() == "N" {
 			t.Fatalf("past receipt must be R or A")
 		}
 	}
@@ -127,23 +129,23 @@ func TestGeneratePricing(t *testing.T) {
 	orders, _ := db.Table(Orders)
 	totals := map[int64]float64{}
 	for _, r := range li.Rows {
-		qty, price := r[4].F, r[5].F
-		retail := part.Rows[r[1].I-1][7].F
+		qty, price := r[4].F(), r[5].F()
+		retail := part.Rows[r[1].I()-1][7].F()
 		if price != qty*retail {
 			t.Fatalf("extendedprice %v != qty %v * retail %v", price, qty, retail)
 		}
-		if d := r[6].F; d < 0 || d > 0.10 {
+		if d := r[6].F(); d < 0 || d > 0.10 {
 			t.Fatalf("discount %v", d)
 		}
-		if tax := r[7].F; tax < 0 || tax > 0.08 {
+		if tax := r[7].F(); tax < 0 || tax > 0.08 {
 			t.Fatalf("tax %v", tax)
 		}
-		totals[r[0].I] += price * (1 + r[7].F) * (1 - r[6].F)
+		totals[r[0].I()] += price * (1 + r[7].F()) * (1 - r[6].F())
 	}
 	for _, r := range orders.Rows {
-		want := totals[r[0].I]
-		if diff := r[3].F - want; diff > 1e-6 || diff < -1e-6 {
-			t.Fatalf("o_totalprice %v want %v", r[3].F, want)
+		want := totals[r[0].I()]
+		if diff := r[3].F() - want; diff > 1e-6 || diff < -1e-6 {
+			t.Fatalf("o_totalprice %v want %v", r[3].F(), want)
 		}
 	}
 }
@@ -155,23 +157,23 @@ func TestGenerateValueDomains(t *testing.T) {
 	}
 	part, _ := db.Table(Part)
 	for _, r := range part.Rows {
-		if !strings.HasPrefix(r[3].S, "Brand#") {
-			t.Fatalf("brand %q", r[3].S)
+		if !strings.HasPrefix(r[3].S(), "Brand#") {
+			t.Fatalf("brand %q", r[3].S())
 		}
-		if n := len(strings.Fields(r[1].S)); n != 5 {
-			t.Fatalf("p_name %q should have 5 words", r[1].S)
+		if n := len(strings.Fields(r[1].S())); n != 5 {
+			t.Fatalf("p_name %q should have 5 words", r[1].S())
 		}
-		if sz := r[5].I; sz < 1 || sz > 50 {
+		if sz := r[5].I(); sz < 1 || sz > 50 {
 			t.Fatalf("p_size %d", sz)
 		}
-		if r[7].F != retailPrice(r[0].I) {
+		if r[7].F() != retailPrice(r[0].I()) {
 			t.Fatalf("retail price mismatch")
 		}
 	}
 	cust, _ := db.Table(Customer)
 	segSeen := map[string]bool{}
 	for _, r := range cust.Rows {
-		segSeen[r[6].S] = true
+		segSeen[r[6].S()] = true
 	}
 	if len(segSeen) != 5 {
 		t.Fatalf("segments seen %v", segSeen)
@@ -186,7 +188,7 @@ func TestGenerateSpecialRequestsComments(t *testing.T) {
 	orders, _ := db.Table(Orders)
 	n := 0
 	for _, r := range orders.Rows {
-		c := r[8].S
+		c := r[8].S()
 		if i := strings.Index(c, "special"); i >= 0 && strings.Contains(c[i:], "requests") {
 			n++
 		}

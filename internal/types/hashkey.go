@@ -21,12 +21,12 @@ import "math"
 func (v Value) KeyInt() (int64, bool) {
 	switch v.Kind {
 	case KindInt, KindDate, KindBool:
-		return v.I, true
+		return v.I(), true
 	case KindFloat:
 		// Both bounds are exact in float64; NaN fails the comparison.
-		if v.F >= -1<<63 && v.F < 1<<63 {
+		if f := v.F(); f >= -1<<63 && f < 1<<63 {
 			//qpplint:ignore floateq exactness is the point: the float must be this very integer
-			if i := int64(v.F); float64(i) == v.F {
+			if i := int64(f); float64(i) == f {
 				return i, true
 			}
 		}
@@ -38,7 +38,7 @@ func (v Value) KeyInt() (int64, bool) {
 func KeyEqual(a, b Value) bool {
 	switch a.Kind {
 	case KindString:
-		return b.Kind == KindString && a.S == b.S
+		return b.Kind == KindString && a.S() == b.S()
 	case KindNull:
 		return b.Kind == KindNull
 	}
@@ -48,8 +48,9 @@ func KeyEqual(a, b Value) bool {
 		return aInt && bInt && ai == bi
 	}
 	// a is a float that is no integer; so must b be.
+	af, bf := a.F(), b.F()
 	//qpplint:ignore floateq key equality is exact; NaNs are folded into one key
-	return b.Kind == KindFloat && (a.F == b.F || a.F != a.F && b.F != b.F)
+	return b.Kind == KindFloat && (af == bf || af != af && bf != bf)
 }
 
 // Hash words that keep NULL, NaN and strings apart from small integers.
@@ -74,12 +75,13 @@ func HashInt(h uint64, i int64) uint64 { return hashWord(h, uint64(i)) }
 func HashKey(h uint64, v Value) uint64 {
 	switch v.Kind {
 	case KindInt, KindDate, KindBool:
-		return hashWord(h, uint64(v.I))
+		return hashWord(h, uint64(v.I()))
 	case KindString:
 		// Eight bytes a step (the compiler fuses the shifts into one load),
 		// then the zero-padded tail and the length, which tells "a\x00"
 		// from "a".
-		s := v.S
+		s := v.S()
+		n := len(s)
 		h ^= hashString
 		for ; len(s) >= 8; s = s[8:] {
 			h = hashWord(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
@@ -89,15 +91,16 @@ func HashKey(h uint64, v Value) uint64 {
 		for i := 0; i < len(s); i++ {
 			tail |= uint64(s[i]) << (8 * i)
 		}
-		return hashWord(hashWord(h, tail), uint64(len(v.S)))
+		return hashWord(hashWord(h, tail), uint64(n))
 	case KindFloat:
 		if i, ok := v.KeyInt(); ok {
 			return hashWord(h, uint64(i))
 		}
-		if v.F != v.F {
+		f := v.F()
+		if f != f {
 			return hashWord(h, hashNaN)
 		}
-		return hashWord(h^hashNaN, math.Float64bits(v.F))
+		return hashWord(h^hashNaN, math.Float64bits(f))
 	default: // KindNull
 		return hashWord(h, hashNull)
 	}

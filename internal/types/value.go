@@ -1,11 +1,14 @@
 // Package types defines the runtime value model shared by the catalog,
-// storage engine, planner and executor: a compact tagged union for SQL
-// values plus date arithmetic helpers.
+// storage engine, planner and executor: a 24-byte tagged union for SQL
+// values (one pointer word, one payload word, one kind byte) plus date
+// arithmetic helpers. It is the only package that imports "unsafe".
 package types
 
 import (
 	"fmt"
+	"math"
 	"strconv"
+	"unsafe"
 )
 
 // Kind enumerates the SQL types the engine supports. Decimals are carried
@@ -49,52 +52,102 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a compact tagged union holding one SQL value.
+// Value is a tagged union holding one SQL value in 24 bytes. n carries the
+// int64 of KindInt/KindDate (days)/KindBool (0/1), the IEEE bits of
+// KindFloat, and the byte length of a KindString whose first byte p points
+// at; p is nil for every other kind, so the collector sees exactly one
+// pointer per string cell and none elsewhere.
+//
+// Invariant: p is non-nil only as set by Str, together with n. The accessors
+// I, F and S are kind-checked and read the zero value on any other kind, so
+// a write to the exported Kind field can at worst turn a string's length
+// into an integer, never fabricate a string out of payload bits.
+//
+// The zero-size [0]func() makes Value incomparable: ==, map keys and switch
+// on a Value do not compile, because with a pointer payload they would
+// compare string addresses, not bytes. Use Identical (same bits), Equal
+// (SQL comparison) or KeyEqual (join/group key) instead.
 type Value struct {
+	_    [0]func()
+	p    unsafe.Pointer
+	n    uint64
 	Kind Kind
-	I    int64   // KindInt, KindDate (days), KindBool (0/1)
-	F    float64 // KindFloat
-	S    string  // KindString
 }
 
 // Null is the SQL NULL value.
 var Null = Value{Kind: KindNull}
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{Kind: KindInt, I: v} }
+func Int(v int64) Value { return Value{Kind: KindInt, n: uint64(v)} }
 
 // Float returns a decimal value.
-func Float(v float64) Value { return Value{Kind: KindFloat, F: v} }
+func Float(v float64) Value { return Value{Kind: KindFloat, n: math.Float64bits(v)} }
 
 // Str returns a string value.
-func Str(v string) Value { return Value{Kind: KindString, S: v} }
+func Str(v string) Value {
+	return Value{Kind: KindString, p: unsafe.Pointer(unsafe.StringData(v)), n: uint64(len(v))}
+}
 
 // Date returns a date value from days since the Unix epoch.
-func Date(days int64) Value { return Value{Kind: KindDate, I: days} }
+func Date(days int64) Value { return Value{Kind: KindDate, n: uint64(days)} }
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
-	var i int64
+	var n uint64
 	if v {
-		i = 1
+		n = 1
 	}
-	return Value{Kind: KindBool, I: i}
+	return Value{Kind: KindBool, n: n}
+}
+
+// I returns the payload of a KindInt, KindDate (days) or KindBool (0/1)
+// value, and 0 for every other kind.
+func (v Value) I() int64 {
+	if v.Kind == KindInt || v.Kind == KindDate || v.Kind == KindBool {
+		return int64(v.n)
+	}
+	return 0
+}
+
+// F returns the payload of a KindFloat value, bit for bit, and 0 for every
+// other kind.
+func (v Value) F() float64 {
+	if v.Kind == KindFloat {
+		return math.Float64frombits(v.n)
+	}
+	return 0
+}
+
+// S returns the payload of a KindString value, and "" for every other kind.
+func (v Value) S() string {
+	if v.Kind != KindString || v.p == nil {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), int(v.n))
+}
+
+// Identical reports whether a and b are the same value: same kind, same
+// payload bits, same string bytes. Unlike Equal it tells Int(1) from
+// Float(1), +0 from -0, and finds NULL identical to NULL; it is what tests
+// use where they would have written ==.
+func Identical(a, b Value) bool {
+	return a.Kind == b.Kind && a.n == b.n && (a.Kind != KindString || a.S() == b.S())
 }
 
 // IsNull reports whether v is SQL NULL.
 func (v Value) IsNull() bool { return v.Kind == KindNull }
 
 // IsTrue reports whether v is a true boolean (NULL and false are both not true).
-func (v Value) IsTrue() bool { return v.Kind == KindBool && v.I != 0 }
+func (v Value) IsTrue() bool { return v.Kind == KindBool && v.n != 0 }
 
 // AsFloat coerces a numeric, date or boolean value to float64 for
 // arithmetic, statistics, and feature extraction.
 func (v Value) AsFloat() float64 {
 	switch v.Kind {
 	case KindInt, KindDate, KindBool:
-		return float64(v.I)
+		return float64(v.I())
 	case KindFloat:
-		return v.F
+		return v.F()
 	default:
 		return 0
 	}
@@ -110,7 +163,7 @@ func (v Value) Numeric() bool {
 func (v Value) Width() int {
 	switch v.Kind {
 	case KindString:
-		return len(v.S) + 1
+		return len(v.S()) + 1
 	case KindNull:
 		return 1
 	default:
@@ -124,9 +177,9 @@ func (v Value) Width() int {
 func Compare(a, b Value) int {
 	if a.Kind == KindString && b.Kind == KindString {
 		switch {
-		case a.S < b.S:
+		case a.S() < b.S():
 			return -1
-		case a.S > b.S:
+		case a.S() > b.S():
 			return 1
 		default:
 			return 0
@@ -160,15 +213,15 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(v.I(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'f', 2, 64)
+		return strconv.FormatFloat(v.F(), 'f', 2, 64)
 	case KindString:
-		return v.S
+		return v.S()
 	case KindDate:
-		return FormatDate(v.I)
+		return FormatDate(v.I())
 	case KindBool:
-		if v.I != 0 {
+		if v.I() != 0 {
 			return "true"
 		}
 		return "false"
@@ -185,9 +238,9 @@ func (v Value) String() string {
 func (v Value) Key() string {
 	switch v.Kind {
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.F(), 'g', -1, 64)
 	case KindInt, KindDate, KindBool:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(v.I(), 10)
 	default:
 		return v.String()
 	}
@@ -199,11 +252,11 @@ func (v Value) Key() string {
 func (v Value) AppendKey(buf []byte) []byte {
 	switch v.Kind {
 	case KindFloat:
-		return strconv.AppendFloat(buf, v.F, 'g', -1, 64)
+		return strconv.AppendFloat(buf, v.F(), 'g', -1, 64)
 	case KindInt, KindDate, KindBool:
-		return strconv.AppendInt(buf, v.I, 10)
+		return strconv.AppendInt(buf, v.I(), 10)
 	case KindString:
-		return append(buf, v.S...)
+		return append(buf, v.S()...)
 	default:
 		return append(buf, v.String()...)
 	}

@@ -51,7 +51,7 @@ func TestEngineExplainAndRun(t *testing.T) {
 		t.Fatalf("run result %v / %v", res.Rows, res.Elapsed)
 	}
 	li, _ := engine.DB().Table("lineitem")
-	if res.Rows[0][0].I != int64(len(li.Rows)) {
+	if res.Rows[0][0].I() != int64(len(li.Rows)) {
 		t.Fatalf("count %v want %d", res.Rows[0][0], len(li.Rows))
 	}
 	analyzed, err := engine.ExplainAnalyze("select count(*) from nation", 2)

@@ -15,9 +15,11 @@
 #                    of) and §12
 #   5. go test -race — the full suite under the race detector, then the
 #                    training differential tests, the memo's
-#                    once-per-key test, the shared online-cache test and
-#                    the executor's arena-safety tests three more times
-#                    (-count=3); with the lock-analysis lint rules gone
+#                    once-per-key test, the shared online-cache test,
+#                    the executor's arena-safety tests and internal/types
+#                    (the one importer of "unsafe": checkptr is on under
+#                    -race) three more times (-count=3); with the
+#                    lock-analysis lint rules gone
 #                    (DESIGN.md §7) this stage is what catches an
 #                    unguarded access to a mutex-protected field
 #   6. coverage    — statement coverage floor over the -short suite
@@ -36,7 +38,10 @@
 #                    merge sequence and built tree must equal those of
 #                    the node-building reference search kept in
 #                    internal/opt's tests; see DESIGN.md §17)
-#  12. bench self-test — `bench/run.sh test`: gofmt, vet and the unit
+#  12. value smoke — 5s of FuzzValueRoundTrip on the 24-byte value
+#                    layout (constructor → accessor, bit for bit; see
+#                    internal/types)
+#  13. bench self-test — `bench/run.sh test`: gofmt, vet and the unit
 #                    tests of the repo's benchmark (BENCHMARK.json), a
 #                    nested module that stages 1-5 do not descend into
 #
@@ -102,7 +107,7 @@ go test -race ./... "$@"
 # so a double training that only some interleavings produce cannot land.
 # The online-cache test is the only place one OnlineCache is shared
 # between goroutines.
-banner "go test -race -short -count=3 (training differentials, memo once-per-key, shared online cache, arena safety)"
+banner "go test -race -short -count=3 (training differentials, memo once-per-key, shared online cache, arena safety, value layout)"
 go test -race -short -count=3 -run 'TestSMOMatchesReferenceSolver' ./internal/mlearn
 go test -race -short -count=3 -run 'TestEvalHybridMatchesReference|TestOperatorModelsMatchReferenceTrainer|TestTrainMemoTrainsOncePerKey|TestOnlineCacheConcurrentUse' ./internal/qpp
 go test -race -short -count=3 -run 'TestTrainMemoDoesNotChangeFigures' ./internal/experiments
@@ -110,6 +115,7 @@ go test -race -short -count=3 -run 'TestTrainMemoDoesNotChangeFigures' ./interna
 # (sync.Pool.Put drops items at random), so one pass is weak evidence that
 # recycled row memory is never observable.
 go test -race -short -count=3 -run 'TestResultRowsSurviveArenaReuse|TestSubPlanReleaseIsInvisible' ./internal/exec
+go test -race -short -count=3 ./internal/types
 
 # The floor is set a safe margin under the measured total (78.7% at the
 # time stage 6 was added) so flaky fractions of a percent don't fail CI,
@@ -141,6 +147,9 @@ go test -fuzz=FuzzCanonicalSignature -fuzztime=5s -run '^$' ./internal/plancache
 
 banner "join-search fuzz smoke (FuzzJoinSearch, 5s)"
 go test -fuzz=FuzzJoinSearch -fuzztime=5s -run '^$' ./internal/opt
+
+banner "value fuzz smoke (FuzzValueRoundTrip, 5s)"
+go test -fuzz=FuzzValueRoundTrip -fuzztime=5s -run '^$' ./internal/types
 
 banner "bench self-test (bench/run.sh test)"
 bash bench/run.sh test
