@@ -1,8 +1,8 @@
 // Package mlearn is a small, dependency-free machine-learning library
 // providing the model classes the QPP paper relies on: ordinary/ridge
 // linear regression (as in the Shark library used by the paper) and
-// epsilon-/nu-SVR trained with an SMO solver (as in libsvm), together
-// with the supporting machinery — feature standardization, Pearson
+// nu-SVR with the RBF kernel, trained by an SMO solver (as in libsvm),
+// together with the supporting machinery — feature standardization, Pearson
 // correlation, forward feature selection, stratified K-fold
 // cross-validation and the error metrics used in the evaluation.
 package mlearn

@@ -30,7 +30,7 @@ func MarshalModel(m Regressor) ([]byte, error) {
 	case *SVR:
 		typ = "svr"
 		st := svrState{
-			Kind: int(v.Kind), Kernel: int(v.Kernel), C: v.C, Epsilon: v.Epsilon,
+			Kind: svrKindNu, Kernel: svrKernelRBF, C: v.C, Epsilon: svrEpsilon,
 			Nu: v.Nu, Gamma: v.gamma, Coef: v.coef, B: v.b,
 		}
 		if v.sv != nil {
@@ -60,8 +60,12 @@ func MarshalModel(m Regressor) ([]byte, error) {
 	return json.Marshal(modelEnvelope{Type: typ, State: raw})
 }
 
-// UnmarshalModel decodes a model previously written by MarshalModel.
-func UnmarshalModel(data []byte) (Regressor, error) {
+// UnmarshalModel decodes a model previously written by MarshalModel that
+// is to be fed feature rows of width values. A model file is outside
+// input: a state whose dimensions disagree with each other or with width,
+// which Predict would index past or mispredict from, is refused with an
+// error naming the field.
+func UnmarshalModel(data []byte, width int) (Regressor, error) {
 	var env modelEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("mlearn: bad model envelope: %w", err)
@@ -72,11 +76,20 @@ func UnmarshalModel(data []byte) (Regressor, error) {
 		if err := json.Unmarshal(env.State, &st); err != nil {
 			return nil, err
 		}
+		if len(st.Coef) != width {
+			return nil, fmt.Errorf("mlearn: linreg: coef has %d entries, the input %d", len(st.Coef), width)
+		}
 		return &LinearRegression{Coef: st.Coef, Intercept: st.Intercept, Lambda: st.Lambda, FitIntercept: st.FitIntercept}, nil
 	case "rel-linreg":
 		var st relLinregState
 		if err := json.Unmarshal(env.State, &st); err != nil {
 			return nil, err
+		}
+		switch {
+		case st.D != width:
+			return nil, fmt.Errorf("mlearn: rel-linreg: d is %d, the input %d", st.D, width)
+		case len(st.Coef) != st.D+1:
+			return nil, fmt.Errorf("mlearn: rel-linreg: coef has %d entries, d+1 is %d", len(st.Coef), st.D+1)
 		}
 		m := &RelativeLinearRegression{Lambda: st.Lambda, FloorFrac: st.FloorFrac, d: st.D}
 		m.inner = &LinearRegression{Coef: st.Coef, FitIntercept: false}
@@ -86,11 +99,19 @@ func UnmarshalModel(data []byte) (Regressor, error) {
 		if err := json.Unmarshal(env.State, &st); err != nil {
 			return nil, err
 		}
-		m := &SVR{
-			Kind: SVRKind(st.Kind), Kernel: KernelKind(st.Kernel),
-			C: st.C, Epsilon: st.Epsilon, Nu: st.Nu, Gamma: st.Gamma,
-			gamma: st.Gamma, coef: st.Coef, b: st.B,
+		switch {
+		case st.Kind != svrKindNu:
+			return nil, fmt.Errorf("mlearn: svr: kind %d is not the nu formulation (%d), the only one this build has", st.Kind, svrKindNu)
+		case st.Kernel != svrKernelRBF:
+			return nil, fmt.Errorf("mlearn: svr: kernel %d is not the RBF kernel (%d), the only one this build has", st.Kernel, svrKernelRBF)
+		case len(st.Coef) != st.SVRows:
+			return nil, fmt.Errorf("mlearn: svr: coef has %d entries, sv_rows is %d", len(st.Coef), st.SVRows)
+		case st.SVCols != width && (st.SVRows > 0 || st.SVCols != 0):
+			return nil, fmt.Errorf("mlearn: svr: sv_cols is %d, the input %d", st.SVCols, width)
+		case len(st.SVData) != st.SVRows*st.SVCols:
+			return nil, fmt.Errorf("mlearn: svr: sv_data has %d values, sv_rows*sv_cols is %d", len(st.SVData), st.SVRows*st.SVCols)
 		}
+		m := &SVR{C: st.C, Nu: st.Nu, Gamma: st.Gamma, gamma: st.Gamma, coef: st.Coef, b: st.B}
 		m.sv = &Matrix{Rows: st.SVRows, Cols: st.SVCols, Data: st.SVData}
 		if m.sv.Data == nil {
 			m.sv.Data = []float64{}
@@ -101,7 +122,13 @@ func UnmarshalModel(data []byte) (Regressor, error) {
 		if err := json.Unmarshal(env.State, &st); err != nil {
 			return nil, err
 		}
-		inner, err := UnmarshalModel(st.Inner)
+		switch {
+		case len(st.XMeans) != width:
+			return nil, fmt.Errorf("mlearn: scaled: x_means has %d entries, the input %d", len(st.XMeans), width)
+		case len(st.XStds) != width:
+			return nil, fmt.Errorf("mlearn: scaled: x_stds has %d entries, the input %d", len(st.XStds), width)
+		}
+		inner, err := UnmarshalModel(st.Inner, width)
 		if err != nil {
 			return nil, err
 		}
@@ -134,6 +161,17 @@ type relLinregState struct {
 	Coef      []float64 `json:"coef"`
 	D         int       `json:"d"`
 }
+
+// An svrState's kind, kernel and epsilon date from when the package also
+// had the epsilon formulation (kind 0) and a linear kernel (kernel 1):
+// every model written since is a nu-SVR (kind 1) with the RBF kernel
+// (kernel 0), and its epsilon was the unused default 0.1. They are still
+// written, so model files keep their bytes, and checked on load.
+const (
+	svrKindNu    = 1
+	svrKernelRBF = 0
+	svrEpsilon   = 0.1
+)
 
 type svrState struct {
 	Kind    int       `json:"kind"`

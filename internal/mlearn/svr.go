@@ -3,41 +3,19 @@ package mlearn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
-// KernelKind selects the kernel function used by SVR.
-type KernelKind int
-
-const (
-	// KernelRBF is the Gaussian radial basis function kernel
-	// K(u,v) = exp(-gamma * ||u-v||^2).
-	KernelRBF KernelKind = iota
-	// KernelLinear is the dot-product kernel K(u,v) = u . v.
-	KernelLinear
-)
-
-// SVRKind selects the support-vector regression formulation.
-type SVRKind int
-
-const (
-	// EpsilonSVR is the classic epsilon-insensitive formulation.
-	EpsilonSVR SVRKind = iota
-	// NuSVR is the nu-parameterized formulation the paper uses
-	// (libsvm's "nu-SVR"); nu bounds the fraction of support vectors
-	// and errors, and the tube width epsilon is learned.
-	NuSVR
-)
-
-// SVR is a support-vector regression model trained with a sequential
-// minimal optimization (SMO) solver following libsvm's algorithm
-// (maximal-violating-pair working-set selection; the Solver_NU pair
-// restriction for nu-SVR).
+// SVR is a nu-support-vector regression model with the RBF kernel
+// K(u,v) = exp(-gamma * ||u-v||^2): libsvm's "nu-SVR", the model the paper
+// trains at plan and sub-plan level. nu bounds the fraction of support
+// vectors and errors, and the tube width is learned. Fit runs a
+// sequential minimal optimization (SMO) solver following libsvm's
+// Solver_NU: second-order working-set selection, the pair restricted to
+// one sign class.
 type SVR struct {
-	Kind    SVRKind
-	Kernel  KernelKind
 	C       float64 // regularization parameter (default 1)
-	Epsilon float64 // tube width for EpsilonSVR (default 0.1)
-	Nu      float64 // nu parameter for NuSVR (default 0.5)
+	Nu      float64 // nu parameter (default 0.5)
 	Gamma   float64 // RBF gamma; <=0 means 1/num_features
 	Tol     float64 // KKT violation tolerance (default 1e-3)
 	MaxIter int     // iteration cap (default derived from size)
@@ -50,29 +28,19 @@ type SVR struct {
 	gamma     float64   // resolved gamma actually used
 }
 
-// NewNuSVR returns a nu-SVR with RBF kernel, matching the configuration
-// the paper reports for plan-level models.
+// NewNuSVR returns a nu-SVR, the configuration the paper reports for
+// plan-level models.
 func NewNuSVR(c, nu float64) *SVR {
-	return &SVR{Kind: NuSVR, Kernel: KernelRBF, C: c, Nu: nu}
-}
-
-// NewEpsilonSVR returns an epsilon-SVR with RBF kernel.
-func NewEpsilonSVR(c, epsilon float64) *SVR {
-	return &SVR{Kind: EpsilonSVR, Kernel: KernelRBF, C: c, Epsilon: epsilon}
+	return &SVR{C: c, Nu: nu}
 }
 
 func (s *SVR) kernel(u, v []float64) float64 {
-	switch s.Kernel {
-	case KernelLinear:
-		return Dot(u, v)
-	default:
-		var d2 float64
-		for i := range u {
-			d := u[i] - v[i]
-			d2 += d * d
-		}
-		return math.Exp(-s.gamma * d2)
+	var d2 float64
+	for i := range u {
+		d := u[i] - v[i]
+		d2 += d * d
 	}
+	return math.Exp(-s.gamma * d2)
 }
 
 // Fit trains the model on x (n samples by d features) and targets y.
@@ -86,9 +54,6 @@ func (s *SVR) Fit(x *Matrix, y []float64) error {
 	}
 	if s.C <= 0 {
 		s.C = 1
-	}
-	if s.Epsilon <= 0 {
-		s.Epsilon = 0.1
 	}
 	if s.Nu <= 0 || s.Nu > 1 {
 		s.Nu = 0.5
@@ -104,7 +69,7 @@ func (s *SVR) Fit(x *Matrix, y []float64) error {
 	sol := s.dual(x, y)
 	maxIter := s.MaxIter
 	if maxIter <= 0 {
-		maxIter = max(10000, 100*sol.n)
+		maxIter = max(10000, 200*l)
 	}
 	s.lastIters, s.lastCap = sol.solve(maxIter), maxIter
 
@@ -126,8 +91,10 @@ func (s *SVR) Fit(x *Matrix, y []float64) error {
 	return nil
 }
 
-// dual builds the 2l-variable dual problem of x, y under s's resolved
-// hyperparameters, at its starting point.
+// dual builds libsvm's 2l-variable dual of the nu-SVR problem x, y under
+// s's resolved hyperparameters, at its starting point: row t has alpha[t]
+// (sign +1) and alpha[t+l] (sign -1), both min(C, what is left of
+// C*nu*l/2), p = (-y, y) and Q[i][j] = sign_i sign_j K[i%l][j%l].
 func (s *SVR) dual(x *Matrix, y []float64) smoSolver {
 	l := x.Rows
 	// Precompute the l x l kernel matrix; training sets here are small
@@ -141,43 +108,54 @@ func (s *SVR) dual(x *Matrix, y []float64) smoSolver {
 			k.Set(j, i, v)
 		}
 	}
-
-	// Build the 2l-variable dual problem as in libsvm's SVR_Q: index
-	// i < l carries sign +1 (alpha), index i >= l sign -1 (alpha*).
-	n := 2 * l
-	sign := make([]int8, n)
-	p := make([]float64, n)
-	alpha := make([]float64, n)
-	switch s.Kind {
-	case EpsilonSVR:
-		for i := 0; i < l; i++ {
-			sign[i], sign[i+l] = 1, -1
-			p[i] = s.Epsilon - y[i]
-			p[i+l] = s.Epsilon + y[i]
-		}
-	case NuSVR:
-		sum := s.C * s.Nu * float64(l) / 2
-		for i := 0; i < l; i++ {
-			a := math.Min(sum, s.C)
-			alpha[i], alpha[i+l] = a, a
-			sum -= a
-			sign[i], sign[i+l] = 1, -1
-			p[i] = -y[i]
-			p[i+l] = y[i]
-		}
+	alpha := make([]float64, 2*l)
+	sum := s.C * s.Nu * float64(l) / 2
+	for i := 0; i < l; i++ {
+		a := math.Min(sum, s.C)
+		alpha[i], alpha[i+l] = a, a
+		sum -= a
 	}
 
-	return smoSolver{
-		n:     n,
-		l:     l,
-		k:     k,
-		sign:  sign,
-		p:     p,
-		alpha: alpha,
-		c:     s.C,
-		tol:   s.Tol,
-		nu:    s.Kind == NuSVR,
+	// The gradient G = p + Q*alpha, each entry summed over the nonzero
+	// alpha in ascending index order. Only the sign -1 half is kept: the
+	// two halves are sums of exactly negated terms in the same order, and
+	// IEEE rounding is sign-symmetric, so G[t] = -G[t+l] at every
+	// iteration. (As numbers: an exact zero may carry either sign in
+	// either half. The selection and the step only compare and subtract,
+	// which cannot tell; rho's bound midpoint could, for a class with no
+	// free variable whose bounds are both exact zeros.)
+	f := make([]float64, l)
+	for t := 0; t < l; t++ {
+		kt := k.Row(t)
+		g := y[t]
+		for j, a := range alpha[:l] {
+			if a != 0 {
+				g += a * -kt[j]
+			}
+		}
+		for j, a := range alpha[l:] {
+			if a != 0 {
+				g += a * kt[j]
+			}
+		}
+		f[t] = g
 	}
+
+	words := (l + 63) / 64
+	sets := make([]uint64, 4*words)
+	sol := smoSolver{
+		l: l, k: k, alpha: alpha, f: f, c: s.C, tol: s.Tol,
+		upP:  sets[:words],
+		lowP: sets[words : 2*words],
+		upN:  sets[2*words : 3*words],
+		lowN: sets[3*words:],
+	}
+	for v := range alpha {
+		sol.place(v)
+	}
+	sol.ip, sol.gmaxP = sol.maxViolator(sol.upP, 0)
+	sol.in, sol.gmaxN = sol.maxViolator(sol.upN, l)
+	return sol
 }
 
 // Predict returns the SVR output for one feature row.
@@ -204,44 +182,40 @@ func (s *SVR) Iterations() int { return s.lastIters }
 // fitted.
 func (s *SVR) Converged() bool { return s.lastIters < s.lastCap }
 
-// smoSolver carries the state of the 2l-variable SMO optimization.
+// smoSolver carries the state of Solver_NU on the 2l-variable dual.
+//
+// Every quantity the selection and the step read is -y*G, which is the
+// same number for row t in both sign classes: -G[t] for sign +1 and
+// +G[t+l] for sign -1. f holds it once per row (bit for bit the sign -1
+// half of G). alpha is tested against 0 and C only where it changes: I_up
+// and I_low of each class are bitsets over the rows, updated at the two
+// indices a step moves, and scanned in ascending row order so candidates
+// and ties are met as a scan over every row meets them. The kernel is RBF,
+// so K_tt = exp(-gamma*0) = 1 and no diagonal is kept.
 type smoSolver struct {
-	n     int       // number of dual variables (2l)
-	l     int       // number of training rows
-	k     *Matrix   // l x l kernel matrix
-	kd    []float64 // kernel diagonal
-	sign  []int8    // +1 / -1 per dual variable
-	p     []float64
-	alpha []float64
-	g     []float64 // gradient
+	l     int
+	k     *Matrix   // l x l RBF kernel matrix, 1 on the diagonal
+	alpha []float64 // 2l dual variables: alpha[t] sign +1, alpha[t+l] sign -1
+	f     []float64 // -y*G per row, shared by both sign classes
 	c     float64
 	tol   float64
-	nu    bool // use Solver_NU pair selection / rho
 
-	// The maximal violator in I_up of each sign class for the current
-	// (alpha, g): its index (-1 when the class has no member of I_up) and
-	// its -y*G. scanViolators sets them once after the gradient is
-	// initialized; from then on update keeps them current inside its
-	// gradient loop, so selecting a pair never re-reads the gradient for
-	// them. Ties go to the lowest index, as a scan in ascending t gives.
-	upP, upN     int
+	// I_up and I_low as row bitsets (bit t%64 of word t/64). Sign +1:
+	// up means alpha[t] < C, low alpha[t] > 0. Sign -1: up means
+	// alpha[t+l] > 0, low alpha[t+l] < C.
+	upP, lowP, upN, lowN []uint64
+
+	// The maximal violator in I_up of each class for the current
+	// (alpha, f): its dual index (-1 when the class has no member of
+	// I_up) and its -y*G, lowest index on ties.
+	ip, in       int
 	gmaxP, gmaxN float64
-}
-
-// q returns Q[i][j] = sign_i * sign_j * K[i%l][j%l].
-func (s *smoSolver) q(i, j int) float64 {
-	v := s.k.At(i%s.l, j%s.l)
-	if s.sign[i] != s.sign[j] {
-		return -v
-	}
-	return v
 }
 
 // solve runs SMO until no violating pair is left, a step makes no
 // progress, or maxIter iterations are spent; it returns the iterations
 // used (maxIter itself when the cap stopped it).
 func (s *smoSolver) solve(maxIter int) int {
-	s.init()
 	for iter := 0; iter < maxIter; iter++ {
 		i, j := s.selectWorkingSet()
 		if i < 0 || !s.update(i, j) {
@@ -251,228 +225,169 @@ func (s *smoSolver) solve(maxIter int) int {
 	return maxIter
 }
 
-// init computes the kernel diagonal, the gradient G = p + Q*alpha (alpha
-// may be nonzero for nu-SVR) and the first iteration's maximal violators.
-func (s *smoSolver) init() {
-	s.kd = make([]float64, s.l)
-	for t := 0; t < s.l; t++ {
-		s.kd[t] = s.k.At(t, t)
+// place records dual variable v's membership of I_up and I_low.
+func (s *smoSolver) place(v int) {
+	a, c := s.alpha[v], s.c
+	up, low := s.upP, s.lowP
+	isUp, isLow := a < c, a > 0
+	if v >= s.l {
+		v -= s.l
+		up, low = s.upN, s.lowN
+		isUp, isLow = a > 0, a < c
 	}
-	s.g = append([]float64(nil), s.p...)
-	for j := 0; j < s.n; j++ {
-		if s.alpha[j] == 0 {
-			continue
-		}
-		aj := s.alpha[j]
-		for i := 0; i < s.n; i++ {
-			s.g[i] += aj * s.q(i, j)
-		}
+	w, bit := v>>6, uint64(1)<<(v&63)
+	up[w] &^= bit
+	low[w] &^= bit
+	if isUp {
+		up[w] |= bit
 	}
-	s.scanViolators()
+	if isLow {
+		low[w] |= bit
+	}
 }
 
-// scanViolators finds the maximal violator of each sign class from
-// scratch: sign +1 is in I_up when alpha < C and violates by -G, sign -1
-// when alpha > 0 and violates by +G.
-func (s *smoSolver) scanViolators() {
-	l, c := s.l, s.c
-	aP, aN := s.alpha[:l], s.alpha[l:][:l]
-	gP, gN := s.g[:l], s.g[l:][:l]
-	gmaxP, gmaxN := math.Inf(-1), math.Inf(-1)
-	upP, upN := -1, -1
-	for t := 0; t < l; t++ {
-		if aP[t] < c {
-			if yg := -gP[t]; yg > gmaxP {
-				gmaxP, upP = yg, t
-			}
-		}
-		if aN[t] > 0 {
-			if yg := gN[t]; yg > gmaxN {
-				gmaxN, upN = yg, t+l
+// maxViolator returns the row of up with the largest -y*G (the lowest on
+// ties) as a dual index of the class whose rows start at off, or -1 when
+// up is empty, and that -y*G.
+func (s *smoSolver) maxViolator(up []uint64, off int) (int, float64) {
+	i, gmax := -1, math.Inf(-1)
+	for w, word := range up {
+		for ; word != 0; word &= word - 1 {
+			t := w<<6 | bits.TrailingZeros64(word)
+			if yg := s.f[t]; yg > gmax {
+				gmax, i = yg, t+off
 			}
 		}
 	}
-	s.upP, s.gmaxP, s.upN, s.gmaxN = upP, gmaxP, upN, gmaxN
+	return i, gmax
 }
 
-// update takes the analytic step on the pair (i, j), clips it to the box,
-// and brings the gradient and the per-class maximal violators up to date
-// in one pass over the rows. It reports false when the step moved neither
-// variable (the solver is stuck and stops).
+// update takes the analytic step on the pair (i, j) of dual indices, both
+// in one sign class, clips it to the box, and brings f, the index sets and
+// the maximal violators up to date. It reports false when the step moved
+// neither variable (the solver is stuck and stops).
 func (s *smoSolver) update(i, j int) bool {
 	const tau = 1e-12
+	l := s.l
+	ri, rj := i%l, j%l
 	ai, aj := s.alpha[i], s.alpha[j]
-	qij := s.q(i, j)
-	if s.sign[i] != s.sign[j] {
-		quad := s.q(i, i) + s.q(j, j) + 2*qij
-		if quad <= 0 {
-			quad = tau
-		}
-		delta := (-s.g[i] - s.g[j]) / quad
-		diff := ai - aj
-		s.alpha[i] += delta
-		s.alpha[j] += delta
-		if diff > 0 {
-			if s.alpha[j] < 0 {
-				s.alpha[j] = 0
-				s.alpha[i] = diff
-			}
-		} else {
-			if s.alpha[i] < 0 {
-				s.alpha[i] = 0
-				s.alpha[j] = -diff
-			}
-		}
-		if diff > 0 {
-			if s.alpha[i] > s.c {
-				s.alpha[i] = s.c
-				s.alpha[j] = s.c - diff
-			}
-		} else {
-			if s.alpha[j] > s.c {
-				s.alpha[j] = s.c
-				s.alpha[i] = s.c + diff
-			}
+	// K_ii = K_jj = exp(-gamma*0) = 1.
+	quad := 2 - 2*s.k.At(ri, rj)
+	if quad <= 0 {
+		quad = tau
+	}
+	// delta = (G[i] - G[j]) / quad, where G = f on sign -1 rows and -f on
+	// sign +1 rows: the pair violates, so the difference is nonzero and
+	// the same float either way.
+	sign := -1.0
+	delta := (s.f[ri] - s.f[rj]) / quad
+	if i < l {
+		sign = 1
+		delta = (s.f[rj] - s.f[ri]) / quad
+	}
+	sum := ai + aj
+	s.alpha[i] -= delta
+	s.alpha[j] += delta
+	if sum > s.c {
+		if s.alpha[i] > s.c {
+			s.alpha[i] = s.c
+			s.alpha[j] = sum - s.c
 		}
 	} else {
-		quad := s.q(i, i) + s.q(j, j) - 2*qij
-		if quad <= 0 {
-			quad = tau
+		if s.alpha[j] < 0 {
+			s.alpha[j] = 0
+			s.alpha[i] = sum
 		}
-		delta := (s.g[i] - s.g[j]) / quad
-		sum := ai + aj
-		s.alpha[i] -= delta
-		s.alpha[j] += delta
-		if sum > s.c {
-			if s.alpha[i] > s.c {
-				s.alpha[i] = s.c
-				s.alpha[j] = sum - s.c
-			}
-		} else {
-			if s.alpha[j] < 0 {
-				s.alpha[j] = 0
-				s.alpha[i] = sum
-			}
+	}
+	if sum > s.c {
+		if s.alpha[j] > s.c {
+			s.alpha[j] = s.c
+			s.alpha[i] = sum - s.c
 		}
-		if sum > s.c {
-			if s.alpha[j] > s.c {
-				s.alpha[j] = s.c
-				s.alpha[i] = sum - s.c
-			}
-		} else {
-			if s.alpha[i] < 0 {
-				s.alpha[i] = 0
-				s.alpha[j] = sum
-			}
+	} else {
+		if s.alpha[i] < 0 {
+			s.alpha[i] = 0
+			s.alpha[j] = sum
 		}
 	}
 	di, dj := s.alpha[i]-ai, s.alpha[j]-aj
 	if di == 0 && dj == 0 {
 		return false
 	}
-	// Gradient update via raw kernel rows: Q[t][i] = sign_t sign_i K,
-	// and sign_{t+l} = -sign_t, so the two halves get opposite deltas.
-	// Each row's new gradient is compared for the next iteration's
-	// maximal violators as soon as it is written: the same comparisons,
-	// in the same ascending-t order, as scanViolators would make after
-	// the loop.
-	l, c := s.l, s.c
-	ki := s.k.Row(i % l)[:l]
-	kj := s.k.Row(j % l)[:l]
-	wi := float64(s.sign[i]) * di
-	wj := float64(s.sign[j]) * dj
-	aP, aN := s.alpha[:l], s.alpha[l:][:l]
-	gP, gN := s.g[:l], s.g[l:][:l]
+	s.place(i)
+	s.place(j)
+	// G[t+l] moves by Q[t+l][i] di + Q[t+l][j] dj, and
+	// Q[t+l][i] = -sign_i K[t][i%l].
+	wi, wj := sign*di, sign*dj
+	// Each row's new value is compared for the next iteration's maximal
+	// violators as soon as it is written: the comparisons maxViolator
+	// would make, in the same ascending order. Which test of a pair comes
+	// first only decides which branches the CPU has to predict; this
+	// order measured fastest.
+	ki, kj := s.k.Row(ri)[:l], s.k.Row(rj)[:l]
+	f := s.f[:l]
+	ip, in := -1, -1
 	gmaxP, gmaxN := math.Inf(-1), math.Inf(-1)
-	upP, upN := -1, -1
-	for t := 0; t < l; t++ {
-		v := wi*ki[t] + wj*kj[t]
-		gp, gn := gP[t]+v, gN[t]-v
-		gP[t], gN[t] = gp, gn
-		if aP[t] < c {
-			if yg := -gp; yg > gmaxP {
-				gmaxP, upP = yg, t
-			}
+	upP, upN := s.upP, s.upN
+	for t := range f {
+		ft := f[t] - (wi*ki[t] + wj*kj[t])
+		f[t] = ft
+		w, bit := t>>6, uint64(1)<<(t&63)
+		if ft > gmaxP && upP[w]&bit != 0 {
+			gmaxP, ip = ft, t
 		}
-		if aN[t] > 0 && gn > gmaxN {
-			gmaxN, upN = gn, t+l
+		if upN[w]&bit != 0 && ft > gmaxN {
+			gmaxN, in = ft, t+l
 		}
 	}
-	s.upP, s.gmaxP, s.upN, s.gmaxN = upP, gmaxP, upN, gmaxN
+	s.ip, s.gmaxP, s.in, s.gmaxN = ip, gmaxP, in, gmaxN
 	return true
 }
 
-// selectWorkingSet returns the next working pair using libsvm's
-// second-order selection (WSS2), or (-1, -1) on convergence: i is the
-// maximal violator in I_up; j minimizes the quadratic objective decrease
-// among violating members of I_low. For nu problems the pair is restricted
-// to one sign class, following libsvm's Solver_NU.
+// selectWorkingSet returns the next working pair of dual indices using
+// libsvm's second-order selection (WSS2) within each sign class, or
+// (-1, -1) on convergence: per class, i is the maximal violator in I_up
+// and j minimizes the quadratic objective decrease among the violating
+// members of I_low; the class with the larger violation wins.
 func (s *smoSolver) selectWorkingSet() (int, int) {
-	if !s.nu {
-		// One scan over t = 0..2l-1 keeps the first index reaching the
-		// maximum, so the sign -1 half wins only when strictly larger.
-		i, gmax := s.upP, s.gmaxP
-		if s.gmaxN > gmax {
-			i, gmax = s.upN, s.gmaxN
-		}
-		if i < 0 {
-			return -1, -1
-		}
-		j, gmin := s.secondOrderJ(i, gmax, 0)
-		if j < 0 || gmax-gmin < s.tol {
-			return -1, -1
-		}
-		return i, j
-	}
-
-	// Solver_NU: best violator per sign class, second-order j within the
-	// same class, then take the class with the larger violation.
-	ip, in := s.upP, s.upN
 	jp, jn := -1, -1
 	gminP, gminN := math.Inf(1), math.Inf(1)
-	if ip >= 0 {
-		jp, gminP = s.secondOrderJ(ip, s.gmaxP, 1)
+	if s.ip >= 0 {
+		jp, gminP = s.secondOrderJ(s.ip, s.gmaxP, s.lowP, 0)
 	}
-	if in >= 0 {
-		jn, gminN = s.secondOrderJ(in, s.gmaxN, -1)
+	if s.in >= 0 {
+		jn, gminN = s.secondOrderJ(s.in, s.gmaxN, s.lowN, s.l)
 	}
 	vp, vn := math.Inf(-1), math.Inf(-1)
-	if ip >= 0 && jp >= 0 {
+	if s.ip >= 0 && jp >= 0 {
 		vp = s.gmaxP - gminP
 	}
-	if in >= 0 && jn >= 0 {
+	if s.in >= 0 && jn >= 0 {
 		vn = s.gmaxN - gminN
 	}
 	if math.Max(vp, vn) < s.tol {
 		return -1, -1
 	}
 	if vp >= vn {
-		return ip, jp
+		return s.ip, jp
 	}
-	return in, jn
+	return s.in, jn
 }
 
-// secondOrderJ picks j for the chosen i (whose violation is gmax) among
-// the members of I_low, restricted to one sign class when class is +1 or
-// -1 (nu problems) and over both when it is 0: the candidate with the
-// largest second-order objective decrease, lowest index on ties. It also
-// returns the smallest -y*G seen, which the stopping test needs.
-func (s *smoSolver) secondOrderJ(i int, gmax float64, class int8) (int, float64) {
+// secondOrderJ picks j for the chosen dual index i (whose violation is
+// gmax) among the rows of low, the I_low of the class whose rows start at
+// off: the candidate with the largest second-order objective decrease,
+// lowest index on ties, or -1. It also returns the smallest -y*G seen,
+// which the stopping test needs.
+func (s *smoSolver) secondOrderJ(i int, gmax float64, low []uint64, off int) (int, float64) {
 	const tau = 1e-12
-	l := s.l
-	ki := s.k.Row(i % l)[:l]
-	kd := s.kd[:l]
-	kdi := kd[i%l]
+	ki, f := s.k.Row(i-off), s.f
 	j := -1
 	objMin, gmin := math.Inf(1), math.Inf(1)
-	// First half: sign +1, I_low means alpha > 0, -yG = -G.
-	if class >= 0 {
-		alpha, g := s.alpha[:l], s.g[:l]
-		for t := 0; t < l; t++ {
-			if !(alpha[t] > 0) {
-				continue
-			}
-			ygt := -g[t]
+	for w, word := range low {
+		for ; word != 0; word &= word - 1 {
+			t := w<<6 | bits.TrailingZeros64(word)
+			ygt := f[t]
 			if ygt < gmin {
 				gmin = ygt
 			}
@@ -480,111 +395,49 @@ func (s *smoSolver) secondOrderJ(i int, gmax float64, class int8) (int, float64)
 			if b <= 0 {
 				continue
 			}
-			// y_i y_t Q_it = K_it regardless of signs.
-			quad := kdi + kd[t] - 2*ki[t]
+			// y_i y_t Q_it = K_it, and K_ii + K_tt = 2.
+			quad := 2 - 2*ki[t]
 			if quad <= 0 {
 				quad = tau
 			}
 			if obj := -b * b / quad; obj < objMin {
-				objMin, j = obj, t
-			}
-		}
-	}
-	// Second half: sign -1, I_low means alpha < C, -yG = +G.
-	if class <= 0 {
-		c := s.c
-		alpha, g := s.alpha[l:][:l], s.g[l:][:l]
-		for t := 0; t < l; t++ {
-			if !(alpha[t] < c) {
-				continue
-			}
-			ygt := g[t]
-			if ygt < gmin {
-				gmin = ygt
-			}
-			b := gmax - ygt
-			if b <= 0 {
-				continue
-			}
-			quad := kdi + kd[t] - 2*ki[t]
-			if quad <= 0 {
-				quad = tau
-			}
-			if obj := -b * b / quad; obj < objMin {
-				objMin, j = obj, t+l
+				objMin, j = obj, t+off
 			}
 		}
 	}
 	return j, gmin
 }
 
-// rho computes the bias following libsvm (calculate_rho); the returned
-// value is libsvm's rho, and the regression bias is b = -rho.
+// rho computes libsvm's Solver_NU rho (calculate_rho); the regression
+// bias is b = -rho.
 func (s *smoSolver) rho() float64 {
-	if !s.nu {
-		nFree := 0
-		var sumFree float64
-		ub, lb := math.Inf(1), math.Inf(-1)
-		for t := 0; t < s.n; t++ {
-			yg := float64(s.sign[t]) * s.g[t]
-			switch {
-			case s.alpha[t] >= s.c:
-				if s.sign[t] == -1 {
-					ub = math.Min(ub, yg)
-				} else {
-					lb = math.Max(lb, yg)
-				}
-			case s.alpha[t] <= 0:
-				if s.sign[t] == 1 {
-					ub = math.Min(ub, yg)
-				} else {
-					lb = math.Max(lb, yg)
-				}
-			default:
-				nFree++
-				sumFree += yg
-			}
-		}
-		if nFree > 0 {
-			return sumFree / float64(nFree)
-		}
-		return (ub + lb) / 2
-	}
-	// Solver_NU rho.
-	var nf1, nf2 int
-	var sum1, sum2 float64
-	ub1, lb1 := math.Inf(1), math.Inf(-1)
-	ub2, lb2 := math.Inf(1), math.Inf(-1)
-	for t := 0; t < s.n; t++ {
-		if s.sign[t] == 1 {
-			switch {
-			case s.alpha[t] >= s.c:
-				lb1 = math.Max(lb1, s.g[t])
-			case s.alpha[t] <= 0:
-				ub1 = math.Min(ub1, s.g[t])
-			default:
-				nf1++
-				sum1 += s.g[t]
-			}
-		} else {
-			switch {
-			case s.alpha[t] >= s.c:
-				lb2 = math.Max(lb2, s.g[t])
-			case s.alpha[t] <= 0:
-				ub2 = math.Min(ub2, s.g[t])
-			default:
-				nf2++
-				sum2 += s.g[t]
-			}
-		}
-	}
-	r1 := (ub1 + lb1) / 2
-	if nf1 > 0 {
-		r1 = sum1 / float64(nf1)
-	}
-	r2 := (ub2 + lb2) / 2
-	if nf2 > 0 {
-		r2 = sum2 / float64(nf2)
-	}
+	l := s.l
+	r1 := s.classRho(s.alpha[:l], -1)
+	r2 := s.classRho(s.alpha[l:], 1)
 	return (r1 - r2) / 2
+}
+
+// classRho is one class's half of rho: the mean G over its free
+// variables, or the midpoint of the bounds the variables at 0 and at C
+// put on it when none is free. sign turns f into the class's G.
+func (s *smoSolver) classRho(alpha []float64, sign float64) float64 {
+	var nFree int
+	var sum float64
+	ub, lb := math.Inf(1), math.Inf(-1)
+	for t, a := range alpha {
+		g := sign * s.f[t]
+		switch {
+		case a >= s.c:
+			lb = math.Max(lb, g)
+		case a <= 0:
+			ub = math.Min(ub, g)
+		default:
+			nFree++
+			sum += g
+		}
+	}
+	if nFree > 0 {
+		return sum / float64(nFree)
+	}
+	return (ub + lb) / 2
 }

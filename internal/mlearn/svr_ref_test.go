@@ -5,8 +5,11 @@ import "math"
 // The SMO solver as it stood before the working-set scan was fused into
 // the gradient update (ISSUE 15), kept verbatim as the oracle of
 // TestSMOMatchesReferenceSolver: closures in selectWorkingSet, two
-// maximal-violator passes at the top of every iteration. Only the type's
-// name and the pairs log differ from the code it was copied from.
+// maximal-violator passes at the top of every iteration, both halves of
+// the gradient, every alpha tested against 0 and C on every row. Only the
+// type's name and the pairs log differ from the code it was copied from;
+// rho, at the end, is the nu half of the bias computation the solver had
+// until it kept one gradient row.
 
 // refSolver carries the state of the 2l-variable SMO optimization.
 type refSolver struct {
@@ -262,4 +265,45 @@ func (s *refSolver) selectWorkingSet() (int, int) {
 		return ip, jp
 	}
 	return in, jn
+}
+
+// rho computes the bias following libsvm (calculate_rho, Solver_NU); the
+// returned value is libsvm's rho, and the regression bias is b = -rho.
+func (s *refSolver) rho() float64 {
+	var nf1, nf2 int
+	var sum1, sum2 float64
+	ub1, lb1 := math.Inf(1), math.Inf(-1)
+	ub2, lb2 := math.Inf(1), math.Inf(-1)
+	for t := 0; t < s.n; t++ {
+		if s.sign[t] == 1 {
+			switch {
+			case s.alpha[t] >= s.c:
+				lb1 = math.Max(lb1, s.g[t])
+			case s.alpha[t] <= 0:
+				ub1 = math.Min(ub1, s.g[t])
+			default:
+				nf1++
+				sum1 += s.g[t]
+			}
+		} else {
+			switch {
+			case s.alpha[t] >= s.c:
+				lb2 = math.Max(lb2, s.g[t])
+			case s.alpha[t] <= 0:
+				ub2 = math.Min(ub2, s.g[t])
+			default:
+				nf2++
+				sum2 += s.g[t]
+			}
+		}
+	}
+	r1 := (ub1 + lb1) / 2
+	if nf1 > 0 {
+		r1 = sum1 / float64(nf1)
+	}
+	r2 := (ub2 + lb2) / 2
+	if nf2 > 0 {
+		r2 = sum2 / float64(nf2)
+	}
+	return (r1 - r2) / 2
 }

@@ -58,9 +58,10 @@ func (pm *PlanModel) marshal() (*modelState, error) {
 }
 
 // unmarshalModel restores the model stored under the name what, which is
-// to be fed feature rows of the given width. Snapshot files are outside
-// input: a state that Predict or InRange would index a row out of range
-// with is refused here, naming the field, not met inside a request.
+// to be fed feature rows of the given width; its regressor sees the
+// len(cols) selected ones. Snapshot files are outside input: a state that
+// Predict or InRange would index a row out of range with is refused here,
+// naming the field, not met inside a request.
 func unmarshalModel(what string, st *modelState, width int) (*PlanModel, error) {
 	switch {
 	case st == nil:
@@ -75,7 +76,7 @@ func unmarshalModel(what string, st *modelState, width int) (*PlanModel, error) 
 			return nil, fmt.Errorf("qpp: snapshot %s: cols names column %d of a %d-feature vector", what, c, width)
 		}
 	}
-	m, err := mlearn.UnmarshalModel(st.Model)
+	m, err := mlearn.UnmarshalModel(st.Model, len(st.Cols))
 	if err != nil {
 		return nil, fmt.Errorf("qpp: snapshot %s: %w", what, err)
 	}

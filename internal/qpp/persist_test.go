@@ -193,6 +193,8 @@ func TestHybridEmbeddedOpsVersionChecked(t *testing.T) {
 // would index a feature row out of range with must be a load error that
 // names the field; before the loaders checked, the first two bodies died
 // with a nil dereference at load and the third inside the first request.
+// The regressor's own input width must equal len(cols) too (its own
+// dimensions are mlearn's TestUnmarshalRefusesInconsistentState).
 func TestLoadRejectsInconsistentModelState(t *testing.T) {
 	const constant = `{"type":"constant","state":{"value":1}}`
 	bounds := func(n int) string {
@@ -201,6 +203,11 @@ func TestLoadRejectsInconsistentModelState(t *testing.T) {
 	planW, opW := qpp.NumPlanFeatures(), qpp.NumOpFeatures()
 	model := func(cols string, lo, hi int) string {
 		return fmt.Sprintf(`{"cols":%s,"model":%s,"lo":%s,"hi":%s}`, cols, constant, bounds(lo), bounds(hi))
+	}
+	// The regressor sees the len(cols) selected features.
+	linreg := func(cols, coef string, width int) string {
+		return fmt.Sprintf(`{"cols":%s,"model":{"type":"linreg","state":{"coef":%s,"intercept":0,"lambda":0,"fit_intercept":true}},"lo":%s,"hi":%s}`,
+			cols, coef, bounds(width), bounds(width))
 	}
 	ops := func(start string) string {
 		return fmt.Sprintf(`{"format":2,"start":%s,"run":{},"mode":0}`, start)
@@ -239,10 +246,14 @@ func TestLoadRejectsInconsistentModelState(t *testing.T) {
 		{"plan-level: column past the vector", planLevel(model(fmt.Sprintf(`[0,%d]`, planW), planW, planW)), "cols names column"},
 		{"plan-level: negative column", planLevel(model(`[-1]`, planW, planW)), "cols names column -1"},
 		{"operator-level: column past the vector", opLevel(`{"SeqScan":` + model(fmt.Sprintf(`[%d]`, opW), opW, opW) + `}`), "cols names column"},
+		{"plan-level: regressor wider than cols", planLevel(linreg(`[0]`, `[1,2]`, planW)), "coef has 2 entries, the input 1"},
+		{"operator-level: regressor narrower than cols", opLevel(`{"SeqScan":` + linreg(`[0,1]`, `[1]`, opW) + `}`), "coef has 1 entries, the input 2"},
+		{"hybrid: sub-plan regressor wider than cols", hybrid(`{"x":{"start":` + linreg(`[0]`, `[1,2,3]`, planW) + `,"run":` + model(`[1]`, planW, planW) + `}}`), "sub-plan x start: mlearn: linreg: coef has 3 entries"},
 
 		{"plan-level: consistent", planLevel(model(fmt.Sprintf(`[0,%d]`, planW-1), planW, planW)), ""},
 		{"operator-level: consistent", opLevel(`{"SeqScan":` + model(`[0]`, opW, opW) + `}`), ""},
 		{"hybrid: consistent", hybrid(`{"x":{"start":` + model(`[0]`, planW, planW) + `,"run":` + model(`[1]`, planW, planW) + `}}`), ""},
+		{"plan-level: regressor as wide as cols", planLevel(linreg(`[0,2]`, `[1,2]`, planW)), ""},
 	} {
 		err := tc.load()
 		switch {

@@ -41,7 +41,12 @@
 #  12. value smoke — 5s of FuzzValueRoundTrip on the 24-byte value
 #                    layout (constructor → accessor, bit for bit; see
 #                    internal/types)
-#  13. bench self-test — `bench/run.sh test`: gofmt, vet and the unit
+#  13. SMO smoke   — 5s of FuzzSMOMatchesReference on the nu-SVR solver
+#                    (bytes → seeded problem → every working pair, alpha,
+#                    gradient and rho equal to those of the reference
+#                    solver kept in internal/mlearn's tests; see DESIGN.md
+#                    §6)
+#  14. bench self-test — `bench/run.sh test`: gofmt, vet and the unit
 #                    tests of the repo's benchmark (BENCHMARK.json), a
 #                    nested module that stages 1-5 do not descend into
 #
@@ -150,6 +155,9 @@ go test -fuzz=FuzzJoinSearch -fuzztime=5s -run '^$' ./internal/opt
 
 banner "value fuzz smoke (FuzzValueRoundTrip, 5s)"
 go test -fuzz=FuzzValueRoundTrip -fuzztime=5s -run '^$' ./internal/types
+
+banner "SMO fuzz smoke (FuzzSMOMatchesReference, 5s)"
+go test -fuzz=FuzzSMOMatchesReference -fuzztime=5s -run '^$' ./internal/mlearn
 
 banner "bench self-test (bench/run.sh test)"
 bash bench/run.sh test
