@@ -6,12 +6,19 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
 
+	"qpp"
 	"qpp/internal/analysis"
+	"qpp/internal/mlearn"
+	"qpp/internal/plancache"
+	iqpp "qpp/internal/qpp"
+	"qpp/internal/serve"
+	"qpp/internal/workload"
 )
 
 // docPathRE matches the repository paths the prose documents cite:
@@ -166,5 +173,36 @@ func TestUnsafeOnlyInTypes(t *testing.T) {
 	}
 	if got := strings.Join(importers, " "); got != "internal/types/value.go" {
 		t.Errorf(`"unsafe" is imported by [%s], want internal/types/value.go only`, got)
+	}
+}
+
+// TestConfigSurface pins every settable field of the configuration
+// structs. A setting exists only when two non-test callers set different
+// values or a test uses it as a seam (DESIGN.md §11): adding one means
+// editing this list, and a value nothing varies is a constant.
+func TestConfigSurface(t *testing.T) {
+	for _, c := range []struct {
+		config any
+		fields string
+	}{
+		{mlearn.FeatureSelectionConfig{}, "Folds Seed"},
+		{iqpp.PlanModelConfig{}, "Kind FeatureSelection Folds Seed C Nu LogTarget Memo"},
+		{iqpp.HybridConfig{}, "Strategy TargetError MaxIters EvalRecs Memo"},
+		{iqpp.OnlineConfig{}, "MinOccurrences Memo Cache"},
+		{serve.Options{}, "Now Reload"},
+		{workload.Config{}, "ScaleFactor Templates PerTemplate Seed TimeLimit Parallelism Observe"},
+		{qperf.EngineConfig{}, "ScaleFactor Seed"},
+		{plancache.Config{}, "LabelSeed MaxLabelDraws DisableExactPlans"},
+	} {
+		rt := reflect.TypeOf(c.config)
+		var got []string
+		for i := 0; i < rt.NumField(); i++ {
+			if f := rt.Field(i); f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		if strings.Join(got, " ") != c.fields {
+			t.Errorf("%s has fields %v, the list says %s", rt, got, c.fields)
+		}
 	}
 }

@@ -500,7 +500,7 @@ func compileCmp(op plan.BinOp, l, r plan.Scalar) evalFn {
 	if isNumericKind(l.Kind()) && isNumericKind(r.Kind()) {
 		return func(ctx *plan.Ctx, row plan.Row) types.Value {
 			lv, rv := le(ctx, row), re(ctx, row)
-			if lv.Numeric() && rv.Numeric() {
+			if exactAsFloat(lv) && exactAsFloat(rv) {
 				return types.Bool(applyFloatCmp(op, lv.AsFloat(), rv.AsFloat()))
 			}
 			return cmpValues(op, lv, rv)
@@ -509,6 +509,19 @@ func compileCmp(op plan.BinOp, l, r plan.Scalar) evalFn {
 	return func(ctx *plan.Ctx, row plan.Row) types.Value {
 		return cmpValues(op, le(ctx, row), re(ctx, row))
 	}
+}
+
+// exactAsFloat reports whether v is numeric and AsFloat holds it without
+// rounding: every float, and every int or date within ±2^53. Between two
+// such values a float comparison is types.Compare's.
+func exactAsFloat(v types.Value) bool {
+	switch v.Kind {
+	case types.KindFloat:
+		return true
+	case types.KindInt, types.KindDate:
+		return v.I() >= -1<<53 && v.I() <= 1<<53
+	}
+	return false
 }
 
 // applyFloatCmp evaluates op over float64 operands with exactly the
@@ -532,19 +545,26 @@ func applyFloatCmp(op plan.BinOp, a, b float64) bool {
 }
 
 // compileColConstNumCmp is the numeric `Col op Const` fast path: one
-// bounds-checked row read, one kind switch, one float comparison.
+// bounds-checked row read, one kind switch, one comparison. Int and date
+// rows compare by payload against an integer constant, float rows as
+// floats against a constant AsFloat holds exactly; every other pairing
+// takes types.Compare.
 func compileColConstNumCmp(op plan.BinOp, idx int, c types.Value) evalFn {
-	cf := c.AsFloat()
+	ci, cf := c.I(), c.AsFloat()
+	intC, floatC := c.Kind != types.KindFloat, exactAsFloat(c)
 	switch op {
 	case plan.BEq:
 		return func(_ *plan.Ctx, row plan.Row) types.Value {
 			v := row[idx]
 			switch v.Kind {
 			case types.KindInt, types.KindDate:
-				f := float64(v.I())
-				return types.Bool(!(f < cf) && !(f > cf))
+				if intC {
+					return types.Bool(v.I() == ci)
+				}
 			case types.KindFloat:
-				return types.Bool(!(v.F() < cf) && !(v.F() > cf))
+				if floatC {
+					return types.Bool(!(v.F() < cf) && !(v.F() > cf))
+				}
 			}
 			return cmpValues(op, v, c)
 		}
@@ -553,10 +573,13 @@ func compileColConstNumCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 			v := row[idx]
 			switch v.Kind {
 			case types.KindInt, types.KindDate:
-				f := float64(v.I())
-				return types.Bool(f < cf || f > cf)
+				if intC {
+					return types.Bool(v.I() != ci)
+				}
 			case types.KindFloat:
-				return types.Bool(v.F() < cf || v.F() > cf)
+				if floatC {
+					return types.Bool(v.F() < cf || v.F() > cf)
+				}
 			}
 			return cmpValues(op, v, c)
 		}
@@ -565,9 +588,13 @@ func compileColConstNumCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 			v := row[idx]
 			switch v.Kind {
 			case types.KindInt, types.KindDate:
-				return types.Bool(float64(v.I()) < cf)
+				if intC {
+					return types.Bool(v.I() < ci)
+				}
 			case types.KindFloat:
-				return types.Bool(v.F() < cf)
+				if floatC {
+					return types.Bool(v.F() < cf)
+				}
 			}
 			return cmpValues(op, v, c)
 		}
@@ -576,9 +603,13 @@ func compileColConstNumCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 			v := row[idx]
 			switch v.Kind {
 			case types.KindInt, types.KindDate:
-				return types.Bool(!(float64(v.I()) > cf))
+				if intC {
+					return types.Bool(v.I() <= ci)
+				}
 			case types.KindFloat:
-				return types.Bool(!(v.F() > cf))
+				if floatC {
+					return types.Bool(!(v.F() > cf))
+				}
 			}
 			return cmpValues(op, v, c)
 		}
@@ -587,9 +618,13 @@ func compileColConstNumCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 			v := row[idx]
 			switch v.Kind {
 			case types.KindInt, types.KindDate:
-				return types.Bool(float64(v.I()) > cf)
+				if intC {
+					return types.Bool(v.I() > ci)
+				}
 			case types.KindFloat:
-				return types.Bool(v.F() > cf)
+				if floatC {
+					return types.Bool(v.F() > cf)
+				}
 			}
 			return cmpValues(op, v, c)
 		}
@@ -598,9 +633,13 @@ func compileColConstNumCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 			v := row[idx]
 			switch v.Kind {
 			case types.KindInt, types.KindDate:
-				return types.Bool(!(float64(v.I()) < cf))
+				if intC {
+					return types.Bool(v.I() >= ci)
+				}
 			case types.KindFloat:
-				return types.Bool(!(v.F() < cf))
+				if floatC {
+					return types.Bool(!(v.F() < cf))
+				}
 			}
 			return cmpValues(op, v, c)
 		}
@@ -717,15 +756,17 @@ func compileIn(in *plan.In) evalFn {
 			}
 		case allNum && isNumericKind(in.E.Kind()):
 			fs := make([]float64, len(constVals))
+			exact := true
 			for i, v := range constVals {
 				fs[i] = v.AsFloat()
+				exact = exact && exactAsFloat(v)
 			}
 			return func(ctx *plan.Ctx, row plan.Row) types.Value {
 				v := e(ctx, row)
 				if v.Kind == types.KindNull {
 					return types.Null
 				}
-				if v.Numeric() {
+				if exact && exactAsFloat(v) {
 					vf := v.AsFloat()
 					for _, f := range fs {
 						if !(vf < f) && !(vf > f) {
@@ -779,7 +820,7 @@ func compileBetween(b *plan.Between) evalFn {
 	if isNumericKind(b.E.Kind()) && isNumericKind(b.Lo.Kind()) && isNumericKind(b.Hi.Kind()) {
 		return func(ctx *plan.Ctx, row plan.Row) types.Value {
 			v, lv, hv := e(ctx, row), lo(ctx, row), hi(ctx, row)
-			if v.Numeric() && lv.Numeric() && hv.Numeric() {
+			if exactAsFloat(v) && exactAsFloat(lv) && exactAsFloat(hv) {
 				vf := v.AsFloat()
 				in := !(vf < lv.AsFloat()) && !(vf > hv.AsFloat())
 				return types.Bool(in != neg)

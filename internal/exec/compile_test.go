@@ -11,10 +11,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"qpp/internal/catalog"
 	"qpp/internal/opt"
 	"qpp/internal/plan"
 	"qpp/internal/storage"
@@ -126,8 +128,8 @@ func nodeScalars(n *plan.Node) []plan.Scalar {
 }
 
 // genValue draws a random value of the given kind, with NULLs, NaN/Inf
-// floats, >2^53 integers (where float64 comparison loses precision, which
-// both evaluators must lose identically), and wildcard-laden strings.
+// floats, >2^53 integers (which float64 cannot hold exactly but both
+// evaluators must compare exactly), and wildcard-laden strings.
 func genValue(r *rand.Rand, k types.Kind) types.Value {
 	if r.Intn(8) == 0 {
 		return types.Null
@@ -440,12 +442,14 @@ func TestQuickCompiledBoolOps(t *testing.T) {
 
 // TestCompiledNaNEdges pins the comparison fast paths to the
 // interpreter's NaN semantics: types.Compare treats NaN as equal to any
-// numeric (neither < nor > holds), so = matches and <> does not.
+// numeric (neither < nor > holds), so = matches and <> does not. The
+// integers around 2^53 pin the exact int/float comparison the same way.
 func TestCompiledNaNEdges(t *testing.T) {
 	nan := math.NaN()
 	col := &plan.Col{Idx: 0, K: types.KindFloat}
-	operands := []types.Value{types.Float(nan), types.Float(1.5), types.Float(math.Inf(1)), types.Int(3)}
-	rows := []plan.Row{{types.Float(nan)}, {types.Float(2.5)}, {types.Int(1 << 53)}}
+	operands := []types.Value{types.Float(nan), types.Float(1.5), types.Float(math.Inf(1)), types.Int(3),
+		types.Int(1<<53 + 1), types.Float(1 << 53)}
+	rows := []plan.Row{{types.Float(nan)}, {types.Float(2.5)}, {types.Int(1 << 53)}, {types.Int(1<<53 + 1)}}
 	ops := []plan.BinOp{plan.BEq, plan.BNe, plan.BLt, plan.BLe, plan.BGt, plan.BGe}
 	for _, c := range operands {
 		for _, row := range rows {
@@ -459,6 +463,60 @@ func TestCompiledNaNEdges(t *testing.T) {
 						t.Errorf("%s on %v: compiled %#v, interpreted %#v", b, row, got, want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestIntegersAbove2To53CompareExactly: 2^53 and 2^53+1 are one float64,
+// yet two integers. A filter, IN, BETWEEN and ORDER BY must tell them
+// apart, compiled and interpreted alike, exactly as a hash join on the
+// key does.
+func TestIntegersAbove2To53CompareExactly(t *testing.T) {
+	const lo, hi = int64(1) << 53, int64(1)<<53 + 1
+	schema := catalog.NewSchema()
+	db := storage.NewDatabase(schema)
+	for name, keys := range map[string][]int64{"big": {lo, hi}, "probe": {hi}} {
+		if err := schema.AddTable(&catalog.Table{Name: name, Columns: []catalog.Column{{Name: "k", Type: types.KindInt}}}); err != nil {
+			t.Fatal(err)
+		}
+		var rows []storage.Row
+		for _, k := range keys {
+			rows = append(rows, storage.Row{types.Int(k)})
+		}
+		if err := db.Load(name, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		sql  string
+		want []int64
+	}{
+		{"select big.k from big, probe where big.k = probe.k", []int64{hi}},
+		{"select k from big where k = 9007199254740993", []int64{hi}},
+		{"select k from big where k < 9007199254740993", []int64{lo}},
+		{"select k from big where k in (9007199254740993, 7)", []int64{hi}},
+		{"select k from big where k between 9007199254740993 and 9007199254740999", []int64{hi}},
+		{"select k from big order by k desc", []int64{hi, lo}},
+	} {
+		for _, interpret := range []bool{false, true} {
+			node, err := opt.PlanSQL(db, tc.sql)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.sql, err)
+			}
+			if strings.HasPrefix(tc.sql, "select big.k from big, probe") && !strings.Contains(plan.Explain(node), string(plan.OpHashJoin)) {
+				t.Fatalf("the reference is not a hash join:\n%s", plan.Explain(node))
+			}
+			res, err := Run(db, node, noNoiseClock(), Options{Interpret: interpret})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.sql, err)
+			}
+			var got []int64
+			for _, r := range res.Rows {
+				got = append(got, r[0].I())
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("%s (interpret=%v): rows %v, want %v", tc.sql, interpret, got, tc.want)
 			}
 		}
 	}

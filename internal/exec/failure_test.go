@@ -3,7 +3,9 @@ package exec
 import (
 	"testing"
 
+	"qpp/internal/opt"
 	"qpp/internal/plan"
+	"qpp/internal/tpch"
 	"qpp/internal/types"
 	"qpp/internal/vclock"
 )
@@ -38,6 +40,34 @@ func TestTimeoutInsideJoinPipeline(t *testing.T) {
 	_, err := Run(db, join, clock, Options{TimeLimit: p.SeqPageRead / 2})
 	if err != ErrTimeout {
 		t.Fatalf("want timeout, got %v", err)
+	}
+}
+
+// TestSlowerDiskLongerLatency: the device profile is what the executor
+// charges — the same TPC-H query on a disk with ten times the sequential
+// page cost takes longer.
+func TestSlowerDiskLongerLatency(t *testing.T) {
+	db := diffDB(t)
+	qs, err := tpch.GenWorkload([]int{6}, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := func(seqPageScale float64) float64 {
+		node, err := opt.PlanSQL(db, qs[0].SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := vclock.DefaultProfile()
+		p.NoiseSigma = 0
+		p.SeqPageRead *= seqPageScale
+		res, err := Run(db, node, vclock.NewClock(p, 1), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Elapsed
+	}
+	if slow, fast := elapsed(10), elapsed(1); slow <= fast {
+		t.Fatalf("slower disk must yield longer latency: %v vs %v", slow, fast)
 	}
 }
 

@@ -212,8 +212,7 @@ func opCfg(memo *qpp.TrainMemo) qpp.PlanModelConfig {
 // its models training through memo.
 func hybridCfg(s qpp.Strategy, memo *qpp.TrainMemo) qpp.HybridConfig {
 	cfg := qpp.DefaultHybridConfig(s)
-	cfg.PlanCfg.Memo = memo
-	cfg.OpCfg.Memo = memo
+	cfg.Memo = memo
 	return cfg
 }
 

@@ -50,7 +50,6 @@ func fig8(env *Env, memo *qpp.TrainMemo) (*Fig8Result, error) {
 	if err := env.forEachPar(len(strategies), func(si int) error {
 		s := strategies[si]
 		cfg := hybridCfg(s, memo)
-		cfg.MaxIters = 30
 		cfg.TargetError = 0 // run all iterations so the curves are comparable
 		cfg.EvalRecs = test
 		h, stats, err := qpp.TrainHybrid(train, cfg)
@@ -58,7 +57,7 @@ func fig8(env *Env, memo *qpp.TrainMemo) (*Fig8Result, error) {
 			return err
 		}
 		// Point 0: operator-level only.
-		base := &qpp.HybridPredictor{Ops: h.Ops, Plans: map[string]*qpp.SubplanModels{}, Mode: cfg.Mode}
+		base := &qpp.HybridPredictor{Ops: h.Ops, Plans: map[string]*qpp.SubplanModels{}, Mode: h.Mode}
 		baseErr, _, err := qpp.MeanRelativeError(test, base.Predict)
 		if err != nil {
 			return err

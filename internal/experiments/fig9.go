@@ -95,7 +95,7 @@ func fig9(env *Env, memo *qpp.TrainMemo) (*Fig9Result, error) {
 		idx := qpp.BuildSubplanIndex(train)
 		onlineCfg := qpp.DefaultOnlineConfig()
 		onlineCfg.Cache = qpp.NewOnlineCache()
-		onlineCfg.PlanCfg.Memo = memo
+		onlineCfg.Memo = memo
 		row.Online = eval(func(r *qpp.QueryRecord) (float64, error) {
 			p, _, err := qpp.OnlinePredict(idx, ops, r, onlineCfg)
 			return p, err

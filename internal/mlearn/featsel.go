@@ -50,17 +50,17 @@ type FeatureSelectionConfig struct {
 	// Folds is the number of CV folds used to score candidate feature sets
 	// (default 3; scoring uses plain K-fold over the training data).
 	Folds int
-	// MinGain is the relative-error improvement a feature must deliver to
-	// be kept (default 0.002).
-	MinGain float64
-	// MaxFeatures caps the selected set (default: all).
-	MaxFeatures int
-	// Patience is how many consecutive non-improving candidates are
-	// tolerated before the search stops (default 4).
-	Patience int
 	// Seed drives the CV shuffling.
 	Seed int64
 }
+
+// The search's fixed settings: a feature is kept when it improves the
+// cross-validated relative error by more than minImprovement, and the
+// search stops after maxMisses consecutive candidates that do not.
+const (
+	minImprovement = 0.002
+	maxMisses      = 4
+)
 
 // ForwardFeatureSelection implements the paper's correlation-guided forward
 // selection (Section 2): features are considered in decreasing correlation
@@ -71,15 +71,6 @@ func ForwardFeatureSelection(factory ModelFactory, x *Matrix, y []float64, cfg F
 	if cfg.Folds <= 1 {
 		cfg.Folds = 3
 	}
-	if cfg.MinGain <= 0 {
-		cfg.MinGain = 0.002
-	}
-	if cfg.MaxFeatures <= 0 || cfg.MaxFeatures > x.Cols {
-		cfg.MaxFeatures = x.Cols
-	}
-	if cfg.Patience <= 0 {
-		cfg.Patience = 4
-	}
 	order := RankFeaturesByCorrelation(x, y)
 	folds := KFold(x.Rows, cfg.Folds, cfg.Seed)
 
@@ -87,9 +78,6 @@ func ForwardFeatureSelection(factory ModelFactory, x *Matrix, y []float64, cfg F
 	best := math.Inf(1)
 	misses := 0
 	for _, cand := range order {
-		if len(selected) >= cfg.MaxFeatures {
-			break
-		}
 		trial := append(append([]int(nil), selected...), cand)
 		xt := SelectColumns(x, trial)
 		err, fitErr := CrossValMRE(factory, xt, y, folds)
@@ -98,13 +86,13 @@ func ForwardFeatureSelection(factory ModelFactory, x *Matrix, y []float64, cfg F
 			// simply skipped; selection should be robust, not fatal.
 			continue
 		}
-		if len(selected) == 0 || err < best-cfg.MinGain {
+		if len(selected) == 0 || err < best-minImprovement {
 			selected = trial
 			best = err
 			misses = 0
 		} else {
 			misses++
-			if misses >= cfg.Patience {
+			if misses >= maxMisses {
 				break
 			}
 		}

@@ -29,14 +29,16 @@ const (
 	OutcomeHitFallback
 )
 
+// A template keeps at most candidateCap plan skeletons, and the selector's
+// choice is trusted only when its best predicted latency beats the
+// second-best by a relative gap of at least selectorGap.
+const (
+	candidateCap = 4
+	selectorGap  = 0.15
+)
+
 // Config tunes cache construction.
 type Config struct {
-	// MaxCandidates caps the per-template candidate set (default 4).
-	MaxCandidates int
-	// Margin is the minimum relative predicted-latency gap between the
-	// selector's best and second-best candidate for the selector's choice
-	// to be trusted (default 0.15).
-	Margin float64
 	// LabelSeed seeds the virtual clocks used to label training
 	// executions; candidate latencies for one draw share a seed so labels
 	// are comparable.
@@ -44,10 +46,6 @@ type Config struct {
 	// MaxLabelDraws caps how many training draws are executed per
 	// template when labeling the selector (default 12).
 	MaxLabelDraws int
-	// DisableSelector turns off selector training; every multi-candidate
-	// hit then uses the cost-based fallback. Used by differential tests
-	// to isolate the rebind machinery.
-	DisableSelector bool
 	// DisableExactPlans turns off the exact-match memo layer, forcing
 	// every hit through the parametric rebind path. Used by tests that
 	// execute (and therefore mutate) the plans Plan returns.
@@ -55,12 +53,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.MaxCandidates <= 0 {
-		c.MaxCandidates = 4
-	}
-	if c.Margin <= 0 {
-		c.Margin = 0.15
-	}
 	if c.MaxLabelDraws <= 0 {
 		c.MaxLabelDraws = 12
 	}
@@ -108,7 +100,6 @@ func (t *Template) HasSelector() bool { return t.selector != nil }
 // at Build, so the read path takes no locks.
 type Cache struct {
 	db        *storage.Database
-	margin    float64
 	templates map[string]*Template
 	sigs      []string
 	// exact memoizes the fully-bound plan for every training-draw query
@@ -164,7 +155,6 @@ func Build(db *storage.Database, queries []string, cfg Config) (*Cache, error) {
 	}
 	c := &Cache{
 		db:        db,
-		margin:    cfg.Margin,
 		templates: make(map[string]*Template, len(order)),
 		sigs:      make([]string, 0, len(order)),
 	}
@@ -243,8 +233,8 @@ func buildTemplate(db *storage.Database, sig string, qs []string, cfg Config) (*
 	// Fig. 8 frequency-based ordering: the optimizer's most common choice
 	// becomes the default candidate; ties keep first-seen order.
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].freq > cands[j].freq })
-	if len(cands) > cfg.MaxCandidates {
-		cands = cands[:cfg.MaxCandidates]
+	if len(cands) > candidateCap {
+		cands = cands[:candidateCap]
 	}
 	t := &Template{
 		Signature:  sig,
@@ -254,7 +244,7 @@ func buildTemplate(db *storage.Database, sig string, qs []string, cfg Config) (*
 	for i, ca := range cands {
 		t.Candidates[i] = Candidate{Trace: ca.trace, Freq: ca.freq}
 	}
-	if len(cands) > 1 && !cfg.DisableSelector {
+	if len(cands) > 1 {
 		trainTemplateSelector(db, t, stmts, cfg)
 	}
 	return t, nil
@@ -312,7 +302,7 @@ func trainTemplateSelector(db *storage.Database, t *Template, stmts []*sql.Selec
 	for d := range feats {
 		costIdx := argminCost(costs[d])
 		selIdx := costIdx
-		if idx, gap := sel.Choose(feats[d]); gap >= cfg.Margin {
+		if idx, gap := sel.Choose(feats[d]); gap >= selectorGap {
 			selIdx = idx
 		}
 		selTotal += lats[d][selIdx]
@@ -393,7 +383,7 @@ func (c *Cache) planHit(t *Template, lits []Lit) (*plan.Node, Outcome, error) {
 	}
 	if t.selector != nil {
 		idx, gap := t.selector.Choose(Features(p0))
-		if gap >= c.margin {
+		if gap >= selectorGap {
 			// Confident selector: only the chosen candidate needs a
 			// replay, not the whole set.
 			if idx == 0 {

@@ -162,51 +162,46 @@ func (s Strategy) String() string {
 // HybridConfig tunes Algorithm 1.
 type HybridConfig struct {
 	Strategy Strategy
-	// Epsilon is the minimum training-error improvement for a new model to
-	// be kept (Algorithm 1's ε).
-	Epsilon float64
 	// TargetError stops the loop once the training error drops below it.
 	TargetError float64
 	// MaxIters caps the iterations (Algorithm 1's termination fallback).
 	MaxIters int
-	// MinOccurrences excludes rarely occurring sub-plans from modeling.
-	MinOccurrences int
-	// SkipErrorBelow excludes sub-plans already predicted within this
-	// relative error (paper: 0.1 for the size/frequency strategies).
-	SkipErrorBelow float64
-	// Mode selects estimate vs actual features.
-	Mode FeatureMode
-	// PlanCfg configures the sub-plan plan-level models; OpCfg the
-	// operator-level models.
-	PlanCfg PlanModelConfig
-	OpCfg   PlanModelConfig
 	// EvalRecs, when set, is a held-out workload evaluated after every
 	// iteration; the resulting error lands in IterationStat.TestError
 	// (Figure 8 plots this curve per strategy).
 	EvalRecs []*QueryRecord
+	// Memo, when non-nil, is the TrainMemo the operator and sub-plan
+	// models train through (see PlanModelConfig.Memo).
+	Memo *TrainMemo
 }
+
+// Algorithm 1's fixed settings, the paper's: a new sub-plan model is kept
+// only when it lowers the training error by acceptGain (Algorithm 1's ε);
+// sub-plans occurring fewer than minOccurrences times are not modelled,
+// nor, under the size and frequency strategies, ones already predicted
+// within wellPredicted relative error.
+const (
+	acceptGain     = 0.002
+	minOccurrences = 8
+	wellPredicted  = 0.1
+)
 
 // DefaultHybridConfig mirrors the paper's experiment settings.
 func DefaultHybridConfig(s Strategy) HybridConfig {
 	return HybridConfig{
-		Strategy:       s,
-		Epsilon:        0.002,
-		TargetError:    0.05,
-		MaxIters:       30,
-		MinOccurrences: 8,
-		SkipErrorBelow: 0.1,
-		Mode:           FeatEstimates,
-		PlanCfg:        subplanModelConfig(),
-		OpCfg:          OpModelConfig(),
+		Strategy:    s,
+		TargetError: 0.05,
+		MaxIters:    30,
 	}
 }
 
-// subplanModelConfig returns the sub-plan model configuration: the paper's
-// SVR, fit in log space because sub-plan occurrences pooled across
-// templates span orders of magnitude in latency.
-func subplanModelConfig() PlanModelConfig {
+// subplanModelConfig returns the sub-plan model configuration, training
+// through memo: the paper's SVR, fit in log space because sub-plan
+// occurrences pooled across templates span orders of magnitude in latency.
+func subplanModelConfig(memo *TrainMemo) PlanModelConfig {
 	cfg := DefaultPlanModelConfig()
 	cfg.LogTarget = true
+	cfg.Memo = memo
 	return cfg
 }
 
@@ -318,13 +313,13 @@ func evalHybrid(h *HybridPredictor, recs []*QueryRecord) *hybridEval {
 }
 
 // trainSubplanModels fits the start/run plan-level model pair for one
-// signature from its training occurrences.
-func trainSubplanModels(occs []subplanOcc, mode FeatureMode, cfg PlanModelConfig) (*SubplanModels, error) {
+// signature from the estimate features of its training occurrences.
+func trainSubplanModels(occs []subplanOcc, cfg PlanModelConfig) (*SubplanModels, error) {
 	x := mlearn.NewMatrix(len(occs), NumPlanFeatures())
 	st := make([]float64, len(occs))
 	rt := make([]float64, len(occs))
 	for i, o := range occs {
-		copy(x.Row(i), PlanFeatures(o.node, mode))
+		copy(x.Row(i), PlanFeatures(o.node, FeatEstimates))
 		st[i], rt[i] = nodeTimes(o.node)
 	}
 	sm, err := TrainPlanModel(x, st, cfg)
@@ -345,11 +340,14 @@ func TrainHybrid(recs []*QueryRecord, cfg HybridConfig) (*HybridPredictor, []Ite
 	if err := validateRecords(recs); err != nil {
 		return nil, nil, err
 	}
-	ops, err := TrainOperatorModels(recs, cfg.Mode, cfg.OpCfg)
+	opCfg := OpModelConfig()
+	opCfg.Memo = cfg.Memo
+	ops, err := TrainOperatorModels(recs, FeatEstimates, opCfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	h := &HybridPredictor{Ops: ops, Plans: map[string]*SubplanModels{}, Mode: cfg.Mode}
+	planCfg := subplanModelConfig(cfg.Memo)
+	h := &HybridPredictor{Ops: ops, Plans: map[string]*SubplanModels{}, Mode: FeatEstimates}
 	idx := BuildSubplanIndex(recs)
 
 	ev := evalHybrid(h, recs)
@@ -366,11 +364,11 @@ func TrainHybrid(recs []*QueryRecord, cfg HybridConfig) (*HybridPredictor, []Ite
 		}
 		occs := idx.occ[sig]
 		stat := IterationStat{Iter: iter, Signature: sig, Size: idx.size[sig], Occurrence: len(occs)}
-		if models, err := trainSubplanModels(occs, cfg.Mode, cfg.PlanCfg); err != nil {
+		if models, err := trainSubplanModels(occs, planCfg); err != nil {
 			rejected[sig] = true
 		} else {
 			h.Plans[sig] = models
-			if newEv := evalHybrid(h, recs); newEv.overall <= ev.overall-cfg.Epsilon {
+			if newEv := evalHybrid(h, recs); newEv.overall <= ev.overall-acceptGain {
 				ev = newEv
 				stat.Accepted = true
 			} else {
@@ -404,11 +402,11 @@ func (h *HybridPredictor) nextCandidate(idx *SubplanIndex, ev *hybridEval, rejec
 			continue
 		}
 		freq := ev.freq[sig]
-		if freq < cfg.MinOccurrences {
+		if freq < minOccurrences {
 			continue
 		}
 		avgErr := ev.avgErr(sig)
-		if cfg.Strategy != ErrorBased && avgErr < cfg.SkipErrorBelow {
+		if cfg.Strategy != ErrorBased && avgErr < wellPredicted {
 			continue
 		}
 		cands = append(cands, cand{sig: sig, size: idx.size[sig], freq: freq, err: avgErr})

@@ -139,7 +139,7 @@ func TestEvalHybridMatchesReference(t *testing.T) {
 	for _, s := range []Strategy{ErrorBased, SizeBased, FrequencyBased} {
 		hcfg := DefaultHybridConfig(s)
 		hcfg.TargetError = 0 // all iterations
-		hcfg.PlanCfg.Memo = memo
+		hcfg.Memo = memo
 		trained, stats, err := TrainHybrid(recs, hcfg)
 		if err != nil {
 			t.Fatal(err)
@@ -147,11 +147,11 @@ func TestEvalHybridMatchesReference(t *testing.T) {
 		if len(stats) < 5 {
 			t.Fatalf("%s: only %d iterations to replay", s, len(stats))
 		}
-		h := &HybridPredictor{Ops: trained.Ops, Plans: map[string]*SubplanModels{}, Mode: hcfg.Mode}
+		h := &HybridPredictor{Ops: trained.Ops, Plans: map[string]*SubplanModels{}, Mode: FeatEstimates}
 		requireSameEval(t, s.String()+" before iteration 1", evalHybrid(h, recs), refEvalHybrid(h, recs))
 		accepted := 0
 		for _, st := range stats {
-			models, err := trainSubplanModels(idx.occ[st.Signature], hcfg.Mode, hcfg.PlanCfg)
+			models, err := trainSubplanModels(idx.occ[st.Signature], subplanModelConfig(memo))
 			if err != nil {
 				t.Fatalf("%s iteration %d: %v", s, st.Iter, err)
 			}

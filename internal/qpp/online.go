@@ -14,15 +14,9 @@ type OnlineConfig struct {
 	// MinOccurrences is the minimum number of training occurrences a
 	// query sub-plan needs before an online model is attempted.
 	MinOccurrences int
-	// Folds for the cross-validated accuracy comparison against the
-	// operator-level prediction.
-	Folds int
-	// Seed drives fold shuffling.
-	Seed int64
-	// Mode selects estimate vs actual features.
-	Mode FeatureMode
-	// PlanCfg configures the online plan-level models.
-	PlanCfg PlanModelConfig
+	// Memo, when non-nil, is the TrainMemo the online sub-plan models
+	// train through (see PlanModelConfig.Memo).
+	Memo *TrainMemo
 	// Cache, when non-nil, memoizes per-signature build decisions across
 	// queries (queries from one template share sub-plan structures, so the
 	// same online models would otherwise be rebuilt per query).
@@ -60,13 +54,7 @@ func (c *OnlineCache) put(sig string, m *SubplanModels) {
 
 // DefaultOnlineConfig returns the settings used in the experiments.
 func DefaultOnlineConfig() OnlineConfig {
-	return OnlineConfig{
-		MinOccurrences: 8,
-		Folds:          3,
-		Seed:           1,
-		Mode:           FeatEstimates,
-		PlanCfg:        subplanModelConfig(),
-	}
+	return OnlineConfig{MinOccurrences: minOccurrences}
 }
 
 // BuildOnlineModels implements the paper's online modeling: upon receipt
@@ -77,7 +65,8 @@ func DefaultOnlineConfig() OnlineConfig {
 // the operator-level prediction accuracy on the same occurrences; this is
 // how online modeling recovers models that offline strategies discarded.
 func BuildOnlineModels(idx *SubplanIndex, ops *OperatorLevelPredictor, queryRoot *plan.Node, cfg OnlineConfig) *HybridPredictor {
-	h := &HybridPredictor{Ops: ops, Plans: map[string]*SubplanModels{}, Mode: cfg.Mode}
+	h := &HybridPredictor{Ops: ops, Plans: map[string]*SubplanModels{}, Mode: FeatEstimates}
+	planCfg := subplanModelConfig(cfg.Memo)
 
 	// Collect the distinct sub-plan structures of the incoming query,
 	// largest first so bigger covering models win where both qualify.
@@ -129,14 +118,15 @@ func BuildOnlineModels(idx *SubplanIndex, ops *OperatorLevelPredictor, queryRoot
 		}
 		opErr := mlearn.MeanRelativeError(act, opPred)
 
-		// Cross-validated accuracy of a candidate online plan-level model.
+		// Cross-validated accuracy of a candidate online plan-level model,
+		// over the folds the sub-plan models' own feature selection uses.
 		x := mlearn.NewMatrix(len(occs), NumPlanFeatures())
 		rt := make([]float64, len(occs))
 		for i, o := range occs {
-			copy(x.Row(i), PlanFeatures(o.node, cfg.Mode))
+			copy(x.Row(i), PlanFeatures(o.node, FeatEstimates))
 			rt[i] = o.node.Act.RunTime
 		}
-		cvPred, err := cfg.PlanCfg.crossValPredict(x, rt, mlearn.KFold(len(occs), cfg.Folds, cfg.Seed))
+		cvPred, err := planCfg.crossValPredict(x, rt, mlearn.KFold(len(occs), planCfg.Folds, planCfg.Seed))
 		cvErr := math.Inf(1)
 		if err == nil {
 			cvErr = mlearn.MeanRelativeError(rt, cvPred)
@@ -147,7 +137,7 @@ func BuildOnlineModels(idx *SubplanIndex, ops *OperatorLevelPredictor, queryRoot
 			}
 			continue
 		}
-		models, err := trainSubplanModels(occs, cfg.Mode, cfg.PlanCfg)
+		models, err := trainSubplanModels(occs, planCfg)
 		if err != nil {
 			if cfg.Cache != nil {
 				cfg.Cache.put(c.sig, nil)

@@ -7,6 +7,9 @@ import (
 	"qpp/internal/mlearn"
 )
 
+// ridgePenalty is the ridge penalty of ModelLinear.
+const ridgePenalty = 1e-3
+
 // ModelKind selects the regression model class.
 type ModelKind int
 
@@ -31,8 +34,6 @@ type PlanModelConfig struct {
 	Seed int64
 	// SVR hyperparameters.
 	C, Nu float64
-	// Ridge penalty for ModelLinear.
-	Lambda float64
 	// LogTarget fits log(latency) instead of latency; used for sub-plan
 	// models whose training occurrences span orders of magnitude across
 	// templates, where absolute-loss fitting would sacrifice the small
@@ -55,7 +56,6 @@ func DefaultPlanModelConfig() PlanModelConfig {
 		Seed:             1,
 		C:                10,
 		Nu:               0.5,
-		Lambda:           1e-3,
 	}
 }
 
@@ -66,7 +66,7 @@ func (cfg PlanModelConfig) factory() mlearn.ModelFactory {
 			// Relative-error-weighted least squares: operator run-times
 			// span orders of magnitude and the evaluation metric is mean
 			// *relative* error.
-			return mlearn.NewRelativeLinearRegression(cfg.Lambda)
+			return mlearn.NewRelativeLinearRegression(ridgePenalty)
 		}
 	default:
 		return func() mlearn.Regressor {

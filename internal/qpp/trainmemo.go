@@ -41,7 +41,7 @@ type memoConfig struct {
 	logTarget        bool
 	folds            int
 	seed             int64
-	c, nu, lambda    uint64
+	c, nu            uint64
 }
 
 func memoConfigOf(cfg PlanModelConfig, minRows int) memoConfig {
@@ -54,7 +54,6 @@ func memoConfigOf(cfg PlanModelConfig, minRows int) memoConfig {
 		seed:             cfg.Seed,
 		c:                math.Float64bits(cfg.C),
 		nu:               math.Float64bits(cfg.Nu),
-		lambda:           math.Float64bits(cfg.Lambda),
 	}
 }
 
@@ -104,7 +103,7 @@ func memoHash(x *mlearn.Matrix, y []float64, cfg memoConfig) uint64 {
 		flags |= 2
 	}
 	for _, v := range [...]uint64{
-		uint64(cfg.minRows), uint64(cfg.kind), flags, uint64(cfg.folds), uint64(cfg.seed), cfg.c, cfg.nu, cfg.lambda,
+		uint64(cfg.minRows), uint64(cfg.kind), flags, uint64(cfg.folds), uint64(cfg.seed), cfg.c, cfg.nu,
 		uint64(x.Rows), uint64(x.Cols),
 	} {
 		mix(v)

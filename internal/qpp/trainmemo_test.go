@@ -57,8 +57,7 @@ func requireSamePredictions(t *testing.T, what string, a, b *PlanModel, x *mlear
 // first one back.
 func TestTrainMemoCollisionTrainsBoth(t *testing.T) {
 	memo := &TrainMemo{hash: func(*mlearn.Matrix, []float64, memoConfig) uint64 { return 7 }}
-	cfg := subplanModelConfig()
-	cfg.Memo = memo
+	cfg := subplanModelConfig(memo)
 	direct := cfg
 	direct.Memo = nil
 
@@ -127,8 +126,7 @@ func TestTrainMemoCollisionTrainsBoth(t *testing.T) {
 func TestTrainMemoTrainsOncePerKey(t *testing.T) {
 	const goroutines, keys = 8, 3
 	memo := new(TrainMemo)
-	cfg := subplanModelConfig()
-	cfg.Memo = memo
+	cfg := subplanModelConfig(memo)
 	var xs [keys]*mlearn.Matrix
 	var ys [keys][]float64
 	for k := range xs {
@@ -174,8 +172,7 @@ func TestTrainMemoTrainsOncePerKey(t *testing.T) {
 // reference.
 func TestSharedPlanModelConcurrentReads(t *testing.T) {
 	x, y := memoProblem(20)
-	cfg := subplanModelConfig()
-	cfg.Memo = new(TrainMemo)
+	cfg := subplanModelConfig(new(TrainMemo))
 	pm, err := TrainPlanModel(x, y, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +261,6 @@ func TestTrainMemoKeyCoversConfig(t *testing.T) {
 		func(c *PlanModelConfig) { c.Folds = 2 },
 		func(c *PlanModelConfig) { c.Seed = 9 },
 		func(c *PlanModelConfig) { c.FeatureSelection = false },
-		func(c *PlanModelConfig) { c.Lambda = 0.5 },
 	} {
 		cfg := base
 		change(&cfg)

@@ -50,9 +50,6 @@ import (
 
 // Options configures a Server beyond its database and first snapshot.
 type Options struct {
-	// Margin widens the plan-level model's training feature range for
-	// the confidence check (0: qpp.ApplicabilityMargin).
-	Margin float64
 	// Now returns monotonic seconds for request latency measurement
 	// (nil: wall clock). Tests inject a deterministic clock so the
 	// /metrics dump is byte-stable.
@@ -60,11 +57,14 @@ type Options struct {
 	// Reload produces the next snapshot for POST /reload (nil: the
 	// endpoint answers 503).
 	Reload func() (*Snapshot, error)
-	// MaxBodyBytes caps request bodies (0: 1 MiB).
-	MaxBodyBytes int64
-	// MaxBatch caps /predict/batch sizes (0: 256).
-	MaxBatch int
 }
+
+// Request limits: a request body is at most bodyCap bytes, a
+// /predict/batch at most batchCap queries.
+const (
+	bodyCap  = 1 << 20
+	batchCap = 256
+)
 
 // endpointMetrics is the lock-free per-endpoint instrumentation. The
 // dump names are rendered once at construction so no request or scrape
@@ -103,12 +103,9 @@ type Server struct {
 	cacheMisses    obs.CCounter
 	cacheFallbacks obs.CCounter
 
-	now      func() float64
-	reload   func() (*Snapshot, error)
-	margin   float64
-	maxBody  int64
-	maxBatch int
-	mux      *http.ServeMux
+	now    func() float64
+	reload func() (*Snapshot, error)
+	mux    *http.ServeMux
 
 	mPredict, mBatch, mExplain, mMetrics, mHealth, mReload endpointMetrics
 }
@@ -118,26 +115,14 @@ type Server struct {
 // trained on — features are scale-dependent.
 func New(db *storage.Database, snap *Snapshot, opts Options) *Server {
 	s := &Server{
-		db:       db,
-		now:      opts.Now,
-		reload:   opts.Reload,
-		margin:   opts.Margin,
-		maxBody:  opts.MaxBodyBytes,
-		maxBatch: opts.MaxBatch,
-		mux:      http.NewServeMux(),
+		db:     db,
+		now:    opts.Now,
+		reload: opts.Reload,
+		mux:    http.NewServeMux(),
 	}
 	if s.now == nil {
 		start := time.Now()
 		s.now = func() float64 { return time.Since(start).Seconds() }
-	}
-	if s.margin == 0 {
-		s.margin = qpp.ApplicabilityMargin
-	}
-	if s.maxBody == 0 {
-		s.maxBody = 1 << 20
-	}
-	if s.maxBatch == 0 {
-		s.maxBatch = 256
 	}
 	initEndpoint(&s.mPredict, "predict")
 	initEndpoint(&s.mBatch, "predict_batch")
@@ -379,7 +364,7 @@ func (s *Server) predictOne(snap *Snapshot, sql string) (*PredictResult, int, st
 	if !served {
 		return nil, http.StatusUnprocessableEntity, "no model produced a finite, non-negative latency for this plan"
 	}
-	in := snap.Plan.Model.InRange(feats, s.margin)
+	in := snap.Plan.Model.InRange(feats, qpp.ApplicabilityMargin)
 	level := "low"
 	if in {
 		level = "high"
@@ -394,7 +379,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusMethodNotAllowed, "use POST")
 	}
 	var req PredictRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, bodyCap)).Decode(&req); err != nil {
 		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	snap := s.snap.Load()
@@ -412,14 +397,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusMethodNotAllowed, "use POST")
 	}
 	var req BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, bodyCap)).Decode(&req); err != nil {
 		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	if len(req.Queries) == 0 {
 		return writeError(w, http.StatusBadRequest, "empty batch")
 	}
-	if len(req.Queries) > s.maxBatch {
-		return writeError(w, http.StatusBadRequest, "batch of %d exceeds the %d-query cap", len(req.Queries), s.maxBatch)
+	if len(req.Queries) > batchCap {
+		return writeError(w, http.StatusBadRequest, "batch of %d exceeds the %d-query cap", len(req.Queries), batchCap)
 	}
 	snap := s.snap.Load()
 	out := BatchResponse{

@@ -348,11 +348,18 @@ func TestPredictNoUsableModelIs422(t *testing.T) {
 }
 
 func TestPredictBodyCap(t *testing.T) {
-	s := newTestServer(t, Options{MaxBodyBytes: 128})
-	big := predictBody(t, "select * from "+strings.Repeat("x", 4096))
-	w := do(s, http.MethodPost, "/predict", big)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("oversized body: status %d want 400", w.Code)
+	s := newTestServer(t, Options{})
+	// A valid request padded inside its object to exactly n bytes: the
+	// decoder must read the last byte to finish the value.
+	padded := func(n int) string {
+		head := strings.TrimSuffix(predictBody(t, templateSQL(t, 6, 1)), "}")
+		return head + strings.Repeat(" ", n-len(head)-1) + "}"
+	}
+	if w := do(s, http.MethodPost, "/predict", padded(bodyCap)); w.Code != http.StatusOK {
+		t.Fatalf("body at the cap: status %d want 200: %s", w.Code, w.Body.String())
+	}
+	if w := do(s, http.MethodPost, "/predict", padded(bodyCap+1)); w.Code != http.StatusBadRequest {
+		t.Fatalf("body one byte over the cap: status %d want 400", w.Code)
 	}
 }
 
@@ -399,14 +406,18 @@ func TestBatch(t *testing.T) {
 }
 
 func TestBatchErrors(t *testing.T) {
-	s := newTestServer(t, Options{MaxBatch: 2})
+	s := newTestServer(t, Options{})
+	batchOf := func(n int) string {
+		return `{"queries": [` + strings.TrimSuffix(strings.Repeat(`{"sql":"a"},`, n), ",") + `]}`
+	}
 	for _, tc := range []struct {
 		name, body string
 		wantStatus int
 	}{
 		{"empty", `{"queries": []}`, http.StatusBadRequest},
 		{"missing", `{}`, http.StatusBadRequest},
-		{"over cap", `{"queries": [{"sql":"a"},{"sql":"b"},{"sql":"c"}]}`, http.StatusBadRequest},
+		{"at cap", batchOf(batchCap), http.StatusOK},
+		{"over cap", batchOf(batchCap + 1), http.StatusBadRequest},
 		{"malformed", `{"queries": `, http.StatusBadRequest},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -73,55 +73,3 @@ func (c *CountMin) EstimateHash(h uint64) uint64 {
 
 // N returns the total number of observations.
 func (c *CountMin) N() uint64 { return c.n }
-
-// Merge folds other into c (counter-wise addition). Commutative:
-// merge(a,b) and merge(b,a) are byte-identical.
-func (c *CountMin) Merge(other *CountMin) {
-	for i := range c.rows {
-		for j := range c.rows[i] {
-			c.rows[i][j] += other.rows[i][j]
-		}
-	}
-	c.n += other.n
-}
-
-// MarshalBinary renders the sketch in its canonical byte encoding.
-func (c *CountMin) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, 2+8+CountMinDepth*CountMinWidth*8)
-	out = appendHeader(out, kindCountMin)
-	out = appendU64(out, c.n)
-	for i := range c.rows {
-		for j := range c.rows[i] {
-			out = appendU64(out, c.rows[i][j])
-		}
-	}
-	return out, nil
-}
-
-// UnmarshalBinary restores a sketch from MarshalBinary output.
-func (c *CountMin) UnmarshalBinary(data []byte) error {
-	body, err := checkHeader(data, kindCountMin)
-	if err != nil {
-		return err
-	}
-	want := 8 + CountMinDepth*CountMinWidth*8
-	if len(body) != want {
-		return errSizef("countmin", len(body), want)
-	}
-	n, body, err := readU64(body)
-	if err != nil {
-		return err
-	}
-	c.n = n
-	for i := range c.rows {
-		for j := range c.rows[i] {
-			v, rest, err := readU64(body)
-			if err != nil {
-				return err
-			}
-			c.rows[i][j] = v
-			body = rest
-		}
-	}
-	return nil
-}

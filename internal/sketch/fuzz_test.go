@@ -10,30 +10,20 @@ import (
 // FuzzSketch drives all three sketches from one fuzzed byte stream,
 // checking the invariants that must hold on arbitrary input:
 //
-//   - inserts and merges never panic,
+//   - inserts never panic,
 //   - counts are monotone (Count-Min estimates only grow, HLL estimates
 //     never shrink, quantile N equals the insert count),
-//   - marshal → unmarshal → marshal is a byte-identical fixed point,
-//   - unmarshal of arbitrary bytes never panics (error or success).
+//   - quantile bounds are monotone non-decreasing.
 //
-// The input is consumed as a little program: each 9-byte chunk is one
-// opcode byte plus an 8-byte operand used as a key and, reinterpreted,
-// as a float for the quantile sketch.
+// The input is consumed in 9-byte chunks: one skipped byte plus an
+// 8-byte operand used as a key and, reinterpreted, as a float for the
+// quantile sketch.
 func FuzzSketch(f *testing.F) {
 	f.Add([]byte("seed"))
 	f.Add(bytes.Repeat([]byte{0x51, 1, 2, 3, 4, 5, 6, 7, 8}, 12))
-	f.Add(func() []byte {
-		h := NewHLL()
-		h.Add([]byte("x"))
-		b, _ := h.MarshalBinary()
-		return b
-	}())
+	// Operands that read as NaN: the quantile sketch must skip them.
+	f.Add(bytes.Repeat([]byte{0x4e, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f}, 12))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Arbitrary bytes must never panic any decoder.
-		_ = NewHLL().UnmarshalBinary(data)
-		_ = NewCountMin().UnmarshalBinary(data)
-		_ = NewQuantile().UnmarshalBinary(data)
-
 		// Cap the interpreted program: HLL.Estimate is an O(m) register
 		// scan per chunk, and unbounded inputs would make single execs
 		// arbitrarily slow without covering anything new.
@@ -41,31 +31,21 @@ func FuzzSketch(f *testing.F) {
 			data = data[:4096]
 		}
 
-		h, h2 := NewHLL(), NewHLL()
-		cm, cm2 := NewCountMin(), NewCountMin()
-		q, q2 := NewQuantile(), NewQuantile()
+		h, cm, q := NewHLL(), NewCountMin(), NewQuantile()
 		tk := NewTopK(8)
 		var quantN uint64
 		prevHLL := 0.0
 		for i := 0; i+9 <= len(data); i += 9 {
-			op, key := data[i], data[i+1:i+9]
-			// Alternate target sketch by opcode parity to exercise merges
-			// of unequal states.
-			ht, ct, qt := h, cm, q
-			if op&1 == 1 {
-				ht, ct, qt = h2, cm2, q2
-			}
-			ht.Add(key)
-			if est := ht.Estimate(); est < prevHLL && op&1 == 0 && ht == h {
-				// HLL estimates are monotone under inserts into the same
-				// sketch: registers only grow.
+			key := data[i+1 : i+9]
+			h.Add(key)
+			// HLL estimates are monotone under inserts: registers only grow.
+			if est := h.Estimate(); est < prevHLL {
 				t.Fatalf("hll estimate shrank: %g -> %g", prevHLL, est)
+			} else {
+				prevHLL = est
 			}
-			if ht == h {
-				prevHLL = h.Estimate()
-			}
-			before := ct.Estimate(key)
-			after := ct.Add(key, 1)
+			before := cm.Estimate(key)
+			after := cm.Add(key, 1)
 			if after < before+1 {
 				t.Fatalf("countmin estimate not monotone: %d then add -> %d", before, after)
 			}
@@ -74,54 +54,11 @@ func FuzzSketch(f *testing.F) {
 			if !math.IsNaN(v) {
 				quantN++
 			}
-			qt.Add(v)
+			q.Add(v)
 		}
-		if q.N()+q2.N() != quantN {
-			t.Fatalf("quantile N %d+%d, inserted %d", q.N(), q2.N(), quantN)
-		}
-
-		// Merge both halves together; never panics, N adds up.
-		h.Merge(h2)
-		cm.Merge(cm2)
-		q.Merge(q2)
 		if q.N() != quantN {
-			t.Fatalf("merged quantile N %d, inserted %d", q.N(), quantN)
+			t.Fatalf("quantile N %d, inserted %d", q.N(), quantN)
 		}
-
-		// Round-trip fixed point for each sketch kind.
-		roundTrip := func(name string, b1 []byte, dec func([]byte) ([]byte, error)) {
-			b2, err := dec(b1)
-			if err != nil {
-				t.Fatalf("%s: decode of own encoding failed: %v", name, err)
-			}
-			if !bytes.Equal(b1, b2) {
-				t.Fatalf("%s: round trip not a fixed point", name)
-			}
-		}
-		hb, _ := h.MarshalBinary()
-		roundTrip("hll", hb, func(b []byte) ([]byte, error) {
-			x := NewHLL()
-			if err := x.UnmarshalBinary(b); err != nil {
-				return nil, err
-			}
-			return x.MarshalBinary()
-		})
-		cb, _ := cm.MarshalBinary()
-		roundTrip("countmin", cb, func(b []byte) ([]byte, error) {
-			x := NewCountMin()
-			if err := x.UnmarshalBinary(b); err != nil {
-				return nil, err
-			}
-			return x.MarshalBinary()
-		})
-		qb, _ := q.MarshalBinary()
-		roundTrip("quantile", qb, func(b []byte) ([]byte, error) {
-			x := NewQuantile()
-			if err := x.UnmarshalBinary(b); err != nil {
-				return nil, err
-			}
-			return x.MarshalBinary()
-		})
 
 		// Bounds must be monotone non-decreasing whatever was inserted.
 		if bounds := q.Bounds(10); len(bounds) > 0 {

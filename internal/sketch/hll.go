@@ -112,35 +112,3 @@ func hllTau(x float64) float64 {
 func (h *HLL) RelativeErrorBound() float64 {
 	return 1.04 / math.Sqrt(hllM)
 }
-
-// Merge folds other into h (register-wise max). Merging is commutative
-// and idempotent: merge(a,b) and merge(b,a) are byte-identical.
-func (h *HLL) Merge(other *HLL) {
-	for i, r := range other.reg {
-		if r > h.reg[i] {
-			h.reg[i] = r
-		}
-	}
-}
-
-// MarshalBinary renders the sketch in its canonical byte encoding.
-func (h *HLL) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, 2+hllM)
-	out = appendHeader(out, kindHLL)
-	out = append(out, h.reg...)
-	return out, nil
-}
-
-// UnmarshalBinary restores a sketch from MarshalBinary output.
-func (h *HLL) UnmarshalBinary(data []byte) error {
-	body, err := checkHeader(data, kindHLL)
-	if err != nil {
-		return err
-	}
-	if len(body) != hllM {
-		return errSizef("hll", len(body), hllM)
-	}
-	h.reg = make([]uint8, hllM)
-	copy(h.reg, body)
-	return nil
-}

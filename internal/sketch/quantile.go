@@ -18,17 +18,14 @@ const QuantileCap = 2048
 // budget covers: boundaries for bins <= this are within N/bins ranks.
 const QuantileBinsMax = 100
 
-// Quantile is a deterministic mergeable streaming quantile sketch in
-// the Manku-Rajagopalan-Lindsay compaction family. Level l holds items
+// Quantile is a deterministic streaming quantile sketch in the
+// Manku-Rajagopalan-Lindsay compaction family. Level l holds items
 // of weight 2^l, sorted ascending; a full level compacts upward by
 // keeping alternating items (the parity alternates per compaction via a
 // counter, cancelling the fixed-offset bias). Exact min/max are tracked
 // on the side so histogram end bounds never drift.
 //
-// Memory is O(cap · log(N/cap)) regardless of stream length. Merging
-// concatenates levels and re-compacts; because levels are value
-// multisets and compaction sorts first, merge is commutative down to
-// the serialized bytes.
+// Memory is O(cap · log(N/cap)) regardless of stream length.
 type Quantile struct {
 	levels  [][]float64
 	compact []uint64 // per-level compaction counter (parity source)
@@ -43,8 +40,7 @@ func NewQuantile() *Quantile {
 }
 
 // Add observes one value. NaN is ignored: it has no rank, and admitting
-// it would make sorted order (and therefore the canonical encoding)
-// ill-defined.
+// it would make sorted order ill-defined.
 func (q *Quantile) Add(v float64) {
 	if math.IsNaN(v) {
 		return
@@ -76,9 +72,9 @@ func (q *Quantile) Min() float64 { return q.min }
 func (q *Quantile) Max() float64 { return q.max }
 
 // compactFrom halves every full level starting at l, promoting pairs
-// upward. Levels are sorted before pairing, so the state after
-// compaction depends only on the level's value multiset and the
-// compaction counter — the property the commutative merge relies on.
+// upward. A level is sorted before pairing, so each surviving item
+// stands for its neighbour in value order and the rank error stays
+// bounded.
 func (q *Quantile) compactFrom(l int) {
 	for ; l < len(q.levels); l++ {
 		if len(q.levels[l]) < QuantileCap {
@@ -103,39 +99,6 @@ func (q *Quantile) compactFrom(l int) {
 			q.levels[l] = append(lv[:0], lv[len(lv)-1])
 		} else {
 			q.levels[l] = lv[:0]
-		}
-	}
-}
-
-// Merge folds other into q. Commutative: merge(a,b) and merge(b,a)
-// marshal identically.
-func (q *Quantile) Merge(other *Quantile) {
-	if other.n == 0 {
-		return
-	}
-	if other.min < q.min {
-		q.min = other.min
-	}
-	if other.max > q.max {
-		q.max = other.max
-	}
-	q.n += other.n
-	for l := 0; l < len(other.levels); l++ {
-		for len(q.levels) <= l {
-			q.levels = append(q.levels, make([]float64, 0, QuantileCap))
-			q.compact = append(q.compact, 0)
-		}
-		q.levels[l] = append(q.levels[l], other.levels[l]...)
-		q.compact[l] += other.compact[l]
-	}
-	// Sort every level before re-compacting so the result depends only
-	// on the combined multisets, not on which operand came first.
-	for l := range q.levels {
-		sort.Float64s(q.levels[l])
-	}
-	for l := 0; l < len(q.levels); l++ {
-		for len(q.levels[l]) >= QuantileCap {
-			q.compactFrom(l)
 		}
 	}
 }
@@ -202,93 +165,4 @@ func (q *Quantile) Bounds(bins int) []float64 {
 		}
 	}
 	return bounds
-}
-
-// MarshalBinary renders the sketch canonically: levels are sorted
-// before encoding, so states equal as multisets marshal identically.
-func (q *Quantile) MarshalBinary() ([]byte, error) {
-	out := appendHeader(nil, kindQuantile)
-	out = appendU64(out, q.n)
-	out = appendU64(out, math.Float64bits(q.min))
-	out = appendU64(out, math.Float64bits(q.max))
-	out = appendU64(out, uint64(len(q.levels)))
-	for l, lv := range q.levels {
-		sorted := append([]float64(nil), lv...)
-		sort.Float64s(sorted)
-		out = appendU64(out, q.compact[l])
-		out = appendU64(out, uint64(len(sorted)))
-		for _, v := range sorted {
-			out = appendU64(out, math.Float64bits(v))
-		}
-	}
-	return out, nil
-}
-
-// UnmarshalBinary restores a sketch from MarshalBinary output.
-func (q *Quantile) UnmarshalBinary(data []byte) error {
-	body, err := checkHeader(data, kindQuantile)
-	if err != nil {
-		return err
-	}
-	rd := func() (uint64, error) {
-		v, rest, err := readU64(body)
-		body = rest
-		return v, err
-	}
-	n, err := rd()
-	if err != nil {
-		return err
-	}
-	minBits, err := rd()
-	if err != nil {
-		return err
-	}
-	maxBits, err := rd()
-	if err != nil {
-		return err
-	}
-	nLevels, err := rd()
-	if err != nil {
-		return err
-	}
-	if nLevels > 64 {
-		return errSizef("quantile levels", int(nLevels), 64)
-	}
-	min, max := math.Float64frombits(minBits), math.Float64frombits(maxBits)
-	if math.IsNaN(min) || math.IsNaN(max) {
-		return errNaN
-	}
-	q.n = n
-	q.min = min
-	q.max = max
-	q.levels = make([][]float64, 0, nLevels)
-	q.compact = make([]uint64, 0, nLevels)
-	for l := uint64(0); l < nLevels; l++ {
-		c, err := rd()
-		if err != nil {
-			return err
-		}
-		sz, err := rd()
-		if err != nil {
-			return err
-		}
-		if sz > QuantileCap {
-			return errSizef("quantile level", int(sz), QuantileCap)
-		}
-		lv := make([]float64, 0, QuantileCap)
-		for i := uint64(0); i < sz; i++ {
-			bits, err := rd()
-			if err != nil {
-				return err
-			}
-			v := math.Float64frombits(bits)
-			if math.IsNaN(v) {
-				return errNaN
-			}
-			lv = append(lv, v)
-		}
-		q.levels = append(q.levels, lv)
-		q.compact = append(q.compact, c)
-	}
-	return nil
 }

@@ -3,10 +3,9 @@
 // frequencies (with a deterministic top-k candidate heap for MCV lists),
 // and a deterministic compacting quantile sketch for equi-depth histogram
 // bounds. Everything is stdlib-only and deterministic: hashing is seeded
-// by fixed constants, compaction follows a fixed schedule, and merges are
-// commutative down to the serialized byte level — merge(a,b) and
-// merge(b,a) marshal identically. None of the sketches ever reads the
-// wall clock or the global rand source; the package sits inside the
+// by fixed constants and compaction follows a fixed schedule, so the same
+// stream always yields the same state. None of the sketches ever reads
+// the wall clock or the global rand source; the package sits inside the
 // repo's deterministic core (qpplint enforces this).
 //
 // Error guarantees (checked by property tests in sketch_test.go):
@@ -18,11 +17,6 @@
 //     for bins <= QuantileBinsMax (the compaction budget is sized so the
 //     deterministic worst case stays under 1%).
 package sketch
-
-import (
-	"encoding/binary"
-	"fmt"
-)
 
 // hashSeed fixes the hash function once and for all: repeated ANALYZE
 // runs over the same data are bit-identical.
@@ -52,56 +46,4 @@ func mix64(h uint64) uint64 {
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
 	return h
-}
-
-// Binary layout helpers. Every sketch serializes as
-//
-//	magic byte | format version byte | sketch-specific payload
-//
-// with all integers little-endian and all floats IEEE-754 bit patterns.
-// The encoding is canonical: equal sketch states marshal to equal bytes.
-const formatVersion = 1
-
-// Magic bytes distinguishing the sketch kinds on the wire.
-const (
-	kindHLL      byte = 0x48 // 'H'
-	kindCountMin byte = 0x43 // 'C'
-	kindQuantile byte = 0x51 // 'Q'
-)
-
-func appendHeader(b []byte, kind byte) []byte {
-	return append(b, kind, formatVersion)
-}
-
-func checkHeader(b []byte, kind byte) ([]byte, error) {
-	if len(b) < 2 {
-		return nil, fmt.Errorf("sketch: truncated input (%d bytes)", len(b))
-	}
-	if b[0] != kind {
-		return nil, fmt.Errorf("sketch: kind byte 0x%02x, want 0x%02x", b[0], kind)
-	}
-	if b[1] != formatVersion {
-		return nil, fmt.Errorf("sketch: format version %d, this build reads %d", b[1], formatVersion)
-	}
-	return b[2:], nil
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-
-func readU64(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, fmt.Errorf("sketch: truncated uint64")
-	}
-	return binary.LittleEndian.Uint64(b), b[8:], nil
-}
-
-// errNaN rejects NaN payloads on decode: Add never admits NaN (it has
-// no rank), so a NaN on the wire is corruption, and accepting it would
-// break canonical-encoding idempotence.
-var errNaN = fmt.Errorf("sketch: NaN in quantile payload")
-
-func errSizef(what string, got, want int) error {
-	return fmt.Errorf("sketch: %s payload is %d bytes, want %d", what, got, want)
 }

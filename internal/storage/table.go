@@ -138,19 +138,6 @@ func (idx *Index) compareRows(a, b int32) int {
 			}
 			continue
 		}
-		// Integers order exactly (types.Compare goes through float64), so
-		// rows the equality table tells apart are never interleaved.
-		if ai, ok := va.KeyInt(); ok {
-			if bi, ok := vb.KeyInt(); ok {
-				if ai != bi {
-					if ai < bi {
-						return -1
-					}
-					return 1
-				}
-				continue
-			}
-		}
 		if cmp := types.Compare(va, vb); cmp != 0 {
 			return cmp
 		}

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -40,6 +41,28 @@ func TestCompare(t *testing.T) {
 	}
 	if !Equal(Date(10), Date(10)) {
 		t.Fatal("date equality")
+	}
+	// Integers compare by payload and against floats exactly, where a
+	// float64 holds neither 2^53+1 nor MaxInt64.
+	const big = 1 << 53
+	for _, c := range []struct {
+		a, b Value
+		want int
+	}{
+		{Int(big), Int(big + 1), -1},
+		{Date(big + 1), Int(big), 1},
+		{Int(big + 1), Float(big), 1},
+		{Float(big), Int(big + 1), -1},
+		{Int(big), Float(big), 0},
+		{Int(math.MaxInt64), Float(1 << 63), -1},
+		{Int(math.MinInt64), Float(-1 << 63), 0},
+		{Int(-3), Float(-2.5), -1},
+		{Int(2), Float(2.5), -1},
+		{Int(3), Float(math.NaN()), 0},
+	} {
+		if got := Compare(c.a, c.b); got != c.want {
+			t.Errorf("Compare(%#v, %#v) = %d, want %d", c.a, c.b, got, c.want)
+		}
 	}
 }
 

@@ -172,31 +172,59 @@ func (v Value) Width() int {
 }
 
 // Compare orders two non-null values of compatible kinds: -1, 0, or +1.
-// Cross int/float comparisons are performed in float64. Panics on
-// incomparable kinds — the planner guarantees type-compatible comparisons.
+// Integer kinds (int, date, bool) compare by their int64 payload, floats
+// as floats, and an integer against a float exactly, as KeyEqual does; a
+// NaN compares 0 with everything. Panics on incomparable kinds — the
+// planner guarantees type-compatible comparisons.
 func Compare(a, b Value) int {
 	if a.Kind == KindString && b.Kind == KindString {
-		switch {
-		case a.S() < b.S():
-			return -1
-		case a.S() > b.S():
-			return 1
-		default:
-			return 0
-		}
+		return cmp3(a.S(), b.S())
 	}
 	if a.Numeric() && b.Numeric() || a.Kind == KindBool && b.Kind == KindBool {
-		af, bf := a.AsFloat(), b.AsFloat()
 		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
+		case a.Kind != KindFloat && b.Kind != KindFloat:
+			return cmp3(a.I(), b.I())
+		case a.Kind == KindFloat && b.Kind == KindFloat:
+			return cmp3(a.F(), b.F())
+		case a.Kind == KindFloat:
+			return -cmpIntFloat(b.I(), a.F())
 		default:
-			return 0
+			return cmpIntFloat(a.I(), b.F())
 		}
 	}
 	panic(fmt.Sprintf("types: cannot compare %s and %s", a.Kind, b.Kind))
+}
+
+// cmp3 is the three-way comparison of two ordered values; unordered
+// floats (a NaN) compare 0.
+func cmp3[T int64 | float64 | string](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// cmpIntFloat orders i against f without rounding i to a float64.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case math.IsNaN(f):
+		return 0
+	case f >= 1<<63:
+		return -1
+	case f < -1<<63:
+		return 1
+	}
+	// t is f truncated toward zero, exactly; i and t are both int64.
+	t := int64(f)
+	if c := cmp3(i, t); c != 0 {
+		return c
+	}
+	// i == t: f's fractional part decides (float64(t) is exact).
+	return cmp3(float64(t), f)
 }
 
 // Equal reports whether two values compare equal (NULLs are never equal).

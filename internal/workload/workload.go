@@ -40,8 +40,6 @@ type Config struct {
 	// TimeLimit is the virtual-seconds execution cap per query (the
 	// paper's one hour); 0 disables it.
 	TimeLimit float64
-	// Profile is the virtual device profile (zero value: DefaultProfile).
-	Profile *vclock.DeviceProfile
 	// Parallelism is the number of worker goroutines executing queries
 	// (<= 0: GOMAXPROCS, 1: serial). Results are bit-identical for every
 	// value: each query's seed depends only on its workload index.
@@ -96,9 +94,6 @@ func Build(cfg Config) (*Dataset, error) {
 	}
 	ds := &Dataset{DB: db, TimedOut: map[int]int{}, Config: cfg}
 	prof := vclock.DefaultProfile()
-	if cfg.Profile != nil {
-		prof = *cfg.Profile
-	}
 	// Noise seeds are drawn serially, indexed by workload position, before
 	// any query runs: seed i is the i-th draw from the noise stream no
 	// matter how many workers execute the queries or in what order they

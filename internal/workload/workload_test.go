@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"qpp/internal/qpp"
-	"qpp/internal/vclock"
 )
 
 func buildSmall(t *testing.T, cfg Config) *Dataset {
@@ -110,25 +109,5 @@ func TestHelpers(t *testing.T) {
 	tpls := TemplatesPresent(recs)
 	if len(tpls) != 3 || tpls[0] != 1 || tpls[2] != 6 {
 		t.Fatalf("templates %v", tpls)
-	}
-}
-
-func TestCustomProfile(t *testing.T) {
-	slow := vclock.DefaultProfile()
-	slow.SeqPageRead *= 10
-	slow.NoiseSigma = 0
-	fast := vclock.DefaultProfile()
-	fast.NoiseSigma = 0
-	cfgBase := Config{ScaleFactor: 0.002, Templates: []int{6}, PerTemplate: 1, Seed: 2}
-
-	cfgSlow := cfgBase
-	cfgSlow.Profile = &slow
-	cfgFast := cfgBase
-	cfgFast.Profile = &fast
-	dsSlow := buildSmall(t, cfgSlow)
-	dsFast := buildSmall(t, cfgFast)
-	if dsSlow.Records[0].Time <= dsFast.Records[0].Time {
-		t.Fatalf("slower disk must yield longer latency: %v vs %v",
-			dsSlow.Records[0].Time, dsFast.Records[0].Time)
 	}
 }

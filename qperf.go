@@ -34,8 +34,7 @@ import (
 
 // Engine is an embedded TPC-H database with an instrumented executor.
 type Engine struct {
-	db      *storage.Database
-	profile vclock.DeviceProfile
+	db *storage.Database
 }
 
 // EngineConfig configures NewEngine.
@@ -44,8 +43,6 @@ type EngineConfig struct {
 	ScaleFactor float64
 	// Seed drives deterministic data generation.
 	Seed int64
-	// Profile overrides the virtual device model (nil: DefaultProfile).
-	Profile *vclock.DeviceProfile
 }
 
 // NewEngine generates and loads a TPC-H database.
@@ -54,11 +51,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof := vclock.DefaultProfile()
-	if cfg.Profile != nil {
-		prof = *cfg.Profile
-	}
-	return &Engine{db: db, profile: prof}, nil
+	return &Engine{db: db}, nil
 }
 
 // DB exposes the underlying database (schema, tables, statistics).
@@ -93,7 +86,7 @@ func (e *Engine) Run(query string, seed int64) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	clock := vclock.NewClock(e.profile, seed)
+	clock := vclock.NewClock(vclock.DefaultProfile(), seed)
 	res, err := exec.Run(e.db, node, clock, exec.Options{})
 	if err != nil {
 		return nil, err
@@ -112,7 +105,7 @@ func (e *Engine) RunTraced(query string, seed int64) (*QueryResult, *obs.Trace, 
 	if err != nil {
 		return nil, nil, err
 	}
-	clock := vclock.NewClock(e.profile, seed)
+	clock := vclock.NewClock(vclock.DefaultProfile(), seed)
 	tr := obs.NewTrace(clock)
 	res, err := exec.Run(e.db, node, clock, exec.Options{Trace: tr})
 	if err != nil {

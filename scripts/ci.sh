@@ -27,8 +27,8 @@
 #   8. serve smoke — 5s of FuzzPredictRequest on the qppserve /predict
 #                    decode→plan→predict path
 #   9. sketch smoke — 5s of FuzzSketch on the streaming-statistics
-#                    sketches (decoder robustness + cross-sketch
-#                    invariants; see internal/sketch)
+#                    sketches (insert-side invariants: monotone counts
+#                    and bounds; see internal/sketch)
 #  10. plancache smoke — 5s of FuzzCanonicalSignature on the plan-cache
 #                    template signature (literal perturbation must never
 #                    change a query's canonical key; see
