@@ -1,6 +1,7 @@
 package qperf_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -9,6 +10,7 @@ import (
 	"reflect"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -137,6 +139,22 @@ func TestDocsNameExistingRulesAndDrivers(t *testing.T) {
 		submatches(regexp.MustCompile("(?m)^- `([a-z0-9]+)` — "), section(t, "README.md", "## Reproducing the paper's evaluation", "\n## ")), drivers)
 }
 
+// TestDocsListDeterministicCore fails when DESIGN.md §7's brace list of
+// deterministic-core packages drifts from analysis.DeterministicCore, the
+// list the nondeterminism rule actually enforces.
+func TestDocsListDeterministicCore(t *testing.T) {
+	rule := section(t, "DESIGN.md", "- `nondeterminism` — ", "- `maporder` — ")
+	m := regexp.MustCompile("`internal/\\{([a-z,]+)\\}`").FindStringSubmatch(rule)
+	if m == nil {
+		t.Fatal("DESIGN.md §7's nondeterminism bullet has no `internal/{...}` package list")
+	}
+	var core []string
+	for _, p := range analysis.DeterministicCore {
+		core = append(core, strings.TrimPrefix(p, "qpp/internal/"))
+	}
+	sameNames(t, "DESIGN.md §7 deterministic core", strings.Split(m[1], ","), core)
+}
+
 // TestUnsafeOnlyInTypes: the value layout is the one place the module
 // reasons about memory by hand (internal/types/value.go keeps a string as
 // pointer + length). Every other non-test file outside the nested bench/
@@ -204,5 +222,66 @@ func TestConfigSurface(t *testing.T) {
 		if strings.Join(got, " ") != c.fields {
 			t.Errorf("%s has fields %v, the list says %s", rt, got, c.fields)
 		}
+	}
+}
+
+// flagDefRE matches the flag package's defining functions, as package
+// functions or FlagSet methods: the name is the first argument, or the
+// second for the *Var forms.
+var flagDefRE = regexp.MustCompile(`^(Bool|Duration|Float64|Func|Int|Int64|String|Uint|Uint64)(Var)?$`)
+
+// TestFlagSurface is TestConfigSurface for the command lines: it pins
+// every flag each cmd/*/main.go defines, so a flag nobody passes cannot
+// accumulate unnoticed and removing one means editing this list.
+func TestFlagSurface(t *testing.T) {
+	want := map[string]string{
+		"qppexp":     "exp quick large-sf small-sf per-template seed parallel metrics trace cpuprofile memprofile",
+		"qppexplain": "sf seed template query analyze trace",
+		"qpplint":    "json",
+		"qppserve":   "addr models sf seed per-template strategy parallel",
+		"qpptrain":   "sf per-template test-per-template seed out load strategy parallel cpuprofile memprofile",
+		"tpchgen":    "sf seed out tables",
+	}
+	mains, err := filepath.Glob("cmd/*/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cmds []string
+	for _, path := range mains {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var flags []string
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !flagDefRE.MatchString(sel.Sel.Name) {
+				return true
+			}
+			arg := 0
+			if strings.HasSuffix(sel.Sel.Name, "Var") {
+				arg = 1
+			}
+			if len(call.Args) > arg {
+				if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					flags = append(flags, name)
+				}
+			}
+			return true
+		})
+		cmd := filepath.Base(filepath.Dir(path))
+		cmds = append(cmds, cmd)
+		sameNames(t, path+" flags", strings.Fields(want[cmd]), flags)
+	}
+	if len(cmds) != len(want) {
+		t.Errorf("cmd/ has commands %v, the list has %d", cmds, len(want))
 	}
 }

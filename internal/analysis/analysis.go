@@ -16,10 +16,12 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -199,34 +201,19 @@ func (idx suppressionIndex) suppressed(f Finding) bool {
 // comment (or repairing its rule name), never stacking another ignore.
 func (idx suppressionIndex) unusedFindings() []Finding {
 	var out []Finding
-	files := make([]string, 0, len(idx))
-	for file := range idx {
-		files = append(files, file)
-	}
-	sort.Strings(files)
-	for _, file := range files {
+	for _, file := range sortedKeys(idx) {
 		lines := idx[file]
-		nums := make([]int, 0, len(lines))
-		for line := range lines {
-			nums = append(nums, line)
-		}
-		sort.Ints(nums)
-		for _, line := range nums {
+		for _, line := range sortedKeys(lines) {
 			for _, e := range lines[line] {
 				if e.used {
 					continue
 				}
-				names := make([]string, 0, len(e.rules))
-				for name := range e.rules {
-					names = append(names, name)
-				}
-				sort.Strings(names)
 				out = append(out, Finding{
 					Pos:  e.pos,
 					Rule: "unusedignore",
 					Message: fmt.Sprintf(
 						"//qpplint:ignore %s suppresses nothing on this or the next line; delete the stale comment or fix the rule name",
-						strings.Join(names, ",")),
+						strings.Join(sortedKeys(e.rules), ",")),
 				})
 			}
 		}
@@ -253,9 +240,19 @@ func init() {
 			"not stale)",
 		// The detection runs inside Module.Check after suppression
 		// filtering, where comment usage is known; the registration
-		// exists so -list, -rules and the registry tests see the rule.
+		// gives the rule its zero count in the JSON report.
 		Run: func(*Pass) {},
 	})
+}
+
+// sortedKeys returns the keys of m in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // rootIdent returns the leftmost identifier of a selector/index chain

@@ -160,7 +160,7 @@ func TestJSONReportRoundTrip(t *testing.T) {
 	if len(findings) == 0 {
 		t.Fatal("no findings to report")
 	}
-	rep := NewReport("testdata", nil, findings)
+	rep := NewReport("testdata", findings)
 
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(rep); err != nil {

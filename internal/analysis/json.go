@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -27,21 +26,16 @@ type Report struct {
 	Total    int            `json:"total"`
 }
 
-// NewReport converts findings into a Report, relativizing file paths
-// against root (absolute paths outside root are kept as-is). ran lists
-// the rules that actually executed (nil means the full registry): only
-// those get a zero entry, so a partial `-rules` run does not claim
-// unselected rules are clean.
-func NewReport(root string, ran []Rule, findings []Finding) Report {
+// NewReport converts the findings of a full run into a Report,
+// relativizing file paths against root (absolute paths outside root are
+// kept as-is).
+func NewReport(root string, findings []Finding) Report {
 	rep := Report{
 		Findings: make([]JSONFinding, 0, len(findings)),
 		ByRule:   map[string]int{},
 		Total:    len(findings),
 	}
-	if ran == nil {
-		ran = Rules()
-	}
-	for _, r := range ran {
+	for _, r := range Rules() {
 		rep.ByRule[r.Name] = 0
 	}
 	for _, f := range findings {
@@ -66,13 +60,8 @@ func NewReport(root string, ran []Rule, findings []Finding) Report {
 // Summary renders the per-rule counts as one line, non-zero rules
 // first: `3 findings (hotalloc:2 maporder:1; clean: errdrop, ...)`.
 func (r Report) Summary() string {
-	names := make([]string, 0, len(r.ByRule))
-	for name := range r.ByRule {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var hits, clean []string
-	for _, name := range names {
+	for _, name := range sortedKeys(r.ByRule) {
 		if n := r.ByRule[name]; n > 0 {
 			hits = append(hits, name+":"+strconv.Itoa(n))
 		} else {

@@ -49,39 +49,47 @@ func isMapRange(pass *Pass, rs *ast.RangeStmt) bool {
 	return ok
 }
 
-// collectSortCalls records, per object, the positions where it is passed
-// as the first argument to a sort/slices function — the second half of
-// the collect-then-sort idiom, which makes an in-loop append legal.
+// collectSortCalls records, per object, the positions where it is
+// sorted, which makes an in-loop append to it legal.
 func collectSortCalls(pass *Pass, body *ast.BlockStmt) map[types.Object][]token.Pos {
 	out := map[types.Object][]token.Pos{}
 	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		pkgName, ok := pass.Pkg.Info.Uses[id].(*types.PkgName)
-		if !ok {
-			return true
-		}
-		switch pkgName.Imported().Path() {
-		case "sort", "slices":
-			if root := rootIdent(call.Args[0]); root != nil {
-				if obj := pass.Pkg.Info.ObjectOf(root); obj != nil {
-					out[obj] = append(out[obj], call.Pos())
-				}
+		if call, ok := n.(*ast.CallExpr); ok {
+			if obj := sortedObject(pass.Pkg.Info, call); obj != nil {
+				out[obj] = append(out[obj], call.Pos())
 			}
 		}
 		return true
 	})
 	return out
+}
+
+// sortedObject returns the variable a call to a sort/slices function
+// sorts (the root of its first argument) — the second half of the
+// collect-then-sort idiom — or nil for any other call.
+func sortedObject(info *types.Info, call *ast.CallExpr) types.Object {
+	if len(call.Args) == 0 {
+		return nil
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	pkgName, ok := info.Uses[id].(*types.PkgName)
+	if !ok {
+		return nil
+	}
+	switch pkgName.Imported().Path() {
+	case "sort", "slices":
+		if root := rootIdent(call.Args[0]); root != nil {
+			return info.ObjectOf(root)
+		}
+	}
+	return nil
 }
 
 func checkMapRangeBody(pass *Pass, rs *ast.RangeStmt, sorted map[types.Object][]token.Pos) {

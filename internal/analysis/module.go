@@ -39,8 +39,6 @@ type Module struct {
 	funcs     map[string]*FuncInfo
 	funcNames []string // sorted index keys, for deterministic iteration
 
-	cfgs map[*ast.BlockStmt]*funcCFG
-
 	// Memoized pass state, built on first use.
 	nondet   map[string]*nondetSummary
 	nondetOK bool
@@ -53,7 +51,6 @@ func NewModule(pkgs []*Package) *Module {
 	m := &Module{
 		Pkgs:  pkgs,
 		funcs: map[string]*FuncInfo{},
-		cfgs:  map[*ast.BlockStmt]*funcCFG{},
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -79,16 +76,6 @@ func NewModule(pkgs []*Package) *Module {
 	}
 	sort.Strings(m.funcNames)
 	return m
-}
-
-// cfgOf returns the memoized CFG of a function body.
-func (m *Module) cfgOf(body *ast.BlockStmt) *funcCFG {
-	if c, ok := m.cfgs[body]; ok {
-		return c
-	}
-	c := buildCFG(body)
-	m.cfgs[body] = c
-	return c
 }
 
 // callee resolves a call expression to the module function it invokes,

@@ -136,6 +136,10 @@ type nondetSummary struct {
 
 const maxChainLen = 8
 
+// maxSummarySweeps bounds the call-graph fixpoint; summaries only move
+// from nil to non-nil, so the bound only guards against a broken scan.
+const maxSummarySweeps = 64
+
 // extendChain prefixes a callee onto its source's chain, truncating
 // cycles so recursive call graphs cannot grow chains without bound.
 func extendChain(callee string, src *nondetSource) *nondetSource {
@@ -191,7 +195,7 @@ func (m *Module) nondetSummaries() map[string]*nondetSummary {
 	for _, name := range m.funcNames {
 		sums[name] = &nondetSummary{}
 	}
-	for sweep := 0; sweep < maxFixpointSweeps; sweep++ {
+	for sweep := 0; sweep < maxSummarySweeps; sweep++ {
 		changed := false
 		for _, name := range m.funcNames {
 			info := m.funcs[name]
@@ -242,53 +246,45 @@ func (m *Module) scanReaches(info *FuncInfo, sums map[string]*nondetSummary) *no
 	return best
 }
 
-// taintState is the flow-sensitive taint map: variables currently
-// holding nondeterministic values, each with its provenance.
+// taintState is the taint map: variables currently holding
+// nondeterministic values, each with its provenance.
 type taintState map[types.Object]*nondetSource
 
-func taintJoin(a, b taintState) taintState {
-	out := make(taintState, len(a)+len(b))
-	for o, s := range a {
-		out[o] = s
-	}
-	for o, s := range b {
-		out[o] = minSource(out[o], s)
-	}
-	return out
-}
-
-func taintEqual(a, b taintState) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for o, s := range a {
-		t, ok := b[o]
-		if !ok || s.what != t.what || len(s.chain) != len(t.chain) {
-			return false
-		}
-		for i := range s.chain {
-			if s.chain[i] != t.chain[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// taintAnalysis runs the value-taint dataflow over one function.
-type taintAnalysis struct {
+// taintWalk is the value-taint analysis of one function: a single walk
+// over the body in source order. A top-level statement lies on every
+// path to the statements after it, so only there may a plain overwrite
+// or a sort clear a variable's taint; nested blocks only add taint, and
+// a loop body is walked again until the taint map stops growing. The
+// state at every return is therefore a superset of what a path-sensitive
+// analysis would hold there. A collect-then-sort inside a loop or a
+// branch is not recognised: sort at the top level of a function (see
+// sortedKeys).
+type taintWalk struct {
 	m    *Module
 	pkg  *Package
 	sums map[string]*nondetSummary
-	// resultTaint accumulates the best source reaching any return.
-	resultTaint *nondetSource
 	// results holds the named result objects for bare returns.
 	results []types.Object
+	state   taintState
+	// grew records that an entry was added or given a better source
+	// since the current loop iteration began.
+	grew bool
+	// returns lists the tainted return statements in the order first
+	// seen; at indexes them for the loop re-walks.
+	returns []taintedReturn
+	at      map[*ast.ReturnStmt]int
+}
+
+// taintedReturn is one return statement whose value is nondeterministic,
+// with its best source.
+type taintedReturn struct {
+	stmt *ast.ReturnStmt
+	src  *nondetSource
 }
 
 // mightTaint is a cheap syntactic filter: functions with no map range
-// and no call expressions cannot produce a tainted result, so the CFG
-// dataflow is skipped for them.
+// and no call expressions cannot produce a tainted result, so the walk
+// is skipped for them.
 func mightTaint(info *FuncInfo) bool {
 	found := false
 	ast.Inspect(info.Decl.Body, func(n ast.Node) bool {
@@ -301,87 +297,202 @@ func mightTaint(info *FuncInfo) bool {
 	return found
 }
 
-// scanResultTaint decides whether a function returns a nondeterministic
-// value, running the flow-sensitive taint analysis over its CFG.
-func (m *Module) scanResultTaint(info *FuncInfo, sums map[string]*nondetSummary) *nondetSource {
+// hasGoto reports whether a body contains a goto. A label can be reached
+// from a later statement, so no statement is known to precede the ones
+// after it.
+func hasGoto(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if br, ok := n.(*ast.BranchStmt); ok && br.Tok == token.GOTO {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// returnTaints lists the return statements of a function whose value is
+// nondeterministic.
+func (m *Module) returnTaints(info *FuncInfo, sums map[string]*nondetSummary) []taintedReturn {
 	if !mightTaint(info) {
 		return nil
 	}
-	ta := &taintAnalysis{m: m, pkg: info.Pkg, sums: sums}
+	w := &taintWalk{m: m, pkg: info.Pkg, sums: sums, state: taintState{}, at: map[*ast.ReturnStmt]int{}}
 	if res := info.Decl.Type.Results; res != nil {
 		for _, field := range res.List {
 			for _, name := range field.Names {
 				if obj := info.Pkg.Info.Defs[name]; obj != nil {
-					ta.results = append(ta.results, obj)
+					w.results = append(w.results, obj)
 				}
 			}
 		}
 	}
-	d := &dataflow[taintState]{
-		cfg:      m.cfgOf(info.Decl.Body),
-		entry:    taintState{},
-		join:     taintJoin,
-		equal:    taintEqual,
-		transfer: ta.transfer,
+	body := info.Decl.Body
+	if hasGoto(body) {
+		// Any statement may follow any other: walk the whole body as
+		// one loop, without kills.
+		w.loop(func() { w.block(body.List, false) })
+	} else {
+		w.block(body.List, true)
 	}
-	d.replay(d.run(), nil)
-	return ta.resultTaint
+	return w.returns
 }
 
-func (ta *taintAnalysis) transfer(n ast.Node, s taintState) taintState {
-	switch n := n.(type) {
-	case *ast.RangeStmt:
-		return ta.transferRange(n, s)
+// scanResultTaint decides whether a function returns a nondeterministic
+// value.
+func (m *Module) scanResultTaint(info *FuncInfo, sums map[string]*nondetSummary) *nondetSource {
+	var best *nondetSource
+	for _, r := range m.returnTaints(info, sums) {
+		best = minSource(best, r.src)
+	}
+	return best
+}
+
+// loop walks a loop body until the taint map stops growing. The body
+// never clears taint, so the map only grows and the walk terminates.
+func (w *taintWalk) loop(body func()) {
+	grew := w.grew
+	for {
+		w.grew = false
+		body()
+		if !w.grew {
+			break
+		}
+		grew = true
+	}
+	w.grew = grew
+}
+
+func (w *taintWalk) block(list []ast.Stmt, top bool) {
+	for _, s := range list {
+		w.stmt(s, top)
+	}
+}
+
+// stmt applies one statement to the state. top is true for a statement
+// of the function's own statement list (and the init of one) in a body
+// without goto: only there does an overwrite or a sort clear taint.
+func (w *taintWalk) stmt(s ast.Stmt, top bool) {
+	switch s := s.(type) {
 	case *ast.AssignStmt:
-		return ta.transferAssign(n, s)
+		w.assign(s, top)
 	case *ast.DeclStmt:
-		return ta.transferDecl(n, s)
+		w.decl(s)
 	case *ast.ExprStmt:
-		return ta.transferSanitize(n, s)
+		if call, ok := s.X.(*ast.CallExpr); ok && top {
+			if obj := sortedObject(w.pkg.Info, call); obj != nil {
+				// Sorting a collected slice of map keys is exactly the
+				// sanctioned collect-then-sort idiom.
+				delete(w.state, obj)
+			}
+		}
 	case *ast.ReturnStmt:
-		ta.noteReturn(n, s)
+		w.noteReturn(s)
+	case *ast.LabeledStmt:
+		w.stmt(s.Stmt, top)
+	case *ast.BlockStmt:
+		w.block(s.List, false)
+	case *ast.IfStmt:
+		w.stmt(s.Init, top)
+		w.block(s.Body.List, false)
+		w.stmt(s.Else, false)
+	case *ast.SwitchStmt:
+		w.stmt(s.Init, top)
+		w.clauses(s.Body)
+	case *ast.TypeSwitchStmt:
+		w.stmt(s.Init, top)
+		w.clauses(s.Body)
+	case *ast.SelectStmt:
+		w.clauses(s.Body)
+	case *ast.ForStmt:
+		w.stmt(s.Init, top)
+		w.loop(func() {
+			w.block(s.Body.List, false)
+			w.stmt(s.Post, false)
+		})
+	case *ast.RangeStmt:
+		w.loop(func() {
+			w.rangeHeader(s)
+			w.block(s.Body.List, false)
+		})
 	}
-	return s
 }
 
-// transferRange taints the key/value variables of a map range with the
+// clauses walks the case bodies of a switch, type switch or select.
+// Taint from one clause reaches the next, which covers fallthrough.
+func (w *taintWalk) clauses(body *ast.BlockStmt) {
+	for _, c := range body.List {
+		switch c := c.(type) {
+		case *ast.CaseClause:
+			w.block(c.Body, false)
+		case *ast.CommClause:
+			w.stmt(c.Comm, false)
+			w.block(c.Body, false)
+		}
+	}
+}
+
+// taint records that obj holds a value derived from src.
+func (w *taintWalk) taint(obj types.Object, src *nondetSource) {
+	if cur := w.state[obj]; cur == nil || lessSource(src, cur) {
+		w.state[obj] = src
+		w.grew = true
+	}
+}
+
+// rangeHeader taints the key/value variables of a map range with the
 // iteration-order source, and propagates container taint into element
 // variables for any range.
-func (ta *taintAnalysis) transferRange(rs *ast.RangeStmt, s taintState) taintState {
+func (w *taintWalk) rangeHeader(rs *ast.RangeStmt) {
 	var src *nondetSource
-	if t := ta.pkg.Info.TypeOf(rs.X); t != nil {
+	if t := w.pkg.Info.TypeOf(rs.X); t != nil {
 		if _, isMap := t.Underlying().(*types.Map); isMap {
 			src = &nondetSource{what: mapOrderSource}
 		}
 	}
 	if src == nil {
-		src = ta.exprTaint(rs.X, s)
+		src = w.exprTaint(rs.X)
 	}
 	if src == nil {
-		return s
+		return
 	}
-	out := cloneTaint(s)
 	for _, e := range []ast.Expr{rs.Key, rs.Value} {
 		id, ok := e.(*ast.Ident)
 		if !ok || id.Name == "_" {
 			continue
 		}
-		if obj := ta.pkg.Info.ObjectOf(id); obj != nil {
-			out[obj] = minSource(out[obj], src)
+		if obj := w.pkg.Info.ObjectOf(id); obj != nil {
+			w.taint(obj, src)
 		}
 	}
-	return out
 }
 
-func (ta *taintAnalysis) transferAssign(as *ast.AssignStmt, s taintState) taintState {
+// assign applies an assignment. kill allows a plain overwrite with a
+// deterministic value to clear the variable's taint.
+func (w *taintWalk) assign(as *ast.AssignStmt, kill bool) {
 	// Compound assignments (+=, ...) keep the accumulator's existing
 	// taint even when the RHS is clean; only plain =/:= overwrite.
-	overwrite := as.Tok == token.ASSIGN || as.Tok == token.DEFINE
-	out := cloneTaint(s)
-	set := func(lhs ast.Expr, src *nondetSource) {
+	kill = kill && (as.Tok == token.ASSIGN || as.Tok == token.DEFINE)
+	// Every right-hand side is evaluated before any variable changes.
+	srcs := make([]*nondetSource, len(as.Lhs))
+	switch {
+	case len(as.Rhs) == len(as.Lhs):
+		for i, rhs := range as.Rhs {
+			srcs[i] = w.exprTaint(rhs)
+		}
+	case len(as.Rhs) == 1:
+		src := w.exprTaint(as.Rhs[0])
+		for i := range srcs {
+			srcs[i] = src
+		}
+	default:
+		return
+	}
+	for i, lhs := range as.Lhs {
+		src := srcs[i]
 		id, isIdent := ast.Unparen(lhs).(*ast.Ident)
 		if isIdent && id.Name == "_" {
-			return
+			continue
 		}
 		// Storing under a map key is commutative: building a map while
 		// ranging another map yields the same final map in any iteration
@@ -390,50 +501,37 @@ func (ta *taintAnalysis) transferAssign(as *ast.AssignStmt, s taintState) taintS
 		// themselves differ between runs.)
 		if src != nil && src.what == mapOrderSource {
 			if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
-				if t := ta.pkg.Info.TypeOf(ix.X); t != nil {
+				if t := w.pkg.Info.TypeOf(ix.X); t != nil {
 					if _, isMap := t.Underlying().(*types.Map); isMap {
-						return
+						continue
 					}
 				}
 			}
 		}
 		root := rootIdent(lhs)
 		if root == nil {
-			return
+			continue
 		}
-		obj := ta.pkg.Info.ObjectOf(root)
+		obj := w.pkg.Info.ObjectOf(root)
 		if obj == nil {
-			return
+			continue
 		}
 		switch {
 		case src != nil:
-			out[obj] = minSource(out[obj], src)
-		case isIdent && overwrite:
+			w.taint(obj, src)
+		case isIdent && kill:
 			// Strong update: a plain identifier overwritten with a
 			// deterministic value is clean again.
-			delete(out, obj)
+			delete(w.state, obj)
 		}
 	}
-	switch {
-	case len(as.Rhs) == len(as.Lhs):
-		for i := range as.Lhs {
-			set(as.Lhs[i], ta.exprTaint(as.Rhs[i], s))
-		}
-	case len(as.Rhs) == 1:
-		src := ta.exprTaint(as.Rhs[0], s)
-		for _, lhs := range as.Lhs {
-			set(lhs, src)
-		}
-	}
-	return out
 }
 
-func (ta *taintAnalysis) transferDecl(ds *ast.DeclStmt, s taintState) taintState {
+func (w *taintWalk) decl(ds *ast.DeclStmt) {
 	gd, ok := ds.Decl.(*ast.GenDecl)
 	if !ok {
-		return s
+		return
 	}
-	out := s
 	for _, spec := range gd.Specs {
 		vs, ok := spec.(*ast.ValueSpec)
 		if !ok {
@@ -443,82 +541,42 @@ func (ta *taintAnalysis) transferDecl(ds *ast.DeclStmt, s taintState) taintState
 			if i >= len(vs.Values) {
 				break
 			}
-			if src := ta.exprTaint(vs.Values[i], s); src != nil {
-				if obj := ta.pkg.Info.Defs[name]; obj != nil {
-					if len(out) == len(s) {
-						out = cloneTaint(s)
-					}
-					out[obj] = minSource(out[obj], src)
+			if src := w.exprTaint(vs.Values[i]); src != nil {
+				if obj := w.pkg.Info.Defs[name]; obj != nil {
+					w.taint(obj, src)
 				}
 			}
 		}
 	}
-	return out
 }
 
-// transferSanitize clears taint on a variable passed to a sort/slices
-// call: sorting a collected slice of map keys is exactly the sanctioned
-// collect-then-sort idiom.
-func (ta *taintAnalysis) transferSanitize(es *ast.ExprStmt, s taintState) taintState {
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok || len(call.Args) == 0 {
-		return s
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return s
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return s
-	}
-	pkgName, ok := ta.pkg.Info.Uses[id].(*types.PkgName)
-	if !ok {
-		return s
-	}
-	switch pkgName.Imported().Path() {
-	case "sort", "slices":
-		root := rootIdent(call.Args[0])
-		if root == nil {
-			return s
-		}
-		if obj := ta.pkg.Info.ObjectOf(root); obj != nil {
-			if _, had := s[obj]; had {
-				out := cloneTaint(s)
-				delete(out, obj)
-				return out
-			}
-		}
-	}
-	return s
-}
-
-func (ta *taintAnalysis) noteReturn(rs *ast.ReturnStmt, s taintState) {
-	ta.resultTaint = minSource(ta.resultTaint, ta.returnTaint(rs, s))
-}
-
-// returnTaint computes the best source flowing out of one return
+// noteReturn records the best source flowing out of one return
 // statement. Error results are exempt: an error aborts the run before
 // any figure is produced, so which of several failures surfaces first
 // is not a replay-determinism concern.
-func (ta *taintAnalysis) returnTaint(rs *ast.ReturnStmt, s taintState) *nondetSource {
+func (w *taintWalk) noteReturn(rs *ast.ReturnStmt) {
 	var src *nondetSource
 	if len(rs.Results) == 0 {
-		for _, obj := range ta.results {
-			if isErrorType(obj.Type()) {
-				continue
+		for _, obj := range w.results {
+			if !isErrorType(obj.Type()) {
+				src = minSource(src, w.state[obj])
 			}
-			src = minSource(src, s[obj])
 		}
-		return src
 	}
 	for _, e := range rs.Results {
-		if isErrorType(ta.pkg.Info.TypeOf(e)) {
-			continue
+		if !isErrorType(w.pkg.Info.TypeOf(e)) {
+			src = minSource(src, w.exprTaint(e))
 		}
-		src = minSource(src, ta.exprTaint(e, s))
 	}
-	return src
+	if src == nil {
+		return
+	}
+	if i, ok := w.at[rs]; ok {
+		w.returns[i].src = minSource(w.returns[i].src, src)
+		return
+	}
+	w.at[rs] = len(w.returns)
+	w.returns = append(w.returns, taintedReturn{stmt: rs, src: src})
 }
 
 func isErrorType(t types.Type) bool {
@@ -530,7 +588,7 @@ func isErrorType(t types.Type) bool {
 // call to a module function whose result is tainted. len/cap results
 // are deterministic regardless of operand taint, and function-literal
 // bodies are separate functions.
-func (ta *taintAnalysis) exprTaint(e ast.Expr, s taintState) *nondetSource {
+func (w *taintWalk) exprTaint(e ast.Expr) *nondetSource {
 	if e == nil {
 		return nil
 	}
@@ -541,36 +599,28 @@ func (ta *taintAnalysis) exprTaint(e ast.Expr, s taintState) *nondetSource {
 			return false
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-				if b, ok := ta.pkg.Info.Uses[id].(*types.Builtin); ok {
+				if b, ok := w.pkg.Info.Uses[id].(*types.Builtin); ok {
 					if name := b.Name(); name == "len" || name == "cap" {
 						return false
 					}
 				}
 			}
-			if src := directSource(ta.pkg, n); src != nil {
+			if src := directSource(w.pkg, n); src != nil {
 				best = minSource(best, src)
 			}
-			if c := ta.m.callee(ta.pkg, n); c != nil {
-				if sum := ta.sums[c.Name]; sum != nil && sum.taints != nil {
+			if c := w.m.callee(w.pkg, n); c != nil {
+				if sum := w.sums[c.Name]; sum != nil && sum.taints != nil {
 					best = minSource(best, extendChain(c.Name, sum.taints))
 				}
 			}
 		case *ast.Ident:
-			if obj := ta.pkg.Info.ObjectOf(n); obj != nil {
-				best = minSource(best, s[obj])
+			if obj := w.pkg.Info.ObjectOf(n); obj != nil {
+				best = minSource(best, w.state[obj])
 			}
 		}
 		return true
 	})
 	return best
-}
-
-func cloneTaint(s taintState) taintState {
-	out := make(taintState, len(s))
-	for o, src := range s {
-		out[o] = src
-	}
-	return out
 }
 
 func runNondeterminism(pass *Pass) {
@@ -657,36 +707,8 @@ func reportTaintedReturns(pass *Pass, f *ast.File, sums map[string]*nondetSummar
 		if info == nil || info.Decl != fd {
 			continue
 		}
-		ta := &taintAnalysis{m: pass.Mod, pkg: pkg, sums: sums}
-		if res := fd.Type.Results; res != nil {
-			for _, field := range res.List {
-				for _, name := range field.Names {
-					if o := pkg.Info.Defs[name]; o != nil {
-						ta.results = append(ta.results, o)
-					}
-				}
-			}
-		}
-		if !mightTaint(info) {
-			continue
-		}
-		d := &dataflow[taintState]{
-			cfg:      pass.Mod.cfgOf(fd.Body),
-			entry:    taintState{},
-			join:     taintJoin,
-			equal:    taintEqual,
-			transfer: ta.transfer,
-		}
-		states := d.run()
-		d.replay(states, func(n ast.Node, s taintState) {
-			rs, ok := n.(*ast.ReturnStmt)
-			if !ok {
-				return
-			}
-			src := ta.returnTaint(rs, s)
-			if src == nil {
-				return
-			}
+		for _, r := range pass.Mod.returnTaints(info, sums) {
+			rs, src := r.stmt, r.src
 			// Chains that start inside another core function are that
 			// function's own finding, not this caller's.
 			if len(src.chain) > 0 {
@@ -694,7 +716,7 @@ func reportTaintedReturns(pass *Pass, f *ast.File, sums map[string]*nondetSummar
 				if first != nil {
 					firstFile := first.Pkg.Fset.Position(first.Decl.Pos()).Filename
 					if isCoreFile(first.Pkg, firstFile) && !first.Pkg.IsTestFile(first.Decl.Pos()) {
-						return
+						continue
 					}
 				}
 			}
@@ -702,7 +724,7 @@ func reportTaintedReturns(pass *Pass, f *ast.File, sums map[string]*nondetSummar
 				// Local wall-clock/rand primitives already got a direct
 				// report at the call site; only map-order reaches here.
 				if src.what != mapOrderSource {
-					return
+					continue
 				}
 				pass.Reportf(rs.Pos(),
 					"return value depends on %s; sort collected keys (collect-then-sort) before returning",
@@ -712,6 +734,6 @@ func reportTaintedReturns(pass *Pass, f *ast.File, sums map[string]*nondetSummar
 					"return value depends on %s via %s; sort or make the helper deterministic",
 					src.what, src.chainString(src.what))
 			}
-		})
+		}
 	}
 }

@@ -59,8 +59,8 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// BenchmarkAnalyzeRepo times the full-module analysis — CFG and call
-// graph construction plus every rule — over the repository itself. The
+// BenchmarkAnalyzeRepo times the full-module analysis — call graph
+// summaries plus every rule — over the repository itself. The
 // load (parse + type-check) happens once outside the timer; the loop
 // measures the cost a CI lint run pays after loading.
 func BenchmarkAnalyzeRepo(b *testing.B) {

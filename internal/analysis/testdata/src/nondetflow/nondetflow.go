@@ -61,6 +61,64 @@ func Overwritten(m map[string]int) string {
 	return k
 }
 
+// OverwrittenOnOneBranch clears the taint on one path only; the other
+// still returns the map-ordered key.
+func OverwrittenOnOneBranch(m map[string]int, fixed bool) string {
+	k := helpers.FirstKey(m)
+	if fixed {
+		k = "fixed"
+	}
+	return k // want `return value depends on map iteration order via .*FirstKey -> map iteration order`
+}
+
+// SortedOnOneBranch sorts the collected keys on one path only.
+func SortedOnOneBranch(m map[string]int, tidy bool) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	if tidy {
+		sort.Strings(out)
+	}
+	return out // want `return value depends on map iteration order; sort collected keys`
+}
+
+// Relayed carries the taint around the loop through two variables: b
+// holds what a held one iteration earlier.
+func Relayed(m map[string]int, n int) string {
+	a, b := "", ""
+	for i := 0; i < n; i++ {
+		b = a
+		a = helpers.FirstKey(m)
+	}
+	return b // want `return value depends on map iteration order via .*FirstKey -> map iteration order`
+}
+
+// JumpsOverOverwrite skips the overwrite with a goto, so the overwrite
+// does not clear the taint.
+func JumpsOverOverwrite(m map[string]int) string {
+	k := helpers.FirstKey(m)
+	if len(m) > 1 {
+		goto done
+	}
+	k = "fixed"
+done:
+	return k // want `return value depends on map iteration order via .*FirstKey -> map iteration order`
+}
+
+// JumpsBack reaches the return again after the taint is assigned below
+// it.
+func JumpsBack(m map[string]int) string {
+	k, n := "", 0
+again:
+	if n > 0 {
+		return k // want `return value depends on map iteration order via .*FirstKey -> map iteration order`
+	}
+	n++
+	k = helpers.FirstKey(m)
+	goto again
+}
+
 // Logged documents a deliberate wall-clock read.
 func Logged() string {
 	//qpplint:ignore nondeterminism fixture: progress logging may read the wall clock

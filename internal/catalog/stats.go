@@ -110,28 +110,7 @@ func AnalyzeRows(meta *Table, rows [][]types.Value) *TableStats {
 			continue
 		}
 
-		// MCV list from value counts.
-		type kc struct {
-			k string
-			c int
-		}
-		kcs := make([]kc, 0, len(counts))
-		for k, c := range counts {
-			kcs = append(kcs, kc{k, c})
-		}
-		sort.Slice(kcs, func(i, j int) bool {
-			if kcs[i].c != kcs[j].c {
-				return kcs[i].c > kcs[j].c
-			}
-			return kcs[i].k < kcs[j].k
-		})
-		top := MCVEntries
-		if top > len(kcs) {
-			top = len(kcs)
-		}
-		for _, e := range kcs[:top] {
-			cs.MCVs = append(cs.MCVs, MCV{Key: e.k, Freq: float64(e.c) / float64(nonNull)})
-		}
+		cs.MCVs = mostCommon(counts, nonNull)
 
 		// Numeric histogram for orderable non-string columns.
 		if !numeric {
@@ -149,6 +128,36 @@ func AnalyzeRows(meta *Table, rows [][]types.Value) *TableStats {
 	}
 	ts.Pages = int64(float64(ts.RowCount)/rowsPerPage) + 1
 	return ts
+}
+
+// mostCommon returns the MCVEntries most frequent keys of counts, by
+// count descending then key ascending, with their share of nonNull rows.
+// Its sort sits at a function's top level, where qpplint recognises
+// collect-then-sort; inside AnalyzeRows' column loop it would not.
+func mostCommon(counts map[string]int, nonNull int) []MCV {
+	type kc struct {
+		k string
+		c int
+	}
+	kcs := make([]kc, 0, len(counts))
+	for k, c := range counts {
+		kcs = append(kcs, kc{k, c})
+	}
+	sort.Slice(kcs, func(i, j int) bool {
+		if kcs[i].c != kcs[j].c {
+			return kcs[i].c > kcs[j].c
+		}
+		return kcs[i].k < kcs[j].k
+	})
+	top := MCVEntries
+	if top > len(kcs) {
+		top = len(kcs)
+	}
+	var out []MCV
+	for _, e := range kcs[:top] {
+		out = append(out, MCV{Key: e.k, Freq: float64(e.c) / float64(nonNull)})
+	}
+	return out
 }
 
 // equiDepthBounds returns bins+1 boundaries over sorted vals such that each

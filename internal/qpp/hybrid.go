@@ -414,39 +414,43 @@ func (h *HybridPredictor) nextCandidate(idx *SubplanIndex, ev *hybridEval, rejec
 	if len(cands) == 0 {
 		return ""
 	}
+	// One sort after the switch keeps the collect-then-sort idiom
+	// visible to qpplint: a sort in every branch is not.
+	var less func(ci, cj cand) bool
 	switch cfg.Strategy {
 	case SizeBased:
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].size != cands[j].size {
-				return cands[i].size < cands[j].size
+		less = func(ci, cj cand) bool {
+			if ci.size != cj.size {
+				return ci.size < cj.size
 			}
-			if cands[i].freq != cands[j].freq {
-				return cands[i].freq > cands[j].freq
+			if ci.freq != cj.freq {
+				return ci.freq > cj.freq
 			}
-			return cands[i].sig < cands[j].sig
-		})
+			return ci.sig < cj.sig
+		}
 	case FrequencyBased:
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].freq != cands[j].freq {
-				return cands[i].freq > cands[j].freq
+		less = func(ci, cj cand) bool {
+			if ci.freq != cj.freq {
+				return ci.freq > cj.freq
 			}
-			if cands[i].size != cands[j].size {
-				return cands[i].size < cands[j].size
+			if ci.size != cj.size {
+				return ci.size < cj.size
 			}
-			return cands[i].sig < cands[j].sig
-		})
+			return ci.sig < cj.sig
+		}
 	default: // ErrorBased
-		sort.Slice(cands, func(i, j int) bool {
-			si := float64(cands[i].freq) * cands[i].err
-			sj := float64(cands[j].freq) * cands[j].err
+		less = func(ci, cj cand) bool {
+			si := float64(ci.freq) * ci.err
+			sj := float64(cj.freq) * cj.err
 			if si > sj {
 				return true
 			}
 			if si < sj {
 				return false
 			}
-			return cands[i].sig < cands[j].sig
-		})
+			return ci.sig < cj.sig
+		}
 	}
+	sort.Slice(cands, func(i, j int) bool { return less(cands[i], cands[j]) })
 	return cands[0].sig
 }

@@ -4,15 +4,15 @@
 #   1. gofmt       — formatting drift (includes testdata fixtures)
 #   2. go vet      — the toolchain's default analyzers
 #   3. go build    — everything compiles
-#   4. qpplint     — the repo's own invariants, six rules:
-#                    `nondeterminism` (determinism taint), `maporder`,
-#                    `hotalloc` (hot-path allocations), `floateq`,
-#                    `errdrop`, `unusedignore`; writes the
+#   4. qpplint     — the repo's own invariants over the whole module,
+#                    six rules: `nondeterminism` (determinism taint),
+#                    `maporder`, `hotalloc` (hot-path allocations),
+#                    `floateq`, `errdrop`, `unusedignore`; writes the
 #                    machine-readable report to LINT.json at the repo
 #                    root and guards the analysis cost with
 #                    BenchmarkAnalyzeRepo; see internal/analysis and
 #                    DESIGN.md §7 (what each rule is the only catcher
-#                    of) and §12
+#                    of)
 #   5. go test -race — the full suite under the race detector, then the
 #                    training differential tests, the memo's
 #                    once-per-key test, the shared online-cache test,
@@ -82,21 +82,21 @@ go vet ./...
 banner "go build ./..."
 go build ./...
 
-banner "qpplint ./... (six rules; report: LINT.json)"
+banner "qpplint (six rules; report: LINT.json)"
 # The JSON report is written even when findings fail the gate, so a red
 # CI run still uploads the artifact explaining why.
-go run ./cmd/qpplint -json ./... >LINT.json || {
+go run ./cmd/qpplint -json >LINT.json || {
 	# Re-print the findings in human form for the console log.
-	go run ./cmd/qpplint ./... || true
+	go run ./cmd/qpplint || true
 	exit 1
 }
 
 banner "qpplint cost guard (BenchmarkAnalyzeRepo)"
 lint_bench=$(go test -run '^$' -bench BenchmarkAnalyzeRepo -benchtime 1x ./internal/analysis | awk '/^BenchmarkAnalyzeRepo/ {print $3}')
 echo "full-repo analysis: ${lint_bench} ns/op"
-# Anything past 10s means the fixpoint engine regressed (diverging
-# summaries, quadratic blowup); the whole-repo pass runs in well under
-# a second today.
+# Anything past 10s means the call-graph summaries or the taint walk
+# regressed (diverging sweeps, quadratic blowup); the whole-repo pass
+# runs in well under a second today.
 awk -v ns="$lint_bench" 'BEGIN { exit !(ns+0 < 10000000000) }' || {
 	echo "full-repo analysis exceeded the 10s budget"
 	exit 1
