@@ -81,46 +81,17 @@ func (c *execCtx) compileScalars(es []plan.Scalar) []evalFn {
 
 // isFoldable reports whether s depends on nothing but literals, so it
 // can be evaluated once at compile time. Col, ParamRef and SubPlan are
-// the only leaves that read execution state.
+// the only nodes that read execution state.
 func isFoldable(s plan.Scalar) bool {
-	switch x := s.(type) {
-	case *plan.Const:
-		return true
-	case *plan.Bin:
-		return isFoldable(x.L) && isFoldable(x.R)
-	case *plan.Not:
-		return isFoldable(x.E)
-	case *plan.Neg:
-		return isFoldable(x.E)
-	case *plan.Case:
-		for _, w := range x.Whens {
-			if !isFoldable(w.Cond) || !isFoldable(w.Then) {
-				return false
-			}
+	foldable := true
+	plan.Inspect(s, func(n plan.Scalar) bool {
+		switch n.(type) {
+		case *plan.Col, *plan.ParamRef, *plan.SubPlan:
+			foldable = false
 		}
-		return x.Else == nil || isFoldable(x.Else)
-	case *plan.In:
-		for _, e := range x.List {
-			if !isFoldable(e) {
-				return false
-			}
-		}
-		return isFoldable(x.E)
-	case *plan.Between:
-		return isFoldable(x.E) && isFoldable(x.Lo) && isFoldable(x.Hi)
-	case *plan.Like:
-		return isFoldable(x.E)
-	case *plan.DateAdd:
-		return isFoldable(x.E)
-	case *plan.ExtractYear:
-		return isFoldable(x.E)
-	case *plan.Substring:
-		return isFoldable(x.E)
-	case *plan.IsNull:
-		return isFoldable(x.E)
-	default:
-		return false
-	}
+		return foldable
+	})
+	return foldable
 }
 
 // compile lowers one expression tree into a closure. Every case mirrors

@@ -47,52 +47,6 @@ func allTemplates() []int {
 	return append(out, tpch.ExtraTemplates...)
 }
 
-// walkScalar visits s and every sub-expression in pre-order.
-func walkScalar(s plan.Scalar, fn func(plan.Scalar)) {
-	if s == nil {
-		return
-	}
-	fn(s)
-	switch x := s.(type) {
-	case *plan.Bin:
-		walkScalar(x.L, fn)
-		walkScalar(x.R, fn)
-	case *plan.Not:
-		walkScalar(x.E, fn)
-	case *plan.Neg:
-		walkScalar(x.E, fn)
-	case *plan.Case:
-		for _, w := range x.Whens {
-			walkScalar(w.Cond, fn)
-			walkScalar(w.Then, fn)
-		}
-		walkScalar(x.Else, fn)
-	case *plan.In:
-		walkScalar(x.E, fn)
-		for _, e := range x.List {
-			walkScalar(e, fn)
-		}
-	case *plan.Between:
-		walkScalar(x.E, fn)
-		walkScalar(x.Lo, fn)
-		walkScalar(x.Hi, fn)
-	case *plan.Like:
-		walkScalar(x.E, fn)
-	case *plan.DateAdd:
-		walkScalar(x.E, fn)
-	case *plan.ExtractYear:
-		walkScalar(x.E, fn)
-	case *plan.Substring:
-		walkScalar(x.E, fn)
-	case *plan.IsNull:
-		walkScalar(x.E, fn)
-	case *plan.SubPlan:
-		for _, a := range x.Args {
-			walkScalar(a, fn)
-		}
-	}
-}
-
 // nodeScalars lists the expression roots attached to a plan node.
 func nodeScalars(n *plan.Node) []plan.Scalar {
 	var out []plan.Scalar
@@ -178,7 +132,7 @@ type exprShape struct {
 
 func shapeOf(s plan.Scalar) exprShape {
 	sh := exprShape{cols: map[int]types.Kind{}, params: map[int]types.Kind{}}
-	walkScalar(s, func(e plan.Scalar) {
+	plan.Inspect(s, func(e plan.Scalar) bool {
 		switch x := e.(type) {
 		case *plan.Col:
 			sh.cols[x.Idx] = x.K
@@ -188,6 +142,7 @@ func shapeOf(s plan.Scalar) exprShape {
 		case *plan.ParamRef:
 			sh.params[x.Idx] = x.K
 		}
+		return true
 	})
 	return sh
 }
@@ -239,14 +194,13 @@ func TestCompiledMatchesInterpretedExpressions(t *testing.T) {
 			}
 			root.Walk(func(n *plan.Node) {
 				for _, e := range nodeScalars(n) {
-					walkScalar(e, func(sub plan.Scalar) {
-						key := sub.String()
-						if seen[key] {
-							return
+					plan.Inspect(e, func(sub plan.Scalar) bool {
+						if key := sub.String(); !seen[key] {
+							seen[key] = true
+							exprs++
+							checkExprDifferential(t, r, sub)
 						}
-						seen[key] = true
-						exprs++
-						checkExprDifferential(t, r, sub)
+						return true
 					})
 				}
 			})

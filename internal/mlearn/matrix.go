@@ -68,51 +68,6 @@ func (m *Matrix) Col(j int) []float64 {
 	return out
 }
 
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// MatMul returns a*b. Panics if the inner dimensions disagree.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mlearn: matmul dims %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
-// MatVec returns a*x as a new vector.
-func MatVec(a *Matrix, x []float64) []float64 {
-	if a.Cols != len(x) {
-		panic(fmt.Sprintf("mlearn: matvec dims %dx%d * %d", a.Rows, a.Cols, len(x)))
-	}
-	out := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		out[i] = Dot(a.Row(i), x)
-	}
-	return out
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {

@@ -96,16 +96,3 @@ func PredictiveRisk(actual, estimate []float64) float64 {
 	}
 	return 1 - sse/sst
 }
-
-// RMSE returns the root mean squared error.
-func RMSE(actual, estimate []float64) float64 {
-	if len(actual) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range actual {
-		d := actual[i] - estimate[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(actual)))
-}

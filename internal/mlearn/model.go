@@ -12,15 +12,6 @@ type Regressor interface {
 	Predict(row []float64) float64
 }
 
-// PredictAll applies a fitted model to every row of x.
-func PredictAll(m Regressor, x *Matrix) []float64 {
-	out := make([]float64, x.Rows)
-	for i := 0; i < x.Rows; i++ {
-		out[i] = m.Predict(x.Row(i))
-	}
-	return out
-}
-
 // ModelFactory constructs a fresh, untrained Regressor. Cross-validation and
 // feature selection use factories so every fold trains an independent model.
 type ModelFactory func() Regressor

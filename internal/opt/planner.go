@@ -134,11 +134,7 @@ func (p *planner) planSelect(stmt *sql.SelectStmt, corr *subCtx) (*plan.Node, er
 			for i, c := range sub.Cols {
 				cols[i] = catalog.Column{Name: c.Name, Type: c.K}
 			}
-			for i, a := range fi.ColAliases {
-				if i < len(cols) {
-					cols[i].Name = a
-				}
-			}
+			renameColumns(cols, fi.ColAliases)
 			ri.cols = cols
 		}
 		p.relByID[ri.id] = ri
@@ -308,52 +304,17 @@ func (p *planner) planSelect(stmt *sql.SelectStmt, corr *subCtx) (*plan.Node, er
 
 // containsSubquery reports whether the expression embeds any subquery.
 func containsSubquery(e sql.Expr) bool {
-	switch v := e.(type) {
-	case *sql.SubqueryExpr, *sql.ExistsExpr:
-		return true
-	case *sql.InExpr:
-		if v.Sub != nil {
-			return true
+	found := false
+	sql.Inspect(e, func(n sql.Expr) bool {
+		switch v := n.(type) {
+		case *sql.SubqueryExpr, *sql.ExistsExpr:
+			found = true
+		case *sql.InExpr:
+			found = found || v.Sub != nil
 		}
-		for _, i := range v.List {
-			if containsSubquery(i) {
-				return true
-			}
-		}
-		return containsSubquery(v.E)
-	case *sql.BinaryExpr:
-		return containsSubquery(v.L) || containsSubquery(v.R)
-	case *sql.NotExpr:
-		return containsSubquery(v.E)
-	case *sql.NegExpr:
-		return containsSubquery(v.E)
-	case *sql.FuncCall:
-		for _, a := range v.Args {
-			if containsSubquery(a) {
-				return true
-			}
-		}
-	case *sql.CaseExpr:
-		for _, w := range v.Whens {
-			if containsSubquery(w.Cond) || containsSubquery(w.Then) {
-				return true
-			}
-		}
-		if v.Else != nil {
-			return containsSubquery(v.Else)
-		}
-	case *sql.BetweenExpr:
-		return containsSubquery(v.E) || containsSubquery(v.Lo) || containsSubquery(v.Hi)
-	case *sql.LikeExpr:
-		return containsSubquery(v.E)
-	case *sql.IsNullExpr:
-		return containsSubquery(v.E)
-	case *sql.ExtractExpr:
-		return containsSubquery(v.From)
-	case *sql.SubstringExpr:
-		return containsSubquery(v.E)
-	}
-	return false
+		return !found
+	})
+	return found
 }
 
 // planOutput handles grouping, HAVING and projection, returning the output
@@ -370,16 +331,7 @@ func (p *planner) planOutput(stmt *sql.SelectStmt, tree *joinTree, sc *scope, co
 
 	itemNames := make([]string, len(stmt.Items))
 	for i, it := range stmt.Items {
-		switch {
-		case it.Alias != "":
-			itemNames[i] = it.Alias
-		default:
-			if ref, ok := it.E.(*sql.ColumnRef); ok {
-				itemNames[i] = ref.Name
-			} else {
-				itemNames[i] = fmt.Sprintf("col%d", i+1)
-			}
-		}
+		itemNames[i] = itemName(it, i)
 	}
 
 	var outNode *plan.Node
@@ -973,60 +925,17 @@ func (p *planner) resolvesLocally(e sql.Expr, local *scope) bool {
 // as escaping (forcing the SubPlan fallback).
 func (p *planner) hasOuterRefs(e sql.Expr, local *scope, outer *scope) bool {
 	found := false
-	var walk func(e sql.Expr)
-	walk = func(e sql.Expr) {
-		if found {
-			return
-		}
-		switch v := e.(type) {
+	sql.Inspect(e, func(n sql.Expr) bool {
+		switch v := n.(type) {
 		case *sql.ColumnRef:
-			if p.isOuterRef(v, local, outer) {
-				found = true
-			}
-		case *sql.BinaryExpr:
-			walk(v.L)
-			walk(v.R)
-		case *sql.NotExpr:
-			walk(v.E)
-		case *sql.NegExpr:
-			walk(v.E)
-		case *sql.FuncCall:
-			for _, a := range v.Args {
-				walk(a)
-			}
-		case *sql.CaseExpr:
-			for _, w := range v.Whens {
-				walk(w.Cond)
-				walk(w.Then)
-			}
-			if v.Else != nil {
-				walk(v.Else)
-			}
+			found = found || p.isOuterRef(v, local, outer)
 		case *sql.InExpr:
-			walk(v.E)
-			for _, i := range v.List {
-				walk(i)
-			}
-			if v.Sub != nil {
-				found = true
-			}
-		case *sql.BetweenExpr:
-			walk(v.E)
-			walk(v.Lo)
-			walk(v.Hi)
-		case *sql.LikeExpr:
-			walk(v.E)
-		case *sql.IsNullExpr:
-			walk(v.E)
-		case *sql.ExtractExpr:
-			walk(v.From)
-		case *sql.SubstringExpr:
-			walk(v.E)
+			found = found || v.Sub != nil
 		case *sql.ExistsExpr, *sql.SubqueryExpr:
 			found = true
 		}
-	}
-	walk(e)
+		return !found
+	})
 	return found
 }
 
@@ -1063,41 +972,14 @@ func joinConjuncts(conjs []sql.Expr) sql.Expr {
 // exprHasAgg reports whether the expression contains an aggregate call
 // (not descending into subqueries).
 func exprHasAgg(e sql.Expr) bool {
-	switch v := e.(type) {
-	case *sql.FuncCall:
-		if v.IsAggregate() {
-			return true
+	found := false
+	sql.Inspect(e, func(n sql.Expr) bool {
+		if fc, ok := n.(*sql.FuncCall); ok && fc.IsAggregate() {
+			found = true
 		}
-		for _, a := range v.Args {
-			if exprHasAgg(a) {
-				return true
-			}
-		}
-	case *sql.BinaryExpr:
-		return exprHasAgg(v.L) || exprHasAgg(v.R)
-	case *sql.NotExpr:
-		return exprHasAgg(v.E)
-	case *sql.NegExpr:
-		return exprHasAgg(v.E)
-	case *sql.CaseExpr:
-		for _, w := range v.Whens {
-			if exprHasAgg(w.Cond) || exprHasAgg(w.Then) {
-				return true
-			}
-		}
-		if v.Else != nil {
-			return exprHasAgg(v.Else)
-		}
-	case *sql.BetweenExpr:
-		return exprHasAgg(v.E) || exprHasAgg(v.Lo) || exprHasAgg(v.Hi)
-	case *sql.ExtractExpr:
-		return exprHasAgg(v.From)
-	case *sql.IsNullExpr:
-		return exprHasAgg(v.E)
-	case *sql.SubstringExpr:
-		return exprHasAgg(v.E)
-	}
-	return false
+		return !found
+	})
+	return found
 }
 
 // aggFuncOf maps an aggregate name to its enum.
@@ -1134,47 +1016,11 @@ func aggResultKind(s plan.AggSpec) types.Kind {
 // containsCol reports whether a bound scalar reads any input column (as
 // opposed to constants and parameters only).
 func containsCol(s plan.Scalar) bool {
-	switch v := s.(type) {
-	case *plan.Col:
-		return true
-	case *plan.Bin:
-		return containsCol(v.L) || containsCol(v.R)
-	case *plan.Not:
-		return containsCol(v.E)
-	case *plan.Neg:
-		return containsCol(v.E)
-	case *plan.DateAdd:
-		return containsCol(v.E)
-	case *plan.ExtractYear:
-		return containsCol(v.E)
-	case *plan.Substring:
-		return containsCol(v.E)
-	case *plan.Between:
-		return containsCol(v.E) || containsCol(v.Lo) || containsCol(v.Hi)
-	case *plan.In:
-		if containsCol(v.E) {
-			return true
-		}
-		for _, e := range v.List {
-			if containsCol(e) {
-				return true
-			}
-		}
-	case *plan.Case:
-		for _, w := range v.Whens {
-			if containsCol(w.Cond) || containsCol(w.Then) {
-				return true
-			}
-		}
-		if v.Else != nil {
-			return containsCol(v.Else)
-		}
-	case *plan.SubPlan:
-		for _, a := range v.Args {
-			if containsCol(a) {
-				return true
-			}
-		}
-	}
-	return false
+	found := false
+	plan.Inspect(s, func(n plan.Scalar) bool {
+		_, isCol := n.(*plan.Col)
+		found = found || isCol
+		return !found
+	})
+	return found
 }

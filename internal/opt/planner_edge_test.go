@@ -5,8 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"qpp/internal/exec"
 	"qpp/internal/plan"
 	"qpp/internal/tpch"
+	"qpp/internal/types"
+	"qpp/internal/vclock"
 )
 
 func TestCrossJoinFallback(t *testing.T) {
@@ -202,6 +205,48 @@ func TestWrongKindOperandsAreBindErrors(t *testing.T) {
 		}
 		if _, err := PlanSQL(db, q.SQL); err != nil {
 			t.Errorf("template %d no longer plans: %v", tmpl, err)
+		}
+	}
+}
+
+// TestAggregateUnderLikeAndIn: an aggregate under LIKE or IN makes its
+// select list an aggregation, as one under BETWEEN always did; these four
+// statements used to fail with "aggregate … used outside aggregation
+// context". Each returns the row of its derived-table rewrite, compiled
+// and interpreted.
+func TestAggregateUnderLikeAndIn(t *testing.T) {
+	db, err := tpch.Generate(tpch.GenConfig{ScaleFactor: 0.001, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(query string, interpret bool) []plan.Row {
+		t.Helper()
+		node, err := PlanSQL(db, query)
+		if err != nil {
+			t.Fatalf("plan %q: %v", query, err)
+		}
+		res, err := exec.Run(db, node, vclock.NewClock(vclock.DefaultProfile(), 1), exec.Options{Interpret: interpret})
+		if err != nil {
+			t.Fatalf("run %q: %v", query, err)
+		}
+		return res.Rows
+	}
+	for _, c := range []struct{ query, rewrite string }{
+		{"SELECT max(p_type) LIKE '%BRASS' FROM part",
+			"SELECT m LIKE '%BRASS' FROM (SELECT max(p_type) AS m FROM part) AS t"},
+		{"SELECT NOT (max(p_type) LIKE '%BRASS') FROM part",
+			"SELECT NOT (m LIKE '%BRASS') FROM (SELECT max(p_type) AS m FROM part) AS t"},
+		{"SELECT sum(p_size) IN (1, 2) FROM part",
+			"SELECT s IN (1, 2) FROM (SELECT sum(p_size) AS s FROM part) AS t"},
+		{"SELECT sum(p_size) NOT IN (1, 2) FROM part",
+			"SELECT s NOT IN (1, 2) FROM (SELECT sum(p_size) AS s FROM part) AS t"},
+	} {
+		for _, interpret := range []bool{false, true} {
+			got, want := run(c.query, interpret), run(c.rewrite, interpret)
+			if len(got) != 1 || len(want) != 1 || len(got[0]) != 1 || len(want[0]) != 1 ||
+				!types.Identical(got[0][0], want[0][0]) {
+				t.Errorf("%q (interpret %v) = %v, want %v", c.query, interpret, got, want)
+			}
 		}
 	}
 }

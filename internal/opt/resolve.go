@@ -116,101 +116,59 @@ func (s relSet) count() int            { return bits.OnesCount64(uint64(s)) }
 // may belong to an enclosing block.
 func (p *planner) freeRels(e sql.Expr, sc *scope) relSet {
 	var set relSet
-	var walkStmt func(stmt *sql.SelectStmt, inner *scope)
-	var walk func(e sql.Expr, inner *scope)
+	p.addFreeRels(&set, e, sc, sc)
+	return set
+}
 
-	resolveIn := func(ref *sql.ColumnRef, inner *scope) {
-		// Try innermost scopes first (shadowing), then sc itself.
-		for cur := inner; cur != nil; cur = cur.outer {
-			rel, _, err := cur.resolve(ref)
-			if err != nil {
-				continue
-			}
-			if cur == sc {
-				set = set.with(rel)
-			}
-			return
-		}
-	}
-	walk = func(e sql.Expr, inner *scope) {
-		switch v := e.(type) {
+// addFreeRels adds to *set the relations of sc that e references when its
+// names resolve in inner, an innermost-first chain of scopes ending in sc.
+func (p *planner) addFreeRels(set *relSet, e sql.Expr, inner, sc *scope) {
+	sql.Inspect(e, func(n sql.Expr) bool {
+		var sub *sql.SelectStmt
+		switch v := n.(type) {
 		case *sql.ColumnRef:
-			resolveIn(v, inner)
-		case *sql.Literal, *sql.Interval:
-		case *sql.BinaryExpr:
-			walk(v.L, inner)
-			walk(v.R, inner)
-		case *sql.NotExpr:
-			walk(v.E, inner)
-		case *sql.NegExpr:
-			walk(v.E, inner)
-		case *sql.FuncCall:
-			for _, a := range v.Args {
-				walk(a, inner)
-			}
-		case *sql.CaseExpr:
-			for _, w := range v.Whens {
-				walk(w.Cond, inner)
-				walk(w.Then, inner)
-			}
-			if v.Else != nil {
-				walk(v.Else, inner)
+			// Try innermost scopes first (shadowing), then sc itself.
+			for cur := inner; cur != nil; cur = cur.outer {
+				if rel, _, err := cur.resolve(v); err == nil {
+					if cur == sc {
+						*set = set.with(rel)
+					}
+					break
+				}
 			}
 		case *sql.InExpr:
-			walk(v.E, inner)
-			for _, item := range v.List {
-				walk(item, inner)
-			}
-			if v.Sub != nil {
-				walkStmt(v.Sub, inner)
-			}
+			sub = v.Sub
 		case *sql.ExistsExpr:
-			walkStmt(v.Sub, inner)
-		case *sql.BetweenExpr:
-			walk(v.E, inner)
-			walk(v.Lo, inner)
-			walk(v.Hi, inner)
-		case *sql.LikeExpr:
-			walk(v.E, inner)
-		case *sql.IsNullExpr:
-			walk(v.E, inner)
+			sub = v.Sub
 		case *sql.SubqueryExpr:
-			walkStmt(v.Sub, inner)
-		case *sql.ExtractExpr:
-			walk(v.From, inner)
-		case *sql.SubstringExpr:
-			walk(v.E, inner)
-			walk(v.Start, inner)
-			walk(v.Len, inner)
+			sub = v.Sub
 		}
-	}
-	walkStmt = func(stmt *sql.SelectStmt, inner *scope) {
-		subScope, err := p.scopeForStmt(stmt, inner)
+		if sub == nil {
+			return true
+		}
+		subScope, err := p.scopeForStmt(sub, inner)
 		if err != nil {
-			return
+			return true
 		}
-		for _, it := range stmt.Items {
-			walk(it.E, subScope)
+		for _, it := range sub.Items {
+			p.addFreeRels(set, it.E, subScope, sc)
 		}
-		if stmt.Where != nil {
-			walk(stmt.Where, subScope)
+		p.addFreeRels(set, sub.Where, subScope, sc)
+		for _, g := range sub.GroupBy {
+			p.addFreeRels(set, g, subScope, sc)
 		}
-		for _, g := range stmt.GroupBy {
-			walk(g, subScope)
+		p.addFreeRels(set, sub.Having, subScope, sc)
+		for _, j := range sub.Joins {
+			p.addFreeRels(set, j.On, subScope, sc)
 		}
-		if stmt.Having != nil {
-			walk(stmt.Having, subScope)
-		}
-		for _, j := range stmt.Joins {
-			walk(j.On, subScope)
-		}
-	}
-	walk(e, sc)
-	return set
+		return true
+	})
 }
 
 // scopeForStmt builds a name-resolution-only scope for a statement (used
 // by free-variable analysis; derived tables expose their aliases/items).
+// Its derived-table columns carry names only: nothing reads a kind from
+// such a scope.
 func (p *planner) scopeForStmt(stmt *sql.SelectStmt, outer *scope) (*scope, error) {
 	sc := &scope{outer: outer}
 	id := 0
@@ -228,11 +186,11 @@ func (p *planner) scopeForStmt(stmt *sql.SelectStmt, outer *scope) (*scope, erro
 			}
 			ri.cols = meta.Columns
 		} else {
-			cols, err := p.derivedColumns(fi)
-			if err != nil {
-				return err
+			ri.cols = make([]catalog.Column, len(fi.Sub.Items))
+			for i, it := range fi.Sub.Items {
+				ri.cols[i].Name = itemName(it, i)
 			}
-			ri.cols = cols
+			renameColumns(ri.cols, fi.ColAliases)
 		}
 		sc.rels = append(sc.rels, ri)
 		return nil
@@ -250,90 +208,25 @@ func (p *planner) scopeForStmt(stmt *sql.SelectStmt, outer *scope) (*scope, erro
 	return sc, nil
 }
 
-// derivedColumns computes the output column names/kinds of a derived table
-// without fully planning it (kinds default to best-effort guesses; the
-// real kinds are set when the derived table is planned).
-func (p *planner) derivedColumns(fi *sql.FromItem) ([]catalog.Column, error) {
-	sub := fi.Sub
-	subScope, err := p.scopeForStmt(sub, nil)
-	if err != nil {
-		return nil, err
+// itemName is the output column name of select item i: its alias, the
+// name of a bare column reference, or col<i+1>.
+func itemName(it sql.SelectItem, i int) string {
+	if it.Alias != "" {
+		return it.Alias
 	}
-	cols := make([]catalog.Column, len(sub.Items))
-	for i, it := range sub.Items {
-		name := it.Alias
-		if name == "" {
-			if ref, ok := it.E.(*sql.ColumnRef); ok {
-				name = ref.Name
-			} else {
-				name = fmt.Sprintf("col%d", i+1)
-			}
-		}
-		kind := p.inferKind(it.E, subScope)
-		cols[i] = catalog.Column{Name: name, Type: kind}
+	if ref, ok := it.E.(*sql.ColumnRef); ok {
+		return ref.Name
 	}
-	for i, a := range fi.ColAliases {
+	return fmt.Sprintf("col%d", i+1)
+}
+
+// renameColumns applies a derived table's column aliases, as in
+// "… ) as c_orders (c_custkey, c_count)".
+func renameColumns(cols []catalog.Column, aliases []string) {
+	for i, a := range aliases {
 		if i < len(cols) {
 			cols[i].Name = a
 		}
-	}
-	return cols, nil
-}
-
-// inferKind guesses an expression's type for schema purposes.
-func (p *planner) inferKind(e sql.Expr, sc *scope) types.Kind {
-	switch v := e.(type) {
-	case *sql.ColumnRef:
-		for cur := sc; cur != nil; cur = cur.outer {
-			if rel, col, err := cur.resolve(v); err == nil {
-				return cur.relByID(rel).cols[col].Type
-			}
-		}
-		return types.KindFloat
-	case *sql.Literal:
-		return v.Value.Kind
-	case *sql.BinaryExpr:
-		switch v.Op {
-		case sql.OpAdd, sql.OpSub, sql.OpMul, sql.OpDiv:
-			lk := p.inferKind(v.L, sc)
-			rk := p.inferKind(v.R, sc)
-			if lk == types.KindDate || rk == types.KindDate {
-				return types.KindDate
-			}
-			if lk == types.KindInt && rk == types.KindInt && v.Op != sql.OpDiv {
-				return types.KindInt
-			}
-			return types.KindFloat
-		default:
-			return types.KindBool
-		}
-	case *sql.NegExpr:
-		return p.inferKind(v.E, sc)
-	case *sql.FuncCall:
-		if v.Name == "count" {
-			return types.KindInt
-		}
-		if v.Star || len(v.Args) == 0 {
-			return types.KindInt
-		}
-		if v.Name == "avg" {
-			return types.KindFloat
-		}
-		return p.inferKind(v.Args[0], sc)
-	case *sql.CaseExpr:
-		return p.inferKind(v.Whens[0].Then, sc)
-	case *sql.ExtractExpr:
-		return types.KindInt
-	case *sql.SubstringExpr:
-		return types.KindString
-	case *sql.SubqueryExpr:
-		subScope, err := p.scopeForStmt(v.Sub, sc)
-		if err != nil || len(v.Sub.Items) == 0 {
-			return types.KindFloat
-		}
-		return p.inferKind(v.Sub.Items[0].E, subScope)
-	default:
-		return types.KindBool
 	}
 }
 

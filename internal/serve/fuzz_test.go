@@ -58,6 +58,16 @@ func FuzzPredictRequest(f *testing.F) {
 	// scale factors qppserve runs at (and nearly does here).
 	f.Add([]byte(predictBody(f, crossJoinSQL(62))))
 
+	// An aggregate under LIKE or IN makes the select list an aggregation.
+	for _, q := range []string{
+		"SELECT max(p_type) LIKE '%BRASS' FROM part",
+		"SELECT NOT (max(p_type) LIKE '%BRASS') FROM part",
+		"SELECT sum(p_size) IN (1, 2) FROM part",
+		"SELECT sum(p_size) NOT IN (1, 2) FROM part",
+	} {
+		f.Add([]byte(predictBody(f, q)))
+	}
+
 	s := newTestServer(f, Options{})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		w := do(s, http.MethodPost, "/predict", string(body))

@@ -41,66 +41,33 @@ func TestCloneSelectRoundTrip(t *testing.T) {
 }
 
 func mutateLiterals(s *SelectStmt) {
-	var mutExpr func(e Expr)
-	mutExpr = func(e Expr) {
-		switch v := e.(type) {
-		case nil:
-		case *Literal:
-			switch v.Value.Kind {
-			case types.KindFloat:
-				v.Value = types.Float(v.Value.F() + 1)
-			case types.KindString:
-				v.Value = types.Str(v.Value.S() + "x")
-			default:
-				v.Value = types.Int(v.Value.I() ^ 1)
-			}
-		case *Interval:
-			v.N++
-		case *LikeExpr:
-			v.Pattern += "%"
-			mutExpr(v.E)
-		case *BinaryExpr:
-			mutExpr(v.L)
-			mutExpr(v.R)
-		case *NotExpr:
-			mutExpr(v.E)
-		case *NegExpr:
-			mutExpr(v.E)
-		case *FuncCall:
-			for _, a := range v.Args {
-				mutExpr(a)
-			}
-		case *CaseExpr:
-			for _, w := range v.Whens {
-				mutExpr(w.Cond)
-				mutExpr(w.Then)
-			}
-			mutExpr(v.Else)
-		case *InExpr:
-			mutExpr(v.E)
-			for _, it := range v.List {
-				mutExpr(it)
-			}
-			if v.Sub != nil {
+	mutExpr := func(e Expr) {
+		Inspect(e, func(n Expr) bool {
+			switch v := n.(type) {
+			case *Literal:
+				switch v.Value.Kind {
+				case types.KindFloat:
+					v.Value = types.Float(v.Value.F() + 1)
+				case types.KindString:
+					v.Value = types.Str(v.Value.S() + "x")
+				default:
+					v.Value = types.Int(v.Value.I() ^ 1)
+				}
+			case *Interval:
+				v.N++
+			case *LikeExpr:
+				v.Pattern += "%"
+			case *InExpr:
+				if v.Sub != nil {
+					mutateLiterals(v.Sub)
+				}
+			case *ExistsExpr:
+				mutateLiterals(v.Sub)
+			case *SubqueryExpr:
 				mutateLiterals(v.Sub)
 			}
-		case *ExistsExpr:
-			mutateLiterals(v.Sub)
-		case *BetweenExpr:
-			mutExpr(v.E)
-			mutExpr(v.Lo)
-			mutExpr(v.Hi)
-		case *IsNullExpr:
-			mutExpr(v.E)
-		case *SubqueryExpr:
-			mutateLiterals(v.Sub)
-		case *ExtractExpr:
-			mutExpr(v.From)
-		case *SubstringExpr:
-			mutExpr(v.E)
-			mutExpr(v.Start)
-			mutExpr(v.Len)
-		}
+			return true
+		})
 	}
 	for i := range s.Items {
 		mutExpr(s.Items[i].E)
