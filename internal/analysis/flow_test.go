@@ -112,10 +112,12 @@ func TestHotAllocEscapesNeedHotPackage(t *testing.T) {
 	}
 }
 
-// TestHotAllocRowStorage checks the executor's one-allocator rule: every
-// make or append-copy of a []types.Value (under either spelling) is a
-// finding anywhere in the package, other element types and reuse of an
-// existing row are not, and the rule is silent outside the executor.
+// TestHotAllocRowStorage checks the executor's one-owner rule: every
+// make or append-copy of a []types.Value (under either spelling) or of a
+// slice of a scratch[T] type argument is a finding anywhere in the
+// package; element types without a free list, the free list's own make of
+// a []T and reuse of an existing row are not, and the rule is silent
+// outside the executor.
 func TestHotAllocRowStorage(t *testing.T) {
 	load := func(asPath string) (*Module, *Package) {
 		pkgs := loadFixtureModule(t, []struct{ Dir, AsPath string }{

@@ -59,7 +59,9 @@ func init() {
 			"values boxed into interface arguments, and append-growth of slices " +
 			"declared outside the loop without preallocation or reuse. In the " +
 			"executor package, every make or append-copy of a []types.Value " +
-			"(plan.Row) is reported: row storage comes from the per-query arena",
+			"(plan.Row), or of a slice of an element type the per-query arena " +
+			"keeps free lists of (its scratch[T] type arguments), is reported: " +
+			"that memory comes from the arena",
 		Run: runHotAlloc,
 	})
 }
@@ -80,6 +82,10 @@ func runHotAlloc(pass *Pass) {
 		return
 	}
 	reach := pass.Mod.hotReachable()
+	var pooled map[string]bool
+	if pass.Pkg.Path == "qpp/internal/exec" {
+		pooled = pooledElems(pass)
+	}
 	for _, f := range pass.Pkg.Files {
 		if pass.Pkg.IsTestFile(f.Pos()) {
 			continue
@@ -104,8 +110,8 @@ func runHotAlloc(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if pass.Pkg.Path == "qpp/internal/exec" {
-				checkRowAllocs(pass, fd)
+			if pooled != nil {
+				checkPooledAllocs(pass, fd, pooled)
 			}
 			obj, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
 			if !ok || !reach[obj.FullName()] {
@@ -166,14 +172,17 @@ func (m *Module) hotReachable() map[string]bool {
 	return reach
 }
 
-// checkRowAllocs reports row storage the executor takes from the heap:
-// make([]types.Value, …) and the copy idiom append([]types.Value(nil), …),
-// under either spelling of the type (plan.Row is an alias). The executor
-// has one allocator for rows, the per-query arena, so that a worker's next
-// query overwrites the same memory; the check covers the whole package —
+// checkPooledAllocs reports memory the executor takes from the heap
+// although its per-query arena pools it: make(S, …) and the copy idiom
+// append(S(nil), …), where S is row storage ([]types.Value, under either
+// spelling — plan.Row is an alias) or a slice of an element type the arena
+// keeps free lists of, the type argument of one of the package's
+// scratch[T] instantiations (rows, hash slots and keys, join chains,
+// aggregate groups and states). The free lists' own code makes []T of a
+// type parameter and is not matched. The check covers the whole package —
 // Run and its helpers are not reachable from Next/Open/ReScan, and the
 // sites there that legitimately stay on the heap should say why too.
-func checkRowAllocs(pass *Pass, fd *ast.FuncDecl) {
+func checkPooledAllocs(pass *Pass, fd *ast.FuncDecl, pooled map[string]bool) {
 	info := pass.Pkg.Info
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -188,37 +197,72 @@ func checkRowAllocs(pass *Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		first := ast.Unparen(call.Args[0])
+		var slice types.Type
 		switch fun.Name {
 		case "make":
-			if !isRowType(info.TypeOf(first)) {
-				return true
-			}
+			slice = info.TypeOf(first)
 		case "append":
 			conv, ok := first.(*ast.CallExpr)
-			if !ok || len(conv.Args) != 1 || !info.Types[conv.Fun].IsType() ||
-				!info.Types[conv.Args[0]].IsNil() || !isRowType(info.TypeOf(conv.Fun)) {
+			if !ok || len(conv.Args) != 1 || !info.Types[conv.Fun].IsType() || !info.Types[conv.Args[0]].IsNil() {
 				return true
 			}
+			slice = info.TypeOf(conv.Fun)
 		default:
 			return true
 		}
-		pass.Reportf(call.Pos(),
-			"%s of a []types.Value in the executor: row storage comes from the arena (execCtx.rows), which the next query reuses",
-			fun.Name)
+		switch {
+		case isRowType(slice):
+			pass.Reportf(call.Pos(),
+				"%s of a []types.Value in the executor: row storage comes from the arena (execCtx.mem), which the next query reuses",
+				fun.Name)
+		case pooled[pooledKey(sliceElem(slice))]:
+			pass.Reportf(call.Pos(),
+				"%s of a %s in the executor: the arena keeps free lists of this element type (execCtx.mem), which the next query reuses",
+				fun.Name, types.TypeString(slice, types.RelativeTo(pass.Pkg.Types)))
+		}
 		return true
 	})
 }
 
+// pooledElems returns the element types, as pooledKey strings, of the
+// free lists the package declares: the type arguments of its scratch[T]
+// instantiations (the methods' own scratch[T] is not one).
+func pooledElems(pass *Pass) map[string]bool {
+	pooled := map[string]bool{}
+	for _, inst := range pass.Pkg.Info.Instances {
+		named, ok := inst.Type.(*types.Named)
+		if !ok || inst.TypeArgs.Len() != 1 {
+			continue
+		}
+		obj, arg := named.Origin().Obj(), inst.TypeArgs.At(0)
+		if _, generic := arg.(*types.TypeParam); !generic && obj.Name() == "scratch" && obj.Pkg() == pass.Pkg.Types {
+			pooled[pooledKey(arg)] = true
+		}
+	}
+	return pooled
+}
+
+func pooledKey(t types.Type) string {
+	if t == nil {
+		return ""
+	}
+	return types.TypeString(types.Unalias(t), nil)
+}
+
+// sliceElem returns the element type of a slice type, or nil.
+func sliceElem(t types.Type) types.Type {
+	if t == nil {
+		return nil
+	}
+	if s, ok := t.Underlying().(*types.Slice); ok {
+		return s.Elem()
+	}
+	return nil
+}
+
 // isRowType reports whether t is a slice of qpp/internal/types.Value.
 func isRowType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	s, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	named, ok := types.Unalias(s.Elem()).(*types.Named)
+	named, ok := types.Unalias(sliceElem(t)).(*types.Named)
 	return ok && named.Obj().Name() == "Value" && named.Obj().Pkg() != nil &&
 		named.Obj().Pkg().Path() == "qpp/internal/types"
 }

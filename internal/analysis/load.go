@@ -77,6 +77,7 @@ func (l *loader) check(path string, files []*ast.File) (*types.Package, *types.I
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
+		Instances:  map[*ast.Ident]types.Instance{},
 	}
 	var errs []error
 	cfg := &types.Config{

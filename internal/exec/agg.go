@@ -34,7 +34,7 @@ func (a *aggState) update(ctx *execCtx, row plan.Row) {
 	if a.spec.Distinct {
 		if a.seen == nil {
 			a.seen = new(hashTable)
-			a.seen.init(1, 4)
+			a.seen.init(ctx.mem, 1, 4)
 		}
 		key := [1]types.Value{v}
 		if _, added := a.seen.insert(key[:]); !added {
@@ -121,11 +121,11 @@ type aggregate struct {
 	table  hashTable
 	groups []aggGroup
 
-	// Per-group states are carved out of fixed-capacity chunks so a large
-	// GROUP BY makes dozens of allocations instead of one per group (the
-	// keys come from the row arena). Chunks are never regrown in place
-	// (slices into them must stay valid); a full chunk is simply replaced
-	// and kept alive by the groups referencing it.
+	// Per-group states are carved out of fixed-capacity chunks from the
+	// arena, so a large GROUP BY takes dozens of arrays instead of one per
+	// group (the keys come from the arena's rows). Chunks are never regrown
+	// in place (slices into them must stay valid); a full chunk is simply
+	// replaced and stays out of the free lists until the query's release.
 	slabStates []aggState
 }
 
@@ -149,7 +149,7 @@ func (a *aggregate) Open(ctx *execCtx) error {
 			NumericOps: a.groupCosts.NumericOps + g.Cost().NumericOps,
 		}
 	}
-	a.stateTmpl = make([]aggState, len(a.node.Aggs))
+	a.stateTmpl = ctx.mem.states.get(len(a.node.Aggs))[:len(a.node.Aggs)]
 	for i, s := range a.node.Aggs {
 		st := aggState{spec: s, sumIsI: s.Arg != nil && s.Arg.Kind() == types.KindInt}
 		if s.Arg != nil {
@@ -158,7 +158,7 @@ func (a *aggregate) Open(ctx *execCtx) error {
 		}
 		a.stateTmpl[i] = st
 	}
-	a.valBuf = ctx.rows.alloc(len(a.node.GroupBy))
+	a.valBuf = ctx.mem.alloc(len(a.node.GroupBy))
 	a.results = nil
 	a.pos = 0
 	a.drained = false
@@ -174,13 +174,13 @@ func (a *aggregate) slabChunk() int {
 
 // newStates copies the compiled template into a fresh group accumulator
 // carved from the state slab.
-func (a *aggregate) newStates() []aggState {
+func (a *aggregate) newStates(ctx *execCtx) []aggState {
 	n := len(a.stateTmpl)
 	if n == 0 {
 		return nil
 	}
 	if len(a.slabStates)+n > cap(a.slabStates) {
-		a.slabStates = make([]aggState, 0, a.slabChunk()*n)
+		a.slabStates = ctx.mem.states.get(a.slabChunk() * n)
 	}
 	lo := len(a.slabStates)
 	a.slabStates = a.slabStates[:lo+n]
@@ -191,8 +191,8 @@ func (a *aggregate) newStates() []aggState {
 
 // newGroup appends a group with fresh accumulators. The pointer is valid
 // until the next newGroup.
-func (a *aggregate) newGroup(keys []types.Value) *aggGroup {
-	a.groups = append(reserve(a.groups, 1), aggGroup{keys: keys, states: a.newStates()})
+func (a *aggregate) newGroup(ctx *execCtx, keys []types.Value) *aggGroup {
+	a.groups = append(ctx.mem.groups.grow(a.groups, 1), aggGroup{keys: keys, states: a.newStates(ctx)})
 	return &a.groups[len(a.groups)-1]
 }
 
@@ -228,10 +228,10 @@ type aggGroup struct {
 }
 
 // startHashed readies the group table for a hashed drain.
-func (a *aggregate) startHashed() {
+func (a *aggregate) startHashed(ctx *execCtx) {
 	n := startCap(a.node.Est.Rows)
-	a.table.init(len(a.node.GroupBy), n)
-	a.groups = make([]aggGroup, 0, n)
+	a.table.init(ctx.mem, len(a.node.GroupBy), n)
+	a.groups = ctx.mem.groups.get(n)
 }
 
 // lookupGroup finds or creates the group for the current row, charging
@@ -239,7 +239,7 @@ func (a *aggregate) startHashed() {
 func (a *aggregate) lookupGroup(ctx *execCtx, row plan.Row) *aggGroup {
 	if len(a.node.GroupBy) == 0 {
 		if len(a.groups) == 0 {
-			return a.newGroup(nil)
+			return a.newGroup(ctx, nil)
 		}
 		return &a.groups[0]
 	}
@@ -247,13 +247,13 @@ func (a *aggregate) lookupGroup(ctx *execCtx, row plan.Row) *aggGroup {
 	ctx.clock.HashOps(1)
 	id, added := a.table.insert(a.valBuf)
 	if added {
-		return a.newGroup(ctx.rows.copyOf(a.valBuf))
+		return a.newGroup(ctx, ctx.mem.copyOf(a.valBuf))
 	}
 	return &a.groups[id]
 }
 
 func (a *aggregate) drainHashed(ctx *execCtx) error {
-	a.startHashed()
+	a.startHashed(ctx)
 	for {
 		row, ok, err := a.child.Next(ctx)
 		if err != nil {
@@ -277,7 +277,7 @@ func (a *aggregate) drainHashed(ctx *execCtx) error {
 func (a *aggregate) finishHashed(ctx *execCtx) error {
 	// A query with no GROUP BY emits exactly one row even on empty input.
 	if len(a.node.GroupBy) == 0 && len(a.groups) == 0 {
-		a.newGroup(nil)
+		a.newGroup(ctx, nil)
 	}
 	// Spill accounting when the group table exceeds work_mem.
 	cells := len(a.groups) * (len(a.node.GroupBy) + len(a.stateTmpl))
@@ -289,7 +289,7 @@ func (a *aggregate) finishHashed(ctx *execCtx) error {
 	}
 	ctx.clock.Barrier()
 	if a.results == nil {
-		a.results = make([]plan.Row, 0, len(a.groups))
+		a.results = ctx.mem.rows.get(len(a.groups))
 	}
 	for i := range a.groups {
 		a.emit(ctx, a.groups[i].keys, a.groups[i].states)
@@ -316,8 +316,8 @@ func (a *aggregate) drainSorted(ctx *execCtx) error {
 			if started {
 				a.emit(ctx, curKeys, states)
 			}
-			curKeys = ctx.rows.copyOf(a.valBuf)
-			states = a.newStates()
+			curKeys = ctx.mem.copyOf(a.valBuf)
+			states = a.newStates(ctx)
 			started = true
 		}
 		for i := range states {
@@ -327,20 +327,20 @@ func (a *aggregate) drainSorted(ctx *execCtx) error {
 	if started {
 		a.emit(ctx, curKeys, states)
 	} else if len(a.node.GroupBy) == 0 {
-		a.emit(ctx, nil, a.newStates())
+		a.emit(ctx, nil, a.newStates(ctx))
 	}
 	ctx.clock.Barrier()
 	return nil
 }
 
 func (a *aggregate) emit(ctx *execCtx, keys []types.Value, states []aggState) {
-	out := ctx.rows.alloc(len(keys) + len(states))[:0]
+	out := ctx.mem.alloc(len(keys) + len(states))[:0]
 	out = append(out, keys...)
 	for i := range states {
 		out = append(out, states[i].result())
 	}
 	if a.having.eval(ctx, out) {
-		a.results = append(a.results, out)
+		a.results = append(ctx.mem.rows.grow(a.results, 1), out)
 	}
 }
 

@@ -68,8 +68,9 @@ type execCtx struct {
 	// repeated executions of one plan tree skip compilation entirely. Nil
 	// when Options.Interpret is set.
 	compiled map[plan.Scalar]evalFn
-	// rows is where every row the operators create comes from (arena.go).
-	rows *rowArena
+	// mem is where every row and every growable array the operators create
+	// comes from (arena.go).
+	mem *queryArena
 }
 
 func (c *execCtx) overTime() bool {
@@ -96,9 +97,9 @@ func Run(db *storage.Database, root *plan.Node, clock *vclock.Clock, opts Option
 	root.Walk(func(n *plan.Node) { n.Act = plan.Actuals{} })
 
 	ectx := &plan.Ctx{Params: make([]types.Value, root.NumParams)} //qpplint:ignore hotalloc parameter slots must start as NULLs: one small zeroed slice per Run
-	rows := arenaPool.Get().(*rowArena)
-	defer rows.recycle()
-	ctx := &execCtx{db: db, clock: clock, ectx: ectx, limit: opts.TimeLimit, trace: opts.Trace, rows: rows}
+	mem := arenaPool.Get().(*queryArena)
+	defer mem.recycle()
+	ctx := &execCtx{db: db, clock: clock, ectx: ectx, limit: opts.TimeLimit, trace: opts.Trace, mem: mem}
 	if !opts.Interpret {
 		// Closures are pure functions of the plan tree, so they survive
 		// across Runs on the root's ExecCache (plan trees are never shared
@@ -176,11 +177,11 @@ func copyOut(rows []plan.Row) {
 // runScalarPlan executes a sub-plan to completion and returns its single
 // scalar output (NULL when it yields no rows). Instrumentation on the
 // sub-plan's nodes accumulates across invocations. The result is a Value,
-// copied before the deferred release runs, so every row the sub-plan
-// allocated is dead on return and a sub-plan run 10⁴ times reuses one
-// stretch of the arena.
+// copied before the deferred release runs, so every row and array the
+// sub-plan took from the arena is dead on return and a sub-plan run 10⁴
+// times reuses one stretch of chunks and one set of arrays.
 func runScalarPlan(ctx *execCtx, p *plan.Node) (types.Value, error) {
-	defer ctx.rows.release(ctx.rows.mark())
+	defer ctx.mem.release(ctx.mem.mark())
 	// reuse stays false: the first row is held across the drain loop below.
 	it, err := build(ctx, p, false)
 	if err != nil {

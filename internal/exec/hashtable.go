@@ -15,7 +15,8 @@ import "qpp/internal/types"
 //
 // Slots are open-addressed with linear probing at load ≤ ½ and hold id+1.
 // Entries live in flat slices in insertion order, so a lookup or a hit
-// allocates nothing and an insert only when a slice doubles.
+// touches no allocator and an insert only when a slice doubles; every
+// slice comes from the query's arena.
 //
 // Two key representations share the slots:
 //
@@ -31,6 +32,7 @@ import "qpp/internal/types"
 // or fractional float). The choice therefore never depends on the planner's
 // static kinds being right.
 type hashTable struct {
+	mem   *queryArena
 	ncols int
 	ints  bool
 	slots []int32
@@ -41,41 +43,37 @@ type hashTable struct {
 	vkeys  []types.Value // general path: ncols per entry
 }
 
-// startCap turns the optimizer's row estimate into the capacity a table
-// and its caller's side arrays start with. The estimate can be off by
-// orders of magnitude, so it is trusted up to 64 entries only; beyond
-// that everything grows by doubling on the rows that actually arrive.
+// startCap turns the optimizer's row estimate into the capacity a table,
+// its caller's side arrays and a sort or materialize buffer start with.
+// The estimate can be off by orders of magnitude, so it is trusted up to
+// 64 entries only; beyond that everything grows by doubling on the rows
+// that actually arrive, on arrays recycled from earlier queries.
 func startCap(estRows float64) int {
 	return max(4, min(int(estRows), 64))
 }
 
 // init readies t for key tuples of ncols columns with room for capacity
-// entries before the first growth.
-func (t *hashTable) init(ncols, capacity int) {
+// entries before the first growth, its arrays taken from mem.
+func (t *hashTable) init(mem *queryArena, ncols, capacity int) {
 	slots := 8
 	for slots < 2*capacity {
 		slots *= 2
 	}
-	*t = hashTable{ncols: ncols, ints: ncols <= 2, slots: make([]int32, slots)}
+	*t = hashTable{mem: mem, ncols: ncols, ints: ncols <= 2}
+	t.slots = t.emptySlots(slots)
 	if t.ints {
-		t.ikeys = make([][2]int64, 0, capacity)
+		t.ikeys = mem.ikeys.get(capacity)
 	} else {
-		t.hashes = make([]uint64, 0, capacity)
-		t.vkeys = make([]types.Value, 0, capacity*ncols) //qpplint:ignore hotalloc the key store regrows by doubling, and an arena cannot free the outgrown copy
+		t.hashes = mem.hashes.get(capacity)
+		t.vkeys = mem.vals.get(capacity * ncols)
 	}
 }
 
-// reserve returns s with room for n more elements, doubling the capacity
-// when it runs out. The runtime's own append growth drops to 1.25× for
-// large slices, which for a table filled one row at a time allocates about
-// five times its final size in total; doubling allocates twice.
-func reserve[T any](s []T, n int) []T {
-	if len(s)+n <= cap(s) {
-		return s
-	}
-	grown := make([]T, len(s), max(2*cap(s), len(s)+n))
-	copy(grown, s)
-	return grown
+// emptySlots returns n zeroed slots.
+func (t *hashTable) emptySlots(n int) []int32 {
+	slots := t.mem.ids.get(n)[:n]
+	clear(slots)
+	return slots
 }
 
 // intKey packs an all-integer-valued tuple of at most two columns.
@@ -135,7 +133,7 @@ func (t *hashTable) insert(key []types.Value) (id int32, added bool) {
 					return id, false
 				}
 			}
-			t.ikeys = append(reserve(t.ikeys, 1), k)
+			t.ikeys = append(t.mem.ikeys.grow(t.ikeys, 1), k)
 			return t.add(s), true
 		}
 		t.demote()
@@ -148,8 +146,8 @@ func (t *hashTable) insert(key []types.Value) (id int32, added bool) {
 			return id, false
 		}
 	}
-	t.hashes = append(reserve(t.hashes, 1), h)
-	t.vkeys = append(reserve(t.vkeys, len(key)), key...)
+	t.hashes = append(t.mem.hashes.grow(t.hashes, 1), h)
+	t.vkeys = append(t.mem.vals.grow(t.vkeys, len(key)), key...)
 	return t.add(s), true
 }
 
@@ -183,7 +181,7 @@ func (t *hashTable) add(s uint32) int32 {
 // rehash rebuilds the slot array at the given power-of-two size from the
 // entries, in id order.
 func (t *hashTable) rehash(size int) {
-	t.slots = make([]int32, size)
+	t.slots = t.emptySlots(size)
 	mask := uint32(size - 1)
 	for id := int32(0); id < t.n; id++ {
 		var h uint64
@@ -204,9 +202,9 @@ func (t *hashTable) rehash(size int) {
 // integer Values (equal, as keys, to whatever was inserted) and rehashed.
 func (t *hashTable) demote() {
 	t.ints = false
-	capacity := max(cap(t.ikeys), 4)
-	t.hashes = make([]uint64, 0, capacity)
-	t.vkeys = make([]types.Value, 0, capacity*t.ncols) //qpplint:ignore hotalloc the key store regrows by doubling, and an arena cannot free the outgrown copy
+	capacity := cap(t.ikeys)
+	t.hashes = t.mem.hashes.get(capacity)
+	t.vkeys = t.mem.vals.get(capacity * t.ncols)
 	for _, k := range t.ikeys {
 		for c := 0; c < t.ncols; c++ {
 			t.vkeys = append(t.vkeys, types.Int(k[c]))

@@ -139,7 +139,7 @@ func TestHashKeySemantics(t *testing.T) {
 			// whether the table is still on its integer path).
 			for _, pair := range [][2][]types.Value{{tc.a, tc.b}, {tc.b, tc.a}} {
 				var ht hashTable
-				ht.init(n, 0)
+				ht.init(new(queryArena), n, 0)
 				ht.insert(pair[0])
 				id, added := ht.insert(pair[1])
 				if added == tc.equal || (id == 0) != tc.equal {
@@ -304,7 +304,7 @@ func TestHashTableMatchesModel(t *testing.T) {
 		model := map[string][]int{} // key → build row numbers, in insertion order
 		var order []string          // keys in first-appearance order
 		var ht hashTable
-		ht.init(ncols, 0)
+		ht.init(new(queryArena), ncols, 0)
 		build := make([]storage.Row, nBuild)
 		for i := range build {
 			k := key(i, nBuild)
@@ -394,7 +394,7 @@ func TestHashTableHitsDoNotAllocate(t *testing.T) {
 		}},
 	} {
 		var ht hashTable
-		ht.init(len(tc.key(0)), 0)
+		ht.init(new(queryArena), len(tc.key(0)), 0)
 		keys := make([][]types.Value, 1000)
 		for i := range keys {
 			keys[i] = tc.key(i)
@@ -417,7 +417,7 @@ func TestHashTableHitsDoNotAllocate(t *testing.T) {
 	// The operator around the table: probing a built hash join.
 	db := testDB(t)
 	join, _, _ := hashJoinTree(plan.JoinInner)
-	ctx := &execCtx{db: db, clock: noNoiseClock(), ectx: &plan.Ctx{}, compiled: map[plan.Scalar]evalFn{}, rows: new(rowArena)}
+	ctx := &execCtx{db: db, clock: noNoiseClock(), ectx: &plan.Ctx{}, compiled: map[plan.Scalar]evalFn{}, mem: new(queryArena)}
 	left, err := build(ctx, join.Children[0], true)
 	if err != nil {
 		t.Fatal(err)

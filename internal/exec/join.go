@@ -27,7 +27,7 @@ func joinKey(ctx *execCtx, fns []evalFn, row plan.Row, buf []types.Value) ([]typ
 func concatInto(ctx *execCtx, dst, a, b plan.Row) plan.Row {
 	n := len(a) + len(b)
 	if cap(dst) < n {
-		dst = ctx.rows.alloc(n)
+		dst = ctx.mem.alloc(n)
 	}
 	dst = append(dst[:0], a...)
 	return append(dst, b...)
@@ -68,8 +68,8 @@ func (h *hashJoin) Open(ctx *execCtx) error {
 	h.joinF = ctx.compileFilter(h.node.JoinFilter)
 	h.keysL = ctx.compileScalars(h.node.HashKeysL)
 	h.keysR = ctx.compileScalars(h.node.HashKeysR)
-	h.keyBuf = ctx.rows.alloc(len(h.keysR))
-	h.nullRight = ctx.rows.alloc(len(h.node.Children[1].Cols))
+	h.keyBuf = ctx.mem.alloc(len(h.keysR))
+	h.nullRight = ctx.mem.alloc(len(h.node.Children[1].Cols))
 	for i := range h.nullRight {
 		h.nullRight[i] = types.Null
 	}
@@ -80,12 +80,13 @@ func (h *hashJoin) Open(ctx *execCtx) error {
 }
 
 func (h *hashJoin) build(ctx *execCtx) error {
+	mem := ctx.mem
 	n := startCap(h.node.Children[1].Est.Rows)
-	h.table.init(len(h.keysR), n)
-	h.rows = make([]plan.Row, 0, n)
-	h.next = make([]int32, 0, n)
-	h.head = make([]int32, 0, n)
-	tail := make([]int32, 0, n) // per key id: last row of its chain so far
+	h.table.init(mem, len(h.keysR), n)
+	h.rows = mem.rows.get(n)
+	h.next = mem.ids.get(n)
+	h.head = mem.ids.get(n)
+	tail := mem.ids.get(n) // per key id: last row of its chain so far
 	h.buildBytes = 0
 	if err := h.right.Open(ctx); err != nil {
 		return err
@@ -105,11 +106,11 @@ func (h *hashJoin) build(ctx *execCtx) error {
 		}
 		ctx.clock.HashOps(1)
 		r := int32(len(h.rows))
-		h.rows = append(reserve(h.rows, 1), row)
-		h.next = append(reserve(h.next, 1), -1)
+		h.rows = append(mem.rows.grow(h.rows, 1), row)
+		h.next = append(mem.ids.grow(h.next, 1), -1)
 		if id, added := h.table.insert(h.keyBuf); added {
-			h.head = append(reserve(h.head, 1), r)
-			tail = append(reserve(tail, 1), r)
+			h.head = append(mem.ids.grow(h.head, 1), r)
+			tail = append(mem.ids.grow(tail, 1), r)
 		} else {
 			h.next[tail[id]] = r
 			tail[id] = r
@@ -163,7 +164,7 @@ func (h *hashJoin) probe(ctx *execCtx, left plan.Row) {
 				continue
 			}
 		}
-		h.curMatches = append(h.curMatches, r)
+		h.curMatches = append(ctx.mem.ids.grow(h.curMatches, 1), r)
 	}
 }
 
@@ -257,7 +258,7 @@ type nestedLoop struct {
 func (n *nestedLoop) Open(ctx *execCtx) error {
 	n.joinF = ctx.compileFilter(n.node.JoinFilter)
 	n.filter = ctx.compileFilter(n.node.Filter)
-	n.nullInner = ctx.rows.alloc(len(n.node.Children[1].Cols))
+	n.nullInner = ctx.mem.alloc(len(n.node.Children[1].Cols))
 	for i := range n.nullInner {
 		n.nullInner[i] = types.Null
 	}
@@ -370,7 +371,7 @@ type mergeJoin struct {
 
 	leftRow   plan.Row
 	leftOK    bool
-	rightRows []plan.Row // buffered right group with equal key
+	rightRows []plan.Row // buffered right group with equal key; empty between groups
 	rightNext plan.Row
 	rightOK   bool
 	groupIdx  int
@@ -463,7 +464,7 @@ func (m *mergeJoin) Next(ctx *execCtx) (plan.Row, bool, error) {
 				m.groupIdx = 0
 				continue
 			}
-			m.rightRows = nil
+			m.rightRows = m.rightRows[:0]
 			continue
 		}
 		// Align the two sides.
@@ -493,9 +494,7 @@ func (m *mergeJoin) Next(ctx *execCtx) (plan.Row, bool, error) {
 			}
 		default:
 			// Buffer the full right group with this key.
-			m.rightRows = m.rightRows[:0]
-			first := m.rightNext
-			m.rightRows = append(m.rightRows, first)
+			m.rightRows = append(ctx.mem.rows.grow(m.rightRows[:0], 1), m.rightNext)
 			for {
 				var err error
 				m.rightNext, m.rightOK, err = m.right.Next(ctx)
@@ -505,7 +504,7 @@ func (m *mergeJoin) Next(ctx *execCtx) (plan.Row, bool, error) {
 				if !m.rightOK || m.cmpKeys(m.leftRow, m.rightNext) != 0 {
 					break
 				}
-				m.rightRows = append(m.rightRows, m.rightNext)
+				m.rightRows = append(ctx.mem.rows.grow(m.rightRows, 1), m.rightNext)
 			}
 			m.groupIdx = 0
 		}
@@ -533,7 +532,7 @@ func (m *mergeJoin) ReScan(ctx *execCtx, outer plan.Row) error {
 	if err := m.right.ReScan(ctx, outer); err != nil {
 		return err
 	}
-	m.rightRows = nil
+	m.rightRows = m.rightRows[:0]
 	m.groupIdx = 0
 	var err error
 	m.leftRow, m.leftOK, err = m.left.Next(ctx)

@@ -19,7 +19,7 @@ type sortOp struct {
 
 // Open implements iterator.
 func (s *sortOp) Open(ctx *execCtx) error {
-	s.rows = presizeRows(ctx, s.node)
+	s.rows = ctx.mem.rows.get(startCap(s.node.Est.Rows))
 	s.pos = 0
 	s.done = false
 	return s.child.Open(ctx)
@@ -37,7 +37,7 @@ func (s *sortOp) drain(ctx *execCtx) error {
 			break
 		}
 		ctx.clock.CPUTuples(1)
-		s.rows = append(s.rows, row)
+		s.rows = append(ctx.mem.rows.grow(s.rows, 1), row)
 		for _, v := range row {
 			bytes += float64(v.Width())
 		}
@@ -116,7 +116,7 @@ type materialize struct {
 
 // Open implements iterator.
 func (m *materialize) Open(ctx *execCtx) error {
-	m.rows = presizeRows(ctx, m.node)
+	m.rows = ctx.mem.rows.get(startCap(m.node.Est.Rows))
 	m.pos = 0
 	m.filled = false
 	m.spilled = 0
@@ -135,7 +135,7 @@ func (m *materialize) fill(ctx *execCtx) error {
 			break
 		}
 		ctx.clock.CPUTuples(1)
-		m.rows = append(m.rows, row)
+		m.rows = append(ctx.mem.rows.grow(m.rows, 1), row)
 		for _, v := range row {
 			bytes += float64(v.Width())
 		}
@@ -260,7 +260,7 @@ func (p *project) Next(ctx *execCtx) (plan.Row, bool, error) {
 		ctx.clock.CPUOps(p.projCost.Ops, p.projCost.NumericOps)
 		out := p.out
 		if out == nil {
-			out = ctx.rows.alloc(len(p.projFns))
+			out = ctx.mem.alloc(len(p.projFns))
 		}
 		for i, fn := range p.projFns {
 			out[i] = fn(ctx.ectx, row)
@@ -279,33 +279,6 @@ func (p *project) ReScan(ctx *execCtx, outer plan.Row) error {
 
 // Close implements iterator.
 func (p *project) Close() { p.child.Close() }
-
-// presizeRows allocates a buffering operator's row slice from the
-// optimizer's cardinality estimate. The capacity is clamped to what
-// work_mem could hold at the estimated row width (an input past that
-// point spills anyway, and append-regrowth is cheap next to spill I/O)
-// and to a hard cap so a runaway estimate cannot reserve gigabytes.
-func presizeRows(ctx *execCtx, n *plan.Node) []plan.Row {
-	est := n.Est.Rows
-	if est <= 0 {
-		return nil
-	}
-	width := n.Est.Width
-	if width <= 16 {
-		width = 16
-	}
-	if memCap := float64(ctx.clock.WorkMemPages()) * 8192 / width; est > memCap {
-		est = memCap
-	}
-	const hardCap = 1 << 20
-	if est > hardCap {
-		est = hardCap
-	}
-	if est < 1 {
-		est = 1
-	}
-	return make([]plan.Row, 0, int(est))
-}
 
 func maxInt(a, b int) int {
 	if a > b {

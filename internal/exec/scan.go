@@ -77,7 +77,7 @@ func (s *indexScan) Open(ctx *execCtx) error {
 	case len(s.node.LookupConsts) > 0:
 		s.lookupFns = ctx.compileScalars(s.node.LookupConsts)
 	}
-	s.keyBuf = ctx.rows.alloc(len(s.lookupFns))
+	s.keyBuf = ctx.mem.alloc(len(s.lookupFns))
 	return s.reposition(ctx, nil)
 }
 

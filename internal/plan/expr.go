@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"regexp"
 	"strings"
+	"sync"
 
 	"qpp/internal/types"
 )
@@ -405,32 +406,49 @@ func (b *Between) String() string {
 // Kind implements Scalar.
 func (b *Between) Kind() types.Kind { return types.KindBool }
 
-// Like matches SQL LIKE patterns, compiled once to a regexp.
+// Like matches SQL LIKE patterns through a regexp compiled on first use:
+// planning never evaluates a predicate, and the executor's compiled string
+// matchers cover every pattern without '_', so most plans never need it.
 type Like struct {
 	E       Scalar
 	Pattern string
 	Negated bool
-	re      *regexp.Regexp
+	re      *likeRegexp
 }
 
-// NewLike compiles a LIKE pattern ('%' any run, '_' any single char).
-// The wildcards match every character including newline ((?s)), so the
-// executor's compiled string matchers and this regexp agree on all inputs.
+// likeRegexp is a Like's regexp, compiled once, by whichever evaluation
+// needs it first. It sits behind a pointer so a copied Like copies no lock.
+type likeRegexp struct {
+	once sync.Once
+	re   *regexp.Regexp
+}
+
+// NewLike binds a LIKE pattern ('%' any run, '_' any single char).
 func NewLike(e Scalar, pattern string, negated bool) *Like {
-	var sb strings.Builder
-	sb.WriteString("(?s)^")
-	for _, r := range pattern {
-		switch r {
-		case '%':
-			sb.WriteString(".*")
-		case '_':
-			sb.WriteString(".")
-		default:
-			sb.WriteString(regexp.QuoteMeta(string(r)))
+	return &Like{E: e, Pattern: pattern, Negated: negated, re: new(likeRegexp)}
+}
+
+// compiled returns the pattern's anchored regexp. The wildcards match every
+// character including newline ((?s)), so the executor's compiled string
+// matchers and this regexp agree on all inputs.
+func (l *Like) compiled() *regexp.Regexp {
+	l.re.once.Do(func() {
+		var sb strings.Builder
+		sb.WriteString("(?s)^")
+		for _, r := range l.Pattern {
+			switch r {
+			case '%':
+				sb.WriteString(".*")
+			case '_':
+				sb.WriteString(".")
+			default:
+				sb.WriteString(regexp.QuoteMeta(string(r)))
+			}
 		}
-	}
-	sb.WriteString("$")
-	return &Like{E: e, Pattern: pattern, Negated: negated, re: regexp.MustCompile(sb.String())}
+		sb.WriteString("$")
+		l.re.re = regexp.MustCompile(sb.String())
+	})
+	return l.re.re
 }
 
 // Eval implements Scalar.
@@ -439,13 +457,13 @@ func (l *Like) Eval(ctx *Ctx, row Row) types.Value {
 	if v.IsNull() {
 		return types.Null
 	}
-	return types.Bool(l.re.MatchString(v.S()) != l.Negated)
+	return types.Bool(l.compiled().MatchString(v.S()) != l.Negated)
 }
 
 // Matches reports whether s matches the raw pattern (before negation).
 // The executor's expression compiler uses it as the reference matcher for
 // patterns its specialized string searches don't cover.
-func (l *Like) Matches(s string) bool { return l.re.MatchString(s) }
+func (l *Like) Matches(s string) bool { return l.compiled().MatchString(s) }
 
 // Cost implements Scalar.
 func (l *Like) Cost() ExprCost {

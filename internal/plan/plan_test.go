@@ -2,6 +2,7 @@ package plan
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"qpp/internal/types"
@@ -128,6 +129,28 @@ func TestLikeMatching(t *testing.T) {
 	}
 	if v := eval(NewLike(col(0, types.KindString), "%x%", false), Row{types.Null}); !v.IsNull() {
 		t.Fatal("NULL LIKE must be NULL")
+	}
+}
+
+// TestLikeCompilesOnFirstUse: the regexp is built by whichever evaluation
+// needs it first, also when several goroutines evaluate one Like at once
+// (run under -race), and a copied Like shares it.
+func TestLikeCompilesOnFirstUse(t *testing.T) {
+	l := NewLike(col(0, types.KindString), "a_c%", false)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !l.Matches("abcd") || l.Matches("ac") {
+				t.Error("a_c% matched wrongly")
+			}
+		}()
+	}
+	wg.Wait()
+	copied := *l
+	if !eval(&copied, Row{types.Str("aXc")}).IsTrue() || copied.re.re != l.re.re {
+		t.Error("a copied Like lost its compiled regexp")
 	}
 }
 
