@@ -198,3 +198,25 @@ func TestJSONReportRoundTrip(t *testing.T) {
 		t.Errorf("summary %q lacks per-rule counts", summary)
 	}
 }
+
+// TestHotAllocPredictPath checks the predict-path rule: in a predict-path
+// package, functions the serving layer's predict handlers reach (through
+// calls and closures) may not build maps or write to a strings.Builder;
+// package-level tables, functions reached only from another handler or
+// from none, and the same code outside the predict-path packages stay
+// silent.
+func TestHotAllocPredictPath(t *testing.T) {
+	pkgs := loadFixtureModule(t, []struct{ Dir, AsPath string }{
+		{filepath.Join("testdata", "src", "predictlib"), "qpp/internal/qpp"},
+		{filepath.Join("testdata", "src", "predictserve"), "qpp/internal/serve"},
+	})
+	m := NewModule(pkgs)
+	matchWants(t, pkgs[0], m.Check(pkgs[0], []Rule{ruleByName(t, "hotalloc")}))
+
+	pkgs = loadFixtureModule(t, []struct{ Dir, AsPath string }{
+		{filepath.Join("testdata", "src", "predictlib"), "qpp/internal/opt"},
+	})
+	if findings := NewModule(pkgs).Check(pkgs[0], []Rule{ruleByName(t, "hotalloc")}); len(findings) != 0 {
+		t.Fatalf("predict-path check fired outside the predict-path packages: %v", findings)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -22,6 +23,18 @@ var HotPathPackages = []string{
 	"qpp/internal/sketch",
 	"qpp/internal/plancache",
 	"qpp/cmd/qppserve",
+}
+
+// PredictPathPackages lists the packages a /predict request scores a
+// plan with — features, signatures, model evaluation. They are not hot
+// path packages (training and the figure drivers run the same code at
+// leisure), so only their functions reachable from the predict handlers
+// are checked, and only for what such a function has no reason to
+// allocate per request: a map, or a strings.Builder rendering.
+var PredictPathPackages = []string{
+	"qpp/internal/qpp",
+	"qpp/internal/plan",
+	"qpp/internal/mlearn",
 }
 
 // fmtAllocDeny is the allocating render surface of package fmt. Errorf
@@ -61,7 +74,10 @@ func init() {
 			"executor package, every make or append-copy of a []types.Value " +
 			"(plan.Row), or of a slice of an element type the per-query arena " +
 			"keeps free lists of (its scratch[T] type arguments), is reported: " +
-			"that memory comes from the arena",
+			"that memory comes from the arena. In the predict-path packages " +
+			"(qpp, plan, mlearn), a function reachable from serve's handlePredict " +
+			"or handleBatch may not build a map (make or literal) or write to a " +
+			"strings.Builder",
 		Run: runHotAlloc,
 	})
 }
@@ -78,6 +94,10 @@ func isHotPathPackage(path string) bool {
 func runHotAlloc(pass *Pass) {
 	// Test files are exempt: benchmarks and test helpers legitimately
 	// format strings per iteration.
+	if slices.Contains(PredictPathPackages, pass.Pkg.Path) {
+		checkPredictPath(pass)
+		return
+	}
 	if !isHotPathPackage(pass.Pkg.Path) {
 		return
 	}
@@ -145,14 +165,35 @@ func hotEntryPoint(pkgPath string, fd *ast.FuncDecl) bool {
 // hotReachable memoizes the set of module functions reachable from a
 // hot entry point over the static call graph.
 func (m *Module) hotReachable() map[string]bool {
-	if m.hotOK {
-		return m.hotReach
+	if !m.hotOK {
+		m.hotReach = m.reachable(func(info *FuncInfo) bool {
+			return isHotPathPackage(info.Pkg.Path) && hotEntryPoint(info.Pkg.Path, info.Decl)
+		})
+		m.hotOK = true
 	}
+	return m.hotReach
+}
+
+// predictReachable memoizes the set of module functions reachable from
+// the serving layer's predict handlers.
+func (m *Module) predictReachable() map[string]bool {
+	if !m.predictOK {
+		m.predictReach = m.reachable(func(info *FuncInfo) bool {
+			name := info.Decl.Name.Name
+			return info.Pkg.Path == "qpp/internal/serve" && (name == "handlePredict" || name == "handleBatch")
+		})
+		m.predictOK = true
+	}
+	return m.predictReach
+}
+
+// reachable is the set of module functions reachable from the roots
+// over the static call graph.
+func (m *Module) reachable(root func(*FuncInfo) bool) map[string]bool {
 	reach := map[string]bool{}
 	var queue []string
 	for _, name := range m.funcNames {
-		info := m.funcs[name]
-		if isHotPathPackage(info.Pkg.Path) && hotEntryPoint(info.Pkg.Path, info.Decl) {
+		if root(m.funcs[name]) {
 			reach[name] = true
 			queue = append(queue, name)
 		}
@@ -167,9 +208,49 @@ func (m *Module) hotReachable() map[string]bool {
 			}
 		}
 	}
-	m.hotReach = reach
-	m.hotOK = true
 	return reach
+}
+
+// checkPredictPath reports, in a function of a predict-path package that
+// the predict handlers reach, every map it builds and every write to a
+// strings.Builder: per request, a lookup table belongs in a package-level
+// variable built once, and a rendering in a reused []byte.
+func checkPredictPath(pass *Pass) {
+	reach := pass.Mod.predictReachable()
+	info := pass.Pkg.Info
+	for _, f := range pass.Pkg.Files {
+		if pass.Pkg.IsTestFile(f.Pos()) {
+			continue
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			obj, ok := info.Defs[fd.Name].(*types.Func)
+			if !ok || !reach[obj.FullName()] {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if _, isMap := info.TypeOf(n).Underlying().(*types.Map); isMap {
+						pass.Reportf(n.Pos(), "%s builds a map literal on every /predict; build it once in a package-level variable", fd.Name.Name)
+					}
+				case *ast.CallExpr:
+					if fun, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && fun.Name == "make" && len(n.Args) > 0 {
+						if _, isMap := info.TypeOf(n.Args[0]).Underlying().(*types.Map); isMap {
+							pass.Reportf(n.Pos(), "%s makes a map on every /predict; build it once in a package-level variable", fd.Name.Name)
+						}
+					}
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && isStringsBuilderRecv(info, sel.X) && strings.HasPrefix(sel.Sel.Name, "Write") {
+						pass.Reportf(n.Pos(), "%s writes to a strings.Builder on every /predict; append to a reused []byte instead", fd.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
 }
 
 // checkPooledAllocs reports memory the executor takes from the heap

@@ -40,10 +40,12 @@ type Module struct {
 	funcNames []string // sorted index keys, for deterministic iteration
 
 	// Memoized pass state, built on first use.
-	nondet   map[string]*nondetSummary
-	nondetOK bool
-	hotReach map[string]bool
-	hotOK    bool
+	nondet       map[string]*nondetSummary
+	nondetOK     bool
+	hotReach     map[string]bool
+	hotOK        bool
+	predictReach map[string]bool
+	predictOK    bool
 }
 
 // NewModule indexes every function declaration in the given packages.

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"math"
+	"strings"
 
 	"qpp/internal/sketch"
 	"qpp/internal/types"
@@ -123,6 +124,7 @@ func AnalyzeRowsSketch(meta *Table, rows [][]types.Value) *TableStats {
 		}
 	}
 
+	packMCVKeys(ts)
 	ts.AvgWidth = totalWidth
 	rowsPerPage := float64(PageSize) / (totalWidth + 24) // 24B tuple header overhead
 	if rowsPerPage < 1 {
@@ -138,3 +140,23 @@ func AnalyzeRowsSketch(meta *Table, rows [][]types.Value) *TableStats {
 // at most this many distinct values get exact NDV and a complete
 // candidate set.
 const topKCandidates = 4 * MCVEntries
+
+// packMCVKeys re-slices every MCV key of ts out of one string, so a
+// table's statistics hold one key allocation instead of one per MCV (the
+// candidate pool copies each key it admits).
+func packMCVKeys(ts *TableStats) {
+	var b strings.Builder
+	for _, cs := range ts.Columns {
+		for _, m := range cs.MCVs {
+			b.WriteString(m.Key)
+		}
+	}
+	blob, off := b.String(), 0
+	for _, cs := range ts.Columns {
+		for i := range cs.MCVs {
+			n := len(cs.MCVs[i].Key)
+			cs.MCVs[i].Key = blob[off : off+n]
+			off += n
+		}
+	}
+}

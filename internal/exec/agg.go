@@ -126,7 +126,9 @@ type aggregate struct {
 	// group (the keys come from the arena's rows). Chunks are never regrown
 	// in place (slices into them must stay valid); a full chunk is simply
 	// replaced and stays out of the free lists until the query's release.
+	// slabUsed counts the states the current drain carved.
 	slabStates []aggState
+	slabUsed   int
 }
 
 // Open implements iterator.
@@ -159,7 +161,8 @@ func (a *aggregate) Open(ctx *execCtx) error {
 		a.stateTmpl[i] = st
 	}
 	a.valBuf = ctx.mem.alloc(len(a.node.GroupBy))
-	a.results = nil
+	a.results, a.groups, a.table = nil, nil, hashTable{}
+	a.slabStates, a.slabUsed = nil, 0
 	a.pos = 0
 	a.drained = false
 	return a.child.Open(ctx)
@@ -184,6 +187,7 @@ func (a *aggregate) newStates(ctx *execCtx) []aggState {
 	}
 	lo := len(a.slabStates)
 	a.slabStates = a.slabStates[:lo+n]
+	a.slabUsed += n
 	out := a.slabStates[lo : lo+n : lo+n] // capped: appends can't cross groups
 	copy(out, a.stateTmpl)
 	return out
@@ -228,7 +232,13 @@ type aggGroup struct {
 }
 
 // startHashed readies the group table for a hashed drain.
+// A re-drain reuses the table and group array of the drain before it.
 func (a *aggregate) startHashed(ctx *execCtx) {
+	if a.groups != nil {
+		a.table.reset()
+		a.groups = a.groups[:0]
+		return
+	}
 	n := startCap(a.node.Est.Rows)
 	a.table.init(ctx.mem, len(a.node.GroupBy), n)
 	a.groups = ctx.mem.groups.get(n)
@@ -294,8 +304,24 @@ func (a *aggregate) finishHashed(ctx *execCtx) error {
 	for i := range a.groups {
 		a.emit(ctx, a.groups[i].keys, a.groups[i].states)
 	}
-	a.table, a.groups = hashTable{}, nil
 	return nil
+}
+
+// redrain readies a drained aggregate to recompute under a parameterized
+// rescan on the arrays the last drain took — its result buffer, group
+// array, hash table and state slab — rather than fresh ones, so an
+// aggregate rescanned per outer row holds one set of arrays, not one per
+// rescan. (Releasing to a mark is not an option here: between two drains
+// the arena also hands out what must outlive the rescan, such as the
+// table a child hash join keeps across rescans, or the rows a parent
+// stores.) A drain whose states spilled over one slab chunk gets one
+// chunk for them all, so the next drain of that size takes none.
+func (a *aggregate) redrain(ctx *execCtx) {
+	a.results = a.results[:0]
+	if a.slabUsed > cap(a.slabStates) {
+		a.slabStates = ctx.mem.states.get(a.slabUsed)
+	}
+	a.slabStates, a.slabUsed = a.slabStates[:0], 0
 }
 
 func (a *aggregate) drainSorted(ctx *execCtx) error {
@@ -365,7 +391,9 @@ func (a *aggregate) ReScan(ctx *execCtx, outer plan.Row) error {
 	// Aggregates over parameterized children must recompute; otherwise the
 	// buffered results can simply replay.
 	if len(a.node.LookupExprs) > 0 || outer != nil {
-		a.results = nil
+		if a.drained {
+			a.redrain(ctx)
+		}
 		a.drained = false
 		a.pos = 0
 		return a.child.ReScan(ctx, outer)

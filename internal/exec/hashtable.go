@@ -69,6 +69,14 @@ func (t *hashTable) init(mem *queryArena, ncols, capacity int) {
 	}
 }
 
+// reset empties t for a new round of inserts, keeping its arrays (and
+// its key representation).
+func (t *hashTable) reset() {
+	clear(t.slots)
+	t.n = 0
+	t.ikeys, t.hashes, t.vkeys = t.ikeys[:0], t.hashes[:0], t.vkeys[:0]
+}
+
 // emptySlots returns n zeroed slots.
 func (t *hashTable) emptySlots(n int) []int32 {
 	slots := t.mem.ids.get(n)[:n]

@@ -82,9 +82,14 @@ func (m *ScaledModel) Fit(x *Matrix, y []float64) error {
 // Predict standardizes the row, applies the inner model, and rescales the
 // output back to target units.
 func (m *ScaledModel) Predict(row []float64) float64 {
-	r := append([]float64(nil), row...)
+	var buf [StackRow]float64
+	r := buf[:0]
+	if len(row) > len(buf) {
+		r = make([]float64, 0, len(row))
+	}
+	r = append(r, row...)
 	m.xs.TransformRow(r)
-	out := m.Inner.Predict(r)
+	out := PredictRow(m.Inner, r)
 	if m.targetScaled {
 		out = out*m.yStd + m.yMean
 	}

@@ -87,11 +87,6 @@ func materializeEst(c est) est {
 	return est{c.rows, c.width, c.startup, c.total + 2*cpuOperatorCost*math.Max(1, c.rows)}
 }
 
-// costMaterialize fills the estimate for a materialize node.
-func (p *planner) costMaterialize(n *plan.Node) {
-	materializeEst(estOf(n.Children[0])).fill(n, 1)
-}
-
 // rescanCost is the cost of re-reading a nested loop's inner side.
 func rescanCost(op plan.OpType, inner est) float64 {
 	switch op {
@@ -193,12 +188,6 @@ func nestedLoopEst(l, r est, rescan, joinRows, width float64) est {
 			cpuTupleCost*outerRows*math.Max(1, r.rows)}
 }
 
-// costNestedLoop fills the estimate for a nested-loop join.
-func (p *planner) costNestedLoop(n *plan.Node, joinRows float64) {
-	l, r := n.Children[0], n.Children[1]
-	nestedLoopEst(estOf(l), estOf(r), rescanCost(r.Op, estOf(r)), joinRows, n.Width()).fill(n, 1)
-}
-
 // indexLoopEst estimates a nested loop whose inner side is a parameterized
 // index scan: idx is the cost of one lookup, paid per outer row.
 func indexLoopEst(l, idx est, joinRows, width float64) est {
@@ -213,11 +202,6 @@ func mergeJoinEst(l, r est, joinRows, width float64) est {
 		total: l.total + r.total +
 			cpuOperatorCost*(math.Max(1, l.rows)+math.Max(1, r.rows)) +
 			cpuTupleCost*math.Max(1, joinRows)}
-}
-
-// costMergeJoin fills the estimate for a merge join over sorted inputs.
-func (p *planner) costMergeJoin(n *plan.Node, joinRows float64) {
-	mergeJoinEst(estOf(n.Children[0]), estOf(n.Children[1]), joinRows, n.Width()).fill(n, 1)
 }
 
 // costSubqueryScan fills the estimate for a derived-table scan.

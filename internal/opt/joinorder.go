@@ -122,13 +122,16 @@ func (p *planner) orderJoins(scans []*joinTree, edges []joinEdge) (*joinTree, er
 // applySteps materialises a merge sequence over a block's scans: one
 // bestJoin per step, so physical choice, key order and every cost float
 // come from the same code whether the steps were just searched or
-// replayed from a trace. Steps that do not fit the block are an error
-// (replay callers fall back to cold planning), never a panic.
+// replayed from a trace. A step consumes its two inputs — a fragment is
+// joined once, which is what lets bestJoin extend its schema in place.
+// Steps that do not fit the block are an error (replay callers fall back
+// to cold planning), never a panic.
 func (p *planner) applySteps(scans []*joinTree, steps []JoinStep, edges []joinEdge) (*joinTree, error) {
-	built := slices.Grow(slices.Clip(scans), len(steps))
-	find := func(s relSet) *joinTree {
-		for _, t := range built {
+	live := slices.Clone(scans) // fragments not yet consumed
+	take := func(s relSet) *joinTree {
+		for i, t := range live {
 			if t.set == s {
+				live = slices.Delete(live, i, i+1)
 				return t
 			}
 		}
@@ -140,12 +143,12 @@ func (p *planner) applySteps(scans []*joinTree, steps []JoinStep, edges []joinEd
 	}
 	cur := scans[0]
 	for _, st := range steps {
-		l, r := find(relSet(st.L)), find(relSet(st.R))
+		l, r := take(relSet(st.L)), take(relSet(st.R))
 		if l == nil || r == nil || l.set&r.set != 0 {
-			return nil, fmt.Errorf("opt: join trace mismatch: merge of unknown or overlapping fragments %#x x %#x", st.L, st.R)
+			return nil, fmt.Errorf("opt: join trace mismatch: merge of unknown, consumed or overlapping fragments %#x x %#x", st.L, st.R)
 		}
 		cur = p.bestJoin(l, r, edges)
-		built = append(built, cur)
+		live = append(live, cur)
 	}
 	if cur.set != full {
 		return nil, fmt.Errorf("opt: join trace mismatch: recorded merges do not cover the FROM list")
@@ -396,12 +399,28 @@ func (s *joinSearch) emit(tab []frag, f *frag) {
 	s.steps = append(s.steps, JoinStep{L: uint64(l.set), R: uint64(r.set)})
 }
 
-// bestJoin builds the cheapest physical join of two fragments, trying hash
-// join (either build side), nested loop with a materialized inner, nested
-// loop with a parameterized index scan, and merge join where applicable.
+// joinKey is one equi key of a join: offsets in the left and right
+// input's schema.
+type joinKey struct{ lCol, rCol int }
+
+// Physical joins bestJoin chooses among, in the order it prices them.
+const (
+	hashJoin = iota
+	indexLoop
+	materialLoop
+	mergeJoin
+)
+
+// bestJoin builds the cheapest physical join of two fragments. It prices
+// every alternative from est numbers with the cost.go formulas
+// joinSearch.join uses, in the same order — hash join, nested loop over a
+// parameterized index scan, nested loop over a materialized inner, merge
+// join — keeping the first cheapest, and builds only the winner's nodes.
+// The output schema is l's with r's appended in place: applySteps hands
+// every fragment to one join only.
 func (p *planner) bestJoin(l, r *joinTree, edges []joinEdge) *joinTree {
-	type keyed struct{ lCol, rCol int } // offsets in l.schema / r.schema
-	var keys []keyed
+	var keyBuf [8]joinKey
+	keys := keyBuf[:0]
 	joinSel := 1.0
 	for _, e := range edges {
 		lRel, lCol, rRel, rCol := e.lRel, e.lCol, e.rRel, e.rCol
@@ -416,126 +435,152 @@ func (p *planner) bestJoin(l, r *joinTree, edges []joinEdge) *joinTree {
 			continue
 		}
 		rOff, _ := offsetIn(r.schema, rRel, rCol)
-		keys = append(keys, keyed{lOff, rOff})
+		keys = append(keys, joinKey{lOff, rOff})
 		joinSel /= keyNDV(p.colNDV(lRel, lCol), p.colNDV(rRel, rCol), l.node.Est.Rows, r.node.Est.Rows)
 	}
 	joinRows := joinCard(l.node.Est.Rows, r.node.Est.Rows, joinSel)
-	outSchema := make([]schemaCol, 0, len(l.schema)+len(r.schema))
-	outSchema = append(append(outSchema, l.schema...), r.schema...)
+	outSchema := append(l.schema, r.schema...)
 	outCols := p.planColumns(outSchema)
-
-	// colRef references column off of schema at position base+off of a row.
-	colRef := func(schema []schemaCol, off, base int) *plan.Col {
-		return &plan.Col{Idx: base + off, K: schema[off].kind, Name: schema[off].name}
+	var width float64 // plan.Node.Width of the join node, summed in its order
+	for _, c := range outCols {
+		width += c.Width
 	}
-	// keysEqual is every key but keys[skip] as a predicate on the joined row.
-	keysEqual := func(skip int) (f plan.Scalar) {
-		for i, k := range keys {
-			if i != skip {
-				f = andScalars(f, &plan.Bin{Op: plan.BEq, K: types.KindBool,
-					L: colRef(l.schema, k.lCol, 0), R: colRef(r.schema, k.rCol, len(l.schema))})
-			}
-		}
-		return f
-	}
+	lE, rE := estOf(l.node), estOf(r.node)
 
-	var best *joinTree
-	consider := func(n *plan.Node) {
-		if best == nil || n.Est.TotalCost < best.node.Est.TotalCost {
-			best = &joinTree{set: l.set.union(r.set), node: n, schema: outSchema}
+	best, bestE := -1, est{}
+	consider := func(kind int, e est) {
+		if best < 0 || e.total < bestE.total {
+			best, bestE = kind, e
 		}
 	}
-
 	// Hash join (only with at least one equi key).
+	var hashE est
+	var spillPages float64
 	if len(keys) > 0 {
-		hash := &plan.Node{Op: plan.OpHash, Children: []*plan.Node{r.node}, Cols: r.node.Cols}
-		p.costHash(hash)
-		hj := &plan.Node{
-			Op: plan.OpHashJoin, JoinType: plan.JoinInner,
-			Children: []*plan.Node{l.node, hash},
-			Cols:     outCols,
-		}
-		for _, k := range keys {
-			hj.HashKeysL = append(hj.HashKeysL, colRef(l.schema, k.lCol, 0))
-			hj.HashKeysR = append(hj.HashKeysR, colRef(r.schema, k.rCol, 0))
-		}
-		p.costHashJoin(hj, joinRows)
-		consider(hj)
+		hashE = hashEst(rE)
+		var hj est
+		hj, spillPages = hashJoinEst(lE, hashE, joinRows, width, p.workBytes())
+		consider(hashJoin, hj)
 	}
-
 	// Nested loop with parameterized index scan: r must be a single base
-	// relation whose PK leading column is one of the join keys.
+	// relation whose PK leading column is one of the join keys (the first
+	// such key is looked up; the others stay as a join filter).
 	ri, pkCol, st := p.pkAccess(r)
+	lookupKey := -1
+	var lookupE est
+	var lookupPages float64
 	if ri != nil {
 		for i, k := range keys {
-			if r.schema[k.rCol].col != pkCol {
-				continue
+			if r.schema[k.rCol].col == pkCol {
+				lookupKey = i
+				break
 			}
-			idx := &plan.Node{
-				Op: plan.OpIndexScan, Table: ri.table, Alias: ri.alias,
-				Index:       ri.table + "_pkey",
-				Cols:        r.node.Cols,
-				Filter:      r.node.Filter,
-				LookupExprs: []plan.Scalar{colRef(l.schema, k.lCol, 0)},
-			}
-			p.costIndexScan(idx, p.pkMatches(ri, pkCol, st), float64(st.Pages), r.node.Est.Selectivity)
-			// Residual keys beyond the index one become a join filter.
-			nl := &plan.Node{
-				Op: plan.OpNestedLoop, JoinType: plan.JoinInner,
-				Children:   []*plan.Node{l.node, idx},
-				Cols:       outCols,
-				JoinFilter: keysEqual(i),
-			}
-			// The inner side is paid per lookup, not as one full scan.
-			indexLoopEst(estOf(l.node), estOf(idx), joinRows, nl.Width()).fill(nl, 1)
-			consider(nl)
-			break
 		}
 	}
-
+	if lookupKey >= 0 {
+		lookupE, lookupPages = indexScanEst(p.pkMatches(ri, pkCol, st), float64(st.Pages), r.node.Est.Selectivity, r.node.Width())
+		// The inner side is paid per lookup, not as one full scan.
+		consider(indexLoop, indexLoopEst(lE, lookupE, joinRows, width))
+	}
 	// Nested loop with materialized inner (works without equi keys too —
 	// the only option for pure cross products and complex predicates).
-	mat := &plan.Node{Op: plan.OpMaterialize, Children: []*plan.Node{r.node}, Cols: r.node.Cols}
-	p.costMaterialize(mat)
-	nl := &plan.Node{
-		Op: plan.OpNestedLoop, JoinType: plan.JoinInner,
-		Children:   []*plan.Node{l.node, mat},
-		Cols:       outCols,
-		JoinFilter: keysEqual(-1),
-	}
-	p.costNestedLoop(nl, joinRows)
-	consider(nl)
-
+	matE := materializeEst(rE)
+	consider(materialLoop, nestedLoopEst(lE, matE, rescanCost(plan.OpMaterialize, matE), joinRows, width))
 	// Merge join: both sides single base relations joined on their PK
 	// leading columns (index order is key order).
+	var li *relInfo
+	var lSt *catalog.TableStats
+	var lOrd, rOrd est
+	var lOrdPages, rOrdPages float64
 	if len(keys) == 1 {
-		k := keys[0]
-		li, lPK, lSt := p.pkAccess(l)
-		if li != nil && ri != nil && l.schema[k.lCol].col == lPK && r.schema[k.rCol].col == pkCol {
-			mj := &plan.Node{
-				Op: plan.OpMergeJoin, JoinType: plan.JoinInner,
-				Children:   []*plan.Node{p.orderedScan(li, lSt, l.node), p.orderedScan(ri, st, r.node)},
-				Cols:       outCols,
-				MergeKeysL: []int{k.lCol},
-				MergeKeysR: []int{k.rCol},
-			}
-			p.costMergeJoin(mj, joinRows)
-			consider(mj)
+		var lPK int
+		li, lPK, lSt = p.pkAccess(l)
+		if li != nil && ri != nil && l.schema[keys[0].lCol].col == lPK && r.schema[keys[0].rCol].col == pkCol {
+			lOrd, lOrdPages = orderedScanEst(lSt, l.node)
+			rOrd, rOrdPages = orderedScanEst(st, r.node)
+			consider(mergeJoin, mergeJoinEst(lOrd, rOrd, joinRows, width))
 		}
 	}
-	return best
+
+	n := &plan.Node{JoinType: plan.JoinInner, Cols: outCols}
+	switch best {
+	case hashJoin:
+		hash := &plan.Node{Op: plan.OpHash, Children: []*plan.Node{r.node}, Cols: r.node.Cols}
+		hashE.fill(hash, 1)
+		n.Op, n.Children = plan.OpHashJoin, []*plan.Node{l.node, hash}
+		n.HashKeysL = make([]plan.Scalar, len(keys))
+		n.HashKeysR = make([]plan.Scalar, len(keys))
+		for i, k := range keys {
+			n.HashKeysL[i] = colRef(l.schema, k.lCol, 0)
+			n.HashKeysR[i] = colRef(r.schema, k.rCol, 0)
+		}
+		if spillPages > 0 {
+			n.Est.Pages = spillPages
+		}
+	case indexLoop:
+		idx := &plan.Node{
+			Op: plan.OpIndexScan, Table: ri.table, Alias: ri.alias,
+			Index:       ri.table + "_pkey",
+			Cols:        r.node.Cols,
+			Filter:      r.node.Filter,
+			LookupExprs: []plan.Scalar{colRef(l.schema, keys[lookupKey].lCol, 0)},
+		}
+		lookupE.fill(idx, r.node.Est.Selectivity)
+		idx.Est.Pages = lookupPages
+		n.Op, n.Children = plan.OpNestedLoop, []*plan.Node{l.node, idx}
+		n.JoinFilter = keysEqual(keys, lookupKey, l.schema, r.schema)
+	case materialLoop:
+		mat := &plan.Node{Op: plan.OpMaterialize, Children: []*plan.Node{r.node}, Cols: r.node.Cols}
+		matE.fill(mat, 1)
+		n.Op, n.Children = plan.OpNestedLoop, []*plan.Node{l.node, mat}
+		n.JoinFilter = keysEqual(keys, -1, l.schema, r.schema)
+	case mergeJoin:
+		n.Op = plan.OpMergeJoin
+		n.Children = []*plan.Node{
+			orderedScan(li, l.node, lOrd, lOrdPages),
+			orderedScan(ri, r.node, rOrd, rOrdPages),
+		}
+		n.MergeKeysL = []int{keys[0].lCol}
+		n.MergeKeysR = []int{keys[0].rCol}
+	}
+	bestE.fill(n, 1)
+	return &joinTree{set: l.set.union(r.set), node: n, schema: outSchema}
 }
 
-// orderedScan converts a SeqScan into a full Index Scan that yields rows
-// in primary-key order (input for merge joins).
-func (p *planner) orderedScan(ri *relInfo, st *catalog.TableStats, seq *plan.Node) *plan.Node {
+// colRef references column off of schema at position base+off of a row.
+func colRef(schema []schemaCol, off, base int) *plan.Col {
+	return &plan.Col{Idx: base + off, K: schema[off].kind, Name: schema[off].name}
+}
+
+// keysEqual is every key but keys[skip] as a predicate on the joined row
+// of l and r.
+func keysEqual(keys []joinKey, skip int, l, r []schemaCol) (f plan.Scalar) {
+	for i, k := range keys {
+		if i != skip {
+			f = andScalars(f, &plan.Bin{Op: plan.BEq, K: types.KindBool,
+				L: colRef(l, k.lCol, 0), R: colRef(r, k.rCol, len(l))})
+		}
+	}
+	return f
+}
+
+// orderedScanEst prices a full Index Scan of seq's table in primary-key
+// order (a merge join input); pages is the heap pages it touches.
+func orderedScanEst(st *catalog.TableStats, seq *plan.Node) (e est, pages float64) {
+	return indexScanEst(float64(st.RowCount), float64(st.Pages), seq.Est.Selectivity, seq.Width())
+}
+
+// orderedScan converts a SeqScan into the full Index Scan priced by
+// orderedScanEst, which yields rows in primary-key order.
+func orderedScan(ri *relInfo, seq *plan.Node, e est, pages float64) *plan.Node {
 	idx := &plan.Node{
 		Op: plan.OpIndexScan, Table: ri.table, Alias: ri.alias,
 		Index:  ri.table + "_pkey",
 		Cols:   seq.Cols,
 		Filter: seq.Filter,
 	}
-	p.costIndexScan(idx, float64(st.RowCount), float64(st.Pages), seq.Est.Selectivity)
+	e.fill(idx, seq.Est.Selectivity)
+	idx.Est.Pages = pages
 	return idx
 }
 

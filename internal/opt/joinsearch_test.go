@@ -27,7 +27,7 @@ type refSearch struct {
 }
 
 func (r *refSearch) bestJoin(t1, t2 *joinTree, edges []joinEdge) (*joinTree, error) {
-	t := r.p.bestJoin(t1, t2, edges)
+	t := r.p.bestJoinNodes(t1, t2, edges)
 	r.prov[t] = [2]*joinTree{t1, t2}
 	return t, nil
 }

@@ -214,8 +214,7 @@ func TestTraceMismatchErrors(t *testing.T) {
 
 // BenchmarkPlanSQL and BenchmarkPlanReplay time, per template, a cold
 // parse+plan against a parse+replay of the query's own join trace: the
-// pair the plan cache's rebind layer trades on (DESIGN.md §15 keeps the
-// table).
+// pair the plan cache's rebind layer trades on (DESIGN.md §15).
 func BenchmarkPlanSQL(b *testing.B) {
 	db := tpchDB(b)
 	for _, tmpl := range tpch.Templates {

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"strings"
 
 	"qpp/internal/types"
 )
@@ -269,31 +268,37 @@ func (n *Node) HasSubqueryStructures() bool {
 // values — so that all occurrences of a plan structure across queries hash
 // to the same value. This is the hash-based sub-plan index Algorithm 1's
 // get_plan_list builds.
-func (n *Node) Signature() string {
-	var sb strings.Builder
-	n.writeSignature(&sb)
-	return sb.String()
-}
+func (n *Node) Signature() string { return string(n.AppendSignature(nil)) }
 
-func (n *Node) writeSignature(sb *strings.Builder) {
-	sb.WriteString(string(n.Op))
-	if n.Op == OpHashJoin || n.Op == OpHashSemiJoin || n.Op == OpHashAntiJoin ||
-		n.Op == OpNestedLoop || n.Op == OpMergeJoin {
-		sb.WriteString("/" + n.JoinType.String())
-	}
-	if n.Table != "" {
-		sb.WriteString("[" + n.Table + "]")
-	}
+// AppendSignature appends n.Signature() to dst and returns the extended
+// buffer: a caller rendering many signatures reuses one buffer.
+func (n *Node) AppendSignature(dst []byte) []byte {
+	dst = n.appendOwnSignature(dst)
 	if len(n.Children) > 0 {
-		sb.WriteString("(")
+		dst = append(dst, '(')
 		for i, c := range n.Children {
 			if i > 0 {
-				sb.WriteString(",")
+				dst = append(dst, ',')
 			}
-			c.writeSignature(sb)
+			dst = c.AppendSignature(dst)
 		}
-		sb.WriteString(")")
+		dst = append(dst, ')')
 	}
+	return dst
+}
+
+// appendOwnSignature appends what n contributes to its signature besides
+// its children's: the operator, a join's kind and a scan's table.
+func (n *Node) appendOwnSignature(dst []byte) []byte {
+	dst = append(dst, n.Op...)
+	if n.Op == OpHashJoin || n.Op == OpHashSemiJoin || n.Op == OpHashAntiJoin ||
+		n.Op == OpNestedLoop || n.Op == OpMergeJoin {
+		dst = append(append(dst, '/'), n.JoinType.String()...)
+	}
+	if n.Table != "" {
+		dst = append(append(append(dst, '['), n.Table...), ']')
+	}
+	return dst
 }
 
 // SignatureOver returns n.Signature() given the signatures of n's
@@ -301,24 +306,18 @@ func (n *Node) writeSignature(sb *strings.Builder) {
 // every node's signature in time linear in the output, where calling
 // Signature on each node renders every subtree once per ancestor.
 func (n *Node) SignatureOver(children []string) string {
-	// What n itself contributes is the signature of n without children;
-	// rendering a childless copy keeps writeSignature the one place that
-	// knows the format (and the code Signature runs unchanged).
-	leaf := *n
-	leaf.Children = nil
-	var sb strings.Builder
-	leaf.writeSignature(&sb)
+	b := n.appendOwnSignature(nil)
 	if len(children) > 0 {
-		sb.WriteString("(")
+		b = append(b, '(')
 		for i, c := range children {
 			if i > 0 {
-				sb.WriteString(",")
+				b = append(b, ',')
 			}
-			sb.WriteString(c)
+			b = append(b, c...)
 		}
-		sb.WriteString(")")
+		b = append(b, ')')
 	}
-	return sb.String()
+	return string(b)
 }
 
 // CardQError returns the cardinality q-error of the node's row estimate

@@ -32,7 +32,8 @@ func TrainCostBaseline(recs []*QueryRecord) (*CostModelBaseline, error) {
 
 // Predict maps an optimizer cost estimate to a latency.
 func (c *CostModelBaseline) Predict(rec *QueryRecord) float64 {
-	out := c.model.Predict([]float64{rec.Root.Est.TotalCost})
+	cost := [1]float64{rec.Root.Est.TotalCost}
+	out := c.model.Predict(cost[:])
 	if out < 0 {
 		out = 0
 	}

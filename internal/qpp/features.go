@@ -81,59 +81,72 @@ func actualPages(n *plan.Node) float64 {
 	return n.Act.Pages / float64(loops)
 }
 
+// planOpSlot maps an operator type to its _cnt feature's index in the
+// Table-1 vector (its _rows feature follows it).
+var planOpSlot = func() map[plan.OpType]int {
+	m := make(map[plan.OpType]int, len(plan.AllOpTypes))
+	for i, op := range plan.AllOpTypes {
+		m[op] = 7 + 2*i
+	}
+	return m
+}()
+
 // PlanFeatures extracts the Table-1 feature vector of the sub-plan rooted
 // at root. With FeatActuals, observed per-loop row counts replace the
 // estimated ones (costs and widths remain optimizer artifacts — there is
 // no "actual" cost). Only the operator tree is traversed; init-/sub-plan
 // features are folded into the owning tree's totals.
 func PlanFeatures(root *plan.Node, mode FeatureMode) []float64 {
-	rows := func(n *plan.Node) float64 {
-		if mode == FeatActuals && n.Act.Executed {
-			return actualRows(n)
-		}
-		return n.Est.Rows
-	}
-	f := make([]float64, len(planFeatureNames))
+	return planFeatures(make([]float64, len(planFeatureNames)), root, mode)
+}
+
+// planFeatures is PlanFeatures into f, which must be zero and
+// NumPlanFeatures long.
+func planFeatures(f []float64, root *plan.Node, mode FeatureMode) []float64 {
 	f[0] = root.Est.TotalCost
 	f[1] = root.Est.StartupCost
-	f[2] = rows(root)
+	f[2] = featRows(root, mode)
 	f[3] = root.Est.Width
-
-	opIdx := map[plan.OpType]int{}
-	for i, op := range plan.AllOpTypes {
-		opIdx[op] = 7 + 2*i
-	}
-	var visit func(n *plan.Node)
-	visit = func(n *plan.Node) {
-		f[4]++ // op_count
-		out := rows(n)
-		f[5] += out
-		f[6] += out * n.Est.Width
-		for _, c := range n.Children {
-			in := rows(c)
-			f[5] += in
-			f[6] += in * c.Est.Width
-		}
-		if base, ok := opIdx[n.Op]; ok {
-			f[base]++
-			f[base+1] += out
-		}
-		for _, c := range n.Children {
-			visit(c)
-		}
-		for _, ip := range n.InitPlans {
-			visit(ip)
-		}
-		for _, sp := range n.SubPlans {
-			visit(sp)
-		}
-	}
-	visit(root)
+	addPlanFeatures(f, root, mode)
 	return f
 }
 
+// featRows is a node's output rows as mode reads them.
+func featRows(n *plan.Node, mode FeatureMode) float64 {
+	if mode == FeatActuals && n.Act.Executed {
+		return actualRows(n)
+	}
+	return n.Est.Rows
+}
+
+// addPlanFeatures adds the counts and row sums of the tree under n to f.
+func addPlanFeatures(f []float64, n *plan.Node, mode FeatureMode) {
+	f[4]++ // op_count
+	out := featRows(n, mode)
+	f[5] += out
+	f[6] += out * n.Est.Width
+	for _, c := range n.Children {
+		in := featRows(c, mode)
+		f[5] += in
+		f[6] += in * c.Est.Width
+	}
+	if base, ok := planOpSlot[n.Op]; ok {
+		f[base]++
+		f[base+1] += out
+	}
+	for _, c := range n.Children {
+		addPlanFeatures(f, c, mode)
+	}
+	for _, ip := range n.InitPlans {
+		addPlanFeatures(f, ip, mode)
+	}
+	for _, sp := range n.SubPlans {
+		addPlanFeatures(f, sp, mode)
+	}
+}
+
 // opFeatureNames is the Table-2 per-operator feature list.
-var opFeatureNames = []string{"np", "nt", "nt1", "nt2", "sel", "st1", "rt1", "st2", "rt2"}
+var opFeatureNames = [...]string{"np", "nt", "nt1", "nt2", "sel", "st1", "rt1", "st2", "rt2"}
 
 // NumOpFeatures is the operator-level feature vector length.
 func NumOpFeatures() int { return len(opFeatureNames) }
@@ -142,7 +155,13 @@ func NumOpFeatures() int { return len(opFeatureNames) }
 // start/run times are supplied by the caller: observed values during
 // training, model predictions (or oracle actuals) during testing.
 func OpFeatures(n *plan.Node, mode FeatureMode, st1, rt1, st2, rt2 float64) []float64 {
-	f := make([]float64, len(opFeatureNames))
+	var f [len(opFeatureNames)]float64
+	opFeatures(&f, n, mode, st1, rt1, st2, rt2)
+	return f[:]
+}
+
+// opFeatures is OpFeatures into f.
+func opFeatures(f *[len(opFeatureNames)]float64, n *plan.Node, mode FeatureMode, st1, rt1, st2, rt2 float64) {
 	if mode == FeatActuals && n.Act.Executed {
 		f[0] = actualPages(n)
 		f[1] = actualRows(n)
@@ -164,7 +183,6 @@ func OpFeatures(n *plan.Node, mode FeatureMode, st1, rt1, st2, rt2 float64) []fl
 	}
 	f[4] = n.Est.Selectivity
 	f[5], f[6], f[7], f[8] = st1, rt1, st2, rt2
-	return f
 }
 
 // Actual start/run observables of a node, used as training targets.

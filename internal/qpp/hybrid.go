@@ -82,18 +82,24 @@ type HybridPredictor struct {
 const ApplicabilityMargin = 0.5
 
 // predictStep is the hybrid method's one decision (Section 3.4): the
-// sub-plan rooted at n, whose signature is sig, is answered by its
-// materialised plan-level models when it has them and n's Table-1
+// sub-plan rooted at n, whose signature's materialised plan-level models
+// are pm (nil when it has none), is answered by them when n's Table-1
 // features lie within their widened training range, and by the operator
 // models over its children's times otherwise. children is asked for
 // those times only in the second case, so a traversal that computes them
 // on demand never visits a node under an applicable model. modelled
-// reports whether sig has models at all, applicable or not. Nothing else
-// in the package consults Plans or a model's training range to predict.
-func (h *HybridPredictor) predictStep(n *plan.Node, sig string, children func() (st1, rt1, st2, rt2 float64)) (st, rt float64, modelled bool) {
-	pm, modelled := h.Plans[sig]
-	if modelled {
-		f := PlanFeatures(n, h.Mode)
+// reports whether the signature has models at all, applicable or not.
+// Nothing else in the package consults a model's training range to
+// predict.
+func (h *HybridPredictor) predictStep(n *plan.Node, pm *SubplanModels, children func() (st1, rt1, st2, rt2 float64)) (st, rt float64, modelled bool) {
+	if pm != nil {
+		var buf [mlearn.StackRow]float64
+		var f []float64
+		if k := NumPlanFeatures(); k <= len(buf) {
+			f = planFeatures(buf[:k], n, h.Mode)
+		} else {
+			f = PlanFeatures(n, h.Mode)
+		}
 		if pm.Run.InRange(f, ApplicabilityMargin) {
 			st, rt = pm.Start.Predict(f), pm.Run.Predict(f)
 			if rt < st {
@@ -104,18 +110,26 @@ func (h *HybridPredictor) predictStep(n *plan.Node, sig string, children func() 
 	}
 	st1, rt1, st2, rt2 := children()
 	st, rt = h.Ops.predictWithChildren(n, st1, rt1, st2, rt2)
-	return st, rt, modelled
+	return st, rt, pm != nil
 }
 
 // PredictNode returns start/run estimates for the sub-plan rooted at n,
 // top-down: children are predicted only where predictStep asks for them.
 func (h *HybridPredictor) PredictNode(n *plan.Node) (st, rt float64) {
-	st, rt, _ = h.predictStep(n, n.Signature(), func() (st1, rt1, st2, rt2 float64) {
+	sig := make([]byte, 0, 512) // grows if one plan's signature is longer
+	return h.predictNode(n, &sig)
+}
+
+// predictNode is PredictNode rendering every signature it looks up into
+// the one buffer *sig.
+func (h *HybridPredictor) predictNode(n *plan.Node, sig *[]byte) (st, rt float64) {
+	*sig = n.AppendSignature((*sig)[:0])
+	st, rt, _ = h.predictStep(n, h.Plans[string(*sig)], func() (st1, rt1, st2, rt2 float64) {
 		if len(n.Children) > 0 {
-			st1, rt1 = h.PredictNode(n.Children[0])
+			st1, rt1 = h.predictNode(n.Children[0], sig)
 		}
 		if len(n.Children) > 1 {
-			st2, rt2 = h.PredictNode(n.Children[1])
+			st2, rt2 = h.predictNode(n.Children[1], sig)
 		}
 		return st1, rt1, st2, rt2
 	})
@@ -273,7 +287,7 @@ func (h *HybridPredictor) evalNodes(n *plan.Node, out *[]nodeEval) nodeEval {
 		}
 	}
 	e := nodeEval{node: n, sig: n.SignatureOver(sigs), size: size}
-	e.st, e.rt, e.modelled = h.predictStep(n, e.sig, func() (st1, rt1, st2, rt2 float64) {
+	e.st, e.rt, e.modelled = h.predictStep(n, h.Plans[e.sig], func() (st1, rt1, st2, rt2 float64) {
 		return kids[0].st, kids[0].rt, kids[1].st, kids[1].rt
 	})
 	(*out)[at] = e

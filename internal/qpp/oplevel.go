@@ -156,14 +156,15 @@ func (p *OperatorLevelPredictor) PredictNode(n *plan.Node, src ChildTimeSource) 
 // predictWithChildren applies the per-operator models to one node given
 // its children's (predicted or observed) start/run times.
 func (p *OperatorLevelPredictor) predictWithChildren(n *plan.Node, st1, rt1, st2, rt2 float64) (st, rt float64) {
-	f := OpFeatures(n, p.Mode, st1, rt1, st2, rt2)
+	var f [len(opFeatureNames)]float64
+	opFeatures(&f, n, p.Mode, st1, rt1, st2, rt2)
 	if sm, ok := p.start[n.Op]; ok {
-		st = sm.Predict(f)
+		st = sm.Predict(f[:])
 	} else {
 		st = p.fallbackStart.Predict(nil)
 	}
 	if rm, ok := p.run[n.Op]; ok {
-		rt = rm.Predict(f)
+		rt = rm.Predict(f[:])
 	} else {
 		rt = p.fallbackRun.Predict(nil)
 	}

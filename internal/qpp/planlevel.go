@@ -198,7 +198,15 @@ func fitModel(x *mlearn.Matrix, y []float64, cfg PlanModelConfig, minRows int) (
 
 // Predict maps one raw feature row to a latency.
 func (pm *PlanModel) Predict(features []float64) float64 {
-	out := pm.model.Predict(mlearn.SelectRow(features, pm.cols))
+	var buf [mlearn.StackRow]float64
+	row := buf[:0]
+	if len(pm.cols) > len(buf) {
+		row = make([]float64, 0, len(pm.cols))
+	}
+	for _, c := range pm.cols {
+		row = append(row, features[c])
+	}
+	out := mlearn.PredictRow(pm.model, row)
 	if pm.logTarget {
 		out = fromLog(out)
 	}

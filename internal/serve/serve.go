@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -254,10 +255,76 @@ func writeJSON(w http.ResponseWriter, status int, v any) int {
 		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
 		return http.StatusInternalServerError
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	w.Write(b)
 	return status
+}
+
+// jsonContentType is the Content-Type header value of every JSON
+// response, shared: net/http only reads header values.
+var jsonContentType = []string{"application/json"}
+
+// decodeBody decodes the request body into v as a json.Decoder reading
+// it would — the first JSON value, whatever follows it ignored, with the
+// Decoder's error texts — but reads the body once, into a buffer of its
+// Content-Length, and unmarshals it there. Only a body that is not
+// exactly one JSON value (a syntax error, trailing data, a failed read)
+// goes to a Decoder, over the bytes already read, for the value or error
+// reading the body itself would have given.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	body, readErr := readBody(http.MaxBytesReader(w, r.Body, bodyCap), r.ContentLength)
+	if readErr == nil {
+		var syntax *json.SyntaxError
+		if err := json.Unmarshal(body, v); !errors.As(err, &syntax) {
+			return err
+		}
+	}
+	return json.NewDecoder(&bodyReplay{body, readErr}).Decode(v)
+}
+
+// readBody reads r to its end into a buffer sized for size bytes (a
+// request's Content-Length: -1 when unknown, and 0 on a request built
+// in process with a body but no length; the read stops at bodyCap
+// anyway). It returns what it read and the error that ended the read,
+// nil at EOF.
+func readBody(r io.Reader, size int64) ([]byte, error) {
+	if size <= 0 || size > bodyCap {
+		size = 1024
+	}
+	buf := make([]byte, 0, size+1) // +1: the read that sees EOF needs room
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+}
+
+// bodyReplay reads back a body readBody returned, then the error that
+// ended the original read (io.EOF when there was none).
+type bodyReplay struct {
+	b   []byte
+	err error
+}
+
+func (r *bodyReplay) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		if r.err != nil {
+			return 0, r.err
+		}
+		return 0, io.EOF
+	}
+	n := copy(p, r.b)
+	r.b = r.b[n:]
+	return n, nil
 }
 
 // writeError renders a structured error body.
@@ -379,7 +446,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusMethodNotAllowed, "use POST")
 	}
 	var req PredictRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, bodyCap)).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	snap := s.snap.Load()
@@ -397,7 +464,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusMethodNotAllowed, "use POST")
 	}
 	var req BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, bodyCap)).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	if len(req.Queries) == 0 {

@@ -9,7 +9,8 @@ import (
 // FuzzParse feeds arbitrary input to the parser, seeded with one instance
 // of every TPC-H template plus hand-picked grammar corners. The parser
 // must never panic, and any statement it accepts must round-trip through
-// its SQL rendering: SQL(parse(SQL(parse(input)))) is a fixed point.
+// its SQL rendering: SQL(parse(SQL(parse(input)))) is a fixed point. The
+// token-slice parser must give the same AST or error text.
 func FuzzParse(f *testing.F) {
 	qs, err := tpch.GenWorkload(tpch.Templates, 1, 42)
 	if err != nil {
@@ -40,6 +41,7 @@ func FuzzParse(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
+		checkParseOracle(t, input)
 		stmt, err := Parse(input)
 		if err != nil || stmt == nil {
 			return // rejecting is fine; panicking is not

@@ -53,6 +53,37 @@ func NewScanner(input string) Scanner { return Scanner{input: input} }
 // Next returns the next token; after the input is exhausted it returns
 // TokEOF forever.
 func (s *Scanner) Next() (Token, error) {
+	tk, fix, err := s.scan()
+	if fix {
+		tk.Text = fixText(tk)
+	}
+	return tk, err
+}
+
+// Validate scans the rest of the input and returns the first lexical
+// error Next would report, building no token text.
+func (s *Scanner) Validate() error {
+	for {
+		tk, _, err := s.scan()
+		if err != nil || tk.Kind == TokEOF {
+			return err
+		}
+	}
+}
+
+// fixText is the text of a token scan returned raw: an identifier with
+// upper-case letters lowercased, a string literal with its doubled
+// quotes unescaped.
+func fixText(tk Token) string {
+	if tk.Kind == TokIdent {
+		return strings.ToLower(tk.Text)
+	}
+	return strings.ReplaceAll(tk.Text, "''", "'")
+}
+
+// scan is the tokenizer: it returns the next token with its text as a
+// slice of the input, and fix set when that slice still needs fixText.
+func (s *Scanner) scan() (tk Token, fix bool, err error) {
 	input, n := s.input, len(s.input)
 	i := s.pos
 	for i < n {
@@ -74,7 +105,7 @@ func (s *Scanner) Next() (Token, error) {
 				i++
 			}
 			s.pos = i
-			return Token{TokNumber, input[start:i], start}, nil
+			return Token{TokNumber, input[start:i], start}, false, nil
 		case c == '\'':
 			start := i
 			i++
@@ -88,16 +119,13 @@ func (s *Scanner) Next() (Token, error) {
 						continue
 					}
 					text := input[bodyStart:i]
-					if escaped {
-						text = strings.ReplaceAll(text, "''", "'")
-					}
 					i++
 					s.pos = i
-					return Token{TokString, text, start}, nil
+					return Token{TokString, text, start}, escaped, nil
 				}
 				i++
 			}
-			return Token{}, fmt.Errorf("sql: unterminated string literal at offset %d", start)
+			return Token{}, false, fmt.Errorf("sql: unterminated string literal at offset %d", start)
 		case isIdentStart(c):
 			start := i
 			lower := true
@@ -107,12 +135,8 @@ func (s *Scanner) Next() (Token, error) {
 				}
 				i++
 			}
-			text := input[start:i]
-			if !lower {
-				text = strings.ToLower(text)
-			}
 			s.pos = i
-			return Token{TokIdent, text, start}, nil
+			return Token{TokIdent, input[start:i], start}, !lower, nil
 		default:
 			start := i
 			// Two-character operators first.
@@ -121,20 +145,20 @@ func (s *Scanner) Next() (Token, error) {
 				switch two {
 				case "<=", ">=", "<>", "!=", "||":
 					s.pos = i + 2
-					return Token{TokOp, two, start}, nil
+					return Token{TokOp, two, start}, false, nil
 				}
 			}
 			switch c {
 			case '(', ')', ',', '.', '+', '-', '*', '/', '=', '<', '>', ';':
 				s.pos = i + 1
-				return Token{TokOp, input[start : start+1], start}, nil
+				return Token{TokOp, input[start : start+1], start}, false, nil
 			default:
-				return Token{}, fmt.Errorf("sql: unexpected character %q at offset %d", c, i)
+				return Token{}, false, fmt.Errorf("sql: unexpected character %q at offset %d", c, i)
 			}
 		}
 	}
 	s.pos = n
-	return Token{TokEOF, "", n}, nil
+	return Token{TokEOF, "", n}, false, nil
 }
 
 // Lex tokenizes a SQL string. SQL comments (-- to end of line) are skipped.

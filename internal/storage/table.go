@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"qpp/internal/catalog"
 	"qpp/internal/types"
@@ -21,6 +22,11 @@ type Row = []types.Value
 // Table is an in-memory heap of rows plus page-layout accounting.
 type Table struct {
 	Meta *catalog.Table
+	// Rows are sub-slices of one value array, each with cap == len so an
+	// append to a row copies it instead of overwriting its neighbour; every
+	// string value points into one string that stores each distinct string
+	// once. A table is a handful of heap objects, not one per row and
+	// string, so the collector marks it in one sweep of a single array.
 	Rows []Row
 
 	// RowsPerPage is how many tuples share one 8 KiB page given the table's
@@ -30,8 +36,10 @@ type Table struct {
 	Pages int64
 }
 
-// NewTable builds a table and computes its page layout.
+// NewTable builds a table over a packed copy of rows (see Table.Rows) and
+// computes its page layout.
 func NewTable(meta *catalog.Table, rows []Row) *Table {
+	rows = pack(rows)
 	t := &Table{Meta: meta, Rows: rows}
 	var width float64
 	sample := len(rows)
@@ -53,6 +61,59 @@ func NewTable(meta *catalog.Table, rows []Row) *Table {
 	t.RowsPerPage = rpp
 	t.Pages = int64(len(rows)/rpp) + 1
 	return t
+}
+
+// pack copies rows into one value array and their strings into one
+// string, each distinct string stored once; the copies are
+// types.Identical to the originals.
+func pack(rows []Row) []Row {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	vals := make([]types.Value, n)
+	out := make([]Row, len(rows))
+	// First pass: copy values and give each distinct string its offset in
+	// the blob; strs holds the offset of every non-empty string value, in
+	// order, for the second pass.
+	at := make(map[string]int)
+	var uniq []string
+	var strs []int
+	size := 0
+	n = 0
+	for i, r := range rows {
+		row := vals[n : n+len(r) : n+len(r)]
+		copy(row, r)
+		for _, v := range r {
+			if v.Kind != types.KindString || v.S() == "" {
+				continue
+			}
+			s := v.S()
+			off, ok := at[s]
+			if !ok {
+				off = size
+				at[s] = off
+				uniq = append(uniq, s)
+				size += len(s)
+			}
+			strs = append(strs, off)
+		}
+		out[i] = row
+		n += len(r)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, s := range uniq {
+		b.WriteString(s)
+	}
+	blob := b.String()
+	for i := range vals {
+		if v := vals[i]; v.Kind == types.KindString && v.S() != "" {
+			vals[i] = types.Str(blob[strs[0] : strs[0]+len(v.S())])
+			strs = strs[1:]
+		}
+	}
+	return out
 }
 
 // PageOf returns the page number holding the row at offset i.
@@ -249,7 +310,7 @@ func (db *Database) Load(name string, rows []Row) error {
 	if len(meta.PrimaryKey) > 0 {
 		db.Indexes[name] = BuildIndex(name+"_pkey", t, meta.PrimaryKey)
 	}
-	db.Stats[name] = catalog.AnalyzeRowsSketch(meta, rows)
+	db.Stats[name] = catalog.AnalyzeRowsSketch(meta, t.Rows)
 	return nil
 }
 

@@ -42,25 +42,11 @@ func Generate(cfg GenConfig) (*storage.Database, error) {
 		return nil, fmt.Errorf("tpch: scale factor must be positive, got %v", cfg.ScaleFactor)
 	}
 	db := storage.NewDatabase(Schema())
-	scale := func(base int) int {
-		n := int(float64(base) * cfg.ScaleFactor)
-		if n < 1 {
-			n = 1
-		}
-		return n
-	}
-	nSupp := scale(supplierBase)
-	nCust := scale(customerBase)
-	nPart := scale(partBase)
-	nOrd := scale(ordersBase)
-
-	rng := func(table string) *rand.Rand {
-		h := int64(0)
-		for _, c := range table {
-			h = h*131 + int64(c)
-		}
-		return rand.New(rand.NewSource(cfg.Seed ^ h))
-	}
+	nSupp := scaled(supplierBase, cfg.ScaleFactor)
+	nCust := scaled(customerBase, cfg.ScaleFactor)
+	nPart := scaled(partBase, cfg.ScaleFactor)
+	nOrd := scaled(ordersBase, cfg.ScaleFactor)
+	rng := func(table string) *rand.Rand { return tableRNG(cfg.Seed, table) }
 
 	if err := db.Load(Region, genRegion(rng(Region))); err != nil {
 		return nil, err
@@ -89,6 +75,20 @@ func Generate(cfg GenConfig) (*storage.Database, error) {
 		return nil, err
 	}
 	return db, nil
+}
+
+// scaled is a table's row count at scale factor sf, at least one.
+func scaled(base int, sf float64) int {
+	return max(1, int(float64(base)*sf))
+}
+
+// tableRNG is the random source one table is generated from.
+func tableRNG(seed int64, table string) *rand.Rand {
+	h := int64(0)
+	for _, c := range table {
+		h = h*131 + int64(c)
+	}
+	return rand.New(rand.NewSource(seed ^ h))
 }
 
 func genRegion(rng *rand.Rand) []storage.Row {
