@@ -5,7 +5,9 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"qpp/internal/opt"
 	"qpp/internal/plan"
@@ -228,6 +230,61 @@ func TestSubPlanReleaseIsInvisible(t *testing.T) {
 		t.Logf("t%d: %d init-/sub-plans released %d row regions and %d arrays", tmpl, subPlans, regions, arrays)
 		if (regions > 0) != (subPlans > 0) || (arrays > 0) != (subPlans > 0) {
 			t.Fatalf("t%d: %d init-/sub-plans but %d row regions and %d arrays released", tmpl, subPlans, regions, arrays)
+		}
+	}
+}
+
+// TestQueriesNeverWriteTableRows: a table's rows live in one pointer-free
+// block (types.PackRows), so a write into it is the one way to hide a live
+// pointer from the collector. Every template, compiled and interpreted,
+// must leave every table as it found it: the same row headers, values
+// Identical to a deep copy taken before, and every string still on the
+// bytes it started on. T20, whose correlated sub-plan is 12 of the test's
+// 12.5 seconds (ten times that under the race detector), runs only in the
+// full suite without -race.
+func TestQueriesNeverWriteTableRows(t *testing.T) {
+	db := diffDB(t)
+	type cell struct {
+		v     types.Value
+		bytes *byte
+	}
+	before := map[string][]cell{}
+	heads := map[string][]storage.Row{}
+	for _, name := range db.Schema.TableNames() {
+		tab := db.Tables[name]
+		heads[name] = append([]storage.Row(nil), tab.Rows...)
+		for _, r := range tab.Rows {
+			for _, v := range r {
+				c := cell{v: v}
+				if s := v.S(); s != "" {
+					c = cell{types.Str(strings.Clone(s)), unsafe.StringData(s)}
+				}
+				before[name] = append(before[name], c)
+			}
+		}
+	}
+	for _, tmpl := range allTemplates() {
+		if tmpl == 20 && (testing.Short() || raceEnabled) {
+			continue
+		}
+		node := planTemplate(t, db, tmpl)
+		for _, interpret := range []bool{false, true} {
+			runTemplate(t, db, node, tmpl, Options{Interpret: interpret})
+		}
+	}
+	for _, name := range db.Schema.TableNames() {
+		tab, cells := db.Tables[name], before[name]
+		for i, r := range tab.Rows {
+			if h := heads[name][i]; len(r) != len(h) || cap(r) != cap(h) || unsafe.SliceData(r) != unsafe.SliceData(h) {
+				t.Fatalf("%s row %d: header moved", name, i)
+			}
+			for j, v := range r {
+				c := cells[0]
+				cells = cells[1:]
+				if !types.Identical(v, c.v) || c.bytes != nil && unsafe.StringData(v.S()) != c.bytes {
+					t.Fatalf("%s row %d col %d: %s %q after the queries, was %s %q", name, i, j, v.Kind, v.Key(), c.v.Kind, c.v.Key())
+				}
+			}
 		}
 	}
 }

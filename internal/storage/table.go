@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"qpp/internal/catalog"
 	"qpp/internal/types"
@@ -22,11 +21,13 @@ type Row = []types.Value
 // Table is an in-memory heap of rows plus page-layout accounting.
 type Table struct {
 	Meta *catalog.Table
-	// Rows are sub-slices of one value array, each with cap == len so an
-	// append to a row copies it instead of overwriting its neighbour; every
-	// string value points into one string that stores each distinct string
-	// once. A table is a handful of heap objects, not one per row and
-	// string, so the collector marks it in one sweep of a single array.
+	// Rows live in one pointer-free block (types.PackRows): the values,
+	// the row headers and each distinct string's bytes, every pointer in it
+	// pointing into the block itself. Each row has cap == len, so an append
+	// copies it instead of overwriting its neighbour. The collector marks
+	// the block without scanning it, so a table costs a garbage-collection
+	// cycle nothing beyond one mark bit. Never write a table row in place:
+	// a pointer stored into the block is hidden from the collector.
 	Rows []Row
 
 	// RowsPerPage is how many tuples share one 8 KiB page given the table's
@@ -39,7 +40,7 @@ type Table struct {
 // NewTable builds a table over a packed copy of rows (see Table.Rows) and
 // computes its page layout.
 func NewTable(meta *catalog.Table, rows []Row) *Table {
-	rows = pack(rows)
+	rows = types.PackRows(rows)
 	t := &Table{Meta: meta, Rows: rows}
 	var width float64
 	sample := len(rows)
@@ -61,59 +62,6 @@ func NewTable(meta *catalog.Table, rows []Row) *Table {
 	t.RowsPerPage = rpp
 	t.Pages = int64(len(rows)/rpp) + 1
 	return t
-}
-
-// pack copies rows into one value array and their strings into one
-// string, each distinct string stored once; the copies are
-// types.Identical to the originals.
-func pack(rows []Row) []Row {
-	n := 0
-	for _, r := range rows {
-		n += len(r)
-	}
-	vals := make([]types.Value, n)
-	out := make([]Row, len(rows))
-	// First pass: copy values and give each distinct string its offset in
-	// the blob; strs holds the offset of every non-empty string value, in
-	// order, for the second pass.
-	at := make(map[string]int)
-	var uniq []string
-	var strs []int
-	size := 0
-	n = 0
-	for i, r := range rows {
-		row := vals[n : n+len(r) : n+len(r)]
-		copy(row, r)
-		for _, v := range r {
-			if v.Kind != types.KindString || v.S() == "" {
-				continue
-			}
-			s := v.S()
-			off, ok := at[s]
-			if !ok {
-				off = size
-				at[s] = off
-				uniq = append(uniq, s)
-				size += len(s)
-			}
-			strs = append(strs, off)
-		}
-		out[i] = row
-		n += len(r)
-	}
-	var b strings.Builder
-	b.Grow(size)
-	for _, s := range uniq {
-		b.WriteString(s)
-	}
-	blob := b.String()
-	for i := range vals {
-		if v := vals[i]; v.Kind == types.KindString && v.S() != "" {
-			vals[i] = types.Str(blob[strs[0] : strs[0]+len(v.S())])
-			strs = strs[1:]
-		}
-	}
-	return out
 }
 
 // PageOf returns the page number holding the row at offset i.

@@ -1,7 +1,8 @@
 // Package types defines the runtime value model shared by the catalog,
 // storage engine, planner and executor: a 24-byte tagged union for SQL
-// values (one pointer word, one payload word, one kind byte) plus date
-// arithmetic helpers. It is the only package that imports "unsafe".
+// values (one pointer word, one payload word, one kind byte), the
+// pointer-free block a table's rows are packed into, and date arithmetic
+// helpers. It is the only package that imports "unsafe".
 package types
 
 import (
@@ -58,10 +59,11 @@ func (k Kind) String() string {
 // at; p is nil for every other kind, so the collector sees exactly one
 // pointer per string cell and none elsewhere.
 //
-// Invariant: p is non-nil only as set by Str, together with n. The accessors
-// I, F and S are kind-checked and read the zero value on any other kind, so
-// a write to the exported Kind field can at worst turn a string's length
-// into an integer, never fabricate a string out of payload bits.
+// Invariant: p is non-nil only as set by Str or PackRows, together with n.
+// The accessors I, F and S are kind-checked and read the zero value on any
+// other kind, so a write to the exported Kind field can at worst turn a
+// string's length into an integer, never fabricate a string out of payload
+// bits.
 //
 // The zero-size [0]func() makes Value incomparable: ==, map keys and switch
 // on a Value do not compile, because with a pointer payload they would
@@ -132,6 +134,77 @@ func (v Value) S() string {
 // use where they would have written ==.
 func Identical(a, b Value) bool {
 	return a.Kind == b.Kind && a.n == b.n && (a.Kind != KindString || a.S() == b.S())
+}
+
+// PackRows copies rows into one allocation the collector never scans: a
+// block of uint64 words holding every Value, then the row headers, then the
+// bytes of each distinct non-empty string, stored once. Each row is a
+// cap == len stretch of the values, so an append to it copies instead of
+// overwriting its neighbour; every packed value is Identical to its input.
+//
+// Invariant: every pointer inside the block points into the block itself,
+// and an empty string's pointer is nil. Nothing the block references can
+// then be freed while any part of it is reachable, and a Value, row or S()
+// string copied out of it keeps the whole block alive through its interior
+// pointer. The block is never written after PackRows returns: a pointer
+// stored into it later would be one the collector does not see.
+func PackRows(rows [][]Value) [][]Value {
+	if len(rows) == 0 {
+		return nil
+	}
+	// First pass: count the values and give each distinct non-empty string
+	// its offset among the string bytes; offs holds the offset of every
+	// non-empty string value, in order, for the second pass.
+	at := make(map[string]int)
+	var uniq []string
+	var offs []int
+	nvals, size := 0, 0
+	for _, r := range rows {
+		nvals += len(r)
+		for _, v := range r {
+			s := v.S()
+			if s == "" {
+				continue
+			}
+			off, ok := at[s]
+			if !ok {
+				off = size
+				at[s] = off
+				uniq = append(uniq, s)
+				size += len(s)
+			}
+			offs = append(offs, off)
+		}
+	}
+	const word = int(unsafe.Sizeof(uint64(0)))
+	valWords := nvals * int(unsafe.Sizeof(Value{})) / word
+	rowWords := len(rows) * int(unsafe.Sizeof([]Value(nil))) / word
+	block := make([]uint64, valWords+rowWords+(size+word-1)/word)
+	vals := unsafe.Slice((*Value)(unsafe.Pointer(&block[0])), nvals)
+	out := unsafe.Slice((*[]Value)(unsafe.Pointer(&block[valWords])), len(rows))
+	var bytes []byte
+	if size > 0 {
+		bytes = unsafe.Slice((*byte)(unsafe.Pointer(&block[valWords+rowWords])), size)
+		n := 0
+		for _, s := range uniq {
+			n += copy(bytes[n:], s)
+		}
+	}
+	n := 0
+	for i, r := range rows {
+		row := vals[n : n+len(r) : n+len(r)]
+		for j, v := range r {
+			if v.S() == "" {
+				row[j] = Value{Kind: v.Kind, n: v.n}
+				continue
+			}
+			row[j] = Value{Kind: KindString, p: unsafe.Pointer(&bytes[offs[0]]), n: v.n}
+			offs = offs[1:]
+		}
+		out[i] = row
+		n += len(r)
+	}
+	return out
 }
 
 // IsNull reports whether v is SQL NULL.

@@ -161,3 +161,155 @@ func FuzzValueRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// checkPacked asserts the PackRows contract on one input: every value
+// Identical to its input, every row cap == len, equal strings on one data
+// pointer, an empty string on nil, and every pointer — value and row
+// header — inside the one block, whose extent the layout gives: the
+// values, then the row headers out points at, then the distinct strings'
+// bytes.
+func checkPacked(t *testing.T, in, out [][]Value) {
+	t.Helper()
+	if len(out) != len(in) {
+		t.Fatalf("PackRows returned %d rows, want %d", len(out), len(in))
+	}
+	if len(in) == 0 {
+		return
+	}
+	nvals, size := 0, 0
+	distinct := map[string]bool{}
+	for _, r := range in {
+		nvals += len(r)
+		for _, v := range r {
+			if s := v.S(); s != "" && !distinct[s] {
+				distinct[s] = true
+				size += len(s)
+			}
+		}
+	}
+	headers := uintptr(unsafe.Pointer(unsafe.SliceData(out)))
+	lo := headers - uintptr(nvals)*unsafe.Sizeof(Value{})
+	hi := headers + uintptr(len(out))*unsafe.Sizeof(out[0]) + uintptr(size)
+	inBlock := func(p unsafe.Pointer, n uintptr) bool {
+		return uintptr(p) >= lo && uintptr(p)+n <= hi
+	}
+	bytesAt := map[string]unsafe.Pointer{}
+	for i, r := range out {
+		if len(r) != len(in[i]) || cap(r) != len(r) {
+			t.Fatalf("row %d: len %d cap %d, want len = cap = %d", i, len(r), cap(r), len(in[i]))
+		}
+		if p := unsafe.Pointer(unsafe.SliceData(r)); p != nil && !inBlock(p, uintptr(len(r))*unsafe.Sizeof(Value{})) {
+			t.Fatalf("row %d header points at %p, outside the block [%#x, %#x)", i, p, lo, hi)
+		}
+		for j, v := range r {
+			if !Identical(v, in[i][j]) {
+				t.Fatalf("row %d col %d: packed %s %q, want %s %q", i, j, v.Kind, v.Key(), in[i][j].Kind, in[i][j].Key())
+			}
+			if v.p == nil {
+				continue
+			}
+			if v.Kind != KindString || !inBlock(v.p, uintptr(v.n)) {
+				t.Fatalf("row %d col %d: %s value points at %p, outside the block [%#x, %#x)", i, j, v.Kind, v.p, lo, hi)
+			}
+			s := v.S()
+			if s == "" {
+				t.Fatalf("row %d col %d: empty string carries pointer %p, want nil", i, j, v.p)
+			}
+			if q, ok := bytesAt[s]; ok && q != v.p {
+				t.Fatalf("row %d col %d: %q stored twice", i, j, s)
+			}
+			bytesAt[s] = v.p
+		}
+	}
+}
+
+// forged returns v with its Kind overwritten, as a write to the exported
+// field would leave it: a string's pointer under an integer kind, or an
+// integer's payload under the string kind.
+func forged(v Value, k Kind) Value {
+	v.Kind = k
+	return v
+}
+
+func TestPackRows(t *testing.T) {
+	dup := strings.Repeat("dup", 3)
+	cases := map[string][][]Value{
+		"nil":               nil,
+		"empty":             {},
+		"zero-column rows":  {{}, nil, {}},
+		"trailing empty":    {{Int(1)}, {}},
+		"nulls":             {{Null, Null}, {Null}},
+		"empty strings":     {{Str(""), Str("x")}, {Str(dup[:0])}, {Str(dup[9:]), Str(strings.Repeat("", 2))}},
+		"duplicate strings": {{Str("dupdupdup"), Str(dup)}, {Str(dup[:3]), Str("dup"), Str(dup[3:])}},
+		"every kind":        {{Null, Int(-1), Float(-0.5), Str("日本語"), Date(-3), Bool(true)}},
+		"forged kinds":      {{forged(Str("outside"), KindInt), forged(Int(5), KindString), forged(Float(2), KindDate)}},
+	}
+	for name, in := range cases {
+		t.Run(name, func(t *testing.T) { checkPacked(t, in, PackRows(in)) })
+	}
+}
+
+// rowsFromBytes decodes a fuzz input into rows: a byte gives a row's
+// column count, and each value takes a kind byte and a payload byte.
+// Strings come from a small pool or from the input's own bytes, so equal
+// strings recur at different addresses.
+func rowsFromBytes(data []byte) [][]Value {
+	if len(data) == 0 {
+		return nil
+	}
+	pool := []string{"", "a", "ab", "b", "日本", "a\x00"}
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	rows := [][]Value{}
+	for len(data) > 0 {
+		var row []Value
+		for c := next() % 5; c > 0; c-- {
+			k, x := next(), next()
+			var v Value
+			switch k % 10 {
+			case 1:
+				v = Int(int64(int8(x)) << 40)
+			case 2:
+				v = Float(float64(int8(x)) / 4)
+			case 3:
+				v = Date(int64(x) - 128)
+			case 4:
+				v = Bool(x&1 == 1)
+			case 5:
+				v = Str(pool[int(x)%len(pool)])
+			case 6:
+				v = Str(string(data[:min(len(data), int(x%8))]))
+			case 7:
+				v = forged(Str(pool[1+int(x)%(len(pool)-1)]), Kind(x%6))
+			case 8:
+				v = forged(Int(int64(x)), KindString)
+			case 9:
+				v = Str(pool[int(x)%len(pool)][:0]) // no bytes, but a data pointer
+			}
+			row = append(row, v)
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// FuzzPackRows: whatever rows go in, the packed copy keeps the PackRows
+// contract (checkPacked).
+func FuzzPackRows(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0})                         // zero-column rows
+	f.Add([]byte{2, 0, 0, 0, 0})                   // NULLs
+	f.Add([]byte{3, 5, 0, 9, 2, 6, 0})             // empty strings
+	f.Add([]byte{4, 5, 1, 5, 7, 6, 1, 'a', 5, 1})  // duplicate strings
+	f.Add([]byte{3, 7, 3, 8, 9, 7, 1, 1, 1, 2, 2}) // forged kinds
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := rowsFromBytes(data)
+		checkPacked(t, in, PackRows(in))
+	})
+}

@@ -16,9 +16,10 @@
 #   5. go test -race — the full suite under the race detector, then the
 #                    training differential tests, the memo's
 #                    once-per-key test, the shared online-cache test,
-#                    the executor's arena-safety tests and internal/types
-#                    (the one importer of "unsafe": checkptr is on under
-#                    -race) three more times (-count=3); with the
+#                    the executor's arena-safety and table-immutability
+#                    tests, the packed tables' lifetime test and
+#                    internal/types (the one importer of "unsafe": checkptr
+#                    is on under -race) three more times (-count=3); with the
 #                    lock-analysis lint rules gone
 #                    (DESIGN.md §7) this stage is what catches an
 #                    unguarded access to a mutex-protected field
@@ -41,12 +42,16 @@
 #  12. value smoke — 5s of FuzzValueRoundTrip on the 24-byte value
 #                    layout (constructor → accessor, bit for bit; see
 #                    internal/types)
-#  13. SMO smoke   — 5s of FuzzSMOMatchesReference on the nu-SVR solver
+#  13. pack smoke  — 5s of FuzzPackRows on the pointer-free table block
+#                    (rows → one block: values Identical, rows cap == len,
+#                    equal strings on one pointer, every pointer inside the
+#                    block; see internal/types)
+#  14. SMO smoke   — 5s of FuzzSMOMatchesReference on the nu-SVR solver
 #                    (bytes → seeded problem → every working pair, alpha,
 #                    gradient and rho equal to those of the reference
 #                    solver kept in internal/mlearn's tests; see DESIGN.md
 #                    §6)
-#  14. bench self-test — `bench/run.sh test`: gofmt, vet and the unit
+#  15. bench self-test — `bench/run.sh test`: gofmt, vet and the unit
 #                    tests of the repo's benchmark (BENCHMARK.json), a
 #                    nested module that stages 1-5 do not descend into
 #
@@ -112,14 +117,18 @@ go test -race ./... "$@"
 # so a double training that only some interleavings produce cannot land.
 # The online-cache test is the only place one OnlineCache is shared
 # between goroutines.
-banner "go test -race -short -count=3 (training differentials, memo once-per-key, shared online cache, arena safety, value layout)"
+banner "go test -race -short -count=3 (training differentials, memo once-per-key, shared online cache, arena safety, packed tables, value layout)"
 go test -race -short -count=3 -run 'TestSMOMatchesReferenceSolver' ./internal/mlearn
 go test -race -short -count=3 -run 'TestEvalHybridMatchesReference|TestOperatorModelsMatchReferenceTrainer|TestTrainMemoTrainsOncePerKey|TestOnlineCacheConcurrentUse' ./internal/qpp
 go test -race -short -count=3 -run 'TestTrainMemoDoesNotChangeFigures' ./internal/experiments
 # Which pooled arena a Run gets differs from run to run under -race
 # (sync.Pool.Put drops items at random), so one pass is weak evidence that
 # recycled row memory is never observable.
-go test -race -short -count=3 -run 'TestResultRowsSurviveArenaReuse|TestSubPlanReleaseIsInvisible' ./internal/exec
+# A table is one block the collector does not scan (types.PackRows): a
+# query that wrote into it, or a copied-out string that failed to keep it
+# alive, would show only in the cycles that happen to run at that moment.
+go test -race -short -count=3 -run 'TestResultRowsSurviveArenaReuse|TestSubPlanReleaseIsInvisible|TestQueriesNeverWriteTableRows' ./internal/exec
+go test -race -short -count=3 -run 'TestPackedStringsOutliveTheirTable' ./internal/storage
 go test -race -short -count=3 ./internal/types
 
 # The floor is set a safe margin under the measured total (78.7% at the
@@ -155,6 +164,9 @@ go test -fuzz=FuzzJoinSearch -fuzztime=5s -run '^$' ./internal/opt
 
 banner "value fuzz smoke (FuzzValueRoundTrip, 5s)"
 go test -fuzz=FuzzValueRoundTrip -fuzztime=5s -run '^$' ./internal/types
+
+banner "pack fuzz smoke (FuzzPackRows, 5s)"
+go test -fuzz=FuzzPackRows -fuzztime=5s -run '^$' ./internal/types
 
 banner "SMO fuzz smoke (FuzzSMOMatchesReference, 5s)"
 go test -fuzz=FuzzSMOMatchesReference -fuzztime=5s -run '^$' ./internal/mlearn
