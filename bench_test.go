@@ -457,25 +457,35 @@ func BenchmarkExprInterpreted(b *testing.B) {
 	}
 }
 
-// BenchmarkSVRTraining measures nu-SVR fit time at workload scale.
+// BenchmarkSVRTraining measures nu-SVR fits of the sizes a training pass
+// runs (its fits average about 48 rows, reach 108 and mostly have 1-10
+// columns): 8x3, 55x6, the plan-level probe's 108x39, and 400x10. ns/iter
+// is the time per SMO iteration (Iterations), the unit the solver's row
+// passes are paid in.
 func BenchmarkSVRTraining(b *testing.B) {
 	skipIfShort(b)
-	rng := newRand(8)
-	n := 400
-	x := mlearn.NewMatrix(n, 10)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < 10; j++ {
-			x.Set(i, j, rng.NormFloat64())
-		}
-		y[i] = x.At(i, 0)*2 + x.At(i, 1)*x.At(i, 1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := mlearn.NewNuSVR(10, 0.5)
-		if err := s.Fit(x, y); err != nil {
-			b.Fatal(err)
-		}
+	for _, sh := range []struct{ rows, cols int }{{8, 3}, {55, 6}, {108, 39}, {400, 10}} {
+		b.Run(fmt.Sprintf("%dx%d", sh.rows, sh.cols), func(b *testing.B) {
+			rng := newRand(8)
+			x := mlearn.NewMatrix(sh.rows, sh.cols)
+			y := make([]float64, sh.rows)
+			for i := range y {
+				for j := 0; j < sh.cols; j++ {
+					x.Set(i, j, rng.NormFloat64())
+				}
+				y[i] = x.At(i, 0)*2 + x.At(i, 1)*x.At(i, 1)
+			}
+			var iters int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := mlearn.NewNuSVR(10, 0.5)
+				if err := s.Fit(x, y); err != nil {
+					b.Fatal(err)
+				}
+				iters += s.Iterations()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(iters, 1)), "ns/iter")
+		})
 	}
 }
 

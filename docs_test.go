@@ -194,6 +194,33 @@ func TestUnsafeOnlyInTypes(t *testing.T) {
 	}
 }
 
+// TestAssemblyOnlyInMlearn: the SMO solver's row passes are the module's
+// one hand-written assembly (DESIGN.md §6). Outside the nested bench/
+// module no other .s file may appear: go vet's asmdecl checks that one
+// file's frame offsets against its Go declarations, and
+// TestSMOKernelsStayInBounds its memory reach.
+func TestAssemblyOnlyInMlearn(t *testing.T) {
+	var asm []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (path == "bench" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".s") {
+			asm = append(asm, filepath.ToSlash(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(asm, " "); got != "internal/mlearn/smo_amd64.s" {
+		t.Errorf("assembly files [%s], want internal/mlearn/smo_amd64.s only", got)
+	}
+}
+
 // TestConfigSurface pins every settable field of the configuration
 // structs. A setting exists only when two non-test callers set different
 // values or a test uses it as a seam (DESIGN.md §11): adding one means

@@ -3,7 +3,6 @@ package mlearn
 import (
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // SVR is a nu-support-vector regression model with the RBF kernel
@@ -98,8 +97,11 @@ func (s *SVR) Fit(x *Matrix, y []float64) error {
 func (s *SVR) dual(x *Matrix, y []float64) smoSolver {
 	l := x.Rows
 	// Precompute the l x l kernel matrix; training sets here are small
-	// (hundreds of rows), so the dense matrix is cheap.
-	k := NewMatrix(l, l)
+	// (hundreds of rows), so the dense matrix is cheap. The row passes
+	// run over l4 = l rounded up to a multiple of 4 rows (smo_amd64.s),
+	// so the last row is followed by 3 spare floats and f has capacity l4.
+	l4 := (l + 3) &^ 3
+	k := &Matrix{Rows: l, Cols: l, Data: make([]float64, l*l, l*l+3)}
 	for i := 0; i < l; i++ {
 		ri := x.Row(i)
 		for j := i; j < l; j++ {
@@ -124,7 +126,7 @@ func (s *SVR) dual(x *Matrix, y []float64) smoSolver {
 	// either half. The selection and the step only compare and subtract,
 	// which cannot tell; rho's bound midpoint could, for a class with no
 	// free variable whose bounds are both exact zeros.)
-	f := make([]float64, l)
+	f := make([]float64, l, l4)
 	for t := 0; t < l; t++ {
 		kt := k.Row(t)
 		g := y[t]
@@ -153,8 +155,11 @@ func (s *SVR) dual(x *Matrix, y []float64) smoSolver {
 	for v := range alpha {
 		sol.place(v)
 	}
-	sol.ip, sol.gmaxP = sol.maxViolator(sol.upP, 0)
-	sol.in, sol.gmaxN = sol.maxViolator(sol.upN, l)
+	// A zero step along zero rows leaves every f[t] as it is, to the bit
+	// (f[t] - (0 + 0) is f[t], -0 included), and finds the first maximal
+	// violators and I_low minima.
+	zero := make([]float64, l4)
+	sol.updateRows(zero, zero, 0, 0)
 	return sol
 }
 
@@ -196,7 +201,7 @@ type smoSolver struct {
 	l     int
 	k     *Matrix   // l x l RBF kernel matrix, 1 on the diagonal
 	alpha []float64 // 2l dual variables: alpha[t] sign +1, alpha[t+l] sign -1
-	f     []float64 // -y*G per row, shared by both sign classes
+	f     []float64 // -y*G per row, shared by both sign classes; capacity l4
 	c     float64
 	tol   float64
 
@@ -207,9 +212,11 @@ type smoSolver struct {
 
 	// The maximal violator in I_up of each class for the current
 	// (alpha, f): its dual index (-1 when the class has no member of
-	// I_up) and its -y*G, lowest index on ties.
+	// I_up) and its -y*G, lowest index on ties; and the smallest -y*G
+	// over each class's I_low (+Inf when it is empty).
 	ip, in       int
 	gmaxP, gmaxN float64
+	gminP, gminN float64
 }
 
 // solve runs SMO until no violating pair is left, a step makes no
@@ -246,26 +253,10 @@ func (s *smoSolver) place(v int) {
 	}
 }
 
-// maxViolator returns the row of up with the largest -y*G (the lowest on
-// ties) as a dual index of the class whose rows start at off, or -1 when
-// up is empty, and that -y*G.
-func (s *smoSolver) maxViolator(up []uint64, off int) (int, float64) {
-	i, gmax := -1, math.Inf(-1)
-	for w, word := range up {
-		for ; word != 0; word &= word - 1 {
-			t := w<<6 | bits.TrailingZeros64(word)
-			if yg := s.f[t]; yg > gmax {
-				gmax, i = yg, t+off
-			}
-		}
-	}
-	return i, gmax
-}
-
 // update takes the analytic step on the pair (i, j) of dual indices, both
-// in one sign class, clips it to the box, and brings f, the index sets and
-// the maximal violators up to date. It reports false when the step moved
-// neither variable (the solver is stuck and stops).
+// in one sign class, clips it to the box, and brings f, the index sets,
+// the maximal violators and the I_low minima up to date. It reports false
+// when the step moved neither variable (the solver is stuck and stops).
 func (s *smoSolver) update(i, j int) bool {
 	const tau = 1e-12
 	l := s.l
@@ -318,29 +309,7 @@ func (s *smoSolver) update(i, j int) bool {
 	s.place(j)
 	// G[t+l] moves by Q[t+l][i] di + Q[t+l][j] dj, and
 	// Q[t+l][i] = -sign_i K[t][i%l].
-	wi, wj := sign*di, sign*dj
-	// Each row's new value is compared for the next iteration's maximal
-	// violators as soon as it is written: the comparisons maxViolator
-	// would make, in the same ascending order. Which test of a pair comes
-	// first only decides which branches the CPU has to predict; this
-	// order measured fastest.
-	ki, kj := s.k.Row(ri)[:l], s.k.Row(rj)[:l]
-	f := s.f[:l]
-	ip, in := -1, -1
-	gmaxP, gmaxN := math.Inf(-1), math.Inf(-1)
-	upP, upN := s.upP, s.upN
-	for t := range f {
-		ft := f[t] - (wi*ki[t] + wj*kj[t])
-		f[t] = ft
-		w, bit := t>>6, uint64(1)<<(t&63)
-		if ft > gmaxP && upP[w]&bit != 0 {
-			gmaxP, ip = ft, t
-		}
-		if upN[w]&bit != 0 && ft > gmaxN {
-			gmaxN, in = ft, t+l
-		}
-	}
-	s.ip, s.gmaxP, s.in, s.gmaxN = ip, gmaxP, in, gmaxN
+	s.updateRows(s.k.Row(ri), s.k.Row(rj), sign*di, sign*dj)
 	return true
 }
 
@@ -348,64 +317,27 @@ func (s *smoSolver) update(i, j int) bool {
 // libsvm's second-order selection (WSS2) within each sign class, or
 // (-1, -1) on convergence: per class, i is the maximal violator in I_up
 // and j minimizes the quadratic objective decrease among the violating
-// members of I_low; the class with the larger violation wins.
+// members of I_low; the class with the larger violation wins. A class has
+// a violating member of I_low (a j) exactly when its I_low minimum is
+// below its I_up maximum, so the minima the last gradient pass found
+// decide the class and only the winner's I_low is scanned.
 func (s *smoSolver) selectWorkingSet() (int, int) {
-	jp, jn := -1, -1
-	gminP, gminN := math.Inf(1), math.Inf(1)
-	if s.ip >= 0 {
-		jp, gminP = s.secondOrderJ(s.ip, s.gmaxP, s.lowP, 0)
-	}
-	if s.in >= 0 {
-		jn, gminN = s.secondOrderJ(s.in, s.gmaxN, s.lowN, s.l)
-	}
 	vp, vn := math.Inf(-1), math.Inf(-1)
-	if s.ip >= 0 && jp >= 0 {
-		vp = s.gmaxP - gminP
+	if s.ip >= 0 && s.gminP < s.gmaxP {
+		vp = s.gmaxP - s.gminP
 	}
-	if s.in >= 0 && jn >= 0 {
-		vn = s.gmaxN - gminN
+	if s.in >= 0 && s.gminN < s.gmaxN {
+		vn = s.gmaxN - s.gminN
 	}
 	if math.Max(vp, vn) < s.tol {
 		return -1, -1
 	}
 	if vp >= vn {
-		return s.ip, jp
+		j, _ := s.secondOrderJ(s.ip, s.gmaxP, s.lowP, 0)
+		return s.ip, j
 	}
-	return s.in, jn
-}
-
-// secondOrderJ picks j for the chosen dual index i (whose violation is
-// gmax) among the rows of low, the I_low of the class whose rows start at
-// off: the candidate with the largest second-order objective decrease,
-// lowest index on ties, or -1. It also returns the smallest -y*G seen,
-// which the stopping test needs.
-func (s *smoSolver) secondOrderJ(i int, gmax float64, low []uint64, off int) (int, float64) {
-	const tau = 1e-12
-	ki, f := s.k.Row(i-off), s.f
-	j := -1
-	objMin, gmin := math.Inf(1), math.Inf(1)
-	for w, word := range low {
-		for ; word != 0; word &= word - 1 {
-			t := w<<6 | bits.TrailingZeros64(word)
-			ygt := f[t]
-			if ygt < gmin {
-				gmin = ygt
-			}
-			b := gmax - ygt
-			if b <= 0 {
-				continue
-			}
-			// y_i y_t Q_it = K_it, and K_ii + K_tt = 2.
-			quad := 2 - 2*ki[t]
-			if quad <= 0 {
-				quad = tau
-			}
-			if obj := -b * b / quad; obj < objMin {
-				objMin, j = obj, t+off
-			}
-		}
-	}
-	return j, gmin
+	j, _ := s.secondOrderJ(s.in, s.gmaxN, s.lowN, s.l)
+	return s.in, j
 }
 
 // rho computes libsvm's Solver_NU rho (calculate_rho); the regression

@@ -5,6 +5,10 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -230,35 +234,98 @@ func requireSameSolve(t *testing.T, p smoProblem) (iters int) {
 // TestSMOMatchesReferenceSolver is the differential test of the solver:
 // on seeded problems it must walk the reference solver's path step for
 // step, also on the ones that never converge and stop at the default
-// iteration cap.
+// iteration cap, with every implementation of the row passes.
 func TestSMOMatchesReferenceSolver(t *testing.T) {
-	var worked, capped int
-	for seed := int64(0); seed < 270; seed++ {
-		p := genSMOProblem(seed)
-		switch iters := requireSameSolve(t, p); {
-		case iters == p.maxIter:
-			capped++
-		case iters > 0:
-			worked++
+	forEachRowPass(t, func(t *testing.T) {
+		var worked, capped int
+		for seed := int64(0); seed < 270; seed++ {
+			p := genSMOProblem(seed)
+			switch iters := requireSameSolve(t, p); {
+			case iters == p.maxIter:
+				capped++
+			case iters > 0:
+				worked++
+			}
 		}
-	}
-	if worked < 100 || capped == 0 {
-		t.Fatalf("%d problems iterated and converged, %d ran into the cap; the draw must cover both", worked, capped)
-	}
-	t.Logf("%d problems iterated and converged, %d ran into the cap", worked, capped)
+		if worked < 100 || capped == 0 {
+			t.Fatalf("%d problems iterated and converged, %d ran into the cap; the draw must cover both", worked, capped)
+		}
+		t.Logf("%d problems iterated and converged, %d ran into the cap", worked, capped)
+	})
 }
 
 // FuzzSMOMatchesReference is TestSMOMatchesReferenceSolver on problems
-// decoded from the fuzz input (smoProblemFromBytes).
+// decoded from the fuzz input (smoProblemFromBytes), with every
+// implementation of the row passes.
 func FuzzSMOMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		requireSameSolve(t, smoProblemFromBytes(data))
+		for _, avx2 := range rowPasses(t) {
+			useRowPass(t, avx2)
+			requireSameSolve(t, smoProblemFromBytes(data))
+		}
 	})
+}
+
+// rowPasses lists the implementations of the solver's row passes this
+// machine runs, as values of useAVX2: the portable passes, and the AVX2
+// kernels when the CPU has them. Where /proc/cpuinfo lists avx2 but the
+// package's own CPUID check said no, it fails the test rather than let
+// the kernels go untested.
+func rowPasses(t testing.TB) []bool {
+	t.Helper()
+	if haveAVX2 {
+		return []bool{false, true}
+	}
+	if cpuinfoListsAVX2() {
+		t.Fatal("/proc/cpuinfo lists avx2, but the CPUID check did not select the AVX2 kernels")
+	}
+	return []bool{false}
+}
+
+// forEachRowPass runs body as one subtest per entry of rowPasses.
+func forEachRowPass(t *testing.T, body func(t *testing.T)) {
+	for _, avx2 := range rowPasses(t) {
+		name := "portable"
+		if avx2 {
+			name = "avx2"
+		}
+		t.Run(name, func(t *testing.T) {
+			useRowPass(t, avx2)
+			body(t)
+		})
+	}
+}
+
+// useRowPass sets useAVX2 until the test ends.
+func useRowPass(t testing.TB, avx2 bool) {
+	old := useAVX2
+	useAVX2 = avx2
+	t.Cleanup(func() { useAVX2 = old })
+}
+
+func cpuinfoListsAVX2() bool {
+	if runtime.GOARCH != "amd64" {
+		return false
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return false
+	}
+	for _, line := range strings.Split(string(info), "\n") {
+		if strings.HasPrefix(line, "flags") {
+			return slices.Contains(strings.Fields(line), "avx2")
+		}
+	}
+	return false
 }
 
 // TestSVRReportsCappedFit pins Iterations and Converged: a fit that ran
 // into MaxIter says so, the same fit left alone converges.
 func TestSVRReportsCappedFit(t *testing.T) {
+	forEachRowPass(t, requireCappedFitReported)
+}
+
+func requireCappedFitReported(t *testing.T) {
 	p := smoShape{l: 30, d: 3, c: 10, nu: 0.5, seed: 5}.problem("capped fit")
 	free := NewNuSVR(p.svr.C, p.svr.Nu)
 	if err := free.Fit(p.x, p.y); err != nil {

@@ -14,7 +14,9 @@
 #                    DESIGN.md §7 (what each rule is the only catcher
 #                    of)
 #   5. go test -race — the full suite under the race detector, then the
-#                    training differential tests, the memo's
+#                    training differential tests, the SMO kernels' tests
+#                    (bit-identical to the portable passes, in bounds of
+#                    their padding), the memo's
 #                    once-per-key test, the shared online-cache test,
 #                    the executor's arena-safety and table-immutability
 #                    tests, the packed tables' lifetime test and
@@ -49,11 +51,15 @@
 #  14. SMO smoke   — 5s of FuzzSMOMatchesReference on the nu-SVR solver
 #                    (bytes → seeded problem → every working pair, alpha,
 #                    gradient and rho equal to those of the reference
-#                    solver kept in internal/mlearn's tests; see DESIGN.md
-#                    §6)
+#                    solver kept in internal/mlearn's tests, with the
+#                    portable row passes and, where the CPU has AVX2, the
+#                    kernels; see DESIGN.md §6)
 #  15. bench self-test — `bench/run.sh test`: gofmt, vet and the unit
 #                    tests of the repo's benchmark (BENCHMARK.json), a
 #                    nested module that stages 1-5 do not descend into
+#  16. cross build — `go vet` and `go build` for GOARCH=arm64: off amd64
+#                    the portable row passes are the SMO solver's only
+#                    ones, and stages 2-3 build for amd64 alone
 #
 # The parallel execution layer (internal/parallel, workload builds, fold
 # training, figure drivers) is only trusted because stage 5 passes clean;
@@ -117,8 +123,8 @@ go test -race ./... "$@"
 # so a double training that only some interleavings produce cannot land.
 # The online-cache test is the only place one OnlineCache is shared
 # between goroutines.
-banner "go test -race -short -count=3 (training differentials, memo once-per-key, shared online cache, arena safety, packed tables, value layout)"
-go test -race -short -count=3 -run 'TestSMOMatchesReferenceSolver' ./internal/mlearn
+banner "go test -race -short -count=3 (training differentials, SMO kernels, memo once-per-key, shared online cache, arena safety, packed tables, value layout)"
+go test -race -short -count=3 -run 'TestSMOMatchesReferenceSolver|TestSMOKernelsMatchPortable|TestSMOKernelsStayInBounds' ./internal/mlearn
 go test -race -short -count=3 -run 'TestEvalHybridMatchesReference|TestOperatorModelsMatchReferenceTrainer|TestTrainMemoTrainsOncePerKey|TestOnlineCacheConcurrentUse' ./internal/qpp
 go test -race -short -count=3 -run 'TestTrainMemoDoesNotChangeFigures' ./internal/experiments
 # Which pooled arena a Run gets differs from run to run under -race
@@ -173,5 +179,11 @@ go test -fuzz=FuzzSMOMatchesReference -fuzztime=5s -run '^$' ./internal/mlearn
 
 banner "bench self-test (bench/run.sh test)"
 bash bench/run.sh test
+
+# The AVX2 kernels are amd64 only: nothing above builds the solver the
+# way every other architecture gets it.
+banner "cross build (GOARCH=arm64 go vet, go build)"
+GOARCH=arm64 go vet ./...
+GOARCH=arm64 go build ./...
 
 banner "CI OK"
