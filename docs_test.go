@@ -221,6 +221,36 @@ func TestAssemblyOnlyInMlearn(t *testing.T) {
 	}
 }
 
+// TestPlanCacheNeverExecutes: the serving plan cache chooses among its
+// candidates by the optimizer's cost model (DESIGN.md §15), so none of
+// its non-test files may import the executor, the virtual device or the
+// learning library.
+func TestPlanCacheNeverExecutes(t *testing.T) {
+	deny := map[string]bool{"qpp/internal/exec": true, "qpp/internal/vclock": true, "qpp/internal/mlearn": true}
+	files, err := filepath.Glob("internal/plancache/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no Go files in internal/plancache")
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); deny[p] {
+				t.Errorf("%s imports %s", filepath.ToSlash(path), p)
+			}
+		}
+	}
+}
+
 // TestConfigSurface pins every settable field of the configuration
 // structs. A setting exists only when two non-test callers set different
 // values or a test uses it as a seam (DESIGN.md §11): adding one means
@@ -237,7 +267,7 @@ func TestConfigSurface(t *testing.T) {
 		{serve.Options{}, "Now Reload"},
 		{workload.Config{}, "ScaleFactor Templates PerTemplate Seed TimeLimit Parallelism Observe"},
 		{qperf.EngineConfig{}, "ScaleFactor Seed"},
-		{plancache.Config{}, "LabelSeed MaxLabelDraws DisableExactPlans"},
+		{plancache.Config{}, "LabelSeed"},
 	} {
 		rt := reflect.TypeOf(c.config)
 		var got []string

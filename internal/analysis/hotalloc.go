@@ -155,8 +155,8 @@ func hotEntryPoint(pkgPath string, fd *ast.FuncDecl) bool {
 		return name == "ServeHTTP" || strings.HasPrefix(name, "handle") || strings.HasPrefix(name, "wrap")
 	case "qpp/internal/plancache":
 		// Plan (and everything it reaches: canonicalization, literal
-		// rebinding, candidate replay, selector scoring) runs once per
-		// served request; Canonicalize additionally runs on every lookup.
+		// rebinding, candidate replay and costing) runs once per served
+		// request; Canonicalize additionally runs on every lookup.
 		return name == "Plan" || name == "Canonicalize"
 	}
 	return false

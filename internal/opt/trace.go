@@ -29,18 +29,6 @@ type JoinTrace struct {
 	Blocks [][]JoinStep `json:"blocks"`
 }
 
-// Clone returns a deep copy.
-func (t *JoinTrace) Clone() *JoinTrace {
-	if t == nil {
-		return nil
-	}
-	out := &JoinTrace{Blocks: make([][]JoinStep, len(t.Blocks))}
-	for i, b := range t.Blocks {
-		out.Blocks[i] = append([]JoinStep(nil), b...)
-	}
-	return out
-}
-
 // AppendKey renders the trace into buf as a canonical byte key (uvarint
 // framing), suitable for deduplicating candidate plans without string
 // formatting on a hot path.

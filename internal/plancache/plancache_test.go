@@ -3,6 +3,7 @@ package plancache
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -166,16 +167,16 @@ func TestCachedPlanBitIdentical(t *testing.T) {
 	db := tpchDB(t)
 	for _, tmpl := range tpch.Templates {
 		q := genSQL(t, tmpl, 42)
-		// Exact memo off: this test executes the plans Plan returns, and
-		// its subject is the rebind path.
-		cache, err := Build(db, []string{q}, Config{DisableExactPlans: true})
+		cache, err := Build(db, []string{q}, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cache.Len() != 1 {
-			t.Fatalf("template %d: cache size %d", tmpl, cache.Len())
+		if len(cache.templates) != 1 {
+			t.Fatalf("template %d: cache size %d", tmpl, len(cache.templates))
 		}
-		cached, out, err := cache.Plan(q)
+		// The rebind path, not the memo: this test executes the plan, and
+		// execution writes to the nodes the memo shares.
+		cached, out, err := cache.rebind(q)
 		if err != nil {
 			t.Fatalf("template %d: %v", tmpl, err)
 		}
@@ -228,18 +229,23 @@ func compareRows(t *testing.T, tmpl int, a, b []plan.Row) {
 // plan returns. When the cache happens to choose the same join order,
 // virtual latency must also be bit-identical.
 //
+// On a template with more than one candidate skeleton, the served plan
+// must be the replay of the candidate with the least Est.TotalCost (the
+// first on ties), to the bit: the same EXPLAIN and the same estimates on
+// every node.
+//
 // It also carries the plan-quality gate: executed under the same
 // virtual-clock seed, the cache-chosen plan is no slower than the cold
 // plan on at least 90% of draws — over all templates, and separately over
 // the templates that hold more than one candidate skeleton, which get 12
-// draws instead of 3 because they are the only ones where the learned
-// selector chooses anything (16 of the 18 hold one candidate and tie by
+// draws instead of 3 because they are the only ones where the cache
+// chooses anything (16 of the 18 hold one candidate and tie by
 // construction, so the all-template rate cannot fall below 89% whatever
-// the selector does at 3 draws each). Measured: 71 of 72 over all
-// templates, 23 of 24 on the two multi-candidate ones (T2, T8); with the
-// selector replaced by "take the costliest candidate" 58 of 72 and 10 of
-// 24 (the benchmark tool this gate came from measured 105 of 108 with 6
-// draws for every template).
+// the choice is at 3 draws each). Measured: 72 of 72 over all templates,
+// 24 of 24 on the two multi-candidate ones (T2, T8); with the choice
+// replaced by "take the costliest candidate" 58 of 72 and 10 of 24 (the
+// benchmark tool this gate came from measured 105 of 108 with 6 draws for
+// every template).
 func TestCacheDifferential(t *testing.T) {
 	db := tpchDB(t)
 	const trainDraws = 5
@@ -249,12 +255,12 @@ func TestCacheDifferential(t *testing.T) {
 			train = append(train, genSQL(t, tmpl, 1000+d))
 		}
 	}
-	cache, err := Build(db, train, Config{LabelSeed: 77, MaxLabelDraws: 5})
+	cache, err := Build(db, train, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Len() != len(tpch.Templates) {
-		t.Fatalf("cache covers %d of %d templates", cache.Len(), len(tpch.Templates))
+	if len(cache.templates) != len(tpch.Templates) {
+		t.Fatalf("cache covers %d of %d templates", len(cache.templates), len(tpch.Templates))
 	}
 	prof := vclock.DefaultProfile()
 	type tally struct {
@@ -267,8 +273,9 @@ func TestCacheDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tpl := cache.templates[sig]
 		groups, draws := []*tally{all}, int64(3)
-		if len(cache.Template(sig).Candidates) > 1 {
+		if len(tpl.candidates) > 1 {
 			groups, draws = []*tally{all, multi}, 12
 		}
 		for d := int64(0); d < draws; d++ {
@@ -279,6 +286,15 @@ func TestCacheDifferential(t *testing.T) {
 			}
 			if out == OutcomeMiss {
 				t.Fatalf("template %d draw %d: unexpected miss", tmpl, d)
+			}
+			if len(tpl.candidates) > 1 {
+				want := cheapestReplay(t, db, q, tpl)
+				if we, ce := plan.Explain(want), plan.Explain(cached); we != ce {
+					t.Fatalf("template %d draw %d: served plan is not the cheapest candidate:\n--- cheapest ---\n%s\n--- served ---\n%s", tmpl, d, we, ce)
+				}
+				if !slices.Equal(estBits(want), estBits(cached)) {
+					t.Fatalf("template %d draw %d: served plan's estimates differ from the cheapest candidate's", tmpl, d)
+				}
 			}
 			fresh, err := opt.PlanSQL(db, q)
 			if err != nil {
@@ -306,7 +322,7 @@ func TestCacheDifferential(t *testing.T) {
 		}
 	}
 	if multi.draws == 0 {
-		t.Fatal("no template holds more than one candidate: the selector is not exercised")
+		t.Fatal("no template holds more than one candidate: the choice is not exercised")
 	}
 	for _, g := range []*tally{all, multi} {
 		t.Logf("%s: cache-chosen plan no slower than the cold plan on %d of %d draws", g.name, g.wins, g.draws)
@@ -314,6 +330,40 @@ func TestCacheDifferential(t *testing.T) {
 			t.Errorf("%s: want >= 90%% of draws", g.name)
 		}
 	}
+}
+
+// cheapestReplay replays every candidate of tpl over a fresh parse of q
+// and returns the plan with the least Est.TotalCost, the first on ties.
+func cheapestReplay(t *testing.T, db *storage.Database, q string, tpl *template) *plan.Node {
+	t.Helper()
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var best *plan.Node
+	for i, trace := range tpl.candidates {
+		p, err := opt.PlanReplay(db, stmt, trace)
+		if err != nil {
+			t.Fatalf("candidate %d: %v", i, err)
+		}
+		if best == nil || p.Est.TotalCost < best.Est.TotalCost {
+			best = p
+		}
+	}
+	return best
+}
+
+// estBits lists the bits of every node's estimates, init- and sub-plans
+// included, in Walk order.
+func estBits(root *plan.Node) []uint64 {
+	var out []uint64
+	root.Walk(func(n *plan.Node) {
+		e := n.Est
+		for _, f := range [...]float64{e.StartupCost, e.TotalCost, e.Rows, e.Width, e.Pages, e.Selectivity} {
+			out = append(out, math.Float64bits(f))
+		}
+	})
+	return out
 }
 
 // TestExactMatchMemo pins the L1 layer: a training-draw query text is
@@ -363,28 +413,21 @@ func TestExactMatchMemo(t *testing.T) {
 	if plan.Explain(n1) != plan.Explain(cold) {
 		t.Fatal("memoized plan diverges from cold plan")
 	}
-	// DisableExactPlans forces every hit through the rebind path.
-	nox, err := Build(db, []string{q}, Config{DisableExactPlans: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nox.ExactLen() != 0 {
-		t.Fatalf("ExactLen = %d with memo disabled", nox.ExactLen())
-	}
 }
 
-// TestCacheMissAndFallback pins the outcome taxonomy. The exact-match
-// memo is disabled so every call exercises the parametric path (the
-// corrupt-trace case below replans a training-draw text).
+// TestCacheMissAndFallback pins the outcome taxonomy. Every call goes
+// through rebind, past the exact-match memo, so it exercises the
+// parametric path (the corrupt-trace case below replans a training-draw
+// text).
 func TestCacheMissAndFallback(t *testing.T) {
 	db := tpchDB(t)
 	q := genSQL(t, 3, 10)
-	cache, err := Build(db, []string{q}, Config{DisableExactPlans: true})
+	cache, err := Build(db, []string{q}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Unknown signature: cold plan, miss.
-	node, out, err := cache.Plan("select count(*) from lineitem")
+	node, out, err := cache.rebind("select count(*) from lineitem")
 	if err != nil || node == nil {
 		t.Fatalf("miss path: %v", err)
 	}
@@ -392,14 +435,15 @@ func TestCacheMissAndFallback(t *testing.T) {
 		t.Fatalf("outcome %d, want miss", out)
 	}
 	// Unparsable query: error surfaces.
-	if _, _, err := cache.Plan("select from from"); err == nil {
+	if _, _, err := cache.rebind("select from from"); err == nil {
 		t.Fatal("garbage SQL must error")
 	}
 	// Corrupted candidate trace: the hit path fails internally and Plan
 	// silently falls back to cold planning.
-	tpl := cache.Template(cache.Signatures()[0])
-	tpl.Candidates[0].Trace.Blocks = [][]opt.JoinStep{{{L: 1, R: 2}}}
-	node, out, err = cache.Plan(q)
+	for _, tpl := range cache.templates {
+		tpl.candidates[0].Blocks = [][]opt.JoinStep{{{L: 1, R: 2}}}
+	}
+	node, out, err = cache.rebind(q)
 	if err != nil || node == nil {
 		t.Fatalf("fallback path: %v", err)
 	}

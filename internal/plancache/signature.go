@@ -2,13 +2,13 @@
 // the serving hot path: queries are keyed by a canonical template
 // signature (the token stream with literals stripped), each template
 // holds a small set of candidate plan skeletons (recorded join-order
-// traces from internal/opt), and a learned selector picks the fastest
-// candidate from the parameter binding's selectivity features, falling
-// back to cost-based choice when its confidence is low. A cache hit
-// skips parse and DP join ordering entirely: the template AST is cloned,
-// the request's literals are stamped in, and the recorded merge trace is
-// replayed through the ordinary planner — so a hit's plan is produced by
-// exactly the code that cold planning runs, with bit-identical costs.
+// traces from internal/opt), and a hit serves the candidate the
+// optimizer's cost model prices cheapest for the request's binding. A
+// cache hit skips parse and DP join ordering entirely: the template AST
+// is cloned, the request's literals are stamped in, and the recorded
+// merge traces are replayed through the ordinary planner — so a hit's
+// plan is produced by exactly the code that cold planning runs, with
+// bit-identical costs. The package never executes a query.
 //
 // The package is part of the deterministic core and the hot-path
 // allocation discipline: no wall clock, no global rand, no map-order

@@ -98,8 +98,9 @@ type Server struct {
 
 	// Parametric plan-cache counters: hits (any cache-served plan),
 	// misses (cold-planned: unknown signature, no cache in the snapshot,
-	// or hit-path fallback), and selector fallbacks (cache-served but the
-	// learned selector declined and the cost-based choice was used).
+	// or hit-path fallback), and cost-chosen hits (cache-served from a
+	// template with several candidates, the cheapest by estimated cost;
+	// exported as plancache.selector_fallback).
 	cacheHits      obs.CCounter
 	cacheMisses    obs.CCounter
 	cacheFallbacks obs.CCounter

@@ -53,7 +53,7 @@ func buildCache(db *storage.Database, recs []*qpp.QueryRecord) (*plancache.Cache
 	for i, rec := range recs {
 		sqls[i] = rec.SQL
 	}
-	return plancache.Build(db, sqls, plancache.Config{LabelSeed: 11})
+	return plancache.Build(db, sqls, plancache.Config{})
 }
 
 func testEnv(t testing.TB) (*storage.Database, *Snapshot, *Snapshot) {
