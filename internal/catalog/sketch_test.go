@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"qpp/internal/parallel"
 	"qpp/internal/types"
 )
 
@@ -80,7 +81,9 @@ func TestAnalyzeSketchHighCardinality(t *testing.T) {
 }
 
 // TestAnalyzeSketchDeterministic: two runs over the same rows are
-// deeply identical — the bit-identical repeated-ANALYZE contract.
+// deeply identical — the bit-identical repeated-ANALYZE contract — and so
+// are the columns analyzed concurrently, in reverse order, then
+// assembled, as the storage loader does.
 func TestAnalyzeSketchDeterministic(t *testing.T) {
 	meta := testTable()
 	rng := rand.New(rand.NewSource(9))
@@ -96,6 +99,17 @@ func TestAnalyzeSketchDeterministic(t *testing.T) {
 	b := AnalyzeRowsSketch(meta, rows)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("repeated sketch ANALYZE runs differ")
+	}
+	cols := make([]ColumnStats, len(meta.Columns))
+	if err := parallel.ForEach(len(cols), 2, func(i int) error {
+		ci := len(cols) - 1 - i
+		cols[ci] = AnalyzeColumnSketch(meta, rows, ci)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if c := SketchedTableStats(len(rows), cols); !reflect.DeepEqual(a, c) {
+		t.Fatal("concurrent column-by-column ANALYZE differs from AnalyzeRowsSketch")
 	}
 }
 

@@ -49,7 +49,7 @@ func FuzzSketch(f *testing.F) {
 			if after < before+1 {
 				t.Fatalf("countmin estimate not monotone: %d then add -> %d", before, after)
 			}
-			tk.Offer(key, after)
+			tk.Offer(key, Hash64(key), after)
 			v := math.Float64frombits(binary.LittleEndian.Uint64(key))
 			if !math.IsNaN(v) {
 				quantN++

@@ -162,7 +162,7 @@ func TestTopKFindsHeavyHitters(t *testing.T) {
 		}
 		buf = strconv.AppendInt(buf[:0], id, 10)
 		est := cm.Add(buf, 1)
-		tk.Offer(buf, est)
+		tk.Offer(buf, Hash64(buf), est)
 		exact[string(buf)]++
 	}
 	top := tk.Top(20)
@@ -188,7 +188,7 @@ func TestTopKExactWhenNoEviction(t *testing.T) {
 	tk := NewTopK(10)
 	for i := 0; i < 8; i++ {
 		key := []byte{byte('a' + i)}
-		tk.Offer(key, uint64(i+1))
+		tk.Offer(key, Hash64(key), uint64(i+1))
 	}
 	if tk.Evicted() {
 		t.Fatal("no eviction should have happened")
@@ -211,7 +211,7 @@ func TestTopKDeterministicTies(t *testing.T) {
 	run := func() []Entry {
 		tk := NewTopK(3)
 		for _, k := range []string{"d", "b", "c", "a", "e"} {
-			tk.Offer([]byte(k), 5)
+			tk.Offer([]byte(k), Hash64([]byte(k)), 5)
 		}
 		return tk.Top(3)
 	}
@@ -239,7 +239,7 @@ func TestTopKRejectionBreaksCompleteness(t *testing.T) {
 	var buf []byte
 	for i := 0; i < 100; i++ {
 		buf = strconv.AppendInt(buf[:0], 1000+int64(i), 10)
-		tk.Offer(buf, 1)
+		tk.Offer(buf, Hash64(buf), 1)
 	}
 	if !tk.Evicted() {
 		t.Fatal("100 distinct keys through a size-80 tracker must report eviction")

@@ -8,42 +8,59 @@ import "sort"
 // but cannot enumerate the heavy ones, so ANALYZE offers every observed
 // key here and keeps the survivors.
 //
-// The structure is a min-heap of (count, key) with a map for O(1)
-// membership, totally ordered by (count, then key bytes descending) so
-// eviction is deterministic: ties never depend on map iteration order.
-// A key whose estimate exceeds the current minimum evicts it; keys
-// already tracked only ever grow. Memory is O(k) strings.
+// The structure is a min-heap of (count, key), totally ordered by
+// (count, then key bytes descending) so eviction is deterministic: ties
+// never depend on hash or probe order. A key whose estimate exceeds the
+// current minimum evicts it; keys already tracked only ever grow. Memory
+// is O(k) strings.
+//
+// Membership is an open-addressing table keyed by the 64-bit hash the
+// caller already computed for Count-Min: a probe compares hashes and, on
+// a match, key bytes, so two distinct keys that share a hash stay two
+// candidates. The hash must be a function of the key bytes.
 type TopK struct {
 	cap     int
 	heap    []tkEntry
-	pos     map[string]int // key -> heap index; single-writer, no locking
+	slots   []int32 // linear probing by hash; heap index + 1, 0 = empty
 	evicted bool
 }
 
 type tkEntry struct {
 	key   string
+	hash  uint64
 	count uint64
+	slot  int32 // this entry's position in slots
 }
 
 // NewTopK returns a tracker keeping at most k candidates.
 func NewTopK(k int) *TopK {
-	return &TopK{cap: k, pos: make(map[string]int, k)}
+	n := 8
+	for n < 2*k {
+		n *= 2
+	}
+	return &TopK{cap: k, heap: make([]tkEntry, 0, k), slots: make([]int32, n)}
 }
 
-// Offer reports an observation of key with its current count estimate.
-// The key bytes are only copied when the key actually enters the
-// candidate set, so the common case (already tracked, or too small)
-// allocates nothing.
-func (t *TopK) Offer(key []byte, count uint64) {
-	if i, ok := t.pos[string(key)]; ok { // no-alloc map probe
-		t.heap[i].count = count
-		t.siftDown(i)
-		return
+// Offer reports an observation of key, whose hash is h, with its current
+// count estimate. The key bytes are only copied when the key actually
+// enters the candidate set, so the common case (already tracked, or too
+// small) allocates nothing.
+func (t *TopK) Offer(key []byte, h uint64, count uint64) {
+	mask := uint64(len(t.slots) - 1)
+	s := h & mask
+	for ; t.slots[s] != 0; s = (s + 1) & mask {
+		i := int(t.slots[s] - 1)
+		if e := &t.heap[i]; e.hash == h && e.key == string(key) {
+			e.count = count
+			t.siftDown(i)
+			return
+		}
 	}
+	// s is the empty slot ending key's probe run.
 	if len(t.heap) < t.cap {
-		t.heap = append(t.heap, tkEntry{key: string(key), count: count})
+		t.heap = append(t.heap, tkEntry{key: string(key), hash: h, count: count, slot: int32(s)})
 		i := len(t.heap) - 1
-		t.pos[t.heap[i].key] = i
+		t.slots[s] = int32(i) + 1
 		t.siftUp(i)
 		return
 	}
@@ -56,14 +73,42 @@ func (t *TopK) Offer(key []byte, count uint64) {
 	}
 	// Replace the minimum only when the newcomer is strictly greater
 	// under the total order (count, then key bytes descending).
-	min := t.heap[0]
+	min := &t.heap[0]
 	if count < min.count || (count == min.count && !(string(key) < min.key)) {
 		return
 	}
-	delete(t.pos, t.heap[0].key)
-	t.heap[0] = tkEntry{key: string(key), count: count}
-	t.pos[t.heap[0].key] = 0
+	t.unslot(min.slot)
+	// Removing the minimum may have shifted an entry into key's run, so
+	// look for the run's end again.
+	s = h & mask
+	for t.slots[s] != 0 {
+		s = (s + 1) & mask
+	}
+	t.heap[0] = tkEntry{key: string(key), hash: h, count: count, slot: int32(s)}
+	t.slots[s] = 1
 	t.siftDown(0)
+}
+
+// unslot empties slot s and shifts later entries of its probe run back
+// (backward-shift deletion), so every entry stays reachable from its home
+// slot without tombstones.
+func (t *TopK) unslot(s int32) {
+	mask := int32(len(t.slots) - 1)
+	hole := s
+	t.slots[hole] = 0
+	for j := (hole + 1) & mask; t.slots[j] != 0; j = (j + 1) & mask {
+		e := &t.heap[t.slots[j]-1]
+		home := int32(e.hash & uint64(mask))
+		// The entry at j may move to the hole only if its home slot does
+		// not lie cyclically in (hole, j].
+		if (j-home)&mask < (j-hole)&mask {
+			continue
+		}
+		t.slots[hole] = t.slots[j]
+		e.slot = hole
+		t.slots[j] = 0
+		hole = j
+	}
 }
 
 // Evicted reports whether any distinct key ever fell outside the
@@ -143,6 +188,6 @@ func (t *TopK) siftDown(i int) {
 
 func (t *TopK) swap(i, j int) {
 	t.heap[i], t.heap[j] = t.heap[j], t.heap[i]
-	t.pos[t.heap[i].key] = i
-	t.pos[t.heap[j].key] = j
+	t.slots[t.heap[i].slot] = int32(i) + 1
+	t.slots[t.heap[j].slot] = int32(j) + 1
 }

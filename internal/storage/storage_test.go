@@ -2,6 +2,8 @@ package storage
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -139,5 +141,61 @@ func TestDatabaseLoad(t *testing.T) {
 	}
 	if err := db.Load("t", []Row{{types.Int(1)}}); err == nil {
 		t.Fatal("ragged row should fail")
+	}
+}
+
+// TestLoadTablesMatchesLoad: loading several tables in one call gives the
+// blocks, indexes and statistics that loading them one by one does, and a
+// call with one bad table installs none of them.
+func TestLoadTablesMatchesLoad(t *testing.T) {
+	schema := catalog.NewSchema()
+	u := testMeta()
+	u.Name = "u"
+	u.PrimaryKey = nil
+	for _, m := range []*catalog.Table{testMeta(), u} {
+		if err := schema.AddTable(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	one := NewDatabase(schema)
+	if err := one.Load("t", testRows(500)); err != nil {
+		t.Fatal(err)
+	}
+	if err := one.Load("u", testRows(70)); err != nil {
+		t.Fatal(err)
+	}
+	all := NewDatabase(schema)
+	if err := all.LoadTables([]TableRows{{"t", testRows(500)}, {"u", testRows(70)}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"t", "u"} {
+		a, b := one.Tables[name], all.Tables[name]
+		if len(a.Rows) != len(b.Rows) || a.Pages != b.Pages {
+			t.Fatalf("%s: %d rows / %d pages vs %d / %d", name, len(a.Rows), a.Pages, len(b.Rows), b.Pages)
+		}
+		for i := range a.Rows {
+			for c := range a.Rows[i] {
+				if !types.Identical(a.Rows[i][c], b.Rows[i][c]) {
+					t.Fatalf("%s row %d col %d differs", name, i, c)
+				}
+			}
+		}
+		if !reflect.DeepEqual(one.Stats[name], all.Stats[name]) {
+			t.Fatalf("%s: statistics differ", name)
+		}
+	}
+	if !slices.Equal(one.Indexes["t"].Ordered(), all.Indexes["t"].Ordered()) {
+		t.Fatal("t: index order differs")
+	}
+	if _, ok := all.Indexes["u"]; ok {
+		t.Fatal("u has no primary key, so no index")
+	}
+
+	fresh := NewDatabase(schema)
+	if err := fresh.LoadTables([]TableRows{{"t", testRows(5)}, {"u", []Row{{types.Int(1)}}}}); err == nil {
+		t.Fatal("ragged row should fail")
+	}
+	if len(fresh.Tables)+len(fresh.Indexes)+len(fresh.Stats) != 0 {
+		t.Fatal("a failed LoadTables installed tables")
 	}
 }

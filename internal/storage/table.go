@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"qpp/internal/catalog"
+	"qpp/internal/parallel"
 	"qpp/internal/types"
 )
 
@@ -241,24 +242,91 @@ func NewDatabase(schema *catalog.Schema) *Database {
 	}
 }
 
+// TableRows is one schema table's rows, as handed to LoadTables.
+type TableRows struct {
+	Name string
+	Rows []Row
+}
+
 // Load installs rows for a schema table, builds its primary-key index and
-// analyzes it.
+// analyzes it: LoadTables with one table.
 func (db *Database) Load(name string, rows []Row) error {
-	meta, ok := db.Schema.Table(name)
-	if !ok {
-		return fmt.Errorf("storage: unknown table %q", name)
+	return db.LoadTables([]TableRows{{Name: name, Rows: rows}})
+}
+
+// LoadTables installs several schema tables at once. Every table is
+// checked against the schema before any work starts, so an error installs
+// nothing. Then one pool of GOMAXPROCS workers runs a task per table,
+// which packs and indexes it, and a task per column of every table, which
+// analyzes it (catalog.AnalyzeColumnSketch), biggest tables first. The
+// Tables, Indexes and Stats maps are written once, afterwards, in the
+// order of tables.
+//
+// Nothing depends on the number of workers: a table's block, index and
+// column statistics are each computed by one task from that table's rows
+// alone, and each table's statistics are assembled in column order, so
+// the database is bit-identical to loading the tables one by one.
+func (db *Database) LoadTables(tables []TableRows) error {
+	metas := make([]*catalog.Table, len(tables))
+	for i, tr := range tables {
+		meta, ok := db.Schema.Table(tr.Name)
+		if !ok {
+			return fmt.Errorf("storage: unknown table %q", tr.Name)
+		}
+		for r, row := range tr.Rows {
+			if len(row) != len(meta.Columns) {
+				return fmt.Errorf("storage: table %q row %d has %d columns, want %d", tr.Name, r, len(row), len(meta.Columns))
+			}
+		}
+		metas[i] = meta
 	}
-	for i, r := range rows {
-		if len(r) != len(meta.Columns) {
-			return fmt.Errorf("storage: table %q row %d has %d columns, want %d", name, i, len(r), len(meta.Columns))
+
+	// Biggest first: the longest tasks start while the others fill in
+	// around them.
+	bySize := make([]int, len(tables))
+	for i := range bySize {
+		bySize[i] = i
+	}
+	sort.SliceStable(bySize, func(a, b int) bool {
+		return len(tables[bySize[a]].Rows) > len(tables[bySize[b]].Rows)
+	})
+
+	// One task per table packs and indexes it; one task per column
+	// analyzes that column of the rows as given (every packed value is
+	// Identical to its input), so no task waits for another.
+	type column struct{ table, col int }
+	var columns []column
+	cols := make([][]catalog.ColumnStats, len(tables))
+	for _, i := range bySize {
+		cols[i] = make([]catalog.ColumnStats, len(metas[i].Columns))
+		for c := range cols[i] {
+			columns = append(columns, column{i, c})
 		}
 	}
-	t := NewTable(meta, rows)
-	db.Tables[name] = t
-	if len(meta.PrimaryKey) > 0 {
-		db.Indexes[name] = BuildIndex(name+"_pkey", t, meta.PrimaryKey)
+	heaps := make([]*Table, len(tables))
+	indexes := make([]*Index, len(tables))
+	//qpplint:ignore errdrop no task returns an error
+	_ = parallel.ForEach(len(tables)+len(columns), 0, func(k int) error {
+		if k < len(tables) {
+			i := bySize[k]
+			heaps[i] = NewTable(metas[i], tables[i].Rows)
+			if pk := metas[i].PrimaryKey; len(pk) > 0 {
+				indexes[i] = BuildIndex(tables[i].Name+"_pkey", heaps[i], pk)
+			}
+			return nil
+		}
+		col := columns[k-len(tables)]
+		cols[col.table][col.col] = catalog.AnalyzeColumnSketch(metas[col.table], tables[col.table].Rows, col.col)
+		return nil
+	})
+
+	for i, tr := range tables {
+		db.Tables[tr.Name] = heaps[i]
+		if indexes[i] != nil {
+			db.Indexes[tr.Name] = indexes[i]
+		}
+		db.Stats[tr.Name] = catalog.SketchedTableStats(len(tr.Rows), cols[i])
 	}
-	db.Stats[name] = catalog.AnalyzeRowsSketch(meta, t.Rows)
 	return nil
 }
 

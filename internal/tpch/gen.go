@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"qpp/internal/parallel"
 	"qpp/internal/storage"
 	"qpp/internal/types"
 )
@@ -37,44 +38,54 @@ var (
 // scale factor. All eight tables are generated with spec-conformant
 // value distributions, referential integrity, and the pricing formulas
 // (l_extendedprice from p_retailprice, o_totalprice from line items).
+//
+// The tables generate concurrently on GOMAXPROCS workers (genTables) and
+// load through one storage.Database.LoadTables call, which packs, indexes
+// and analyzes them concurrently too. Each table draws from its own random
+// stream and no generator reads another's rows, so the database is
+// bit-identical for every worker count.
 func Generate(cfg GenConfig) (*storage.Database, error) {
 	if cfg.ScaleFactor <= 0 {
 		return nil, fmt.Errorf("tpch: scale factor must be positive, got %v", cfg.ScaleFactor)
 	}
 	db := storage.NewDatabase(Schema())
+	if err := db.LoadTables(genTables(cfg)); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// genTables returns the rows of all eight tables, in schema order, as
+// their generators return them. The seven generators run under
+// parallel.ForEach, orders and lineitem (the biggest by far) first.
+func genTables(cfg GenConfig) []storage.TableRows {
 	nSupp := scaled(supplierBase, cfg.ScaleFactor)
 	nCust := scaled(customerBase, cfg.ScaleFactor)
 	nPart := scaled(partBase, cfg.ScaleFactor)
 	nOrd := scaled(ordersBase, cfg.ScaleFactor)
 	rng := func(table string) *rand.Rand { return tableRNG(cfg.Seed, table) }
 
-	if err := db.Load(Region, genRegion(rng(Region))); err != nil {
-		return nil, err
+	var region, nation, supplier, customer, part, partsupp, orders, lineitem []storage.Row
+	gens := []func(){
+		func() { orders, lineitem = genOrdersAndLineitems(rng(Orders), nOrd, nCust, nPart, nSupp) },
+		func() { partsupp = genPartSupp(rng(PartSupp), nPart, nSupp) },
+		func() { part = genPart(rng(Part), nPart) },
+		func() { customer = genCustomer(rng(Customer), nCust) },
+		func() { supplier = genSupplier(rng(Supplier), nSupp) },
+		func() { nation = genNation(rng(Nation)) },
+		func() { region = genRegion(rng(Region)) },
 	}
-	if err := db.Load(Nation, genNation(rng(Nation))); err != nil {
-		return nil, err
+	//qpplint:ignore errdrop no generator returns an error
+	_ = parallel.ForEach(len(gens), 0, func(i int) error {
+		gens[i]()
+		return nil
+	})
+	return []storage.TableRows{
+		{Name: Region, Rows: region}, {Name: Nation, Rows: nation},
+		{Name: Supplier, Rows: supplier}, {Name: Customer, Rows: customer},
+		{Name: Part, Rows: part}, {Name: PartSupp, Rows: partsupp},
+		{Name: Orders, Rows: orders}, {Name: Lineitem, Rows: lineitem},
 	}
-	if err := db.Load(Supplier, genSupplier(rng(Supplier), nSupp)); err != nil {
-		return nil, err
-	}
-	if err := db.Load(Customer, genCustomer(rng(Customer), nCust)); err != nil {
-		return nil, err
-	}
-	parts := genPart(rng(Part), nPart)
-	if err := db.Load(Part, parts); err != nil {
-		return nil, err
-	}
-	if err := db.Load(PartSupp, genPartSupp(rng(PartSupp), nPart, nSupp)); err != nil {
-		return nil, err
-	}
-	orders, lines := genOrdersAndLineitems(rng(Orders), nOrd, nCust, nPart, nSupp, parts)
-	if err := db.Load(Orders, orders); err != nil {
-		return nil, err
-	}
-	if err := db.Load(Lineitem, lines); err != nil {
-		return nil, err
-	}
-	return db, nil
 }
 
 // scaled is a table's row count at scale factor sf, at least one.
@@ -204,7 +215,7 @@ func genPartSupp(rng *rand.Rand, nPart, nSupp int) []storage.Row {
 	return rows
 }
 
-func genOrdersAndLineitems(rng *rand.Rand, nOrd, nCust, nPart, nSupp int, parts []storage.Row) ([]storage.Row, []storage.Row) {
+func genOrdersAndLineitems(rng *rand.Rand, nOrd, nCust, nPart, nSupp int) ([]storage.Row, []storage.Row) {
 	orders := make([]storage.Row, 0, nOrd)
 	lines := make([]storage.Row, 0, nOrd*4)
 	maxOrderDate := endDate - 151 // so l_receiptdate never exceeds endDate
@@ -224,7 +235,7 @@ func genOrdersAndLineitems(rng *rand.Rand, nOrd, nCust, nPart, nSupp int, parts 
 			pk := int64(1 + rng.Intn(nPart))
 			sk := suppForPart(pk, rng.Intn(4), nSupp)
 			qty := float64(1 + rng.Intn(50))
-			price := qty * parts[pk-1][7].F() // l_extendedprice = qty * p_retailprice
+			price := qty * retailPrice(pk) // l_extendedprice = qty * p_retailprice
 			disc := float64(rng.Intn(11)) / 100
 			tax := float64(rng.Intn(9)) / 100
 			ship := odate + int64(1+rng.Intn(121))
@@ -277,17 +288,12 @@ func genOrdersAndLineitems(rng *rand.Rand, nOrd, nCust, nPart, nSupp int, parts 
 	return orders, lines
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // LoadCSVDir builds a database from the CSV files cmd/tpchgen writes (one
-// per table, named <table>.csv), re-analyzing statistics on load.
+// per table, named <table>.csv), re-analyzing statistics on load through
+// the same loader Generate uses.
 func LoadCSVDir(dir string) (*storage.Database, error) {
 	db := storage.NewDatabase(Schema())
+	var tables []storage.TableRows
 	for _, name := range db.Schema.TableNames() {
 		meta, _ := db.Schema.Table(name)
 		f, err := os.Open(filepath.Join(dir, name+".csv"))
@@ -299,9 +305,10 @@ func LoadCSVDir(dir string) (*storage.Database, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tpch: load %s: %w", name, err)
 		}
-		if err := db.Load(name, rows); err != nil {
-			return nil, err
-		}
+		tables = append(tables, storage.TableRows{Name: name, Rows: rows})
+	}
+	if err := db.LoadTables(tables); err != nil {
+		return nil, err
 	}
 	return db, nil
 }

@@ -1,6 +1,10 @@
 package tpch
 
 import (
+	"reflect"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -37,22 +41,49 @@ func TestGenerateCardinalities(t *testing.T) {
 	}
 }
 
+// TestGenerateDeterministic: two generations with one seed, the second at
+// a different GOMAXPROCS, give identical cells, primary-key orders and
+// statistics in all eight tables.
 func TestGenerateDeterministic(t *testing.T) {
 	a, err := Generate(GenConfig{ScaleFactor: 0.001, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
+	prev := runtime.GOMAXPROCS(1)
+	if prev == 1 {
+		runtime.GOMAXPROCS(2)
+	}
 	b, err := Generate(GenConfig{ScaleFactor: 0.001, Seed: 7})
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ta, _ := a.Table(Orders)
-	tb, _ := b.Table(Orders)
-	for i := range ta.Rows {
-		for j := range ta.Rows[i] {
-			if !types.Identical(ta.Rows[i][j], tb.Rows[i][j]) {
-				t.Fatalf("row %d col %d differs: %v vs %v", i, j, ta.Rows[i][j], tb.Rows[i][j])
+	names := a.Schema.TableNames()
+	if len(names) != 8 || len(a.Tables) != 8 || len(b.Tables) != 8 || len(b.Stats) != 8 {
+		t.Fatalf("want 8 tables, got schema %d, %d and %d loaded", len(names), len(a.Tables), len(b.Tables))
+	}
+	for _, name := range names {
+		ta, _ := a.Table(name)
+		tb, _ := b.Table(name)
+		if len(ta.Rows) != len(tb.Rows) || ta.Pages != tb.Pages || ta.RowsPerPage != tb.RowsPerPage {
+			t.Fatalf("%s: %d rows in %d pages vs %d in %d", name, len(ta.Rows), ta.Pages, len(tb.Rows), tb.Pages)
+		}
+		for i := range ta.Rows {
+			for j := range ta.Rows[i] {
+				if !types.Identical(ta.Rows[i][j], tb.Rows[i][j]) {
+					t.Fatalf("%s row %d col %d differs: %v vs %v", name, i, j, ta.Rows[i][j], tb.Rows[i][j])
+				}
 			}
+		}
+		ia, _ := a.PrimaryIndex(name)
+		ib, _ := b.PrimaryIndex(name)
+		if !slices.Equal(ia.Ordered(), ib.Ordered()) || ia.LeafPages != ib.LeafPages {
+			t.Fatalf("%s: primary-key index differs", name)
+		}
+		sa, _ := a.TableStats(name)
+		sb, _ := b.TableStats(name)
+		if !reflect.DeepEqual(sa, sb) {
+			t.Fatalf("%s: statistics differ:\n%+v\n%+v", name, sa, sb)
 		}
 	}
 }
@@ -238,5 +269,19 @@ func TestSuppForPartSpreads(t *testing.T) {
 		if s < 1 || s > 100 {
 			t.Fatalf("supplier %d out of range", s)
 		}
+	}
+}
+
+// BenchmarkGenerate times a whole set-up database: generation, packing,
+// indexing and ANALYZE of the eight tables, on GOMAXPROCS workers.
+func BenchmarkGenerate(b *testing.B) {
+	for _, sf := range []float64{0.001, 0.005} {
+		b.Run(strconv.FormatFloat(sf, 'g', -1, 64), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Generate(GenConfig{ScaleFactor: sf, Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

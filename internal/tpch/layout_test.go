@@ -1,7 +1,6 @@
 package tpch
 
 import (
-	"math/rand"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -11,25 +10,13 @@ import (
 )
 
 // perRowBuild is every table of Generate(cfg) as its generator returns
-// it, one allocation per row and per string, before Load packs it.
+// it, one allocation per row and per string, before the loader packs it.
 func perRowBuild(cfg GenConfig) map[string][]storage.Row {
-	nSupp := scaled(supplierBase, cfg.ScaleFactor)
-	nCust := scaled(customerBase, cfg.ScaleFactor)
-	nPart := scaled(partBase, cfg.ScaleFactor)
-	nOrd := scaled(ordersBase, cfg.ScaleFactor)
-	rng := func(table string) *rand.Rand { return tableRNG(cfg.Seed, table) }
-	parts := genPart(rng(Part), nPart)
-	orders, lines := genOrdersAndLineitems(rng(Orders), nOrd, nCust, nPart, nSupp, parts)
-	return map[string][]storage.Row{
-		Region:   genRegion(rng(Region)),
-		Nation:   genNation(rng(Nation)),
-		Supplier: genSupplier(rng(Supplier), nSupp),
-		Customer: genCustomer(rng(Customer), nCust),
-		Part:     parts,
-		PartSupp: genPartSupp(rng(PartSupp), nPart, nSupp),
-		Orders:   orders,
-		Lineitem: lines,
+	out := map[string][]storage.Row{}
+	for _, tr := range genTables(cfg) {
+		out[tr.Name] = tr.Rows
 	}
+	return out
 }
 
 // TestTableLayout pins the packed table layout on a generated SF 0.005

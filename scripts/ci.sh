@@ -19,9 +19,12 @@
 #                    their padding), the memo's
 #                    once-per-key test, the shared online-cache test,
 #                    the executor's arena-safety and table-immutability
-#                    tests, the packed tables' lifetime test and
+#                    tests, the packed tables' lifetime test,
 #                    internal/types (the one importer of "unsafe": checkptr
-#                    is on under -race) three more times (-count=3); with the
+#                    is on under -race), and the concurrent set-up's
+#                    TestGenerateGolden and TestAnalyzeSketchDeterministic
+#                    (tables generate, pack, index and ANALYZE on several
+#                    goroutines) three more times (-count=3); with the
 #                    lock-analysis lint rules gone
 #                    (DESIGN.md §7) this stage is what catches an
 #                    unguarded access to a mutex-protected field
@@ -123,7 +126,7 @@ go test -race ./... "$@"
 # so a double training that only some interleavings produce cannot land.
 # The online-cache test is the only place one OnlineCache is shared
 # between goroutines.
-banner "go test -race -short -count=3 (training differentials, SMO kernels, memo once-per-key, shared online cache, arena safety, packed tables, value layout)"
+banner "go test -race -short -count=3 (training differentials, SMO kernels, memo once-per-key, shared online cache, arena safety, packed tables, value layout, concurrent datagen and ANALYZE)"
 go test -race -short -count=3 -run 'TestSMOMatchesReferenceSolver|TestSMOKernelsMatchPortable|TestSMOKernelsStayInBounds' ./internal/mlearn
 go test -race -short -count=3 -run 'TestEvalHybridMatchesReference|TestOperatorModelsMatchReferenceTrainer|TestTrainMemoTrainsOncePerKey|TestOnlineCacheConcurrentUse' ./internal/qpp
 go test -race -short -count=3 -run 'TestTrainMemoDoesNotChangeFigures' ./internal/experiments
@@ -136,6 +139,12 @@ go test -race -short -count=3 -run 'TestTrainMemoDoesNotChangeFigures' ./interna
 go test -race -short -count=3 -run 'TestResultRowsSurviveArenaReuse|TestSubPlanReleaseIsInvisible|TestQueriesNeverWriteTableRows' ./internal/exec
 go test -race -short -count=3 -run 'TestPackedStringsOutliveTheirTable' ./internal/storage
 go test -race -short -count=3 ./internal/types
+# Set-up generates, packs, indexes and analyzes the eight tables on
+# GOMAXPROCS goroutines (tpch.Generate, storage.Database.LoadTables), so
+# the database digest and the repeated-ANALYZE contract get the same three
+# extra passes.
+go test -race -short -count=3 -run 'TestGenerateGolden' ./internal/tpch
+go test -race -short -count=3 -run 'TestAnalyzeSketchDeterministic' ./internal/catalog
 
 # The floor is set a safe margin under the measured total (78.7% at the
 # time stage 6 was added) so flaky fractions of a percent don't fail CI,
