@@ -1,6 +1,7 @@
 package qperf_test
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -52,6 +53,44 @@ func TestDocsCiteExistingPaths(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDesignQuotesNoBenchmarkValues fails when DESIGN.md puts a number
+// after the name of a metric BENCHMARK.json declares (say "`tail_ms`
+// 0.36" or "plancache.rebind_us is 38"). Such a value goes stale with the
+// next change that moves it; measured values belong in bench/README.md
+// and CHANGES.md, where each carries the run it came from.
+func TestDesignQuotesNoBenchmarkValues(t *testing.T) {
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, m := range append(spec.EndToEnd, spec.PerLayer...) {
+		names = append(names, regexp.QuoteMeta(m.Name))
+	}
+	if len(names) == 0 {
+		t.Fatal("BENCHMARK.json declares no metrics")
+	}
+	// The name, then at most separators and one linking word before the
+	// number; the match may span a line break.
+	re := regexp.MustCompile("(?:^|[^\\w.])(" + strings.Join(names, "|") + ")`?" +
+		`[\s:=≈~(]*(?:(?:is|was|of|at|from|to|by)\s+)?[−+-]?\d`)
+	text, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range re.FindAllSubmatchIndex(text, -1) {
+		line := 1 + strings.Count(string(text[:m[2]]), "\n")
+		t.Errorf("DESIGN.md:%d quotes a value of %s: %q", line, text[m[2]:m[3]], text[m[0]:m[1]])
 	}
 }
 

@@ -15,7 +15,7 @@ type Outcome uint8
 
 const (
 	// OutcomeMiss means the query was planned cold (unknown signature, or
-	// the hit path failed and fell back to the full optimizer).
+	// a candidate replay failed and fell back to the full optimizer).
 	OutcomeMiss Outcome = iota
 	// OutcomeHit means the template's only candidate was rebound and
 	// served.
@@ -36,21 +36,19 @@ type Config struct {
 	LabelSeed int64
 }
 
-// template is the cached state for one canonical signature.
+// template is the cached state for one canonical signature: the
+// recorded join-order traces in descending training frequency (ties
+// broken by first appearance). Each replays through the ordinary planner
+// to rebuild the full physical plan for any binding.
 type template struct {
-	stmt *sql.SelectStmt
-	// candidates holds the recorded join-order traces in descending
-	// training frequency (ties broken by first appearance). Each replays
-	// through the ordinary planner to rebuild the full physical plan for
-	// any binding.
 	candidates []*opt.JoinTrace
 }
 
 // Cache is an immutable parametric plan cache. Build constructs it off
 // the hot path; Plan is safe for concurrent use because serving only
-// reads template state and every hit works on a private AST clone. Both
-// cache layers — the exact-match memo and the template map — are frozen
-// at Build, so the read path takes no locks.
+// reads template state and every hit plans its own parse of the request.
+// Both cache layers — the exact-match memo and the template map — are
+// frozen at Build, so the read path takes no locks.
 type Cache struct {
 	db        *storage.Database
 	templates map[string]*template
@@ -74,48 +72,65 @@ func (c *Cache) ExactLen() int { return len(c.exact) }
 // Build cold-plans the training queries, groups them by canonical
 // signature, dedups the recorded join-order traces into per-template
 // candidate sets, and memoizes the bound plan of every training text.
-// Queries that fail to lex, parse, or plan are skipped: they would fail
-// identically at serving time, so caching them buys nothing.
+// A query that fails to lex, parse, or plan is skipped on its own: it
+// would fail identically at serving time, so caching it buys nothing.
 func Build(db *storage.Database, queries []string, _ Config) (*Cache, error) {
 	if db == nil {
 		return nil, fmt.Errorf("plancache: nil database")
 	}
-	groups := make(map[string][]string, 32)
-	order := make([]string, 0, 32)
+	// draw is one training query that planned, with its parse: the memo
+	// below replays the same statement rather than parsing it again.
+	type draw struct {
+		query, sig string
+		stmt       *sql.SelectStmt
+	}
+	draws := make([]draw, 0, len(queries))
+	cands := make(map[string][]*candAcc, 32)
+	keyBuf := make([]byte, 0, 128)
 	for _, q := range queries {
 		sig, _, err := Canonicalize(q)
 		if err != nil {
 			continue
 		}
-		if _, ok := groups[sig]; !ok {
-			order = append(order, sig)
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			continue
 		}
-		groups[sig] = append(groups[sig], q)
+		_, trace, err := opt.PlanTraced(db, stmt)
+		if err != nil {
+			continue
+		}
+		draws = append(draws, draw{query: q, sig: sig, stmt: stmt})
+		keyBuf = trace.AppendKey(keyBuf[:0])
+		cands[sig] = addCandidate(cands[sig], trace, keyBuf)
 	}
-	c := &Cache{db: db, templates: make(map[string]*template, len(order))}
-	for _, sig := range order {
-		if t, err := buildTemplate(db, groups[sig]); err == nil {
-			c.templates[sig] = t
+	c := &Cache{
+		db:        db,
+		templates: make(map[string]*template, len(cands)),
+		exact:     make(map[string]exactEntry, len(draws)),
+	}
+	for sig, cs := range cands {
+		// Fig. 8 frequency-based ordering: the optimizer's most common
+		// choice becomes the first candidate; ties keep first-seen order.
+		sort.SliceStable(cs, func(i, j int) bool { return cs[i].freq > cs[j].freq })
+		if len(cs) > candidateCap {
+			cs = cs[:candidateCap]
 		}
+		t := &template{candidates: make([]*opt.JoinTrace, len(cs))}
+		for i, ca := range cs {
+			t.candidates[i] = ca.trace
+		}
+		c.templates[sig] = t
 	}
 	// Pre-bind every training draw through the parametric path and
 	// memoize the result, so repeats of known query texts at serving time
 	// are pure map lookups. Built here, never mutated after.
-	c.exact = make(map[string]exactEntry, len(queries))
-	for _, q := range queries {
-		if _, ok := c.exact[q]; ok {
+	for _, d := range draws {
+		if _, ok := c.exact[d.query]; ok {
 			continue
 		}
-		sig, lits, err := Canonicalize(q)
-		if err != nil {
-			continue
-		}
-		t, ok := c.templates[sig]
-		if !ok {
-			continue
-		}
-		if node, out, err := c.planHit(t, lits); err == nil {
-			c.exact[q] = exactEntry{node: node, outcome: out}
+		if node, out, err := c.planHit(c.templates[d.sig], d.stmt); err == nil {
+			c.exact[d.query] = exactEntry{node: node, outcome: out}
 		}
 	}
 	return c, nil
@@ -123,51 +138,20 @@ func Build(db *storage.Database, queries []string, _ Config) (*Cache, error) {
 
 // candAcc accumulates one deduped candidate during Build.
 type candAcc struct {
+	key   string
 	trace *opt.JoinTrace
 	freq  int
 }
 
-func buildTemplate(db *storage.Database, qs []string) (*template, error) {
-	var cands []*candAcc
-	byKey := make(map[string]int, 4)
-	keyBuf := make([]byte, 0, 128)
-	var tmplStmt *sql.SelectStmt
-	for _, q := range qs {
-		stmt, err := sql.Parse(q)
-		if err != nil {
-			return nil, err
+// addCandidate counts one draw's trace, keyed by key, into cs.
+func addCandidate(cs []*candAcc, trace *opt.JoinTrace, key []byte) []*candAcc {
+	for _, ca := range cs {
+		if ca.key == string(key) {
+			ca.freq++
+			return cs
 		}
-		_, trace, err := opt.PlanTraced(db, stmt)
-		if err != nil {
-			return nil, err
-		}
-		if tmplStmt == nil {
-			tmplStmt = stmt
-		}
-		keyBuf = trace.AppendKey(keyBuf[:0])
-		k := string(keyBuf)
-		i, ok := byKey[k]
-		if !ok {
-			i = len(cands)
-			byKey[k] = i
-			cands = append(cands, &candAcc{trace: trace})
-		}
-		cands[i].freq++
 	}
-	if tmplStmt == nil {
-		return nil, fmt.Errorf("plancache: no plannable draws for signature")
-	}
-	// Fig. 8 frequency-based ordering: the optimizer's most common choice
-	// becomes the first candidate; ties keep first-seen order.
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].freq > cands[j].freq })
-	if len(cands) > candidateCap {
-		cands = cands[:candidateCap]
-	}
-	t := &template{stmt: tmplStmt, candidates: make([]*opt.JoinTrace, len(cands))}
-	for i, ca := range cands {
-		t.candidates[i] = ca.trace
-	}
-	return t, nil
+	return append(cs, &candAcc{key: string(key), trace: trace, freq: 1})
 }
 
 // Plan serves one query. A query text seen during training returns its
@@ -182,36 +166,33 @@ func (c *Cache) Plan(query string) (*plan.Node, Outcome, error) {
 }
 
 // rebind serves a query without the memo, so every plan it returns is
-// the caller's own. On a signature hit it clones the template AST,
-// stamps in the request's literals, and replays the candidates' recorded
-// join orders through the ordinary planner — skipping parse and the DP
-// join search. Any hit-path failure falls back to cold planning, so it
+// the caller's own. On a signature hit it parses the request and replays
+// the template's recorded join orders through the ordinary planner,
+// skipping the DP join search. A request that does not parse returns the
+// parser's error; a replay failure falls back to cold planning, so a hit
 // never does worse than the optimizer alone.
 func (c *Cache) rebind(query string) (*plan.Node, Outcome, error) {
-	sig, lits, err := Canonicalize(query)
-	if err == nil {
-		if t, ok := c.templates[sig]; ok {
-			if node, out, hitErr := c.planHit(t, lits); hitErr == nil {
-				return node, out, nil
-			}
-		}
+	sig, _, err := Canonicalize(query)
+	t, ok := c.templates[sig]
+	if err != nil || !ok {
+		node, err := opt.PlanSQL(c.db, query)
+		return node, OutcomeMiss, err
 	}
-	node, err := opt.PlanSQL(c.db, query)
+	stmt, err := sql.Parse(query)
 	if err != nil {
 		return nil, OutcomeMiss, err
 	}
-	return node, OutcomeMiss, nil
+	if node, out, err := c.planHit(t, stmt); err == nil {
+		return node, out, nil
+	}
+	node, err := opt.Plan(c.db, stmt)
+	return node, OutcomeMiss, err
 }
 
-// planHit binds lits into t and returns the candidate replay with the
-// least Est.TotalCost, the first on ties.
-func (c *Cache) planHit(t *template, lits []Lit) (*plan.Node, Outcome, error) {
-	stmt := sql.CloneSelect(t.stmt)
-	if err := applyLiterals(stmt, lits); err != nil {
-		return nil, OutcomeMiss, err
-	}
-	// The planner never mutates its input AST, so one clone serves every
-	// candidate replay.
+// planHit replays every candidate of t over stmt and returns the plan
+// with the least Est.TotalCost, the first on ties. The planner never
+// mutates its input AST, so one statement serves every replay.
+func (c *Cache) planHit(t *template, stmt *sql.SelectStmt) (*plan.Node, Outcome, error) {
 	var best *plan.Node
 	for _, trace := range t.candidates {
 		p, err := opt.PlanReplay(c.db, stmt, trace)

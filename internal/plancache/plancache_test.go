@@ -3,6 +3,7 @@ package plancache
 import (
 	"math"
 	"math/rand"
+	"regexp"
 	"slices"
 	"strconv"
 	"testing"
@@ -103,66 +104,10 @@ func TestCanonicalizeDiscriminates(t *testing.T) {
 	}
 }
 
-// TestApplyLiteralsMatchesFreshParse pins the rebind machinery: cloning
-// the template AST and stamping another draw's literals must produce a
-// statement that renders identically to a fresh parse of that draw.
-func TestApplyLiteralsMatchesFreshParse(t *testing.T) {
-	for _, tmpl := range tpch.Templates {
-		base := genSQL(t, tmpl, 500)
-		tmplStmt, err := sql.Parse(base)
-		if err != nil {
-			t.Fatalf("template %d: %v", tmpl, err)
-		}
-		sig0, _, err := Canonicalize(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for seed := int64(501); seed < 504; seed++ {
-			q := genSQL(t, tmpl, seed)
-			sig, lits, err := Canonicalize(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sig != sig0 {
-				t.Fatalf("template %d: signature drift", tmpl)
-			}
-			clone := sql.CloneSelect(tmplStmt)
-			if err := applyLiterals(clone, lits); err != nil {
-				t.Fatalf("template %d seed %d: %v", tmpl, seed, err)
-			}
-			fresh, err := sql.Parse(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := clone.SQL(), fresh.SQL(); got != want {
-				t.Fatalf("template %d seed %d: rebound AST diverges from fresh parse:\n got %s\nwant %s", tmpl, seed, got, want)
-			}
-		}
-	}
-}
-
-// TestApplyLiteralsErrors pins error-not-panic semantics for slot
-// mismatches.
-func TestApplyLiteralsErrors(t *testing.T) {
-	stmt, err := sql.Parse("select n_name from nation where n_nationkey = 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := applyLiterals(sql.CloneSelect(stmt), nil); err == nil {
-		t.Fatal("missing literal slot must error")
-	}
-	if err := applyLiterals(sql.CloneSelect(stmt), []Lit{{Kind: LitString, Text: "x"}}); err == nil {
-		t.Fatal("kind mismatch must error")
-	}
-	if err := applyLiterals(sql.CloneSelect(stmt), []Lit{{Kind: LitNumber, Text: "1"}, {Kind: LitNumber, Text: "2"}}); err == nil {
-		t.Fatal("surplus literal slot must error")
-	}
-}
-
 // TestCachedPlanBitIdentical builds a one-draw cache per template and
-// requires the hit path (clone + literal stamp + trace replay) to
-// reproduce the cold plan bit-for-bit, including execution behaviour
-// under the same virtual clock.
+// requires the hit path (parse + trace replay) to reproduce the cold plan
+// bit-for-bit, including execution behaviour under the same virtual
+// clock.
 func TestCachedPlanBitIdentical(t *testing.T) {
 	db := tpchDB(t)
 	for _, tmpl := range tpch.Templates {
@@ -412,6 +357,31 @@ func TestExactMatchMemo(t *testing.T) {
 	}
 	if plan.Explain(n1) != plan.Explain(cold) {
 		t.Fatal("memoized plan diverges from cold plan")
+	}
+}
+
+// TestBuildSkipsBadDraw: a training draw that fails to parse is skipped
+// on its own. Its template keeps the group's good draws, their candidates
+// and their memo entries.
+func TestBuildSkipsBadDraw(t *testing.T) {
+	db := tpchDB(t)
+	good := genSQL(t, 4, 1)
+	bad := regexp.MustCompile(`'\d{4}-\d{2}-\d{2}'`).ReplaceAllString(genSQL(t, 4, 2), "'not-a-date'")
+	if _, err := sql.Parse(bad); err == nil {
+		t.Fatal("the bad draw parses")
+	}
+	cache, err := Build(db, []string{good, bad}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cache.templates) != 1 || cache.ExactLen() != 1 {
+		t.Fatalf("%d templates, %d memo entries; want 1 of each", len(cache.templates), cache.ExactLen())
+	}
+	if _, out, err := cache.rebind(genSQL(t, 4, 3)); err != nil || out != OutcomeHit {
+		t.Fatalf("fresh draw: outcome %d, err %v; want a hit", out, err)
+	}
+	if _, _, err := cache.Plan(bad); err == nil {
+		t.Fatal("the bad draw must fail at serving time too")
 	}
 }
 

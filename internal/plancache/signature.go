@@ -4,11 +4,11 @@
 // holds a small set of candidate plan skeletons (recorded join-order
 // traces from internal/opt), and a hit serves the candidate the
 // optimizer's cost model prices cheapest for the request's binding. A
-// cache hit skips parse and DP join ordering entirely: the template AST
-// is cloned, the request's literals are stamped in, and the recorded
-// merge traces are replayed through the ordinary planner — so a hit's
-// plan is produced by exactly the code that cold planning runs, with
-// bit-identical costs. The package never executes a query.
+// cache hit skips DP join ordering, not parsing: the request is parsed
+// like any other, and the recorded merge traces are replayed over that
+// statement through the ordinary planner — so a hit's plan is produced
+// by exactly the code that cold planning runs, with bit-identical costs.
+// The cache keeps no statement of its own, and never executes a query.
 //
 // The package is part of the deterministic core and the hot-path
 // allocation discipline: no wall clock, no global rand, no map-order

@@ -346,8 +346,8 @@ func planSQL(db *storage.Database, sql string) (node *plan.Node, err error) {
 }
 
 // planFor compiles one query through the snapshot's parametric plan
-// cache when present (a hit skips parse and join-order search entirely),
-// cold-planning otherwise. Counter accounting lives here so every
+// cache when present (a hit parses the request and skips the join-order
+// search), cold-planning otherwise. Counter accounting lives here so every
 // predict path reports cache behaviour; panics convert to errors per the
 // planSQL contract.
 func (s *Server) planFor(snap *Snapshot, sqlText string) (node *plan.Node, err error) {

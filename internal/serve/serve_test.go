@@ -226,6 +226,7 @@ func TestPredictErrors(t *testing.T) {
 		{"blank sql", http.MethodPost, `{"sql": "   "}`, http.StatusBadRequest, "empty sql"},
 		{"parse error", http.MethodPost, `{"sql": "select from from"}`, http.StatusBadRequest, "plan"},
 		{"unknown table", http.MethodPost, `{"sql": "select * from nope"}`, http.StatusBadRequest, "plan"},
+		{"no such day", http.MethodPost, `{"sql": "select count(*) from orders where o_orderdate < date '1995-02-30'"}`, http.StatusBadRequest, "bad date"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

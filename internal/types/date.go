@@ -59,7 +59,9 @@ func CivilFromDays(z int64) (y, m, d int) {
 	return int(yy), m, d
 }
 
-// ParseDate parses "YYYY-MM-DD" into days since the epoch.
+// ParseDate parses "YYYY-MM-DD" into days since the epoch. A day past the
+// month's length (1995-02-30, or 02-29 outside a leap year) is an error,
+// as in PostgreSQL, not a date in the next month.
 func ParseDate(s string) (int64, error) {
 	parts := strings.Split(s, "-")
 	if len(parts) != 3 {
@@ -68,7 +70,7 @@ func ParseDate(s string) (int64, error) {
 	y, err1 := strconv.Atoi(parts[0])
 	m, err2 := strconv.Atoi(parts[1])
 	d, err3 := strconv.Atoi(parts[2])
-	if err1 != nil || err2 != nil || err3 != nil || m < 1 || m > 12 || d < 1 || d > 31 {
+	if err1 != nil || err2 != nil || err3 != nil || m < 1 || m > 12 || d < 1 || d > daysInMonth(y, m) {
 		return 0, fmt.Errorf("types: invalid date %q", s)
 	}
 	return DaysFromCivil(y, m, d), nil

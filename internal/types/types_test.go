@@ -102,9 +102,20 @@ func TestKnownDates(t *testing.T) {
 }
 
 func TestParseDateErrors(t *testing.T) {
-	for _, s := range []string{"1994", "1994-13-01", "1994-00-10", "a-b-c", "1994-01-40"} {
+	for _, s := range []string{"1994", "1994-13-01", "1994-00-10", "a-b-c", "1994-01-40",
+		"1995-02-30", "1995-02-29", "1900-02-29", "1994-04-31", "1994-11-31"} {
 		if _, err := ParseDate(s); err == nil {
 			t.Errorf("ParseDate(%q) should fail", s)
+		}
+	}
+}
+
+// TestParseDateRoundTrip: every day from 1899 to 2001 parses back from
+// its formatted form, so no month end, leap day included, is rejected.
+func TestParseDateRoundTrip(t *testing.T) {
+	for d := MustDate("1899-01-01"); d < MustDate("2002-01-01"); d++ {
+		if got, err := ParseDate(FormatDate(d)); err != nil || got != d {
+			t.Fatalf("ParseDate(%s) = %d, %v; want %d", FormatDate(d), got, err, d)
 		}
 	}
 }
