@@ -176,7 +176,7 @@ type keyMemoSlot struct {
 // key returns v's Key() bytes, in buf's storage, and their Hash64.
 func (m *keyMemo) key(v types.Value, buf []byte) ([]byte, uint64) {
 	var bits uint64
-	switch v.Kind {
+	switch v.Kind() {
 	case types.KindFloat:
 		bits = math.Float64bits(v.F())
 	case types.KindInt, types.KindDate, types.KindBool:
@@ -186,13 +186,13 @@ func (m *keyMemo) key(v types.Value, buf []byte) ([]byte, uint64) {
 		return buf, sketch.Hash64(buf)
 	}
 	s := &m.slots[(bits*0x9e3779b97f4a7c15)>>(64-keyMemoBits)]
-	if s.n != 0 && s.bits == bits && s.kind == v.Kind {
+	if s.n != 0 && s.bits == bits && s.kind == v.Kind() {
 		return append(buf[:0], s.key[:s.n]...), s.hash
 	}
 	buf = v.AppendKey(buf[:0])
 	h := sketch.Hash64(buf)
 	if len(buf) <= len(s.key) {
-		s.bits, s.hash, s.kind, s.n = bits, h, v.Kind, uint8(len(buf))
+		s.bits, s.hash, s.kind, s.n = bits, h, v.Kind(), uint8(len(buf))
 		copy(s.key[:], buf)
 	}
 	return buf, h

@@ -47,12 +47,12 @@ func (a *aggState) update(ctx *execCtx, row plan.Row) {
 	case plan.AggCount:
 		// count only
 	case plan.AggSum, plan.AggAvg:
-		if v.Kind == types.KindFloat {
+		if v.Kind() == types.KindFloat {
 			ctx.clock.CPUOps(0, 1) // software-numeric accumulation
 		} else {
 			ctx.clock.CPUOps(1, 0)
 		}
-		if a.sumIsI && v.Kind == types.KindInt {
+		if a.sumIsI && v.Kind() == types.KindInt {
 			a.sumI += v.I()
 		} else {
 			a.sumIsI = false

@@ -9,21 +9,21 @@ import (
 	"qpp/internal/types"
 )
 
-// arenaChunk is the number of Values per arena chunk (192 KiB): large
+// arenaChunk is the number of Values per arena chunk (128 KiB): large
 // enough that a chunk holds hundreds of join rows, small enough that the
 // tail a query leaves unused is noise.
 const arenaChunk = 8192
 
 // arenaKeep is the most chunks an arena keeps when it goes back to the
-// pool (24 MiB). Measured at SF 0.005, the benchmark's scale: 19 of the 22
-// templates fill at most 4 chunks (≤ 0.8 MB), T18 19 (3.7 MB), T7 21
-// (4.1 MB), T9 95–97 (19 MB), so every query there runs entirely on
+// pool (16 MiB). Measured at SF 0.005, the benchmark's scale: 19 of the 22
+// templates fill at most 4 chunks (≤ 0.5 MB), T18 19 (2.5 MB), T7 21
+// (2.8 MB), T9 95–97 (12.7 MB), so every query there runs entirely on
 // recycled memory; with 40-byte Values batch_exec pass_s read 0.68 s at
 // this cap and 0.83 s at 24 chunks, where each T9 asked the runtime for
 // fresh spans. Both constants count Values, so the chunk counts did not
-// move when the Value shrank to 24 bytes. At the figure drivers' larger
-// scales the cap bounds what one arena can pin until the collector empties
-// the pool.
+// move when the Value shrank to 24 bytes and then to 16. At the figure
+// drivers' larger scales the cap bounds what one arena can pin until the
+// collector empties the pool.
 const arenaKeep = 128
 
 // scratchKeep is the most bytes of scratch arrays an arena keeps when it

@@ -282,7 +282,7 @@ func TestQueriesNeverWriteTableRows(t *testing.T) {
 				c := cells[0]
 				cells = cells[1:]
 				if !types.Identical(v, c.v) || c.bytes != nil && unsafe.StringData(v.S()) != c.bytes {
-					t.Fatalf("%s row %d col %d: %s %q after the queries, was %s %q", name, i, j, v.Kind, v.Key(), c.v.Kind, c.v.Key())
+					t.Fatalf("%s row %d col %d: %s %q after the queries, was %s %q", name, i, j, v.Kind(), v.Key(), c.v.Kind(), c.v.Key())
 				}
 			}
 		}
@@ -295,17 +295,17 @@ func TestQueriesNeverWriteTableRows(t *testing.T) {
 // page index (vclock's buffer simulation, the largest share), the
 // parameter slots, the copied-out result, the per-group hash tables of a
 // DISTINCT aggregate, and the iterator tree of every sub-plan call.
-// Measured at 24-byte Values with the side arrays on the arena: T9 118 kB,
+// Measured at 16-byte Values with the side arrays on the arena: T9 114 kB,
 // T18 77 kB (side arrays on the heap: 2.99 MB and 4.35 MB; before the
-// arena: 36.4 MB and 10.8 MB); every other template's limit is its
-// measurement plus 10 %. A fresh arena per Run, instead of a pooled one,
-// fails every template.
+// arena: 36.4 MB and 10.8 MB); every template's limit is its measurement
+// plus 10 %. A fresh arena per Run, instead of a pooled one, fails every
+// template.
 func TestSteadyStateRunAllocation(t *testing.T) {
 	db := diffDB(t)
 	limits := map[int]uint64{
-		1: 82_600, 2: 26_600, 3: 85_300, 4: 82_900, 5: 86_200, 6: 81_000,
-		7: 86_500, 8: 87_700, 9: 200_000, 10: 90_600, 11: 27_500, 12: 82_300,
-		13: 31_300, 14: 82_100, 15: 83_900, 18: 150_000, 19: 81_900, 22: 29_600,
+		1: 82_200, 2: 26_500, 3: 84_900, 4: 82_800, 5: 86_100, 6: 81_000,
+		7: 86_400, 8: 87_700, 9: 125_800, 10: 89_000, 11: 26_500, 12: 82_300,
+		13: 30_800, 14: 82_100, 15: 83_800, 18: 84_600, 19: 81_900, 22: 29_400,
 	}
 	for _, tmpl := range tpch.Templates {
 		limit, ok := limits[tmpl]

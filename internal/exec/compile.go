@@ -124,7 +124,7 @@ func compile(s plan.Scalar) evalFn {
 		e := compile(x.E)
 		return func(ctx *plan.Ctx, row plan.Row) types.Value {
 			v := e(ctx, row)
-			if v.Kind == types.KindNull {
+			if v.IsNull() {
 				return types.Null
 			}
 			return types.Bool(!v.IsTrue())
@@ -133,7 +133,7 @@ func compile(s plan.Scalar) evalFn {
 		e := compile(x.E)
 		return func(ctx *plan.Ctx, row plan.Row) types.Value {
 			v := e(ctx, row)
-			switch v.Kind {
+			switch v.Kind() {
 			case types.KindInt:
 				return types.Int(-v.I())
 			case types.KindFloat:
@@ -174,7 +174,7 @@ func compile(s plan.Scalar) evalFn {
 		neg := x.Negated
 		return func(ctx *plan.Ctx, row plan.Row) types.Value {
 			v := e(ctx, row)
-			if v.Kind == types.KindNull {
+			if v.IsNull() {
 				return types.Null
 			}
 			return types.Bool(match(v.S()) != neg)
@@ -184,7 +184,7 @@ func compile(s plan.Scalar) evalFn {
 		n, unit := x.N, x.Unit
 		return func(ctx *plan.Ctx, row plan.Row) types.Value {
 			v := e(ctx, row)
-			if v.Kind == types.KindNull {
+			if v.IsNull() {
 				return types.Null
 			}
 			switch unit {
@@ -200,7 +200,7 @@ func compile(s plan.Scalar) evalFn {
 		e := compile(x.E)
 		return func(ctx *plan.Ctx, row plan.Row) types.Value {
 			v := e(ctx, row)
-			if v.Kind == types.KindNull {
+			if v.IsNull() {
 				return types.Null
 			}
 			return types.Int(int64(types.Year(v.I())))
@@ -210,7 +210,7 @@ func compile(s plan.Scalar) evalFn {
 		start, length := x.Start, x.Len
 		return func(ctx *plan.Ctx, row plan.Row) types.Value {
 			v := e(ctx, row)
-			if v.Kind == types.KindNull {
+			if v.IsNull() {
 				return types.Null
 			}
 			str := v.S()
@@ -231,7 +231,7 @@ func compile(s plan.Scalar) evalFn {
 		e := compile(x.E)
 		neg := x.Negated
 		return func(ctx *plan.Ctx, row plan.Row) types.Value {
-			return types.Bool((e(ctx, row).Kind == types.KindNull) != neg)
+			return types.Bool(e(ctx, row).IsNull() != neg)
 		}
 	case *plan.SubPlan:
 		args := make([]evalFn, len(x.Args))
@@ -271,14 +271,14 @@ func compileBin(b *plan.Bin) evalFn {
 		l, r := compile(b.L), compile(b.R)
 		return func(ctx *plan.Ctx, row plan.Row) types.Value {
 			lv := l(ctx, row)
-			if lv.Kind != types.KindNull && !lv.IsTrue() {
+			if !lv.IsNull() && !lv.IsTrue() {
 				return types.Bool(false)
 			}
 			rv := r(ctx, row)
-			if rv.Kind != types.KindNull && !rv.IsTrue() {
+			if !rv.IsNull() && !rv.IsTrue() {
 				return types.Bool(false)
 			}
-			if lv.Kind == types.KindNull || rv.Kind == types.KindNull {
+			if lv.IsNull() || rv.IsNull() {
 				return types.Null
 			}
 			return types.Bool(true)
@@ -294,7 +294,7 @@ func compileBin(b *plan.Bin) evalFn {
 			if rv.IsTrue() {
 				return types.Bool(true)
 			}
-			if lv.Kind == types.KindNull || rv.Kind == types.KindNull {
+			if lv.IsNull() || rv.IsNull() {
 				return types.Null
 			}
 			return types.Bool(false)
@@ -309,10 +309,10 @@ func compileBin(b *plan.Bin) evalFn {
 // arithValues is the interpreter's arithmetic tail over already-evaluated
 // operands — the shared slow path of every compiled arithmetic form.
 func arithValues(op plan.BinOp, l, r types.Value) types.Value {
-	if l.Kind == types.KindNull || r.Kind == types.KindNull {
+	if l.IsNull() || r.IsNull() {
 		return types.Null
 	}
-	if l.Kind == types.KindDate && r.Kind == types.KindInt {
+	if l.Kind() == types.KindDate && r.Kind() == types.KindInt {
 		if op == plan.BAdd {
 			return types.Date(l.I() + r.I())
 		}
@@ -333,7 +333,7 @@ func arithValues(op plan.BinOp, l, r types.Value) types.Value {
 		}
 		out = lf / rf
 	}
-	if l.Kind == types.KindInt && r.Kind == types.KindInt && op != plan.BDiv {
+	if l.Kind() == types.KindInt && r.Kind() == types.KindInt && op != plan.BDiv {
 		return types.Int(int64(out))
 	}
 	return types.Float(out)
@@ -385,7 +385,7 @@ func compileArith(op plan.BinOp, l, r plan.Scalar) evalFn {
 		default:
 			rv = rf(ctx, row)
 		}
-		if floatFast && lv.Kind == types.KindFloat && rv.Kind == types.KindFloat {
+		if floatFast && lv.Kind() == types.KindFloat && rv.Kind() == types.KindFloat {
 			switch op {
 			case plan.BAdd:
 				return types.Float(lv.F() + rv.F())
@@ -426,7 +426,7 @@ func applyCmp(op plan.BinOp, c int) bool {
 // operands (NULL propagation, then types.Compare — which panics on
 // incomparable kinds exactly as the interpreted path does).
 func cmpValues(op plan.BinOp, l, r types.Value) types.Value {
-	if l.Kind == types.KindNull || r.Kind == types.KindNull {
+	if l.IsNull() || r.IsNull() {
 		return types.Null
 	}
 	return types.Bool(applyCmp(op, types.Compare(l, r)))
@@ -462,7 +462,7 @@ func compileCmp(op plan.BinOp, l, r plan.Scalar) evalFn {
 			switch {
 			case isNumericKind(col.K) && cst.V.Numeric():
 				return compileColConstNumCmp(op, col.Idx, cst.V)
-			case col.K == types.KindString && cst.V.Kind == types.KindString:
+			case col.K == types.KindString && cst.V.Kind() == types.KindString:
 				return compileColConstStrCmp(op, col.Idx, cst.V)
 			}
 		}
@@ -486,7 +486,7 @@ func compileCmp(op plan.BinOp, l, r plan.Scalar) evalFn {
 // rounding: every float, and every int or date within ±2^53. Between two
 // such values a float comparison is types.Compare's.
 func exactAsFloat(v types.Value) bool {
-	switch v.Kind {
+	switch v.Kind() {
 	case types.KindFloat:
 		return true
 	case types.KindInt, types.KindDate:
@@ -522,12 +522,12 @@ func applyFloatCmp(op plan.BinOp, a, b float64) bool {
 // takes types.Compare.
 func compileColConstNumCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 	ci, cf := c.I(), c.AsFloat()
-	intC, floatC := c.Kind != types.KindFloat, exactAsFloat(c)
+	intC, floatC := c.Kind() != types.KindFloat, exactAsFloat(c)
 	switch op {
 	case plan.BEq:
 		return func(_ *plan.Ctx, row plan.Row) types.Value {
 			v := row[idx]
-			switch v.Kind {
+			switch v.Kind() {
 			case types.KindInt, types.KindDate:
 				if intC {
 					return types.Bool(v.I() == ci)
@@ -542,7 +542,7 @@ func compileColConstNumCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 	case plan.BNe:
 		return func(_ *plan.Ctx, row plan.Row) types.Value {
 			v := row[idx]
-			switch v.Kind {
+			switch v.Kind() {
 			case types.KindInt, types.KindDate:
 				if intC {
 					return types.Bool(v.I() != ci)
@@ -557,7 +557,7 @@ func compileColConstNumCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 	case plan.BLt:
 		return func(_ *plan.Ctx, row plan.Row) types.Value {
 			v := row[idx]
-			switch v.Kind {
+			switch v.Kind() {
 			case types.KindInt, types.KindDate:
 				if intC {
 					return types.Bool(v.I() < ci)
@@ -572,7 +572,7 @@ func compileColConstNumCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 	case plan.BLe:
 		return func(_ *plan.Ctx, row plan.Row) types.Value {
 			v := row[idx]
-			switch v.Kind {
+			switch v.Kind() {
 			case types.KindInt, types.KindDate:
 				if intC {
 					return types.Bool(v.I() <= ci)
@@ -587,7 +587,7 @@ func compileColConstNumCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 	case plan.BGt:
 		return func(_ *plan.Ctx, row plan.Row) types.Value {
 			v := row[idx]
-			switch v.Kind {
+			switch v.Kind() {
 			case types.KindInt, types.KindDate:
 				if intC {
 					return types.Bool(v.I() > ci)
@@ -602,7 +602,7 @@ func compileColConstNumCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 	default: // BGe
 		return func(_ *plan.Ctx, row plan.Row) types.Value {
 			v := row[idx]
-			switch v.Kind {
+			switch v.Kind() {
 			case types.KindInt, types.KindDate:
 				if intC {
 					return types.Bool(v.I() >= ci)
@@ -624,7 +624,7 @@ func compileColConstStrCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 	case plan.BEq:
 		return func(_ *plan.Ctx, row plan.Row) types.Value {
 			v := row[idx]
-			if v.Kind == types.KindString {
+			if v.Kind() == types.KindString {
 				return types.Bool(v.S() == cs)
 			}
 			return cmpValues(op, v, c)
@@ -632,7 +632,7 @@ func compileColConstStrCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 	case plan.BNe:
 		return func(_ *plan.Ctx, row plan.Row) types.Value {
 			v := row[idx]
-			if v.Kind == types.KindString {
+			if v.Kind() == types.KindString {
 				return types.Bool(v.S() != cs)
 			}
 			return cmpValues(op, v, c)
@@ -640,7 +640,7 @@ func compileColConstStrCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 	case plan.BLt:
 		return func(_ *plan.Ctx, row plan.Row) types.Value {
 			v := row[idx]
-			if v.Kind == types.KindString {
+			if v.Kind() == types.KindString {
 				return types.Bool(v.S() < cs)
 			}
 			return cmpValues(op, v, c)
@@ -648,7 +648,7 @@ func compileColConstStrCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 	case plan.BLe:
 		return func(_ *plan.Ctx, row plan.Row) types.Value {
 			v := row[idx]
-			if v.Kind == types.KindString {
+			if v.Kind() == types.KindString {
 				return types.Bool(v.S() <= cs)
 			}
 			return cmpValues(op, v, c)
@@ -656,7 +656,7 @@ func compileColConstStrCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 	case plan.BGt:
 		return func(_ *plan.Ctx, row plan.Row) types.Value {
 			v := row[idx]
-			if v.Kind == types.KindString {
+			if v.Kind() == types.KindString {
 				return types.Bool(v.S() > cs)
 			}
 			return cmpValues(op, v, c)
@@ -664,7 +664,7 @@ func compileColConstStrCmp(op plan.BinOp, idx int, c types.Value) evalFn {
 	default: // BGe
 		return func(_ *plan.Ctx, row plan.Row) types.Value {
 			v := row[idx]
-			if v.Kind == types.KindString {
+			if v.Kind() == types.KindString {
 				return types.Bool(v.S() >= cs)
 			}
 			return cmpValues(op, v, c)
@@ -694,7 +694,7 @@ func compileIn(in *plan.In) evalFn {
 		// literal list; the fast paths below reduce to it on kind drift.
 		inConstValues := func(v types.Value) types.Value {
 			for _, iv := range constVals {
-				if iv.Kind != types.KindNull && types.Compare(v, iv) == 0 {
+				if !iv.IsNull() && types.Compare(v, iv) == 0 {
 					return types.Bool(!neg)
 				}
 			}
@@ -702,7 +702,7 @@ func compileIn(in *plan.In) evalFn {
 		}
 		allStr, allNum := len(constVals) > 0, len(constVals) > 0
 		for _, v := range constVals {
-			if v.Kind != types.KindString {
+			if v.Kind() != types.KindString {
 				allStr = false
 			}
 			if !v.Numeric() {
@@ -717,10 +717,10 @@ func compileIn(in *plan.In) evalFn {
 			}
 			return func(ctx *plan.Ctx, row plan.Row) types.Value {
 				v := e(ctx, row)
-				if v.Kind == types.KindNull {
+				if v.IsNull() {
 					return types.Null
 				}
-				if v.Kind == types.KindString {
+				if v.Kind() == types.KindString {
 					return types.Bool(set[v.S()] != neg)
 				}
 				return inConstValues(v)
@@ -734,7 +734,7 @@ func compileIn(in *plan.In) evalFn {
 			}
 			return func(ctx *plan.Ctx, row plan.Row) types.Value {
 				v := e(ctx, row)
-				if v.Kind == types.KindNull {
+				if v.IsNull() {
 					return types.Null
 				}
 				if exact && exactAsFloat(v) {
@@ -751,7 +751,7 @@ func compileIn(in *plan.In) evalFn {
 		default:
 			return func(ctx *plan.Ctx, row plan.Row) types.Value {
 				v := e(ctx, row)
-				if v.Kind == types.KindNull {
+				if v.IsNull() {
 					return types.Null
 				}
 				return inConstValues(v)
@@ -764,12 +764,12 @@ func compileIn(in *plan.In) evalFn {
 	}
 	return func(ctx *plan.Ctx, row plan.Row) types.Value {
 		v := e(ctx, row)
-		if v.Kind == types.KindNull {
+		if v.IsNull() {
 			return types.Null
 		}
 		for _, item := range items {
 			iv := item(ctx, row)
-			if iv.Kind != types.KindNull && types.Compare(v, iv) == 0 {
+			if !iv.IsNull() && types.Compare(v, iv) == 0 {
 				return types.Bool(!neg)
 			}
 		}
@@ -782,7 +782,7 @@ func compileBetween(b *plan.Between) evalFn {
 	e, lo, hi := compile(b.E), compile(b.Lo), compile(b.Hi)
 	neg := b.Negated
 	slow := func(v, lv, hv types.Value) types.Value {
-		if v.Kind == types.KindNull || lv.Kind == types.KindNull || hv.Kind == types.KindNull {
+		if v.IsNull() || lv.IsNull() || hv.IsNull() {
 			return types.Null
 		}
 		in := types.Compare(v, lv) >= 0 && types.Compare(v, hv) <= 0

@@ -210,7 +210,7 @@ func TestIndexLookupTypedKeys(t *testing.T) {
 	} {
 		got := idx.Lookup([]types.Value{tc.key})
 		if tc.want < 0 && len(got) != 0 || tc.want >= 0 && (len(got) != 1 || int(got[0]) != tc.want) {
-			t.Errorf("Lookup(%v %s) = %v, want offset %d", tc.key.Kind, tc.key, got, tc.want)
+			t.Errorf("Lookup(%v %s) = %v, want offset %d", tc.key.Kind(), tc.key, got, tc.want)
 		}
 	}
 }
@@ -256,7 +256,7 @@ func randKeyValue(rng *rand.Rand, intsOnly bool) types.Value {
 func modelKey(key []types.Value) (s string, nonNull bool) {
 	nonNull = true
 	for _, v := range key {
-		switch v.Kind {
+		switch v.Kind() {
 		case types.KindNull:
 			nonNull = false
 			s += "n;"

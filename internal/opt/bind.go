@@ -162,7 +162,7 @@ func (b *binder) bind(e sql.Expr) (plan.Scalar, error) {
 		}
 		start, sok := constValue(v.Start)
 		length, lok := constValue(v.Len)
-		if !sok || !lok || start.Kind != types.KindInt || length.Kind != types.KindInt {
+		if !sok || !lok || start.Kind() != types.KindInt || length.Kind() != types.KindInt {
 			return nil, fmt.Errorf("opt: SUBSTRING requires constant integer bounds")
 		}
 		return &plan.Substring{E: inner, Start: int(start.I()), Len: int(length.I())}, nil

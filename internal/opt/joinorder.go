@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"qpp/internal/catalog"
 	"qpp/internal/plan"
@@ -123,37 +124,111 @@ func (p *planner) orderJoins(scans []*joinTree, edges []joinEdge) (*joinTree, er
 // bestJoin per step, so physical choice, key order and every cost float
 // come from the same code whether the steps were just searched or
 // replayed from a trace. A step consumes its two inputs — a fragment is
-// joined once, which is what lets bestJoin extend its schema in place.
-// Steps that do not fit the block are an error (replay callers fall back
-// to cold planning), never a panic.
+// joined once, which is what lets every join's output schema and columns
+// be stretches of the block's one layout (layOut). Steps that do not fit
+// the block are an error (replay callers fall back to cold planning),
+// never a panic.
 func (p *planner) applySteps(scans []*joinTree, steps []JoinStep, edges []joinEdge) (*joinTree, error) {
-	live := slices.Clone(scans) // fragments not yet consumed
-	take := func(s relSet) *joinTree {
-		for i, t := range live {
-			if t.set == s {
-				live = slices.Delete(live, i, i+1)
-				return t
-			}
-		}
-		return nil
-	}
+	sets := make([]relSet, len(scans), len(scans)+len(steps))
 	var full relSet
-	for _, t := range scans {
+	for i, t := range scans {
+		sets[i] = t.set
 		full = full.union(t.set)
 	}
-	cur := scans[0]
+	take := func(s relSet) bool {
+		i := slices.Index(sets, s)
+		if i >= 0 {
+			sets = slices.Delete(sets, i, i+1)
+		}
+		return i >= 0
+	}
 	for _, st := range steps {
-		l, r := take(relSet(st.L)), take(relSet(st.R))
-		if l == nil || r == nil || l.set&r.set != 0 {
+		l, r := relSet(st.L), relSet(st.R)
+		if !take(l) || !take(r) || l&r != 0 {
 			return nil, fmt.Errorf("opt: join trace mismatch: merge of unknown, consumed or overlapping fragments %#x x %#x", st.L, st.R)
 		}
-		cur = p.bestJoin(l, r, edges)
-		live = append(live, cur)
+		sets = append(sets, l|r)
 	}
-	if cur.set != full {
+	if len(sets) != 1 || sets[0] != full {
 		return nil, fmt.Errorf("opt: join trace mismatch: recorded merges do not cover the FROM list")
 	}
+	if len(steps) == 0 {
+		return scans[0], nil
+	}
+	lay := p.layOut(scans, steps, full)
+	live := slices.Clone(scans) // fragments not yet consumed
+	find := func(s relSet) *joinTree {
+		i := slices.IndexFunc(live, func(t *joinTree) bool { return t.set == s })
+		t := live[i]
+		live = slices.Delete(live, i, i+1)
+		return t
+	}
+	var cur *joinTree
+	for _, st := range steps {
+		l, r := find(relSet(st.L)), find(relSet(st.R))
+		schema, cols := lay.of(l.set | r.set)
+		cur = p.bestJoin(l, r, edges, schema, cols)
+		live = append(live, cur)
+	}
 	return cur, nil
+}
+
+// blockLayout is a join block's output schema and plan columns, each one
+// array in the column order of the tree the block's steps build. Every
+// fragment of that tree is one stretch of both, its left input's stretch
+// followed by its right input's, so the joins of a block share two arrays
+// instead of allocating a schema and a column list each (the Hash node
+// already shares its child's columns the same way).
+type blockLayout struct {
+	schema    []schemaCol
+	cols      []plan.Column
+	stretches []stretch
+}
+
+// stretch is where one fragment's columns lie in its block's layout.
+type stretch struct {
+	set    relSet
+	lo, hi int
+}
+
+// find returns the stretch of the fragment over set.
+func (b *blockLayout) find(set relSet) stretch {
+	return b.stretches[slices.IndexFunc(b.stretches, func(s stretch) bool { return s.set == set })]
+}
+
+// of returns the schema and columns of the fragment over set, capped so an
+// append to either copies.
+func (b *blockLayout) of(set relSet) ([]schemaCol, []plan.Column) {
+	s := b.find(set)
+	return b.schema[s.lo:s.hi:s.hi], b.cols[s.lo:s.hi:s.hi]
+}
+
+// layOut lays out a block whose steps applySteps has checked: top-down
+// from the whole block, a merge's left input starts where its output does
+// and its right input where the left one ends.
+func (p *planner) layOut(scans []*joinTree, steps []JoinStep, full relSet) *blockLayout {
+	width := func(s relSet) (n int) {
+		for _, t := range scans {
+			if t.set&^s == 0 {
+				n += len(t.schema)
+			}
+		}
+		return n
+	}
+	b := &blockLayout{stretches: make([]stretch, 1, 2*len(steps)+1)}
+	b.stretches[0] = stretch{full, 0, width(full)}
+	for i := len(steps) - 1; i >= 0; i-- {
+		l, r := relSet(steps[i].L), relSet(steps[i].R)
+		out := b.find(l | r)
+		mid := out.lo + width(l)
+		b.stretches = append(b.stretches, stretch{l, out.lo, mid}, stretch{r, mid, out.hi})
+	}
+	b.schema = make([]schemaCol, width(full))
+	for _, t := range scans {
+		copy(b.schema[b.find(t.set).lo:], t.schema)
+	}
+	b.cols = p.planColumns(b.schema)
+	return b
 }
 
 // maxDPRels is the largest block searched exhaustively. The DP prices up
@@ -302,12 +377,24 @@ func merged(l, r *frag, e est) frag {
 	return frag{est: e, colsW: e.width, set: l.set | r.set, nbr: l.nbr | r.nbr, leaf: -1}
 }
 
+// dpTables recycles dp's fragment tables: one has 1<<n slots for an
+// n-relation block (16 KiB for the 8-way join of TPC-H Q8), every cold plan
+// of a join searches one, and it holds no pointer, so a pooled table costs
+// the collector nothing.
+var dpTables = sync.Pool{New: func() any { return new([]frag) }}
+
 // dp is the exhaustive search. Relation sets are block-local here (bit i
 // is base[i], which keeps the ascending order of the global sets) and
 // index the fragment table directly.
 func (s *joinSearch) dp(base []frag) frag {
 	n := len(base)
-	tab := make([]frag, 1<<n)
+	pooled := dpTables.Get().(*[]frag)
+	defer dpTables.Put(pooled)
+	if cap(*pooled) < 1<<n {
+		*pooled = make([]frag, 1<<n)
+	}
+	tab := (*pooled)[:1<<n]
+	clear(tab)
 	sets := make([]uint16, n, 1<<n) // slots in use: by size, ascending within a size
 	for i := range base {
 		tab[1<<i], sets[i] = base[i], 1<<i
@@ -416,9 +503,9 @@ const (
 // joinSearch.join uses, in the same order — hash join, nested loop over a
 // parameterized index scan, nested loop over a materialized inner, merge
 // join — keeping the first cheapest, and builds only the winner's nodes.
-// The output schema is l's with r's appended in place: applySteps hands
-// every fragment to one join only.
-func (p *planner) bestJoin(l, r *joinTree, edges []joinEdge) *joinTree {
+// outSchema and outCols are the join's output schema and columns, l's
+// followed by r's, from the block's layout.
+func (p *planner) bestJoin(l, r *joinTree, edges []joinEdge, outSchema []schemaCol, outCols []plan.Column) *joinTree {
 	var keyBuf [8]joinKey
 	keys := keyBuf[:0]
 	joinSel := 1.0
@@ -439,8 +526,6 @@ func (p *planner) bestJoin(l, r *joinTree, edges []joinEdge) *joinTree {
 		joinSel /= keyNDV(p.colNDV(lRel, lCol), p.colNDV(rRel, rCol), l.node.Est.Rows, r.node.Est.Rows)
 	}
 	joinRows := joinCard(l.node.Est.Rows, r.node.Est.Rows, joinSel)
-	outSchema := append(l.schema, r.schema...)
-	outCols := p.planColumns(outSchema)
 	var width float64 // plan.Node.Width of the join node, summed in its order
 	for _, c := range outCols {
 		width += c.Width

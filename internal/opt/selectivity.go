@@ -43,7 +43,7 @@ func constValue(e sql.Expr) (types.Value, bool) {
 		if !ok {
 			return types.Null, false
 		}
-		switch inner.Kind {
+		switch inner.Kind() {
 		case types.KindInt:
 			return types.Int(-inner.I()), true
 		case types.KindFloat:
@@ -56,7 +56,7 @@ func constValue(e sql.Expr) (types.Value, bool) {
 			return types.Null, false
 		}
 		// date +/- interval
-		if iv, ok := v.R.(*sql.Interval); ok && l.Kind == types.KindDate {
+		if iv, ok := v.R.(*sql.Interval); ok && l.Kind() == types.KindDate {
 			n := iv.N
 			if v.Op == sql.OpSub {
 				n = -n
@@ -92,10 +92,10 @@ func constValue(e sql.Expr) (types.Value, bool) {
 		default:
 			return types.Null, false
 		}
-		if l.Kind == types.KindInt && r.Kind == types.KindInt && v.Op != sql.OpDiv {
+		if l.Kind() == types.KindInt && r.Kind() == types.KindInt && v.Op != sql.OpDiv {
 			return types.Int(int64(out)), true
 		}
-		if l.Kind == types.KindDate {
+		if l.Kind() == types.KindDate {
 			return types.Date(int64(out)), true
 		}
 		return types.Float(out), true

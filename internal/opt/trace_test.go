@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"qpp/internal/exec"
@@ -209,6 +210,61 @@ func TestTraceMismatchErrors(t *testing.T) {
 	}
 	if _, err := PlanReplay(db, stmt5, &JoinTrace{}); err == nil {
 		t.Fatal("replaying an empty trace against Q5 must fail")
+	}
+}
+
+// TestReplayRejectsMalformedSteps: applySteps checks a block's merge
+// sequence before it lays the block out, so a recorded sequence that
+// names an unknown fragment, uses one twice, merges a fragment with
+// itself, builds one out of order or stops short errors and never panics;
+// the sequence as recorded still replays.
+func TestReplayRejectsMalformedSteps(t *testing.T) {
+	db := tpchDB(t)
+	gq, err := tpch.GenQuery(8, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := sql.Parse(gq.SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, trace, err := PlanTraced(db, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := -1
+	for i, b := range trace.Blocks {
+		if len(b) >= 3 && (block < 0 || len(b) > len(trace.Blocks[block])) {
+			block = i
+		}
+	}
+	if block < 0 {
+		t.Fatal("Q8 recorded no block of three or more merges")
+	}
+	steps := trace.Blocks[block]
+	last := len(steps) - 1
+	cases := map[string][]JoinStep{
+		"as recorded":      steps,
+		"unknown":          append(slices.Clone(steps[:last]), JoinStep{L: steps[last].L, R: 1 << 62}),
+		"used twice":       append(slices.Clone(steps), steps[0]),
+		"self merge":       append([]JoinStep{{L: steps[0].L, R: steps[0].L}}, steps[1:]...),
+		"out of order":     append([]JoinStep{steps[last]}, steps[:last]...),
+		"stops short":      steps[:last],
+		"no merges at all": nil,
+	}
+	for name, bad := range cases {
+		t.Run(name, func(t *testing.T) {
+			tr := &JoinTrace{Blocks: slices.Clone(trace.Blocks)}
+			tr.Blocks[block] = bad
+			stmt, err := sql.Parse(gq.SQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = PlanReplay(db, stmt, tr)
+			if (err == nil) != (name == "as recorded") {
+				t.Errorf("replay error %v", err)
+			}
+		})
 	}
 }
 

@@ -88,14 +88,14 @@ func (c *Const) Cost() ExprCost { return ExprCost{} }
 
 // String implements Scalar.
 func (c *Const) String() string {
-	if c.V.Kind == types.KindString {
+	if c.V.Kind() == types.KindString {
 		return "'" + c.V.S() + "'"
 	}
 	return c.V.String()
 }
 
 // Kind implements Scalar.
-func (c *Const) Kind() types.Kind { return c.V.Kind }
+func (c *Const) Kind() types.Kind { return c.V.Kind() }
 
 // BinOp enumerates bound binary operators.
 type BinOp int
@@ -163,7 +163,7 @@ func (b *Bin) Eval(ctx *Ctx, row Row) types.Value {
 	switch b.Op {
 	case BAdd, BSub, BMul, BDiv:
 		// Date ± integer days.
-		if l.Kind == types.KindDate && r.Kind == types.KindInt {
+		if l.Kind() == types.KindDate && r.Kind() == types.KindInt {
 			if b.Op == BAdd {
 				return types.Date(l.I() + r.I())
 			}
@@ -184,7 +184,7 @@ func (b *Bin) Eval(ctx *Ctx, row Row) types.Value {
 			}
 			out = lf / rf
 		}
-		if l.Kind == types.KindInt && r.Kind == types.KindInt && b.Op != BDiv {
+		if l.Kind() == types.KindInt && r.Kind() == types.KindInt && b.Op != BDiv {
 			return types.Int(int64(out))
 		}
 		return types.Float(out)
@@ -249,7 +249,7 @@ type Neg struct{ E Scalar }
 // Eval implements Scalar.
 func (n *Neg) Eval(ctx *Ctx, row Row) types.Value {
 	v := n.E.Eval(ctx, row)
-	switch v.Kind {
+	switch v.Kind() {
 	case types.KindInt:
 		return types.Int(-v.I())
 	case types.KindFloat:

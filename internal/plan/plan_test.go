@@ -91,7 +91,7 @@ func TestDateArithmetic(t *testing.T) {
 	}
 	// Date + int days through Bin.
 	plus := &Bin{Op: BAdd, L: col(0, types.KindDate), R: cint(10), K: types.KindDate}
-	if got := eval(plus, row); got.Kind != types.KindDate || got.I() != d+10 {
+	if got := eval(plus, row); got.Kind() != types.KindDate || got.I() != d+10 {
 		t.Fatalf("got %v", got)
 	}
 	ext := &ExtractYear{E: col(0, types.KindDate)}

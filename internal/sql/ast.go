@@ -33,7 +33,7 @@ type Literal struct{ Value types.Value }
 
 // SQL implements Expr.
 func (l *Literal) SQL() string {
-	switch l.Value.Kind {
+	switch l.Value.Kind() {
 	case types.KindString:
 		return "'" + strings.ReplaceAll(l.Value.S(), "'", "''") + "'"
 	case types.KindDate:

@@ -111,7 +111,7 @@ func TestParseDateIntervalCase(t *testing.T) {
 		t.Fatalf("interval %+v", add.R)
 	}
 	lit := add.L.(*Literal)
-	if lit.Value.Kind != types.KindDate {
+	if lit.Value.Kind() != types.KindDate {
 		t.Fatal("date literal kind")
 	}
 }

@@ -101,7 +101,7 @@ func WriteCSV(t *Table, w io.Writer) error {
 	rec := make([]string, len(header))
 	for r, row := range t.Rows {
 		for i, v := range row {
-			switch v.Kind {
+			switch v.Kind() {
 			case types.KindFloat:
 				rec[i] = v.Key()
 			case types.KindString:

@@ -50,7 +50,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	for i := range rows {
 		for j := range rows[i] {
 			if a, b := rows[i][j], got[i][j]; !types.Identical(a, b) {
-				t.Fatalf("row %d col %d: wrote %s %v, read %s %v", i, j, a.Kind, a.Key(), b.Kind, b.Key())
+				t.Fatalf("row %d col %d: wrote %s %v, read %s %v", i, j, a.Kind(), a.Key(), b.Kind(), b.Key())
 			}
 		}
 	}

@@ -83,7 +83,7 @@ func keptRow(t *testing.T) (storage.Row, []string) {
 	row := rows[len(rows)/2]
 	var want []string
 	for _, c := range row {
-		want = append(want, c.Kind.String()+" "+strings.Clone(c.Key()))
+		want = append(want, c.Kind().String()+" "+strings.Clone(c.Key()))
 	}
 	return row, want
 }
@@ -116,7 +116,7 @@ func TestPackedStringsOutliveTheirTable(t *testing.T) {
 		t.Errorf("kept value reads %q, want %q", got, wantV)
 	}
 	for i, c := range row {
-		if got := c.Kind.String() + " " + c.Key(); got != wantRow[i] {
+		if got := c.Kind().String() + " " + c.Key(); got != wantRow[i] {
 			t.Errorf("kept row col %d reads %q, want %q", i, got, wantRow[i])
 		}
 	}

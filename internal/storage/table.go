@@ -24,7 +24,7 @@ type Table struct {
 	Meta *catalog.Table
 	// Rows live in one pointer-free block (types.PackRows): the values,
 	// the row headers and each distinct string's bytes, every pointer in it
-	// pointing into the block itself. Each row has cap == len, so an append
+	// pointing into the block itself or at a kind tag. Each row has cap == len, so an append
 	// copies it instead of overwriting its neighbour. The collector marks
 	// the block without scanning it, so a table costs a garbage-collection
 	// cycle nothing beyond one mark bit. Never write a table row in place:

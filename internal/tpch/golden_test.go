@@ -56,7 +56,7 @@ func databaseDigest(h hash.Hash, db *storage.Database) {
 		for _, r := range tab.Rows {
 			d.u64(uint64(len(r)))
 			for _, v := range r {
-				d.u64(uint64(v.Kind))
+				d.u64(uint64(v.Kind()))
 				d.str(v.Key())
 			}
 		}

@@ -67,7 +67,7 @@ func TestTableLayout(t *testing.T) {
 				if !types.Identical(v, want[name][i][c]) {
 					t.Fatalf("%s row %d col %d: %v, want %v", name, i, c, v, want[name][i][c])
 				}
-				if v.Kind != types.KindString || v.S() == "" {
+				if v.Kind() != types.KindString || v.S() == "" {
 					continue
 				}
 				p := unsafe.StringData(v.S())

@@ -19,12 +19,12 @@ import "math"
 // kind, or a float holding an exact int64. Such values are the keys of the
 // hash tables' integer fast path.
 func (v Value) KeyInt() (int64, bool) {
-	switch v.Kind {
+	switch v.Kind() {
 	case KindInt, KindDate, KindBool:
-		return v.I(), true
+		return int64(v.n), true
 	case KindFloat:
 		// Both bounds are exact in float64; NaN fails the comparison.
-		if f := v.F(); f >= -1<<63 && f < 1<<63 {
+		if f := math.Float64frombits(v.n); f >= -1<<63 && f < 1<<63 {
 			//qpplint:ignore floateq exactness is the point: the float must be this very integer
 			if i := int64(f); float64(i) == f {
 				return i, true
@@ -36,11 +36,11 @@ func (v Value) KeyInt() (int64, bool) {
 
 // KeyEqual reports whether a and b are the same hash key.
 func KeyEqual(a, b Value) bool {
-	switch a.Kind {
+	switch a.Kind() {
 	case KindString:
-		return b.Kind == KindString && a.S() == b.S()
+		return b.Kind() == KindString && a.S() == b.S()
 	case KindNull:
-		return b.Kind == KindNull
+		return b.IsNull()
 	}
 	ai, aInt := a.KeyInt()
 	bi, bInt := b.KeyInt()
@@ -50,7 +50,7 @@ func KeyEqual(a, b Value) bool {
 	// a is a float that is no integer; so must b be.
 	af, bf := a.F(), b.F()
 	//qpplint:ignore floateq key equality is exact; NaNs are folded into one key
-	return b.Kind == KindFloat && (af == bf || af != af && bf != bf)
+	return b.Kind() == KindFloat && (af == bf || af != af && bf != bf)
 }
 
 // Hash words that keep NULL, NaN and strings apart from small integers.
@@ -73,7 +73,7 @@ func HashInt(h uint64, i int64) uint64 { return hashWord(h, uint64(i)) }
 
 // HashKey folds v into the running hash h of a key tuple.
 func HashKey(h uint64, v Value) uint64 {
-	switch v.Kind {
+	switch v.Kind() {
 	case KindInt, KindDate, KindBool:
 		return hashWord(h, uint64(v.I()))
 	case KindString:

@@ -1,8 +1,8 @@
 // Package types defines the runtime value model shared by the catalog,
-// storage engine, planner and executor: a 24-byte tagged union for SQL
-// values (one pointer word, one payload word, one kind byte), the
-// pointer-free block a table's rows are packed into, and date arithmetic
-// helpers. It is the only package that imports "unsafe".
+// storage engine, planner and executor: a 16-byte tagged union for SQL
+// values (one pointer word that also carries the kind, one payload word),
+// the pointer-free block a table's rows are packed into, and date
+// arithmetic helpers. It is the only package that imports "unsafe".
 package types
 
 import (
@@ -53,45 +53,70 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a tagged union holding one SQL value in 24 bytes. n carries the
+// Value is a tagged union holding one SQL value in 16 bytes. n carries the
 // int64 of KindInt/KindDate (days)/KindBool (0/1), the IEEE bits of
-// KindFloat, and the byte length of a KindString whose first byte p points
-// at; p is nil for every other kind, so the collector sees exactly one
-// pointer per string cell and none elsewhere.
+// KindFloat, and the byte length of a KindString. p carries the kind:
 //
-// Invariant: p is non-nil only as set by Str or PackRows, together with n.
-// The accessors I, F and S are kind-checked and read the zero value on any
-// other kind, so a write to the exported Kind field can at worst turn a
-// string's length into an integer, never fabricate a string out of payload
-// bits.
+//   - nil is NULL, so the zero Value is NULL;
+//   - &kindTags[k] is kind k: every int, float, date and bool, and the
+//     empty string;
+//   - any other pointer is the first byte of a non-empty string.
+//
+// The collector therefore sees one pointer per cell, into a string's
+// bytes or at a global it never frees. Every field is private: a Value
+// comes only from a constructor or PackRows, so its kind and payload
+// always agree, and outside this file Kind() is the one place the kind is
+// decoded.
 //
 // The zero-size [0]func() makes Value incomparable: ==, map keys and switch
 // on a Value do not compile, because with a pointer payload they would
 // compare string addresses, not bytes. Use Identical (same bits), Equal
 // (SQL comparison) or KeyEqual (join/group key) instead.
 type Value struct {
-	_    [0]func()
-	p    unsafe.Pointer
-	n    uint64
-	Kind Kind
+	_ [0]func()
+	p unsafe.Pointer
+	n uint64
+}
+
+// kindTags gives each non-NULL kind an address of its own for Value.p to
+// point at. A non-empty string's bytes are never inside it.
+var kindTags [KindBool + 1]byte
+
+// tagged returns the value of kind k with payload word n.
+func tagged(k Kind, n uint64) Value { return Value{p: unsafe.Pointer(&kindTags[k]), n: n} }
+
+// Kind returns the SQL type of v.
+func (v Value) Kind() Kind {
+	if d := uintptr(v.p) - uintptr(unsafe.Pointer(&kindTags)); d < uintptr(len(kindTags)) {
+		return Kind(d)
+	}
+	if v.p == nil {
+		return KindNull
+	}
+	return KindString
 }
 
 // Null is the SQL NULL value.
-var Null = Value{Kind: KindNull}
+var Null = Value{}
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{Kind: KindInt, n: uint64(v)} }
+func Int(v int64) Value { return tagged(KindInt, uint64(v)) }
 
 // Float returns a decimal value.
-func Float(v float64) Value { return Value{Kind: KindFloat, n: math.Float64bits(v)} }
+func Float(v float64) Value { return tagged(KindFloat, math.Float64bits(v)) }
 
-// Str returns a string value.
+// Str returns a string value. Every empty string, whatever its data
+// pointer (unsafe.StringData("") may be nil, which would read as NULL),
+// gets the string tag.
 func Str(v string) Value {
-	return Value{Kind: KindString, p: unsafe.Pointer(unsafe.StringData(v)), n: uint64(len(v))}
+	if len(v) == 0 {
+		return tagged(KindString, 0)
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), n: uint64(len(v))}
 }
 
 // Date returns a date value from days since the Unix epoch.
-func Date(days int64) Value { return Value{Kind: KindDate, n: uint64(days)} }
+func Date(days int64) Value { return tagged(KindDate, uint64(days)) }
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
@@ -99,13 +124,13 @@ func Bool(v bool) Value {
 	if v {
 		n = 1
 	}
-	return Value{Kind: KindBool, n: n}
+	return tagged(KindBool, n)
 }
 
 // I returns the payload of a KindInt, KindDate (days) or KindBool (0/1)
 // value, and 0 for every other kind.
 func (v Value) I() int64 {
-	if v.Kind == KindInt || v.Kind == KindDate || v.Kind == KindBool {
+	if k := v.Kind(); k == KindInt || k == KindDate || k == KindBool {
 		return int64(v.n)
 	}
 	return 0
@@ -114,7 +139,7 @@ func (v Value) I() int64 {
 // F returns the payload of a KindFloat value, bit for bit, and 0 for every
 // other kind.
 func (v Value) F() float64 {
-	if v.Kind == KindFloat {
+	if v.p == unsafe.Pointer(&kindTags[KindFloat]) {
 		return math.Float64frombits(v.n)
 	}
 	return 0
@@ -122,7 +147,7 @@ func (v Value) F() float64 {
 
 // S returns the payload of a KindString value, and "" for every other kind.
 func (v Value) S() string {
-	if v.Kind != KindString || v.p == nil {
+	if v.Kind() != KindString {
 		return ""
 	}
 	return unsafe.String((*byte)(v.p), int(v.n))
@@ -133,7 +158,12 @@ func (v Value) S() string {
 // Float(1), +0 from -0, and finds NULL identical to NULL; it is what tests
 // use where they would have written ==.
 func Identical(a, b Value) bool {
-	return a.Kind == b.Kind && a.n == b.n && (a.Kind != KindString || a.S() == b.S())
+	if a.n != b.n {
+		return false
+	}
+	// One pointer word is one kind and, for a string, the same bytes; two
+	// different words agree only as strings with equal bytes.
+	return a.p == b.p || a.Kind() == KindString && b.Kind() == KindString && a.S() == b.S()
 }
 
 // PackRows copies rows into one allocation the collector never scans: a
@@ -142,11 +172,11 @@ func Identical(a, b Value) bool {
 // cap == len stretch of the values, so an append to it copies instead of
 // overwriting its neighbour; every packed value is Identical to its input.
 //
-// Invariant: every pointer inside the block points into the block itself,
-// and an empty string's pointer is nil. Nothing the block references can
-// then be freed while any part of it is reachable, and a Value, row or S()
-// string copied out of it keeps the whole block alive through its interior
-// pointer. The block is never written after PackRows returns: a pointer
+// Invariant: every pointer inside the block points into the block itself
+// or at a kind tag, a global that is never freed. Nothing the block
+// references can then be freed while any part of it is reachable, and a
+// Value, row or S() string copied out of it keeps the whole block alive
+// through its interior pointer. The block is never written after PackRows returns: a pointer
 // stored into it later would be one the collector does not see.
 func PackRows(rows [][]Value) [][]Value {
 	if len(rows) == 0 {
@@ -195,10 +225,10 @@ func PackRows(rows [][]Value) [][]Value {
 		row := vals[n : n+len(r) : n+len(r)]
 		for j, v := range r {
 			if v.S() == "" {
-				row[j] = Value{Kind: v.Kind, n: v.n}
+				row[j] = v // nil or a kind tag
 				continue
 			}
-			row[j] = Value{Kind: KindString, p: unsafe.Pointer(&bytes[offs[0]]), n: v.n}
+			row[j] = Value{p: unsafe.Pointer(&bytes[offs[0]]), n: v.n}
 			offs = offs[1:]
 		}
 		out[i] = row
@@ -208,15 +238,15 @@ func PackRows(rows [][]Value) [][]Value {
 }
 
 // IsNull reports whether v is SQL NULL.
-func (v Value) IsNull() bool { return v.Kind == KindNull }
+func (v Value) IsNull() bool { return v.p == nil }
 
 // IsTrue reports whether v is a true boolean (NULL and false are both not true).
-func (v Value) IsTrue() bool { return v.Kind == KindBool && v.n != 0 }
+func (v Value) IsTrue() bool { return v.p == unsafe.Pointer(&kindTags[KindBool]) && v.n != 0 }
 
 // AsFloat coerces a numeric, date or boolean value to float64 for
 // arithmetic, statistics, and feature extraction.
 func (v Value) AsFloat() float64 {
-	switch v.Kind {
+	switch v.Kind() {
 	case KindInt, KindDate, KindBool:
 		return float64(v.I())
 	case KindFloat:
@@ -228,13 +258,14 @@ func (v Value) AsFloat() float64 {
 
 // Numeric reports whether v participates in arithmetic.
 func (v Value) Numeric() bool {
-	return v.Kind == KindInt || v.Kind == KindFloat || v.Kind == KindDate
+	k := v.Kind()
+	return k == KindInt || k == KindFloat || k == KindDate
 }
 
 // Width returns the approximate storage width of the value in bytes, used
 // for page accounting and the optimizer's width estimates.
 func (v Value) Width() int {
-	switch v.Kind {
+	switch v.Kind() {
 	case KindString:
 		return len(v.S()) + 1
 	case KindNull:
@@ -250,22 +281,23 @@ func (v Value) Width() int {
 // NaN compares 0 with everything. Panics on incomparable kinds — the
 // planner guarantees type-compatible comparisons.
 func Compare(a, b Value) int {
-	if a.Kind == KindString && b.Kind == KindString {
+	ak, bk := a.Kind(), b.Kind()
+	if ak == KindString && bk == KindString {
 		return cmp3(a.S(), b.S())
 	}
-	if a.Numeric() && b.Numeric() || a.Kind == KindBool && b.Kind == KindBool {
+	if a.Numeric() && b.Numeric() || ak == KindBool && bk == KindBool {
 		switch {
-		case a.Kind != KindFloat && b.Kind != KindFloat:
+		case ak != KindFloat && bk != KindFloat:
 			return cmp3(a.I(), b.I())
-		case a.Kind == KindFloat && b.Kind == KindFloat:
+		case ak == KindFloat && bk == KindFloat:
 			return cmp3(a.F(), b.F())
-		case a.Kind == KindFloat:
+		case ak == KindFloat:
 			return -cmpIntFloat(b.I(), a.F())
 		default:
 			return cmpIntFloat(a.I(), b.F())
 		}
 	}
-	panic(fmt.Sprintf("types: cannot compare %s and %s", a.Kind, b.Kind))
+	panic(fmt.Sprintf("types: cannot compare %s and %s", ak, bk))
 }
 
 // cmp3 is the three-way comparison of two ordered values; unordered
@@ -310,7 +342,7 @@ func Equal(a, b Value) bool {
 
 // String renders the value for display and CSV export.
 func (v Value) String() string {
-	switch v.Kind {
+	switch v.Kind() {
 	case KindNull:
 		return "NULL"
 	case KindInt:
@@ -337,7 +369,7 @@ func (v Value) String() string {
 // differently, Str("NULL") and NULL the same; equality structures use
 // KeyEqual and HashKey.
 func (v Value) Key() string {
-	switch v.Kind {
+	switch v.Kind() {
 	case KindFloat:
 		return strconv.FormatFloat(v.F(), 'g', -1, 64)
 	case KindInt, KindDate, KindBool:
@@ -351,7 +383,7 @@ func (v Value) Key() string {
 // extended slice, so a per-row caller with a reused buffer allocates
 // nothing.
 func (v Value) AppendKey(buf []byte) []byte {
-	switch v.Kind {
+	switch v.Kind() {
 	case KindFloat:
 		return strconv.AppendFloat(buf, v.F(), 'g', -1, 64)
 	case KindInt, KindDate, KindBool:

@@ -136,6 +136,28 @@ func TestWorkloadAndPredictorsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTrainMetricPredictor: the plan-level model fits the metrics other
+// than latency, names itself after the metric, and predicts a finite
+// number for every training query.
+func TestTrainMetricPredictor(t *testing.T) {
+	train := apiTrainingWorkload(t)
+	for _, metric := range []qperf.Metric{qperf.MetricPagesRead, qperf.MetricRowsOut} {
+		p, err := qperf.TrainMetricPredictor(train, metric)
+		if err != nil {
+			t.Fatalf("%s: %v", metric, err)
+		}
+		if want := "plan-level/" + metric.String(); p.Name() != want {
+			t.Errorf("predictor name %q, want %q", p.Name(), want)
+		}
+		for _, q := range train.Queries() {
+			got, err := p.Predict(q)
+			if err != nil || math.IsNaN(got) || math.IsInf(got, 0) {
+				t.Fatalf("%s: t%d predicts %v, %v", p.Name(), q.Template(), got, err)
+			}
+		}
+	}
+}
+
 func TestWorkloadFilterAndSplit(t *testing.T) {
 	train := apiTrainingWorkload(t)
 	only1 := train.Filter([]int{1})

@@ -24,8 +24,11 @@
 #                    is on under -race), and the concurrent set-up's
 #                    TestGenerateGolden and TestAnalyzeSketchDeterministic
 #                    (tables generate, pack, index and ANALYZE on several
-#                    goroutines) three more times (-count=3); with the
-#                    lock-analysis lint rules gone
+#                    goroutines) three more times (-count=3), then
+#                    internal/types and internal/storage once more under
+#                    GODEBUG=gccheckmark=1 (the collector re-verifies its
+#                    marking with kind-tag pointers stored in blocks it
+#                    does not scan); with the lock-analysis lint rules gone
 #                    (DESIGN.md §7) this stage is what catches an
 #                    unguarded access to a mutex-protected field
 #   6. coverage    — statement coverage floor over the -short suite
@@ -44,13 +47,13 @@
 #                    merge sequence and built tree must equal those of
 #                    the node-building reference search kept in
 #                    internal/opt's tests; see DESIGN.md §17)
-#  12. value smoke — 5s of FuzzValueRoundTrip on the 24-byte value
-#                    layout (constructor → accessor, bit for bit; see
-#                    internal/types)
+#  12. value smoke — 5s of FuzzValueRoundTrip on the 16-byte value
+#                    layout (constructor → kind and accessor, bit for bit;
+#                    see internal/types)
 #  13. pack smoke  — 5s of FuzzPackRows on the pointer-free table block
 #                    (rows → one block: values Identical, rows cap == len,
 #                    equal strings on one pointer, every pointer inside the
-#                    block; see internal/types)
+#                    block or at a kind tag; see internal/types)
 #  14. SMO smoke   — 5s of FuzzSMOMatchesReference on the nu-SVR solver
 #                    (bytes → seeded problem → every working pair, alpha,
 #                    gradient and rho equal to those of the reference
@@ -145,6 +148,12 @@ go test -race -short -count=3 ./internal/types
 # extra passes.
 go test -race -short -count=3 -run 'TestGenerateGolden' ./internal/tpch
 go test -race -short -count=3 -run 'TestAnalyzeSketchDeterministic' ./internal/catalog
+# A value's kind is a pointer at a global tag, and packed tables hold those
+# pointers in blocks the collector never scans: checkmark mode re-marks the
+# heap after every cycle and fails on any object the concurrent mark
+# missed, TestPackedStringsOutliveTheirTable's cycles among them.
+banner "GODEBUG=gccheckmark=1 go test -short (internal/types, internal/storage)"
+GODEBUG=gccheckmark=1 go test -short -count=1 ./internal/types ./internal/storage
 
 # The floor is set a safe margin under the measured total (78.7% at the
 # time stage 6 was added) so flaky fractions of a percent don't fail CI,
