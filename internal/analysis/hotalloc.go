@@ -154,9 +154,9 @@ func hotEntryPoint(pkgPath string, fd *ast.FuncDecl) bool {
 	case "qpp/internal/serve", "qpp/cmd/qppserve":
 		return name == "ServeHTTP" || strings.HasPrefix(name, "handle") || strings.HasPrefix(name, "wrap")
 	case "qpp/internal/plancache":
-		// Plan (and everything it reaches: canonicalization, literal
-		// rebinding, candidate replay and costing) runs once per served
-		// request; Canonicalize additionally runs on every lookup.
+		// Plan (and everything it reaches: the signature scan, parsing,
+		// candidate replay and costing) runs once per served request;
+		// Canonicalize is that scan with the literals kept.
 		return name == "Plan" || name == "Canonicalize"
 	}
 	return false

@@ -7,18 +7,12 @@ import (
 	"testing"
 )
 
-// kernelRows are the row counts the kernel tests run: one to five rows,
-// either side of one and two bitset words, and a third word.
-var kernelRows = []int{1, 2, 3, 4, 5, 63, 64, 65, 67, 130}
-
-// requireKernels skips a test of the AVX2 kernels on a CPU without AVX2,
-// and fails it where /proc/cpuinfo lists avx2 but the kernels are off.
-func requireKernels(t *testing.T) {
-	t.Helper()
-	if len(rowPasses(t)) == 1 {
-		t.Skip("the CPU has no AVX2")
-	}
-}
+// kernelRows are the row counts the kernel tests run: one to nine rows
+// (either side of one 4-row and one 8-row block, and the AVX-512 kernels'
+// 4-row tail alone), either side of one and two bitset words, either
+// side of 72 (an 8-row block edge inside the second word) and a third
+// word.
+var kernelRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 67, 71, 72, 73, 130}
 
 // kernelMasks are the index-set patterns of the kernel tests, as a
 // function of the row.
@@ -99,15 +93,18 @@ func (s *smoSolver) clone() *smoSolver {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestSMOKernelsMatchPortable holds the AVX2 kernels to the portable
-// passes bit for bit: every f, both maximal violators and both I_low
-// minima after a step, and the j and objective of the second-order scan
-// of either class, over row counts around the block and word sizes,
+// TestSMOKernelsMatchPortable holds every row pass the CPU has to the
+// portable passes bit for bit: every f, both maximal violators and both
+// I_low minima after a step, and the j and objective of the second-order
+// scan of either class, over row counts around the block and word sizes,
 // empty, full and alternating index sets, ties, signed zeros, underflow
 // and a non-positive 2 - 2K.
 func TestSMOKernelsMatchPortable(t *testing.T) {
-	requireKernels(t)
-	useRowPass(t, true)
+	forEachRowPass(t, requireKernelsMatchPortable)
+}
+
+func requireKernelsMatchPortable(t *testing.T) {
+	pass := rowPass // the subtest's, set by forEachRowPass
 	var cases int
 	for _, l := range kernelRows {
 		for mask := range kernelMasks {
@@ -124,9 +121,9 @@ func TestSMOKernelsMatchPortable(t *testing.T) {
 					if step > 0 {
 						wi, wj = rng.NormFloat64(), rng.NormFloat64()
 					}
-					useAVX2 = false
+					rowPass = passPortable
 					port.updateRows(port.k.Row(ri), port.k.Row(rj), wi, wj)
-					useAVX2 = true
+					rowPass = pass
 					kern.updateRows(kern.k.Row(ri), kern.k.Row(rj), wi, wj)
 					requireSameRowPass(t, name, port, kern)
 					for _, c := range []struct {
@@ -140,9 +137,9 @@ func TestSMOKernelsMatchPortable(t *testing.T) {
 						{rng.Intn(l), 1e-200, func(s *smoSolver) []uint64 { return s.lowP }, 0},
 						{l + rng.Intn(l), 2e-200, func(s *smoSolver) []uint64 { return s.lowN }, l},
 					} {
-						useAVX2 = false
+						rowPass = passPortable
 						pj, pobj := port.secondOrderJ(c.i, c.gmax, c.low(port), c.off)
-						useAVX2 = true
+						rowPass = pass
 						kj, kobj := kern.secondOrderJ(c.i, c.gmax, c.low(kern), c.off)
 						if pj != kj || !sameBits(pobj, kobj) {
 							t.Fatalf("%s: j scan for i=%d gmax=%v: portable (%d, %v), kernel (%d, %v)", name, c.i, c.gmax, pj, pobj, kj, kobj)
@@ -169,5 +166,33 @@ func requireSameRowPass(t *testing.T, name string, port, kern *smoSolver) {
 	}
 	if !sameBits(port.gminP, kern.gminP) || !sameBits(port.gminN, kern.gminN) {
 		t.Fatalf("%s: I_low minima (%v, %v), the portable pass found (%v, %v)", name, kern.gminP, kern.gminN, port.gminP, port.gminN)
+	}
+}
+
+// benchJ keeps the benchmarked scans' results live.
+var benchJ int
+
+// BenchmarkSMORowPasses times each row pass the CPU has on its own, at
+// fit sizes a training pass runs (its fits average about 48 rows and
+// reach 112) and at 400: one update of every f (a zero step, so f stays
+// as it is) and one second-order scan of an alternating I_low.
+func BenchmarkSMORowPasses(b *testing.B) {
+	for _, pass := range rowPasses(b) {
+		for _, l := range []int{48, 112, 400} {
+			s := kernelSolver(l, 4, kernelValues[0].f, int64(l))
+			zero := make([]float64, cap(s.f))
+			b.Run(fmt.Sprintf("%s/update/l=%d", rowPassNames[pass], l), func(b *testing.B) {
+				useRowPass(b, pass)
+				for i := 0; i < b.N; i++ {
+					s.updateRows(zero, zero, 0, 0)
+				}
+			})
+			b.Run(fmt.Sprintf("%s/select/l=%d", rowPassNames[pass], l), func(b *testing.B) {
+				useRowPass(b, pass)
+				for i := 0; i < b.N; i++ {
+					benchJ, _ = s.secondOrderJ(l, 1, s.lowN, l)
+				}
+			})
+		}
 	}
 }

@@ -6,7 +6,19 @@ import (
 )
 
 // The SMO solver's two row passes in portable Go: the only passes off
-// AVX2 and the reference the AVX2 kernels (smo_amd64.s) are held to.
+// amd64 and on CPUs without AVX2, and the reference the kernels
+// (smo_amd64.s) are held to.
+
+// rowPassLevel names an implementation of the row passes: rowPass (set
+// once at start-up from what the CPU has, and by tests) picks the one
+// that runs.
+type rowPassLevel int
+
+const (
+	passPortable rowPassLevel = iota // smo_generic.go
+	passAVX2                         // four rows an instruction
+	passAVX512                       // eight rows an instruction
+)
 
 // updateRowsGo subtracts wi*ki[t] + wj*kj[t] from every f[t] (each
 // product rounded, then their sum: no fused multiply-add) and, comparing

@@ -4,10 +4,10 @@ package mlearn
 
 // Off amd64 the portable passes (smo_generic.go) are the row passes.
 
-const haveAVX2 = false
+const cpuRowPass = passPortable
 
-// useAVX2 is the test seam the amd64 build reads; here nothing reads it.
-var useAVX2 = false
+// rowPass is the test seam the amd64 build reads; here nothing reads it.
+var rowPass = cpuRowPass
 
 func (s *smoSolver) updateRows(ki, kj []float64, wi, wj float64) {
 	s.updateRowsGo(ki, kj, wi, wj)

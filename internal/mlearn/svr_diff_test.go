@@ -259,64 +259,74 @@ func TestSMOMatchesReferenceSolver(t *testing.T) {
 // implementation of the row passes.
 func FuzzSMOMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, avx2 := range rowPasses(t) {
-			useRowPass(t, avx2)
+		for _, pass := range rowPasses(t) {
+			useRowPass(t, pass)
 			requireSameSolve(t, smoProblemFromBytes(data))
 		}
 	})
 }
 
+// rowPassNames names the row passes in test names and logs.
+var rowPassNames = [...]string{passPortable: "portable", passAVX2: "avx2", passAVX512: "avx512"}
+
 // rowPasses lists the implementations of the solver's row passes this
-// machine runs, as values of useAVX2: the portable passes, and the AVX2
-// kernels when the CPU has them. Where /proc/cpuinfo lists avx2 but the
-// package's own CPUID check said no, it fails the test rather than let
-// the kernels go untested.
-func rowPasses(t testing.TB) []bool {
+// machine runs, as values of rowPass: the portable passes and every
+// kernel family up to the widest the CPU has. Where /proc/cpuinfo lists
+// the flags of a wider family than the package's own CPUID check chose,
+// it fails the test rather than let those kernels go untested.
+func rowPasses(t testing.TB) []rowPassLevel {
 	t.Helper()
-	if haveAVX2 {
-		return []bool{false, true}
+	if listed := cpuinfoRowPass(); cpuRowPass < listed {
+		t.Fatalf("/proc/cpuinfo lists the flags of the %s kernels, but the CPUID check chose %s",
+			rowPassNames[listed], rowPassNames[cpuRowPass])
 	}
-	if cpuinfoListsAVX2() {
-		t.Fatal("/proc/cpuinfo lists avx2, but the CPUID check did not select the AVX2 kernels")
+	var passes []rowPassLevel
+	for pass := passPortable; pass <= cpuRowPass; pass++ {
+		passes = append(passes, pass)
 	}
-	return []bool{false}
+	return passes
 }
 
 // forEachRowPass runs body as one subtest per entry of rowPasses.
 func forEachRowPass(t *testing.T, body func(t *testing.T)) {
-	for _, avx2 := range rowPasses(t) {
-		name := "portable"
-		if avx2 {
-			name = "avx2"
-		}
-		t.Run(name, func(t *testing.T) {
-			useRowPass(t, avx2)
+	for _, pass := range rowPasses(t) {
+		t.Run(rowPassNames[pass], func(t *testing.T) {
+			useRowPass(t, pass)
 			body(t)
 		})
 	}
 }
 
-// useRowPass sets useAVX2 until the test ends.
-func useRowPass(t testing.TB, avx2 bool) {
-	old := useAVX2
-	useAVX2 = avx2
-	t.Cleanup(func() { useAVX2 = old })
+// useRowPass sets rowPass until the test ends.
+func useRowPass(t testing.TB, pass rowPassLevel) {
+	old := rowPass
+	rowPass = pass
+	t.Cleanup(func() { rowPass = old })
 }
 
-func cpuinfoListsAVX2() bool {
+// cpuinfoRowPass is the widest row pass whose flags /proc/cpuinfo lists:
+// avx512f and avx512dq, or avx2.
+func cpuinfoRowPass() rowPassLevel {
 	if runtime.GOARCH != "amd64" {
-		return false
+		return passPortable
 	}
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
-		return false
+		return passPortable
 	}
 	for _, line := range strings.Split(string(info), "\n") {
 		if strings.HasPrefix(line, "flags") {
-			return slices.Contains(strings.Fields(line), "avx2")
+			flags := strings.Fields(line)
+			switch {
+			case slices.Contains(flags, "avx512f") && slices.Contains(flags, "avx512dq"):
+				return passAVX512
+			case slices.Contains(flags, "avx2"):
+				return passAVX2
+			}
+			break
 		}
 	}
-	return false
+	return passPortable
 }
 
 // TestSVRReportsCappedFit pins Iterations and Converged: a fit that ran

@@ -88,7 +88,7 @@ func Build(db *storage.Database, queries []string, _ Config) (*Cache, error) {
 	cands := make(map[string][]*candAcc, 32)
 	keyBuf := make([]byte, 0, 128)
 	for _, q := range queries {
-		sig, _, err := Canonicalize(q)
+		sig, err := scanSignature(q, nil)
 		if err != nil {
 			continue
 		}
@@ -172,7 +172,7 @@ func (c *Cache) Plan(query string) (*plan.Node, Outcome, error) {
 // parser's error; a replay failure falls back to cold planning, so a hit
 // never does worse than the optimizer alone.
 func (c *Cache) rebind(query string) (*plan.Node, Outcome, error) {
-	sig, _, err := Canonicalize(query)
+	sig, err := scanSignature(query, nil)
 	t, ok := c.templates[sig]
 	if err != nil || !ok {
 		node, err := opt.PlanSQL(c.db, query)

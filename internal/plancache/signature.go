@@ -47,23 +47,38 @@ type Lit struct {
 // key, so two queries share a signature exactly when they differ only in
 // literal values. One streaming scanner pass, no token slice, no parsing.
 func Canonicalize(query string) (string, []Lit, error) {
-	buf := make([]byte, 0, len(query)+8)
 	lits := make([]Lit, 0, 16)
+	sig, err := scanSignature(query, &lits)
+	if err != nil {
+		return "", nil, err
+	}
+	return sig, lits, nil
+}
+
+// scanSignature is Canonicalize's scanner pass. It appends the literals
+// to *lits, or keeps none when lits is nil: the cache keys on the
+// signature alone.
+func scanSignature(query string, lits *[]Lit) (string, error) {
+	buf := make([]byte, 0, len(query)+8)
 	sc := sql.NewScanner(query)
 	for {
 		tk, err := sc.Next()
 		if err != nil {
-			return "", nil, err
+			return "", err
 		}
 		switch tk.Kind {
 		case sql.TokEOF:
-			return string(buf), lits, nil
+			return string(buf), nil
 		case sql.TokNumber:
 			buf = append(buf, '#', 'n', ' ')
-			lits = append(lits, Lit{Kind: LitNumber, Text: tk.Text})
+			if lits != nil {
+				*lits = append(*lits, Lit{Kind: LitNumber, Text: tk.Text})
+			}
 		case sql.TokString:
 			buf = append(buf, '#', 's', ' ')
-			lits = append(lits, Lit{Kind: LitString, Text: tk.Text})
+			if lits != nil {
+				*lits = append(*lits, Lit{Kind: LitString, Text: tk.Text})
+			}
 		default:
 			buf = append(buf, tk.Text...)
 			buf = append(buf, ' ')

@@ -15,8 +15,9 @@
 #                    of)
 #   5. go test -race — the full suite under the race detector, then the
 #                    training differential tests, the SMO kernels' tests
-#                    (bit-identical to the portable passes, in bounds of
-#                    their padding), the memo's
+#                    (AVX2 and, where the CPU has it, AVX-512: bit-identical
+#                    to the portable passes, in bounds of their padding,
+#                    with one -v run logging which row passes ran), the memo's
 #                    once-per-key test, the shared online-cache test,
 #                    the executor's arena-safety and table-immutability
 #                    tests, the packed tables' lifetime test,
@@ -59,7 +60,8 @@
 #                    gradient and rho equal to those of the reference
 #                    solver kept in internal/mlearn's tests, with the
 #                    portable row passes and, where the CPU has AVX2, the
-#                    kernels; see DESIGN.md §6)
+#                    AVX2 and, where the CPU has it, AVX-512 kernels; see
+#                    DESIGN.md §6)
 #  15. bench self-test — `bench/run.sh test`: gofmt, vet and the unit
 #                    tests of the repo's benchmark (BENCHMARK.json), a
 #                    nested module that stages 1-5 do not descend into
@@ -131,6 +133,9 @@ go test -race ./... "$@"
 # between goroutines.
 banner "go test -race -short -count=3 (training differentials, SMO kernels, memo once-per-key, shared online cache, arena safety, packed tables, value layout, concurrent datagen and ANALYZE)"
 go test -race -short -count=3 -run 'TestSMOMatchesReferenceSolver|TestSMOKernelsMatchPortable|TestSMOKernelsStayInBounds' ./internal/mlearn
+# One subtest per row pass the host ran (portable, avx2, avx512): the log
+# shows whether the AVX-512 kernels were exercised on this machine.
+go test -short -count=1 -v -run '^TestSMOKernelsMatchPortable$' ./internal/mlearn
 go test -race -short -count=3 -run 'TestEvalHybridMatchesReference|TestOperatorModelsMatchReferenceTrainer|TestTrainMemoTrainsOncePerKey|TestOnlineCacheConcurrentUse' ./internal/qpp
 go test -race -short -count=3 -run 'TestTrainMemoDoesNotChangeFigures' ./internal/experiments
 # Which pooled arena a Run gets differs from run to run under -race
@@ -198,8 +203,8 @@ go test -fuzz=FuzzSMOMatchesReference -fuzztime=5s -run '^$' ./internal/mlearn
 banner "bench self-test (bench/run.sh test)"
 bash bench/run.sh test
 
-# The AVX2 kernels are amd64 only: nothing above builds the solver the
-# way every other architecture gets it.
+# The AVX2 and AVX-512 kernels are amd64 only: nothing above builds the
+# solver the way every other architecture gets it.
 banner "cross build (GOARCH=arm64 go vet, go build)"
 GOARCH=arm64 go vet ./...
 GOARCH=arm64 go build ./...
