@@ -21,48 +21,140 @@ type subplanOcc struct {
 	node *plan.Node
 }
 
+// sigTable interns sub-plan signatures: equal signatures get one id, ids
+// counting up from 0 in the order they are first seen.
+type sigTable struct {
+	ids  map[string]int32
+	sigs []string
+}
+
+func newSigTable() sigTable { return sigTable{ids: map[string]int32{}} }
+
+func (t *sigTable) intern(sig string) int32 {
+	id, ok := t.ids[sig]
+	if !ok {
+		id = int32(len(t.sigs))
+		t.ids[sig] = id
+		t.sigs = append(t.sigs, sig)
+	}
+	return id
+}
+
+// nodeState is what predictStep returned for a node.
+type nodeState struct {
+	st, rt   float64
+	modelled bool
+}
+
+// flatNode is one node of a flattened plan: a pre-order slice in which
+// node k's subtree is entries k to k+size-1. kids holds the positions of
+// the node's first two children, the two predictStep reads, 0 where there
+// is none (position 0 is the root, no one's child).
+type flatNode struct {
+	node *plan.Node
+	sig  int32
+	size int32
+	kids [2]int32
+	nodeState
+}
+
+// flatten appends the tree under n to out in pre-order and returns the
+// extended slice. It visits each node once, children first, assembling
+// the node's signature from theirs (plan.Node.SignatureOver), so a tree
+// costs time linear in its size where calling Signature and Size on
+// every node costs each subtree once per ancestor.
+func (t *sigTable) flatten(n *plan.Node, out []flatNode) []flatNode {
+	at := len(out)
+	out = append(out, flatNode{node: n, size: 1})
+	var sigBuf [2]string
+	sigs := sigBuf[:0]
+	for i, c := range n.Children {
+		k := len(out)
+		out = t.flatten(c, out)
+		if i < len(out[at].kids) {
+			out[at].kids[i] = int32(k)
+		}
+		out[at].size += out[k].size
+		sigs = append(sigs, t.sigs[out[k].sig])
+	}
+	out[at].sig = t.intern(n.SignatureOver(sigs))
+	return out
+}
+
 // SubplanIndex is the hash-based index over canonical sub-plan structures
 // that Algorithm 1's get_plan_list builds: every proper sub-plan (two or
 // more operators) of every training plan, keyed by structural signature.
+// Its table interns every signature of the indexed plans, roots and
+// single operators included; occ and size are indexed by id, occ empty
+// for the signatures no proper sub-plan has.
 type SubplanIndex struct {
-	occ  map[string][]subplanOcc
-	size map[string]int
+	sigTable
+	occ  [][]subplanOcc
+	size []int
 }
 
 // BuildSubplanIndex indexes the proper sub-plans of the given records.
 // Plans with init-/sub-plan structures are skipped (the hybrid method
 // extends operator-level prediction, which does not apply to them).
 func BuildSubplanIndex(recs []*QueryRecord) *SubplanIndex {
-	idx := &SubplanIndex{occ: map[string][]subplanOcc{}, size: map[string]int{}}
+	idx, _ := flattenRecords(recs)
+	return idx
+}
+
+// flatRec is one flattened training plan: its record and its nodes.
+type flatRec struct {
+	rec   *QueryRecord
+	nodes []flatNode
+}
+
+// flattenRecords flattens the records without init-/sub-plan structures,
+// in order, and indexes their proper sub-plans in record order and
+// pre-order within a record.
+func flattenRecords(recs []*QueryRecord) (*SubplanIndex, []flatRec) {
+	idx := &SubplanIndex{sigTable: newSigTable()}
+	var flat []flatRec
 	for _, r := range recs {
 		if r.Root.HasSubqueryStructures() {
 			continue
 		}
-		r.Root.WalkTree(func(n *plan.Node) {
-			if n == r.Root || n.Size() < 2 {
-				return
-			}
-			sig := n.Signature()
-			idx.occ[sig] = append(idx.occ[sig], subplanOcc{rec: r, node: n})
-			idx.size[sig] = n.Size()
-		})
+		flat = append(flat, flatRec{rec: r, nodes: idx.flatten(r.Root, nil)})
 	}
-	return idx
+	idx.occ = make([][]subplanOcc, len(idx.sigs))
+	idx.size = make([]int, len(idx.sigs))
+	for _, f := range flat {
+		for _, e := range f.nodes[1:] {
+			if e.size >= 2 {
+				idx.occ[e.sig] = append(idx.occ[e.sig], subplanOcc{rec: f.rec, node: e.node})
+				idx.size[e.sig] = int(e.size)
+			}
+		}
+	}
+	return idx, flat
+}
+
+// occurrences returns the indexed occurrences of a signature.
+func (idx *SubplanIndex) occurrences(sig string) []subplanOcc {
+	if id, ok := idx.ids[sig]; ok {
+		return idx.occ[id]
+	}
+	return nil
 }
 
 // Signatures returns all indexed signatures in sorted order, so callers
 // iterating it produce deterministic results.
 func (idx *SubplanIndex) Signatures() []string {
-	out := make([]string, 0, len(idx.occ))
-	for s := range idx.occ {
-		out = append(out, s)
+	var out []string
+	for id, occs := range idx.occ {
+		if len(occs) > 0 {
+			out = append(out, idx.sigs[id])
+		}
 	}
 	sort.Strings(out)
 	return out
 }
 
 // Occurrences returns how many times a signature appears.
-func (idx *SubplanIndex) Occurrences(sig string) int { return len(idx.occ[sig]) }
+func (idx *SubplanIndex) Occurrences(sig string) int { return len(idx.occurrences(sig)) }
 
 // HybridPredictor composes operator-level models with materialized
 // plan-level models for specific sub-plan structures (Section 3.4): when a
@@ -233,97 +325,135 @@ type IterationStat struct {
 	TestError float64
 }
 
-// hybridEval is one evaluation pass over the training data with the
-// current model set: overall error plus per-signature uncovered frequency
-// and average sub-plan prediction error (the bookkeeping Algorithm 1's
-// candidate updates need).
-type hybridEval struct {
-	overall float64
-	freq    map[string]int
-	errSum  map[string]float64
-	errCnt  map[string]int
+// hybridTrainer is TrainHybrid's view of its training plans, built once
+// per call: the flattened records, per signature id the records that
+// contain it and the models h.Plans holds under it, and Algorithm 1's
+// bookkeeping. Every node's predictStep result is cached, so trying a
+// candidate re-predicts only the records its signature occurs in, and
+// rejecting it puts their saved states back.
+type hybridTrainer struct {
+	h      *HybridPredictor
+	idx    *SubplanIndex
+	recs   []flatRec
+	with   [][]int32        // per id, the positions in recs of the records containing it
+	models []*SubplanModels // per id, h.Plans[its signature] or nil
+
+	// actual and predicted are the records' times and the roots' cached
+	// predictions, in record order.
+	actual, predicted []float64
+	// freq and errSum are, per id, the uncovered occurrences and the sum
+	// of their relative errors (see tally).
+	freq   []int
+	errSum []float64
+
+	saved []nodeState // the states try overwrote, for undo
 }
 
-func (e *hybridEval) avgErr(sig string) float64 {
-	if e.errCnt[sig] == 0 {
-		return 0
+func newHybridTrainer(h *HybridPredictor, recs []*QueryRecord) *hybridTrainer {
+	idx, flat := flattenRecords(recs)
+	n := len(idx.sigs)
+	t := &hybridTrainer{
+		h: h, idx: idx, recs: flat,
+		with: make([][]int32, n), models: make([]*SubplanModels, n),
+		actual: make([]float64, len(flat)), predicted: make([]float64, len(flat)),
+		freq: make([]int, n), errSum: make([]float64, n),
 	}
-	return e.errSum[sig] / float64(e.errCnt[sig])
-}
-
-// nodeEval is what one evaluation pass needs to know about a plan node:
-// its signature, its operator count, whether the signature has a
-// plan-level model (applicable or not) and what predictStep returns.
-type nodeEval struct {
-	node     *plan.Node
-	sig      string
-	size     int
-	modelled bool
-	st, rt   float64
-}
-
-// evalNodes appends one nodeEval per node of the tree under n, in
-// pre-order, and returns n's. It is the exhaustive, bottom-up traversal
-// Algorithm 1's bookkeeping needs: each node is visited once, children
-// first, its signature assembled from theirs and its prediction handed
-// theirs, so a tree costs time linear in its size where calling
-// Signature and PredictNode on every node costs each subtree once per
-// ancestor. The values are the ones PredictNode computes (a node under
-// an applicable plan-level model is predicted although PredictNode would
-// not descend to it; the prediction is a function of the subtree alone).
-func (h *HybridPredictor) evalNodes(n *plan.Node, out *[]nodeEval) nodeEval {
-	at := len(*out)
-	*out = append(*out, nodeEval{})
-	var kids [2]nodeEval
-	var sigBuf [2]string
-	sigs := sigBuf[:0]
-	size := 1
-	for i, c := range n.Children {
-		e := h.evalNodes(c, out)
-		sigs = append(sigs, e.sig)
-		size += e.size
-		if i < len(kids) {
-			kids[i] = e
+	for i, r := range flat {
+		for _, e := range r.nodes {
+			if w := t.with[e.sig]; len(w) == 0 || w[len(w)-1] != int32(i) {
+				t.with[e.sig] = append(w, int32(i))
+			}
 		}
+		t.actual[i] = r.rec.Time
+		t.predict(i)
 	}
-	e := nodeEval{node: n, sig: n.SignatureOver(sigs), size: size}
-	e.st, e.rt, e.modelled = h.predictStep(n, h.Plans[e.sig], func() (st1, rt1, st2, rt2 float64) {
-		return kids[0].st, kids[0].rt, kids[1].st, kids[1].rt
-	})
-	(*out)[at] = e
-	return e
+	t.tally()
+	return t
 }
 
-func evalHybrid(h *HybridPredictor, recs []*QueryRecord) *hybridEval {
-	ev := &hybridEval{freq: map[string]int{}, errSum: map[string]float64{}, errCnt: map[string]int{}}
-	var actual, predicted []float64
-	var nodes []nodeEval // per-record scratch, reused
-	for _, r := range recs {
-		if r.Root.HasSubqueryStructures() {
-			continue
-		}
-		nodes = nodes[:0]
-		root := h.evalNodes(r.Root, &nodes)
-		actual = append(actual, r.Time)
-		predicted = append(predicted, root.rt)
-		// Per-node bookkeeping, in pre-order: occurrences strictly inside
-		// a region covered by a plan-level model are consumed and no
-		// longer count. Node k's subtree is nodes[k : k+size], so the
-		// nodes under a modelled one are those before coveredEnd.
+// predict re-predicts record i bottom-up through predictStep with the
+// current models. Every node is predicted, including those PredictNode
+// would not descend to: a prediction is a function of the subtree alone.
+func (t *hybridTrainer) predict(i int) {
+	nodes := t.recs[i].nodes
+	for k := len(nodes) - 1; k >= 0; k-- {
+		e := &nodes[k]
+		e.st, e.rt, e.modelled = t.h.predictStep(e.node, t.models[e.sig], func() (st1, rt1, st2, rt2 float64) {
+			if c := e.kids[0]; c > 0 {
+				st1, rt1 = nodes[c].st, nodes[c].rt
+			}
+			if c := e.kids[1]; c > 0 {
+				st2, rt2 = nodes[c].st, nodes[c].rt
+			}
+			return st1, rt1, st2, rt2
+		})
+	}
+	t.predicted[i] = nodes[0].rt
+}
+
+// overall is the training error: the mean relative error of the roots.
+func (t *hybridTrainer) overall() float64 {
+	return mlearn.MeanRelativeError(t.actual, t.predicted)
+}
+
+// tally recomputes freq and errSum from the cached predictions, in
+// record order and pre-order within a record: occurrences strictly inside
+// a region covered by a plan-level model are consumed and no longer
+// count. Node k's subtree is nodes[k : k+size], so the nodes under a
+// modelled one are those before coveredEnd.
+func (t *hybridTrainer) tally() {
+	clear(t.freq)
+	clear(t.errSum)
+	for _, r := range t.recs {
 		coveredEnd := 0
-		for k, e := range nodes {
+		for k := range r.nodes {
+			e := &r.nodes[k]
+			end := k + int(e.size)
 			if k >= coveredEnd && k > 0 && e.size >= 2 {
-				ev.freq[e.sig]++
-				ev.errSum[e.sig] += mlearn.RelativeError(e.node.Act.RunTime, e.rt)
-				ev.errCnt[e.sig]++
+				t.freq[e.sig]++
+				t.errSum[e.sig] += mlearn.RelativeError(e.node.Act.RunTime, e.rt)
 			}
-			if e.modelled && k+e.size > coveredEnd {
-				coveredEnd = k + e.size
+			if e.modelled && end > coveredEnd {
+				coveredEnd = end
 			}
 		}
 	}
-	ev.overall = mlearn.MeanRelativeError(actual, predicted)
-	return ev
+}
+
+// try puts m under signature id, re-predicts the records containing it
+// and returns the training error. The bookkeeping is left as it was:
+// keep recomputes it, undo takes the models out again.
+func (t *hybridTrainer) try(id int32, m *SubplanModels) float64 {
+	t.models[id] = m
+	t.saved = t.saved[:0]
+	for _, i := range t.with[id] {
+		for _, e := range t.recs[i].nodes {
+			t.saved = append(t.saved, e.nodeState)
+		}
+		t.predict(int(i))
+	}
+	return t.overall()
+}
+
+// keep accepts the models try put under id.
+func (t *hybridTrainer) keep(id int32) {
+	t.h.Plans[t.idx.sigs[id]] = t.models[id]
+	t.tally()
+}
+
+// undo rejects the models try put under id, restoring the states of the
+// records it re-predicted.
+func (t *hybridTrainer) undo(id int32) {
+	t.models[id] = nil
+	saved := t.saved
+	for _, i := range t.with[id] {
+		nodes := t.recs[i].nodes
+		for k := range nodes {
+			nodes[k].nodeState = saved[k]
+		}
+		saved = saved[len(nodes):]
+		t.predicted[i] = nodes[0].rt
+	}
 }
 
 // trainSubplanModels fits the start/run plan-level model pair for one
@@ -362,35 +492,33 @@ func TrainHybrid(recs []*QueryRecord, cfg HybridConfig) (*HybridPredictor, []Ite
 	}
 	planCfg := subplanModelConfig(cfg.Memo)
 	h := &HybridPredictor{Ops: ops, Plans: map[string]*SubplanModels{}, Mode: FeatEstimates}
-	idx := BuildSubplanIndex(recs)
+	t := newHybridTrainer(h, recs)
 
-	ev := evalHybrid(h, recs)
-	rejected := map[string]bool{}
+	overall := t.overall()
+	rejected := make([]bool, len(t.idx.sigs))
 	var stats []IterationStat
 
 	for iter := 1; iter <= cfg.MaxIters; iter++ {
-		if ev.overall <= cfg.TargetError {
+		if overall <= cfg.TargetError {
 			break
 		}
-		sig := h.nextCandidate(idx, ev, rejected, cfg)
-		if sig == "" {
+		id := t.nextCandidate(rejected, cfg.Strategy)
+		if id < 0 {
 			break
 		}
-		occs := idx.occ[sig]
-		stat := IterationStat{Iter: iter, Signature: sig, Size: idx.size[sig], Occurrence: len(occs)}
+		occs := t.idx.occ[id]
+		stat := IterationStat{Iter: iter, Signature: t.idx.sigs[id], Size: t.idx.size[id], Occurrence: len(occs)}
 		if models, err := trainSubplanModels(occs, planCfg); err != nil {
-			rejected[sig] = true
+			rejected[id] = true
+		} else if newOverall := t.try(id, models); newOverall <= overall-acceptGain {
+			t.keep(id)
+			overall = newOverall
+			stat.Accepted = true
 		} else {
-			h.Plans[sig] = models
-			if newEv := evalHybrid(h, recs); newEv.overall <= ev.overall-acceptGain {
-				ev = newEv
-				stat.Accepted = true
-			} else {
-				delete(h.Plans, sig)
-				rejected[sig] = true
-			}
+			t.undo(id)
+			rejected[id] = true
 		}
-		stat.TrainError = ev.overall
+		stat.TrainError = overall
 		if stat.TestError, _, err = MeanRelativeError(cfg.EvalRecs, h.Predict); err != nil {
 			return nil, nil, err
 		}
@@ -399,72 +527,59 @@ func TrainHybrid(recs []*QueryRecord, cfg HybridConfig) (*HybridPredictor, []Ite
 	return h, stats, nil
 }
 
-// nextCandidate picks the next sub-plan to model per the strategy.
-func (h *HybridPredictor) nextCandidate(idx *SubplanIndex, ev *hybridEval, rejected map[string]bool, cfg HybridConfig) string {
-	type cand struct {
-		sig  string
-		size int
-		freq int
-		err  float64
+// nextCandidate picks the next sub-plan to model per the strategy, -1
+// when none qualifies: among the indexed signatures neither rejected nor
+// modelled with at least minOccurrences uncovered occurrences (and, but
+// under ErrorBased, not already predicted within wellPredicted), the
+// first in the strategy's order, ties broken by signature.
+func (t *hybridTrainer) nextCandidate(rejected []bool, s Strategy) int32 {
+	best := int32(-1)
+	var bestErr float64
+	for i, occs := range t.idx.occ {
+		id := int32(i)
+		if len(occs) == 0 || rejected[id] || t.models[id] != nil || t.freq[id] < minOccurrences {
+			continue
+		}
+		avgErr := t.errSum[id] / float64(t.freq[id])
+		if s != ErrorBased && avgErr < wellPredicted {
+			continue
+		}
+		if best < 0 || t.before(s, id, avgErr, best, bestErr) {
+			best, bestErr = id, avgErr
+		}
 	}
-	var cands []cand
-	for sig := range idx.occ {
-		if rejected[sig] {
-			continue
-		}
-		if _, ok := h.Plans[sig]; ok {
-			continue
-		}
-		freq := ev.freq[sig]
-		if freq < minOccurrences {
-			continue
-		}
-		avgErr := ev.avgErr(sig)
-		if cfg.Strategy != ErrorBased && avgErr < wellPredicted {
-			continue
-		}
-		cands = append(cands, cand{sig: sig, size: idx.size[sig], freq: freq, err: avgErr})
-	}
-	if len(cands) == 0 {
-		return ""
-	}
-	// One sort after the switch keeps the collect-then-sort idiom
-	// visible to qpplint: a sort in every branch is not.
-	var less func(ci, cj cand) bool
-	switch cfg.Strategy {
+	return best
+}
+
+// before reports whether candidate i (average error ei) comes before
+// candidate j (ej) in strategy s's order.
+func (t *hybridTrainer) before(s Strategy, i int32, ei float64, j int32, ej float64) bool {
+	si, sj := t.idx.size[i], t.idx.size[j]
+	fi, fj := t.freq[i], t.freq[j]
+	switch s {
 	case SizeBased:
-		less = func(ci, cj cand) bool {
-			if ci.size != cj.size {
-				return ci.size < cj.size
-			}
-			if ci.freq != cj.freq {
-				return ci.freq > cj.freq
-			}
-			return ci.sig < cj.sig
+		if si != sj {
+			return si < sj
+		}
+		if fi != fj {
+			return fi > fj
 		}
 	case FrequencyBased:
-		less = func(ci, cj cand) bool {
-			if ci.freq != cj.freq {
-				return ci.freq > cj.freq
-			}
-			if ci.size != cj.size {
-				return ci.size < cj.size
-			}
-			return ci.sig < cj.sig
+		if fi != fj {
+			return fi > fj
+		}
+		if si != sj {
+			return si < sj
 		}
 	default: // ErrorBased
-		less = func(ci, cj cand) bool {
-			si := float64(ci.freq) * ci.err
-			sj := float64(cj.freq) * cj.err
-			if si > sj {
-				return true
-			}
-			if si < sj {
-				return false
-			}
-			return ci.sig < cj.sig
+		// Two one-sided comparisons: floateq rejects != on floats.
+		scoreI, scoreJ := float64(fi)*ei, float64(fj)*ej
+		if scoreI > scoreJ {
+			return true
+		}
+		if scoreI < scoreJ {
+			return false
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return less(cands[i], cands[j]) })
-	return cands[0].sig
+	return t.idx.sigs[i] < t.idx.sigs[j]
 }

@@ -1,8 +1,10 @@
 package qpp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"qpp/internal/exec"
@@ -19,7 +21,7 @@ import (
 // tests cannot import workload (it imports qpp), so the few lines of
 // workload.Build that matter are repeated: data from the seed, queries
 // from seed+1, the i-th query's clock noise the i-th draw from seed+2.
-func quickLargeOpRecords(t *testing.T) []*QueryRecord {
+func quickLargeOpRecords(t testing.TB) []*QueryRecord {
 	t.Helper()
 	sf, perTemplate := 0.01, 10
 	if testing.Short() {
@@ -74,6 +76,23 @@ func quickLargeOpRecords(t *testing.T) []*QueryRecord {
 	return out
 }
 
+// hybridEval is one reference evaluation pass over the training data:
+// overall error plus per-signature uncovered frequency and sum and count
+// of sub-plan prediction errors.
+type hybridEval struct {
+	overall float64
+	freq    map[string]int
+	errSum  map[string]float64
+	errCnt  map[string]int
+}
+
+func (e *hybridEval) avgErr(sig string) float64 {
+	if e.errCnt[sig] == 0 {
+		return 0
+	}
+	return e.errSum[sig] / float64(e.errCnt[sig])
+}
+
 // refEvalHybrid is Algorithm 1's evaluation pass as it stood before it
 // became one visit per node (ISSUE 15), kept as the oracle: PredictNode
 // on the root, then a pre-order walk that renders every node's signature
@@ -108,6 +127,19 @@ func refEvalHybrid(h *HybridPredictor, recs []*QueryRecord) *hybridEval {
 	return ev
 }
 
+// eval is the trainer's current state in the reference's terms, overall
+// its training error.
+func (t *hybridTrainer) eval(overall float64) *hybridEval {
+	ev := &hybridEval{overall: overall, freq: map[string]int{}, errSum: map[string]float64{}, errCnt: map[string]int{}}
+	for id, f := range t.freq {
+		if f > 0 {
+			sig := t.idx.sigs[id]
+			ev.freq[sig], ev.errSum[sig], ev.errCnt[sig] = f, t.errSum[id], f
+		}
+	}
+	return ev
+}
+
 func requireSameEval(t *testing.T, at string, got, want *hybridEval) {
 	t.Helper()
 	if math.Float64bits(got.overall) != math.Float64bits(want.overall) {
@@ -127,13 +159,13 @@ func requireSameEval(t *testing.T, at string, got, want *hybridEval) {
 }
 
 // TestEvalHybridMatchesReference replays every state Algorithm 1
-// evaluated — no plan-level model, then each iteration's candidate added
-// on top of the ones accepted so far — under all three strategies on the
-// Quick configuration's large workload, and requires the single-pass
-// evaluation to reproduce the reference's bookkeeping to the bit.
+// evaluated — no plan-level model, then each iteration's candidate tried
+// on top of the ones accepted so far, then that candidate kept or taken
+// out again — under all three strategies on the Quick configuration's
+// large workload, and requires the trainer's cached evaluation to
+// reproduce the reference's bookkeeping to the bit in every state.
 func TestEvalHybridMatchesReference(t *testing.T) {
 	recs := quickLargeOpRecords(t)
-	idx := BuildSubplanIndex(recs)
 	memo := new(TrainMemo) // the replay asks for the models TrainHybrid trained
 
 	for _, s := range []Strategy{ErrorBased, SizeBased, FrequencyBased} {
@@ -148,28 +180,280 @@ func TestEvalHybridMatchesReference(t *testing.T) {
 			t.Fatalf("%s: only %d iterations to replay", s, len(stats))
 		}
 		h := &HybridPredictor{Ops: trained.Ops, Plans: map[string]*SubplanModels{}, Mode: FeatEstimates}
-		requireSameEval(t, s.String()+" before iteration 1", evalHybrid(h, recs), refEvalHybrid(h, recs))
-		accepted := 0
+		tr := newHybridTrainer(h, recs)
+		requireSameEval(t, s.String()+" before iteration 1", tr.eval(tr.overall()), refEvalHybrid(h, recs))
+		accepted, rejected := 0, 0
 		for _, st := range stats {
-			models, err := trainSubplanModels(idx.occ[st.Signature], subplanModelConfig(memo))
+			at := fmt.Sprintf("%s iteration %d (%s)", s, st.Iter, st.Signature)
+			id := tr.idx.ids[st.Signature]
+			models, err := trainSubplanModels(tr.idx.occ[id], subplanModelConfig(memo))
 			if err != nil {
-				t.Fatalf("%s iteration %d: %v", s, st.Iter, err)
+				t.Fatalf("%s: %v", at, err)
 			}
+			overall := tr.try(id, models)
 			h.Plans[st.Signature] = models
-			got := evalHybrid(h, recs)
-			requireSameEval(t, s.String()+" iteration "+st.Signature, got, refEvalHybrid(h, recs))
+			want := refEvalHybrid(h, recs)
+			delete(h.Plans, st.Signature)
+			tr.tally() // TrainHybrid tallies only a kept candidate
+			requireSameEval(t, at+" tried", tr.eval(overall), want)
 			if st.Accepted {
 				accepted++
+				tr.keep(id)
+				requireSameEval(t, at+" kept", tr.eval(tr.overall()), want)
 				// The replay is in the state TrainHybrid kept.
-				if math.Float64bits(got.overall) != math.Float64bits(st.TrainError) {
-					t.Fatalf("%s iteration %d: replayed training error %v, TrainHybrid recorded %v", s, st.Iter, got.overall, st.TrainError)
+				if math.Float64bits(overall) != math.Float64bits(st.TrainError) {
+					t.Fatalf("%s: replayed training error %v, TrainHybrid recorded %v", at, overall, st.TrainError)
 				}
 			} else {
-				delete(h.Plans, st.Signature)
+				rejected++
+				tr.undo(id)
+				tr.tally()
+				requireSameEval(t, at+" restored", tr.eval(tr.overall()), refEvalHybrid(h, recs))
 			}
 		}
 		if accepted == 0 || accepted != trained.NumPlanModels() {
 			t.Fatalf("%s: replay accepted %d models, TrainHybrid kept %d", s, accepted, trained.NumPlanModels())
 		}
+		if rejected == 0 {
+			t.Fatalf("%s: no rejected candidate to restore", s)
+		}
+	}
+}
+
+// refSubplanIndex is BuildSubplanIndex as it stood before the index was
+// built from the trainer's flattening: every node's signature and size
+// rendered from scratch, occurrences in record order and pre-order.
+func refSubplanIndex(recs []*QueryRecord) (occ map[string][]subplanOcc, size map[string]int) {
+	occ, size = map[string][]subplanOcc{}, map[string]int{}
+	for _, r := range recs {
+		if r.Root.HasSubqueryStructures() {
+			continue
+		}
+		r.Root.WalkTree(func(n *plan.Node) {
+			if n == r.Root || n.Size() < 2 {
+				return
+			}
+			sig := n.Signature()
+			occ[sig] = append(occ[sig], subplanOcc{rec: r, node: n})
+			size[sig] = n.Size()
+		})
+	}
+	return occ, size
+}
+
+// refTrainHybrid is TrainHybrid as it stood before its trainer cached
+// predictions (kept as the oracle): the string-keyed index, a full
+// evaluation of the training workload per candidate, and the pick by
+// sorting every qualifying candidate.
+func refTrainHybrid(recs []*QueryRecord, cfg HybridConfig) (*HybridPredictor, []IterationStat, error) {
+	opCfg := OpModelConfig()
+	opCfg.Memo = cfg.Memo
+	ops, err := TrainOperatorModels(recs, FeatEstimates, opCfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	planCfg := subplanModelConfig(cfg.Memo)
+	h := &HybridPredictor{Ops: ops, Plans: map[string]*SubplanModels{}, Mode: FeatEstimates}
+	occ, size := refSubplanIndex(recs)
+
+	ev := refEvalHybrid(h, recs)
+	rejected := map[string]bool{}
+	var stats []IterationStat
+	for iter := 1; iter <= cfg.MaxIters; iter++ {
+		if ev.overall <= cfg.TargetError {
+			break
+		}
+		sig := refNextCandidate(h, occ, size, ev, rejected, cfg)
+		if sig == "" {
+			break
+		}
+		stat := IterationStat{Iter: iter, Signature: sig, Size: size[sig], Occurrence: len(occ[sig])}
+		if models, err := trainSubplanModels(occ[sig], planCfg); err != nil {
+			rejected[sig] = true
+		} else {
+			h.Plans[sig] = models
+			if newEv := refEvalHybrid(h, recs); newEv.overall <= ev.overall-acceptGain {
+				ev = newEv
+				stat.Accepted = true
+			} else {
+				delete(h.Plans, sig)
+				rejected[sig] = true
+			}
+		}
+		stat.TrainError = ev.overall
+		if stat.TestError, _, err = MeanRelativeError(cfg.EvalRecs, h.Predict); err != nil {
+			return nil, nil, err
+		}
+		stats = append(stats, stat)
+	}
+	return h, stats, nil
+}
+
+func refNextCandidate(h *HybridPredictor, occ map[string][]subplanOcc, size map[string]int, ev *hybridEval, rejected map[string]bool, cfg HybridConfig) string {
+	type cand struct {
+		sig  string
+		size int
+		freq int
+		err  float64
+	}
+	var cands []cand
+	for sig := range occ {
+		if rejected[sig] {
+			continue
+		}
+		if _, ok := h.Plans[sig]; ok {
+			continue
+		}
+		freq := ev.freq[sig]
+		if freq < minOccurrences {
+			continue
+		}
+		avgErr := ev.avgErr(sig)
+		if cfg.Strategy != ErrorBased && avgErr < wellPredicted {
+			continue
+		}
+		cands = append(cands, cand{sig: sig, size: size[sig], freq: freq, err: avgErr})
+	}
+	if len(cands) == 0 {
+		return ""
+	}
+	var less func(ci, cj cand) bool
+	switch cfg.Strategy {
+	case SizeBased:
+		less = func(ci, cj cand) bool {
+			if ci.size != cj.size {
+				return ci.size < cj.size
+			}
+			if ci.freq != cj.freq {
+				return ci.freq > cj.freq
+			}
+			return ci.sig < cj.sig
+		}
+	case FrequencyBased:
+		less = func(ci, cj cand) bool {
+			if ci.freq != cj.freq {
+				return ci.freq > cj.freq
+			}
+			if ci.size != cj.size {
+				return ci.size < cj.size
+			}
+			return ci.sig < cj.sig
+		}
+	default: // ErrorBased
+		less = func(ci, cj cand) bool {
+			si := float64(ci.freq) * ci.err
+			sj := float64(cj.freq) * cj.err
+			if si > sj {
+				return true
+			}
+			if si < sj {
+				return false
+			}
+			return ci.sig < cj.sig
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool { return less(cands[i], cands[j]) })
+	return cands[0].sig
+}
+
+// TestTrainHybridMatchesReference runs TrainHybrid and the reference
+// trainer under all three strategies, with a held-out workload evaluated
+// every iteration (Fig. 8's shape) and without, and requires the same
+// index, the same models kept, the same iterations to the bit and the
+// same prediction for every record.
+func TestTrainHybridMatchesReference(t *testing.T) {
+	recs := quickLargeOpRecords(t)
+	var train, test []*QueryRecord
+	for i, r := range recs {
+		if i%5 == 0 {
+			test = append(test, r)
+		} else {
+			train = append(train, r)
+		}
+	}
+
+	idx := BuildSubplanIndex(train)
+	occ, size := refSubplanIndex(train)
+	if sigs := idx.Signatures(); len(sigs) != len(occ) {
+		t.Fatalf("index has %d signatures, reference %d", len(sigs), len(occ))
+	}
+	for sig, want := range occ {
+		id, ok := idx.ids[sig]
+		if !ok || idx.size[id] != size[sig] || len(idx.occ[id]) != len(want) {
+			t.Fatalf("%s: indexed %v, size %d; reference %d occurrences, size %d", sig, ok, idx.size[id], len(want), size[sig])
+		}
+		for i, o := range want {
+			if idx.occ[id][i] != o {
+				t.Fatalf("%s: occurrence %d differs from the reference's", sig, i)
+			}
+		}
+	}
+
+	memo := new(TrainMemo) // both trainers fit each model once
+	for _, s := range []Strategy{ErrorBased, SizeBased, FrequencyBased} {
+		for _, heldOut := range [][]*QueryRecord{nil, test} {
+			at := fmt.Sprintf("%s, %d held out", s, len(heldOut))
+			cfg := DefaultHybridConfig(s)
+			cfg.TargetError = 0 // all iterations
+			cfg.EvalRecs = heldOut
+			cfg.Memo = memo
+			got, gotStats, err := TrainHybrid(train, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantStats, err := refTrainHybrid(train, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(gotStats) != len(wantStats) {
+				t.Fatalf("%s: %d iterations, reference %d", at, len(gotStats), len(wantStats))
+			}
+			for i, g := range gotStats {
+				w := wantStats[i]
+				if g.Iter != w.Iter || g.Signature != w.Signature || g.Size != w.Size || g.Occurrence != w.Occurrence || g.Accepted != w.Accepted ||
+					math.Float64bits(g.TrainError) != math.Float64bits(w.TrainError) || math.Float64bits(g.TestError) != math.Float64bits(w.TestError) {
+					t.Fatalf("%s: iteration %+v, reference %+v", at, g, w)
+				}
+			}
+			if len(got.Plans) != len(want.Plans) {
+				t.Fatalf("%s: %d plan models, reference %d", at, len(got.Plans), len(want.Plans))
+			}
+			for sig := range want.Plans {
+				if _, ok := got.Plans[sig]; !ok {
+					t.Fatalf("%s: reference kept %s, TrainHybrid did not", at, sig)
+				}
+			}
+			for _, r := range recs {
+				g, gerr := got.Predict(r)
+				w, werr := want.Predict(r)
+				if gerr != werr || math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s: %s predicted %v (%v), reference %v (%v)", at, r.SQL, g, gerr, w, werr)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkTrainHybrid times Algorithm 1 on the Quick configuration's
+// large workload (-short selects its -short size) with every model
+// already in the memo, so what it measures is the work around the fits:
+// evaluating the training workload per candidate and picking the next.
+func BenchmarkTrainHybrid(b *testing.B) {
+	recs := quickLargeOpRecords(b)
+	for _, s := range []Strategy{ErrorBased, SizeBased} {
+		b.Run(s.String(), func(b *testing.B) {
+			cfg := DefaultHybridConfig(s)
+			cfg.Memo = new(TrainMemo)
+			if _, _, err := TrainHybrid(recs, cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := TrainHybrid(recs, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -74,19 +74,17 @@ func BuildOnlineModels(idx *SubplanIndex, ops *OperatorLevelPredictor, queryRoot
 		sig  string
 		size int
 	}
-	seen := map[string]bool{}
+	sigs := newSigTable()
+	nodes := sigs.flatten(queryRoot, nil)
+	seen := make([]bool, len(sigs.sigs))
 	var cands []cand
-	queryRoot.WalkTree(func(n *plan.Node) {
-		if n == queryRoot || n.Size() < 2 {
-			return
+	for _, e := range nodes[1:] {
+		if e.size < 2 || seen[e.sig] {
+			continue
 		}
-		sig := n.Signature()
-		if seen[sig] {
-			return
-		}
-		seen[sig] = true
-		cands = append(cands, cand{sig: sig, size: n.Size()})
-	})
+		seen[e.sig] = true
+		cands = append(cands, cand{sig: sigs.sigs[e.sig], size: int(e.size)})
+	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].size != cands[j].size {
 			return cands[i].size > cands[j].size
@@ -103,7 +101,7 @@ func BuildOnlineModels(idx *SubplanIndex, ops *OperatorLevelPredictor, queryRoot
 				continue
 			}
 		}
-		occs := idx.occ[c.sig]
+		occs := idx.occurrences(c.sig)
 		if len(occs) < cfg.MinOccurrences {
 			continue
 		}

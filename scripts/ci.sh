@@ -14,7 +14,9 @@
 #                    DESIGN.md §7 (what each rule is the only catcher
 #                    of)
 #   5. go test -race — the full suite under the race detector, then the
-#                    training differential tests, the SMO kernels' tests
+#                    training differential tests (Algorithm 1's cached
+#                    evaluation and its whole trainer among them), the
+#                    SMO kernels' tests
 #                    (AVX2 and, where the CPU has it, AVX-512: bit-identical
 #                    to the portable passes, in bounds of their padding,
 #                    with one -v run logging which row passes ran), the memo's
@@ -126,8 +128,9 @@ go test -race ./... "$@"
 
 # The training path promises bit-identical models however its requesters
 # are scheduled (DESIGN.md §6): the differential tests against the
-# pre-ISSUE-15 code and the pre-ISSUE-23 operator trainer and the
-# once-per-key memo test run three more times,
+# pre-ISSUE-15 code, the pre-ISSUE-23 operator trainer and the
+# string-keyed Algorithm 1 trainer (Fig. 9 runs 24 trainers concurrently
+# over one memo) and the once-per-key memo test run three more times,
 # so a double training that only some interleavings produce cannot land.
 # The online-cache test is the only place one OnlineCache is shared
 # between goroutines.
@@ -136,7 +139,7 @@ go test -race -short -count=3 -run 'TestSMOMatchesReferenceSolver|TestSMOKernels
 # One subtest per row pass the host ran (portable, avx2, avx512): the log
 # shows whether the AVX-512 kernels were exercised on this machine.
 go test -short -count=1 -v -run '^TestSMOKernelsMatchPortable$' ./internal/mlearn
-go test -race -short -count=3 -run 'TestEvalHybridMatchesReference|TestOperatorModelsMatchReferenceTrainer|TestTrainMemoTrainsOncePerKey|TestOnlineCacheConcurrentUse' ./internal/qpp
+go test -race -short -count=3 -run 'TestEvalHybridMatchesReference|TestTrainHybridMatchesReference|TestOperatorModelsMatchReferenceTrainer|TestTrainMemoTrainsOncePerKey|TestOnlineCacheConcurrentUse' ./internal/qpp
 go test -race -short -count=3 -run 'TestTrainMemoDoesNotChangeFigures' ./internal/experiments
 # Which pooled arena a Run gets differs from run to run under -race
 # (sync.Pool.Put drops items at random), so one pass is weak evidence that
