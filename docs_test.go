@@ -302,7 +302,6 @@ func TestConfigSurface(t *testing.T) {
 		{mlearn.FeatureSelectionConfig{}, "Folds Seed"},
 		{iqpp.PlanModelConfig{}, "Kind FeatureSelection Folds Seed C Nu LogTarget Memo"},
 		{iqpp.HybridConfig{}, "Strategy TargetError MaxIters EvalRecs Memo"},
-		{iqpp.OnlineConfig{}, "MinOccurrences Memo Cache"},
 		{serve.Options{}, "Now Reload"},
 		{workload.Config{}, "ScaleFactor Templates PerTemplate Seed TimeLimit Parallelism Observe"},
 		{qperf.EngineConfig{}, "ScaleFactor Seed"},

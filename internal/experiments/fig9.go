@@ -90,16 +90,7 @@ func fig9(env *Env, memo *qpp.TrainMemo) (*Fig9Result, error) {
 			*hy.into = eval(h.Predict)
 		}
 
-		// Online: build per-query models from the training index; the
-		// cache shares per-signature decisions across the template's queries.
-		idx := qpp.BuildSubplanIndex(train)
-		onlineCfg := qpp.DefaultOnlineConfig()
-		onlineCfg.Cache = qpp.NewOnlineCache()
-		onlineCfg.Memo = memo
-		row.Online = eval(func(r *qpp.QueryRecord) (float64, error) {
-			p, _, err := qpp.OnlinePredict(idx, ops, r, onlineCfg)
-			return p, err
-		})
+		row.Online = eval(qpp.NewOnlinePredictor(train, ops, memo).Predict)
 		if evalErr != nil {
 			return evalErr
 		}

@@ -179,6 +179,13 @@ func TestSubqueryStructureExclusions(t *testing.T) {
 			t.Errorf("template %d: HasSubqueryStructures = %v, want %v\nplan:\n%s",
 				tmpl, got, withSubs[tmpl], plan.Explain(node))
 		}
+		// HasSubqueryStructures reads the root alone: no other node of
+		// the plan, init- and sub-plans included, may carry either list.
+		node.Walk(func(n *plan.Node) {
+			if n != node && (len(n.InitPlans) > 0 || len(n.SubPlans) > 0) {
+				t.Errorf("template %d: a %s below the root carries init- or sub-plans", tmpl, n.Op)
+			}
+		})
 	}
 }
 

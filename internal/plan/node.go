@@ -248,19 +248,14 @@ func (n *Node) WalkTree(fn func(*Node)) {
 	}
 }
 
-// HasSubqueryStructures reports whether the plan uses init-plans or
-// correlated sub-plans anywhere. The paper's operator-level models "cannot
+// HasSubqueryStructures reports whether the plan rooted at n uses
+// init-plans or correlated sub-plans; n must be a plan root, the one node
+// the planner attaches them to. The paper's operator-level models "cannot
 // cope" with these non-tree structures (Section 5.3, footnote 2); the QPP
 // layer uses this to exclude such plans exactly as the paper excluded
 // TPC-H templates 2, 11, 15 and 22.
 func (n *Node) HasSubqueryStructures() bool {
-	found := false
-	n.Walk(func(m *Node) {
-		if len(m.InitPlans) > 0 || len(m.SubPlans) > 0 {
-			found = true
-		}
-	})
-	return found
+	return len(n.InitPlans) > 0 || len(n.SubPlans) > 0
 }
 
 // Signature returns the canonical structural key of the sub-plan rooted at

@@ -1,8 +1,6 @@
 package qpp
 
 import (
-	"sort"
-
 	"qpp/internal/mlearn"
 	"qpp/internal/plan"
 )
@@ -81,24 +79,16 @@ func (t *sigTable) flatten(n *plan.Node, out []flatNode) []flatNode {
 	return out
 }
 
-// SubplanIndex is the hash-based index over canonical sub-plan structures
+// subplanIndex is the hash-based index over canonical sub-plan structures
 // that Algorithm 1's get_plan_list builds: every proper sub-plan (two or
 // more operators) of every training plan, keyed by structural signature.
 // Its table interns every signature of the indexed plans, roots and
 // single operators included; occ and size are indexed by id, occ empty
 // for the signatures no proper sub-plan has.
-type SubplanIndex struct {
+type subplanIndex struct {
 	sigTable
 	occ  [][]subplanOcc
 	size []int
-}
-
-// BuildSubplanIndex indexes the proper sub-plans of the given records.
-// Plans with init-/sub-plan structures are skipped (the hybrid method
-// extends operator-level prediction, which does not apply to them).
-func BuildSubplanIndex(recs []*QueryRecord) *SubplanIndex {
-	idx, _ := flattenRecords(recs)
-	return idx
 }
 
 // flatRec is one flattened training plan: its record and its nodes.
@@ -107,11 +97,12 @@ type flatRec struct {
 	nodes []flatNode
 }
 
-// flattenRecords flattens the records without init-/sub-plan structures,
-// in order, and indexes their proper sub-plans in record order and
-// pre-order within a record.
-func flattenRecords(recs []*QueryRecord) (*SubplanIndex, []flatRec) {
-	idx := &SubplanIndex{sigTable: newSigTable()}
+// flattenRecords flattens the records without init-/sub-plan structures
+// (the hybrid method extends operator-level prediction, which does not
+// apply to them), in order, and indexes their proper sub-plans in record
+// order and pre-order within a record.
+func flattenRecords(recs []*QueryRecord) (*subplanIndex, []flatRec) {
+	idx := &subplanIndex{sigTable: newSigTable()}
 	var flat []flatRec
 	for _, r := range recs {
 		if r.Root.HasSubqueryStructures() {
@@ -131,30 +122,6 @@ func flattenRecords(recs []*QueryRecord) (*SubplanIndex, []flatRec) {
 	}
 	return idx, flat
 }
-
-// occurrences returns the indexed occurrences of a signature.
-func (idx *SubplanIndex) occurrences(sig string) []subplanOcc {
-	if id, ok := idx.ids[sig]; ok {
-		return idx.occ[id]
-	}
-	return nil
-}
-
-// Signatures returns all indexed signatures in sorted order, so callers
-// iterating it produce deterministic results.
-func (idx *SubplanIndex) Signatures() []string {
-	var out []string
-	for id, occs := range idx.occ {
-		if len(occs) > 0 {
-			out = append(out, idx.sigs[id])
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Occurrences returns how many times a signature appears.
-func (idx *SubplanIndex) Occurrences(sig string) int { return len(idx.occurrences(sig)) }
 
 // HybridPredictor composes operator-level models with materialized
 // plan-level models for specific sub-plan structures (Section 3.4): when a
@@ -205,15 +172,9 @@ func (h *HybridPredictor) predictStep(n *plan.Node, pm *SubplanModels, children 
 	return st, rt, pm != nil
 }
 
-// PredictNode returns start/run estimates for the sub-plan rooted at n,
+// predictNode returns start/run estimates for the sub-plan rooted at n,
 // top-down: children are predicted only where predictStep asks for them.
-func (h *HybridPredictor) PredictNode(n *plan.Node) (st, rt float64) {
-	sig := make([]byte, 0, 512) // grows if one plan's signature is longer
-	return h.predictNode(n, &sig)
-}
-
-// predictNode is PredictNode rendering every signature it looks up into
-// the one buffer *sig.
+// Every signature it looks up is rendered into the one buffer *sig.
 func (h *HybridPredictor) predictNode(n *plan.Node, sig *[]byte) (st, rt float64) {
 	*sig = n.AppendSignature((*sig)[:0])
 	st, rt, _ = h.predictStep(n, h.Plans[string(*sig)], func() (st1, rt1, st2, rt2 float64) {
@@ -233,7 +194,8 @@ func (h *HybridPredictor) Predict(rec *QueryRecord) (float64, error) {
 	if rec.Root.HasSubqueryStructures() {
 		return 0, ErrSubqueryPlan
 	}
-	_, rt := h.PredictNode(rec.Root)
+	sig := make([]byte, 0, 512) // grows if one plan's signature is longer
+	_, rt := h.predictNode(rec.Root, &sig)
 	return rt, nil
 }
 
@@ -272,9 +234,10 @@ type HybridConfig struct {
 	TargetError float64
 	// MaxIters caps the iterations (Algorithm 1's termination fallback).
 	MaxIters int
-	// EvalRecs, when set, is a held-out workload evaluated after every
-	// iteration; the resulting error lands in IterationStat.TestError
-	// (Figure 8 plots this curve per strategy).
+	// EvalRecs, when set, is a held-out workload whose error after every
+	// iteration lands in IterationStat.TestError (Figure 8 plots this
+	// curve per strategy). It is evaluated on the first iteration and
+	// after each accepted one: a rejection leaves the models unchanged.
 	EvalRecs []*QueryRecord
 	// Memo, when non-nil, is the TrainMemo the operator and sub-plan
 	// models train through (see PlanModelConfig.Memo).
@@ -333,7 +296,7 @@ type IterationStat struct {
 // rejecting it puts their saved states back.
 type hybridTrainer struct {
 	h      *HybridPredictor
-	idx    *SubplanIndex
+	idx    *subplanIndex
 	recs   []flatRec
 	with   [][]int32        // per id, the positions in recs of the records containing it
 	models []*SubplanModels // per id, h.Plans[its signature] or nil
@@ -372,7 +335,7 @@ func newHybridTrainer(h *HybridPredictor, recs []*QueryRecord) *hybridTrainer {
 }
 
 // predict re-predicts record i bottom-up through predictStep with the
-// current models. Every node is predicted, including those PredictNode
+// current models. Every node is predicted, including those predictNode
 // would not descend to: a prediction is a function of the subtree alone.
 func (t *hybridTrainer) predict(i int) {
 	nodes := t.recs[i].nodes
@@ -497,6 +460,7 @@ func TrainHybrid(recs []*QueryRecord, cfg HybridConfig) (*HybridPredictor, []Ite
 	overall := t.overall()
 	rejected := make([]bool, len(t.idx.sigs))
 	var stats []IterationStat
+	var testErr float64
 
 	for iter := 1; iter <= cfg.MaxIters; iter++ {
 		if overall <= cfg.TargetError {
@@ -519,9 +483,12 @@ func TrainHybrid(recs []*QueryRecord, cfg HybridConfig) (*HybridPredictor, []Ite
 			rejected[id] = true
 		}
 		stat.TrainError = overall
-		if stat.TestError, _, err = MeanRelativeError(cfg.EvalRecs, h.Predict); err != nil {
-			return nil, nil, err
+		if iter == 1 || stat.Accepted {
+			if testErr, _, err = MeanRelativeError(cfg.EvalRecs, h.Predict); err != nil {
+				return nil, nil, err
+			}
 		}
+		stat.TestError = testErr
 		stats = append(stats, stat)
 	}
 	return h, stats, nil

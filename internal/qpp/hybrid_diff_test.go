@@ -93,10 +93,16 @@ func (e *hybridEval) avgErr(sig string) float64 {
 	return e.errSum[sig] / float64(e.errCnt[sig])
 }
 
+// predictSubplan is h's start/run estimate for the sub-plan rooted at n.
+func predictSubplan(h *HybridPredictor, n *plan.Node) (st, rt float64) {
+	var sig []byte
+	return h.predictNode(n, &sig)
+}
+
 // refEvalHybrid is Algorithm 1's evaluation pass as it stood before it
-// became one visit per node (ISSUE 15), kept as the oracle: PredictNode
-// on the root, then a pre-order walk that renders every node's signature
-// again and calls PredictNode again on every uncovered sub-plan.
+// became one visit per node, kept as the oracle: a prediction of the
+// root, then a pre-order walk that renders every node's signature again
+// and predicts every uncovered sub-plan again.
 func refEvalHybrid(h *HybridPredictor, recs []*QueryRecord) *hybridEval {
 	ev := &hybridEval{freq: map[string]int{}, errSum: map[string]float64{}, errCnt: map[string]int{}}
 	var actual, predicted []float64
@@ -104,7 +110,7 @@ func refEvalHybrid(h *HybridPredictor, recs []*QueryRecord) *hybridEval {
 		if r.Root.HasSubqueryStructures() {
 			continue
 		}
-		_, rt := h.PredictNode(r.Root)
+		_, rt := predictSubplan(h, r.Root)
 		actual = append(actual, r.Time)
 		predicted = append(predicted, rt)
 		var walk func(n *plan.Node, covered bool)
@@ -113,7 +119,7 @@ func refEvalHybrid(h *HybridPredictor, recs []*QueryRecord) *hybridEval {
 			_, hasModel := h.Plans[sig]
 			if !covered && n != r.Root && n.Size() >= 2 {
 				ev.freq[sig]++
-				_, prt := h.PredictNode(n)
+				_, prt := predictSubplan(h, n)
 				ev.errSum[sig] += mlearn.RelativeError(n.Act.RunTime, prt)
 				ev.errCnt[sig]++
 			}
@@ -220,7 +226,7 @@ func TestEvalHybridMatchesReference(t *testing.T) {
 	}
 }
 
-// refSubplanIndex is BuildSubplanIndex as it stood before the index was
+// refSubplanIndex is the sub-plan index as it stood before it was
 // built from the trainer's flattening: every node's signature and size
 // rendered from scratch, occurrences in record order and pre-order.
 func refSubplanIndex(recs []*QueryRecord) (occ map[string][]subplanOcc, size map[string]int) {
@@ -239,6 +245,42 @@ func refSubplanIndex(recs []*QueryRecord) (occ map[string][]subplanOcc, size map
 		})
 	}
 	return occ, size
+}
+
+// TestSubplanIndex checks the index Algorithm 1 and online modelling
+// read: each occurrence is a proper sub-plan with its signature's
+// structure and size, and, since queries from one template share plan
+// structure, some signature occurs at least as often as a template has
+// queries.
+func TestSubplanIndex(t *testing.T) {
+	recs := quickLargeOpRecords(t)
+	idx, _ := flattenRecords(recs)
+	perTemplate := map[int]int{}
+	for _, r := range recs {
+		perTemplate[r.Template]++
+	}
+	want := 0
+	for _, n := range perTemplate {
+		want = max(want, n)
+	}
+	indexed, most := 0, 0
+	for id, occs := range idx.occ {
+		for _, o := range occs {
+			if o.node == o.rec.Root || o.node.Signature() != idx.sigs[id] || o.node.Size() != idx.size[id] || o.node.Size() < 2 {
+				t.Fatalf("%s (size %d): an occurrence of size %d is %s", idx.sigs[id], idx.size[id], o.node.Size(), o.node.Signature())
+			}
+		}
+		if len(occs) > 0 {
+			indexed++
+			most = max(most, len(occs))
+		}
+	}
+	if indexed == 0 {
+		t.Fatal("no subplans indexed")
+	}
+	if most < want {
+		t.Fatalf("expected repeated subplans across a template of %d queries, max occurrence %d", want, most)
+	}
 }
 
 // refTrainHybrid is TrainHybrid as it stood before its trainer cached
@@ -372,10 +414,16 @@ func TestTrainHybridMatchesReference(t *testing.T) {
 		}
 	}
 
-	idx := BuildSubplanIndex(train)
+	idx, _ := flattenRecords(train)
 	occ, size := refSubplanIndex(train)
-	if sigs := idx.Signatures(); len(sigs) != len(occ) {
-		t.Fatalf("index has %d signatures, reference %d", len(sigs), len(occ))
+	indexed := 0
+	for _, occs := range idx.occ {
+		if len(occs) > 0 {
+			indexed++
+		}
+	}
+	if indexed != len(occ) {
+		t.Fatalf("index has %d signatures, reference %d", indexed, len(occ))
 	}
 	for sig, want := range occ {
 		id, ok := idx.ids[sig]

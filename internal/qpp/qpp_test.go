@@ -212,35 +212,6 @@ func TestOracleChildTimesHelp(t *testing.T) {
 	}
 }
 
-func TestSubplanIndex(t *testing.T) {
-	ds := testDataset(t)
-	recs := opOnly(ds.Records)
-	idx := qpp.BuildSubplanIndex(recs)
-	sigs := idx.Signatures()
-	if len(sigs) == 0 {
-		t.Fatal("no subplans indexed")
-	}
-	total := 0
-	for _, s := range sigs {
-		n := idx.Occurrences(s)
-		if n <= 0 {
-			t.Fatalf("signature with zero occurrences")
-		}
-		total += n
-	}
-	// Queries from the same template share plan structure, so some
-	// signature must repeat at least PerTemplate times.
-	max := 0
-	for _, s := range sigs {
-		if idx.Occurrences(s) > max {
-			max = idx.Occurrences(s)
-		}
-	}
-	if max < 8 {
-		t.Fatalf("expected repeated subplans across a template, max occurrence %d", max)
-	}
-}
-
 func TestHybridTrainingImproves(t *testing.T) {
 	ds := testDataset(t)
 	recs := opOnly(ds.Records)
@@ -311,16 +282,15 @@ func TestOnlinePrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := qpp.BuildSubplanIndex(train)
+	online := qpp.NewOnlinePredictor(train, ops, nil)
 	for _, r := range test[:2] {
-		p, h, err := qpp.OnlinePredict(idx, ops, r, qpp.DefaultOnlineConfig())
+		p, err := online.Predict(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if p < 0 || math.IsNaN(p) {
 			t.Fatalf("online prediction %v", p)
 		}
-		_ = h
 	}
 }
 

@@ -736,6 +736,9 @@ var parseOracleInputs = []string{
 	"select 'it''s' from t", "select 'unterminated", "select @", "select a from t where b = 'x' @",
 	"select a from t inner join u on t.a = u.a left outer join v on v.b = t.b",
 	"select a from t order by a desc limit 5;", "select a from t;;", "select 1 2",
+	// A parse error, then trailing input, each well before a lexical error.
+	"select from from t where a = 1 and b = 2 and c = 'x' @",
+	"select a from t; select b from u where c = 1 and d = 'x' @",
 }
 
 // TestParseMatchesTokenSliceParser runs Parse and the token-slice parser

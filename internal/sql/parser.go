@@ -8,29 +8,30 @@ import (
 	"qpp/internal/types"
 )
 
-// Parse parses a single SELECT statement (optionally ';'-terminated). The
-// whole input is scanned first, so a lexical error anywhere is reported
-// before any parse error; the parser then reads tokens straight from a
-// Scanner with two tokens of lookahead.
+// Parse parses a single SELECT statement (optionally ';'-terminated). A
+// lexical error anywhere in the input is reported before any parse error:
+// the parser reads tokens straight from a Scanner with two tokens of
+// lookahead, and only when it fails is the rest of the input scanned.
 func Parse(input string) (*SelectStmt, error) {
-	sc := NewScanner(input)
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
 	p := &parser{sc: NewScanner(input), src: input}
 	if p.t0, p.lexErr = p.sc.Next(); p.lexErr == nil {
 		p.t1, p.lexErr = p.sc.Next()
 	}
 	stmt, err := p.parseSelect()
+	if err == nil {
+		p.matchOp(";")
+		if p.peek().Kind != TokEOF {
+			err = p.errorf("unexpected trailing input %q", p.peek().Text)
+		}
+	}
 	if p.lexErr != nil {
 		return nil, p.lexErr
 	}
 	if err != nil {
+		if lexErr := p.sc.Validate(); lexErr != nil {
+			return nil, lexErr
+		}
 		return nil, err
-	}
-	p.matchOp(";")
-	if p.peek().Kind != TokEOF {
-		return nil, p.errorf("unexpected trailing input %q", p.peek().Text)
 	}
 	return stmt, nil
 }
@@ -46,10 +47,9 @@ var reserved = map[string]bool{
 	"is": true, "null": true, "union": true,
 }
 
-// parser is a recursive-descent parser over a validated Scanner: t0 is
-// the current token, t1 the one after it (TokEOF repeats at the end, as
-// the Scanner does). lexErr keeps the first error the Scanner reports,
-// which on validated input is none.
+// parser is a recursive-descent parser over a Scanner: t0 is the current
+// token, t1 the one after it (TokEOF repeats at the end, as the Scanner
+// does). lexErr keeps the first error the Scanner reports.
 type parser struct {
 	sc     Scanner
 	t0, t1 Token

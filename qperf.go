@@ -292,13 +292,8 @@ func NewOnlinePredictor(train *Workload) (Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := qpp.BuildSubplanIndex(recs)
-	cfg := qpp.DefaultOnlineConfig()
-	cfg.Cache = qpp.NewOnlineCache()
-	return predictor{"online", func(q *Query) (float64, error) {
-		p, _, err := qpp.OnlinePredict(idx, ops, q.rec, cfg)
-		return p, err
-	}}, nil
+	online := qpp.NewOnlinePredictor(recs, ops, nil)
+	return predictor{"online", func(q *Query) (float64, error) { return online.Predict(q.rec) }}, nil
 }
 
 type predictor struct {

@@ -132,14 +132,14 @@ go test -race ./... "$@"
 # string-keyed Algorithm 1 trainer (Fig. 9 runs 24 trainers concurrently
 # over one memo) and the once-per-key memo test run three more times,
 # so a double training that only some interleavings produce cannot land.
-# The online-cache test is the only place one OnlineCache is shared
-# between goroutines.
-banner "go test -race -short -count=3 (training differentials, SMO kernels, memo once-per-key, shared online cache, arena safety, packed tables, value layout, concurrent datagen and ANALYZE)"
+# The shared online predictor test is the only place one OnlinePredictor
+# decides signatures for several goroutines.
+banner "go test -race -short -count=3 (training differentials, SMO kernels, memo once-per-key, shared online predictor, arena safety, packed tables, value layout, concurrent datagen and ANALYZE)"
 go test -race -short -count=3 -run 'TestSMOMatchesReferenceSolver|TestSMOKernelsMatchPortable|TestSMOKernelsStayInBounds' ./internal/mlearn
 # One subtest per row pass the host ran (portable, avx2, avx512): the log
 # shows whether the AVX-512 kernels were exercised on this machine.
 go test -short -count=1 -v -run '^TestSMOKernelsMatchPortable$' ./internal/mlearn
-go test -race -short -count=3 -run 'TestEvalHybridMatchesReference|TestTrainHybridMatchesReference|TestOperatorModelsMatchReferenceTrainer|TestTrainMemoTrainsOncePerKey|TestOnlineCacheConcurrentUse' ./internal/qpp
+go test -race -short -count=3 -run 'TestEvalHybridMatchesReference|TestTrainHybridMatchesReference|TestOperatorModelsMatchReferenceTrainer|TestTrainMemoTrainsOncePerKey|TestOnlinePredictorConcurrentUse' ./internal/qpp
 go test -race -short -count=3 -run 'TestTrainMemoDoesNotChangeFigures' ./internal/experiments
 # Which pooled arena a Run gets differs from run to run under -race
 # (sync.Pool.Put drops items at random), so one pass is weak evidence that
