@@ -69,8 +69,14 @@ func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 	return l.std.ImportFrom(path, dir, mode)
 }
 
-// check type-checks one file set as a package, collecting soft errors.
+// check type-checks one file set as a package against the registered
+// packages, collecting soft errors.
 func (l *loader) check(path string, files []*ast.File) (*types.Package, *types.Info, []error) {
+	return l.checkWith(l, path, files)
+}
+
+// checkWith is check with module imports resolved by imp.
+func (l *loader) checkWith(imp types.ImporterFrom, path string, files []*ast.File) (*types.Package, *types.Info, []error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -81,7 +87,7 @@ func (l *loader) check(path string, files []*ast.File) (*types.Package, *types.I
 	}
 	var errs []error
 	cfg := &types.Config{
-		Importer:    l,
+		Importer:    imp,
 		FakeImportC: true,
 		Error:       func(err error) { errs = append(errs, err) },
 	}
@@ -99,6 +105,8 @@ type rawPkg struct {
 	inTest  []*ast.File // package foo *_test.go files
 	extTest []*ast.File // package foo_test files
 	imports []string    // module-internal imports of base files
+	// extImports are the module-internal imports of the extTest files.
+	extImports []string
 }
 
 // LoadModule parses and type-checks every buildable package under root
@@ -143,9 +151,11 @@ func LoadModule(root string) ([]*Package, error) {
 	}
 
 	// Phase B: re-check each package with its in-package test files merged
-	// (this is the Package rules run on), plus the external test package.
+	// (this is the Package rules run on), plus the external test package,
+	// which sees that test variant as go test builds it.
 	var out []*Package
 	for _, r := range order {
+		var variant *types.Package
 		if len(r.base) > 0 {
 			files := append(append([]*ast.File{}, r.base...), r.inTest...)
 			pkg, info, errs := l.check(r.path, files)
@@ -153,9 +163,16 @@ func LoadModule(root string) ([]*Package, error) {
 				Path: r.path, Dir: r.dir, Fset: fset,
 				Files: files, Types: pkg, Info: info, TypeErrors: errs,
 			})
+			if len(r.inTest) > 0 {
+				variant = pkg
+			}
 		}
 		if len(r.extTest) > 0 {
-			pkg, info, errs := l.check(r.path+".test", r.extTest)
+			var imp types.ImporterFrom = l
+			if variant != nil {
+				imp = l.forExternalTest(r, variant, byPath, order)
+			}
+			pkg, info, errs := l.checkWith(imp, r.path+".test", r.extTest)
 			out = append(out, &Package{
 				Path: r.path + ".test", Dir: r.dir, Fset: fset,
 				Files: r.extTest, Types: pkg, Info: info, TypeErrors: errs,
@@ -163,6 +180,67 @@ func LoadModule(root string) ([]*Package, error) {
 		}
 	}
 	return out, nil
+}
+
+// testImporter resolves the imports of one external test package.
+type testImporter struct {
+	*loader
+	over map[string]*types.Package // import path -> package recompiled for the test
+}
+
+func (t *testImporter) Import(path string) (*types.Package, error) {
+	return t.ImportFrom(path, "", 0)
+}
+
+func (t *testImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if p, ok := t.over[path]; ok {
+		return p, nil
+	}
+	return t.loader.ImportFrom(path, dir, mode)
+}
+
+// forExternalTest is the importer r's external test package is checked
+// with, as go test builds it: r resolves to variant, r's package checked
+// with its in-package test files (where an export_test.go bridge
+// declares what the external test reaches in through), and every module
+// package the external test imports, directly or not, that itself
+// imports r is checked again against that variant, in dependency order —
+// go test's "recompiled for test" packages — so the types the external
+// test gets through them are the variant's. Their type errors are
+// reported where they are checked on their own.
+func (l *loader) forExternalTest(r *rawPkg, variant *types.Package, byPath map[string]*rawPkg, order []*rawPkg) *testImporter {
+	imp := &testImporter{loader: l, over: map[string]*types.Package{r.path: variant}}
+	// inClosure: the external test imports the package; dependsOnR: the
+	// package imports r, directly or not.
+	inClosure := map[string]bool{}
+	var reach func(path string)
+	reach = func(path string) {
+		d, ok := byPath[path]
+		if !ok || inClosure[path] {
+			return
+		}
+		inClosure[path] = true
+		for _, dep := range d.imports {
+			reach(dep)
+		}
+	}
+	for _, p := range r.extImports {
+		reach(p)
+	}
+	dependsOnR := map[string]bool{}
+	for _, d := range order { // dependencies first
+		for _, dep := range d.imports {
+			if dep == r.path || dependsOnR[dep] {
+				dependsOnR[d.path] = true
+				break
+			}
+		}
+		if d != r && inClosure[d.path] && dependsOnR[d.path] && len(d.base) > 0 {
+			pkg, _, _ := l.checkWith(imp, d.path, d.base)
+			imp.over[d.path] = pkg
+		}
+	}
+	return imp
 }
 
 // LoadDir parses and type-checks a single directory as one package under
@@ -289,6 +367,7 @@ func parseTree(fset *token.FileSet, root, modPath string) ([]*rawPkg, error) {
 			switch {
 			case strings.HasSuffix(pkgName, "_test"):
 				r.extTest = append(r.extTest, f)
+				r.extImports = appendModImports(r.extImports, f, modPath)
 			case strings.HasSuffix(fname, "_test.go"):
 				r.inTest = append(r.inTest, f)
 			default:

@@ -175,3 +175,25 @@ func TestLoadDirsCrossPackage(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadModuleExportTestBridge loads a module whose external test
+// reaches into its package through an export_test.go bridge and passes
+// the package's types through a dependent package. go test compiles the
+// external test against the package with its in-package test files and
+// recompiles the dependent against that variant; the loader must do the
+// same, or the bridge is undefined and the dependent's types mismatch.
+func TestLoadModuleExportTestBridge(t *testing.T) {
+	pkgs, err := LoadModule(filepath.Join("testdata", "bridgemod"))
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	for _, path := range []string{"example.com/bridge/foo", "example.com/bridge/foo.test", "example.com/bridge/bar"} {
+		pkg := pkgByPath(pkgs, path)
+		if pkg == nil {
+			t.Fatalf("%s missing from the load result", path)
+		}
+		if len(pkg.TypeErrors) != 0 {
+			t.Errorf("%s: type errors %v", path, pkg.TypeErrors)
+		}
+	}
+}

@@ -148,6 +148,7 @@ func SketchedTableStats(rowCount int, cols []ColumnStats) *TableStats {
 		rowsPerPage = 1
 	}
 	ts.Pages = int64(float64(ts.RowCount)/rowsPerPage) + 1
+	ts.ScanCols = scanCols(cols)
 	return ts
 }
 

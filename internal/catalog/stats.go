@@ -3,6 +3,7 @@ package catalog
 import (
 	"sort"
 
+	"qpp/internal/plan"
 	"qpp/internal/types"
 )
 
@@ -48,6 +49,25 @@ type TableStats struct {
 	// one-pass ANALYZE (AnalyzeRowsSketch) or the exact oracle
 	// (AnalyzeRows).
 	Sketched bool
+	// ScanCols is the output of a scan of the table: each column's name
+	// and kind with its average width (8 bytes when none was measured).
+	// It is built with the statistics and every plan's scans of the table
+	// share it, read-only; a re-ANALYZE builds new statistics and so a new
+	// array.
+	ScanCols []plan.Column
+}
+
+// scanCols builds TableStats.ScanCols from the column statistics.
+func scanCols(cols []ColumnStats) []plan.Column {
+	out := make([]plan.Column, len(cols))
+	for i, cs := range cols {
+		w := 8.0
+		if cs.AvgWidth > 0 {
+			w = cs.AvgWidth
+		}
+		out[i] = plan.Column{Name: cs.Name, K: cs.Kind, Width: w}
+	}
+	return out
 }
 
 // Column returns the stats of the named column, or nil.
@@ -127,6 +147,7 @@ func AnalyzeRows(meta *Table, rows [][]types.Value) *TableStats {
 		rowsPerPage = 1
 	}
 	ts.Pages = int64(float64(ts.RowCount)/rowsPerPage) + 1
+	ts.ScanCols = scanCols(ts.Columns)
 	return ts
 }
 

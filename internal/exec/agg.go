@@ -134,9 +134,9 @@ type aggregate struct {
 // Open implements iterator.
 func (a *aggregate) Open(ctx *execCtx) error {
 	a.having = ctx.compileFilter(a.node.Filter)
-	a.groupFns = ctx.compileScalars(a.node.GroupBy)
+	a.groupFns = ctx.compileScalars(a.node.GroupBy())
 	a.groupCols = a.groupCols[:0]
-	for _, g := range a.node.GroupBy {
+	for _, g := range a.node.GroupBy() {
 		col, ok := g.(*plan.Col)
 		if !ok {
 			a.groupCols = nil
@@ -145,14 +145,14 @@ func (a *aggregate) Open(ctx *execCtx) error {
 		a.groupCols = append(a.groupCols, col.Idx)
 	}
 	a.groupCosts = plan.ExprCost{}
-	for _, g := range a.node.GroupBy {
+	for _, g := range a.node.GroupBy() {
 		a.groupCosts = plan.ExprCost{
 			Ops:        a.groupCosts.Ops + g.Cost().Ops,
 			NumericOps: a.groupCosts.NumericOps + g.Cost().NumericOps,
 		}
 	}
-	a.stateTmpl = ctx.mem.states.get(len(a.node.Aggs))[:len(a.node.Aggs)]
-	for i, s := range a.node.Aggs {
+	a.stateTmpl = ctx.mem.states.get(len(a.node.Aggs()))[:len(a.node.Aggs())]
+	for i, s := range a.node.Aggs() {
 		st := aggState{spec: s, sumIsI: s.Arg != nil && s.Arg.Kind() == types.KindInt}
 		if s.Arg != nil {
 			st.arg = ctx.compileScalar(s.Arg)
@@ -160,7 +160,7 @@ func (a *aggregate) Open(ctx *execCtx) error {
 		}
 		a.stateTmpl[i] = st
 	}
-	a.valBuf = ctx.mem.alloc(len(a.node.GroupBy))
+	a.valBuf = ctx.mem.alloc(len(a.node.GroupBy()))
 	a.results, a.groups, a.table = nil, nil, hashTable{}
 	a.slabStates, a.slabUsed = nil, 0
 	a.pos = 0
@@ -240,14 +240,14 @@ func (a *aggregate) startHashed(ctx *execCtx) {
 		return
 	}
 	n := startCap(a.node.Est.Rows)
-	a.table.init(ctx.mem, len(a.node.GroupBy), n)
+	a.table.init(ctx.mem, len(a.node.GroupBy()), n)
 	a.groups = ctx.mem.groups.get(n)
 }
 
 // lookupGroup finds or creates the group for the current row, charging
 // the group-key evaluation and the hash probe.
 func (a *aggregate) lookupGroup(ctx *execCtx, row plan.Row) *aggGroup {
-	if len(a.node.GroupBy) == 0 {
+	if len(a.node.GroupBy()) == 0 {
 		if len(a.groups) == 0 {
 			return a.newGroup(ctx, nil)
 		}
@@ -286,11 +286,11 @@ func (a *aggregate) drainHashed(ctx *execCtx) error {
 // first-appearance order into a result buffer presized to the group count.
 func (a *aggregate) finishHashed(ctx *execCtx) error {
 	// A query with no GROUP BY emits exactly one row even on empty input.
-	if len(a.node.GroupBy) == 0 && len(a.groups) == 0 {
+	if len(a.node.GroupBy()) == 0 && len(a.groups) == 0 {
 		a.newGroup(ctx, nil)
 	}
 	// Spill accounting when the group table exceeds work_mem.
-	cells := len(a.groups) * (len(a.node.GroupBy) + len(a.stateTmpl))
+	cells := len(a.groups) * (len(a.node.GroupBy()) + len(a.stateTmpl))
 	bytes := float64(cells) * 16
 	if workBytes := float64(ctx.clock.WorkMemPages()) * 8192; bytes > workBytes {
 		pages := (bytes - workBytes) / 8192
@@ -352,7 +352,7 @@ func (a *aggregate) drainSorted(ctx *execCtx) error {
 	}
 	if started {
 		a.emit(ctx, curKeys, states)
-	} else if len(a.node.GroupBy) == 0 {
+	} else if len(a.node.GroupBy()) == 0 {
 		a.emit(ctx, nil, a.newStates(ctx))
 	}
 	ctx.clock.Barrier()
@@ -390,7 +390,7 @@ func (a *aggregate) Next(ctx *execCtx) (plan.Row, bool, error) {
 func (a *aggregate) ReScan(ctx *execCtx, outer plan.Row) error {
 	// Aggregates over parameterized children must recompute; otherwise the
 	// buffered results can simply replay.
-	if len(a.node.LookupExprs) > 0 || outer != nil {
+	if len(a.node.LookupExprs()) > 0 || outer != nil {
 		if a.drained {
 			a.redrain(ctx)
 		}

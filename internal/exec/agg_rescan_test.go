@@ -28,23 +28,22 @@ func TestRescannedAggregateHoldsOneSetOfArrays(t *testing.T) {
 	for _, agg := range []*plan.Node{
 		{
 			Op: plan.OpHashAggregate, Children: []*plan.Node{scanNode("t", 2)},
-			Cols:    make([]plan.Column, 2),
-			GroupBy: []plan.Scalar{icol(1)},
-			Aggs:    []plan.AggSpec{{Func: plan.AggCount, K: types.KindInt}},
+			Cols: make([]plan.Column, 2),
+			Agg:  &plan.AggPayload{GroupBy: []plan.Scalar{icol(1)}, Aggs: []plan.AggSpec{{Func: plan.AggCount, K: types.KindInt}}},
 		},
 		{
 			Op: plan.OpAggregate, Children: []*plan.Node{scanNode("t", 2)},
 			Cols: make([]plan.Column, 1),
-			Aggs: []plan.AggSpec{{Func: plan.AggSum, Arg: icol(0), K: types.KindInt}},
+			Agg:  &plan.AggPayload{Aggs: []plan.AggSpec{{Func: plan.AggSum, Arg: icol(0), K: types.KindInt}}},
 		},
 	} {
 		// 100 x 100 outer rows, each rescanning agg.
 		outer := &plan.Node{
-			Op: plan.OpNestedLoop, JoinType: plan.JoinInner, Cols: make([]plan.Column, 4),
+			Op: plan.OpNestedLoop, Join: &plan.JoinPayload{Type: plan.JoinInner}, Cols: make([]plan.Column, 4),
 			Children: []*plan.Node{scanNode("t", 2), {Op: plan.OpMaterialize, Children: []*plan.Node{scanNode("t", 2)}, Cols: make([]plan.Column, 2)}},
 		}
 		root := &plan.Node{
-			Op: plan.OpNestedLoop, JoinType: plan.JoinInner, Cols: make([]plan.Column, 4+len(agg.Cols)),
+			Op: plan.OpNestedLoop, Join: &plan.JoinPayload{Type: plan.JoinInner}, Cols: make([]plan.Column, 4+len(agg.Cols)),
 			Children: []*plan.Node{outer, agg},
 		}
 		groups := 10

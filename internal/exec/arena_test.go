@@ -226,7 +226,7 @@ func TestSubPlanReleaseIsInvisible(t *testing.T) {
 				t.Fatalf("%s: %.12f virtual seconds, want %.12f", what, got.Elapsed, want.Elapsed)
 			}
 		}
-		subPlans := len(node.InitPlans) + len(node.SubPlans)
+		subPlans := len(node.InitPlans()) + len(node.SubPlans())
 		t.Logf("t%d: %d init-/sub-plans released %d row regions and %d arrays", tmpl, subPlans, regions, arrays)
 		if (regions > 0) != (subPlans > 0) || (arrays > 0) != (subPlans > 0) {
 			t.Fatalf("t%d: %d init-/sub-plans but %d row regions and %d arrays released", tmpl, subPlans, regions, arrays)

@@ -77,16 +77,15 @@ func BenchmarkHashJoinBuildProbe(b *testing.B) {
 	orders, ocol := tableScan(b, db, "orders")
 	hash := &plan.Node{Op: plan.OpHash, Children: []*plan.Node{orders}, Cols: orders.Cols, Est: orders.Est}
 	join := &plan.Node{
-		Op: plan.OpHashJoin, JoinType: plan.JoinInner,
-		Children:  []*plan.Node{lineitem, hash},
-		Cols:      make([]plan.Column, len(lineitem.Cols)+len(orders.Cols)),
-		HashKeysL: []plan.Scalar{lcol("l_orderkey")},
-		HashKeysR: []plan.Scalar{ocol("o_orderkey")},
+		Op:       plan.OpHashJoin,
+		Children: []*plan.Node{lineitem, hash},
+		Cols:     make([]plan.Column, len(lineitem.Cols)+len(orders.Cols)),
+		Join:     &plan.JoinPayload{HashKeysL: []plan.Scalar{lcol("l_orderkey")}, HashKeysR: []plan.Scalar{ocol("o_orderkey")}},
 	}
 	count := &plan.Node{
 		Op: plan.OpAggregate, Children: []*plan.Node{join},
 		Cols: make([]plan.Column, 1),
-		Aggs: []plan.AggSpec{{Func: plan.AggCount, K: types.KindInt}},
+		Agg:  &plan.AggPayload{Aggs: []plan.AggSpec{{Func: plan.AggCount, K: types.KindInt}}},
 	}
 	benchRun(b, db, count, 1)
 }
@@ -99,11 +98,13 @@ func BenchmarkHashAggregate(b *testing.B) {
 	lineitem, lcol := tableScan(b, db, "lineitem")
 	agg := &plan.Node{
 		Op: plan.OpHashAggregate, Children: []*plan.Node{lineitem},
-		Cols:    make([]plan.Column, 4),
-		GroupBy: []plan.Scalar{lcol("l_returnflag"), lcol("l_linestatus")},
-		Aggs: []plan.AggSpec{
-			{Func: plan.AggSum, Arg: lcol("l_quantity"), K: types.KindFloat},
-			{Func: plan.AggCount, K: types.KindInt},
+		Cols: make([]plan.Column, 4),
+		Agg: &plan.AggPayload{
+			GroupBy: []plan.Scalar{lcol("l_returnflag"), lcol("l_linestatus")},
+			Aggs: []plan.AggSpec{
+				{Func: plan.AggSum, Arg: lcol("l_quantity"), K: types.KindFloat},
+				{Func: plan.AggCount, K: types.KindInt},
+			},
 		},
 		Est: plan.Estimates{Rows: 4},
 	}

@@ -56,26 +56,27 @@ func nodeScalars(n *plan.Node) []plan.Scalar {
 		}
 	}
 	add(n.Filter)
-	add(n.JoinFilter)
-	for _, e := range n.Projs {
+	join := n.JoinOf()
+	add(join.Filter)
+	for _, e := range n.Projs() {
 		add(e)
 	}
-	for _, e := range n.GroupBy {
+	for _, e := range n.GroupBy() {
 		add(e)
 	}
-	for _, a := range n.Aggs {
+	for _, a := range n.Aggs() {
 		add(a.Arg)
 	}
-	for _, e := range n.HashKeysL {
+	for _, e := range join.HashKeysL {
 		add(e)
 	}
-	for _, e := range n.HashKeysR {
+	for _, e := range join.HashKeysR {
 		add(e)
 	}
-	for _, e := range n.LookupExprs {
+	for _, e := range n.LookupExprs() {
 		add(e)
 	}
-	for _, e := range n.LookupConsts {
+	for _, e := range n.LookupConsts() {
 		add(e)
 	}
 	return out
@@ -458,7 +459,7 @@ func TestIntegersAbove2To53CompareExactly(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.sql, err)
 			}
-			if strings.HasPrefix(tc.sql, "select big.k from big, probe") && !strings.Contains(plan.Explain(node), string(plan.OpHashJoin)) {
+			if strings.HasPrefix(tc.sql, "select big.k from big, probe") && !strings.Contains(plan.Explain(node), plan.OpHashJoin.String()) {
 				t.Fatalf("the reference is not a hash join:\n%s", plan.Explain(node))
 			}
 			res, err := Run(db, node, noNoiseClock(), Options{Interpret: interpret})

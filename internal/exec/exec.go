@@ -96,7 +96,7 @@ type iterator interface {
 func Run(db *storage.Database, root *plan.Node, clock *vclock.Clock, opts Options) (*Result, error) {
 	root.Walk(func(n *plan.Node) { n.Act = plan.Actuals{} })
 
-	ectx := &plan.Ctx{Params: make([]types.Value, root.NumParams)} //qpplint:ignore hotalloc parameter slots must start as NULLs: one small zeroed slice per Run
+	ectx := &plan.Ctx{Params: make([]types.Value, root.NumParams())} //qpplint:ignore hotalloc parameter slots must start as NULLs: one small zeroed slice per Run
 	mem := arenaPool.Get().(*queryArena)
 	defer mem.recycle()
 	ctx := &execCtx{db: db, clock: clock, ectx: ectx, limit: opts.TimeLimit, trace: opts.Trace, mem: mem}
@@ -104,34 +104,38 @@ func Run(db *storage.Database, root *plan.Node, clock *vclock.Clock, opts Option
 		// Closures are pure functions of the plan tree, so they survive
 		// across Runs on the root's ExecCache (plan trees are never shared
 		// between concurrent Runs). Repeat executions — the workload layer's
-		// steady state — compile nothing and allocate no cache.
-		if cached, ok := root.ExecCache.(map[plan.Scalar]evalFn); ok {
+		// steady state — compile nothing and allocate no cache. A plan
+		// without sub-plans gets its root payload here, on its first Run.
+		if root.Root == nil {
+			root.Root = &plan.RootPayload{}
+		}
+		if cached, ok := root.Root.ExecCache.(map[plan.Scalar]evalFn); ok {
 			ctx.compiled = cached
 		} else {
 			ctx.compiled = make(map[plan.Scalar]evalFn)
-			root.ExecCache = ctx.compiled
+			root.Root.ExecCache = ctx.compiled
 		}
 	}
 
 	// Correlated sub-plans are (re)executed on demand through this hook.
 	ectx.RunSubPlan = func(idx int, args []types.Value) (types.Value, error) {
-		if idx < 0 || idx >= len(root.SubPlans) {
+		if idx < 0 || idx >= len(root.SubPlans()) {
 			return types.Null, fmt.Errorf("exec: no sub-plan %d", idx)
 		}
-		sp := root.SubPlans[idx]
-		for i, slot := range root.SubPlanArgSlots[idx] {
+		sp := root.Root.SubPlans[idx]
+		for i, slot := range root.Root.SubPlanArgSlots[idx] {
 			ectx.Params[slot] = args[i]
 		}
 		return runScalarPlan(ctx, sp)
 	}
 
 	// Init-plans run once, before the main tree.
-	for i, ip := range root.InitPlans {
+	for i, ip := range root.InitPlans() {
 		v, err := runScalarPlan(ctx, ip)
 		if err != nil {
 			return nil, fmt.Errorf("exec: init-plan %d: %w", i+1, err)
 		}
-		ectx.Params[root.InitPlanSlots[i]] = v
+		ectx.Params[root.Root.InitPlanSlots[i]] = v
 	}
 
 	it, err := build(ctx, root, false)
@@ -243,7 +247,7 @@ func build(ctx *execCtx, n *plan.Node, reuse bool) (iterator, error) {
 	case plan.OpResult, plan.OpSubqueryScan:
 		// A projecting node reads each child row exactly once; a pure filter
 		// forwards the child's rows, so the parent's retention applies.
-		childReuse := len(n.Projs) > 0 || reuse
+		childReuse := len(n.Projs()) > 0 || reuse
 		child, err := build(ctx, n.Children[0], childReuse)
 		if err != nil {
 			return nil, err

@@ -105,11 +105,10 @@ func hashJoinTree(jt plan.JoinKind) (*plan.Node, *plan.Node, *plan.Node) {
 		op = plan.OpHashAntiJoin
 	}
 	join := &plan.Node{
-		Op: op, JoinType: jt,
-		Children:  []*plan.Node{left, hash},
-		Cols:      make([]plan.Column, 4),
-		HashKeysL: []plan.Scalar{icol(0)},
-		HashKeysR: []plan.Scalar{icol(0)},
+		Op:       op,
+		Children: []*plan.Node{left, hash},
+		Cols:     make([]plan.Column, 4),
+		Join:     &plan.JoinPayload{Type: jt, HashKeysL: []plan.Scalar{icol(0)}, HashKeysR: []plan.Scalar{icol(0)}},
 	}
 	if jt == plan.JoinSemi || jt == plan.JoinAnti {
 		join.Cols = make([]plan.Column, 2)
@@ -137,7 +136,7 @@ func TestHashJoinInner(t *testing.T) {
 func TestHashJoinLeft(t *testing.T) {
 	db := testDB(t)
 	join, _, _ := hashJoinTree(plan.JoinLeft)
-	join.JoinType = plan.JoinLeft
+	join.Join.Type = plan.JoinLeft
 	res := run(t, db, join)
 	if len(res.Rows) != 100 {
 		t.Fatalf("left join rows %d want 100", len(res.Rows))
@@ -179,10 +178,10 @@ func TestNestedLoopWithMaterialize(t *testing.T) {
 	innerScan := scanNode("u", 2)
 	mat := &plan.Node{Op: plan.OpMaterialize, Children: []*plan.Node{innerScan}, Cols: innerScan.Cols}
 	join := &plan.Node{
-		Op: plan.OpNestedLoop, JoinType: plan.JoinInner,
-		Children:   []*plan.Node{outer, mat},
-		Cols:       make([]plan.Column, 4),
-		JoinFilter: &plan.Bin{Op: plan.BEq, L: icol(0), R: icol(2), K: types.KindBool},
+		Op:       plan.OpNestedLoop,
+		Children: []*plan.Node{outer, mat},
+		Cols:     make([]plan.Column, 4),
+		Join:     &plan.JoinPayload{Filter: &plan.Bin{Op: plan.BEq, L: icol(0), R: icol(2), K: types.KindBool}},
 	}
 	res := run(t, db, join)
 	if len(res.Rows) != 3 { // t.a in {0,2,4}
@@ -205,12 +204,12 @@ func TestNestedLoopIndexScan(t *testing.T) {
 	db := testDB(t)
 	outer := scanNode("t", 2)
 	inner := &plan.Node{
-		Op: plan.OpIndexScan, Table: "u", Index: "u_pkey",
-		Cols:        make([]plan.Column, 2),
-		LookupExprs: []plan.Scalar{icol(0)}, // u.a = t.a via outer row
+		Op: plan.OpIndexScan, Table: "u",
+		Cols:   make([]plan.Column, 2),
+		Lookup: &plan.LookupPayload{Exprs: []plan.Scalar{icol(0)}}, // u.a = t.a via outer row
 	}
 	join := &plan.Node{
-		Op: plan.OpNestedLoop, JoinType: plan.JoinInner,
+		Op: plan.OpNestedLoop, Join: &plan.JoinPayload{Type: plan.JoinInner},
 		Children: []*plan.Node{outer, inner},
 		Cols:     make([]plan.Column, 4),
 	}
@@ -230,8 +229,7 @@ func TestAggregateHashAndHaving(t *testing.T) {
 		Op:       plan.OpHashAggregate,
 		Children: []*plan.Node{scan},
 		Cols:     make([]plan.Column, 2),
-		GroupBy:  []plan.Scalar{icol(1)},
-		Aggs:     []plan.AggSpec{{Func: plan.AggCount, K: types.KindInt}},
+		Agg:      &plan.AggPayload{GroupBy: []plan.Scalar{icol(1)}, Aggs: []plan.AggSpec{{Func: plan.AggCount, K: types.KindInt}}},
 		// HAVING count(*) > 0 is trivially true; use group key filter.
 		Filter: &plan.Bin{Op: plan.BLt, L: icol(0), R: &plan.Const{V: types.Int(5)}, K: types.KindBool},
 	}
@@ -254,10 +252,10 @@ func TestAggregatePlainOnEmptyInput(t *testing.T) {
 		Op:       plan.OpAggregate,
 		Children: []*plan.Node{scan},
 		Cols:     make([]plan.Column, 2),
-		Aggs: []plan.AggSpec{
+		Agg: &plan.AggPayload{Aggs: []plan.AggSpec{
 			{Func: plan.AggCount, K: types.KindInt},
 			{Func: plan.AggSum, Arg: icol(0), K: types.KindInt},
-		},
+		}},
 	}
 	res := run(t, db, agg)
 	if len(res.Rows) != 1 {
@@ -273,7 +271,7 @@ func TestSortAndLimit(t *testing.T) {
 	scan := scanNode("t", 2)
 	sortN := &plan.Node{
 		Op: plan.OpSort, Children: []*plan.Node{scan}, Cols: scan.Cols,
-		SortKeys: []plan.SortKey{{Col: 1, Desc: true}, {Col: 0, Desc: false}},
+		Sort: &plan.SortPayload{Keys: []plan.SortKey{{Col: 1, Desc: true}, {Col: 0, Desc: false}}},
 	}
 	lim := &plan.Node{Op: plan.OpLimit, Children: []*plan.Node{sortN}, Cols: scan.Cols, LimitN: 3}
 	res := run(t, db, lim)
@@ -293,13 +291,12 @@ func TestGroupAggregateSorted(t *testing.T) {
 	scan := scanNode("t", 2)
 	sortN := &plan.Node{
 		Op: plan.OpSort, Children: []*plan.Node{scan}, Cols: scan.Cols,
-		SortKeys: []plan.SortKey{{Col: 1}},
+		Sort: &plan.SortPayload{Keys: []plan.SortKey{{Col: 1}}},
 	}
 	agg := &plan.Node{
 		Op: plan.OpGroupAgg, Children: []*plan.Node{sortN},
-		Cols:    make([]plan.Column, 2),
-		GroupBy: []plan.Scalar{icol(1)},
-		Aggs:    []plan.AggSpec{{Func: plan.AggSum, Arg: icol(0), K: types.KindInt}},
+		Cols: make([]plan.Column, 2),
+		Agg:  &plan.AggPayload{GroupBy: []plan.Scalar{icol(1)}, Aggs: []plan.AggSpec{{Func: plan.AggSum, Arg: icol(0), K: types.KindInt}}},
 	}
 	res := run(t, db, agg)
 	if len(res.Rows) != 10 {
@@ -321,14 +318,12 @@ func TestInitPlanAndParams(t *testing.T) {
 	ip := &plan.Node{
 		Op: plan.OpAggregate, Children: []*plan.Node{ipScan},
 		Cols: make([]plan.Column, 1),
-		Aggs: []plan.AggSpec{{Func: plan.AggMax, Arg: icol(0), K: types.KindInt}},
+		Agg:  &plan.AggPayload{Aggs: []plan.AggSpec{{Func: plan.AggMax, Arg: icol(0), K: types.KindInt}}},
 	}
 	// Main: select * from t where a > $0
 	scan := scanNode("t", 2)
 	scan.Filter = &plan.Bin{Op: plan.BGt, L: icol(0), R: &plan.ParamRef{Idx: 0, K: types.KindInt}, K: types.KindBool}
-	scan.InitPlans = []*plan.Node{ip}
-	scan.InitPlanSlots = []int{0}
-	scan.NumParams = 1
+	scan.Root = &plan.RootPayload{InitPlans: []*plan.Node{ip}, InitPlanSlots: []int{0}, NumParams: 1}
 	res := run(t, db, scan)
 	if len(res.Rows) != 1 || res.Rows[0][0].I() != 99 {
 		t.Fatalf("rows %v", res.Rows)
@@ -346,7 +341,7 @@ func TestSubPlanCorrelated(t *testing.T) {
 	sp := &plan.Node{
 		Op: plan.OpAggregate, Children: []*plan.Node{spScan},
 		Cols: make([]plan.Column, 1),
-		Aggs: []plan.AggSpec{{Func: plan.AggCount, K: types.KindInt}},
+		Agg:  &plan.AggPayload{Aggs: []plan.AggSpec{{Func: plan.AggCount, K: types.KindInt}}},
 	}
 	// Main: select * from t where (subplan(t.a)) = 1   (t.a even and < 100)
 	scan := scanNode("t", 2)
@@ -356,9 +351,7 @@ func TestSubPlanCorrelated(t *testing.T) {
 		R:  &plan.Const{V: types.Int(1)},
 		K:  types.KindBool,
 	}
-	scan.SubPlans = []*plan.Node{sp}
-	scan.SubPlanArgSlots = [][]int{{0}}
-	scan.NumParams = 1
+	scan.Root = &plan.RootPayload{SubPlans: []*plan.Node{sp}, SubPlanArgSlots: [][]int{{0}}, NumParams: 1}
 	res := run(t, db, scan)
 	if len(res.Rows) != 50 {
 		t.Fatalf("rows %d want 50", len(res.Rows))
@@ -370,14 +363,13 @@ func TestSubPlanCorrelated(t *testing.T) {
 
 func TestMergeJoin(t *testing.T) {
 	db := testDB(t)
-	left := &plan.Node{Op: plan.OpIndexScan, Table: "t", Index: "t_pkey", Cols: make([]plan.Column, 2)}
-	right := &plan.Node{Op: plan.OpIndexScan, Table: "u", Index: "u_pkey", Cols: make([]plan.Column, 2)}
+	left := &plan.Node{Op: plan.OpIndexScan, Table: "t", Cols: make([]plan.Column, 2)}
+	right := &plan.Node{Op: plan.OpIndexScan, Table: "u", Cols: make([]plan.Column, 2)}
 	join := &plan.Node{
-		Op: plan.OpMergeJoin, JoinType: plan.JoinInner,
-		Children:   []*plan.Node{left, right},
-		Cols:       make([]plan.Column, 4),
-		MergeKeysL: []int{0},
-		MergeKeysR: []int{0},
+		Op:       plan.OpMergeJoin,
+		Children: []*plan.Node{left, right},
+		Cols:     make([]plan.Column, 4),
+		Join:     &plan.JoinPayload{MergeKeysL: []int{0}, MergeKeysR: []int{0}},
 	}
 	res := run(t, db, join)
 	if len(res.Rows) != 50 {
@@ -405,9 +397,9 @@ func TestProjectResult(t *testing.T) {
 	proj := &plan.Node{
 		Op: plan.OpResult, Children: []*plan.Node{scan},
 		Cols: make([]plan.Column, 1),
-		Projs: []plan.Scalar{
+		Proj: &plan.ProjPayload{Exprs: []plan.Scalar{
 			&plan.Bin{Op: plan.BMul, L: icol(0), R: &plan.Const{V: types.Int(2)}, K: types.KindInt},
-		},
+		}},
 	}
 	res := run(t, db, proj)
 	if len(res.Rows) != 100 || res.Rows[5][0].I() != 10 {

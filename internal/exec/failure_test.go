@@ -12,7 +12,7 @@ import (
 
 func TestUnknownOperatorFails(t *testing.T) {
 	db := testDB(t)
-	n := &plan.Node{Op: plan.OpType("Alien Scan")}
+	n := &plan.Node{Op: plan.OpType(200)}
 	if _, err := Run(db, n, noNoiseClock(), Options{}); err == nil {
 		t.Fatal("unknown operator must fail")
 	}
@@ -82,7 +82,6 @@ func TestSubPlanErrorAbortsQuery(t *testing.T) {
 		R:  &plan.Const{V: types.Int(1)},
 		K:  types.KindBool,
 	}
-	scan.NumParams = 0
 	if _, err := Run(db, scan, noNoiseClock(), Options{}); err == nil {
 		t.Fatal("broken sub-plan reference must fail the query")
 	}

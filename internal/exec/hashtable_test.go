@@ -50,11 +50,10 @@ func keyJoin(l, r string, lcols, rcols, nkeys int) *plan.Node {
 	left, right := scanNode(l, lcols), scanNode(r, rcols)
 	hash := &plan.Node{Op: plan.OpHash, Children: []*plan.Node{right}, Cols: right.Cols}
 	return &plan.Node{
-		Op: plan.OpHashJoin, JoinType: plan.JoinInner,
-		Children:  []*plan.Node{left, hash},
-		Cols:      make([]plan.Column, lcols+rcols),
-		HashKeysL: anyCols(nkeys),
-		HashKeysR: anyCols(nkeys),
+		Op:       plan.OpHashJoin,
+		Children: []*plan.Node{left, hash},
+		Cols:     make([]plan.Column, lcols+rcols),
+		Join:     &plan.JoinPayload{HashKeysL: anyCols(nkeys), HashKeysR: anyCols(nkeys)},
 	}
 }
 
@@ -64,8 +63,7 @@ func keyAgg(op plan.OpType, tbl string, ncols, nkeys int) *plan.Node {
 		Op:       op,
 		Children: []*plan.Node{scanNode(tbl, ncols)},
 		Cols:     make([]plan.Column, nkeys+1),
-		GroupBy:  anyCols(nkeys),
-		Aggs:     []plan.AggSpec{{Func: plan.AggCount, K: types.KindInt}},
+		Agg:      &plan.AggPayload{GroupBy: anyCols(nkeys), Aggs: []plan.AggSpec{{Func: plan.AggCount, K: types.KindInt}}},
 	}
 }
 
@@ -176,7 +174,7 @@ func TestHashKeySemantics(t *testing.T) {
 				agg := &plan.Node{
 					Op: plan.OpAggregate, Children: []*plan.Node{scanNode("u", 1)},
 					Cols: make([]plan.Column, 1),
-					Aggs: []plan.AggSpec{{Func: plan.AggCount, Arg: icol(0), Distinct: true, K: types.KindInt}},
+					Agg:  &plan.AggPayload{Aggs: []plan.AggSpec{{Func: plan.AggCount, Arg: icol(0), Distinct: true, K: types.KindInt}}},
 				}
 				if got := run(t, db, agg).Rows[0][0].I(); got != int64(wantGroups) {
 					t.Errorf("count(distinct): %d, want %d", got, wantGroups)

@@ -41,6 +41,7 @@ func concatInto(ctx *execCtx, dst, a, b plan.Row) plan.Row {
 // so rows with one key are found in arrival order without a slice per key.
 type hashJoin struct {
 	node  *plan.Node
+	join  *plan.JoinPayload
 	left  iterator
 	right iterator
 	reuse bool // parent never retains emitted rows
@@ -64,10 +65,11 @@ type hashJoin struct {
 
 // Open implements iterator.
 func (h *hashJoin) Open(ctx *execCtx) error {
+	h.join = h.node.JoinOf()
 	h.filter = ctx.compileFilter(h.node.Filter)
-	h.joinF = ctx.compileFilter(h.node.JoinFilter)
-	h.keysL = ctx.compileScalars(h.node.HashKeysL)
-	h.keysR = ctx.compileScalars(h.node.HashKeysR)
+	h.joinF = ctx.compileFilter(h.join.Filter)
+	h.keysL = ctx.compileScalars(h.join.HashKeysL)
+	h.keysR = ctx.compileScalars(h.join.HashKeysR)
 	h.keyBuf = ctx.mem.alloc(len(h.keysR))
 	h.nullRight = ctx.mem.alloc(len(h.node.Children[1].Cols))
 	for i := range h.nullRight {
@@ -158,7 +160,7 @@ func (h *hashJoin) probe(ctx *execCtx, left plan.Row) {
 		return
 	}
 	for r := h.head[id]; r >= 0; r = h.next[r] {
-		if h.node.JoinFilter != nil {
+		if h.join.Filter != nil {
 			h.scratch = concatInto(ctx, h.scratch, left, h.rows[r])
 			if !h.joinF.eval(ctx, h.scratch) {
 				continue
@@ -196,9 +198,9 @@ func (h *hashJoin) Next(ctx *execCtx) (plan.Row, bool, error) {
 		ctx.clock.HashOps(1)
 		h.probe(ctx, left)
 		matched := len(h.curMatches) > 0
-		switch h.node.JoinType {
+		switch h.join.Type {
 		case plan.JoinSemi, plan.JoinAnti:
-			if matched == (h.node.JoinType == plan.JoinSemi) {
+			if matched == (h.join.Type == plan.JoinSemi) {
 				ctx.clock.CPUTuples(1)
 				if h.filter.eval(ctx, left) {
 					return left, true, nil
@@ -242,6 +244,7 @@ func (h *hashJoin) Close() {
 // is typically a Materialize node or a parameterized index scan.
 type nestedLoop struct {
 	node       *plan.Node
+	join       *plan.JoinPayload
 	outer      iterator
 	inner      iterator
 	reuse      bool
@@ -256,7 +259,8 @@ type nestedLoop struct {
 
 // Open implements iterator.
 func (n *nestedLoop) Open(ctx *execCtx) error {
-	n.joinF = ctx.compileFilter(n.node.JoinFilter)
+	n.join = n.node.JoinOf()
+	n.joinF = ctx.compileFilter(n.join.Filter)
 	n.filter = ctx.compileFilter(n.node.Filter)
 	n.nullInner = ctx.mem.alloc(len(n.node.Children[1].Cols))
 	for i := range n.nullInner {
@@ -305,7 +309,7 @@ func (n *nestedLoop) Next(ctx *execCtx) (plan.Row, bool, error) {
 			outerRow := n.curOuter
 			wasMatched := n.matched
 			n.curOuter = nil
-			switch n.node.JoinType {
+			switch n.join.Type {
 			case plan.JoinAnti:
 				if !wasMatched {
 					ctx.clock.CPUTuples(1)
@@ -328,11 +332,11 @@ func (n *nestedLoop) Next(ctx *execCtx) (plan.Row, bool, error) {
 		out := concatInto(ctx, n.scratch, n.curOuter, inner)
 		n.scratch = out
 		ctx.clock.CPUTuples(1)
-		if n.node.JoinFilter != nil && !n.joinF.eval(ctx, out) {
+		if n.join.Filter != nil && !n.joinF.eval(ctx, out) {
 			continue
 		}
 		n.matched = true
-		switch n.node.JoinType {
+		switch n.join.Type {
 		case plan.JoinSemi:
 			outerRow := n.curOuter
 			n.curOuter = nil // advance after first match
@@ -365,6 +369,7 @@ func (n *nestedLoop) Close() {
 // the planner only selects it for inner equi-joins over ordered inputs).
 type mergeJoin struct {
 	node  *plan.Node
+	join  *plan.JoinPayload
 	left  iterator
 	right iterator
 	reuse bool
@@ -382,8 +387,9 @@ type mergeJoin struct {
 
 // Open implements iterator.
 func (m *mergeJoin) Open(ctx *execCtx) error {
+	m.join = m.node.JoinOf()
 	m.filter = ctx.compileFilter(m.node.Filter)
-	m.joinF = ctx.compileFilter(m.node.JoinFilter)
+	m.joinF = ctx.compileFilter(m.join.Filter)
 	if err := m.left.Open(ctx); err != nil {
 		return err
 	}
@@ -403,9 +409,9 @@ func (m *mergeJoin) Open(ctx *execCtx) error {
 }
 
 func (m *mergeJoin) cmpKeys(a, b plan.Row) int {
-	for i := range m.node.MergeKeysL {
-		va := a[m.node.MergeKeysL[i]]
-		vb := b[m.node.MergeKeysR[i]]
+	for i := range m.join.MergeKeysL {
+		va := a[m.join.MergeKeysL[i]]
+		vb := b[m.join.MergeKeysR[i]]
 		if va.IsNull() || vb.IsNull() {
 			if va.IsNull() && vb.IsNull() {
 				continue
@@ -441,7 +447,7 @@ func (m *mergeJoin) Next(ctx *execCtx) (plan.Row, bool, error) {
 			out := concatInto(ctx, m.scratch, m.leftRow, right)
 			m.scratch = out
 			ctx.clock.CPUTuples(1)
-			if m.node.JoinFilter != nil && !m.joinF.eval(ctx, out) {
+			if m.join.Filter != nil && !m.joinF.eval(ctx, out) {
 				continue
 			}
 			if !m.filter.eval(ctx, out) {
@@ -512,7 +518,7 @@ func (m *mergeJoin) Next(ctx *execCtx) (plan.Row, bool, error) {
 }
 
 func (m *mergeJoin) sameLeftKey(a, b plan.Row) bool {
-	for _, k := range m.node.MergeKeysL {
+	for _, k := range m.join.MergeKeysL {
 		va, vb := a[k], b[k]
 		if va.IsNull() || vb.IsNull() {
 			return false

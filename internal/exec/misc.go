@@ -42,7 +42,7 @@ func (s *sortOp) drain(ctx *execCtx) error {
 			bytes += float64(v.Width())
 		}
 	}
-	keys := s.node.SortKeys
+	keys := s.node.SortKeys()
 	compares := 0
 	sort.SliceStable(s.rows, func(i, j int) bool {
 		compares++
@@ -233,12 +233,12 @@ type project struct {
 // Open implements iterator.
 func (p *project) Open(ctx *execCtx) error {
 	p.projCost = plan.ExprCost{}
-	for _, e := range p.node.Projs {
+	for _, e := range p.node.Projs() {
 		c := e.Cost()
 		p.projCost.Ops += c.Ops
 		p.projCost.NumericOps += c.NumericOps
 	}
-	p.projFns = ctx.compileScalars(p.node.Projs)
+	p.projFns = ctx.compileScalars(p.node.Projs())
 	p.filter = ctx.compileFilter(p.node.Filter)
 	return p.child.Open(ctx)
 }

@@ -72,10 +72,10 @@ type indexScan struct {
 func (s *indexScan) Open(ctx *execCtx) error {
 	s.filter = ctx.compileFilter(s.node.Filter)
 	switch {
-	case len(s.node.LookupExprs) > 0:
-		s.lookupFns = ctx.compileScalars(s.node.LookupExprs)
-	case len(s.node.LookupConsts) > 0:
-		s.lookupFns = ctx.compileScalars(s.node.LookupConsts)
+	case len(s.node.LookupExprs()) > 0:
+		s.lookupFns = ctx.compileScalars(s.node.LookupExprs())
+	case len(s.node.LookupConsts()) > 0:
+		s.lookupFns = ctx.compileScalars(s.node.LookupConsts())
 	}
 	s.keyBuf = ctx.mem.alloc(len(s.lookupFns))
 	return s.reposition(ctx, nil)
@@ -84,14 +84,14 @@ func (s *indexScan) Open(ctx *execCtx) error {
 func (s *indexScan) reposition(ctx *execCtx, outer plan.Row) error {
 	s.pos = 0
 	switch {
-	case len(s.node.LookupExprs) > 0:
+	case len(s.node.LookupExprs()) > 0:
 		if outer == nil {
 			// No outer row yet (plain Open before the loop starts); empty.
 			s.matches = nil
 			return nil
 		}
 		s.lookup(ctx, outer, true)
-	case len(s.node.LookupConsts) > 0:
+	case len(s.node.LookupConsts()) > 0:
 		s.lookup(ctx, nil, false)
 	default:
 		// Full ordered scan.

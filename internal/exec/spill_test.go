@@ -20,7 +20,7 @@ func TestSortSpillsWhenOverWorkMem(t *testing.T) {
 	scan := scanNode("t", 2)
 	sortN := &plan.Node{
 		Op: plan.OpSort, Children: []*plan.Node{scan}, Cols: scan.Cols,
-		SortKeys: []plan.SortKey{{Col: 0}},
+		Sort: &plan.SortPayload{Keys: []plan.SortKey{{Col: 0}}},
 	}
 	res, err := Run(db, sortN, tinyWorkMemClock(), Options{})
 	if err != nil {
@@ -70,10 +70,10 @@ func TestMaterializeSpillRescanCharges(t *testing.T) {
 	innerScan := scanNode("u", 2)
 	mat := &plan.Node{Op: plan.OpMaterialize, Children: []*plan.Node{innerScan}, Cols: innerScan.Cols}
 	join := &plan.Node{
-		Op: plan.OpNestedLoop, JoinType: plan.JoinInner,
-		Children:   []*plan.Node{outer, mat},
-		Cols:       make([]plan.Column, 4),
-		JoinFilter: &plan.Bin{Op: plan.BEq, L: icol(0), R: icol(2), K: types.KindBool},
+		Op:       plan.OpNestedLoop,
+		Children: []*plan.Node{outer, mat},
+		Cols:     make([]plan.Column, 4),
+		Join:     &plan.JoinPayload{Filter: &plan.Bin{Op: plan.BEq, L: icol(0), R: icol(2), K: types.KindBool}},
 	}
 	p := vclock.DefaultProfile()
 	p.NoiseSigma = 0
@@ -95,14 +95,14 @@ func TestMergeJoinDuplicateKeys(t *testing.T) {
 	// instead merge t with itself on a (unique) to cover rescan-free path,
 	// then verify duplicate handling through u joined to itself.
 	db := testDB(t)
-	left := &plan.Node{Op: plan.OpIndexScan, Table: "u", Index: "u_pkey", Cols: make([]plan.Column, 2)}
-	right := &plan.Node{Op: plan.OpIndexScan, Table: "u", Index: "u_pkey", Cols: make([]plan.Column, 2)}
+	left := &plan.Node{Op: plan.OpIndexScan, Table: "u", Cols: make([]plan.Column, 2)}
+	right := &plan.Node{Op: plan.OpIndexScan, Table: "u", Cols: make([]plan.Column, 2)}
 	join := &plan.Node{
-		Op: plan.OpMergeJoin, JoinType: plan.JoinInner,
-		Children:   []*plan.Node{left, right},
-		Cols:       make([]plan.Column, 4),
-		MergeKeysL: []int{1}, // "s" column: all equal -> full cross of groups
-		MergeKeysR: []int{1},
+		Op:       plan.OpMergeJoin,
+		Children: []*plan.Node{left, right},
+		Cols:     make([]plan.Column, 4),
+		// "s" column: all equal -> full cross of groups
+		Join: &plan.JoinPayload{MergeKeysL: []int{1}, MergeKeysR: []int{1}},
 	}
 	res, err := Run(db, join, noNoiseClock(), Options{})
 	if err != nil {
@@ -117,7 +117,7 @@ func TestHashJoinWithJoinFilter(t *testing.T) {
 	db := testDB(t)
 	join, _, _ := hashJoinTree(plan.JoinInner)
 	// Keep only pairs where t.b (col 1) < 5.
-	join.JoinFilter = &plan.Bin{Op: plan.BLt, L: icol(1), R: &plan.Const{V: types.Int(5)}, K: types.KindBool}
+	join.Join.Filter = &plan.Bin{Op: plan.BLt, L: icol(1), R: &plan.Const{V: types.Int(5)}, K: types.KindBool}
 	res, err := Run(db, join, noNoiseClock(), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -135,9 +135,9 @@ func TestHashJoinWithJoinFilter(t *testing.T) {
 func TestLeftJoinWithOnFilter(t *testing.T) {
 	db := testDB(t)
 	join, _, _ := hashJoinTree(plan.JoinLeft)
-	join.JoinType = plan.JoinLeft
+	join.Join.Type = plan.JoinLeft
 	// ON ... AND u.a < 10: matches only keys {0,2,4,6,8}.
-	join.JoinFilter = &plan.Bin{Op: plan.BLt, L: icol(2), R: &plan.Const{V: types.Int(10)}, K: types.KindBool}
+	join.Join.Filter = &plan.Bin{Op: plan.BLt, L: icol(2), R: &plan.Const{V: types.Int(10)}, K: types.KindBool}
 	res, err := Run(db, join, noNoiseClock(), Options{})
 	if err != nil {
 		t.Fatal(err)

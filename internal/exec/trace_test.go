@@ -18,7 +18,7 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 		join, _, _ := hashJoinTree(plan.JoinInner)
 		sortN := &plan.Node{
 			Op: plan.OpSort, Children: []*plan.Node{join}, Cols: join.Cols,
-			SortKeys: []plan.SortKey{{Col: 0}},
+			Sort: &plan.SortPayload{Keys: []plan.SortKey{{Col: 0}}},
 		}
 		return sortN
 	}
@@ -62,7 +62,7 @@ func TestTraceSpansMatchInstrumentation(t *testing.T) {
 	join, _, _ := hashJoinTree(plan.JoinInner)
 	sortN := &plan.Node{
 		Op: plan.OpSort, Children: []*plan.Node{join}, Cols: join.Cols,
-		SortKeys: []plan.SortKey{{Col: 0}},
+		Sort: &plan.SortPayload{Keys: []plan.SortKey{{Col: 0}}},
 	}
 	clock := noNoiseClock()
 	tr := obs.NewTrace(clock)

@@ -130,29 +130,29 @@ func (t *Trace) Totals() vclock.Totals { return t.clock.Totals() }
 // keyed by operator type, in span creation order.
 func (t *Trace) Attribute(p Profile) {
 	for _, s := range t.order {
-		p.Record(string(s.Node.Op), s.Self)
+		p.Record(s.Node.Op.String(), s.Self)
 	}
 }
 
 // spanHead names a span like EXPLAIN names the operator.
 func spanHead(n *plan.Node) string {
-	head := string(n.Op)
+	head := n.Op.String()
 	switch n.Op {
 	case plan.OpHashJoin, plan.OpNestedLoop, plan.OpMergeJoin:
-		if n.JoinType != plan.JoinInner {
+		if jt := n.JoinType(); jt != plan.JoinInner {
 			base := strings.TrimSuffix(head, " Join")
 			if n.Op == plan.OpNestedLoop {
-				head = fmt.Sprintf("%s %s Join", head, n.JoinType)
+				head = fmt.Sprintf("%s %s Join", head, jt)
 			} else {
-				head = fmt.Sprintf("%s %s Join", base, n.JoinType)
+				head = fmt.Sprintf("%s %s Join", base, jt)
 			}
 		}
 	}
 	if n.Table != "" {
 		head += " on " + n.Table
 	}
-	if n.Index != "" {
-		head += " using " + n.Index
+	if idx := n.IndexName(); idx != "" {
+		head += " using " + idx
 	}
 	return head
 }

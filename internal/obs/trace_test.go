@@ -104,15 +104,15 @@ func TestTraceDoesNotAdvanceClock(t *testing.T) {
 func TestTraceTreeRendering(t *testing.T) {
 	clock := noNoiseClock()
 	tr := NewTrace(clock)
-	parent := &plan.Node{Op: plan.OpHashJoin, JoinType: plan.JoinLeft}
-	child := &plan.Node{Op: plan.OpIndexScan, Table: "orders", Index: "orders_pk"}
+	parent := &plan.Node{Op: plan.OpHashJoin, Join: &plan.JoinPayload{Type: plan.JoinLeft}}
+	child := &plan.Node{Op: plan.OpIndexScan, Table: "orders"}
 	tr.Enter(parent)
 	tr.Enter(child)
 	clock.CPUTuples(10)
 	tr.Exit()
 	tr.Exit()
 	out := tr.Tree()
-	for _, want := range []string{"Left Join", "Index Scan on orders using orders_pk", "span=[", "self busy="} {
+	for _, want := range []string{"Left Join", "Index Scan on orders using orders_pkey", "span=[", "self busy="} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("tree missing %q:\n%s", want, out)
 		}

@@ -51,7 +51,8 @@ func (p *planner) bestJoinNodes(l, r *joinTree, edges []joinEdge) *joinTree {
 
 	// colRef references column off of schema at position base+off of a row.
 	colRef := func(schema []schemaCol, off, base int) *plan.Col {
-		return &plan.Col{Idx: base + off, K: schema[off].kind, Name: schema[off].name}
+		c := p.column(schema[off])
+		return &plan.Col{Idx: base + off, K: c.Type, Name: c.Name}
 	}
 	// keysEqual is every key but keys[skip] as a predicate on the joined row.
 	keysEqual := func(skip int) (f plan.Scalar) {
@@ -76,13 +77,14 @@ func (p *planner) bestJoinNodes(l, r *joinTree, edges []joinEdge) *joinTree {
 		hash := &plan.Node{Op: plan.OpHash, Children: []*plan.Node{r.node}, Cols: r.node.Cols}
 		p.costHash(hash)
 		hj := &plan.Node{
-			Op: plan.OpHashJoin, JoinType: plan.JoinInner,
+			Op:       plan.OpHashJoin,
 			Children: []*plan.Node{l.node, hash},
 			Cols:     outCols,
+			Join:     &plan.JoinPayload{Type: plan.JoinInner},
 		}
 		for _, k := range keys {
-			hj.HashKeysL = append(hj.HashKeysL, colRef(l.schema, k.lCol, 0))
-			hj.HashKeysR = append(hj.HashKeysR, colRef(r.schema, k.rCol, 0))
+			hj.Join.HashKeysL = append(hj.Join.HashKeysL, colRef(l.schema, k.lCol, 0))
+			hj.Join.HashKeysR = append(hj.Join.HashKeysR, colRef(r.schema, k.rCol, 0))
 		}
 		p.costHashJoin(hj, joinRows)
 		consider(hj)
@@ -93,23 +95,22 @@ func (p *planner) bestJoinNodes(l, r *joinTree, edges []joinEdge) *joinTree {
 	ri, pkCol, st := p.pkAccess(r)
 	if ri != nil {
 		for i, k := range keys {
-			if r.schema[k.rCol].col != pkCol {
+			if int(r.schema[k.rCol].col) != pkCol {
 				continue
 			}
 			idx := &plan.Node{
 				Op: plan.OpIndexScan, Table: ri.table, Alias: ri.alias,
-				Index:       ri.table + "_pkey",
-				Cols:        r.node.Cols,
-				Filter:      r.node.Filter,
-				LookupExprs: []plan.Scalar{colRef(l.schema, k.lCol, 0)},
+				Cols:   r.node.Cols,
+				Filter: r.node.Filter,
+				Lookup: &plan.LookupPayload{Exprs: []plan.Scalar{colRef(l.schema, k.lCol, 0)}},
 			}
 			p.costIndexScan(idx, p.pkMatches(ri, pkCol, st), float64(st.Pages), r.node.Est.Selectivity)
 			// Residual keys beyond the index one become a join filter.
 			nl := &plan.Node{
-				Op: plan.OpNestedLoop, JoinType: plan.JoinInner,
-				Children:   []*plan.Node{l.node, idx},
-				Cols:       outCols,
-				JoinFilter: keysEqual(i),
+				Op:       plan.OpNestedLoop,
+				Children: []*plan.Node{l.node, idx},
+				Cols:     outCols,
+				Join:     &plan.JoinPayload{Type: plan.JoinInner, Filter: keysEqual(i)},
 			}
 			// The inner side is paid per lookup, not as one full scan.
 			indexLoopEst(estOf(l.node), estOf(idx), joinRows, nl.Width()).fill(nl, 1)
@@ -123,10 +124,10 @@ func (p *planner) bestJoinNodes(l, r *joinTree, edges []joinEdge) *joinTree {
 	mat := &plan.Node{Op: plan.OpMaterialize, Children: []*plan.Node{r.node}, Cols: r.node.Cols}
 	p.costMaterialize(mat)
 	nl := &plan.Node{
-		Op: plan.OpNestedLoop, JoinType: plan.JoinInner,
-		Children:   []*plan.Node{l.node, mat},
-		Cols:       outCols,
-		JoinFilter: keysEqual(-1),
+		Op:       plan.OpNestedLoop,
+		Children: []*plan.Node{l.node, mat},
+		Cols:     outCols,
+		Join:     &plan.JoinPayload{Type: plan.JoinInner, Filter: keysEqual(-1)},
 	}
 	p.costNestedLoop(nl, joinRows)
 	consider(nl)
@@ -136,13 +137,12 @@ func (p *planner) bestJoinNodes(l, r *joinTree, edges []joinEdge) *joinTree {
 	if len(keys) == 1 {
 		k := keys[0]
 		li, lPK, lSt := p.pkAccess(l)
-		if li != nil && ri != nil && l.schema[k.lCol].col == lPK && r.schema[k.rCol].col == pkCol {
+		if li != nil && ri != nil && int(l.schema[k.lCol].col) == lPK && int(r.schema[k.rCol].col) == pkCol {
 			mj := &plan.Node{
-				Op: plan.OpMergeJoin, JoinType: plan.JoinInner,
-				Children:   []*plan.Node{p.orderedScanNode(li, lSt, l.node), p.orderedScanNode(ri, st, r.node)},
-				Cols:       outCols,
-				MergeKeysL: []int{k.lCol},
-				MergeKeysR: []int{k.rCol},
+				Op:       plan.OpMergeJoin,
+				Children: []*plan.Node{p.orderedScanNode(li, lSt, l.node), p.orderedScanNode(ri, st, r.node)},
+				Cols:     outCols,
+				Join:     &plan.JoinPayload{Type: plan.JoinInner, MergeKeysL: []int{k.lCol}, MergeKeysR: []int{k.rCol}},
 			}
 			p.costMergeJoin(mj, joinRows)
 			consider(mj)
@@ -156,7 +156,6 @@ func (p *planner) bestJoinNodes(l, r *joinTree, edges []joinEdge) *joinTree {
 func (p *planner) orderedScanNode(ri *relInfo, st *catalog.TableStats, seq *plan.Node) *plan.Node {
 	idx := &plan.Node{
 		Op: plan.OpIndexScan, Table: ri.table, Alias: ri.alias,
-		Index:  ri.table + "_pkey",
 		Cols:   seq.Cols,
 		Filter: seq.Filter,
 	}
@@ -213,7 +212,7 @@ func checkBestJoinOracle(t *testing.T, db *storage.Database, query string) {
 	if err != nil {
 		t.Fatalf("parse %q: %v", query, err)
 	}
-	p := &planner{db: db, relByID: map[int]*relInfo{}, workMemPages: 256}
+	p := &planner{db: db, workMemPages: 256}
 	blocks := 0
 	p.verify = func(scans []*joinTree, edges []joinEdge, steps []JoinStep, tree *joinTree) error {
 		blocks++

@@ -38,12 +38,7 @@ type binder struct {
 
 // offsetOf finds the schema offset of (rel, col).
 func (b *binder) offsetOf(rel, col int) (int, bool) {
-	for i, sc := range b.schema {
-		if sc.rel == rel && sc.col == col {
-			return i, true
-		}
-	}
-	return 0, false
+	return offsetIn(b.schema, rel, col)
 }
 
 // bind converts an expression to a bound scalar.
@@ -197,7 +192,7 @@ func (b *binder) bindColumn(ref *sql.ColumnRef) (plan.Scalar, error) {
 		if !ok {
 			return nil, fmt.Errorf("opt: column %s not available in this operator's schema", ref.SQL())
 		}
-		return &plan.Col{Idx: off, K: b.schema[off].kind, Name: ref.SQL()}, nil
+		return &plan.Col{Idx: off, K: b.p.column(b.schema[off]).Type, Name: ref.SQL()}, nil
 	}
 	// Correlated reference into the enclosing block.
 	if b.corr != nil && b.corr.outerScope != nil {
@@ -309,7 +304,7 @@ func (b *binder) bindScalarSubquery(stmt *sql.SelectStmt) (plan.Scalar, error) {
 		if !ok {
 			return nil, fmt.Errorf("opt: correlated column (rel %d, col %d) not available where sub-plan is evaluated", r.rel, r.col)
 		}
-		args[i] = &plan.Col{Idx: off, K: r.kind, Name: b.schema[off].name}
+		args[i] = &plan.Col{Idx: off, K: r.kind, Name: b.p.column(b.schema[off]).Name}
 		slots[i] = r.slot
 	}
 	idx := len(b.p.subPlans)
@@ -333,7 +328,7 @@ func (b *binder) bindExistsSubquery(stmt *sql.SelectStmt, negated bool) (plan.Sc
 		Op:       plan.OpAggregate,
 		Children: []*plan.Node{lim},
 		Cols:     []plan.Column{{Name: "exists", K: types.KindInt, Width: 8}},
-		Aggs:     []plan.AggSpec{{Func: plan.AggCount, K: types.KindInt}},
+		Agg:      &plan.AggPayload{Aggs: []plan.AggSpec{{Func: plan.AggCount, K: types.KindInt}}},
 	}
 	b.p.costAggregate(agg, 1)
 	args := make([]plan.Scalar, len(corr.refs))
@@ -343,7 +338,7 @@ func (b *binder) bindExistsSubquery(stmt *sql.SelectStmt, negated bool) (plan.Sc
 		if !ok {
 			return nil, fmt.Errorf("opt: correlated EXISTS column not available at evaluation site")
 		}
-		args[i] = &plan.Col{Idx: off, K: r.kind, Name: b.schema[off].name}
+		args[i] = &plan.Col{Idx: off, K: r.kind, Name: b.p.column(b.schema[off]).Name}
 		slots[i] = r.slot
 	}
 	idx := len(b.p.subPlans)

@@ -21,7 +21,7 @@ const (
 // costSeqScan fills the estimate for a sequential scan node.
 func (p *planner) costSeqScan(n *plan.Node, tableRows, tablePages, sel, filterOps float64) {
 	n.Est.Pages = tablePages
-	n.Est.Rows = math.Max(1, tableRows*sel)
+	n.Est.Rows = max(1, tableRows*sel)
 	n.Est.Selectivity = sel
 	run := seqPageCost*tablePages + cpuTupleCost*tableRows + cpuOperatorCost*filterOps*tableRows
 	n.Est.StartupCost = 0
@@ -47,10 +47,10 @@ func (e est) fill(n *plan.Node, sel float64) {
 // indexScanEst estimates an index scan expected to fetch matchRows of a
 // table clustered on the index key; pages is the heap pages it touches.
 func indexScanEst(matchRows, tablePages, sel, width float64) (e est, pages float64) {
-	fetched := math.Max(1, matchRows)
+	fetched := max(1, matchRows)
 	// Heap pages touched, assuming index-order clustering.
-	pages = math.Min(tablePages, fetched/4+2)
-	e = est{rows: math.Max(1, matchRows*sel), width: width}
+	pages = min(tablePages, fetched/4+2)
+	e = est{rows: max(1, matchRows*sel), width: width}
 	e.total = randomPageCost*2 + // descent
 		randomPageCost*pages + cpuIndexTupleCost*fetched + cpuTupleCost*fetched
 	return e, pages
@@ -66,7 +66,7 @@ func (p *planner) costIndexScan(n *plan.Node, matchRows, tablePages, sel float64
 // costSort fills the estimate for a sort over its child.
 func (p *planner) costSort(n *plan.Node) {
 	c := n.Children[0]
-	rows := math.Max(1, c.Est.Rows)
+	rows := max(1, c.Est.Rows)
 	comp := 2 * cpuOperatorCost * rows * math.Log2(rows+1)
 	n.Est.Rows = c.Est.Rows
 	n.Est.Width = c.Est.Width
@@ -74,7 +74,7 @@ func (p *planner) costSort(n *plan.Node) {
 	n.Est.StartupCost = c.Est.TotalCost + comp
 	n.Est.TotalCost = n.Est.StartupCost + cpuTupleCost*rows
 	// External sort I/O when the input exceeds work_mem.
-	bytes := rows * math.Max(8, c.Est.Width)
+	bytes := rows * max(8, c.Est.Width)
 	if bytes > p.workBytes() {
 		pages := bytes / 8192
 		n.Est.Pages = pages
@@ -84,14 +84,14 @@ func (p *planner) costSort(n *plan.Node) {
 }
 
 func materializeEst(c est) est {
-	return est{c.rows, c.width, c.startup, c.total + 2*cpuOperatorCost*math.Max(1, c.rows)}
+	return est{c.rows, c.width, c.startup, c.total + 2*cpuOperatorCost*max(1, c.rows)}
 }
 
 // rescanCost is the cost of re-reading a nested loop's inner side.
 func rescanCost(op plan.OpType, inner est) float64 {
 	switch op {
 	case plan.OpMaterialize, plan.OpSort:
-		return cpuOperatorCost * math.Max(1, inner.rows)
+		return cpuOperatorCost * max(1, inner.rows)
 	default:
 		return inner.total
 	}
@@ -102,9 +102,9 @@ func (p *planner) costLimit(n *plan.Node) {
 	c := n.Children[0]
 	frac := 1.0
 	if c.Est.Rows > 0 {
-		frac = math.Min(1, float64(n.LimitN)/c.Est.Rows)
+		frac = min(1, float64(n.LimitN)/c.Est.Rows)
 	}
-	n.Est.Rows = math.Min(float64(n.LimitN), math.Max(1, c.Est.Rows))
+	n.Est.Rows = min(float64(n.LimitN), max(1, c.Est.Rows))
 	n.Est.Width = c.Est.Width
 	n.Est.Selectivity = 1
 	n.Est.StartupCost = c.Est.StartupCost
@@ -114,9 +114,9 @@ func (p *planner) costLimit(n *plan.Node) {
 // costAggregate fills the estimate for an aggregation node.
 func (p *planner) costAggregate(n *plan.Node, groups float64) {
 	c := n.Children[0]
-	rows := math.Max(1, c.Est.Rows)
-	aggOps := float64(len(n.Aggs)+len(n.GroupBy)) * rows * cpuOperatorCost
-	n.Est.Rows = math.Max(1, groups)
+	rows := max(1, c.Est.Rows)
+	aggOps := float64(len(n.Agg.Aggs)+len(n.Agg.GroupBy)) * rows * cpuOperatorCost
+	n.Est.Rows = max(1, groups)
 	n.Est.Selectivity = 1
 	n.Est.Width = n.Width()
 	switch n.Op {
@@ -132,8 +132,8 @@ func (p *planner) costAggregate(n *plan.Node, groups float64) {
 // costResult fills the estimate for a projection/result node.
 func (p *planner) costResult(n *plan.Node, projOps, sel float64) {
 	c := n.Children[0]
-	rows := math.Max(1, c.Est.Rows)
-	n.Est.Rows = math.Max(1, c.Est.Rows*sel)
+	rows := max(1, c.Est.Rows)
+	n.Est.Rows = max(1, c.Est.Rows*sel)
 	n.Est.Selectivity = sel
 	n.Est.Width = n.Width()
 	n.Est.StartupCost = c.Est.StartupCost
@@ -141,7 +141,7 @@ func (p *planner) costResult(n *plan.Node, projOps, sel float64) {
 }
 
 func hashEst(c est) est {
-	startup := c.total + cpuOperatorCost*math.Max(1, c.rows)
+	startup := c.total + cpuOperatorCost*max(1, c.rows)
 	return est{c.rows, c.width, startup, startup}
 }
 
@@ -155,11 +155,11 @@ func (p *planner) costHash(n *plan.Node) {
 // width. spillPages is non-zero for a batched (spilling) join, whose I/O
 // is in the total.
 func hashJoinEst(l, h est, joinRows, width, workBytes float64) (e est, spillPages float64) {
-	e = est{rows: math.Max(1, joinRows), width: width, startup: h.total + l.startup}
+	e = est{rows: max(1, joinRows), width: width, startup: h.total + l.startup}
 	e.total = e.startup +
 		(l.total - l.startup) +
-		cpuOperatorCost*math.Max(1, l.rows) + cpuTupleCost*math.Max(1, joinRows)
-	if buildBytes := math.Max(1, h.rows) * math.Max(8, h.width); buildBytes > workBytes {
+		cpuOperatorCost*max(1, l.rows) + cpuTupleCost*max(1, joinRows)
+	if buildBytes := max(1, h.rows) * max(8, h.width); buildBytes > workBytes {
 		spillPages = buildBytes / 8192
 		e.total += 2 * seqPageCost * spillPages
 	}
@@ -181,34 +181,34 @@ func (p *planner) costHashJoin(n *plan.Node, joinRows float64) {
 // nestedLoopEst estimates a nested loop that runs inner side r once and
 // re-reads it at cost rescan for every further outer row.
 func nestedLoopEst(l, r est, rescan, joinRows, width float64) est {
-	outerRows := math.Max(1, l.rows)
-	return est{rows: math.Max(1, joinRows), width: width, startup: l.startup + r.startup,
+	outerRows := max(1, l.rows)
+	return est{rows: max(1, joinRows), width: width, startup: l.startup + r.startup,
 		total: l.total + r.total +
 			(outerRows-1)*rescan +
-			cpuTupleCost*outerRows*math.Max(1, r.rows)}
+			cpuTupleCost*outerRows*max(1, r.rows)}
 }
 
 // indexLoopEst estimates a nested loop whose inner side is a parameterized
 // index scan: idx is the cost of one lookup, paid per outer row.
 func indexLoopEst(l, idx est, joinRows, width float64) est {
-	return est{rows: math.Max(1, joinRows), width: width, startup: l.startup,
+	return est{rows: max(1, joinRows), width: width, startup: l.startup,
 		total: l.total +
-			math.Max(1, l.rows)*idx.total +
-			cpuTupleCost*math.Max(1, joinRows)}
+			max(1, l.rows)*idx.total +
+			cpuTupleCost*max(1, joinRows)}
 }
 
 func mergeJoinEst(l, r est, joinRows, width float64) est {
-	return est{rows: math.Max(1, joinRows), width: width, startup: l.startup + r.startup,
+	return est{rows: max(1, joinRows), width: width, startup: l.startup + r.startup,
 		total: l.total + r.total +
-			cpuOperatorCost*(math.Max(1, l.rows)+math.Max(1, r.rows)) +
-			cpuTupleCost*math.Max(1, joinRows)}
+			cpuOperatorCost*(max(1, l.rows)+max(1, r.rows)) +
+			cpuTupleCost*max(1, joinRows)}
 }
 
 // costSubqueryScan fills the estimate for a derived-table scan.
 func (p *planner) costSubqueryScan(n *plan.Node, sel, filterOps float64) {
 	c := n.Children[0]
-	rows := math.Max(1, c.Est.Rows)
-	n.Est.Rows = math.Max(1, c.Est.Rows*sel)
+	rows := max(1, c.Est.Rows)
+	n.Est.Rows = max(1, c.Est.Rows*sel)
 	n.Est.Selectivity = sel
 	n.Est.Width = c.Est.Width
 	n.Est.StartupCost = c.Est.StartupCost

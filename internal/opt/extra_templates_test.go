@@ -41,7 +41,7 @@ func TestQ17CorrelatedSubPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	q, _ := tpch.GenQuery(17, rng)
 	node := planQuery(t, db, q.SQL)
-	if len(node.SubPlans) == 0 {
+	if len(node.SubPlans()) == 0 {
 		t.Fatalf("Q17 must use a correlated sub-plan:\n%s", plan.Explain(node))
 	}
 }
@@ -53,9 +53,9 @@ func TestQ21ExistsFallback(t *testing.T) {
 	node := planQuery(t, db, q.SQL)
 	// The <> correlation defeats semi-join decorrelation; both EXISTS
 	// clauses must become sub-plans.
-	if len(node.SubPlans) < 2 {
+	if len(node.SubPlans()) < 2 {
 		t.Fatalf("Q21 should fall back to EXISTS sub-plans, got %d:\n%s",
-			len(node.SubPlans), plan.Explain(node))
+			len(node.SubPlans()), plan.Explain(node))
 	}
 }
 

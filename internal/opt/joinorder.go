@@ -28,7 +28,7 @@ type joinEdge struct {
 
 // colNDV is the catalog's distinct count of a column, 0 when unknown.
 func (p *planner) colNDV(rel, col int) float64 {
-	if cs := p.colStats(schemaCol{rel: rel, col: col}); cs != nil {
+	if cs := p.colStats(schemaCol{rel: int32(rel), col: int32(col)}); cs != nil {
 		return cs.NDV
 	}
 	return 0
@@ -38,9 +38,9 @@ func (p *planner) colNDV(rel, col int) float64 {
 // contributes; an unknown count (0) assumes every row distinct.
 func clampNDV(ndv, relRows float64) float64 {
 	if ndv > 0 {
-		return math.Min(ndv, math.Max(1, relRows))
+		return min(ndv, max(1, relRows))
 	}
-	return math.Max(1, relRows)
+	return max(1, relRows)
 }
 
 // ndvOf estimates the distinct count of a column, clamped by rel rows.
@@ -50,12 +50,16 @@ func (p *planner) ndvOf(rel, col int, relRows float64) float64 {
 
 // keyNDV is what one equi key divides the join selectivity by.
 func keyNDV(lNDV, rNDV, lRows, rRows float64) float64 {
-	return math.Max(1, math.Max(clampNDV(lNDV, lRows), clampNDV(rNDV, rRows)))
+	// math.Max where both sides are estimates: rows overflow to +Inf on
+	// huge cross joins and can be NaN (+Inf times an underflowed
+	// selectivity), and math.Max(NaN, +Inf) is +Inf where the builtin max
+	// gives NaN.
+	return max(1, math.Max(clampNDV(lNDV, lRows), clampNDV(rNDV, rRows)))
 }
 
 // joinCard is the output cardinality of a join with selectivity sel.
 func joinCard(lRows, rRows, sel float64) float64 {
-	return math.Max(1, lRows*rRows*sel)
+	return max(1, lRows*rRows*sel)
 }
 
 // pkAccess reports whether t is a plain sequential scan of a base table
@@ -78,7 +82,7 @@ func (p *planner) pkAccess(t *joinTree) (ri *relInfo, pkCol int, st *catalog.Tab
 // pkMatches is the number of rows one equality lookup on the leading
 // primary-key column fetches.
 func (p *planner) pkMatches(ri *relInfo, pkCol int, st *catalog.TableStats) float64 {
-	return math.Max(1, float64(st.RowCount)/p.ndvOf(ri.id, pkCol, float64(st.RowCount)))
+	return max(1, float64(st.RowCount)/p.ndvOf(ri.id, pkCol, float64(st.RowCount)))
 }
 
 // orderJoins picks the join order of one query block and builds its tree.
@@ -206,7 +210,7 @@ func (b *blockLayout) of(set relSet) ([]schemaCol, []plan.Column) {
 // layOut lays out a block whose steps applySteps has checked: top-down
 // from the whole block, a merge's left input starts where its output does
 // and its right input where the left one ends.
-func (p *planner) layOut(scans []*joinTree, steps []JoinStep, full relSet) *blockLayout {
+func (p *planner) layOut(scans []*joinTree, steps []JoinStep, full relSet) blockLayout {
 	width := func(s relSet) (n int) {
 		for _, t := range scans {
 			if t.set&^s == 0 {
@@ -215,7 +219,7 @@ func (p *planner) layOut(scans []*joinTree, steps []JoinStep, full relSet) *bloc
 		}
 		return n
 	}
-	b := &blockLayout{stretches: make([]stretch, 1, 2*len(steps)+1)}
+	b := blockLayout{stretches: make([]stretch, 1, 2*len(steps)+1)}
 	b.stretches[0] = stretch{full, 0, width(full)}
 	for i := len(steps) - 1; i >= 0; i-- {
 		l, r := relSet(steps[i].L), relSet(steps[i].R)
@@ -268,8 +272,35 @@ type searchEdge struct {
 type joinSearch struct {
 	edges     []searchEdge
 	leaves    []leafInfo
+	mem       *searchMemory
 	workBytes float64
 	steps     []JoinStep
+}
+
+// searchMemory is one join search's working arrays: its edges, leaves and
+// base fragments, and dp's fragment table (1<<n slots: 16 KiB for the
+// 8-way join of TPC-H Q8) with its list of the slots in use. Every cold
+// plan of a join searches, so they are pooled; none holds a pointer, so a
+// pooled one costs the collector nothing.
+type searchMemory struct {
+	edges  []searchEdge
+	leaves []leafInfo
+	base   []frag
+	tab    []frag
+	sets   []uint16
+}
+
+var searchMemories = sync.Pool{New: func() any { return new(searchMemory) }}
+
+// zeroed is buf resized to n zero elements, reallocated only when it is
+// too small.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // searchJoins finds the block's join order without building a node: it
@@ -286,17 +317,23 @@ func (p *planner) searchJoins(scans []*joinTree, edges []joinEdge) ([]JoinStep, 
 	if n == 1 {
 		return nil, scans[0].node.Est.TotalCost
 	}
+	mem := searchMemories.Get().(*searchMemory)
+	defer searchMemories.Put(mem)
+	mem.edges = zeroed(mem.edges, len(edges))
+	mem.leaves = zeroed(mem.leaves, n)
+	mem.base = zeroed(mem.base, n)
 	s := &joinSearch{
-		edges:     make([]searchEdge, len(edges)),
-		leaves:    make([]leafInfo, n),
+		edges:     mem.edges,
+		leaves:    mem.leaves,
+		mem:       mem,
 		workBytes: p.workBytes(),
 		steps:     make([]JoinStep, 0, n-1),
 	}
-	base := make([]frag, n)
+	base := mem.base
 	for i, t := range scans {
 		base[i] = frag{est: estOf(t.node), set: t.set, leaf: int8(i)}
 		for _, c := range t.schema {
-			base[i].colsW += p.colWidth(c)
+			base[i].colsW += colWidth(p.column(c).Type)
 		}
 		s.leaves[i].pkCol = -1
 		if ri, pkCol, st := p.pkAccess(t); ri != nil {
@@ -377,25 +414,17 @@ func merged(l, r *frag, e est) frag {
 	return frag{est: e, colsW: e.width, set: l.set | r.set, nbr: l.nbr | r.nbr, leaf: -1}
 }
 
-// dpTables recycles dp's fragment tables: one has 1<<n slots for an
-// n-relation block (16 KiB for the 8-way join of TPC-H Q8), every cold plan
-// of a join searches one, and it holds no pointer, so a pooled table costs
-// the collector nothing.
-var dpTables = sync.Pool{New: func() any { return new([]frag) }}
-
 // dp is the exhaustive search. Relation sets are block-local here (bit i
 // is base[i], which keeps the ascending order of the global sets) and
 // index the fragment table directly.
 func (s *joinSearch) dp(base []frag) frag {
 	n := len(base)
-	pooled := dpTables.Get().(*[]frag)
-	defer dpTables.Put(pooled)
-	if cap(*pooled) < 1<<n {
-		*pooled = make([]frag, 1<<n)
+	s.mem.tab = zeroed(s.mem.tab, 1<<n)
+	tab := s.mem.tab
+	if cap(s.mem.sets) < 1<<n {
+		s.mem.sets = make([]uint16, 0, 1<<n)
 	}
-	tab := (*pooled)[:1<<n]
-	clear(tab)
-	sets := make([]uint16, n, 1<<n) // slots in use: by size, ascending within a size
+	sets := s.mem.sets[:n] // slots in use: by size, ascending within a size
 	for i := range base {
 		tab[1<<i], sets[i] = base[i], 1<<i
 	}
@@ -556,7 +585,7 @@ func (p *planner) bestJoin(l, r *joinTree, edges []joinEdge, outSchema []schemaC
 	var lookupPages float64
 	if ri != nil {
 		for i, k := range keys {
-			if r.schema[k.rCol].col == pkCol {
+			if int(r.schema[k.rCol].col) == pkCol {
 				lookupKey = i
 				break
 			}
@@ -580,24 +609,25 @@ func (p *planner) bestJoin(l, r *joinTree, edges []joinEdge, outSchema []schemaC
 	if len(keys) == 1 {
 		var lPK int
 		li, lPK, lSt = p.pkAccess(l)
-		if li != nil && ri != nil && l.schema[keys[0].lCol].col == lPK && r.schema[keys[0].rCol].col == pkCol {
+		if li != nil && ri != nil && int(l.schema[keys[0].lCol].col) == lPK && int(r.schema[keys[0].rCol].col) == pkCol {
 			lOrd, lOrdPages = orderedScanEst(lSt, l.node)
 			rOrd, rOrdPages = orderedScanEst(st, r.node)
 			consider(mergeJoin, mergeJoinEst(lOrd, rOrd, joinRows, width))
 		}
 	}
 
-	n := &plan.Node{JoinType: plan.JoinInner, Cols: outCols}
+	j := &plan.JoinPayload{Type: plan.JoinInner}
+	n := &plan.Node{Cols: outCols, Join: j}
 	switch best {
 	case hashJoin:
 		hash := &plan.Node{Op: plan.OpHash, Children: []*plan.Node{r.node}, Cols: r.node.Cols}
 		hashE.fill(hash, 1)
 		n.Op, n.Children = plan.OpHashJoin, []*plan.Node{l.node, hash}
-		n.HashKeysL = make([]plan.Scalar, len(keys))
-		n.HashKeysR = make([]plan.Scalar, len(keys))
+		j.HashKeysL = make([]plan.Scalar, len(keys))
+		j.HashKeysR = make([]plan.Scalar, len(keys))
 		for i, k := range keys {
-			n.HashKeysL[i] = colRef(l.schema, k.lCol, 0)
-			n.HashKeysR[i] = colRef(r.schema, k.rCol, 0)
+			j.HashKeysL[i] = p.colRef(l.schema, k.lCol, 0)
+			j.HashKeysR[i] = p.colRef(r.schema, k.rCol, 0)
 		}
 		if spillPages > 0 {
 			n.Est.Pages = spillPages
@@ -605,45 +635,45 @@ func (p *planner) bestJoin(l, r *joinTree, edges []joinEdge, outSchema []schemaC
 	case indexLoop:
 		idx := &plan.Node{
 			Op: plan.OpIndexScan, Table: ri.table, Alias: ri.alias,
-			Index:       ri.table + "_pkey",
-			Cols:        r.node.Cols,
-			Filter:      r.node.Filter,
-			LookupExprs: []plan.Scalar{colRef(l.schema, keys[lookupKey].lCol, 0)},
+			Cols:   r.node.Cols,
+			Filter: r.node.Filter,
+			Lookup: &plan.LookupPayload{Exprs: []plan.Scalar{p.colRef(l.schema, keys[lookupKey].lCol, 0)}},
 		}
 		lookupE.fill(idx, r.node.Est.Selectivity)
 		idx.Est.Pages = lookupPages
 		n.Op, n.Children = plan.OpNestedLoop, []*plan.Node{l.node, idx}
-		n.JoinFilter = keysEqual(keys, lookupKey, l.schema, r.schema)
+		j.Filter = p.keysEqual(keys, lookupKey, l.schema, r.schema)
 	case materialLoop:
 		mat := &plan.Node{Op: plan.OpMaterialize, Children: []*plan.Node{r.node}, Cols: r.node.Cols}
 		matE.fill(mat, 1)
 		n.Op, n.Children = plan.OpNestedLoop, []*plan.Node{l.node, mat}
-		n.JoinFilter = keysEqual(keys, -1, l.schema, r.schema)
+		j.Filter = p.keysEqual(keys, -1, l.schema, r.schema)
 	case mergeJoin:
 		n.Op = plan.OpMergeJoin
 		n.Children = []*plan.Node{
 			orderedScan(li, l.node, lOrd, lOrdPages),
 			orderedScan(ri, r.node, rOrd, rOrdPages),
 		}
-		n.MergeKeysL = []int{keys[0].lCol}
-		n.MergeKeysR = []int{keys[0].rCol}
+		j.MergeKeysL = []int{keys[0].lCol}
+		j.MergeKeysR = []int{keys[0].rCol}
 	}
 	bestE.fill(n, 1)
 	return &joinTree{set: l.set.union(r.set), node: n, schema: outSchema}
 }
 
 // colRef references column off of schema at position base+off of a row.
-func colRef(schema []schemaCol, off, base int) *plan.Col {
-	return &plan.Col{Idx: base + off, K: schema[off].kind, Name: schema[off].name}
+func (p *planner) colRef(schema []schemaCol, off, base int) *plan.Col {
+	c := p.column(schema[off])
+	return &plan.Col{Idx: base + off, K: c.Type, Name: c.Name}
 }
 
 // keysEqual is every key but keys[skip] as a predicate on the joined row
 // of l and r.
-func keysEqual(keys []joinKey, skip int, l, r []schemaCol) (f plan.Scalar) {
+func (p *planner) keysEqual(keys []joinKey, skip int, l, r []schemaCol) (f plan.Scalar) {
 	for i, k := range keys {
 		if i != skip {
 			f = andScalars(f, &plan.Bin{Op: plan.BEq, K: types.KindBool,
-				L: colRef(l, k.lCol, 0), R: colRef(r, k.rCol, len(l))})
+				L: p.colRef(l, k.lCol, 0), R: p.colRef(r, k.rCol, len(l))})
 		}
 	}
 	return f
@@ -660,7 +690,6 @@ func orderedScanEst(st *catalog.TableStats, seq *plan.Node) (e est, pages float6
 func orderedScan(ri *relInfo, seq *plan.Node, e est, pages float64) *plan.Node {
 	idx := &plan.Node{
 		Op: plan.OpIndexScan, Table: ri.table, Alias: ri.alias,
-		Index:  ri.table + "_pkey",
 		Cols:   seq.Cols,
 		Filter: seq.Filter,
 	}
@@ -671,7 +700,7 @@ func orderedScan(ri *relInfo, seq *plan.Node, e est, pages float64) *plan.Node {
 
 func offsetIn(schema []schemaCol, rel, col int) (int, bool) {
 	for i, sc := range schema {
-		if sc.rel == rel && sc.col == col {
+		if int(sc.rel) == rel && int(sc.col) == col {
 			return i, true
 		}
 	}

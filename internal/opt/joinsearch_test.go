@@ -147,7 +147,7 @@ func (r *refSearch) appendSteps(out []JoinStep, t *joinTree) []JoinStep {
 // sequences must be identical and the tree applySteps built must be
 // reflect.DeepEqual to the one the reference search assembled itself.
 func planAgainstReference(db *storage.Database, stmt *sql.SelectStmt) (*plan.Node, *JoinTrace, error) {
-	p := &planner{db: db, relByID: map[int]*relInfo{}, workMemPages: 256, rec: &JoinTrace{}}
+	p := &planner{db: db, workMemPages: 256, rec: &JoinTrace{}}
 	p.verify = func(scans []*joinTree, edges []joinEdge, steps []JoinStep, tree *joinTree) error {
 		if len(scans) > maxDPRels {
 			return nil

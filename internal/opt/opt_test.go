@@ -182,7 +182,7 @@ func TestSubqueryStructureExclusions(t *testing.T) {
 		// HasSubqueryStructures reads the root alone: no other node of
 		// the plan, init- and sub-plans included, may carry either list.
 		node.Walk(func(n *plan.Node) {
-			if n != node && (len(n.InitPlans) > 0 || len(n.SubPlans) > 0) {
+			if n != node && (len(n.InitPlans()) > 0 || len(n.SubPlans()) > 0) {
 				t.Errorf("template %d: a %s below the root carries init- or sub-plans", tmpl, n.Op)
 			}
 		})
@@ -223,7 +223,7 @@ func TestQ13LeftJoinShape(t *testing.T) {
 	// The plan must contain a left hash join.
 	foundLeft := false
 	node.Walk(func(n *plan.Node) {
-		if n.Op == plan.OpHashJoin && n.JoinType == plan.JoinLeft {
+		if n.Op == plan.OpHashJoin && n.JoinType() == plan.JoinLeft {
 			foundLeft = true
 		}
 	})
@@ -265,7 +265,7 @@ func TestQ22AntiJoinAndInitPlan(t *testing.T) {
 	if !foundAnti {
 		t.Fatalf("NOT EXISTS should decorrelate to an anti join:\n%s", plan.Explain(node))
 	}
-	if len(node.InitPlans) == 0 {
+	if len(node.InitPlans()) == 0 {
 		t.Fatal("Q22's scalar avg subquery must be an init-plan")
 	}
 	_ = rows
@@ -276,7 +276,7 @@ func TestQ2CorrelatedSubPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	q, _ := tpch.GenQuery(2, rng)
 	node, _ := runQuery(t, db, q.SQL)
-	if len(node.SubPlans) == 0 {
+	if len(node.SubPlans()) == 0 {
 		t.Fatalf("Q2's correlated min subquery must be a SubPlan:\n%s", plan.Explain(node))
 	}
 }

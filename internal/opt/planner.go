@@ -16,8 +16,7 @@ import (
 // init-plans / sub-plans destined for the root node.
 type planner struct {
 	db           *storage.Database
-	relByID      map[int]*relInfo
-	nextRel      int
+	relByID      []*relInfo // indexed by id; an id's slot exists from newRelID on
 	workMemPages int
 
 	initPlans   []*plan.Node
@@ -42,7 +41,7 @@ type planner struct {
 
 // Plan compiles a parsed SELECT into a costed physical plan over db.
 func Plan(db *storage.Database, stmt *sql.SelectStmt) (*plan.Node, error) {
-	p := &planner{db: db, relByID: map[int]*relInfo{}, workMemPages: 256}
+	p := &planner{db: db, workMemPages: 256}
 	return p.run(stmt)
 }
 
@@ -53,11 +52,13 @@ func (p *planner) run(stmt *sql.SelectStmt) (*plan.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	root.InitPlans = p.initPlans
-	root.InitPlanSlots = p.initSlots
-	root.SubPlans = p.subPlans
-	root.SubPlanArgSlots = p.subArgSlots
-	root.NumParams = p.numParams
+	if p.numParams > 0 || len(p.initPlans) > 0 || len(p.subPlans) > 0 {
+		root.Root = &plan.RootPayload{
+			InitPlans: p.initPlans, InitPlanSlots: p.initSlots,
+			SubPlans: p.subPlans, SubPlanArgSlots: p.subArgSlots,
+			NumParams: p.numParams,
+		}
+	}
 	return root, nil
 }
 
@@ -77,11 +78,11 @@ func (p *planner) allocParam() int {
 }
 
 func (p *planner) newRelID() int {
-	id := p.nextRel
-	p.nextRel++
-	if id >= 64 {
+	id := len(p.relByID)
+	if id >= maxRels {
 		panic("opt: too many relations in one statement")
 	}
+	p.relByID = append(p.relByID, nil)
 	return id
 }
 
@@ -257,7 +258,7 @@ func (p *planner) planSelect(stmt *sql.SelectStmt, corr *subCtx) (*plan.Node, er
 			sel *= p.filterSelectivity(c, sc)
 		}
 		tree.node.Filter = andScalars(tree.node.Filter, f)
-		tree.node.Est.Rows = math.Max(1, tree.node.Est.Rows*sel)
+		tree.node.Est.Rows = max(1, tree.node.Est.Rows*sel)
 	}
 
 	// Aggregation / projection.
@@ -274,9 +275,9 @@ func (p *planner) planSelect(stmt *sql.SelectStmt, corr *subCtx) (*plan.Node, er
 		}
 		d := &plan.Node{
 			Op: plan.OpHashAggregate, Children: []*plan.Node{outNode},
-			Cols: outNode.Cols, GroupBy: groups,
+			Cols: outNode.Cols, Agg: &plan.AggPayload{GroupBy: groups},
 		}
-		p.costAggregate(d, math.Max(1, outNode.Est.Rows/2))
+		p.costAggregate(d, max(1, outNode.Est.Rows/2))
 		outNode = d
 	}
 
@@ -290,7 +291,7 @@ func (p *planner) planSelect(stmt *sql.SelectStmt, corr *subCtx) (*plan.Node, er
 			}
 			keys[i] = plan.SortKey{Col: idx, Desc: o.Desc}
 		}
-		s := &plan.Node{Op: plan.OpSort, Children: []*plan.Node{outNode}, Cols: outNode.Cols, SortKeys: keys}
+		s := &plan.Node{Op: plan.OpSort, Children: []*plan.Node{outNode}, Cols: outNode.Cols, Sort: &plan.SortPayload{Keys: keys}}
 		p.costSort(s)
 		outNode = s
 	}
@@ -341,33 +342,22 @@ func (p *planner) planOutput(stmt *sql.SelectStmt, tree *joinTree, sc *scope, co
 	if hasAgg {
 		// Bind group expressions against the join output.
 		groups := make([]plan.Scalar, len(stmt.GroupBy))
-		groupStrs := make([]string, len(stmt.GroupBy))
 		for i, g := range stmt.GroupBy {
 			s, err := joinBinder.bind(g)
 			if err != nil {
 				return nil, nil, nil, nil, err
 			}
 			groups[i] = s
-			groupStrs[i] = s.String()
 		}
 		var specs []plan.AggSpec
-		var specStrs []string
 
 		// The transforming binder intercepts aggregate calls and
 		// group-expression matches, mapping them to aggregate-output
 		// columns; anything else recurses structurally.
 		outSchema := func() []schemaCol {
-			cols := make([]schemaCol, 0, len(groups)+len(specs))
-			for i, g := range groups {
-				name := ""
-				if ref, ok := stmt.GroupBy[i].(*sql.ColumnRef); ok {
-					name = ref.Name
-				}
-				cols = append(cols, schemaCol{rel: -1, col: i, name: name, kind: g.Kind()})
-			}
-			for j, s := range specs {
-				kind := s.K
-				cols = append(cols, schemaCol{rel: -1, col: len(groups) + j, kind: kind})
+			cols := make([]schemaCol, len(groups)+len(specs))
+			for i := range cols {
+				cols[i] = schemaCol{rel: -1, col: int32(i)}
 			}
 			return cols
 		}
@@ -384,14 +374,12 @@ func (p *planner) planOutput(stmt *sql.SelectStmt, tree *joinTree, sc *scope, co
 				}
 				spec := plan.AggSpec{Func: aggFuncOf(fc.Name), Arg: arg, Distinct: fc.Distinct}
 				spec.K = aggResultKind(spec)
-				key := spec.String()
-				for j, s := range specStrs {
-					if s == key {
-						return &plan.Col{Idx: len(groups) + j, K: specs[j].K}, true, nil
+				for j, s := range specs {
+					if s.SameText(spec) {
+						return &plan.Col{Idx: len(groups) + j, K: s.K}, true, nil
 					}
 				}
 				specs = append(specs, spec)
-				specStrs = append(specStrs, key)
 				aggBinder.schema = outSchema()
 				return &plan.Col{Idx: len(groups) + len(specs) - 1, K: spec.K}, true, nil
 			}
@@ -403,10 +391,9 @@ func (p *planner) planOutput(stmt *sql.SelectStmt, tree *joinTree, sc *scope, co
 				return nil, false, nil
 			}
 			if s, err := joinBinder.bind(e); err == nil {
-				str := s.String()
-				for i, gs := range groupStrs {
-					if gs == str {
-						return &plan.Col{Idx: i, K: groups[i].Kind()}, true, nil
+				for i, g := range groups {
+					if plan.SameText(g, s) {
+						return &plan.Col{Idx: i, K: g.Kind()}, true, nil
 					}
 				}
 				if _, isRef := e.(*sql.ColumnRef); isRef {
@@ -476,7 +463,7 @@ func (p *planner) planOutput(stmt *sql.SelectStmt, tree *joinTree, sc *scope, co
 					sortKeys = append(sortKeys, plan.SortKey{Col: col.Idx})
 				}
 				if ok {
-					s := &plan.Node{Op: plan.OpSort, Children: []*plan.Node{child}, Cols: child.Cols, SortKeys: sortKeys}
+					s := &plan.Node{Op: plan.OpSort, Children: []*plan.Node{child}, Cols: child.Cols, Sort: &plan.SortPayload{Keys: sortKeys}}
 					p.costSort(s)
 					child = s
 				} else {
@@ -486,11 +473,11 @@ func (p *planner) planOutput(stmt *sql.SelectStmt, tree *joinTree, sc *scope, co
 		}
 		agg := &plan.Node{
 			Op: op, Children: []*plan.Node{child},
-			Cols: aggCols, GroupBy: groups, Aggs: specs, Filter: having,
+			Cols: aggCols, Agg: &plan.AggPayload{GroupBy: groups, Aggs: specs}, Filter: having,
 		}
 		p.costAggregate(agg, groupsEst)
 		if having != nil {
-			agg.Est.Rows = math.Max(1, agg.Est.Rows*defaultRangeSel)
+			agg.Est.Rows = max(1, agg.Est.Rows*defaultRangeSel)
 		}
 		outNode = agg
 	} else {
@@ -536,17 +523,13 @@ func (p *planner) planOutput(stmt *sql.SelectStmt, tree *joinTree, sc *scope, co
 			cols[i] = plan.Column{Name: itemNames[i], K: s.Kind(), Width: w}
 			ops += s.Cost().Ops
 		}
-		proj := &plan.Node{Op: plan.OpResult, Children: []*plan.Node{outNode}, Cols: cols, Projs: itemScalars}
+		proj := &plan.Node{Op: plan.OpResult, Children: []*plan.Node{outNode}, Cols: cols, Proj: &plan.ProjPayload{Exprs: itemScalars}}
 		p.costResult(proj, ops, 1)
 		outNode = proj
 	}
 
 	// ORDER BY resolver: alias match first, then structural match against
 	// the bound item expressions.
-	itemStrs := make([]string, len(itemScalars))
-	for i, s := range itemScalars {
-		itemStrs[i] = s.String()
-	}
 	orderIdx := func(e sql.Expr) (int, bool) {
 		if ref, ok := e.(*sql.ColumnRef); ok && ref.Table == "" {
 			for i, n := range itemNames {
@@ -559,9 +542,8 @@ func (p *planner) planOutput(stmt *sql.SelectStmt, tree *joinTree, sc *scope, co
 		if err != nil {
 			return 0, false
 		}
-		str := s.String()
-		for i, is := range itemStrs {
-			if is == str {
+		for i, is := range itemScalars {
+			if plan.SameText(is, s) {
 				return i, true
 			}
 		}
@@ -595,7 +577,7 @@ func (p *planner) estimateGroups(groupBy []sql.Expr, sc *scope, inputRows float6
 			est *= 50
 		}
 	}
-	return math.Max(1, math.Min(est, inputRows))
+	return max(1, min(est, inputRows))
 }
 
 // buildScan makes the scan fragment for one relation with its local
@@ -660,19 +642,19 @@ func (p *planner) buildScan(ri *relInfo, localConj []sql.Expr, sc *scope, corr *
 		if !ok {
 			return nil, fmt.Errorf("opt: no statistics for table %q", ri.table)
 		}
+		if len(st.ScanCols) != len(ri.cols) {
+			return nil, fmt.Errorf("opt: statistics of table %q describe %d columns, the table has %d", ri.table, len(st.ScanCols), len(ri.cols))
+		}
 		if lookupKey != nil {
 			meta, _ := p.db.Schema.Table(ri.table)
 			node := &plan.Node{
-				Op: plan.OpIndexScan, Table: ri.table, Alias: ri.alias,
-				Index: ri.table + "_pkey", Filter: filter,
-				LookupConsts: []plan.Scalar{lookupKey},
+				Op: plan.OpIndexScan, Table: ri.table, Alias: ri.alias, Filter: filter, Cols: st.ScanCols,
+				Lookup: &plan.LookupPayload{Consts: []plan.Scalar{lookupKey}},
 			}
-			node.Cols = p.planColumnsFromStats(schema, st)
 			p.costIndexScan(node, p.pkMatches(ri, meta.PrimaryKey[0], st), float64(st.Pages), sel)
 			return &joinTree{set: relSet(0).with(ri.id), node: node, schema: schema}, nil
 		}
-		node := &plan.Node{Op: plan.OpSeqScan, Table: ri.table, Alias: ri.alias, Filter: filter}
-		node.Cols = p.planColumnsFromStats(schema, st)
+		node := &plan.Node{Op: plan.OpSeqScan, Table: ri.table, Alias: ri.alias, Filter: filter, Cols: st.ScanCols}
 		p.costSeqScan(node, float64(st.RowCount), float64(st.Pages), sel, filterOps)
 		return &joinTree{set: relSet(0).with(ri.id), node: node, schema: schema}, nil
 	}
@@ -688,19 +670,6 @@ func (p *planner) buildScan(ri *relInfo, localConj []sql.Expr, sc *scope, corr *
 	node.Cols = cols
 	p.costSubqueryScan(node, sel, filterOps)
 	return &joinTree{set: relSet(0).with(ri.id), node: node, schema: schema}, nil
-}
-
-// planColumnsFromStats builds column metadata with statistics-informed widths.
-func (p *planner) planColumnsFromStats(schema []schemaCol, st *catalog.TableStats) []plan.Column {
-	out := make([]plan.Column, len(schema))
-	for i, sc := range schema {
-		w := 8.0
-		if sc.col < len(st.Columns) && st.Columns[sc.col].AvgWidth > 0 {
-			w = st.Columns[sc.col].AvgWidth
-		}
-		out[i] = plan.Column{Name: sc.name, K: sc.kind, Width: w}
-	}
-	return out
 }
 
 // asEquiEdge recognizes colref = colref conjuncts across two relations.
@@ -763,10 +732,10 @@ func (p *planner) applyLeftJoin(tree *joinTree, ri *relInfo, on sql.Expr, sc *sc
 			return nil, fmt.Errorf("opt: left join key not available")
 		}
 		rOff, _ := offsetIn(right.schema, rRel, rCol)
-		kl = append(kl, &plan.Col{Idx: lOff, K: tree.schema[lOff].kind, Name: tree.schema[lOff].name})
-		kr = append(kr, &plan.Col{Idx: rOff, K: right.schema[rOff].kind, Name: right.schema[rOff].name})
-		ndv := math.Max(p.ndvOf(lRel, lCol, tree.node.Est.Rows), p.ndvOf(rRel, rCol, right.node.Est.Rows))
-		joinSel /= math.Max(1, ndv)
+		kl = append(kl, p.colRef(tree.schema, lOff, 0))
+		kr = append(kr, p.colRef(right.schema, rOff, 0))
+		ndv := math.Max(p.ndvOf(lRel, lCol, tree.node.Est.Rows), p.ndvOf(rRel, rCol, right.node.Est.Rows)) // see keyNDV
+		joinSel /= max(1, ndv)
 	}
 	var joinFilter plan.Scalar
 	fb := &binder{p: p, sc: sc, schema: outSchema, corr: corr}
@@ -780,13 +749,12 @@ func (p *planner) applyLeftJoin(tree *joinTree, ri *relInfo, on sql.Expr, sc *sc
 	hash := &plan.Node{Op: plan.OpHash, Children: []*plan.Node{right.node}, Cols: right.node.Cols}
 	p.costHash(hash)
 	node := &plan.Node{
-		Op: plan.OpHashJoin, JoinType: plan.JoinLeft,
-		Children:  []*plan.Node{tree.node, hash},
-		Cols:      p.planColumns(outSchema),
-		HashKeysL: kl, HashKeysR: kr,
-		JoinFilter: joinFilter,
+		Op:       plan.OpHashJoin,
+		Children: []*plan.Node{tree.node, hash},
+		Cols:     p.planColumns(outSchema),
+		Join:     &plan.JoinPayload{Type: plan.JoinLeft, HashKeysL: kl, HashKeysR: kr, Filter: joinFilter},
 	}
-	joinRows := math.Max(tree.node.Est.Rows, tree.node.Est.Rows*right.node.Est.Rows*joinSel)
+	joinRows := math.Max(tree.node.Est.Rows, tree.node.Est.Rows*right.node.Est.Rows*joinSel) // see keyNDV
 	p.costHashJoin(node, joinRows)
 	return &joinTree{set: tree.set.union(right.set), node: node, schema: outSchema}, nil
 }
@@ -819,12 +787,12 @@ func (p *planner) applySemi(tree *joinTree, se semiEntry, sc *scope, corr *subCt
 		jt = plan.JoinAnti
 	}
 	node := &plan.Node{
-		Op: op, JoinType: jt,
-		Children:  []*plan.Node{tree.node, hash},
-		Cols:      tree.node.Cols,
-		HashKeysL: kl, HashKeysR: kr,
+		Op:       op,
+		Children: []*plan.Node{tree.node, hash},
+		Cols:     tree.node.Cols,
+		Join:     &plan.JoinPayload{Type: jt, HashKeysL: kl, HashKeysR: kr},
 	}
-	p.costHashJoin(node, math.Max(1, tree.node.Est.Rows*defaultSel))
+	p.costHashJoin(node, max(1, tree.node.Est.Rows*defaultSel))
 	return &joinTree{set: tree.set, node: node, schema: tree.schema}, nil
 }
 
@@ -940,13 +908,21 @@ func (p *planner) hasOuterRefs(e sql.Expr, local *scope, outer *scope) bool {
 }
 
 // splitConjuncts flattens a predicate into its AND-ed conjuncts. The
-// accumulator form builds one slice instead of a quadratic append chain
-// over the deep AND trees TPC-H WHERE clauses produce.
+// accumulator form fills one slice, counted first, instead of a quadratic
+// append chain over the deep AND trees TPC-H WHERE clauses produce.
 func splitConjuncts(e sql.Expr) []sql.Expr {
 	if e == nil {
 		return nil
 	}
-	return appendConjuncts(nil, e)
+	return appendConjuncts(make([]sql.Expr, 0, countConjuncts(e)), e)
+}
+
+// countConjuncts is len(splitConjuncts(e)) for a non-nil e.
+func countConjuncts(e sql.Expr) int {
+	if be, ok := e.(*sql.BinaryExpr); ok && be.Op == sql.OpAnd {
+		return countConjuncts(be.L) + countConjuncts(be.R)
+	}
+	return 1
 }
 
 func appendConjuncts(out []sql.Expr, e sql.Expr) []sql.Expr {

@@ -59,7 +59,7 @@ func TestScalarSubqueryInWhere(t *testing.T) {
 	node, rows := runQuery(t, db, `
 		select count(*) from customer
 		where c_acctbal > (select avg(c_acctbal) from customer)`)
-	if len(node.InitPlans) != 1 {
+	if len(node.InitPlans()) != 1 {
 		t.Fatalf("expected one init plan:\n%s", plan.Explain(node))
 	}
 	cust, _ := db.Table("customer")
@@ -80,7 +80,7 @@ func TestIndexScanOnPKEquality(t *testing.T) {
 	}
 	hasIdx := false
 	node.Walk(func(n *plan.Node) {
-		if n.Op == plan.OpIndexScan && len(n.LookupConsts) == 1 {
+		if n.Op == plan.OpIndexScan && len(n.LookupConsts()) == 1 {
 			hasIdx = true
 		}
 	})
@@ -96,18 +96,18 @@ func TestQ2UsesParameterizedIndexScanInSubPlan(t *testing.T) {
 		and ps_supplycost = (select min(ps_supplycost) from partsupp where p_partkey = ps_partkey)
 		order by s_acctbal desc limit 10`
 	node := planQuery(t, db, q)
-	if len(node.SubPlans) != 1 {
+	if len(node.SubPlans()) != 1 {
 		t.Fatalf("expected a correlated sub-plan:\n%s", plan.Explain(node))
 	}
 	hasParamIdx := false
-	node.SubPlans[0].Walk(func(n *plan.Node) {
-		if n.Op == plan.OpIndexScan && len(n.LookupConsts) == 1 {
+	node.SubPlans()[0].Walk(func(n *plan.Node) {
+		if n.Op == plan.OpIndexScan && len(n.LookupConsts()) == 1 {
 			hasParamIdx = true
 		}
 	})
 	if !hasParamIdx {
 		t.Fatalf("sub-plan should index-scan partsupp on the correlation key:\n%s",
-			plan.Explain(node.SubPlans[0]))
+			plan.Explain(node.SubPlans()[0]))
 	}
 }
 

@@ -29,29 +29,53 @@ type relInfo struct {
 }
 
 // schemaCol locates one column of an operator's output: which relation it
-// came from and its ordinal there.
+// came from and its ordinal there. The column's name and kind are the
+// relation's (planner.column), so a schema is two small integers a column.
 type schemaCol struct {
-	rel  int // relInfo id; -1 for computed columns
-	col  int
-	name string
-	kind types.Kind
+	rel int32 // relInfo id; -1 for computed columns
+	col int32
 }
 
-// schemaOf builds the output schema description of a single relation.
+// maxRels bounds the relations of one statement (relSet is 64 bits).
+const maxRels = 64
+
+// relSchemas holds, per relation id, the schema of a relation of up to 16
+// columns, a TPC-H table's widest: its id and the column ordinals.
+var relSchemas = func() (t [maxRels][16]schemaCol) {
+	for rel := range t {
+		for col := range t[rel] {
+			t[rel][col] = schemaCol{rel: int32(rel), col: int32(col)}
+		}
+	}
+	return t
+}()
+
+// schemaOf is the output schema of a single relation: a read-only slice of
+// relSchemas (its capacity ends it, so an append copies), or a new array
+// for a wider derived table.
 func schemaOf(r *relInfo) []schemaCol {
-	out := make([]schemaCol, len(r.cols))
-	for i, c := range r.cols {
-		out[i] = schemaCol{rel: r.id, col: i, name: c.Name, kind: c.Type}
+	n := len(r.cols)
+	if n <= len(relSchemas[r.id]) {
+		return relSchemas[r.id][:n:n]
+	}
+	out := make([]schemaCol, n)
+	for i := range out {
+		out[i] = schemaCol{rel: int32(r.id), col: int32(i)}
 	}
 	return out
+}
+
+// column is the relation column sc names; sc must not be computed.
+func (p *planner) column(sc schemaCol) catalog.Column {
+	return p.relByID[sc.rel].cols[sc.col]
 }
 
 // planColumns converts a schema to plan node column metadata.
 func (p *planner) planColumns(schema []schemaCol) []plan.Column {
 	out := make([]plan.Column, len(schema))
 	for i, sc := range schema {
-		w := p.colWidth(sc)
-		out[i] = plan.Column{Name: sc.name, K: sc.kind, Width: w}
+		c := p.column(sc)
+		out[i] = plan.Column{Name: c.Name, K: c.Type, Width: colWidth(c.Type)}
 	}
 	return out
 }
@@ -230,9 +254,9 @@ func renameColumns(cols []catalog.Column, aliases []string) {
 	}
 }
 
-// colWidth estimates a column's average byte width from base statistics.
-func (p *planner) colWidth(sc schemaCol) float64 {
-	if sc.kind == types.KindString {
+// colWidth estimates the average byte width of a column of kind k.
+func colWidth(k types.Kind) float64 {
+	if k == types.KindString {
 		return 16
 	}
 	return 8

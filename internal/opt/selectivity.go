@@ -21,12 +21,15 @@ const (
 // colStats returns the base-table statistics behind a schema column, or
 // nil for computed/derived columns.
 func (p *planner) colStats(sc schemaCol) *catalog.ColumnStats {
+	if sc.rel < 0 {
+		return nil
+	}
 	ri := p.relByID[sc.rel]
-	if ri == nil || ri.table == "" {
+	if ri.table == "" {
 		return nil
 	}
 	st, ok := p.db.TableStats(ri.table)
-	if !ok || sc.col >= len(st.Columns) {
+	if !ok || int(sc.col) >= len(st.Columns) {
 		return nil
 	}
 	return &st.Columns[sc.col]
@@ -212,7 +215,7 @@ func (p *planner) comparisonSelectivity(v *sql.BinaryExpr, sc *scope) float64 {
 	case lcs != nil && rcs != nil && v.Op == sql.OpEq:
 		// Same-block column equality (e.g. l_commitdate < l_receiptdate
 		// falls to range default; equality uses NDVs).
-		nd := math.Max(lcs.NDV, rcs.NDV)
+		nd := max(lcs.NDV, rcs.NDV)
 		if nd > 0 {
 			return clampSel(1 / nd)
 		}
@@ -240,7 +243,7 @@ func (p *planner) statsFor(e sql.Expr, sc *scope) *catalog.ColumnStats {
 	if err != nil {
 		return nil
 	}
-	return p.colStats(schemaCol{rel: rel, col: col})
+	return p.colStats(schemaCol{rel: int32(rel), col: int32(col)})
 }
 
 // likeSelectivity mimics PostgreSQL's pattern heuristics: every literal

@@ -59,7 +59,7 @@ func (t *JoinTrace) Steps() int {
 // structure (different literals), producing bit-identical plans whenever
 // a fresh search would pick the same join order.
 func PlanTraced(db *storage.Database, stmt *sql.SelectStmt) (*plan.Node, *JoinTrace, error) {
-	p := &planner{db: db, relByID: map[int]*relInfo{}, workMemPages: 256, rec: &JoinTrace{}}
+	p := &planner{db: db, workMemPages: 256, rec: &JoinTrace{}}
 	root, err := p.run(stmt)
 	if err != nil {
 		return nil, nil, err
@@ -76,7 +76,7 @@ func PlanTraced(db *storage.Database, stmt *sql.SelectStmt) (*plan.Node, *JoinTr
 // stmt and the trace returns an error (callers fall back to cold
 // planning); it never panics.
 func PlanReplay(db *storage.Database, stmt *sql.SelectStmt, trace *JoinTrace) (*plan.Node, error) {
-	p := &planner{db: db, relByID: map[int]*relInfo{}, workMemPages: 256, replay: trace}
+	p := &planner{db: db, workMemPages: 256, replay: trace}
 	root, err := p.run(stmt)
 	if err != nil {
 		return nil, err

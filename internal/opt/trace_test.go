@@ -48,18 +48,18 @@ func comparePlans(t *testing.T, fresh, replayed *plan.Node) {
 			t.Fatalf("%s: child count %d vs %d", path, len(a.Children), len(b.Children))
 		}
 		for i := range a.Children {
-			walk(path+"/"+string(a.Op), a.Children[i], b.Children[i])
+			walk(path+"/"+a.Op.String(), a.Children[i], b.Children[i])
 		}
 	}
 	walk("root", fresh, replayed)
-	if len(fresh.InitPlans) != len(replayed.InitPlans) || len(fresh.SubPlans) != len(replayed.SubPlans) {
+	if len(fresh.InitPlans()) != len(replayed.InitPlans()) || len(fresh.SubPlans()) != len(replayed.SubPlans()) {
 		t.Fatalf("init/sub plan counts differ")
 	}
-	for i := range fresh.InitPlans {
-		walk("initplan", fresh.InitPlans[i], replayed.InitPlans[i])
+	for i, ip := range fresh.InitPlans() {
+		walk("initplan", ip, replayed.InitPlans()[i])
 	}
-	for i := range fresh.SubPlans {
-		walk("subplan", fresh.SubPlans[i], replayed.SubPlans[i])
+	for i, sp := range fresh.SubPlans() {
+		walk("subplan", sp, replayed.SubPlans()[i])
 	}
 }
 

@@ -11,11 +11,11 @@ import (
 func Explain(root *Node) string {
 	var sb strings.Builder
 	writeExplain(&sb, root, 0, "")
-	for i, ip := range root.InitPlans {
+	for i, ip := range root.InitPlans() {
 		fmt.Fprintf(&sb, "  InitPlan %d\n", i+1)
 		writeExplain(&sb, ip, 2, "-> ")
 	}
-	for i, sp := range root.SubPlans {
+	for i, sp := range root.SubPlans() {
 		fmt.Fprintf(&sb, "  SubPlan %d\n", i+1)
 		writeExplain(&sb, sp, 2, "-> ")
 	}
@@ -24,16 +24,17 @@ func Explain(root *Node) string {
 
 func writeExplain(sb *strings.Builder, n *Node, depth int, prefix string) {
 	indent := strings.Repeat("  ", depth)
-	head := string(n.Op)
+	head := n.Op.String()
+	join := n.JoinOf()
 	switch n.Op {
 	case OpHashJoin, OpNestedLoop, OpMergeJoin:
-		if n.JoinType != JoinInner {
+		if join.Type != JoinInner {
 			// e.g. "Hash Left Join", "Nested Loop Left Join"
 			base := strings.TrimSuffix(head, " Join")
 			if n.Op == OpNestedLoop {
-				head = fmt.Sprintf("%s %s Join", head, n.JoinType)
+				head = fmt.Sprintf("%s %s Join", head, join.Type)
 			} else {
-				head = fmt.Sprintf("%s %s Join", base, n.JoinType)
+				head = fmt.Sprintf("%s %s Join", base, join.Type)
 			}
 		}
 	}
@@ -44,8 +45,8 @@ func writeExplain(sb *strings.Builder, n *Node, depth int, prefix string) {
 			head += " on " + n.Table
 		}
 	}
-	if n.Index != "" {
-		head += " using " + n.Index
+	if idx := n.IndexName(); idx != "" {
+		head += " using " + idx
 	}
 	fmt.Fprintf(sb, "%s%s%s  (cost=%.2f..%.2f rows=%.0f width=%.0f)",
 		indent, prefix, head, n.Est.StartupCost, n.Est.TotalCost, n.Est.Rows, n.Est.Width)
@@ -58,10 +59,10 @@ func writeExplain(sb *strings.Builder, n *Node, depth int, prefix string) {
 	detail := func(label, text string) {
 		fmt.Fprintf(sb, "%s      %s: %s\n", indent, label, text)
 	}
-	if len(n.HashKeysL) > 0 {
-		conds := make([]string, len(n.HashKeysL))
-		for i := range n.HashKeysL {
-			conds[i] = n.HashKeysL[i].String() + " = " + n.HashKeysR[i].String()
+	if len(join.HashKeysL) > 0 {
+		conds := make([]string, len(join.HashKeysL))
+		for i := range join.HashKeysL {
+			conds[i] = join.HashKeysL[i].String() + " = " + join.HashKeysR[i].String()
 		}
 		label := "Hash Cond"
 		if n.Op == OpMergeJoin {
@@ -69,22 +70,22 @@ func writeExplain(sb *strings.Builder, n *Node, depth int, prefix string) {
 		}
 		detail(label, strings.Join(conds, " AND "))
 	}
-	if n.JoinFilter != nil {
-		detail("Join Filter", n.JoinFilter.String())
+	if join.Filter != nil {
+		detail("Join Filter", join.Filter.String())
 	}
 	if n.Filter != nil {
 		detail("Filter", n.Filter.String())
 	}
-	if len(n.GroupBy) > 0 {
-		keys := make([]string, len(n.GroupBy))
-		for i, g := range n.GroupBy {
+	if groups := n.GroupBy(); len(groups) > 0 {
+		keys := make([]string, len(groups))
+		for i, g := range groups {
 			keys[i] = g.String()
 		}
 		detail("Group Key", strings.Join(keys, ", "))
 	}
-	if len(n.SortKeys) > 0 {
-		keys := make([]string, len(n.SortKeys))
-		for i, k := range n.SortKeys {
+	if sortKeys := n.SortKeys(); len(sortKeys) > 0 {
+		keys := make([]string, len(sortKeys))
+		for i, k := range sortKeys {
 			dir := ""
 			if k.Desc {
 				dir = " DESC"

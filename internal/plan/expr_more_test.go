@@ -152,10 +152,10 @@ func TestExplainJoinVariants(t *testing.T) {
 	mk := func(op OpType, jt JoinKind) *Node {
 		l := &Node{Op: OpSeqScan, Table: "a"}
 		r := &Node{Op: OpSeqScan, Table: "b"}
-		n := &Node{Op: op, JoinType: jt, Children: []*Node{l, r}}
+		n := &Node{Op: op, Join: &JoinPayload{Type: jt}, Children: []*Node{l, r}}
 		if op != OpNestedLoop {
-			n.HashKeysL = []Scalar{col(0, types.KindInt)}
-			n.HashKeysR = []Scalar{col(0, types.KindInt)}
+			n.Join.HashKeysL = []Scalar{col(0, types.KindInt)}
+			n.Join.HashKeysR = []Scalar{col(0, types.KindInt)}
 		}
 		return n
 	}
@@ -171,7 +171,7 @@ func TestExplainJoinVariants(t *testing.T) {
 		t.Fatalf("merge cond missing:\n%s", out)
 	}
 	nl := mk(OpNestedLoop, JoinLeft)
-	nl.JoinFilter = bin(BEq, col(0, types.KindInt), col(1, types.KindInt))
+	nl.Join.Filter = bin(BEq, col(0, types.KindInt), col(1, types.KindInt))
 	out = Explain(nl)
 	if !strings.Contains(out, "Nested Loop Left Join") || !strings.Contains(out, "Join Filter") {
 		t.Fatalf("nested loop rendering:\n%s", out)
@@ -180,8 +180,7 @@ func TestExplainJoinVariants(t *testing.T) {
 
 func TestExplainInitAndSubPlans(t *testing.T) {
 	root := &Node{Op: OpSeqScan, Table: "t"}
-	root.InitPlans = []*Node{{Op: OpAggregate}}
-	root.SubPlans = []*Node{{Op: OpAggregate}}
+	root.Root = &RootPayload{InitPlans: []*Node{{Op: OpAggregate}}, SubPlans: []*Node{{Op: OpAggregate}}}
 	out := Explain(root)
 	if !strings.Contains(out, "InitPlan 1") || !strings.Contains(out, "SubPlan 1") {
 		t.Fatalf("init/sub plan sections missing:\n%s", out)
@@ -192,13 +191,13 @@ func TestExplainGroupAndSortDetails(t *testing.T) {
 	scan := &Node{Op: OpSeqScan, Table: "t", Cols: []Column{{Name: "a"}, {Name: "b"}}}
 	agg := &Node{
 		Op: OpHashAggregate, Children: []*Node{scan},
-		GroupBy: []Scalar{&Col{Idx: 0, Name: "a"}},
-		Cols:    []Column{{Name: "a"}, {Name: "n"}},
+		Agg:  &AggPayload{GroupBy: []Scalar{&Col{Idx: 0, Name: "a"}}},
+		Cols: []Column{{Name: "a"}, {Name: "n"}},
 	}
 	sortN := &Node{
 		Op: OpSort, Children: []*Node{agg},
-		SortKeys: []SortKey{{Col: 1, Desc: true}},
-		Cols:     agg.Cols,
+		Sort: &SortPayload{Keys: []SortKey{{Col: 1, Desc: true}}},
+		Cols: agg.Cols,
 	}
 	out := Explain(sortN)
 	if !strings.Contains(out, "Group Key: a") {
@@ -237,5 +236,39 @@ func TestNodeStringAndWidth(t *testing.T) {
 	j := &Node{Op: OpHashJoin}
 	if j.String() != "Hash Join" {
 		t.Fatalf("join string %q", j.String())
+	}
+}
+
+// TestSameTextEdges covers the renderings SameText must follow that no
+// template plan shows: unnamed columns, floats that print alike, constants
+// of different kinds, a missing ELSE and a sub-plan's ignored arguments.
+func TestSameTextEdges(t *testing.T) {
+	for _, tc := range []struct {
+		a, b Scalar
+	}{
+		{&Col{Idx: 3}, &Col{Idx: 3, K: types.KindInt}},
+		{&Col{Idx: 3}, &Col{Idx: 4}},
+		{&Col{Idx: 3}, &Col{Idx: 0, Name: "$col3"}},
+		{&Col{Idx: 1, Name: "a"}, &Col{Idx: 2, Name: "a"}},
+		{cflt(0.051), cflt(0.049)},
+		{cflt(0.05), cflt(0.06)},
+		{cint(5), cflt(5)},
+		{cstr("5"), cint(5)},
+		{&Const{V: types.Null}, &Const{V: types.Null}},
+		{&Case{Whens: []When{{Cond: cint(1), Then: cint(2)}}}, &Case{Whens: []When{{Cond: cint(1), Then: cint(2)}}, Else: cint(3)}},
+		{&SubPlan{Idx: 1, Args: []Scalar{cint(1)}}, &SubPlan{Idx: 1}},
+		{&SubPlan{Idx: 1, Mode: SubPlanExists}, &SubPlan{Idx: 1}},
+		{&Not{E: cint(1)}, &Neg{E: cint(1)}},
+	} {
+		want := tc.a.String() == tc.b.String()
+		if got := SameText(tc.a, tc.b); got != want {
+			t.Errorf("SameText(%s, %s) = %v, String equality %v", tc.a, tc.b, got, want)
+		}
+		if got := SameText(tc.b, tc.a); got != want {
+			t.Errorf("SameText(%s, %s) = %v, String equality %v", tc.b, tc.a, got, want)
+		}
+	}
+	if !SameText(nil, nil) || SameText(cint(1), nil) || SameText(nil, cint(1)) {
+		t.Error("nil operands: equal to nil alone")
 	}
 }

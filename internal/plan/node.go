@@ -8,28 +8,54 @@ import (
 
 // OpType names a physical operator, using PostgreSQL's EXPLAIN vocabulary
 // so the paper's feature names (<operator_name>_cnt, <operator_name>_rows)
-// carry over directly.
-type OpType string
+// carry over directly. It is one byte on the node; String gives the name.
+type OpType uint8
 
-// Physical operator types.
+// Physical operator types. The zero OpType names no operator.
 const (
-	OpSeqScan       OpType = "Seq Scan"
-	OpIndexScan     OpType = "Index Scan"
-	OpSort          OpType = "Sort"
-	OpLimit         OpType = "Limit"
-	OpMaterialize   OpType = "Materialize"
-	OpNestedLoop    OpType = "Nested Loop"
-	OpHashJoin      OpType = "Hash Join"
-	OpHashSemiJoin  OpType = "Hash Semi Join"
-	OpHashAntiJoin  OpType = "Hash Anti Join"
-	OpMergeJoin     OpType = "Merge Join"
-	OpHash          OpType = "Hash"
-	OpHashAggregate OpType = "HashAggregate"
-	OpGroupAgg      OpType = "GroupAggregate"
-	OpAggregate     OpType = "Aggregate"
-	OpResult        OpType = "Result"
-	OpSubqueryScan  OpType = "Subquery Scan"
+	OpSeqScan OpType = iota + 1
+	OpIndexScan
+	OpSort
+	OpLimit
+	OpMaterialize
+	OpNestedLoop
+	OpHashJoin
+	OpHashSemiJoin
+	OpHashAntiJoin
+	OpMergeJoin
+	OpHash
+	OpHashAggregate
+	OpGroupAgg
+	OpAggregate
+	OpResult
+	OpSubqueryScan
 )
+
+var opNames = [...]string{
+	OpSeqScan: "Seq Scan", OpIndexScan: "Index Scan", OpSort: "Sort", OpLimit: "Limit",
+	OpMaterialize: "Materialize", OpNestedLoop: "Nested Loop", OpHashJoin: "Hash Join",
+	OpHashSemiJoin: "Hash Semi Join", OpHashAntiJoin: "Hash Anti Join", OpMergeJoin: "Merge Join",
+	OpHash: "Hash", OpHashAggregate: "HashAggregate", OpGroupAgg: "GroupAggregate",
+	OpAggregate: "Aggregate", OpResult: "Result", OpSubqueryScan: "Subquery Scan",
+}
+
+// String is the operator's EXPLAIN name ("" for the zero OpType).
+func (o OpType) String() string {
+	if int(o) < len(opNames) {
+		return opNames[o]
+	}
+	return fmt.Sprintf("OpType(%d)", uint8(o))
+}
+
+// ParseOpType is the operator named name, the inverse of String.
+func ParseOpType(name string) (OpType, bool) {
+	for _, op := range AllOpTypes {
+		if opNames[op] == name {
+			return op, true
+		}
+	}
+	return 0, false
+}
 
 // AllOpTypes lists every operator type, fixing the order of the
 // per-operator-type features in plan-level models.
@@ -142,53 +168,75 @@ type SortKey struct {
 	Desc bool
 }
 
-// Node is one operator in a physical plan tree. A single struct carries
-// the payload of every operator type; only the fields relevant to Op are
-// set. The root node additionally owns the query's init-plans, correlated
-// sub-plans, and the parameter slot count.
+// Node is one operator in a physical plan tree. It holds inline what
+// every operator carries, and a scan's table; each other operator kind's
+// payload hangs off one pointer that only that kind's constructor sets
+// (nil on every other node), and the root alone owns the query's
+// init-plans, correlated sub-plans and parameter count. So a Seq Scan or a
+// Hash node is one allocation. Code that reads payloads of any node goes
+// through the nil-safe accessors below.
 type Node struct {
 	Op       OpType
 	Children []*Node
-	Cols     []Column
+	// Cols is the output column metadata. It may be shared — with a
+	// child's, with the block layout of a join tree, or, on base-table
+	// scans, with every plan over the same table statistics — so it is
+	// read-only: a node that renames columns builds a new array.
+	Cols []Column
 
 	Est Estimates
 	Act Actuals
 
-	// Scan payload.
-	Table string
-	Alias string
-	Index string
-	// LookupExprs parameterize an index scan from the *outer* row of the
-	// enclosing nested loop (PostgreSQL's parameterized inner indexscan).
-	LookupExprs []Scalar
-	// LookupConsts are constant index key values for standalone lookups.
-	LookupConsts []Scalar
-
 	// Filter applies to output rows (scan filters, WHERE residuals, HAVING).
 	Filter Scalar
 
-	// Join payload.
-	JoinType   JoinKind
+	// Scan target: Table for base-table scans, Alias also for a derived
+	// table's Subquery Scan.
+	Table string
+	Alias string
+
+	Join   *JoinPayload   // Nested Loop, Hash (Semi/Anti) Join, Merge Join
+	Agg    *AggPayload    // HashAggregate, GroupAggregate, Aggregate
+	Lookup *LookupPayload // an Index Scan's key lookups; nil for a full ordered scan
+	Sort   *SortPayload   // Sort
+	Proj   *ProjPayload   // Result
+	LimitN int            // Limit
+	Root   *RootPayload   // the plan root, when the query has sub-plans or parameters or has run
+}
+
+// JoinPayload is a join's kind, keys and residual.
+type JoinPayload struct {
+	Type       JoinKind
 	HashKeysL  []Scalar // bound against the left child schema
 	HashKeysR  []Scalar // bound against the right child schema
 	MergeKeysL []int    // sorted-column ordinals for merge join
 	MergeKeysR []int
-	JoinFilter Scalar // ON residual, bound against concatenated schema
+	Filter     Scalar // ON residual, bound against concatenated schema
+}
 
-	// Aggregation payload.
+// AggPayload is an aggregate's grouping keys and computations.
+type AggPayload struct {
 	GroupBy []Scalar
 	Aggs    []AggSpec
+}
 
-	// Projection payload.
-	Projs []Scalar
+// LookupPayload keys an Index Scan on the table's primary index.
+type LookupPayload struct {
+	// Exprs parameterize the scan from the *outer* row of the enclosing
+	// nested loop (PostgreSQL's parameterized inner indexscan).
+	Exprs []Scalar
+	// Consts are constant index key values for standalone lookups.
+	Consts []Scalar
+}
 
-	// Sort payload.
-	SortKeys []SortKey
+// SortPayload is a Sort's keys.
+type SortPayload struct{ Keys []SortKey }
 
-	// Limit payload.
-	LimitN int
+// ProjPayload is a Result node's projected expressions.
+type ProjPayload struct{ Exprs []Scalar }
 
-	// Root-only payload.
+// RootPayload is what only a plan root carries.
+type RootPayload struct {
 	InitPlans []*Node // uncorrelated sub-plans, run once before the query
 	// InitPlanSlots[i] is the parameter slot receiving InitPlans[i]'s value.
 	InitPlanSlots []int
@@ -202,8 +250,106 @@ type Node struct {
 	// this plan tree (compiled expression closures, today). It is owned by
 	// the executor and carries no locking: a plan tree must not be shared
 	// between concurrent Runs, which the executor's concurrency contract
-	// already requires. Root-only.
+	// already requires.
 	ExecCache any
+}
+
+// JoinType is n's join kind; JoinInner on a node without a join payload.
+func (n *Node) JoinType() JoinKind {
+	if n.Join == nil {
+		return JoinInner
+	}
+	return n.Join.Type
+}
+
+// JoinOf is n's join payload, or an empty one — an inner join without keys
+// or residual, not attached to n — when n has none.
+func (n *Node) JoinOf() *JoinPayload {
+	if n.Join == nil {
+		return &JoinPayload{}
+	}
+	return n.Join
+}
+
+// GroupBy is n's grouping keys (nil without an aggregate payload).
+func (n *Node) GroupBy() []Scalar {
+	if n.Agg == nil {
+		return nil
+	}
+	return n.Agg.GroupBy
+}
+
+// Aggs is n's aggregate computations (nil without an aggregate payload).
+func (n *Node) Aggs() []AggSpec {
+	if n.Agg == nil {
+		return nil
+	}
+	return n.Agg.Aggs
+}
+
+// LookupExprs is n's outer-row index keys (nil without a lookup payload).
+func (n *Node) LookupExprs() []Scalar {
+	if n.Lookup == nil {
+		return nil
+	}
+	return n.Lookup.Exprs
+}
+
+// LookupConsts is n's constant index keys (nil without a lookup payload).
+func (n *Node) LookupConsts() []Scalar {
+	if n.Lookup == nil {
+		return nil
+	}
+	return n.Lookup.Consts
+}
+
+// SortKeys is n's sort keys (nil without a sort payload).
+func (n *Node) SortKeys() []SortKey {
+	if n.Sort == nil {
+		return nil
+	}
+	return n.Sort.Keys
+}
+
+// Projs is n's projected expressions (nil without a projection payload).
+func (n *Node) Projs() []Scalar {
+	if n.Proj == nil {
+		return nil
+	}
+	return n.Proj.Exprs
+}
+
+// InitPlans is the root's init-plans (nil on any other node).
+func (n *Node) InitPlans() []*Node {
+	if n.Root == nil {
+		return nil
+	}
+	return n.Root.InitPlans
+}
+
+// SubPlans is the root's correlated sub-plans (nil on any other node).
+func (n *Node) SubPlans() []*Node {
+	if n.Root == nil {
+		return nil
+	}
+	return n.Root.SubPlans
+}
+
+// NumParams is the root's parameter slot count (0 on any other node).
+func (n *Node) NumParams() int {
+	if n.Root == nil {
+		return 0
+	}
+	return n.Root.NumParams
+}
+
+// IndexName is the index an Index Scan reads, the table's primary key
+// index ("" on any other node). It is rendered, not stored.
+func (n *Node) IndexName() string {
+	if n.Op != OpIndexScan {
+		return ""
+	}
+	return n.Table + "_pkey"
 }
 
 // Width returns the estimated row width from the column metadata.
@@ -232,10 +378,10 @@ func (n *Node) Walk(fn func(*Node)) {
 	for _, c := range n.Children {
 		c.Walk(fn)
 	}
-	for _, ip := range n.InitPlans {
+	for _, ip := range n.InitPlans() {
 		ip.Walk(fn)
 	}
-	for _, sp := range n.SubPlans {
+	for _, sp := range n.SubPlans() {
 		sp.Walk(fn)
 	}
 }
@@ -255,7 +401,7 @@ func (n *Node) WalkTree(fn func(*Node)) {
 // layer uses this to exclude such plans exactly as the paper excluded
 // TPC-H templates 2, 11, 15 and 22.
 func (n *Node) HasSubqueryStructures() bool {
-	return len(n.InitPlans) > 0 || len(n.SubPlans) > 0
+	return len(n.InitPlans()) > 0 || len(n.SubPlans()) > 0
 }
 
 // Signature returns the canonical structural key of the sub-plan rooted at
@@ -285,10 +431,10 @@ func (n *Node) AppendSignature(dst []byte) []byte {
 // appendOwnSignature appends what n contributes to its signature besides
 // its children's: the operator, a join's kind and a scan's table.
 func (n *Node) appendOwnSignature(dst []byte) []byte {
-	dst = append(dst, n.Op...)
+	dst = append(dst, n.Op.String()...)
 	if n.Op == OpHashJoin || n.Op == OpHashSemiJoin || n.Op == OpHashAntiJoin ||
 		n.Op == OpNestedLoop || n.Op == OpMergeJoin {
-		dst = append(append(dst, '/'), n.JoinType.String()...)
+		dst = append(append(dst, '/'), n.JoinType().String()...)
 	}
 	if n.Table != "" {
 		dst = append(append(append(dst, '['), n.Table...), ']')
@@ -355,5 +501,5 @@ func (n *Node) String() string {
 	if n.Table != "" {
 		return fmt.Sprintf("%s on %s", n.Op, n.Table)
 	}
-	return string(n.Op)
+	return n.Op.String()
 }

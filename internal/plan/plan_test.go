@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -288,7 +289,7 @@ func TestSubPlanListAndSubqueryStructures(t *testing.T) {
 	if root.HasSubqueryStructures() {
 		t.Fatal("plain tree has no subquery structures")
 	}
-	root.InitPlans = []*Node{{Op: OpAggregate}}
+	root.Root = &RootPayload{InitPlans: []*Node{{Op: OpAggregate}}}
 	if !root.HasSubqueryStructures() {
 		t.Fatal("initplan must be detected")
 	}
@@ -307,5 +308,14 @@ func TestExplainRendering(t *testing.T) {
 	out = Explain(root)
 	if !strings.Contains(out, "actual time=0.5000..2.5000") {
 		t.Fatalf("explain analyze missing actuals:\n%s", out)
+	}
+}
+
+// TestPlanNodeSize keeps a plan node in the 256-byte size class: each
+// operator kind's payload hangs off its own pointer, so a Seq Scan or a
+// Hash node — most of a plan — carries none of the others' fields.
+func TestPlanNodeSize(t *testing.T) {
+	if size := reflect.TypeOf(Node{}).Size(); size > 256 {
+		t.Fatalf("plan.Node is %d bytes, want at most 256", size)
 	}
 }

@@ -48,7 +48,7 @@ var planFeatureNames = func() []string {
 		"op_count", "row_count", "byte_count",
 	}
 	for _, op := range plan.AllOpTypes {
-		names = append(names, string(op)+"_cnt", string(op)+"_rows")
+		names = append(names, op.String()+"_cnt", op.String()+"_rows")
 	}
 	return names
 }()
@@ -137,10 +137,10 @@ func addPlanFeatures(f []float64, n *plan.Node, mode FeatureMode) {
 	for _, c := range n.Children {
 		addPlanFeatures(f, c, mode)
 	}
-	for _, ip := range n.InitPlans {
+	for _, ip := range n.InitPlans() {
 		addPlanFeatures(f, ip, mode)
 	}
-	for _, sp := range n.SubPlans {
+	for _, sp := range n.SubPlans() {
 		addPlanFeatures(f, sp, mode)
 	}
 }

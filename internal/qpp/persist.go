@@ -135,19 +135,23 @@ func marshalOpModels(models map[plan.OpType]*PlanModel) (map[string]*modelState,
 		if err != nil {
 			return nil, err
 		}
-		out[string(op)] = st
+		out[op.String()] = st
 	}
 	return out, nil
 }
 
 func unmarshalOpModels(side string, states map[string]*modelState) (map[plan.OpType]*PlanModel, error) {
 	out := map[plan.OpType]*PlanModel{}
-	for op, st := range states {
-		m, err := unmarshalModel(op+" "+side, st, NumOpFeatures())
+	for name, st := range states {
+		m, err := unmarshalModel(name+" "+side, st, NumOpFeatures())
 		if err != nil {
 			return nil, err
 		}
-		out[plan.OpType(op)] = m
+		// A model for an operator this engine does not plan could never
+		// be consulted: it is checked like the others, then dropped.
+		if op, ok := plan.ParseOpType(name); ok {
+			out[op] = m
+		}
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"net/http"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -61,8 +62,8 @@ func predictAllocs(t *testing.T, s *Server, sql string) float64 {
 // TestPredictAllocationBudget pins what one /predict allocates on each
 // planning path — a memoized training text, a rebound fresh draw of a
 // trained template, and a cold plan of every template — at the count
-// measured when serving stopped building plans it throws away and
-// copying rows it only reads, plus 10 %.
+// measured when plan nodes shed their per-operator payloads and scans
+// shared their table's columns, plus 10 %.
 func TestPredictAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -108,18 +109,76 @@ func TestPredictAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestPredictColdBytesBudget pins the bytes one cold /predict allocates,
+// averaged over a fresh draw of every template: the garbage a plan cache
+// miss makes, which sets how often the collector runs under cold traffic.
+// The budget is the measurement when plan nodes shed their per-operator
+// payloads and scans shared their table's columns, plus 10 %.
+func TestPredictColdBytesBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	db, snap, _ := testEnv(t)
+	cacheless := *snap
+	cacheless.Cache = nil
+	cold := New(db, &cacheless, Options{Now: (&fakeClock{}).now})
+	var payloads [][]byte
+	for _, tmpl := range tpch.Templates {
+		payloads = append(payloads, []byte(predictBody(t, templateSQL(t, tmpl, 1))))
+	}
+	req, err := http.NewRequest(http.MethodPost, "/predict", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := &allocBody{}
+	rec := &allocRecorder{header: http.Header{}}
+	serveAll := func() {
+		for _, p := range payloads {
+			body.Reset(p)
+			req.Body = body
+			for k := range rec.header {
+				delete(rec.header, k)
+			}
+			rec.status = http.StatusOK
+			rec.body.Reset()
+			cold.ServeHTTP(rec, req)
+			if rec.status != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.status, rec.body.String())
+			}
+		}
+	}
+	serveAll()
+	const rounds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		serveAll()
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds*len(payloads))
+	t.Logf("cold: %.0f bytes per request (measured %d)", got, budgetColdBytes)
+	if limit := budgetColdBytes * 1.1; got > limit {
+		t.Errorf("cold: %.0f bytes per request, budget %.0f (measured %d + 10 %%)", got, limit, budgetColdBytes)
+	}
+}
+
 func tpchName(tmpl int) string { return "T" + strconv.Itoa(tmpl) }
 
 // Allocations per request as measured, before the 10 % margin. Serving
 // that built every join alternative's nodes, rendered a string per
 // signature lookup, copied every model input row and decoded through a
-// json.Decoder measured 59 (memo), 464 (rebind) and 148–720 (cold).
+// json.Decoder measured 59 (memo), 464 (rebind) and 148–720 (cold); plan
+// nodes carrying every operator's fields and scans building their columns
+// per query, 25, 310 and 125–389.
 const (
 	budgetMemo   = 25
-	budgetRebind = 310
+	budgetRebind = 280
+	// budgetColdBytes is TestPredictColdBytesBudget's; the 616-byte plan
+	// nodes measured 27 100.
+	budgetColdBytes = 16700
 )
 
 var budgetCold = map[int]float64{
-	1: 210, 2: 389, 3: 202, 4: 170, 5: 260, 6: 125, 7: 328, 8: 372, 9: 290,
-	10: 252, 11: 301, 12: 256, 13: 173, 14: 194, 15: 335, 18: 247, 19: 352, 22: 317,
+	1: 171, 2: 335, 3: 173, 4: 155, 5: 223, 6: 114, 7: 280, 8: 311, 9: 243,
+	10: 214, 11: 254, 12: 218, 13: 152, 14: 162, 15: 295, 18: 209, 19: 336, 22: 288,
 }

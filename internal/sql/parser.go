@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -114,7 +115,15 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	stmt := &SelectStmt{Limit: -1}
 	stmt.Distinct = p.matchKw("distinct")
 
+	// Each list gathers in a buffer on the stack and is copied out once, at
+	// its final length, instead of growing through a chain of doublings.
+	var itemBuf [16]SelectItem
+	var fromBuf [8]FromItem
+	var exprBuf [8]Expr
+	var orderBuf [8]OrderItem
+
 	// Projection list.
+	items := itemBuf[:0]
 	for {
 		e, err := p.parseExpr()
 		if err != nil {
@@ -130,25 +139,28 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		} else if t := p.peek(); t.Kind == TokIdent && !reserved[t.Text] {
 			item.Alias = p.next().Text
 		}
-		stmt.Items = append(stmt.Items, item)
+		items = append(items, item)
 		if !p.matchOp(",") {
 			break
 		}
 	}
+	stmt.Items = slices.Clone(items)
 
 	if err := p.expectKw("from"); err != nil {
 		return nil, err
 	}
+	from := fromBuf[:0]
 	for {
 		fi, err := p.parseFromItem()
 		if err != nil {
 			return nil, err
 		}
-		stmt.From = append(stmt.From, *fi)
+		from = append(from, fi)
 		if !p.matchOp(",") {
 			break
 		}
 	}
+	stmt.From = slices.Clone(from)
 
 	// Explicit JOIN clauses.
 	for {
@@ -182,7 +194,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			stmt.Joins = append(stmt.Joins, Join{Type: jt, Item: *fi, On: on})
+			stmt.Joins = append(stmt.Joins, Join{Type: jt, Item: fi, On: on})
 		}
 	}
 joinsDone:
@@ -198,16 +210,18 @@ joinsDone:
 		if err := p.expectKw("by"); err != nil {
 			return nil, err
 		}
+		groups := exprBuf[:0]
 		for {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			stmt.GroupBy = append(stmt.GroupBy, e)
+			groups = append(groups, e)
 			if !p.matchOp(",") {
 				break
 			}
 		}
+		stmt.GroupBy = slices.Clone(groups)
 	}
 	if p.matchKw("having") {
 		e, err := p.parseExpr()
@@ -220,6 +234,7 @@ joinsDone:
 		if err := p.expectKw("by"); err != nil {
 			return nil, err
 		}
+		order := orderBuf[:0]
 		for {
 			e, err := p.parseExpr()
 			if err != nil {
@@ -231,11 +246,12 @@ joinsDone:
 			} else {
 				p.matchKw("asc")
 			}
-			stmt.OrderBy = append(stmt.OrderBy, o)
+			order = append(order, o)
 			if !p.matchOp(",") {
 				break
 			}
 		}
+		stmt.OrderBy = slices.Clone(order)
 	}
 	if p.matchKw("limit") {
 		t := p.next()
@@ -251,35 +267,35 @@ joinsDone:
 	return stmt, nil
 }
 
-func (p *parser) parseFromItem() (*FromItem, error) {
-	fi := &FromItem{}
+func (p *parser) parseFromItem() (FromItem, error) {
+	var fi FromItem
 	if p.matchOp("(") {
 		sub, err := p.parseSelect()
 		if err != nil {
-			return nil, err
+			return fi, err
 		}
 		if err := p.expectOp(")"); err != nil {
-			return nil, err
+			return fi, err
 		}
 		fi.Sub = sub
 	} else {
 		t := p.next()
 		if t.Kind != TokIdent || reserved[t.Text] {
-			return nil, p.errorf("expected table name, found %q", t.Text)
+			return fi, p.errorf("expected table name, found %q", t.Text)
 		}
 		fi.Table = t.Text
 	}
 	if p.matchKw("as") {
 		t := p.next()
 		if t.Kind != TokIdent {
-			return nil, p.errorf("expected alias after AS")
+			return fi, p.errorf("expected alias after AS")
 		}
 		fi.Alias = t.Text
 	} else if t := p.peek(); t.Kind == TokIdent && !reserved[t.Text] {
 		fi.Alias = p.next().Text
 	}
 	if fi.Sub != nil && fi.Alias == "" {
-		return nil, p.errorf("derived table requires an alias")
+		return fi, p.errorf("derived table requires an alias")
 	}
 	// Optional derived-column alias list.
 	if fi.Alias != "" && p.peek().Kind == TokOp && p.peek().Text == "(" && p.peek2().Kind == TokIdent {
@@ -289,7 +305,7 @@ func (p *parser) parseFromItem() (*FromItem, error) {
 		for {
 			t := p.next()
 			if t.Kind != TokIdent {
-				return nil, p.errorf("expected column alias")
+				return fi, p.errorf("expected column alias")
 			}
 			fi.ColAliases = append(fi.ColAliases, t.Text)
 			if !p.matchOp(",") {
@@ -297,7 +313,7 @@ func (p *parser) parseFromItem() (*FromItem, error) {
 			}
 		}
 		if err := p.expectOp(")"); err != nil {
-			return nil, err
+			return fi, err
 		}
 	}
 	return fi, nil

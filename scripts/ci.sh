@@ -23,6 +23,8 @@
 #                    once-per-key test, the shared online-cache test,
 #                    the executor's arena-safety and table-immutability
 #                    tests, the packed tables' lifetime test,
+#                    TestConcurrentColdPlans (cold plans on several
+#                    goroutines over shared scan columns),
 #                    internal/types (the one importer of "unsafe": checkptr
 #                    is on under -race), and the concurrent set-up's
 #                    TestGenerateGolden and TestAnalyzeSketchDeterministic
@@ -134,7 +136,7 @@ go test -race ./... "$@"
 # so a double training that only some interleavings produce cannot land.
 # The shared online predictor test is the only place one OnlinePredictor
 # decides signatures for several goroutines.
-banner "go test -race -short -count=3 (training differentials, SMO kernels, memo once-per-key, shared online predictor, arena safety, packed tables, value layout, concurrent datagen and ANALYZE)"
+banner "go test -race -short -count=3 (training differentials, SMO kernels, memo once-per-key, shared online predictor, arena safety, packed tables, concurrent cold plans, value layout, concurrent datagen and ANALYZE)"
 go test -race -short -count=3 -run 'TestSMOMatchesReferenceSolver|TestSMOKernelsMatchPortable|TestSMOKernelsStayInBounds' ./internal/mlearn
 # One subtest per row pass the host ran (portable, avx2, avx512): the log
 # shows whether the AVX-512 kernels were exercised on this machine.
@@ -149,6 +151,9 @@ go test -race -short -count=3 -run 'TestTrainMemoDoesNotChangeFigures' ./interna
 # alive, would show only in the cycles that happen to run at that moment.
 go test -race -short -count=3 -run 'TestResultRowsSurviveArenaReuse|TestSubPlanReleaseIsInvisible|TestQueriesNeverWriteTableRows' ./internal/exec
 go test -race -short -count=3 -run 'TestPackedStringsOutliveTheirTable' ./internal/storage
+# Every plan's scans share their table's column array (TableStats.ScanCols):
+# a planner write to one would race with the other goroutines' plans.
+go test -race -short -count=3 -run 'TestConcurrentColdPlans' ./internal/opt
 go test -race -short -count=3 ./internal/types
 # Set-up generates, packs, indexes and analyzes the eight tables on
 # GOMAXPROCS goroutines (tpch.Generate, storage.Database.LoadTables), so
