@@ -57,7 +57,11 @@ type TableStats struct {
 	ScanCols []plan.Column
 }
 
-// scanCols builds TableStats.ScanCols from the column statistics.
+// scanCols builds TableStats.ScanCols from the column statistics. A
+// scan's widths are measured; the planner's colWidth (internal/opt) gives
+// the columns of a join's output kind-based widths instead, so two rules
+// of planned-column width exist on purpose, as they did before scans
+// shared these arrays: plans and their costs depend on both.
 func scanCols(cols []ColumnStats) []plan.Column {
 	out := make([]plan.Column, len(cols))
 	for i, cs := range cols {

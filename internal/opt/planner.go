@@ -79,7 +79,7 @@ func (p *planner) allocParam() int {
 
 func (p *planner) newRelID() int {
 	id := len(p.relByID)
-	if id >= maxRels {
+	if id >= 64 {
 		panic("opt: too many relations in one statement")
 	}
 	p.relByID = append(p.relByID, nil)

@@ -36,29 +36,9 @@ type schemaCol struct {
 	col int32
 }
 
-// maxRels bounds the relations of one statement (relSet is 64 bits).
-const maxRels = 64
-
-// relSchemas holds, per relation id, the schema of a relation of up to 16
-// columns, a TPC-H table's widest: its id and the column ordinals.
-var relSchemas = func() (t [maxRels][16]schemaCol) {
-	for rel := range t {
-		for col := range t[rel] {
-			t[rel][col] = schemaCol{rel: int32(rel), col: int32(col)}
-		}
-	}
-	return t
-}()
-
-// schemaOf is the output schema of a single relation: a read-only slice of
-// relSchemas (its capacity ends it, so an append copies), or a new array
-// for a wider derived table.
+// schemaOf builds the output schema description of a single relation.
 func schemaOf(r *relInfo) []schemaCol {
-	n := len(r.cols)
-	if n <= len(relSchemas[r.id]) {
-		return relSchemas[r.id][:n:n]
-	}
-	out := make([]schemaCol, n)
+	out := make([]schemaCol, len(r.cols))
 	for i := range out {
 		out[i] = schemaCol{rel: int32(r.id), col: int32(i)}
 	}
@@ -254,7 +234,9 @@ func renameColumns(cols []catalog.Column, aliases []string) {
 	}
 }
 
-// colWidth estimates the average byte width of a column of kind k.
+// colWidth estimates the average byte width of a column of kind k. Join
+// layouts use it; base-table scans carry the measured widths of
+// catalog.TableStats.ScanCols instead.
 func colWidth(k types.Kind) float64 {
 	if k == types.KindString {
 		return 16

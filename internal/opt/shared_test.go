@@ -190,26 +190,3 @@ func TestSameTextAgreesWithString(t *testing.T) {
 		t.Fatalf("%d scalars with %d equal-text pairs and %d aggregates: nothing compared alike", len(scalars), same, len(aggs))
 	}
 }
-
-// TestWideRelationSchema plans a derived table wider than relSchemas'
-// rows, whose schema is built rather than sliced from the static table,
-// and requires every one of its columns to bind to its own ordinal.
-func TestWideRelationSchema(t *testing.T) {
-	db := tpchDB(t)
-	cols := "l_orderkey, l_partkey, l_suppkey, l_linenumber, l_quantity, l_extendedprice, " +
-		"l_discount, l_tax, l_returnflag, l_linestatus, l_shipdate, l_commitdate, " +
-		"l_receiptdate, l_shipinstruct, l_shipmode, l_comment"
-	q := "select x.l_comment, x.k, x.l_orderkey from (select " + cols + ", l_orderkey + 1 as k from lineitem) as x"
-	root, err := PlanSQL(db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"x.l_comment", "x.k", "x.l_orderkey"}
-	idx := []int{15, 16, 0}
-	for i, s := range root.Projs() {
-		c, ok := s.(*plan.Col)
-		if !ok || c.Idx != idx[i] || c.Name != want[i] {
-			t.Errorf("item %d binds %s, want column %d (%s)", i, s, idx[i], want[i])
-		}
-	}
-}

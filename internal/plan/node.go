@@ -201,7 +201,7 @@ type Node struct {
 	Sort   *SortPayload   // Sort
 	Proj   *ProjPayload   // Result
 	LimitN int            // Limit
-	Root   *RootPayload   // the plan root, when the query has sub-plans or parameters or has run
+	Root   *RootPayload   // the plan root: set by the planner or, on first Run, the executor
 }
 
 // JoinPayload is a join's kind, keys and residual.
@@ -235,7 +235,11 @@ type SortPayload struct{ Keys []SortKey }
 // ProjPayload is a Result node's projected expressions.
 type ProjPayload struct{ Exprs []Scalar }
 
-// RootPayload is what only a plan root carries.
+// RootPayload is what only a plan root carries. It has two owners: the
+// planner creates it for a query with init-plans, sub-plans or parameters
+// and fills every field but ExecCache; the executor owns ExecCache and
+// creates the payload on a plan's first Run when the planner did not. So a
+// non-nil Root does not by itself mean the query has sub-plans.
 type RootPayload struct {
 	InitPlans []*Node // uncorrelated sub-plans, run once before the query
 	// InitPlanSlots[i] is the parameter slot receiving InitPlans[i]'s value.
