@@ -51,6 +51,6 @@ func main() {
 		if err := f.Close(); err != nil {
 			log.Fatalf("tpchgen: %v", err)
 		}
-		fmt.Printf("%-10s %8d rows -> %s\n", name, len(t.Rows), path)
+		fmt.Printf("%-10s %8d rows -> %s\n", name, t.Rows.Len(), path)
 	}
 }

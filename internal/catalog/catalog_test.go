@@ -51,7 +51,7 @@ func TestAnalyzeBasics(t *testing.T) {
 			types.Str("name"),
 		})
 	}
-	ts := AnalyzeRows(meta, rows)
+	ts := AnalyzeRows(meta, types.RowsOf(rows...))
 	if ts.RowCount != 1000 {
 		t.Fatalf("rows %d", ts.RowCount)
 	}
@@ -79,7 +79,7 @@ func TestHistogramSelectivityUniform(t *testing.T) {
 			types.Int(int64(i)), types.Float(0), types.Str(""),
 		})
 	}
-	ts := AnalyzeRows(meta, rows)
+	ts := AnalyzeRows(meta, types.RowsOf(rows...))
 	cs := ts.Column("id")
 	for _, q := range []float64{0.1, 0.25, 0.5, 0.9} {
 		got := cs.HistogramSelectivityLE(q * 9999)
@@ -106,7 +106,7 @@ func TestHistogramSelectivityMonotonic(t *testing.T) {
 				types.Int(int64(rng.Intn(1000))), types.Float(rng.NormFloat64()), types.Str("x"),
 			})
 		}
-		cs := AnalyzeRows(meta, rows).Column("id")
+		cs := AnalyzeRows(meta, types.RowsOf(rows...)).Column("id")
 		prev := -1.0
 		for x := -10.0; x <= 1010; x += 25 {
 			s := cs.HistogramSelectivityLE(x)
@@ -133,7 +133,7 @@ func TestEqualitySelectivityMCVAndRest(t *testing.T) {
 		}
 		rows = append(rows, []types.Value{types.Int(v), types.Float(0), types.Str("")})
 	}
-	cs := AnalyzeRows(meta, rows).Column("id")
+	cs := AnalyzeRows(meta, types.RowsOf(rows...)).Column("id")
 	sel7 := cs.EqualitySelectivity(types.Int(7))
 	if math.Abs(sel7-0.505) > 0.01 {
 		t.Fatalf("MCV sel %v want ~0.505", sel7)
@@ -157,7 +157,7 @@ func TestAnalyzeNullFraction(t *testing.T) {
 		}
 		rows = append(rows, []types.Value{v, types.Float(1), types.Str("s")})
 	}
-	cs := AnalyzeRows(meta, rows).Column("id")
+	cs := AnalyzeRows(meta, types.RowsOf(rows...)).Column("id")
 	if cs.NullFrac != 0.25 {
 		t.Fatalf("null frac %v", cs.NullFrac)
 	}
@@ -167,7 +167,7 @@ func TestAnalyzeNullFraction(t *testing.T) {
 }
 
 func TestAnalyzeEmptyTable(t *testing.T) {
-	ts := AnalyzeRows(testTable(), nil)
+	ts := AnalyzeRows(testTable(), types.Rows{})
 	if ts.RowCount != 0 || ts.Pages <= 0 {
 		t.Fatalf("empty stats %+v", ts)
 	}

@@ -32,19 +32,19 @@ import (
 // Determinism: the sketches hash with a fixed seed and break ties by key
 // bytes, so repeated runs over the same rows produce bit-identical
 // TableStats.
-func AnalyzeRowsSketch(meta *Table, rows [][]types.Value) *TableStats {
+func AnalyzeRowsSketch(meta *Table, rows types.Rows) *TableStats {
 	cols := make([]ColumnStats, len(meta.Columns))
 	for ci := range cols {
 		cols[ci] = AnalyzeColumnSketch(meta, rows, ci)
 	}
-	return SketchedTableStats(len(rows), cols)
+	return SketchedTableStats(rows.Len(), cols)
 }
 
 // AnalyzeColumnSketch computes the statistics of column ci of rows with
 // that column's own sketches. One key rendering and one hash per non-null
 // cell, shared across HLL and Count-Min; the key buffer is reused so the
 // steady state allocates nothing (TopK copies only on insertion).
-func AnalyzeColumnSketch(meta *Table, rows [][]types.Value, ci int) ColumnStats {
+func AnalyzeColumnSketch(meta *Table, rows types.Rows, ci int) ColumnStats {
 	col := meta.Columns[ci]
 	cs := ColumnStats{Name: col.Name, Kind: col.Type}
 	numeric := col.Type != types.KindString
@@ -63,8 +63,9 @@ func AnalyzeColumnSketch(meta *Table, rows [][]types.Value, ci int) ColumnStats 
 	if numeric {
 		memo = new(keyMemo)
 	}
-	for _, r := range rows {
-		v := r[ci]
+	n := rows.Len()
+	for i := range n {
+		v := rows.Row(i)[ci]
 		widths += float64(v.Width())
 		if v.IsNull() {
 			continue
@@ -85,7 +86,6 @@ func AnalyzeColumnSketch(meta *Table, rows [][]types.Value, ci int) ColumnStats 
 		}
 	}
 
-	n := len(rows)
 	if n > 0 {
 		cs.AvgWidth = widths / float64(n)
 		cs.NullFrac = float64(n-nonNull) / float64(n)
@@ -143,7 +143,7 @@ func SketchedTableStats(rowCount int, cols []ColumnStats) *TableStats {
 	}
 	packMCVKeys(ts)
 	ts.AvgWidth = totalWidth
-	rowsPerPage := float64(PageSize) / (totalWidth + 24) // 24B tuple header overhead
+	rowsPerPage := float64(PageSize) / (totalWidth + TupleHeaderBytes)
 	if rowsPerPage < 1 {
 		rowsPerPage = 1
 	}

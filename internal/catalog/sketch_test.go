@@ -23,7 +23,7 @@ func TestAnalyzeSketchLowCardinalityExact(t *testing.T) {
 			types.Str([]string{"a", "b", "c", "d"}[i%4]),
 		})
 	}
-	ts := AnalyzeRowsSketch(meta, rows)
+	ts := AnalyzeRowsSketch(meta, types.RowsOf(rows...))
 	if !ts.Sketched {
 		t.Fatal("Sketched flag not set")
 	}
@@ -58,7 +58,7 @@ func TestAnalyzeSketchHighCardinality(t *testing.T) {
 			types.Str("x"),
 		})
 	}
-	ts := AnalyzeRowsSketch(meta, rows)
+	ts := AnalyzeRowsSketch(meta, types.RowsOf(rows...))
 	id := ts.Column("id")
 	if rel := math.Abs(id.NDV-n) / n; rel > 0.025 {
 		t.Fatalf("id NDV %v, relative error %v", id.NDV, rel)
@@ -95,15 +95,15 @@ func TestAnalyzeSketchDeterministic(t *testing.T) {
 			types.Str(string(rune('a' + rng.Intn(26)))),
 		})
 	}
-	a := AnalyzeRowsSketch(meta, rows)
-	b := AnalyzeRowsSketch(meta, rows)
+	a := AnalyzeRowsSketch(meta, types.RowsOf(rows...))
+	b := AnalyzeRowsSketch(meta, types.RowsOf(rows...))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("repeated sketch ANALYZE runs differ")
 	}
 	cols := make([]ColumnStats, len(meta.Columns))
 	if err := parallel.ForEach(len(cols), 2, func(i int) error {
 		ci := len(cols) - 1 - i
-		cols[ci] = AnalyzeColumnSketch(meta, rows, ci)
+		cols[ci] = AnalyzeColumnSketch(meta, types.RowsOf(rows...), ci)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -124,14 +124,14 @@ func TestAnalyzeSketchNullsAndEmpty(t *testing.T) {
 		}
 		rows = append(rows, []types.Value{v, types.Float(1), types.Str("s")})
 	}
-	cs := AnalyzeRowsSketch(meta, rows).Column("id")
+	cs := AnalyzeRowsSketch(meta, types.RowsOf(rows...)).Column("id")
 	if cs.NullFrac != 0.25 {
 		t.Fatalf("null frac %v", cs.NullFrac)
 	}
 	if cs.NDV != 75 {
 		t.Fatalf("ndv %v, want exact 75 (under candidate pool)", cs.NDV)
 	}
-	if ts := AnalyzeRowsSketch(testTable(), nil); ts.RowCount != 0 || ts.Pages <= 0 {
+	if ts := AnalyzeRowsSketch(testTable(), types.Rows{}); ts.RowCount != 0 || ts.Pages <= 0 {
 		t.Fatalf("empty stats %+v", ts)
 	}
 }
@@ -145,8 +145,8 @@ func TestHistogramSelectivityAllNull(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		rows = append(rows, []types.Value{types.Null, types.Float(1), types.Str("s")})
 	}
-	for _, analyze := range []func(*Table, [][]types.Value) *TableStats{AnalyzeRows, AnalyzeRowsSketch} {
-		cs := analyze(meta, rows).Column("id")
+	for _, analyze := range []func(*Table, types.Rows) *TableStats{AnalyzeRows, AnalyzeRowsSketch} {
+		cs := analyze(meta, types.RowsOf(rows...)).Column("id")
 		if cs.NDV != 0 {
 			t.Fatalf("all-null NDV %v", cs.NDV)
 		}

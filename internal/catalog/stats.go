@@ -87,13 +87,20 @@ func (ts *TableStats) Column(name string) *ColumnStats {
 // PageSize is the storage/buffer page size in bytes (PostgreSQL's 8 KiB).
 const PageSize = 8192
 
+// TupleHeaderBytes is the page model's overhead per stored tuple: the
+// header a disk-resident heap keeps beside each row's values. It models
+// the stored tuple, not the in-memory layout, so it stays 24 however the
+// rows are held in memory; every Pages and RowsPerPage counts it.
+const TupleHeaderBytes = 24
+
 // AnalyzeRows computes full statistics for a table's rows. Unlike
 // PostgreSQL's sampled ANALYZE these statistics are exact over the data,
 // but estimation error still arises where it matters: from the attribute
 // independence assumption, histogram resolution, and join/group
 // extrapolation — the error sources Section 5.3.3 of the paper discusses.
-func AnalyzeRows(meta *Table, rows [][]types.Value) *TableStats {
-	ts := &TableStats{RowCount: int64(len(rows))}
+func AnalyzeRows(meta *Table, rows types.Rows) *TableStats {
+	n := rows.Len()
+	ts := &TableStats{RowCount: int64(n)}
 	var totalWidth float64
 	ncols := len(meta.Columns)
 	ts.Columns = make([]ColumnStats, ncols)
@@ -109,10 +116,10 @@ func AnalyzeRows(meta *Table, rows [][]types.Value) *TableStats {
 		numeric := cs.Kind != types.KindString
 		var vals []float64
 		if numeric {
-			vals = make([]float64, 0, len(rows))
+			vals = make([]float64, 0, n)
 		}
-		for _, r := range rows {
-			v := r[ci]
+		for i := range n {
+			v := rows.Row(i)[ci]
 			widths += float64(v.Width())
 			if v.IsNull() {
 				continue
@@ -123,7 +130,6 @@ func AnalyzeRows(meta *Table, rows [][]types.Value) *TableStats {
 				vals = append(vals, v.AsFloat())
 			}
 		}
-		n := len(rows)
 		if n > 0 {
 			cs.AvgWidth = widths / float64(n)
 			cs.NullFrac = float64(n-nonNull) / float64(n)
@@ -146,7 +152,7 @@ func AnalyzeRows(meta *Table, rows [][]types.Value) *TableStats {
 	}
 
 	ts.AvgWidth = totalWidth
-	rowsPerPage := float64(PageSize) / (totalWidth + 24) // 24B tuple header overhead
+	rowsPerPage := float64(PageSize) / (totalWidth + TupleHeaderBytes)
 	if rowsPerPage < 1 {
 		rowsPerPage = 1
 	}

@@ -237,7 +237,8 @@ func TestSubPlanReleaseIsInvisible(t *testing.T) {
 // TestQueriesNeverWriteTableRows: a table's rows live in one pointer-free
 // block (types.PackRows), so a write into it is the one way to hide a live
 // pointer from the collector. Every template, compiled and interpreted,
-// must leave every table as it found it: the same row headers, values
+// must leave every table as it found it: row i still the cap == len view at
+// &vals[i*width] of the value array the table started with, values
 // Identical to a deep copy taken before, and every string still on the
 // bytes it started on. T20, whose correlated sub-plan is 12 of the test's
 // 12.5 seconds (ten times that under the race detector), runs only in the
@@ -249,12 +250,12 @@ func TestQueriesNeverWriteTableRows(t *testing.T) {
 		bytes *byte
 	}
 	before := map[string][]cell{}
-	heads := map[string][]storage.Row{}
+	vals := map[string]unsafe.Pointer{}
 	for _, name := range db.Schema.TableNames() {
 		tab := db.Tables[name]
-		heads[name] = append([]storage.Row(nil), tab.Rows...)
-		for _, r := range tab.Rows {
-			for _, v := range r {
+		vals[name] = unsafe.Pointer(&tab.Rows.Row(0)[0])
+		for i := range tab.Rows.Len() {
+			for _, v := range tab.Rows.Row(i) {
 				c := cell{v: v}
 				if s := v.S(); s != "" {
 					c = cell{types.Str(strings.Clone(s)), unsafe.StringData(s)}
@@ -272,11 +273,14 @@ func TestQueriesNeverWriteTableRows(t *testing.T) {
 			runTemplate(t, db, node, tmpl, Options{Interpret: interpret})
 		}
 	}
+	size := unsafe.Sizeof(types.Value{})
 	for _, name := range db.Schema.TableNames() {
 		tab, cells := db.Tables[name], before[name]
-		for i, r := range tab.Rows {
-			if h := heads[name][i]; len(r) != len(h) || cap(r) != cap(h) || unsafe.SliceData(r) != unsafe.SliceData(h) {
-				t.Fatalf("%s row %d: header moved", name, i)
+		w := tab.Rows.Width()
+		for i := range tab.Rows.Len() {
+			r := tab.Rows.Row(i)
+			if at := unsafe.Add(vals[name], uintptr(i*w)*size); len(r) != w || cap(r) != w || unsafe.Pointer(unsafe.SliceData(r)) != at {
+				t.Fatalf("%s row %d: len %d cap %d at %p, want len = cap = %d at %p", name, i, len(r), cap(r), unsafe.SliceData(r), w, at)
 			}
 			for j, v := range r {
 				c := cells[0]
@@ -351,15 +355,15 @@ func keptScratch[T any](s *scratch[T]) (bytes int, dirty bool) {
 // an idle arena pins none of the rows its query referenced.
 func TestRecycledArenaIsBounded(t *testing.T) {
 	const distinct, repeat = 1 << 10, 1 << 10
-	keys := make([]storage.Row, distinct)
+	keys := make([][]types.Value, distinct)
 	for i := range keys {
-		keys[i] = storage.Row{types.Int(int64(i))}
+		keys[i] = []types.Value{types.Int(int64(i))}
 	}
-	build := make([]storage.Row, distinct*repeat) // 2²⁰ rows sharing 2¹⁰ backing rows
+	build := make([][]types.Value, distinct*repeat) // 2²⁰ rows over 2¹⁰ keys
 	for i := range build {
 		build[i] = keys[i%distinct]
 	}
-	db := keyDB(t, map[string][]storage.Row{"l": keys[:1], "r": build})
+	db := keyDB(t, map[string][][]types.Value{"l": keys[:1], "r": build})
 	join := keyJoin("l", "r", 1, 1, 1)
 	pooledArenas() // dropped: other tests leave poison on the free lists
 	if res := run(t, db, join); len(res.Rows) != repeat {

@@ -43,7 +43,7 @@ func tableScan(b *testing.B, db *storage.Database, name string) (*plan.Node, fun
 		b.Fatalf("no table %q", name)
 	}
 	scan := scanNode(name, len(meta.Columns))
-	scan.Est.Rows = float64(len(db.Tables[name].Rows))
+	scan.Est.Rows = float64(db.Tables[name].Rows.Len())
 	return scan, func(col string) *plan.Col {
 		i := meta.ColumnIndex(col)
 		if i < 0 {

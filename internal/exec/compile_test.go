@@ -435,11 +435,11 @@ func TestIntegersAbove2To53CompareExactly(t *testing.T) {
 		if err := schema.AddTable(&catalog.Table{Name: name, Columns: []catalog.Column{{Name: "k", Type: types.KindInt}}}); err != nil {
 			t.Fatal(err)
 		}
-		var rows []storage.Row
+		var rows [][]types.Value
 		for _, k := range keys {
-			rows = append(rows, storage.Row{types.Int(k)})
+			rows = append(rows, []types.Value{types.Int(k)})
 		}
-		if err := db.Load(name, rows); err != nil {
+		if err := db.Load(name, types.RowsOf(rows...)); err != nil {
 			t.Fatal(err)
 		}
 	}

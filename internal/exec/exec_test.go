@@ -37,15 +37,15 @@ func testDB(t *testing.T) *storage.Database {
 		PrimaryKey: []int{0},
 	}))
 	db := storage.NewDatabase(schema)
-	var trows, urows []storage.Row
+	var trows, urows [][]types.Value
 	for i := 0; i < 100; i++ {
-		trows = append(trows, storage.Row{types.Int(int64(i)), types.Int(int64(i % 10))})
+		trows = append(trows, []types.Value{types.Int(int64(i)), types.Int(int64(i % 10))})
 	}
 	for i := 0; i < 50; i++ {
-		urows = append(urows, storage.Row{types.Int(int64(i * 2)), types.Str("x")})
+		urows = append(urows, []types.Value{types.Int(int64(i * 2)), types.Str("x")})
 	}
-	must(db.Load("t", trows))
-	must(db.Load("u", urows))
+	must(db.Load("t", types.RowsOf(trows...)))
+	must(db.Load("u", types.RowsOf(urows...)))
 	return db
 }
 

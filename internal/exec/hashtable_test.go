@@ -16,7 +16,7 @@ import (
 
 // keyDB builds a database of un-analyzed heap tables (the executor's scans
 // need nothing else), each holding the given rows.
-func keyDB(t testing.TB, tables map[string][]storage.Row) *storage.Database {
+func keyDB(t testing.TB, tables map[string][][]types.Value) *storage.Database {
 	t.Helper()
 	schema := catalog.NewSchema()
 	db := storage.NewDatabase(schema)
@@ -30,7 +30,7 @@ func keyDB(t testing.TB, tables map[string][]storage.Row) *storage.Database {
 		if err := schema.AddTable(meta); err != nil {
 			t.Fatal(err)
 		}
-		db.Tables[name] = storage.NewTable(meta, rows)
+		db.Tables[name] = storage.NewTable(meta, types.RowsOf(rows...))
 	}
 	return db
 }
@@ -149,10 +149,10 @@ func TestHashKeySemantics(t *testing.T) {
 			}
 
 			// The operators. l holds a, r holds b, u holds both.
-			db := keyDB(t, map[string][]storage.Row{
-				"l": {append(storage.Row{}, tc.a...)},
-				"r": {append(storage.Row{}, tc.b...)},
-				"u": {append(storage.Row{}, tc.a...), append(storage.Row{}, tc.b...)},
+			db := keyDB(t, map[string][][]types.Value{
+				"l": {append([]types.Value{}, tc.a...)},
+				"r": {append([]types.Value{}, tc.b...)},
+				"u": {append([]types.Value{}, tc.a...), append([]types.Value{}, tc.b...)},
 			})
 			wantJoin := 0
 			if tc.equal && !hasNull { // NULL never matches in a join
@@ -187,12 +187,12 @@ func TestHashKeySemantics(t *testing.T) {
 // TestIndexLookupTypedKeys runs the same semantics through the storage
 // index the executor's index scans probe.
 func TestIndexLookupTypedKeys(t *testing.T) {
-	rows := []storage.Row{
+	rows := [][]types.Value{
 		{types.Int(1000000), types.Str("a")},
 		{types.Int(5), types.Str("b")},
 		{types.Null, types.Str("c")},
 	}
-	db := keyDB(t, map[string][]storage.Row{"t": rows})
+	db := keyDB(t, map[string][][]types.Value{"t": rows})
 	idx := storage.BuildIndex("t_pkey", db.Tables["t"], []int{0})
 	for _, tc := range []struct {
 		key  types.Value
@@ -303,10 +303,10 @@ func TestHashTableMatchesModel(t *testing.T) {
 		var order []string          // keys in first-appearance order
 		var ht hashTable
 		ht.init(new(queryArena), ncols, 0)
-		build := make([]storage.Row, nBuild)
+		build := make([][]types.Value, nBuild)
 		for i := range build {
 			k := key(i, nBuild)
-			build[i] = append(append(storage.Row{}, k...), types.Int(int64(i)))
+			build[i] = append(append([]types.Value{}, k...), types.Int(int64(i)))
 			mk, _ := modelKey(k)
 			if _, seen := model[mk]; !seen {
 				order = append(order, mk)
@@ -321,13 +321,13 @@ func TestHashTableMatchesModel(t *testing.T) {
 		if int(ht.n) != len(order) {
 			t.Fatalf("seed %d: %d entries, model has %d", seed, ht.n, len(order))
 		}
-		probe := make([]storage.Row, nProbe)
+		probe := make([][]types.Value, nProbe)
 		for i := range probe {
 			k := key(i, nProbe)
 			if i%2 == 0 { // half the probes hit for sure
 				k = append([]types.Value{}, build[rng.Intn(nBuild)][:ncols]...)
 			}
-			probe[i] = append(append(storage.Row{}, k...), types.Int(int64(i)))
+			probe[i] = append(append([]types.Value{}, k...), types.Int(int64(i)))
 			mk, _ := modelKey(k)
 			id := ht.find(k)
 			if _, present := model[mk]; present != (id >= 0) || present && order[id] != mk {
@@ -335,7 +335,7 @@ func TestHashTableMatchesModel(t *testing.T) {
 			}
 		}
 
-		db := keyDB(t, map[string][]storage.Row{"build": build, "probe": probe})
+		db := keyDB(t, map[string][][]types.Value{"build": build, "probe": probe})
 
 		// Join: for each probe row in order, its matches in build order.
 		var want [][2]int64
@@ -432,9 +432,9 @@ func TestHashTableHitsDoNotAllocate(t *testing.T) {
 	rows := db.Tables["t"].Rows
 	i := 0
 	if n := testing.AllocsPerRun(200, func() {
-		h.probe(ctx, rows[i%len(rows)])
+		h.probe(ctx, rows.Row(i%rows.Len()))
 		if want := 1 - i%2; len(h.curMatches) != want { // u holds the even keys below 100
-			t.Fatalf("row %d: %d matches, want %d", i%len(rows), len(h.curMatches), want)
+			t.Fatalf("row %d: %d matches, want %d", i%rows.Len(), len(h.curMatches), want)
 		}
 		i++
 	}); n != 0 {
@@ -447,11 +447,11 @@ func TestHashTableHitsDoNotAllocate(t *testing.T) {
 // estimate of a million allocates kilobytes, not the megabytes a table
 // presized for the estimate would.
 func TestHashSizingIgnoresWildEstimates(t *testing.T) {
-	rows := make([]storage.Row, 10)
+	rows := make([][]types.Value, 10)
 	for i := range rows {
-		rows[i] = storage.Row{types.Int(int64(i)), types.Int(int64(i))}
+		rows[i] = []types.Value{types.Int(int64(i)), types.Int(int64(i))}
 	}
-	db := keyDB(t, map[string][]storage.Row{"l": rows, "r": rows})
+	db := keyDB(t, map[string][][]types.Value{"l": rows, "r": rows})
 	// The least of a few runs: under -race sync.Pool.Put drops one item in
 	// four, and a Run that finds the pool empty allocates a fresh 320 kB
 	// arena chunk, which is not what this test is about.

@@ -26,13 +26,13 @@ func (s *seqScan) Open(ctx *execCtx) error {
 
 // Next implements iterator.
 func (s *seqScan) Next(ctx *execCtx) (plan.Row, bool, error) {
-	for s.pos < len(s.table.Rows) {
+	for s.pos < s.table.Rows.Len() {
 		if pg := s.table.PageOf(s.pos); pg != s.lastPage {
 			ctx.clock.ReadPage(s.table.Meta.Name, pg, true)
 			s.node.Act.Pages++
 			s.lastPage = pg
 		}
-		row := s.table.Rows[s.pos]
+		row := s.table.Rows.Row(s.pos)
 		s.pos++
 		ctx.clock.CPUTuples(1)
 		if s.filter.eval(ctx, row) {
@@ -141,7 +141,7 @@ func (s *indexScan) Next(ctx *execCtx) (plan.Row, bool, error) {
 		ctx.clock.ReadPage(s.table.Meta.Name, pg, false)
 		s.node.Act.Pages++
 		ctx.clock.CPUTuples(1)
-		row := s.table.Rows[rid]
+		row := s.table.Rows.Row(int(rid))
 		if s.filter.eval(ctx, row) {
 			return row, true, nil
 		}

@@ -43,7 +43,8 @@ func TestDifferentialRandomFilters(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		var want int64
-		for _, r := range orders.Rows {
+		for i := range orders.Rows.Len() {
+			r := orders.Rows.Row(i)
 			inRange := r[0].I() >= int64(loKey) && r[0].I() <= int64(hiKey)
 			prioMatch := r[5].S() == prio
 			if (useOr && (inRange || prioMatch)) || (!useOr && inRange && prioMatch) {
@@ -83,14 +84,16 @@ func TestDifferentialRandomJoins(t *testing.T) {
 			t.Fatal(err)
 		}
 		match := map[int64]bool{}
-		for _, c := range cust.Rows {
+		for i := range cust.Rows.Len() {
+			c := cust.Rows.Row(i)
 			if c[6].S() == seg && c[5].F() < maxBal {
 				match[c[0].I()] = true
 			}
 		}
 		var wantN int64
 		var wantSum float64
-		for _, o := range orders.Rows {
+		for i := range orders.Rows.Len() {
+			o := orders.Rows.Row(i)
 			if match[o[1].I()] {
 				wantN++
 				wantSum += o[3].F()

@@ -73,7 +73,8 @@ func TestPlanFilterCorrectness(t *testing.T) {
 	lo, hi := types.MustDate("1994-01-01"), types.MustDate("1995-01-01")
 	var wantCount int64
 	var wantSum float64
-	for _, r := range li.Rows {
+	for i := range li.Rows.Len() {
+		r := li.Rows.Row(i)
 		if r[10].I() >= lo && r[10].I() < hi &&
 			r[6].F() >= 0.05-1e-9 && r[6].F() <= 0.07+1e-9 && r[4].F() < 24 {
 			wantCount++
@@ -96,13 +97,15 @@ func TestPlanJoinCorrectness(t *testing.T) {
 	cust, _ := db.Table(tpch.Customer)
 	orders, _ := db.Table(tpch.Orders)
 	seg := map[int64]bool{}
-	for _, c := range cust.Rows {
+	for i := range cust.Rows.Len() {
+		c := cust.Rows.Row(i)
 		if c[6].S() == "BUILDING" {
 			seg[c[0].I()] = true
 		}
 	}
 	var want int64
-	for _, o := range orders.Rows {
+	for i := range orders.Rows.Len() {
+		o := orders.Rows.Row(i)
 		if seg[o[1].I()] {
 			want++
 		}
@@ -217,8 +220,8 @@ func TestQ13LeftJoinShape(t *testing.T) {
 		total += r[1].I()
 	}
 	cust, _ := db.Table(tpch.Customer)
-	if total != int64(len(cust.Rows)) {
-		t.Fatalf("custdist sums to %d, want %d customers", total, len(cust.Rows))
+	if total != int64(cust.Rows.Len()) {
+		t.Fatalf("custdist sums to %d, want %d customers", total, cust.Rows.Len())
 	}
 	// The plan must contain a left hash join.
 	foundLeft := false

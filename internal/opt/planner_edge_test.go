@@ -64,7 +64,7 @@ func TestScalarSubqueryInWhere(t *testing.T) {
 	}
 	cust, _ := db.Table("customer")
 	n := rows[0][0].I()
-	if n <= 0 || n >= int64(len(cust.Rows)) {
+	if n <= 0 || n >= int64(cust.Rows.Len()) {
 		t.Fatalf("above-average customers %d out of range", n)
 	}
 }
@@ -155,11 +155,13 @@ func TestIsNullPredicate(t *testing.T) {
 	cust, _ := db.Table("customer")
 	orders, _ := db.Table("orders")
 	hasOrder := map[int64]bool{}
-	for _, o := range orders.Rows {
+	for i := range orders.Rows.Len() {
+		o := orders.Rows.Row(i)
 		hasOrder[o[1].I()] = true
 	}
 	var want int64
-	for _, c := range cust.Rows {
+	for i := range cust.Rows.Len() {
+		c := cust.Rows.Row(i)
 		if !hasOrder[c[0].I()] {
 			want++
 		}

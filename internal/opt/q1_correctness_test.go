@@ -45,7 +45,8 @@ func TestQ1FullCorrectness(t *testing.T) {
 	}
 	want := map[string]*agg{}
 	li, _ := db.Table(tpch.Lineitem)
-	for _, r := range li.Rows {
+	for i := range li.Rows.Len() {
+		r := li.Rows.Row(i)
 		if r[10].I() > cutoff {
 			continue
 		}

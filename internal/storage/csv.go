@@ -11,20 +11,21 @@ import (
 )
 
 // ReadCSV parses rows for a table from CSV (with a header line, as written
-// by cmd/tpchgen), converting each field according to the table schema.
-func ReadCSV(meta *catalog.Table, r io.Reader) ([]Row, error) {
+// by cmd/tpchgen), converting each field according to the table schema and
+// appending the values, row after row, to one array.
+func ReadCSV(meta *catalog.Table, r io.Reader) (types.Rows, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(meta.Columns)
 	header, err := cr.Read()
 	if err != nil {
-		return nil, fmt.Errorf("storage: csv header: %w", err)
+		return types.Rows{}, fmt.Errorf("storage: csv header: %w", err)
 	}
 	for i, c := range meta.Columns {
 		if header[i] != c.Name {
-			return nil, fmt.Errorf("storage: csv column %d is %q, schema expects %q", i, header[i], c.Name)
+			return types.Rows{}, fmt.Errorf("storage: csv column %d is %q, schema expects %q", i, header[i], c.Name)
 		}
 	}
-	var rows []Row
+	var vals []types.Value
 	line := 1
 	for {
 		rec, err := cr.Read()
@@ -32,20 +33,18 @@ func ReadCSV(meta *catalog.Table, r io.Reader) ([]Row, error) {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("storage: csv line %d: %w", line, err)
+			return types.Rows{}, fmt.Errorf("storage: csv line %d: %w", line, err)
 		}
 		line++
-		row := make(Row, len(rec))
 		for i, field := range rec {
 			v, err := parseValue(meta.Columns[i].Type, field)
 			if err != nil {
-				return nil, fmt.Errorf("storage: csv line %d, column %q: %w", line, meta.Columns[i].Name, err)
+				return types.Rows{}, fmt.Errorf("storage: csv line %d, column %q: %w", line, meta.Columns[i].Name, err)
 			}
-			row[i] = v
+			vals = append(vals, v)
 		}
-		rows = append(rows, row)
 	}
-	return rows, nil
+	return types.NewRows(len(meta.Columns), vals), nil
 }
 
 // parseValue converts one CSV field to a typed value. "NULL" denotes SQL
@@ -99,8 +98,8 @@ func WriteCSV(t *Table, w io.Writer) error {
 		return err
 	}
 	rec := make([]string, len(header))
-	for r, row := range t.Rows {
-		for i, v := range row {
+	for r := range t.Rows.Len() {
+		for i, v := range t.Rows.Row(r) {
 			switch v.Kind() {
 			case types.KindFloat:
 				rec[i] = v.Key()

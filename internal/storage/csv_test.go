@@ -26,7 +26,7 @@ func csvMeta() *catalog.Table {
 
 func TestCSVRoundTrip(t *testing.T) {
 	meta := csvMeta()
-	rows := []Row{
+	rows := types.RowsOf([][]types.Value{
 		{types.Int(1), types.Float(9.5), types.Str("widget, large"), types.Date(types.MustDate("1994-01-01"))},
 		{types.Int(2), types.Float(-1.25), types.Str(`quoted "name"`), types.Date(types.MustDate("1998-12-31"))},
 		{types.Null, types.Float(0), types.Str(""), types.Date(0)},
@@ -34,7 +34,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		{types.Int(-1 << 63), types.Float(0.1 + 0.2), types.Str("NULL "), types.Date(-1)},
 		{types.Int(3), types.Float(math.Copysign(0, -1)), types.Str("null"), types.Date(20000)},
 		{types.Int(4), types.Float(5e-324), types.Str("a\nb"), types.Date(1)},
-	}
+	}...)
 	tab := NewTable(meta, rows)
 	var buf bytes.Buffer
 	if err := WriteCSV(tab, &buf); err != nil {
@@ -44,12 +44,12 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(rows) {
-		t.Fatalf("rows %d want %d", len(got), len(rows))
+	if got.Len() != rows.Len() || got.Width() != rows.Width() {
+		t.Fatalf("rows %d of width %d, want %d of width %d", got.Len(), got.Width(), rows.Len(), rows.Width())
 	}
-	for i := range rows {
-		for j := range rows[i] {
-			if a, b := rows[i][j], got[i][j]; !types.Identical(a, b) {
+	for i := range rows.Len() {
+		for j, a := range rows.Row(i) {
+			if b := got.Row(i)[j]; !types.Identical(a, b) {
 				t.Fatalf("row %d col %d: wrote %s %v, read %s %v", i, j, a.Kind(), a.Key(), b.Kind(), b.Key())
 			}
 		}
@@ -59,7 +59,7 @@ func TestCSVRoundTrip(t *testing.T) {
 // A string cell spelled NULL cannot be told from SQL NULL on the way back
 // in, so WriteCSV refuses it instead of silently changing the table.
 func TestWriteCSVRejectsNullSpelledString(t *testing.T) {
-	tab := NewTable(csvMeta(), []Row{{types.Int(1), types.Float(1), types.Str("NULL"), types.Date(0)}})
+	tab := NewTable(csvMeta(), types.RowsOf([]types.Value{types.Int(1), types.Float(1), types.Str("NULL"), types.Date(0)}))
 	err := WriteCSV(tab, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), `column "name"`) {
 		t.Fatalf("WriteCSV of a string cell NULL: err = %v, want an error naming the column", err)
@@ -89,8 +89,8 @@ func TestReadCSVNullHandling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j := range rows[0] {
-		if !rows[0][j].IsNull() {
+	for j, v := range rows.Row(0) {
+		if !v.IsNull() {
 			t.Fatalf("col %d should be NULL", j)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"qpp/internal/catalog"
 	"qpp/internal/types"
@@ -23,12 +24,12 @@ func testMeta() *catalog.Table {
 	}
 }
 
-func testRows(n int) []Row {
-	rows := make([]Row, n)
-	for i := range rows {
-		rows[i] = Row{types.Int(int64(i / 3)), types.Int(int64(i % 3)), types.Str("x")}
+func testRows(n int) types.Rows {
+	vals := make([]types.Value, 0, 3*n)
+	for i := range n {
+		vals = append(vals, types.Int(int64(i/3)), types.Int(int64(i%3)), types.Str("x"))
 	}
-	return rows
+	return types.NewRows(3, vals)
 }
 
 func TestTablePaging(t *testing.T) {
@@ -39,8 +40,35 @@ func TestTablePaging(t *testing.T) {
 	if tab.PageOf(0) != 0 {
 		t.Fatal("first row on page 0")
 	}
-	if tab.PageOf(len(tab.Rows)-1) != int64((len(tab.Rows)-1)/tab.RowsPerPage) {
+	if tab.PageOf(tab.Rows.Len()-1) != int64((tab.Rows.Len()-1)/tab.RowsPerPage) {
 		t.Fatal("last page")
+	}
+}
+
+// TestTableRowViews: a table's row is an offset into one value array, read
+// through a view. Row i+1 starts where row i ends, each view has
+// cap == len, and an append to row i copies it, leaving row i+1 as it was.
+func TestTableRowViews(t *testing.T) {
+	tab := NewTable(testMeta(), testRows(300))
+	rows, size := tab.Rows, unsafe.Sizeof(types.Value{})
+	for i := range rows.Len() - 1 {
+		r, next := rows.Row(i), rows.Row(i+1)
+		if len(r) != 3 || cap(r) != len(r) {
+			t.Fatalf("row %d: len %d cap %d, want len = cap = 3", i, len(r), cap(r))
+		}
+		if unsafe.Pointer(&next[0]) != unsafe.Add(unsafe.Pointer(&r[0]), uintptr(len(r))*size) {
+			t.Fatalf("row %d does not start where row %d ends", i+1, i)
+		}
+		want := slices.Clone(next)
+		grown := append(r, types.Int(-1))
+		if &grown[0] == &r[0] {
+			t.Fatalf("appending to row %d grew it in place", i)
+		}
+		for c, v := range rows.Row(i + 1) {
+			if !types.Identical(v, want[c]) {
+				t.Fatalf("appending to row %d wrote %s %q into row %d col %d", i, v.Kind(), v.Key(), i+1, c)
+			}
+		}
 	}
 }
 
@@ -64,8 +92,8 @@ func TestIndexLookupPrefix(t *testing.T) {
 		t.Fatalf("prefix lookup got %d rows, want 3", len(got))
 	}
 	for i, r := range got {
-		if tab.Rows[r][0].I() != 7 || tab.Rows[r][1].I() != int64(i) {
-			t.Fatalf("row %v out of order", tab.Rows[r])
+		if row := tab.Rows.Row(int(r)); row[0].I() != 7 || row[1].I() != int64(i) {
+			t.Fatalf("row %v out of order", row)
 		}
 	}
 	if got := idx.LookupPrefix(types.Int(-1)); len(got) != 0 {
@@ -77,11 +105,11 @@ func TestIndexOrderedIsSorted(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(500)
-		rows := make([]Row, n)
-		for i := range rows {
-			rows[i] = Row{types.Int(int64(rng.Intn(50))), types.Int(int64(rng.Intn(50))), types.Str("")}
+		vals := make([]types.Value, 0, 3*n)
+		for range n {
+			vals = append(vals, types.Int(int64(rng.Intn(50))), types.Int(int64(rng.Intn(50))), types.Str(""))
 		}
-		tab := NewTable(testMeta(), rows)
+		tab := NewTable(testMeta(), types.NewRows(3, vals))
 		idx := BuildIndex("pk", tab, []int{0, 1})
 		ord := idx.Ordered()
 		if len(ord) != n {
@@ -100,16 +128,16 @@ func TestIndexOrderedIsSorted(t *testing.T) {
 }
 
 func TestIndexNullOrdering(t *testing.T) {
-	rows := []Row{
+	rows := types.RowsOf([][]types.Value{
 		{types.Null, types.Int(0), types.Str("")},
 		{types.Int(1), types.Int(0), types.Str("")},
 		{types.Int(0), types.Int(0), types.Str("")},
-	}
+	}...)
 	tab := NewTable(testMeta(), rows)
 	idx := BuildIndex("pk", tab, []int{0})
 	ord := idx.Ordered()
 	// NULLs sort last.
-	if !tab.Rows[ord[2]][0].IsNull() {
+	if !tab.Rows.Row(int(ord[2]))[0].IsNull() {
 		t.Fatalf("null should be last, got order %v", ord)
 	}
 	if got := idx.LookupPrefix(types.Int(0)); len(got) != 1 {
@@ -136,11 +164,11 @@ func TestDatabaseLoad(t *testing.T) {
 	if !ok || st.RowCount != 50 {
 		t.Fatalf("stats %+v", st)
 	}
-	if err := db.Load("nope", nil); err == nil {
+	if err := db.Load("nope", types.Rows{}); err == nil {
 		t.Fatal("unknown table should fail")
 	}
-	if err := db.Load("t", []Row{{types.Int(1)}}); err == nil {
-		t.Fatal("ragged row should fail")
+	if err := db.Load("t", types.RowsOf([]types.Value{types.Int(1)})); err == nil {
+		t.Fatal("rows of the wrong width should fail")
 	}
 }
 
@@ -170,12 +198,12 @@ func TestLoadTablesMatchesLoad(t *testing.T) {
 	}
 	for _, name := range []string{"t", "u"} {
 		a, b := one.Tables[name], all.Tables[name]
-		if len(a.Rows) != len(b.Rows) || a.Pages != b.Pages {
-			t.Fatalf("%s: %d rows / %d pages vs %d / %d", name, len(a.Rows), a.Pages, len(b.Rows), b.Pages)
+		if a.Rows.Len() != b.Rows.Len() || a.Pages != b.Pages {
+			t.Fatalf("%s: %d rows / %d pages vs %d / %d", name, a.Rows.Len(), a.Pages, b.Rows.Len(), b.Pages)
 		}
-		for i := range a.Rows {
-			for c := range a.Rows[i] {
-				if !types.Identical(a.Rows[i][c], b.Rows[i][c]) {
+		for i := range a.Rows.Len() {
+			for c, v := range a.Rows.Row(i) {
+				if !types.Identical(v, b.Rows.Row(i)[c]) {
 					t.Fatalf("%s row %d col %d differs", name, i, c)
 				}
 			}
@@ -192,8 +220,8 @@ func TestLoadTablesMatchesLoad(t *testing.T) {
 	}
 
 	fresh := NewDatabase(schema)
-	if err := fresh.LoadTables([]TableRows{{"t", testRows(5)}, {"u", []Row{{types.Int(1)}}}}); err == nil {
-		t.Fatal("ragged row should fail")
+	if err := fresh.LoadTables([]TableRows{{"t", testRows(5)}, {"u", types.RowsOf([]types.Value{types.Int(1)})}}); err == nil {
+		t.Fatal("rows of the wrong width should fail")
 	}
 	if len(fresh.Tables)+len(fresh.Indexes)+len(fresh.Stats) != 0 {
 		t.Fatal("a failed LoadTables installed tables")

@@ -16,20 +16,18 @@ import (
 	"qpp/internal/types"
 )
 
-// Row is one tuple.
-type Row = []types.Value
-
 // Table is an in-memory heap of rows plus page-layout accounting.
 type Table struct {
 	Meta *catalog.Table
 	// Rows live in one pointer-free block (types.PackRows): the values,
-	// the row headers and each distinct string's bytes, every pointer in it
-	// pointing into the block itself or at a kind tag. Each row has cap == len, so an append
+	// row after row, and each distinct string's bytes, every pointer in it
+	// pointing into the block itself or at a kind tag. A row is its offset
+	// in the values; Rows.Row builds its cap == len view, so an append
 	// copies it instead of overwriting its neighbour. The collector marks
 	// the block without scanning it, so a table costs a garbage-collection
 	// cycle nothing beyond one mark bit. Never write a table row in place:
 	// a pointer stored into the block is hidden from the collector.
-	Rows []Row
+	Rows types.Rows
 
 	// RowsPerPage is how many tuples share one 8 KiB page given the table's
 	// average row width; it maps a row offset to a page number.
@@ -40,28 +38,25 @@ type Table struct {
 
 // NewTable builds a table over a packed copy of rows (see Table.Rows) and
 // computes its page layout.
-func NewTable(meta *catalog.Table, rows []Row) *Table {
+func NewTable(meta *catalog.Table, rows types.Rows) *Table {
 	rows = types.PackRows(rows)
 	t := &Table{Meta: meta, Rows: rows}
 	var width float64
-	sample := len(rows)
-	if sample > 1000 {
-		sample = 1000
-	}
-	for i := 0; i < sample; i++ {
-		for _, v := range rows[i] {
+	sample := min(rows.Len(), 1000)
+	for i := range sample {
+		for _, v := range rows.Row(i) {
 			width += float64(v.Width())
 		}
 	}
 	if sample > 0 {
 		width /= float64(sample)
 	}
-	rpp := int(float64(catalog.PageSize) / (width + 24))
+	rpp := int(float64(catalog.PageSize) / (width + catalog.TupleHeaderBytes))
 	if rpp < 1 {
 		rpp = 1
 	}
 	t.RowsPerPage = rpp
-	t.Pages = int64(len(rows)/rpp) + 1
+	t.Pages = int64(rows.Len()/rpp) + 1
 	return t
 }
 
@@ -93,12 +88,13 @@ type Index struct {
 
 // BuildIndex constructs an index over the given column ordinals.
 func BuildIndex(name string, t *Table, cols []int) *Index {
-	if len(t.Rows) > math.MaxInt32 {
-		panic(fmt.Sprintf("storage: table %q has %d rows, beyond the index's int32 offsets", t.Meta.Name, len(t.Rows)))
+	n := t.Rows.Len()
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("storage: table %q has %d rows, beyond the index's int32 offsets", t.Meta.Name, n))
 	}
 	idx := &Index{Name: name, Table: t, Cols: cols}
-	idx.ordered = make([]int32, len(t.Rows))
-	for i := range t.Rows {
+	idx.ordered = make([]int32, n)
+	for i := range n {
 		idx.ordered[i] = int32(i)
 	}
 	sort.SliceStable(idx.ordered, func(a, b int) bool {
@@ -107,7 +103,7 @@ func BuildIndex(name string, t *Table, cols []int) *Index {
 	// Load ≤ ½. A key with a NULL column equals no lookup, so its rows
 	// stay out of the table (they sort last and are reachable by scan).
 	size := 8
-	for size < 2*len(t.Rows) {
+	for size < 2*n {
 		size *= 2
 	}
 	idx.slots = make([]int32, size)
@@ -118,7 +114,7 @@ func BuildIndex(name string, t *Table, cols []int) *Index {
 			continue // not the first row of its key
 		}
 		for i, c := range cols {
-			key[i] = t.Rows[off][c]
+			key[i] = t.Rows.Row(int(off))[c]
 		}
 		h, ok := hashKey(key)
 		if !ok {
@@ -131,12 +127,12 @@ func BuildIndex(name string, t *Table, cols []int) *Index {
 		idx.slots[s] = int32(pos) + 1
 	}
 	// ~200 key entries per 8 KiB leaf page, a B-tree-like density.
-	idx.LeafPages = int64(len(t.Rows)/200) + 1
+	idx.LeafPages = int64(n/200) + 1
 	return idx
 }
 
 func (idx *Index) compareRows(a, b int32) int {
-	ra, rb := idx.Table.Rows[a], idx.Table.Rows[b]
+	ra, rb := idx.Table.Rows.Row(int(a)), idx.Table.Rows.Row(int(b))
 	for _, c := range idx.Cols {
 		va, vb := ra[c], rb[c]
 		if va.IsNull() || vb.IsNull() {
@@ -169,7 +165,7 @@ func hashKey(vals []types.Value) (h uint64, ok bool) {
 
 // matches reports whether the row at offset off has exactly the key vals.
 func (idx *Index) matches(off int32, vals []types.Value) bool {
-	r := idx.Table.Rows[off]
+	r := idx.Table.Rows.Row(int(off))
 	for i, c := range idx.Cols {
 		if !types.KeyEqual(r[c], vals[i]) {
 			return false
@@ -207,12 +203,12 @@ func (idx *Index) Lookup(vals []types.Value) []int32 {
 func (idx *Index) LookupPrefix(v types.Value) []int32 {
 	c := idx.Cols[0]
 	lo := sort.Search(len(idx.ordered), func(i int) bool {
-		rv := idx.Table.Rows[idx.ordered[i]][c]
+		rv := idx.Table.Rows.Row(int(idx.ordered[i]))[c]
 		return rv.IsNull() || types.Compare(rv, v) >= 0
 	})
 	hi := lo
 	for hi < len(idx.ordered) {
-		rv := idx.Table.Rows[idx.ordered[hi]][c]
+		rv := idx.Table.Rows.Row(int(idx.ordered[hi]))[c]
 		if rv.IsNull() || !types.Equal(rv, v) {
 			break
 		}
@@ -245,12 +241,12 @@ func NewDatabase(schema *catalog.Schema) *Database {
 // TableRows is one schema table's rows, as handed to LoadTables.
 type TableRows struct {
 	Name string
-	Rows []Row
+	Rows types.Rows
 }
 
 // Load installs rows for a schema table, builds its primary-key index and
 // analyzes it: LoadTables with one table.
-func (db *Database) Load(name string, rows []Row) error {
+func (db *Database) Load(name string, rows types.Rows) error {
 	return db.LoadTables([]TableRows{{Name: name, Rows: rows}})
 }
 
@@ -273,10 +269,8 @@ func (db *Database) LoadTables(tables []TableRows) error {
 		if !ok {
 			return fmt.Errorf("storage: unknown table %q", tr.Name)
 		}
-		for r, row := range tr.Rows {
-			if len(row) != len(meta.Columns) {
-				return fmt.Errorf("storage: table %q row %d has %d columns, want %d", tr.Name, r, len(row), len(meta.Columns))
-			}
+		if tr.Rows.Len() > 0 && tr.Rows.Width() != len(meta.Columns) {
+			return fmt.Errorf("storage: table %q rows have %d columns, want %d", tr.Name, tr.Rows.Width(), len(meta.Columns))
 		}
 		metas[i] = meta
 	}
@@ -288,7 +282,7 @@ func (db *Database) LoadTables(tables []TableRows) error {
 		bySize[i] = i
 	}
 	sort.SliceStable(bySize, func(a, b int) bool {
-		return len(tables[bySize[a]].Rows) > len(tables[bySize[b]].Rows)
+		return tables[bySize[a]].Rows.Len() > tables[bySize[b]].Rows.Len()
 	})
 
 	// One task per table packs and indexes it; one task per column
@@ -325,7 +319,7 @@ func (db *Database) LoadTables(tables []TableRows) error {
 		if indexes[i] != nil {
 			db.Indexes[tr.Name] = indexes[i]
 		}
-		db.Stats[tr.Name] = catalog.SketchedTableStats(len(tr.Rows), cols[i])
+		db.Stats[tr.Name] = catalog.SketchedTableStats(tr.Rows.Len(), cols[i])
 	}
 	return nil
 }

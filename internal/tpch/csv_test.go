@@ -39,15 +39,15 @@ func TestCSVDirRoundTrip(t *testing.T) {
 		for _, name := range db.Schema.TableNames() {
 			a, _ := db.Table(name)
 			b, _ := loaded.Table(name)
-			if len(a.Rows) != len(b.Rows) {
-				t.Fatalf("sf %g %s: %d vs %d rows", sf, name, len(a.Rows), len(b.Rows))
+			if a.Rows.Len() != b.Rows.Len() {
+				t.Fatalf("sf %g %s: %d vs %d rows", sf, name, a.Rows.Len(), b.Rows.Len())
 			}
 			differ := 0
-			for i := range a.Rows {
-				for j := range a.Rows[i] {
-					if !types.Identical(a.Rows[i][j], b.Rows[i][j]) {
+			for i := range a.Rows.Len() {
+				for j, va := range a.Rows.Row(i) {
+					if vb := b.Rows.Row(i)[j]; !types.Identical(va, vb) {
 						if differ == 0 {
-							t.Errorf("sf %g %s row %d col %d: wrote %v, read %v", sf, name, i, j, a.Rows[i][j].Key(), b.Rows[i][j].Key())
+							t.Errorf("sf %g %s row %d col %d: wrote %v, read %v", sf, name, i, j, va.Key(), vb.Key())
 						}
 						differ++
 					}

@@ -56,7 +56,8 @@ func Generate(cfg GenConfig) (*storage.Database, error) {
 }
 
 // genTables returns the rows of all eight tables, in schema order, as
-// their generators return them. The seven generators run under
+// their generators return them: each generator appends its table's values,
+// row after row, to one presized array. The seven generators run under
 // parallel.ForEach, orders and lineitem (the biggest by far) first.
 func genTables(cfg GenConfig) []storage.TableRows {
 	nSupp := scaled(supplierBase, cfg.ScaleFactor)
@@ -65,7 +66,7 @@ func genTables(cfg GenConfig) []storage.TableRows {
 	nOrd := scaled(ordersBase, cfg.ScaleFactor)
 	rng := func(table string) *rand.Rand { return tableRNG(cfg.Seed, table) }
 
-	var region, nation, supplier, customer, part, partsupp, orders, lineitem []storage.Row
+	var region, nation, supplier, customer, part, partsupp, orders, lineitem types.Rows
 	gens := []func(){
 		func() { orders, lineitem = genOrdersAndLineitems(rng(Orders), nOrd, nCust, nPart, nSupp) },
 		func() { partsupp = genPartSupp(rng(PartSupp), nPart, nSupp) },
@@ -102,30 +103,33 @@ func tableRNG(seed int64, table string) *rand.Rand {
 	return rand.New(rand.NewSource(seed ^ h))
 }
 
-func genRegion(rng *rand.Rand) []storage.Row {
-	rows := make([]storage.Row, len(regionNames))
+func genRegion(rng *rand.Rand) types.Rows {
+	const width = 3
+	vals := make([]types.Value, 0, len(regionNames)*width)
 	for i, name := range regionNames {
-		rows[i] = storage.Row{
+		vals = append(vals,
 			types.Int(int64(i)), types.Str(name),
 			types.Str(randomComment(rng, 6, 0)),
-		}
+		)
 	}
-	return rows
+	return types.NewRows(width, vals)
 }
 
-func genNation(rng *rand.Rand) []storage.Row {
-	rows := make([]storage.Row, len(nationList))
+func genNation(rng *rand.Rand) types.Rows {
+	const width = 4
+	vals := make([]types.Value, 0, len(nationList)*width)
 	for i, n := range nationList {
-		rows[i] = storage.Row{
+		vals = append(vals,
 			types.Int(int64(i)), types.Str(n.Name), types.Int(n.Region),
 			types.Str(randomComment(rng, 8, 0)),
-		}
+		)
 	}
-	return rows
+	return types.NewRows(width, vals)
 }
 
-func genSupplier(rng *rand.Rand, n int) []storage.Row {
-	rows := make([]storage.Row, n)
+func genSupplier(rng *rand.Rand, n int) types.Rows {
+	const width = 7
+	vals := make([]types.Value, 0, n*width)
 	for i := 0; i < n; i++ {
 		key := int64(i + 1)
 		nation := int64(rng.Intn(25))
@@ -135,36 +139,37 @@ func genSupplier(rng *rand.Rand, n int) []storage.Row {
 		if rng.Float64() < 0.002 {
 			comment = "Customer " + comment + " Complaints"
 		}
-		rows[i] = storage.Row{
+		vals = append(vals,
 			types.Int(key),
 			types.Str(fmt.Sprintf("Supplier#%09d", key)),
 			types.Str(randomVString(rng, 10, 40)),
 			types.Int(nation),
 			types.Str(phoneFor(rng, nation)),
-			types.Float(float64(rng.Intn(1099998)-99999) / 100), // -999.99 .. 9999.99
+			types.Float(float64(rng.Intn(1099998)-99999)/100), // -999.99 .. 9999.99
 			types.Str(comment),
-		}
+		)
 	}
-	return rows
+	return types.NewRows(width, vals)
 }
 
-func genCustomer(rng *rand.Rand, n int) []storage.Row {
-	rows := make([]storage.Row, n)
+func genCustomer(rng *rand.Rand, n int) types.Rows {
+	const width = 8
+	vals := make([]types.Value, 0, n*width)
 	for i := 0; i < n; i++ {
 		key := int64(i + 1)
 		nation := int64(rng.Intn(25))
-		rows[i] = storage.Row{
+		vals = append(vals,
 			types.Int(key),
 			types.Str(fmt.Sprintf("Customer#%09d", key)),
 			types.Str(randomVString(rng, 10, 40)),
 			types.Int(nation),
 			types.Str(phoneFor(rng, nation)),
-			types.Float(float64(rng.Intn(1099998)-99999) / 100),
+			types.Float(float64(rng.Intn(1099998)-99999)/100),
 			types.Str(segments[rng.Intn(len(segments))]),
 			types.Str(randomComment(rng, 9, 0)),
-		}
+		)
 	}
-	return rows
+	return types.NewRows(width, vals)
 }
 
 // retailPrice implements the spec formula 90000 + (pk/10)%20001 + 100*(pk%1000), in cents.
@@ -172,24 +177,25 @@ func retailPrice(partkey int64) float64 {
 	return float64(90000+(partkey/10)%20001+100*(partkey%1000)) / 100
 }
 
-func genPart(rng *rand.Rand, n int) []storage.Row {
-	rows := make([]storage.Row, n)
+func genPart(rng *rand.Rand, n int) types.Rows {
+	const width = 9
+	vals := make([]types.Value, 0, n*width)
 	for i := 0; i < n; i++ {
 		key := int64(i + 1)
 		m := 1 + rng.Intn(5)
-		rows[i] = storage.Row{
+		vals = append(vals,
 			types.Int(key),
 			types.Str(partName(rng)),
 			types.Str(fmt.Sprintf("Manufacturer#%d", m)),
 			types.Str(fmt.Sprintf("Brand#%d%d", m, 1+rng.Intn(5))),
 			types.Str(partType(rng)),
-			types.Int(int64(1 + rng.Intn(50))),
+			types.Int(int64(1+rng.Intn(50))),
 			types.Str(partContainer(rng)),
 			types.Float(retailPrice(key)),
 			types.Str(randomComment(rng, 5, 0)),
-		}
+		)
 	}
-	return rows
+	return types.NewRows(width, vals)
 }
 
 // suppForPart implements the spec's supplier distribution formula so each
@@ -199,25 +205,30 @@ func suppForPart(partkey int64, i int, nSupp int) int64 {
 	return (partkey+int64(i)*(s/4+(partkey-1)/s))%s + 1
 }
 
-func genPartSupp(rng *rand.Rand, nPart, nSupp int) []storage.Row {
-	rows := make([]storage.Row, 0, nPart*4)
+func genPartSupp(rng *rand.Rand, nPart, nSupp int) types.Rows {
+	const width = 5
+	vals := make([]types.Value, 0, nPart*4*width)
 	for p := 1; p <= nPart; p++ {
 		for i := 0; i < 4; i++ {
-			rows = append(rows, storage.Row{
+			vals = append(vals,
 				types.Int(int64(p)),
 				types.Int(suppForPart(int64(p), i, nSupp)),
-				types.Int(int64(1 + rng.Intn(9999))),
-				types.Float(float64(100+rng.Intn(99901)) / 100), // 1.00 .. 1000.00
+				types.Int(int64(1+rng.Intn(9999))),
+				types.Float(float64(100+rng.Intn(99901))/100), // 1.00 .. 1000.00
 				types.Str(randomComment(rng, 12, 0)),
-			})
+			)
 		}
 	}
-	return rows
+	return types.NewRows(width, vals)
 }
 
-func genOrdersAndLineitems(rng *rand.Rand, nOrd, nCust, nPart, nSupp int) ([]storage.Row, []storage.Row) {
-	orders := make([]storage.Row, 0, nOrd)
-	lines := make([]storage.Row, 0, nOrd*4)
+// genOrdersAndLineitems returns orders and their line items. An order has
+// 1 to 7 lines, four on average; lineitem's array is presized for that mean
+// plus an eighth, so that it is seldom grown and copied.
+func genOrdersAndLineitems(rng *rand.Rand, nOrd, nCust, nPart, nSupp int) (types.Rows, types.Rows) {
+	const orderWidth, lineWidth = 9, 16
+	orders := make([]types.Value, 0, nOrd*orderWidth)
+	lines := make([]types.Value, 0, (nOrd*4+nOrd/8)*lineWidth)
 	maxOrderDate := endDate - 151 // so l_receiptdate never exceeds endDate
 	for o := 1; o <= nOrd; o++ {
 		okey := int64(o)
@@ -261,7 +272,7 @@ func genOrdersAndLineitems(rng *rand.Rand, nOrd, nCust, nPart, nSupp int) ([]sto
 				allO = false
 			}
 			total += price * (1 + tax) * (1 - disc)
-			lines = append(lines, storage.Row{
+			lines = append(lines,
 				types.Int(okey), types.Int(pk), types.Int(sk), types.Int(int64(ln)),
 				types.Float(qty), types.Float(price), types.Float(disc), types.Float(tax),
 				types.Str(rflag), types.Str(lstatus),
@@ -269,7 +280,7 @@ func genOrdersAndLineitems(rng *rand.Rand, nOrd, nCust, nPart, nSupp int) ([]sto
 				types.Str(shipInstructs[rng.Intn(len(shipInstructs))]),
 				types.Str(shipModes[rng.Intn(len(shipModes))]),
 				types.Str(randomComment(rng, 5, 0)),
-			})
+			)
 		}
 		status := "P"
 		if allF {
@@ -277,15 +288,15 @@ func genOrdersAndLineitems(rng *rand.Rand, nOrd, nCust, nPart, nSupp int) ([]sto
 		} else if allO {
 			status = "O"
 		}
-		orders = append(orders, storage.Row{
+		orders = append(orders,
 			types.Int(okey), types.Int(ck), types.Str(status), types.Float(total),
 			types.Date(odate), types.Str(priorities[rng.Intn(len(priorities))]),
 			types.Str(fmt.Sprintf("Clerk#%09d", 1+rng.Intn(max(1, nOrd/1500)))),
 			types.Int(0),
 			types.Str(randomComment(rng, 10, 0.03)),
-		})
+		)
 	}
-	return orders, lines
+	return types.NewRows(orderWidth, orders), types.NewRows(lineWidth, lines)
 }
 
 // LoadCSVDir builds a database from the CSV files cmd/tpchgen writes (one

@@ -30,14 +30,14 @@ func TestGenerateCardinalities(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing table %s", name)
 		}
-		if len(tab.Rows) != n {
-			t.Errorf("%s: %d rows, want %d", name, len(tab.Rows), n)
+		if tab.Rows.Len() != n {
+			t.Errorf("%s: %d rows, want %d", name, tab.Rows.Len(), n)
 		}
 	}
 	li, _ := db.Table(Lineitem)
 	// 1..7 lines per order, expect ~4x orders.
-	if len(li.Rows) < 2*3000 || len(li.Rows) > 7*3000 {
-		t.Errorf("lineitem rows %d out of range", len(li.Rows))
+	if li.Rows.Len() < 2*3000 || li.Rows.Len() > 7*3000 {
+		t.Errorf("lineitem rows %d out of range", li.Rows.Len())
 	}
 }
 
@@ -65,13 +65,13 @@ func TestGenerateDeterministic(t *testing.T) {
 	for _, name := range names {
 		ta, _ := a.Table(name)
 		tb, _ := b.Table(name)
-		if len(ta.Rows) != len(tb.Rows) || ta.Pages != tb.Pages || ta.RowsPerPage != tb.RowsPerPage {
-			t.Fatalf("%s: %d rows in %d pages vs %d in %d", name, len(ta.Rows), ta.Pages, len(tb.Rows), tb.Pages)
+		if ta.Rows.Len() != tb.Rows.Len() || ta.Pages != tb.Pages || ta.RowsPerPage != tb.RowsPerPage {
+			t.Fatalf("%s: %d rows in %d pages vs %d in %d", name, ta.Rows.Len(), ta.Pages, tb.Rows.Len(), tb.Pages)
 		}
-		for i := range ta.Rows {
-			for j := range ta.Rows[i] {
-				if !types.Identical(ta.Rows[i][j], tb.Rows[i][j]) {
-					t.Fatalf("%s row %d col %d differs: %v vs %v", name, i, j, ta.Rows[i][j], tb.Rows[i][j])
+		for i := range ta.Rows.Len() {
+			for j, va := range ta.Rows.Row(i) {
+				if vb := tb.Rows.Row(i)[j]; !types.Identical(va, vb) {
+					t.Fatalf("%s row %d col %d differs: %v vs %v", name, i, j, va, vb)
 				}
 			}
 		}
@@ -99,15 +99,17 @@ func TestGenerateReferentialIntegrity(t *testing.T) {
 	part, _ := db.Table(Part)
 	supp, _ := db.Table(Supplier)
 
-	nCust, nPart, nSupp := int64(len(cust.Rows)), int64(len(part.Rows)), int64(len(supp.Rows))
+	nCust, nPart, nSupp := int64(cust.Rows.Len()), int64(part.Rows.Len()), int64(supp.Rows.Len())
 	orderKeys := map[int64]bool{}
-	for _, r := range orders.Rows {
+	for i := range orders.Rows.Len() {
+		r := orders.Rows.Row(i)
 		orderKeys[r[0].I()] = true
 		if ck := r[1].I(); ck < 1 || ck > nCust || ck%3 == 0 {
 			t.Fatalf("bad custkey %d", ck)
 		}
 	}
-	for _, r := range li.Rows {
+	for i := range li.Rows.Len() {
+		r := li.Rows.Row(i)
 		if !orderKeys[r[0].I()] {
 			t.Fatalf("lineitem orphan orderkey %d", r[0].I())
 		}
@@ -128,10 +130,12 @@ func TestGenerateDateInvariants(t *testing.T) {
 	li, _ := db.Table(Lineitem)
 	orders, _ := db.Table(Orders)
 	odate := map[int64]int64{}
-	for _, r := range orders.Rows {
+	for i := range orders.Rows.Len() {
+		r := orders.Rows.Row(i)
 		odate[r[0].I()] = r[4].I()
 	}
-	for _, r := range li.Rows {
+	for i := range li.Rows.Len() {
+		r := li.Rows.Row(i)
 		ship, commit, receipt := r[10].I(), r[11].I(), r[12].I()
 		od := odate[r[0].I()]
 		if ship <= od || receipt <= ship {
@@ -159,9 +163,10 @@ func TestGeneratePricing(t *testing.T) {
 	part, _ := db.Table(Part)
 	orders, _ := db.Table(Orders)
 	totals := map[int64]float64{}
-	for _, r := range li.Rows {
+	for i := range li.Rows.Len() {
+		r := li.Rows.Row(i)
 		qty, price := r[4].F(), r[5].F()
-		retail := part.Rows[r[1].I()-1][7].F()
+		retail := part.Rows.Row(int(r[1].I() - 1))[7].F()
 		if price != qty*retail {
 			t.Fatalf("extendedprice %v != qty %v * retail %v", price, qty, retail)
 		}
@@ -173,7 +178,8 @@ func TestGeneratePricing(t *testing.T) {
 		}
 		totals[r[0].I()] += price * (1 + r[7].F()) * (1 - r[6].F())
 	}
-	for _, r := range orders.Rows {
+	for i := range orders.Rows.Len() {
+		r := orders.Rows.Row(i)
 		want := totals[r[0].I()]
 		if diff := r[3].F() - want; diff > 1e-6 || diff < -1e-6 {
 			t.Fatalf("o_totalprice %v want %v", r[3].F(), want)
@@ -187,7 +193,8 @@ func TestGenerateValueDomains(t *testing.T) {
 		t.Fatal(err)
 	}
 	part, _ := db.Table(Part)
-	for _, r := range part.Rows {
+	for i := range part.Rows.Len() {
+		r := part.Rows.Row(i)
 		if !strings.HasPrefix(r[3].S(), "Brand#") {
 			t.Fatalf("brand %q", r[3].S())
 		}
@@ -203,7 +210,8 @@ func TestGenerateValueDomains(t *testing.T) {
 	}
 	cust, _ := db.Table(Customer)
 	segSeen := map[string]bool{}
-	for _, r := range cust.Rows {
+	for i := range cust.Rows.Len() {
+		r := cust.Rows.Row(i)
 		segSeen[r[6].S()] = true
 	}
 	if len(segSeen) != 5 {
@@ -218,13 +226,14 @@ func TestGenerateSpecialRequestsComments(t *testing.T) {
 	}
 	orders, _ := db.Table(Orders)
 	n := 0
-	for _, r := range orders.Rows {
+	for i := range orders.Rows.Len() {
+		r := orders.Rows.Row(i)
 		c := r[8].S()
 		if i := strings.Index(c, "special"); i >= 0 && strings.Contains(c[i:], "requests") {
 			n++
 		}
 	}
-	frac := float64(n) / float64(len(orders.Rows))
+	frac := float64(n) / float64(orders.Rows.Len())
 	if frac < 0.005 || frac > 0.10 {
 		t.Fatalf("special…requests fraction %v out of expected band", frac)
 	}

@@ -52,8 +52,9 @@ func databaseDigest(h hash.Hash, db *storage.Database) {
 	for _, name := range db.Schema.TableNames() {
 		d.str(name)
 		tab, _ := db.Table(name)
-		d.u64(uint64(len(tab.Rows)))
-		for _, r := range tab.Rows {
+		d.u64(uint64(tab.Rows.Len()))
+		for i := range tab.Rows.Len() {
+			r := tab.Rows.Row(i)
 			d.u64(uint64(len(r)))
 			for _, v := range r {
 				d.u64(uint64(v.Kind()))

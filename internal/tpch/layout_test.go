@@ -5,14 +5,14 @@ import (
 	"testing"
 	"unsafe"
 
-	"qpp/internal/storage"
 	"qpp/internal/types"
 )
 
-// perRowBuild is every table of Generate(cfg) as its generator returns
-// it, one allocation per row and per string, before the loader packs it.
-func perRowBuild(cfg GenConfig) map[string][]storage.Row {
-	out := map[string][]storage.Row{}
+// generated is every table of Generate(cfg) as its generator returns it,
+// one value array per table and one allocation per string, before the
+// loader packs it.
+func generated(cfg GenConfig) map[string]types.Rows {
+	out := map[string]types.Rows{}
 	for _, tr := range genTables(cfg) {
 		out[tr.Name] = tr.Rows
 	}
@@ -24,8 +24,8 @@ func perRowBuild(cfg GenConfig) map[string][]storage.Row {
 // array, each capped so an append copies instead of overwriting the next
 // row; equal strings share their bytes; every value is identical to the
 // generator's own; and the whole database, statistics and indexes
-// included, is at most 1 000 heap objects (one per row and per string,
-// ≈ 100 000, before the packing).
+// included, is at most 1 000 heap objects (one per generated string
+// before the packing).
 func TestTableLayout(t *testing.T) {
 	cfg := GenConfig{ScaleFactor: 0.005, Seed: 1}
 	var before, after runtime.MemStats
@@ -44,28 +44,29 @@ func TestTableLayout(t *testing.T) {
 	}
 	runtime.KeepAlive(db)
 
-	want := perRowBuild(cfg)
+	want := generated(cfg)
 	valueSize := unsafe.Sizeof(types.Value{})
 	for _, name := range db.Schema.TableNames() {
 		tab, _ := db.Table(name)
 		rows := tab.Rows
-		if len(rows) != len(want[name]) {
-			t.Fatalf("%s: %d rows, want %d", name, len(rows), len(want[name]))
+		if rows.Len() != want[name].Len() || rows.Width() != want[name].Width() {
+			t.Fatalf("%s: %d rows of width %d, want %d of width %d", name, rows.Len(), rows.Width(), want[name].Len(), want[name].Width())
 		}
 		bytesAt := map[string]*byte{}
-		for i, r := range rows {
+		for i := range rows.Len() {
+			r := rows.Row(i)
 			if cap(r) != len(r) {
 				t.Fatalf("%s row %d: cap %d, len %d", name, i, cap(r), len(r))
 			}
 			if i > 0 {
-				prev := rows[i-1]
+				prev := rows.Row(i - 1)
 				if unsafe.Pointer(&r[0]) != unsafe.Add(unsafe.Pointer(&prev[0]), uintptr(len(prev))*valueSize) {
 					t.Fatalf("%s row %d does not follow row %d in one array", name, i, i-1)
 				}
 			}
 			for c, v := range r {
-				if !types.Identical(v, want[name][i][c]) {
-					t.Fatalf("%s row %d col %d: %v, want %v", name, i, c, v, want[name][i][c])
+				if w := want[name].Row(i)[c]; !types.Identical(v, w) {
+					t.Fatalf("%s row %d col %d: %v, want %v", name, i, c, v, w)
 				}
 				if v.Kind() != types.KindString || v.S() == "" {
 					continue
@@ -78,10 +79,10 @@ func TestTableLayout(t *testing.T) {
 			}
 		}
 		// An append to a row copies it: its neighbour is untouched.
-		if len(rows) > 1 {
-			next := rows[1][0]
-			grown := append(rows[0], types.Int(-1))
-			if !types.Identical(rows[1][0], next) || &grown[0] == &rows[0][0] {
+		if rows.Len() > 1 {
+			next := rows.Row(1)[0]
+			grown := append(rows.Row(0), types.Int(-1))
+			if !types.Identical(rows.Row(1)[0], next) || &grown[0] == &rows.Row(0)[0] {
 				t.Fatalf("%s: appending to row 0 wrote into row 1", name)
 			}
 		}

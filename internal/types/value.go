@@ -167,74 +167,63 @@ func Identical(a, b Value) bool {
 }
 
 // PackRows copies rows into one allocation the collector never scans: a
-// block of uint64 words holding every Value, then the row headers, then the
-// bytes of each distinct non-empty string, stored once. Each row is a
-// cap == len stretch of the values, so an append to it copies instead of
-// overwriting its neighbour; every packed value is Identical to its input.
+// block of uint64 words holding every Value, row after row, then the bytes
+// of each distinct non-empty string, stored once. The copy has the same
+// width and row count, and every packed value is Identical to its input.
 //
 // Invariant: every pointer inside the block points into the block itself
 // or at a kind tag, a global that is never freed. Nothing the block
 // references can then be freed while any part of it is reachable, and a
 // Value, row or S() string copied out of it keeps the whole block alive
-// through its interior pointer. The block is never written after PackRows returns: a pointer
-// stored into it later would be one the collector does not see.
-func PackRows(rows [][]Value) [][]Value {
-	if len(rows) == 0 {
-		return nil
+// through its interior pointer. The block is never written after PackRows
+// returns: a pointer stored into it later would be one the collector does
+// not see.
+func PackRows(rows Rows) Rows {
+	if len(rows.vals) == 0 {
+		return Rows{w: rows.w, n: rows.n}
 	}
-	// First pass: count the values and give each distinct non-empty string
-	// its offset among the string bytes; offs holds the offset of every
-	// non-empty string value, in order, for the second pass.
+	// First pass: give each distinct non-empty string its offset among the
+	// string bytes; offs holds the offset of every non-empty string value,
+	// in order, for the second pass.
 	at := make(map[string]int)
 	var uniq []string
 	var offs []int
-	nvals, size := 0, 0
-	for _, r := range rows {
-		nvals += len(r)
-		for _, v := range r {
-			s := v.S()
-			if s == "" {
-				continue
-			}
-			off, ok := at[s]
-			if !ok {
-				off = size
-				at[s] = off
-				uniq = append(uniq, s)
-				size += len(s)
-			}
-			offs = append(offs, off)
+	size := 0
+	for _, v := range rows.vals {
+		s := v.S()
+		if s == "" {
+			continue
 		}
+		off, ok := at[s]
+		if !ok {
+			off = size
+			at[s] = off
+			uniq = append(uniq, s)
+			size += len(s)
+		}
+		offs = append(offs, off)
 	}
 	const word = int(unsafe.Sizeof(uint64(0)))
-	valWords := nvals * int(unsafe.Sizeof(Value{})) / word
-	rowWords := len(rows) * int(unsafe.Sizeof([]Value(nil))) / word
-	block := make([]uint64, valWords+rowWords+(size+word-1)/word)
-	vals := unsafe.Slice((*Value)(unsafe.Pointer(&block[0])), nvals)
-	out := unsafe.Slice((*[]Value)(unsafe.Pointer(&block[valWords])), len(rows))
+	valWords := len(rows.vals) * int(unsafe.Sizeof(Value{})) / word
+	block := make([]uint64, valWords+(size+word-1)/word)
+	vals := unsafe.Slice((*Value)(unsafe.Pointer(&block[0])), len(rows.vals))
 	var bytes []byte
 	if size > 0 {
-		bytes = unsafe.Slice((*byte)(unsafe.Pointer(&block[valWords+rowWords])), size)
+		bytes = unsafe.Slice((*byte)(unsafe.Pointer(&block[valWords])), size)
 		n := 0
 		for _, s := range uniq {
 			n += copy(bytes[n:], s)
 		}
 	}
-	n := 0
-	for i, r := range rows {
-		row := vals[n : n+len(r) : n+len(r)]
-		for j, v := range r {
-			if v.S() == "" {
-				row[j] = v // nil or a kind tag
-				continue
-			}
-			row[j] = Value{p: unsafe.Pointer(&bytes[offs[0]]), n: v.n}
-			offs = offs[1:]
+	for i, v := range rows.vals {
+		if v.S() == "" {
+			vals[i] = v // nil or a kind tag
+			continue
 		}
-		out[i] = row
-		n += len(r)
+		vals[i] = Value{p: unsafe.Pointer(&bytes[offs[0]]), n: v.n}
+		offs = offs[1:]
 	}
-	return out
+	return Rows{vals: vals, w: rows.w, n: rows.n}
 }
 
 // IsNull reports whether v is SQL NULL.

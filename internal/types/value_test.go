@@ -93,7 +93,7 @@ func checkString(t *testing.T, s string) {
 	if c := Str(strings.Clone(s)); !Identical(Str(s), c) || !KeyEqual(Str(s), c) {
 		t.Errorf("Str(%q) is not Identical to a copy of itself", s)
 	}
-	packed := PackRows([][]Value{{Str(s), Str(s[:0]), Value{}}})[0]
+	packed := PackRows(RowsOf([]Value{Str(s), Str(s[:0]), Value{}})).Row(0)
 	checkOnly(t, packed[0], KindString, 0, 0, s)
 	checkOnly(t, packed[1], KindString, 0, 0, "")
 	checkOnly(t, packed[2], KindNull, 0, 0, "")
@@ -180,47 +180,50 @@ func FuzzValueRoundTrip(f *testing.F) {
 	})
 }
 
-// checkPacked asserts the PackRows contract on one input: every value
-// Identical to its input, every row cap == len, equal strings on one data
-// pointer, and every pointer — value and row header — nil, a kind tag or
-// inside the one block, whose extent the layout gives: the values, then
-// the row headers out points at, then the distinct strings' bytes.
-func checkPacked(t *testing.T, in, out [][]Value) {
+// checkPacked asserts the PackRows contract on one input: the same width
+// and row count, every value Identical to its input, row i the cap == len
+// view at offset i*width of the packed values, equal strings on one data
+// pointer, and every pointer nil, a kind tag or inside the one block, whose
+// extent the layout gives: the values, then the distinct strings' bytes.
+func checkPacked(t *testing.T, in, out Rows) {
 	t.Helper()
-	if len(out) != len(in) {
-		t.Fatalf("PackRows returned %d rows, want %d", len(out), len(in))
+	if out.Len() != in.Len() || out.Width() != in.Width() {
+		t.Fatalf("PackRows returned %d rows of width %d, want %d of width %d", out.Len(), out.Width(), in.Len(), in.Width())
 	}
-	if len(in) == 0 {
+	w, nvals, size := in.Width(), in.Len()*in.Width(), 0
+	if len(out.vals) != nvals {
+		t.Fatalf("PackRows holds %d values, want %d", len(out.vals), nvals)
+	}
+	if nvals == 0 {
 		return
 	}
-	nvals, size := 0, 0
+	if &out.vals[0] == &in.vals[0] {
+		t.Fatal("PackRows returned its input, not a copy")
+	}
 	distinct := map[string]bool{}
-	for _, r := range in {
-		nvals += len(r)
-		for _, v := range r {
-			if s := v.S(); s != "" && !distinct[s] {
-				distinct[s] = true
-				size += len(s)
-			}
+	for _, v := range in.vals {
+		if s := v.S(); s != "" && !distinct[s] {
+			distinct[s] = true
+			size += len(s)
 		}
 	}
-	headers := uintptr(unsafe.Pointer(unsafe.SliceData(out)))
-	lo := headers - uintptr(nvals)*unsafe.Sizeof(Value{})
-	hi := headers + uintptr(len(out))*unsafe.Sizeof(out[0]) + uintptr(size)
+	lo := uintptr(unsafe.Pointer(&out.vals[0]))
+	hi := lo + uintptr(nvals)*unsafe.Sizeof(Value{}) + uintptr(size)
 	inBlock := func(p unsafe.Pointer, n uintptr) bool {
 		return uintptr(p) >= lo && uintptr(p)+n <= hi
 	}
 	bytesAt := map[string]unsafe.Pointer{}
-	for i, r := range out {
-		if len(r) != len(in[i]) || cap(r) != len(r) {
-			t.Fatalf("row %d: len %d cap %d, want len = cap = %d", i, len(r), cap(r), len(in[i]))
+	for i := range out.Len() {
+		r, want := out.Row(i), in.Row(i)
+		if len(r) != w || cap(r) != len(r) {
+			t.Fatalf("row %d: len %d cap %d, want len = cap = %d", i, len(r), cap(r), w)
 		}
-		if p := unsafe.Pointer(unsafe.SliceData(r)); p != nil && !inBlock(p, uintptr(len(r))*unsafe.Sizeof(Value{})) {
-			t.Fatalf("row %d header points at %p, outside the block [%#x, %#x)", i, p, lo, hi)
+		if p := unsafe.Pointer(unsafe.SliceData(r)); p != unsafe.Pointer(&out.vals[i*w]) {
+			t.Fatalf("row %d starts at %p, want value %d at %p", i, p, i*w, &out.vals[i*w])
 		}
 		for j, v := range r {
-			if !Identical(v, in[i][j]) {
-				t.Fatalf("row %d col %d: packed %s %q, want %s %q", i, j, v.Kind(), v.Key(), in[i][j].Kind(), in[i][j].Key())
+			if !Identical(v, want[j]) {
+				t.Fatalf("row %d col %d: packed %s %q, want %s %q", i, j, v.Kind(), v.Key(), want[j].Kind(), want[j].Key())
 			}
 			if v.p == nil || isKindTag(v.p) {
 				continue
@@ -247,29 +250,58 @@ func isKindTag(p unsafe.Pointer) bool {
 
 func TestPackRows(t *testing.T) {
 	dup := strings.Repeat("dup", 3)
-	cases := map[string][][]Value{
-		"nil":               nil,
-		"empty":             {},
-		"zero-column rows":  {{}, nil, {}},
-		"trailing empty":    {{Int(1)}, {}},
-		"nulls":             {{Null, Null}, {Null}},
-		"empty strings":     {{Str(""), Str("x")}, {Str(dup[:0])}, {Str(dup[9:]), Str(strings.Repeat("", 2))}},
-		"duplicate strings": {{Str("dupdupdup"), Str(dup)}, {Str(dup[:3]), Str("dup"), Str(dup[3:])}},
-		"every kind":        {{Null, Int(-1), Float(-0.5), Str("日本語"), Date(-3), Bool(true)}},
-		"repacked":          {PackRows([][]Value{{Str("outside"), Str(""), Int(5), Value{}}})[0]},
+	cases := map[string]Rows{
+		"nil":              RowsOf(),
+		"empty":            NewRows(3, []Value{}),
+		"zero-column rows": RowsOf([]Value{}, nil, []Value{}),
+		"trailing empty":   RowsOf([]Value{Int(1), Str("")}, []Value{Null, Str(dup[:0])}),
+		"nulls":            RowsOf([]Value{Null, Null}, []Value{Null, Null}),
+		"empty strings": RowsOf(
+			[]Value{Str(""), Str("x")}, []Value{Str(dup[:0]), Str(dup[9:])}, []Value{Str(strings.Repeat("", 2)), Null}),
+		"duplicate strings": RowsOf(
+			[]Value{Str("dupdupdup"), Str(dup), Str(dup[:3])}, []Value{Str("dup"), Str(dup[3:]), Null}),
+		"every kind": RowsOf([]Value{Null, Int(-1), Float(-0.5), Str("日本語"), Date(-3), Bool(true)}),
+		"repacked":   RowsOf(PackRows(RowsOf([]Value{Str("outside"), Str(""), Int(5), Value{}})).Row(0)),
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) { checkPacked(t, in, PackRows(in)) })
 	}
 }
 
-// rowsFromBytes decodes a fuzz input into rows: a byte gives a row's
-// column count, and each value takes a kind byte and a payload byte.
-// Strings come from a small pool or from the input's own bytes, so equal
-// strings recur at different addresses.
-func rowsFromBytes(data []byte) [][]Value {
+// TestRowsRejectRaggedInput: a set of rows has one width, so neither
+// constructor accepts rows of two widths or a partial row, and a set of
+// zero-width rows keeps its count.
+func TestRowsRejectRaggedInput(t *testing.T) {
+	for name, build := range map[string]func() Rows{
+		"ragged rows":         func() Rows { return RowsOf([]Value{Int(1)}, []Value{}) },
+		"partial row":         func() Rows { return NewRows(2, []Value{Int(1), Int(2), Int(3)}) },
+		"values of no width":  func() Rows { return NewRows(0, []Value{Int(1)}) },
+		"negative width":      func() Rows { return NewRows(-1, nil) },
+		"ragged after packed": func() Rows { return RowsOf(PackRows(RowsOf([]Value{Int(1)})).Row(0), nil) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			build()
+		})
+	}
+	if r := RowsOf(nil, nil, nil); r.Len() != 3 || r.Width() != 0 || len(r.Row(2)) != 0 {
+		t.Errorf("three zero-width rows read as %d rows of width %d", r.Len(), r.Width())
+	}
+}
+
+// rowsFromBytes decodes a fuzz input into rows of one width: the first
+// byte gives the width, and each row takes a marker byte (so zero-width
+// rows still count) and, per value, a kind byte and a payload byte; a row
+// the input runs out in is completed with NULLs. Strings come from a small
+// pool or from the input's own bytes, so equal strings recur at different
+// addresses.
+func rowsFromBytes(data []byte) Rows {
 	if len(data) == 0 {
-		return nil
+		return Rows{}
 	}
 	pool := []string{"", "a", "ab", "b", "日本", "a\x00"}
 	next := func() byte {
@@ -280,48 +312,46 @@ func rowsFromBytes(data []byte) [][]Value {
 		data = data[1:]
 		return b
 	}
-	rows := [][]Value{}
+	w := int(next() % 5)
+	var rows [][]Value
 	for len(data) > 0 {
-		var row []Value
-		for c := next() % 5; c > 0; c-- {
+		next() // the row marker
+		row := make([]Value, w)
+		for c := range row {
 			k, x := next(), next()
-			var v Value
 			switch k % 10 {
 			case 1:
-				v = Int(int64(int8(x)) << 40)
+				row[c] = Int(int64(int8(x)) << 40)
 			case 2:
-				v = Float(float64(int8(x)) / 4)
+				row[c] = Float(float64(int8(x)) / 4)
 			case 3:
-				v = Date(int64(x) - 128)
+				row[c] = Date(int64(x) - 128)
 			case 4:
-				v = Bool(x&1 == 1)
+				row[c] = Bool(x&1 == 1)
 			case 5:
-				v = Str(pool[int(x)%len(pool)])
+				row[c] = Str(pool[int(x)%len(pool)])
 			case 6:
-				v = Str(string(data[:min(len(data), int(x%8))]))
+				row[c] = Str(string(data[:min(len(data), int(x%8))]))
 			case 7:
-				v = PackRows([][]Value{{Str(pool[int(x)%len(pool)])}})[0][0] // from another block
-			case 8:
-				v = Value{}
+				row[c] = PackRows(RowsOf([]Value{Str(pool[int(x)%len(pool)])})).Row(0)[0] // from another block
 			case 9:
-				v = Str(pool[int(x)%len(pool)][:0]) // no bytes, but a data pointer
+				row[c] = Str(pool[int(x)%len(pool)][:0]) // no bytes, but a data pointer
 			}
-			row = append(row, v)
 		}
 		rows = append(rows, row)
 	}
-	return rows
+	return RowsOf(rows...)
 }
 
 // FuzzPackRows: whatever rows go in, the packed copy keeps the PackRows
 // contract (checkPacked).
 func FuzzPackRows(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0})                         // zero-column rows
-	f.Add([]byte{2, 0, 0, 0, 0})                   // NULLs
-	f.Add([]byte{3, 5, 0, 9, 2, 6, 0})             // empty strings
-	f.Add([]byte{4, 5, 1, 5, 7, 6, 1, 'a', 5, 1})  // duplicate strings
-	f.Add([]byte{3, 7, 3, 8, 9, 7, 0, 1, 1, 2, 2}) // repacked cells, zero Values
+	f.Add([]byte{0, 0, 0, 0})                                  // zero-column rows
+	f.Add([]byte{2, 0, 0, 0, 8, 0, 0, 8, 0, 0, 0})             // NULLs
+	f.Add([]byte{3, 0, 5, 0, 9, 2, 6, 0})                      // empty strings
+	f.Add([]byte{2, 0, 5, 1, 5, 7, 0, 6, 1, 'a', 5})           // duplicate strings
+	f.Add([]byte{3, 0, 7, 3, 8, 9, 7, 0, 0, 1, 1, 2, 2, 0, 0}) // repacked cells, zero Values
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := rowsFromBytes(data)
 		checkPacked(t, in, PackRows(in))

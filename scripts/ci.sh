@@ -22,7 +22,7 @@
 #                    with one -v run logging which row passes ran), the memo's
 #                    once-per-key test, the shared online-cache test,
 #                    the executor's arena-safety and table-immutability
-#                    tests, the packed tables' lifetime test,
+#                    tests, the packed tables' lifetime and row-view tests,
 #                    TestConcurrentColdPlans (cold plans on several
 #                    goroutines over shared scan columns),
 #                    internal/types (the one importer of "unsafe": checkptr
@@ -136,7 +136,7 @@ go test -race ./... "$@"
 # so a double training that only some interleavings produce cannot land.
 # The shared online predictor test is the only place one OnlinePredictor
 # decides signatures for several goroutines.
-banner "go test -race -short -count=3 (training differentials, SMO kernels, memo once-per-key, shared online predictor, arena safety, packed tables, concurrent cold plans, value layout, concurrent datagen and ANALYZE)"
+banner "go test -race -short -count=3 (training differentials, SMO kernels, memo once-per-key, shared online predictor, arena safety, packed tables and their row views, concurrent cold plans, value layout, concurrent datagen and ANALYZE)"
 go test -race -short -count=3 -run 'TestSMOMatchesReferenceSolver|TestSMOKernelsMatchPortable|TestSMOKernelsStayInBounds' ./internal/mlearn
 # One subtest per row pass the host ran (portable, avx2, avx512): the log
 # shows whether the AVX-512 kernels were exercised on this machine.
@@ -146,11 +146,12 @@ go test -race -short -count=3 -run 'TestTrainMemoDoesNotChangeFigures' ./interna
 # Which pooled arena a Run gets differs from run to run under -race
 # (sync.Pool.Put drops items at random), so one pass is weak evidence that
 # recycled row memory is never observable.
-# A table is one block the collector does not scan (types.PackRows): a
-# query that wrote into it, or a copied-out string that failed to keep it
-# alive, would show only in the cycles that happen to run at that moment.
+# A table is one block the collector does not scan (types.PackRows), its
+# rows offsets into it read through cap == len views: a query that wrote
+# into it, or a copied-out string that failed to keep it alive, would show
+# only in the cycles that happen to run at that moment.
 go test -race -short -count=3 -run 'TestResultRowsSurviveArenaReuse|TestSubPlanReleaseIsInvisible|TestQueriesNeverWriteTableRows' ./internal/exec
-go test -race -short -count=3 -run 'TestPackedStringsOutliveTheirTable' ./internal/storage
+go test -race -short -count=3 -run 'TestPackedStringsOutliveTheirTable|TestTableRowViews' ./internal/storage
 # Every plan's scans share their table's column array (TableStats.ScanCols):
 # a planner write to one would race with the other goroutines' plans.
 go test -race -short -count=3 -run 'TestConcurrentColdPlans' ./internal/opt
