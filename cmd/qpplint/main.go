@@ -3,8 +3,9 @@
 //
 //	file:line: [rule] message
 //
-// It is built on the standard library's go/parser + go/types only, so
-// it needs no tool dependencies and runs anywhere the repo builds.
+// It is built on the standard library's go/parser + go/types and asks
+// `go list` which files each package builds from, so it needs the `go`
+// command, as `go test` does.
 //
 // It always lints the whole module with every rule:
 //

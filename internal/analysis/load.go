@@ -1,17 +1,17 @@
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"strings"
 )
 
@@ -40,43 +40,55 @@ func (p *Package) IsTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
-// loader type-checks an entire module with no tooling beyond the
-// standard library: module-internal imports resolve to packages it has
-// already checked, everything else falls through to the source importer
-// (which type-checks the standard library from GOROOT source).
+// loader type-checks module packages from source. An import resolves to
+// a package it has already checked, registered under the import path
+// `go list` gives it ("qpp/internal/plan [qpp/internal/plan.test]" for
+// a test variant), and otherwise to the standard library's export data.
 type loader struct {
-	fset *token.FileSet
-	std  types.ImporterFrom
-	reg  map[string]*types.Package // import path -> checked base package
+	fset   *token.FileSet
+	std    types.Importer
+	reg    map[string]*types.Package
+	parsed map[string]*ast.File // file name -> AST, shared by a package's variants
 }
 
-func newLoader(fset *token.FileSet) *loader {
+func newLoader() *loader {
+	fset := token.NewFileSet()
 	return &loader{
-		fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		reg:  map[string]*types.Package{},
+		fset:   fset,
+		std:    importer.ForCompiler(fset, "gc", nil),
+		reg:    map[string]*types.Package{},
+		parsed: map[string]*ast.File{},
 	}
 }
 
 func (l *loader) Import(path string) (*types.Package, error) {
-	return l.ImportFrom(path, "", 0)
-}
-
-func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	if p, ok := l.reg[path]; ok {
 		return p, nil
 	}
-	return l.std.ImportFrom(path, dir, mode)
+	return l.std.Import(path)
 }
 
-// check type-checks one file set as a package against the registered
-// packages, collecting soft errors.
-func (l *loader) check(path string, files []*ast.File) (*types.Package, *types.Info, []error) {
-	return l.checkWith(l, path, files)
-}
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
 
-// checkWith is check with module imports resolved by imp.
-func (l *loader) checkWith(imp types.ImporterFrom, path string, files []*ast.File) (*types.Package, *types.Info, []error) {
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// check parses (once a file) and type-checks the named files of dir as
+// the package path, resolving imports through imp and collecting soft
+// errors.
+func (l *loader) check(imp types.Importer, path, dir string, names []string) (*Package, error) {
+	files := make([]*ast.File, len(names))
+	for i, name := range names {
+		f, ok := l.parsed[name]
+		if !ok {
+			var err error
+			if f, err = parser.ParseFile(l.fset, name, nil, parser.ParseComments); err != nil {
+				return nil, fmt.Errorf("analysis: %w", err)
+			}
+			l.parsed[name] = f
+		}
+		files[i] = f
+	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -87,160 +99,130 @@ func (l *loader) checkWith(imp types.ImporterFrom, path string, files []*ast.Fil
 	}
 	var errs []error
 	cfg := &types.Config{
-		Importer:    imp,
-		FakeImportC: true,
-		Error:       func(err error) { errs = append(errs, err) },
+		Importer: imp,
+		Error:    func(err error) { errs = append(errs, err) },
 	}
 	// The returned error is just the first one delivered to cfg.Error,
 	// where every error is already collected.
 	pkg, _ := cfg.Check(path, l.fset, files, info) //qpplint:ignore errdrop
-	return pkg, info, errs
+	return &Package{
+		Path: path, Dir: dir, Fset: l.fset,
+		Files: files, Types: pkg, Info: info, TypeErrors: errs,
+	}, nil
 }
 
-// rawPkg is a parsed-but-not-yet-checked directory grouping.
-type rawPkg struct {
-	path    string
-	dir     string
-	base    []*ast.File // non-test files
-	inTest  []*ast.File // package foo *_test.go files
-	extTest []*ast.File // package foo_test files
-	imports []string    // module-internal imports of base files
-	// extImports are the module-internal imports of the extTest files.
-	extImports []string
+// listed is one package as `go list -json` reports it.
+type listed struct {
+	ImportPath, Dir, ForTest string
+	GoFiles, TestGoFiles     []string
+	ImportMap                map[string]string
+	DepOnly, Standard        bool
 }
 
-// LoadModule parses and type-checks every buildable package under root
-// (a module directory containing go.mod). testdata, vendor, hidden and
-// underscore-prefixed directories are skipped, mirroring the go tool.
+// LoadModule type-checks every package `go test ./...` builds in the
+// module at root and in each module nested under it, as `go list -deps
+// -test` lists them: the files after build constraints, in dependency
+// order, with test variants. Rules run on each package's in-package test
+// variant when it has one (else the package itself) and on each external
+// test package, under the path "<pkg>.test". Packages recompiled for
+// another package's test are checked so that external tests see the
+// variant's types, but not returned.
 func LoadModule(root string) ([]*Package, error) {
-	root, err := filepath.Abs(root)
+	mods, err := moduleDirs(root)
 	if err != nil {
 		return nil, err
 	}
-	modPath, err := modulePath(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	raws, err := parseTree(fset, root, modPath)
-	if err != nil {
-		return nil, err
-	}
-
-	byPath := map[string]*rawPkg{}
-	for _, r := range raws {
-		byPath[r.path] = r
-	}
-	order, err := topoSort(raws, byPath)
-	if err != nil {
-		return nil, err
-	}
-
-	l := newLoader(fset)
-	// Phase A: check base packages (no test files) in dependency order and
-	// register them so module-internal imports resolve. Import cycles
-	// through test files are legal in Go precisely because the imported
-	// package never includes the importer's tests; registering base-only
-	// packages preserves that property.
-	for _, r := range order {
-		if len(r.base) == 0 {
-			continue
-		}
-		pkg, _, _ := l.check(r.path, r.base)
-		l.reg[r.path] = pkg
-	}
-
-	// Phase B: re-check each package with its in-package test files merged
-	// (this is the Package rules run on), plus the external test package,
-	// which sees that test variant as go test builds it.
+	l := newLoader()
 	var out []*Package
-	for _, r := range order {
-		var variant *types.Package
-		if len(r.base) > 0 {
-			files := append(append([]*ast.File{}, r.base...), r.inTest...)
-			pkg, info, errs := l.check(r.path, files)
-			out = append(out, &Package{
-				Path: r.path, Dir: r.dir, Fset: fset,
-				Files: files, Types: pkg, Info: info, TypeErrors: errs,
-			})
-			if len(r.inTest) > 0 {
-				variant = pkg
-			}
+	for _, mod := range mods {
+		list, err := goList(mod)
+		if err != nil {
+			return nil, err
 		}
-		if len(r.extTest) > 0 {
-			var imp types.ImporterFrom = l
-			if variant != nil {
-				imp = l.forExternalTest(r, variant, byPath, order)
+		for _, lp := range list {
+			testMain := lp.ForTest == "" && strings.HasSuffix(lp.ImportPath, ".test")
+			if lp.Standard || len(lp.GoFiles) == 0 || testMain || l.reg[lp.ImportPath] != nil {
+				continue
 			}
-			pkg, info, errs := l.checkWith(imp, r.path+".test", r.extTest)
-			out = append(out, &Package{
-				Path: r.path + ".test", Dir: r.dir, Fset: fset,
-				Files: r.extTest, Types: pkg, Info: info, TypeErrors: errs,
+			path, _, _ := strings.Cut(lp.ImportPath, " ")
+			var keep bool
+			switch {
+			case lp.ForTest == "":
+				keep = len(lp.TestGoFiles) == 0
+			case path == lp.ForTest:
+				keep = true
+			case path == lp.ForTest+"_test":
+				path, keep = lp.ForTest+".test", true
+			}
+			imp := importerFunc(func(p string) (*types.Package, error) {
+				if m, ok := lp.ImportMap[p]; ok {
+					p = m
+				}
+				return l.Import(p)
 			})
+			names := make([]string, len(lp.GoFiles))
+			for i, name := range lp.GoFiles {
+				names[i] = filepath.Join(lp.Dir, name)
+			}
+			pkg, err := l.check(imp, path, lp.Dir, names)
+			if err != nil {
+				return nil, err
+			}
+			l.reg[lp.ImportPath] = pkg.Types
+			if keep && !lp.DepOnly {
+				out = append(out, pkg)
+			}
 		}
 	}
 	return out, nil
 }
 
-// testImporter resolves the imports of one external test package.
-type testImporter struct {
-	*loader
-	over map[string]*types.Package // import path -> package recompiled for the test
+// goList runs `go list -e -deps -test -json ./...` in the module at dir.
+func goList(dir string) ([]*listed, error) {
+	cmd := exec.Command("go", "list", "-e", "-deps", "-test",
+		"-json=ImportPath,Dir,ForTest,GoFiles,TestGoFiles,ImportMap,DepOnly,Standard", "./...")
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("analysis: go list in %s: %v\n%s", dir, err, stderr.Bytes())
+	}
+	var list []*listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		lp := new(listed)
+		if err := dec.Decode(lp); err != nil {
+			return nil, fmt.Errorf("analysis: go list in %s: %w", dir, err)
+		}
+		list = append(list, lp)
+	}
+	return list, nil
 }
 
-func (t *testImporter) Import(path string) (*types.Package, error) {
-	return t.ImportFrom(path, "", 0)
-}
-
-func (t *testImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if p, ok := t.over[path]; ok {
-		return p, nil
+// moduleDirs lists root and every module directory nested under it that
+// the go command would not ignore (testdata, vendor, hidden and
+// underscore-prefixed directories), outer modules first.
+func moduleDirs(root string) ([]string, error) {
+	root, err := filepath.Abs(root)
+	if err != nil {
+		return nil, err
 	}
-	return t.loader.ImportFrom(path, dir, mode)
-}
-
-// forExternalTest is the importer r's external test package is checked
-// with, as go test builds it: r resolves to variant, r's package checked
-// with its in-package test files (where an export_test.go bridge
-// declares what the external test reaches in through), and every module
-// package the external test imports, directly or not, that itself
-// imports r is checked again against that variant, in dependency order —
-// go test's "recompiled for test" packages — so the types the external
-// test gets through them are the variant's. Their type errors are
-// reported where they are checked on their own.
-func (l *loader) forExternalTest(r *rawPkg, variant *types.Package, byPath map[string]*rawPkg, order []*rawPkg) *testImporter {
-	imp := &testImporter{loader: l, over: map[string]*types.Package{r.path: variant}}
-	// inClosure: the external test imports the package; dependsOnR: the
-	// package imports r, directly or not.
-	inClosure := map[string]bool{}
-	var reach func(path string)
-	reach = func(path string) {
-		d, ok := byPath[path]
-		if !ok || inClosure[path] {
-			return
+	var dirs []string
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
 		}
-		inClosure[path] = true
-		for _, dep := range d.imports {
-			reach(dep)
+		name := d.Name()
+		if path != root && (name == "testdata" || name == "vendor" ||
+			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
 		}
-	}
-	for _, p := range r.extImports {
-		reach(p)
-	}
-	dependsOnR := map[string]bool{}
-	for _, d := range order { // dependencies first
-		for _, dep := range d.imports {
-			if dep == r.path || dependsOnR[dep] {
-				dependsOnR[d.path] = true
-				break
-			}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+			dirs = append(dirs, path)
 		}
-		if d != r && inClosure[d.path] && dependsOnR[d.path] && len(d.base) > 0 {
-			pkg, _, _ := l.checkWith(imp, d.path, d.base)
-			imp.over[d.path] = pkg
-		}
-	}
-	return imp
+		return nil
+	})
+	return dirs, err
 }
 
 // LoadDir parses and type-checks a single directory as one package under
@@ -248,28 +230,11 @@ func (l *loader) forExternalTest(r *rawPkg, variant *types.Package, byPath map[s
 // exists for fixture packages under testdata, where the import path
 // doubles as a way to exercise path-gated rules.
 func LoadDir(dir, asPath string) (*Package, error) {
-	fset := token.NewFileSet()
-	names, err := goFilesIn(dir)
+	pkgs, err := LoadDirs([]struct{ Dir, AsPath string }{{dir, asPath}})
 	if err != nil {
 		return nil, err
 	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("analysis: no .go files in %s", dir)
-	}
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	l := newLoader(fset)
-	pkg, info, errs := l.check(asPath, files)
-	return &Package{
-		Path: asPath, Dir: dir, Fset: fset,
-		Files: files, Types: pkg, Info: info, TypeErrors: errs,
-	}, nil
+	return pkgs[0], nil
 }
 
 // LoadDirs type-checks several fixture directories as one mini-module:
@@ -278,203 +243,22 @@ func LoadDir(dir, asPath string) (*Package, error) {
 // interprocedural fixtures, where a core package must call into a
 // helper package to exercise cross-package chains.
 func LoadDirs(dirs []struct{ Dir, AsPath string }) ([]*Package, error) {
-	fset := token.NewFileSet()
-	l := newLoader(fset)
+	l := newLoader()
 	var out []*Package
 	for _, d := range dirs {
-		names, err := goFilesIn(d.Dir)
+		names, err := filepath.Glob(filepath.Join(d.Dir, "*.go"))
 		if err != nil {
 			return nil, err
 		}
 		if len(names) == 0 {
 			return nil, fmt.Errorf("analysis: no .go files in %s", d.Dir)
 		}
-		var files []*ast.File
-		for _, name := range names {
-			f, err := parser.ParseFile(fset, filepath.Join(d.Dir, name), nil, parser.ParseComments)
-			if err != nil {
-				return nil, err
-			}
-			files = append(files, f)
-		}
-		pkg, info, errs := l.check(d.AsPath, files)
-		l.reg[d.AsPath] = pkg
-		out = append(out, &Package{
-			Path: d.AsPath, Dir: d.Dir, Fset: fset,
-			Files: files, Types: pkg, Info: info, TypeErrors: errs,
-		})
-	}
-	return out, nil
-}
-
-// modulePath extracts the module path from a go.mod file.
-func modulePath(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module"); ok {
-			return strings.Trim(strings.TrimSpace(rest), `"`), nil
-		}
-	}
-	return "", fmt.Errorf("analysis: no module line in %s", gomod)
-}
-
-// parseTree walks the module tree and parses every buildable .go file,
-// grouping by directory.
-func parseTree(fset *token.FileSet, root, modPath string) ([]*rawPkg, error) {
-	var raws []*rawPkg
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		pkg, err := l.check(l, d.AsPath, d.Dir, names)
 		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != root && (name == "testdata" || name == "vendor" ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		names, err := goFilesIn(path)
-		if err != nil {
-			return err
-		}
-		if len(names) == 0 {
-			return nil
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		importPath := modPath
-		if rel != "." {
-			importPath = modPath + "/" + filepath.ToSlash(rel)
-		}
-		r := &rawPkg{path: importPath, dir: path}
-		for _, fname := range names {
-			full := filepath.Join(path, fname)
-			f, err := parser.ParseFile(fset, full, nil, parser.ParseComments)
-			if err != nil {
-				return fmt.Errorf("analysis: %w", err)
-			}
-			if !buildIncluded(f) {
-				continue
-			}
-			pkgName := f.Name.Name
-			switch {
-			case strings.HasSuffix(pkgName, "_test"):
-				r.extTest = append(r.extTest, f)
-				r.extImports = appendModImports(r.extImports, f, modPath)
-			case strings.HasSuffix(fname, "_test.go"):
-				r.inTest = append(r.inTest, f)
-			default:
-				r.base = append(r.base, f)
-				r.imports = appendModImports(r.imports, f, modPath)
-			}
-		}
-		if len(r.base)+len(r.inTest)+len(r.extTest) > 0 {
-			raws = append(raws, r)
-		}
-		return nil
-	})
-	return raws, err
-}
-
-// goFilesIn lists the .go files of one directory, sorted.
-func goFilesIn(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasPrefix(e.Name(), ".") {
-			continue
-		}
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// buildIncluded evaluates a file's //go:build constraint for the host
-// platform with no extra tags (so `//go:build race` files are excluded,
-// matching a plain `go build`).
-func buildIncluded(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		if cg.Pos() > f.Package {
-			break
-		}
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				return true
-			}
-			return expr.Eval(func(tag string) bool {
-				return tag == runtime.GOOS || tag == runtime.GOARCH ||
-					tag == "gc" || strings.HasPrefix(tag, "go1")
-			})
-		}
-	}
-	return true
-}
-
-func appendModImports(dst []string, f *ast.File, modPath string) []string {
-	for _, imp := range f.Imports {
-		p := strings.Trim(imp.Path.Value, `"`)
-		if p == modPath || strings.HasPrefix(p, modPath+"/") {
-			dst = append(dst, p)
-		}
-	}
-	return dst
-}
-
-// topoSort orders packages so every module-internal import of a base
-// package precedes its importer. Only base-file imports participate:
-// test-only imports may legally form cycles through the package under
-// test.
-func topoSort(raws []*rawPkg, byPath map[string]*rawPkg) ([]*rawPkg, error) {
-	const (
-		unvisited = 0
-		visiting  = 1
-		done      = 2
-	)
-	state := map[string]int{}
-	var order []*rawPkg
-	var visit func(r *rawPkg, chain []string) error
-	visit = func(r *rawPkg, chain []string) error {
-		switch state[r.path] {
-		case done:
-			return nil
-		case visiting:
-			return fmt.Errorf("analysis: import cycle: %s", strings.Join(append(chain, r.path), " -> "))
-		}
-		state[r.path] = visiting
-		deps := append([]string{}, r.imports...)
-		sort.Strings(deps)
-		for _, dep := range deps {
-			if d, ok := byPath[dep]; ok && d != r {
-				if err := visit(d, append(chain, r.path)); err != nil {
-					return err
-				}
-			}
-		}
-		state[r.path] = done
-		order = append(order, r)
-		return nil
-	}
-	sorted := append([]*rawPkg{}, raws...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].path < sorted[j].path })
-	for _, r := range sorted {
-		if err := visit(r, nil); err != nil {
 			return nil, err
 		}
+		l.reg[d.AsPath] = pkg.Types
+		out = append(out, pkg)
 	}
-	return order, nil
+	return out, nil
 }

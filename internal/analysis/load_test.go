@@ -98,13 +98,16 @@ func TestLoadModuleTestFiles(t *testing.T) {
 	}
 }
 
-// TestLoadModuleTypeErrorMidModule checks that one broken package is
-// reported through TypeErrors while the rest of the module still loads
-// and type-checks — no panic, no aborted load.
+// TestLoadModuleTypeErrorMidModule checks that one broken package, and
+// one that imports a package that does not exist, are reported through
+// TypeErrors while the rest of the module still loads and type-checks —
+// no panic, no aborted load.
 func TestLoadModuleTypeErrorMidModule(t *testing.T) {
 	root := writeModule(t, "example.com/mixed", map[string]string{
 		"good/good.go":     "package good\n\nfunc Fine() int { return 1 }\n",
 		"broken/broken.go": "package broken\n\nfunc Bad() int { return undefinedSymbol }\n",
+		"miss/miss.go": "package miss\n\nimport \"example.com/mixed/nosuch\"\n\n" +
+			"func Gone() int { return nosuch.Value }\n",
 		"user/user.go": "package user\n\nimport \"example.com/mixed/good\"\n\n" +
 			"func Use() int { return good.Fine() }\n",
 	})
@@ -121,6 +124,13 @@ func TestLoadModuleTypeErrorMidModule(t *testing.T) {
 	}
 	if !strings.Contains(broken.TypeErrors[0].Error(), "undefinedSymbol") {
 		t.Fatalf("unexpected error %v", broken.TypeErrors[0])
+	}
+	miss := pkgByPath(pkgs, "example.com/mixed/miss")
+	if miss == nil {
+		t.Fatal("package with a missing import absent from the load result")
+	}
+	if len(miss.TypeErrors) == 0 {
+		t.Fatal("import of a missing package reported no type errors")
 	}
 	for _, path := range []string{"example.com/mixed/good", "example.com/mixed/user"} {
 		pkg := pkgByPath(pkgs, path)

@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"go/ast"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -24,17 +26,21 @@ func TestRepoIsClean(t *testing.T) {
 	if len(pkgs) == 0 {
 		t.Fatal("no packages loaded")
 	}
-	seenSelf := false
 	for _, pkg := range pkgs {
-		if pkg.Path == "qpp/internal/analysis" {
-			seenSelf = true
-		}
 		for _, e := range pkg.TypeErrors {
 			t.Errorf("%s: type error: %v", pkg.Path, e)
 		}
 	}
-	if !seenSelf {
-		t.Error("module load missed qpp/internal/analysis itself")
+	// The loaded set covers the linter itself, the nested bench module,
+	// an external test package and an in-package test variant.
+	for _, path := range []string{"qpp/internal/analysis", "qpp/bench", "qpp/internal/qpp.test"} {
+		if pkgByPath(pkgs, path) == nil {
+			t.Errorf("module load missed %s", path)
+		}
+	}
+	plan := pkgByPath(pkgs, "qpp/internal/plan")
+	if plan == nil || !slices.ContainsFunc(plan.Files, func(f *ast.File) bool { return plan.IsTestFile(f.Pos()) }) {
+		t.Error("module load missed qpp/internal/plan's in-package test files")
 	}
 
 	findings := CheckAll(pkgs)
@@ -55,6 +61,23 @@ func TestRepoIsClean(t *testing.T) {
 		t.Errorf("--- %s (%d) ---", r, len(byRule[r]))
 		for _, f := range byRule[r] {
 			t.Errorf("  %s", f)
+		}
+	}
+}
+
+// BenchmarkLoadModule times the module load BenchmarkAnalyzeRepo keeps
+// outside its timer: go list, then parsing and type-checking every
+// package the rules run on. It is declared first so that it runs first
+// and pays the process's standard-library export-data lookups, which
+// later loads find cached.
+func BenchmarkLoadModule(b *testing.B) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadModule(root); err != nil {
+			b.Fatalf("loading module: %v", err)
 		}
 	}
 }

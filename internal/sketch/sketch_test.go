@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -48,33 +49,61 @@ func TestHLLWithinTheoreticalBound(t *testing.T) {
 	}
 }
 
-// TestHLLRandomKeysProperty: for random key sets with exact distinct
-// counts, the estimate honors the 3-sigma bound.
+// TestHLLRandomKeysProperty holds the estimate to what a correct
+// sketch guarantees over random key sets of known size: a relative error
+// of standard deviation σ = RelativeErrorBound() = 1.04/sqrt(m) (less at
+// small cardinalities). Draws are deterministic: quick.Check's seeds come
+// from a fixed source, plus seed 5858762603988963437, whose draw from a
+// former generator (n < 50 100, random decimal keys) erred by 3.05σ and
+// failed a per-draw 3σ bound, which a correct sketch misses on 0.27 % of
+// draws.
+//
+//   - The RMS relative error over all draws stays within 1.25σ. For 101
+//     normal draws at σ this fails with probability ≈ 3e-4 (a χ² tail);
+//     a sketch with half the registers runs at ≈ 1.4σ.
+//   - Each draw stays within 5σ, which a correct sketch misses with
+//     probability < 1e-6 a draw.
 func TestHLLRandomKeysProperty(t *testing.T) {
-	bound := 3 * NewHLL().RelativeErrorBound()
+	sigma := NewHLL().RelativeErrorBound()
+	var sumSq float64
+	draws := 0
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 100 + rng.Intn(50000)
-		h := NewHLL()
-		seen := make(map[uint64]bool, n)
-		var buf []byte
-		for i := 0; i < n; i++ {
-			k := rng.Uint64()
-			seen[k] = true
-			buf = strconv.AppendUint(buf[:0], k, 10)
-			h.Add(buf)
-			// Duplicates must not move the estimate.
-			if i%7 == 0 {
-				h.Add(buf)
-			}
+		rel := hllRandomKeysError(seed)
+		sumSq += rel * rel
+		draws++
+		return math.Abs(rel) <= 5*sigma
+	}
+	if !f(5858762603988963437) {
+		t.Error("seed 5858762603988963437: relative error beyond 5 sigma")
+	}
+	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(7))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+	if rms := math.Sqrt(sumSq / float64(draws)); rms > 1.25*sigma {
+		t.Errorf("RMS relative error %.5f over %d draws > 1.25 sigma = %.5f", rms, draws, 1.25*sigma)
+	}
+}
+
+// hllRandomKeysError adds n distinct random keys (n from 100 to 400 099,
+// drawn from seed) to a sketch, each seventh key twice, and returns the
+// estimate's relative error. The keys base + i·step with an odd step are
+// distinct by construction, so n is the exact distinct count.
+func hllRandomKeysError(seed int64) float64 {
+	rng := rand.New(rand.NewSource(seed))
+	n := 100 + rng.Intn(400000)
+	base, step := rng.Uint64(), rng.Uint64()|1
+	h := NewHLL()
+	var buf [8]byte
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(buf[:], base+uint64(i)*step)
+		h.Add(buf[:])
+		// Duplicates must not move the estimate.
+		if i%7 == 0 {
+			h.Add(buf[:])
 		}
-		truth := float64(len(seen))
-		rel := math.Abs(h.Estimate()-truth) / truth
-		return rel <= bound
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
-	}
+	return (h.Estimate() - float64(n)) / float64(n)
 }
 
 // --- Count-Min -------------------------------------------------------

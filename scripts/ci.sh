@@ -9,10 +9,12 @@
 #                    `maporder`, `hotalloc` (hot-path allocations),
 #                    `floateq`, `errdrop`, `unusedignore`; writes the
 #                    machine-readable report to LINT.json at the repo
-#                    root and guards the analysis cost with
-#                    BenchmarkAnalyzeRepo; see internal/analysis and
-#                    DESIGN.md §7 (what each rule is the only catcher
-#                    of)
+#                    root and guards the lint cost with
+#                    BenchmarkLoadModule (go list, parse and type-check
+#                    of the module) and BenchmarkAnalyzeRepo (every rule
+#                    over the loaded module), 10s each; see
+#                    internal/analysis and DESIGN.md §7 (what each rule
+#                    is the only catcher of)
 #   5. go test -race — the full suite under the race detector, then the
 #                    training differential tests (Algorithm 1's cached
 #                    evaluation and its whole trainer among them), the
@@ -114,16 +116,20 @@ go run ./cmd/qpplint -json >LINT.json || {
 	exit 1
 }
 
-banner "qpplint cost guard (BenchmarkAnalyzeRepo)"
-lint_bench=$(go test -run '^$' -bench BenchmarkAnalyzeRepo -benchtime 1x ./internal/analysis | awk '/^BenchmarkAnalyzeRepo/ {print $3}')
-echo "full-repo analysis: ${lint_bench} ns/op"
-# Anything past 10s means the call-graph summaries or the taint walk
-# regressed (diverging sweeps, quadratic blowup); the whole-repo pass
-# runs in well under a second today.
-awk -v ns="$lint_bench" 'BEGIN { exit !(ns+0 < 10000000000) }' || {
-	echo "full-repo analysis exceeded the 10s budget"
-	exit 1
-}
+banner "qpplint cost guard (BenchmarkLoadModule, BenchmarkAnalyzeRepo)"
+lint_bench=$(go test -run '^$' -bench 'BenchmarkLoadModule|BenchmarkAnalyzeRepo' -benchtime 1x ./internal/analysis)
+# Anything past 10s means the load (go list, parsing, type-checking) or
+# the call-graph summaries and taint walk regressed (diverging sweeps,
+# quadratic blowup); the load takes a few seconds and the whole-repo
+# pass well under one today.
+for bench in LoadModule AnalyzeRepo; do
+	ns=$(echo "$lint_bench" | awk -v b="Benchmark$bench" '{ sub(/-[0-9]+$/, "", $1) } $1 == b { print $3 }')
+	echo "$bench: ${ns} ns/op"
+	awk -v ns="$ns" 'BEGIN { exit !(ns > 0 && ns < 10000000000) }' || {
+		echo "$bench did not report, or exceeded the 10s budget"
+		exit 1
+	}
+done
 
 banner "go test -race ./... $*"
 go test -race ./... "$@"
