@@ -116,9 +116,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	models := []model{
 		{"plan-level", func(r *qpp.QueryRecord) (float64, error) { return snap.Plan.Predict(r), nil }},
 		{hybridName, snap.Hybrid.Predict},
-	}
-	if snap.Baseline != nil { // nil for directories materialized before the baseline was saved
-		models = append(models, model{"cost-model", func(r *qpp.QueryRecord) (float64, error) { return snap.Baseline.Predict(r), nil }})
+		{"cost-model", func(r *qpp.QueryRecord) (float64, error) { return snap.Baseline.Predict(r), nil }},
 	}
 	for _, m := range models {
 		mre, skipped, err := qpp.MeanRelativeError(test.Records, m.predict)

@@ -9,6 +9,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -45,20 +46,47 @@ func (p *Package) IsTestFile(pos token.Pos) bool {
 // `go list` gives it ("qpp/internal/plan [qpp/internal/plan.test]" for
 // a test variant), and otherwise to the standard library's export data.
 type loader struct {
-	fset   *token.FileSet
-	std    types.Importer
-	reg    map[string]*types.Package
-	parsed map[string]*ast.File // file name -> AST, shared by a package's variants
+	fset    *token.FileSet
+	std     types.Importer
+	exports map[string]string // standard import path -> export data file
+	reg     map[string]*types.Package
+	parsed  map[string]*ast.File // file name -> AST, shared by a package's variants
 }
 
 func newLoader() *loader {
-	fset := token.NewFileSet()
-	return &loader{
-		fset:   fset,
-		std:    importer.ForCompiler(fset, "gc", nil),
-		reg:    map[string]*types.Package{},
-		parsed: map[string]*ast.File{},
+	l := &loader{
+		fset:    token.NewFileSet(),
+		exports: map[string]string{},
+		reg:     map[string]*types.Package{},
+		parsed:  map[string]*ast.File{},
 	}
+	// LoadModule lists every standard package's export data up front; a
+	// path it did not list (a fixture's import) is listed on its own.
+	l.std = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+		if _, ok := l.exports[path]; !ok {
+			if err := l.listExports(".", []string{path}); err != nil {
+				return nil, err
+			}
+		}
+		return os.Open(l.exports[path])
+	})
+	return l
+}
+
+// listExports runs one `go list -export` in dir over the named standard
+// packages and records where each one's export data is.
+func (l *loader) listExports(dir string, paths []string) error {
+	if len(paths) == 0 {
+		return nil
+	}
+	list, err := runGoList(dir, append([]string{"-export", "-json=ImportPath,Export"}, paths...))
+	if err != nil {
+		return err
+	}
+	for _, lp := range list {
+		l.exports[lp.ImportPath] = lp.Export
+	}
+	return nil
 }
 
 func (l *loader) Import(path string) (*types.Package, error) {
@@ -113,10 +141,10 @@ func (l *loader) check(imp types.Importer, path, dir string, names []string) (*P
 
 // listed is one package as `go list -json` reports it.
 type listed struct {
-	ImportPath, Dir, ForTest string
-	GoFiles, TestGoFiles     []string
-	ImportMap                map[string]string
-	DepOnly, Standard        bool
+	ImportPath, Dir, ForTest, Export string
+	GoFiles, TestGoFiles             []string
+	ImportMap                        map[string]string
+	DepOnly, Standard                bool
 }
 
 // LoadModule type-checks every package `go test ./...` builds in the
@@ -135,8 +163,18 @@ func LoadModule(root string) ([]*Package, error) {
 	l := newLoader()
 	var out []*Package
 	for _, mod := range mods {
-		list, err := goList(mod)
+		list, err := runGoList(mod, []string{"-e", "-deps", "-test",
+			"-json=ImportPath,Dir,ForTest,GoFiles,TestGoFiles,ImportMap,DepOnly,Standard", "./..."})
 		if err != nil {
+			return nil, err
+		}
+		var std []string
+		for _, lp := range list {
+			if lp.Standard && l.exports[lp.ImportPath] == "" {
+				std = append(std, lp.ImportPath)
+			}
+		}
+		if err := l.listExports(mod, std); err != nil {
 			return nil, err
 		}
 		for _, lp := range list {
@@ -177,10 +215,10 @@ func LoadModule(root string) ([]*Package, error) {
 	return out, nil
 }
 
-// goList runs `go list -e -deps -test -json ./...` in the module at dir.
-func goList(dir string) ([]*listed, error) {
-	cmd := exec.Command("go", "list", "-e", "-deps", "-test",
-		"-json=ImportPath,Dir,ForTest,GoFiles,TestGoFiles,ImportMap,DepOnly,Standard", "./...")
+// runGoList runs `go list` with args in dir and decodes its -json
+// stream.
+func runGoList(dir string, args []string) ([]*listed, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr

@@ -1,150 +1,122 @@
 package mlearn
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // Model (de)serialization: the QPP paper materializes trained models so
 // they are "immediately ready for use in predictions whenever needed";
-// this file provides the JSON encoding behind that materialization for
-// every Regressor implementation in the package.
+// this file provides the persisted state behind that materialization for
+// every Regressor implementation in the package. The state is plain data
+// that the caller encodes as part of its own document.
 
-// modelEnvelope tags a serialized model with its concrete type.
-type modelEnvelope struct {
-	Type  string          `json:"type"`
-	State json.RawMessage `json:"state"`
+// ModelState is the persisted form of a fitted Regressor: exactly one
+// field is set, the one of the model's type.
+type ModelState struct {
+	Linear    *linregState    `json:"linreg,omitempty"`
+	RelLinear *relLinregState `json:"rel_linreg,omitempty"`
+	SVR       *svrState       `json:"svr,omitempty"`
+	Scaled    *scaledState    `json:"scaled,omitempty"`
+	Constant  *constState     `json:"constant,omitempty"`
 }
 
-// MarshalModel encodes any supported Regressor with a type tag.
-func MarshalModel(m Regressor) ([]byte, error) {
-	var typ string
-	var state any
+// MarshalModel captures any supported Regressor's fitted state.
+func MarshalModel(m Regressor) (*ModelState, error) {
 	switch v := m.(type) {
 	case *LinearRegression:
-		typ = "linreg"
-		state = linregState{Coef: v.Coef, Intercept: v.Intercept, Lambda: v.Lambda, FitIntercept: v.FitIntercept}
+		return &ModelState{Linear: &linregState{Coef: v.Coef, Intercept: v.Intercept, Lambda: v.Lambda, FitIntercept: v.FitIntercept}}, nil
 	case *RelativeLinearRegression:
-		typ = "rel-linreg"
-		state = relLinregState{Lambda: v.Lambda, FloorFrac: v.FloorFrac, Coef: v.inner.Coef, D: v.d}
+		return &ModelState{RelLinear: &relLinregState{Lambda: v.Lambda, FloorFrac: v.FloorFrac, Coef: v.inner.Coef, D: v.d}}, nil
 	case *SVR:
-		typ = "svr"
-		st := svrState{
-			Kind: svrKindNu, Kernel: svrKernelRBF, C: v.C, Epsilon: svrEpsilon,
-			Nu: v.Nu, Gamma: v.gamma, Coef: v.coef, B: v.b,
-		}
+		st := &svrState{C: v.C, Nu: v.Nu, Gamma: v.gamma, Coef: v.coef, B: v.b}
 		if v.sv != nil {
 			st.SVRows, st.SVCols, st.SVData = v.sv.Rows, v.sv.Cols, v.sv.Data
 		}
-		state = st
+		return &ModelState{SVR: st}, nil
 	case *ScaledModel:
 		inner, err := MarshalModel(v.Inner)
 		if err != nil {
 			return nil, err
 		}
-		typ = "scaled"
-		state = scaledState{
+		return &ModelState{Scaled: &scaledState{
 			Inner: inner, ScaleTarget: v.ScaleTarget, TargetScaled: v.targetScaled,
 			YMean: v.yMean, YStd: v.yStd, XMeans: v.xs.Means, XStds: v.xs.Stds,
-		}
+		}}, nil
 	case *ConstantModel:
-		typ = "constant"
-		state = constState{Value: v.Value}
+		return &ModelState{Constant: &constState{Value: v.Value}}, nil
 	default:
 		return nil, fmt.Errorf("mlearn: cannot marshal model of type %T", m)
 	}
-	raw, err := json.Marshal(state)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(modelEnvelope{Type: typ, State: raw})
 }
 
-// UnmarshalModel decodes a model previously written by MarshalModel that
-// is to be fed feature rows of width values. A model file is outside
-// input: a state whose dimensions disagree with each other or with width,
-// which Predict would index past or mispredict from, is refused with an
-// error naming the field.
-func UnmarshalModel(data []byte, width int) (Regressor, error) {
-	var env modelEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("mlearn: bad model envelope: %w", err)
+// UnmarshalModel restores a model captured by MarshalModel that is to be
+// fed feature rows of width values. A model file is outside input: a
+// state that sets other than one model, or whose dimensions disagree with
+// each other or with width, which Predict would index past or mispredict
+// from, is refused with an error naming the field.
+func UnmarshalModel(st *ModelState, width int) (Regressor, error) {
+	set := 0
+	if st != nil {
+		for _, p := range []bool{st.Linear != nil, st.RelLinear != nil, st.SVR != nil, st.Scaled != nil, st.Constant != nil} {
+			if p {
+				set++
+			}
+		}
 	}
-	switch env.Type {
-	case "linreg":
-		var st linregState
-		if err := json.Unmarshal(env.State, &st); err != nil {
-			return nil, err
+	if set != 1 {
+		return nil, fmt.Errorf("mlearn: model state holds %d models, want exactly one", set)
+	}
+	switch {
+	case st.Linear != nil:
+		s := st.Linear
+		if len(s.Coef) != width {
+			return nil, fmt.Errorf("mlearn: linreg: coef has %d entries, the input %d", len(s.Coef), width)
 		}
-		if len(st.Coef) != width {
-			return nil, fmt.Errorf("mlearn: linreg: coef has %d entries, the input %d", len(st.Coef), width)
-		}
-		return &LinearRegression{Coef: st.Coef, Intercept: st.Intercept, Lambda: st.Lambda, FitIntercept: st.FitIntercept}, nil
-	case "rel-linreg":
-		var st relLinregState
-		if err := json.Unmarshal(env.State, &st); err != nil {
-			return nil, err
-		}
+		return &LinearRegression{Coef: s.Coef, Intercept: s.Intercept, Lambda: s.Lambda, FitIntercept: s.FitIntercept}, nil
+	case st.RelLinear != nil:
+		s := st.RelLinear
 		switch {
-		case st.D != width:
-			return nil, fmt.Errorf("mlearn: rel-linreg: d is %d, the input %d", st.D, width)
-		case len(st.Coef) != st.D+1:
-			return nil, fmt.Errorf("mlearn: rel-linreg: coef has %d entries, d+1 is %d", len(st.Coef), st.D+1)
+		case s.D != width:
+			return nil, fmt.Errorf("mlearn: rel-linreg: d is %d, the input %d", s.D, width)
+		case len(s.Coef) != s.D+1:
+			return nil, fmt.Errorf("mlearn: rel-linreg: coef has %d entries, d+1 is %d", len(s.Coef), s.D+1)
 		}
-		m := &RelativeLinearRegression{Lambda: st.Lambda, FloorFrac: st.FloorFrac, d: st.D}
-		m.inner = &LinearRegression{Coef: st.Coef, FitIntercept: false}
+		m := &RelativeLinearRegression{Lambda: s.Lambda, FloorFrac: s.FloorFrac, d: s.D}
+		m.inner = &LinearRegression{Coef: s.Coef, FitIntercept: false}
 		return m, nil
-	case "svr":
-		var st svrState
-		if err := json.Unmarshal(env.State, &st); err != nil {
-			return nil, err
-		}
+	case st.SVR != nil:
+		s := st.SVR
 		switch {
-		case st.Kind != svrKindNu:
-			return nil, fmt.Errorf("mlearn: svr: kind %d is not the nu formulation (%d), the only one this build has", st.Kind, svrKindNu)
-		case st.Kernel != svrKernelRBF:
-			return nil, fmt.Errorf("mlearn: svr: kernel %d is not the RBF kernel (%d), the only one this build has", st.Kernel, svrKernelRBF)
-		case len(st.Coef) != st.SVRows:
-			return nil, fmt.Errorf("mlearn: svr: coef has %d entries, sv_rows is %d", len(st.Coef), st.SVRows)
-		case st.SVCols != width && (st.SVRows > 0 || st.SVCols != 0):
-			return nil, fmt.Errorf("mlearn: svr: sv_cols is %d, the input %d", st.SVCols, width)
-		case len(st.SVData) != st.SVRows*st.SVCols:
-			return nil, fmt.Errorf("mlearn: svr: sv_data has %d values, sv_rows*sv_cols is %d", len(st.SVData), st.SVRows*st.SVCols)
+		case len(s.Coef) != s.SVRows:
+			return nil, fmt.Errorf("mlearn: svr: coef has %d entries, sv_rows is %d", len(s.Coef), s.SVRows)
+		case s.SVCols != width && (s.SVRows > 0 || s.SVCols != 0):
+			return nil, fmt.Errorf("mlearn: svr: sv_cols is %d, the input %d", s.SVCols, width)
+		case len(s.SVData) != s.SVRows*s.SVCols:
+			return nil, fmt.Errorf("mlearn: svr: sv_data has %d values, sv_rows*sv_cols is %d", len(s.SVData), s.SVRows*s.SVCols)
 		}
-		m := &SVR{C: st.C, Nu: st.Nu, Gamma: st.Gamma, gamma: st.Gamma, coef: st.Coef, b: st.B}
-		m.sv = &Matrix{Rows: st.SVRows, Cols: st.SVCols, Data: st.SVData}
+		m := &SVR{C: s.C, Nu: s.Nu, Gamma: s.Gamma, gamma: s.Gamma, coef: s.Coef, b: s.B}
+		m.sv = &Matrix{Rows: s.SVRows, Cols: s.SVCols, Data: s.SVData}
 		if m.sv.Data == nil {
 			m.sv.Data = []float64{}
 		}
 		return m, nil
-	case "scaled":
-		var st scaledState
-		if err := json.Unmarshal(env.State, &st); err != nil {
-			return nil, err
-		}
+	case st.Scaled != nil:
+		s := st.Scaled
 		switch {
-		case len(st.XMeans) != width:
-			return nil, fmt.Errorf("mlearn: scaled: x_means has %d entries, the input %d", len(st.XMeans), width)
-		case len(st.XStds) != width:
-			return nil, fmt.Errorf("mlearn: scaled: x_stds has %d entries, the input %d", len(st.XStds), width)
+		case len(s.XMeans) != width:
+			return nil, fmt.Errorf("mlearn: scaled: x_means has %d entries, the input %d", len(s.XMeans), width)
+		case len(s.XStds) != width:
+			return nil, fmt.Errorf("mlearn: scaled: x_stds has %d entries, the input %d", len(s.XStds), width)
 		}
-		inner, err := UnmarshalModel(st.Inner, width)
+		inner, err := UnmarshalModel(s.Inner, width)
 		if err != nil {
 			return nil, err
 		}
 		return &ScaledModel{
-			Inner: inner, ScaleTarget: st.ScaleTarget, targetScaled: st.TargetScaled,
-			yMean: st.YMean, yStd: st.YStd,
-			xs: &Standardizer{Means: st.XMeans, Stds: st.XStds},
+			Inner: inner, ScaleTarget: s.ScaleTarget, targetScaled: s.TargetScaled,
+			yMean: s.YMean, yStd: s.YStd,
+			xs: &Standardizer{Means: s.XMeans, Stds: s.XStds},
 		}, nil
-	case "constant":
-		var st constState
-		if err := json.Unmarshal(env.State, &st); err != nil {
-			return nil, err
-		}
-		return &ConstantModel{Value: st.Value}, nil
 	default:
-		return nil, fmt.Errorf("mlearn: unknown model type %q", env.Type)
+		return &ConstantModel{Value: st.Constant.Value}, nil
 	}
 }
 
@@ -162,39 +134,27 @@ type relLinregState struct {
 	D         int       `json:"d"`
 }
 
-// An svrState's kind, kernel and epsilon date from when the package also
-// had the epsilon formulation (kind 0) and a linear kernel (kernel 1):
-// every model written since is a nu-SVR (kind 1) with the RBF kernel
-// (kernel 0), and its epsilon was the unused default 0.1. They are still
-// written, so model files keep their bytes, and checked on load.
-const (
-	svrKindNu    = 1
-	svrKernelRBF = 0
-	svrEpsilon   = 0.1
-)
-
+// svrState is a nu-SVR with the RBF kernel, the only formulation the
+// package has.
 type svrState struct {
-	Kind    int       `json:"kind"`
-	Kernel  int       `json:"kernel"`
-	C       float64   `json:"c"`
-	Epsilon float64   `json:"epsilon"`
-	Nu      float64   `json:"nu"`
-	Gamma   float64   `json:"gamma"`
-	Coef    []float64 `json:"coef"`
-	B       float64   `json:"b"`
-	SVRows  int       `json:"sv_rows"`
-	SVCols  int       `json:"sv_cols"`
-	SVData  []float64 `json:"sv_data"`
+	C      float64   `json:"c"`
+	Nu     float64   `json:"nu"`
+	Gamma  float64   `json:"gamma"`
+	Coef   []float64 `json:"coef"`
+	B      float64   `json:"b"`
+	SVRows int       `json:"sv_rows"`
+	SVCols int       `json:"sv_cols"`
+	SVData []float64 `json:"sv_data"`
 }
 
 type scaledState struct {
-	Inner        json.RawMessage `json:"inner"`
-	ScaleTarget  bool            `json:"scale_target"`
-	TargetScaled bool            `json:"target_scaled"`
-	YMean        float64         `json:"y_mean"`
-	YStd         float64         `json:"y_std"`
-	XMeans       []float64       `json:"x_means"`
-	XStds        []float64       `json:"x_stds"`
+	Inner        *ModelState `json:"inner"`
+	ScaleTarget  bool        `json:"scale_target"`
+	TargetScaled bool        `json:"target_scaled"`
+	YMean        float64     `json:"y_mean"`
+	YStd         float64     `json:"y_std"`
+	XMeans       []float64   `json:"x_means"`
+	XStds        []float64   `json:"x_stds"`
 }
 
 type constState struct {

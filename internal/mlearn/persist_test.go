@@ -1,6 +1,7 @@
 package mlearn
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,18 +9,33 @@ import (
 	"testing"
 )
 
+// unmarshalJSON decodes a model state from its JSON bytes and restores it.
+func unmarshalJSON(data []byte, width int) (Regressor, error) {
+	var st *ModelState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return nil, err
+	}
+	return UnmarshalModel(st, width)
+}
+
+// roundTrip takes m through the JSON bytes a snapshot file holds and
+// requires bit-identical predictions back.
 func roundTrip(t *testing.T, m Regressor, x *Matrix) Regressor {
 	t.Helper()
-	data, err := MarshalModel(m)
+	st, err := MarshalModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := UnmarshalModel(data, x.Cols)
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := unmarshalJSON(data, x.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < x.Rows; i++ {
-		if a, b := m.Predict(x.Row(i)), loaded.Predict(x.Row(i)); a != b {
+		if a, b := m.Predict(x.Row(i)), loaded.Predict(x.Row(i)); math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("round-trip prediction diverges: %v vs %v", a, b)
 		}
 	}
@@ -74,11 +90,13 @@ func TestMarshalRoundTripAllModels(t *testing.T) {
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	if _, err := UnmarshalModel([]byte("nope"), 1); err == nil {
+	if _, err := unmarshalJSON([]byte("nope"), 1); err == nil {
 		t.Fatal("garbage must fail")
 	}
-	if _, err := UnmarshalModel([]byte(`{"type":"alien","state":{}}`), 1); err == nil {
-		t.Fatal("unknown type must fail")
+	for _, body := range []string{`null`, `{}`, `{"alien":{}}`, `{"constant":{"value":1},"linreg":{"coef":[0]}}`} {
+		if _, err := unmarshalJSON([]byte(body), 1); err == nil || !strings.Contains(err.Error(), "want exactly one") {
+			t.Errorf("%s: error %v, want one naming the model count", body, err)
+		}
 	}
 	type weird struct{ Regressor }
 	if _, err := MarshalModel(weird{}); err == nil {
@@ -95,38 +113,37 @@ func TestUnmarshalErrors(t *testing.T) {
 // error naming the field now, and the well-formed states still load and
 // predict.
 func TestUnmarshalRefusesInconsistentState(t *testing.T) {
-	svr := func(kind, kernel int, coef string, rows, cols int, data string) string {
-		return fmt.Sprintf(`{"type":"svr","state":{"kind":%d,"kernel":%d,"c":10,"epsilon":0.1,"nu":0.5,"gamma":0.5,"coef":%s,"b":0.25,"sv_rows":%d,"sv_cols":%d,"sv_data":%s}}`,
-			kind, kernel, coef, rows, cols, data)
+	svr := func(coef string, rows, cols int, data string) string {
+		return fmt.Sprintf(`{"svr":{"c":10,"nu":0.5,"gamma":0.5,"coef":%s,"b":0.25,"sv_rows":%d,"sv_cols":%d,"sv_data":%s}}`,
+			coef, rows, cols, data)
 	}
 	scaled := func(means, stds, inner string) string {
-		return fmt.Sprintf(`{"type":"scaled","state":{"inner":%s,"scale_target":true,"target_scaled":true,"y_mean":3,"y_std":2,"x_means":%s,"x_stds":%s}}`,
+		return fmt.Sprintf(`{"scaled":{"inner":%s,"scale_target":true,"target_scaled":true,"y_mean":3,"y_std":2,"x_means":%s,"x_stds":%s}}`,
 			inner, means, stds)
 	}
-	goodSVR := svr(1, 0, `[1,-0.5]`, 2, 2, `[0,1,1,0]`)
+	goodSVR := svr(`[1,-0.5]`, 2, 2, `[0,1,1,0]`)
 	for _, tc := range []struct {
 		name, body string
 		want       string // "" = must load and predict a finite number
 	}{
-		{"svr: three sv_data values for 2 x 2", svr(1, 0, `[1,-0.5]`, 2, 2, `[0,1,1]`), "sv_data has 3 values"},
-		{"svr: coef longer than sv_rows", svr(1, 0, `[1,-0.5,2]`, 2, 2, `[0,1,1,0]`), "coef has 3 entries, sv_rows is 2"},
+		{"svr: three sv_data values for 2 x 2", svr(`[1,-0.5]`, 2, 2, `[0,1,1]`), "sv_data has 3 values"},
+		{"svr: coef longer than sv_rows", svr(`[1,-0.5,2]`, 2, 2, `[0,1,1,0]`), "coef has 3 entries, sv_rows is 2"},
 		{"scaled: x_means narrower than the inner sv_cols", scaled(`[0]`, `[1]`, goodSVR), "x_means has 1 entries"},
-		{"linreg: more coef than the input", `{"type":"linreg","state":{"coef":[1,2,3],"intercept":0,"lambda":0,"fit_intercept":true}}`, "coef has 3 entries, the input 2"},
+		{"linreg: more coef than the input", `{"linreg":{"coef":[1,2,3],"intercept":0,"lambda":0,"fit_intercept":true}}`, "coef has 3 entries, the input 2"},
 
-		{"svr: the epsilon formulation", svr(0, 0, `[1,-0.5]`, 2, 2, `[0,1,1,0]`), "kind 0"},
-		{"svr: the linear kernel", svr(1, 1, `[1,-0.5]`, 2, 2, `[0,1,1,0]`), "kernel 1"},
-		{"svr: sv_cols wider than the input", svr(1, 0, `[1]`, 1, 3, `[0,1,1]`), "sv_cols is 3"},
-		{"scaled: inner sv_cols wider than x_means", scaled(`[0,0]`, `[1,1]`, svr(1, 0, `[1]`, 1, 3, `[0,1,1]`)), "sv_cols is 3"},
+		{"svr: sv_cols wider than the input", svr(`[1]`, 1, 3, `[0,1,1]`), "sv_cols is 3"},
+		{"scaled: inner sv_cols wider than x_means", scaled(`[0,0]`, `[1,1]`, svr(`[1]`, 1, 3, `[0,1,1]`)), "sv_cols is 3"},
 		{"scaled: x_stds narrower than x_means", scaled(`[0,0]`, `[1]`, goodSVR), "x_stds has 1 entries"},
-		{"rel-linreg: d is not the input", `{"type":"rel-linreg","state":{"lambda":0,"floor_frac":0.01,"coef":[1,2],"d":1}}`, "d is 1"},
-		{"rel-linreg: coef shorter than d+1", `{"type":"rel-linreg","state":{"lambda":0,"floor_frac":0.01,"coef":[1,2],"d":2}}`, "coef has 2 entries, d+1 is 3"},
+		{"scaled: no inner model", scaled(`[0,0]`, `[1,1]`, `null`), "holds 0 models"},
+		{"rel-linreg: d is not the input", `{"rel_linreg":{"lambda":0,"floor_frac":0.01,"coef":[1,2],"d":1}}`, "d is 1"},
+		{"rel-linreg: coef shorter than d+1", `{"rel_linreg":{"lambda":0,"floor_frac":0.01,"coef":[1,2],"d":2}}`, "coef has 2 entries, d+1 is 3"},
 
 		{"svr: well formed", goodSVR, ""},
-		{"svr: no support vector", svr(1, 0, `[]`, 0, 0, `[]`), ""},
+		{"svr: no support vector", svr(`[]`, 0, 0, `[]`), ""},
 		{"scaled: well formed", scaled(`[0,0]`, `[1,1]`, goodSVR), ""},
-		{"linreg: well formed", `{"type":"linreg","state":{"coef":[1,2],"intercept":0,"lambda":0,"fit_intercept":true}}`, ""},
+		{"linreg: well formed", `{"linreg":{"coef":[1,2],"intercept":0,"lambda":0,"fit_intercept":true}}`, ""},
 	} {
-		m, err := UnmarshalModel([]byte(tc.body), 2)
+		m, err := unmarshalJSON([]byte(tc.body), 2)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: %v", tc.name, err)

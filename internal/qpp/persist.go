@@ -1,8 +1,8 @@
 package qpp
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -12,49 +12,66 @@ import (
 
 // Model materialization (Section 1 of the paper: "pre-build and
 // materialize such models offline, so that they are readily available for
-// future predictions"). Trained plan-level, operator-level and hybrid
-// predictors serialize to JSON and load back without retraining.
+// future predictions"). The served model set — plan-level, hybrid with its
+// operator-level models, and the cost baseline — is one JSON document
+// that loads back without retraining.
 //
-// Every top-level state carries an explicit format version. A serving
-// process that hot-loads snapshot files must fail loudly on a stale or
-// future snapshot rather than silently mispredicting from reinterpreted
-// fields, so the loaders reject any version other than FormatVersion.
+// The document carries one explicit format version. A serving process
+// that hot-loads snapshot files must fail loudly on a stale or future
+// snapshot rather than silently mispredicting from reinterpreted fields,
+// so LoadModels rejects any version other than FormatVersion.
 
-// FormatVersion is the on-disk model snapshot format revision. Bump it
-// whenever a state struct changes shape or meaning; loaders reject
-// files written under any other revision.
-const FormatVersion = 2
+// FormatVersion is the on-disk model snapshot format revision, and
+// persistedShape the JSON fields of every struct a document of that
+// revision holds, as TestPersistedShape reads them by reflection. A change
+// to any of those structs fails that test until the list is edited; an
+// edited list is a new format, so FormatVersion goes up with it (the
+// list's first line names the version it describes).
+const FormatVersion = 3
 
-// checkFormat validates a decoded state's format version. A zero
-// version also catches pre-versioning files, whose decoded struct lacks
-// the field entirely.
-func checkFormat(kind string, got int) error {
-	if got != FormatVersion {
-		return fmt.Errorf("qpp: %s snapshot has format version %d, this build reads version %d; retrain and re-save the model", kind, got, FormatVersion)
-	}
-	return nil
+const persistedShape = `version 3
+qpp.modelsState{format int, mode int, plan *qpp.modelState, start map[string]*qpp.modelState, run map[string]*qpp.modelState, fallback_start float64, fallback_run float64, plans map[string]qpp.subplanModelsState, slope float64, intercept float64}
+qpp.modelState{cols []int, model *mlearn.ModelState, log_target bool, lo []float64, hi []float64, train_error float64}
+mlearn.ModelState{linreg *mlearn.linregState, rel_linreg *mlearn.relLinregState, svr *mlearn.svrState, scaled *mlearn.scaledState, constant *mlearn.constState}
+mlearn.linregState{coef []float64, intercept float64, lambda float64, fit_intercept bool}
+mlearn.relLinregState{lambda float64, floor_frac float64, coef []float64, d int}
+mlearn.svrState{c float64, nu float64, gamma float64, coef []float64, b float64, sv_rows int, sv_cols int, sv_data []float64}
+mlearn.scaledState{inner *mlearn.ModelState, scale_target bool, target_scaled bool, y_mean float64, y_std float64, x_means []float64, x_stds []float64}
+mlearn.constState{value float64}
+qpp.subplanModelsState{start *qpp.modelState, run *qpp.modelState}`
+
+// modelsState is the whole persisted model set: the plan-level model,
+// the hybrid's operator-level models (start and run per operator type,
+// and the constants for unseen types) and sub-plan models keyed by
+// canonical signature, and the cost baseline's line. Every model shares
+// one feature mode.
+type modelsState struct {
+	Format        int                           `json:"format"`
+	Mode          FeatureMode                   `json:"mode"`
+	Plan          *modelState                   `json:"plan"`
+	Start         map[string]*modelState        `json:"start"`
+	Run           map[string]*modelState        `json:"run"`
+	FallbackStart float64                       `json:"fallback_start"`
+	FallbackRun   float64                       `json:"fallback_run"`
+	Plans         map[string]subplanModelsState `json:"plans"`
+	Slope         float64                       `json:"slope"`
+	Intercept     float64                       `json:"intercept"`
 }
 
 // modelState is the one persisted shape of a fitted model, whatever its
 // granularity.
 type modelState struct {
-	Cols       []int           `json:"cols"`
-	Model      json.RawMessage `json:"model"`
-	LogTarget  bool            `json:"log_target"`
-	Lo         []float64       `json:"lo"`
-	Hi         []float64       `json:"hi"`
-	TrainError float64         `json:"train_error"`
+	Cols       []int              `json:"cols"`
+	Model      *mlearn.ModelState `json:"model"`
+	LogTarget  bool               `json:"log_target"`
+	Lo         []float64          `json:"lo"`
+	Hi         []float64          `json:"hi"`
+	TrainError float64            `json:"train_error"`
 }
 
-func (pm *PlanModel) marshal() (*modelState, error) {
-	raw, err := mlearn.MarshalModel(pm.model)
-	if err != nil {
-		return nil, err
-	}
-	return &modelState{
-		Cols: pm.cols, Model: raw, LogTarget: pm.logTarget,
-		Lo: pm.lo, Hi: pm.hi, TrainError: pm.TrainError,
-	}, nil
+type subplanModelsState struct {
+	Start *modelState `json:"start"`
+	Run   *modelState `json:"run"`
 }
 
 // unmarshalModel restores the model stored under the name what, which is
@@ -86,203 +103,99 @@ func unmarshalModel(what string, st *modelState, width int) (*PlanModel, error) 
 	}, nil
 }
 
-type planLevelState struct {
-	Format int         `json:"format"`
-	Model  *modelState `json:"model"`
-	Mode   FeatureMode `json:"mode"`
-}
-
-// Save materializes the plan-level predictor as JSON.
-func (p *PlanLevelPredictor) Save(w io.Writer) error {
-	st, err := p.Model.marshal()
-	if err != nil {
-		return err
+// SaveModels materializes the served model set as one JSON document. All
+// three predictors are required, and they must share one feature mode:
+// the document records one.
+func SaveModels(w io.Writer, pl *PlanLevelPredictor, hy *HybridPredictor, base *CostModelBaseline) error {
+	if pl == nil || hy == nil || hy.Ops == nil || base == nil {
+		return errors.New("qpp: save models: the plan-level, hybrid, operator-level and cost-baseline models are all required")
 	}
-	return json.NewEncoder(w).Encode(planLevelState{Format: FormatVersion, Model: st, Mode: p.Mode})
-}
-
-// LoadPlanLevel restores a materialized plan-level predictor.
-func LoadPlanLevel(r io.Reader) (*PlanLevelPredictor, error) {
-	var st planLevelState
-	if err := json.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("qpp: load plan-level: %w", err)
+	if pl.Mode != hy.Mode || hy.Ops.Mode != hy.Mode {
+		return fmt.Errorf("qpp: save models: feature modes differ (plan-level %d, hybrid %d, operator-level %d)", pl.Mode, hy.Mode, hy.Ops.Mode)
 	}
-	if err := checkFormat("plan-level", st.Format); err != nil {
-		return nil, err
-	}
-	pm, err := unmarshalModel("plan-level", st.Model, NumPlanFeatures())
-	if err != nil {
-		return nil, err
-	}
-	return &PlanLevelPredictor{Model: pm, Mode: st.Mode}, nil
-}
-
-type operatorLevelState struct {
-	Format        int                    `json:"format"`
-	Start         map[string]*modelState `json:"start"`
-	Run           map[string]*modelState `json:"run"`
-	Mode          FeatureMode            `json:"mode"`
-	FallbackStart float64                `json:"fallback_start"`
-	FallbackRun   float64                `json:"fallback_run"`
-}
-
-// marshalOpModels and unmarshalOpModels convert one side (start or run)
-// of the per-operator-type models.
-func marshalOpModels(models map[plan.OpType]*PlanModel) (map[string]*modelState, error) {
-	out := map[string]*modelState{}
-	for op, m := range models {
-		st, err := m.marshal()
-		if err != nil {
-			return nil, err
-		}
-		out[op.String()] = st
-	}
-	return out, nil
-}
-
-func unmarshalOpModels(side string, states map[string]*modelState) (map[plan.OpType]*PlanModel, error) {
-	out := map[plan.OpType]*PlanModel{}
-	for name, st := range states {
-		m, err := unmarshalModel(name+" "+side, st, NumOpFeatures())
-		if err != nil {
-			return nil, err
-		}
-		// A model for an operator this engine does not plan could never
-		// be consulted: it is checked like the others, then dropped.
-		if op, ok := plan.ParseOpType(name); ok {
-			out[op] = m
-		}
-	}
-	return out, nil
-}
-
-// Save materializes the operator-level predictor as JSON.
-func (p *OperatorLevelPredictor) Save(w io.Writer) error {
-	st := operatorLevelState{
-		Format:        FormatVersion,
-		Mode:          p.Mode,
-		FallbackStart: p.fallbackStart.Value,
-		FallbackRun:   p.fallbackRun.Value,
-	}
+	// save captures one model; the first failure is err.
 	var err error
-	if st.Start, err = marshalOpModels(p.start); err != nil {
-		return err
+	save := func(pm *PlanModel) *modelState {
+		m, merr := mlearn.MarshalModel(pm.model)
+		if err == nil {
+			err = merr
+		}
+		return &modelState{Cols: pm.cols, Model: m, LogTarget: pm.logTarget, Lo: pm.lo, Hi: pm.hi, TrainError: pm.TrainError}
 	}
-	if st.Run, err = marshalOpModels(p.run); err != nil {
+	st := modelsState{
+		Format: FormatVersion, Mode: pl.Mode, Plan: save(pl.Model),
+		Start: map[string]*modelState{}, Run: map[string]*modelState{},
+		FallbackStart: hy.Ops.fallbackStart.Value, FallbackRun: hy.Ops.fallbackRun.Value,
+		Plans: map[string]subplanModelsState{},
+	}
+	for op, m := range hy.Ops.start {
+		st.Start[op.String()] = save(m)
+	}
+	for op, m := range hy.Ops.run {
+		st.Run[op.String()] = save(m)
+	}
+	for sig, pm := range hy.Plans {
+		st.Plans[sig] = subplanModelsState{Start: save(pm.Start), Run: save(pm.Run)}
+	}
+	st.Slope, st.Intercept = base.Coefficients()
+	if err != nil {
 		return err
 	}
 	return json.NewEncoder(w).Encode(st)
 }
 
-// LoadOperatorLevel restores a materialized operator-level predictor.
-func LoadOperatorLevel(r io.Reader) (*OperatorLevelPredictor, error) {
-	var st operatorLevelState
+// LoadModels restores a model set written by SaveModels. A document of
+// another format version, or holding any model that does not fit the
+// feature vector it will be fed, is refused whole.
+func LoadModels(r io.Reader) (*PlanLevelPredictor, *HybridPredictor, *CostModelBaseline, error) {
+	var st modelsState
 	if err := json.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("qpp: load operator-level: %w", err)
+		return nil, nil, nil, fmt.Errorf("qpp: load models: %w", err)
 	}
-	if err := checkFormat("operator-level", st.Format); err != nil {
-		return nil, err
+	// A zero version also catches a document without the field.
+	if st.Format != FormatVersion {
+		return nil, nil, nil, fmt.Errorf("qpp: snapshot has format version %d, this build reads version %d; retrain and re-save the model", st.Format, FormatVersion)
 	}
-	p := &OperatorLevelPredictor{
-		Mode:          st.Mode,
+	// load restores one model; after the first failure, err, it restores
+	// none.
+	var err error
+	load := func(what string, s *modelState, width int) (m *PlanModel) {
+		if err == nil {
+			m, err = unmarshalModel(what, s, width)
+		}
+		return m
+	}
+	pl := &PlanLevelPredictor{Model: load("plan-level", st.Plan, NumPlanFeatures()), Mode: st.Mode}
+	ops := &OperatorLevelPredictor{
+		start: map[plan.OpType]*PlanModel{}, run: map[plan.OpType]*PlanModel{}, Mode: st.Mode,
 		fallbackStart: &mlearn.ConstantModel{Value: st.FallbackStart},
 		fallbackRun:   &mlearn.ConstantModel{Value: st.FallbackRun},
 	}
-	var err error
-	if p.start, err = unmarshalOpModels("start", st.Start); err != nil {
-		return nil, err
-	}
-	if p.run, err = unmarshalOpModels("run", st.Run); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-type costBaselineState struct {
-	Format    int     `json:"format"`
-	Slope     float64 `json:"slope"`
-	Intercept float64 `json:"intercept"`
-}
-
-// Save materializes the cost-model baseline as JSON.
-func (c *CostModelBaseline) Save(w io.Writer) error {
-	slope, intercept := c.Coefficients()
-	return json.NewEncoder(w).Encode(costBaselineState{Format: FormatVersion, Slope: slope, Intercept: intercept})
-}
-
-// LoadCostBaseline restores a materialized cost-model baseline.
-func LoadCostBaseline(r io.Reader) (*CostModelBaseline, error) {
-	var st costBaselineState
-	if err := json.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("qpp: load cost baseline: %w", err)
-	}
-	if err := checkFormat("cost-baseline", st.Format); err != nil {
-		return nil, err
-	}
-	lr := mlearn.NewLinearRegression(0)
-	lr.Coef = []float64{st.Slope}
-	lr.Intercept = st.Intercept
-	return &CostModelBaseline{model: lr}, nil
-}
-
-type subplanModelsState struct {
-	Start *modelState `json:"start"`
-	Run   *modelState `json:"run"`
-}
-
-type hybridState struct {
-	Format int                           `json:"format"`
-	Ops    json.RawMessage               `json:"ops"`
-	Plans  map[string]subplanModelsState `json:"plans"`
-	Mode   FeatureMode                   `json:"mode"`
-}
-
-// Save materializes the hybrid predictor: the operator models plus every
-// accepted sub-plan model, keyed by canonical signature.
-func (h *HybridPredictor) Save(w io.Writer) error {
-	var opsBuf bytes.Buffer
-	if err := h.Ops.Save(&opsBuf); err != nil {
-		return err
-	}
-	st := hybridState{Format: FormatVersion, Ops: json.RawMessage(opsBuf.Bytes()), Plans: map[string]subplanModelsState{}, Mode: h.Mode}
-	for sig, pm := range h.Plans {
-		start, err := pm.Start.marshal()
-		if err != nil {
-			return err
+	for _, side := range []struct {
+		name   string
+		states map[string]*modelState
+		models map[plan.OpType]*PlanModel
+	}{{"start", st.Start, ops.start}, {"run", st.Run, ops.run}} {
+		for name, s := range side.states {
+			m := load(name+" "+side.name, s, NumOpFeatures())
+			// A model for an operator this engine does not plan could
+			// never be consulted: it is checked like the others, then
+			// dropped.
+			if op, ok := plan.ParseOpType(name); ok {
+				side.models[op] = m
+			}
 		}
-		run, err := pm.Run.marshal()
-		if err != nil {
-			return err
-		}
-		st.Plans[sig] = subplanModelsState{Start: start, Run: run}
 	}
-	return json.NewEncoder(w).Encode(st)
-}
-
-// LoadHybrid restores a materialized hybrid predictor.
-func LoadHybrid(r io.Reader) (*HybridPredictor, error) {
-	var st hybridState
-	if err := json.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("qpp: load hybrid: %w", err)
-	}
-	if err := checkFormat("hybrid", st.Format); err != nil {
-		return nil, err
-	}
-	ops, err := LoadOperatorLevel(bytes.NewReader(st.Ops))
-	if err != nil {
-		return nil, err
-	}
-	h := &HybridPredictor{Ops: ops, Plans: map[string]*SubplanModels{}, Mode: st.Mode}
+	hy := &HybridPredictor{Ops: ops, Plans: map[string]*SubplanModels{}, Mode: st.Mode}
 	for sig, s := range st.Plans {
-		start, err := unmarshalModel("sub-plan "+sig+" start", s.Start, NumPlanFeatures())
-		if err != nil {
-			return nil, err
+		hy.Plans[sig] = &SubplanModels{
+			Start: load("sub-plan "+sig+" start", s.Start, NumPlanFeatures()),
+			Run:   load("sub-plan "+sig+" run", s.Run, NumPlanFeatures()),
 		}
-		run, err := unmarshalModel("sub-plan "+sig+" run", s.Run, NumPlanFeatures())
-		if err != nil {
-			return nil, err
-		}
-		h.Plans[sig] = &SubplanModels{Start: start, Run: run}
 	}
-	return h, nil
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	base := &mlearn.LinearRegression{Coef: []float64{st.Slope}, Intercept: st.Intercept, FitIntercept: true}
+	return pl, hy, &CostModelBaseline{model: base}, nil
 }

@@ -14,7 +14,7 @@ import (
 var dsCache *workload.Dataset
 
 // testDataset builds a small executed workload shared by the tests.
-func testDataset(t *testing.T) *workload.Dataset {
+func testDataset(t testing.TB) *workload.Dataset {
 	t.Helper()
 	if dsCache == nil {
 		ds, err := workload.Build(workload.Config{

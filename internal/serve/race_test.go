@@ -192,6 +192,75 @@ func TestIdempotentReloadBitIdentity(t *testing.T) {
 	}
 }
 
+// TestSaveSnapshotIsAtomic: a model directory rewritten while a reload
+// reads it must yield one whole snapshot or the other. One goroutine
+// saves snapshots A and B in turn over the same directory; every
+// concurrent LoadSnapshot must succeed with the version of one of them,
+// and the directory holds the one file afterwards.
+func TestSaveSnapshotIsAtomic(t *testing.T) {
+	_, snapA, snapB := testEnv(t)
+	versions := map[string]bool{}
+	for _, snap := range []*Snapshot{snapA, snapB} {
+		dir := t.TempDir()
+		if err := SaveSnapshot(dir, snap); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadSnapshot(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		versions[loaded.Version] = true
+	}
+	if len(versions) != 2 {
+		t.Fatalf("snapshots A and B load to versions %v, want two", versions)
+	}
+
+	dir := t.TempDir()
+	if err := SaveSnapshot(dir, snapA); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	saved := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				saved <- nil
+				return
+			default:
+			}
+			if err := SaveSnapshot(dir, []*Snapshot{snapB, snapA}[i%2]); err != nil {
+				saved <- err
+				return
+			}
+		}
+	}()
+	seen := map[string]bool{}
+	for i := 0; i < 200 && !t.Failed(); i++ {
+		snap, err := LoadSnapshot(dir)
+		switch {
+		case err != nil:
+			t.Errorf("load %d during saves: %v", i, err)
+		case !versions[snap.Version]:
+			t.Errorf("load %d returned version %s, neither A's nor B's", i, snap.Version)
+		default:
+			seen[snap.Version] = true
+		}
+	}
+	close(stop)
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("loads saw %d of the two versions", len(seen))
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != snapshotFile {
+		t.Fatalf("model directory holds %v, want only %s", entries, snapshotFile)
+	}
+}
+
 // TestReadPathIsLockFree enforces the acceptance criterion "zero lock
 // acquisitions on the /predict read path" structurally: no non-test
 // source file in this package may import "sync" or mention mutexes —

@@ -287,6 +287,14 @@ func crossJoinSQL(n int) string {
 	return "select count(*) from " + strings.Join(from, ", ")
 }
 
+// constantPlanModel is a persisted plan-level model that answers value
+// (exp(value) with logTarget) over no feature column.
+func constantPlanModel(value float64, logTarget bool) string {
+	zeros := "[" + strings.TrimSuffix(strings.Repeat("0,", qpp.NumPlanFeatures()), ",") + "]"
+	return fmt.Sprintf(`{"cols": [], "model": {"constant": {"value": %g}}, "log_target": %t, "lo": %s, "hi": %s}`,
+		value, logTarget, zeros, zeros)
+}
+
 // TestPredictNonFiniteOutputIsSkipped: a model that overflows on an
 // off-manifold plan is reported under skipped, the request is still
 // answered 200 from the models that stayed finite (it used to be a 500:
@@ -296,8 +304,8 @@ func TestPredictNonFiniteOutputIsSkipped(t *testing.T) {
 	db, snapA, _ := testEnv(t)
 	snap := *snapA
 	var err error
-	snap.Baseline, err = qpp.LoadCostBaseline(strings.NewReader(
-		fmt.Sprintf(`{"format": %d, "slope": 1e308, "intercept": 0}`, qpp.FormatVersion)))
+	_, _, snap.Baseline, err = qpp.LoadModels(strings.NewReader(fmt.Sprintf(
+		`{"format": %d, "plan": %s, "slope": 1e308, "intercept": 0}`, qpp.FormatVersion, constantPlanModel(1, false))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,16 +332,9 @@ func TestPredictNonFiniteOutputIsSkipped(t *testing.T) {
 // constant whose exp overflows, operator models with negative fallbacks.
 func TestPredictNoUsableModelIs422(t *testing.T) {
 	db, _, _ := testEnv(t)
-	zeros := "[" + strings.TrimSuffix(strings.Repeat("0,", qpp.NumPlanFeatures()), ",") + "]"
-	pl, err := qpp.LoadPlanLevel(strings.NewReader(fmt.Sprintf(
-		`{"format": %d, "model": {"cols": [], "model": {"type": "constant", "state": {"value": 1000}}, "log_target": true, "lo": %s, "hi": %s}}`,
-		qpp.FormatVersion, zeros, zeros)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hy, err := qpp.LoadHybrid(strings.NewReader(fmt.Sprintf(
-		`{"format": %d, "ops": {"format": %d, "fallback_start": -1, "fallback_run": -1}}`,
-		qpp.FormatVersion, qpp.FormatVersion)))
+	pl, hy, _, err := qpp.LoadModels(strings.NewReader(fmt.Sprintf(
+		`{"format": %d, "plan": %s, "fallback_start": -1, "fallback_run": -1}`,
+		qpp.FormatVersion, constantPlanModel(1000, true))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,61 +630,60 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotFailsLoudly: a stale (format-mismatched) or corrupt
-// model file must abort the load with a loud error, never produce a
-// half-loaded snapshot.
+// TestLoadSnapshotFailsLoudly: a stale (format-mismatched), corrupt,
+// truncated or missing snapshot file must abort the load with a loud
+// error, never produce a half-loaded snapshot. A directory in the
+// three-file layout earlier builds wrote is refused naming the file it
+// lacks.
 func TestLoadSnapshotFailsLoudly(t *testing.T) {
 	_, snapA, _ := testEnv(t)
 	dir := t.TempDir()
 	if err := SaveSnapshot(dir, snapA); err != nil {
 		t.Fatal(err)
 	}
-
-	// Stale format version: a pre-versioning file (0) and the previous
-	// revision (operator models without a training range), in any one of
-	// the three files.
-	current := fmt.Sprintf(`"format":%d`, qpp.FormatVersion)
-	var path string
-	for _, name := range []string{"cost_baseline.json", "hybrid.json", "plan_level.json"} {
-		path = filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(data), current) {
-			t.Fatalf("%s does not carry %s", name, current)
-		}
-		for stale := 0; stale < qpp.FormatVersion; stale++ {
-			old := strings.Replace(string(data), current, fmt.Sprintf(`"format":%d`, stale), 1)
-			if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := LoadSnapshot(dir); err == nil || !strings.Contains(err.Error(), "format version") {
-				t.Fatalf("%s at format %d must fail with a version error, got: %v", name, stale, err)
-			}
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := LoadSnapshot(dir); err != nil {
-		t.Fatalf("restored files must load: %v", err)
-	}
-
-	// Corrupt JSON.
-	if err := os.WriteFile(path, []byte("{toast"), 0o644); err != nil {
+	path := filepath.Join(dir, snapshotFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshot(dir); err == nil {
+	current := fmt.Sprintf(`"format":%d`, qpp.FormatVersion)
+	if !strings.Contains(string(data), current) {
+		t.Fatalf("%s does not carry %s", snapshotFile, current)
+	}
+	load := func(body string) error {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadSnapshot(dir)
+		return err
+	}
+	// A pre-versioning file (0) and every earlier revision.
+	for stale := 0; stale < qpp.FormatVersion; stale++ {
+		old := strings.Replace(string(data), current, fmt.Sprintf(`"format":%d`, stale), 1)
+		if err := load(old); err == nil || !strings.Contains(err.Error(), "format version") {
+			t.Fatalf("format %d must fail with a version error, got: %v", stale, err)
+		}
+	}
+	if err := load(string(data)); err != nil {
+		t.Fatalf("the restored file must load: %v", err)
+	}
+	if err := load("{toast"); err == nil {
 		t.Fatal("corrupt snapshot must fail")
 	}
+	if err := load(string(data[:len(data)/2])); err == nil {
+		t.Fatal("truncated snapshot must fail")
+	}
 
-	// Missing file.
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshot(dir); err == nil {
-		t.Fatal("missing model file must fail")
+	for _, name := range []string{"plan_level.json", "hybrid.json", "cost_baseline.json"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := LoadSnapshot(dir); err == nil || !strings.Contains(err.Error(), snapshotFile) {
+		t.Fatalf("a directory without %s must fail naming it, got: %v", snapshotFile, err)
 	}
 }
 

@@ -31,8 +31,8 @@ type Snapshot struct {
 	// operator-level predictor exposed in per-model breakdowns.
 	Hybrid *qpp.HybridPredictor
 	// Baseline is the optimizer-cost strawman (Section 5.2), served
-	// side-by-side with the learned models; may be nil for snapshots
-	// materialized before the baseline was saved.
+	// side-by-side with the learned models. Every saved snapshot has
+	// one; an in-process snapshot built without one serves without it.
 	Baseline *qpp.CostModelBaseline
 	// Cache is the parametric plan cache built from the training
 	// workload (nil for disk-loaded snapshots: model files carry no
@@ -42,86 +42,58 @@ type Snapshot struct {
 	Cache *plancache.Cache
 }
 
-// Snapshot file names inside a model directory — the layout cmd/qpptrain
-// writes with -out.
-const (
-	planLevelFile = "plan_level.json"
-	hybridFile    = "hybrid.json"
-	baselineFile  = "cost_baseline.json"
-)
+// snapshotFile is the one file of a model directory, the layout
+// cmd/qpptrain writes with -out.
+const snapshotFile = "snapshot.json"
 
 // LoadSnapshot restores a snapshot from a model directory. The version
-// is a hash of the model file contents, so re-loading unchanged files
-// yields the identical version (an idempotent /reload) and any edit
-// yields a new one. A missing optional baseline file is tolerated; a
-// corrupt or format-mismatched file is a loud error — the server must
-// never serve predictions from a snapshot it only partly understood.
+// is a hash of the file's bytes, so re-loading an unchanged file yields
+// the identical version (an idempotent /reload) and any edit yields a new
+// one. A missing, corrupt or format-mismatched file is a loud error — the
+// server must never serve predictions from a snapshot it only partly
+// understood.
 func LoadSnapshot(dir string) (*Snapshot, error) {
-	planBytes, err := os.ReadFile(filepath.Join(dir, planLevelFile))
+	data, err := os.ReadFile(filepath.Join(dir, snapshotFile))
 	if err != nil {
 		return nil, fmt.Errorf("serve: load snapshot: %w", err)
 	}
-	hybridBytes, err := os.ReadFile(filepath.Join(dir, hybridFile))
+	pl, hy, base, err := qpp.LoadModels(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("serve: load snapshot: %w", err)
 	}
-	pl, err := qpp.LoadPlanLevel(bytes.NewReader(planBytes))
-	if err != nil {
-		return nil, fmt.Errorf("serve: load snapshot: %w", err)
-	}
-	hy, err := qpp.LoadHybrid(bytes.NewReader(hybridBytes))
-	if err != nil {
-		return nil, fmt.Errorf("serve: load snapshot: %w", err)
-	}
-	h := sha256.New()
-	h.Write(planBytes)
-	h.Write(hybridBytes)
-
-	snap := &Snapshot{Plan: pl, Hybrid: hy}
-	if baseBytes, err := os.ReadFile(filepath.Join(dir, baselineFile)); err == nil {
-		base, err := qpp.LoadCostBaseline(bytes.NewReader(baseBytes))
-		if err != nil {
-			return nil, fmt.Errorf("serve: load snapshot: %w", err)
-		}
-		snap.Baseline = base
-		h.Write(baseBytes)
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("serve: load snapshot: %w", err)
-	}
-	snap.Version = "sha256:" + hex.EncodeToString(h.Sum(nil))[:16]
-	return snap, nil
+	sum := sha256.Sum256(data)
+	return &Snapshot{
+		Version: "sha256:" + hex.EncodeToString(sum[:])[:16],
+		Plan:    pl, Hybrid: hy, Baseline: base,
+	}, nil
 }
 
 // SaveSnapshot materializes a snapshot into a model directory in the
-// same layout LoadSnapshot reads (and qpptrain writes).
+// layout LoadSnapshot reads (and qpptrain writes). The document is
+// written to a temporary file beside the old one and renamed over it, so
+// a concurrent LoadSnapshot (a POST /reload) reads either the old
+// snapshot or the new one, never a mix.
 func SaveSnapshot(dir string, snap *Snapshot) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("serve: save snapshot: %w", err)
 	}
-	save := func(name string, fn func(f *os.File) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return fmt.Errorf("serve: save snapshot: %w", err)
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return fmt.Errorf("serve: save snapshot %s: %w", name, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("serve: save snapshot %s: %w", name, err)
-		}
-		return nil
+	f, err := os.CreateTemp(dir, snapshotFile+".*.tmp")
+	if err != nil {
+		return fmt.Errorf("serve: save snapshot: %w", err)
 	}
-	if err := save(planLevelFile, func(f *os.File) error { return snap.Plan.Save(f) }); err != nil {
-		return err
+	err = qpp.SaveModels(f, snap.Plan, snap.Hybrid, snap.Baseline)
+	if err == nil {
+		err = f.Chmod(0o644)
 	}
-	if err := save(hybridFile, func(f *os.File) error { return snap.Hybrid.Save(f) }); err != nil {
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if snap.Baseline != nil {
-		if err := save(baselineFile, func(f *os.File) error { return snap.Baseline.Save(f) }); err != nil {
-			return err
-		}
+	if err == nil {
+		err = os.Rename(f.Name(), filepath.Join(dir, snapshotFile))
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return fmt.Errorf("serve: save snapshot: %w", err)
 	}
 	return nil
 }

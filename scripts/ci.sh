@@ -68,10 +68,14 @@
 #                    portable row passes and, where the CPU has AVX2, the
 #                    AVX2 and, where the CPU has it, AVX-512 kernels; see
 #                    DESIGN.md §6)
-#  15. bench self-test — `bench/run.sh test`: gofmt, vet and the unit
+#  15. snapshot smoke — 5s of FuzzLoadModels on the model snapshot
+#                    document (outside input: a load never panics, and a
+#                    model set that loads predicts planned queries without
+#                    panicking; see internal/qpp and DESIGN.md §10)
+#  16. bench self-test — `bench/run.sh test`: gofmt, vet and the unit
 #                    tests of the repo's benchmark (BENCHMARK.json), a
 #                    nested module that stages 1-5 do not descend into
-#  16. cross build — `go vet` and `go build` for GOARCH=arm64: off amd64
+#  17. cross build — `go vet` and `go build` for GOARCH=arm64: off amd64
 #                    the portable row passes are the SMO solver's only
 #                    ones, and stages 2-3 build for amd64 alone
 #
@@ -214,6 +218,9 @@ go test -fuzz=FuzzPackRows -fuzztime=5s -run '^$' ./internal/types
 
 banner "SMO fuzz smoke (FuzzSMOMatchesReference, 5s)"
 go test -fuzz=FuzzSMOMatchesReference -fuzztime=5s -run '^$' ./internal/mlearn
+
+banner "snapshot fuzz smoke (FuzzLoadModels, 5s)"
+go test -fuzz=FuzzLoadModels -fuzztime=5s -run '^$' ./internal/qpp
 
 banner "bench self-test (bench/run.sh test)"
 bash bench/run.sh test
