@@ -25,7 +25,9 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -49,6 +51,10 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
 	flag.Parse()
+	selected, err := selectDrivers(*expFlag)
+	if err != nil {
+		log.Fatalf("qppexp: %v", err)
+	}
 
 	stopCPU, err := prof.StartCPU(*cpuProfile)
 	if err != nil {
@@ -80,12 +86,6 @@ func main() {
 	cfg.Parallelism = *par
 	cfg.Observe = *metricsOut != "" || *traceOut != ""
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*expFlag, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-
 	fmt.Printf("# Learning-based QPP reproduction — experiment run\n")
 	fmt.Printf("# large SF=%v small SF=%v per-template=%d seed=%d folds=%d workers=%d\n\n",
 		cfg.LargeSF, cfg.SmallSF, cfg.PerTemplate, cfg.Seed, cfg.Folds,
@@ -106,24 +106,6 @@ func main() {
 	// the report reads identically regardless of completion order. Each
 	// driver hands back its result's metrics registry (nil unless the obs
 	// layer is on); registries merge serially in driver order below.
-	type driver struct {
-		name string
-		fn   func(*experiments.Env, io.Writer) (*obs.Registry, error)
-	}
-	drivers := []driver{
-		{"fig5", runFig5},
-		{"fig6", runFig6},
-		{"fig7", runFig7},
-		{"fig8", runFig8},
-		{"fig9", runFig9},
-		{"fig4", runFig4},
-	}
-	var selected []driver
-	for _, d := range drivers {
-		if all || want[d.name] {
-			selected = append(selected, d)
-		}
-	}
 	outputs := make([]bytes.Buffer, len(selected))
 	regs := make([]*obs.Registry, len(selected))
 	elapsed := make([]time.Duration, len(selected))
@@ -164,6 +146,46 @@ func main() {
 		}
 		fmt.Printf("wrote Chrome trace to %s\n", *traceOut)
 	}
+}
+
+// A driver runs one figure and writes its section of the report.
+type driver struct {
+	name string
+	fn   func(*experiments.Env, io.Writer) (*obs.Registry, error)
+}
+
+// drivers lists every figure by its -exp name, in report order.
+var drivers = []driver{
+	{"fig5", runFig5},
+	{"fig6", runFig6},
+	{"fig7", runFig7},
+	{"fig8", runFig8},
+	{"fig9", runFig9},
+	{"fig4", runFig4},
+}
+
+// selectDrivers resolves -exp's comma-separated names ("all" for every
+// figure) to drivers in report order, refusing a name the table lacks.
+func selectDrivers(exp string) ([]driver, error) {
+	want := map[string]bool{}
+	var unknown []string
+	for _, name := range strings.Split(exp, ",") {
+		name = strings.TrimSpace(name)
+		want[name] = true
+		if name != "all" && !slices.ContainsFunc(drivers, func(d driver) bool { return d.name == name }) {
+			unknown = append(unknown, strconv.Quote(name))
+		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown experiment %s (want all or a comma-separated list of fig4 to fig9)", strings.Join(unknown, ", "))
+	}
+	var selected []driver
+	for _, d := range drivers {
+		if want["all"] || want[d.name] {
+			selected = append(selected, d)
+		}
+	}
+	return selected, nil
 }
 
 // writeMetrics dumps the merged registry to a file or stdout.

@@ -29,17 +29,6 @@ import (
 	"qpp/internal/tpch"
 )
 
-func parseStrategy(s string) qpp.Strategy {
-	switch s {
-	case "size":
-		return qpp.SizeBased
-	case "frequency":
-		return qpp.FrequencyBased
-	default:
-		return qpp.ErrorBased
-	}
-}
-
 // buildSnapshot resolves the startup mode into a first snapshot, the
 // database to plan against, and the /reload source.
 func buildSnapshot(models string, cfg serve.TrainConfig) (*serve.Snapshot, *storage.Database, func() (*serve.Snapshot, error), error) {
@@ -75,12 +64,16 @@ func main() {
 	strategy := flag.String("strategy", "error", "hybrid strategy: error, size, frequency")
 	par := flag.Int("parallel", 0, "training workload workers (0 = GOMAXPROCS)")
 	flag.Parse()
+	strat, err := qpp.ParseStrategy(*strategy)
+	if err != nil {
+		log.Fatalf("qppserve: %v", err)
+	}
 
 	cfg := serve.TrainConfig{
 		ScaleFactor: *sf,
 		PerTemplate: *perTemplate,
 		Seed:        *seed,
-		Strategy:    parseStrategy(*strategy),
+		Strategy:    strat,
 		Parallelism: *par,
 	}
 	if *models == "" {

@@ -45,6 +45,10 @@ func run(args []string, stdout io.Writer) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	strat, err := qpp.ParseStrategy(*strategy)
+	if err != nil {
+		return err
+	}
 
 	stopCPU, err := prof.StartCPU(*cpuProfile)
 	if err != nil {
@@ -56,16 +60,6 @@ func run(args []string, stdout io.Writer) (err error) {
 			err = herr
 		}
 	}()
-
-	var strat qpp.Strategy
-	switch *strategy {
-	case "size":
-		strat = qpp.SizeBased
-	case "frequency":
-		strat = qpp.FrequencyBased
-	default:
-		strat = qpp.ErrorBased
-	}
 
 	var snap *serve.Snapshot
 	hybridName := "hybrid(materialized)"

@@ -87,3 +87,16 @@ func TestOutIsAServableSnapshot(t *testing.T) {
 		t.Fatalf("/predict on the -out directory has no cost-model entry: %v", res.Predictions)
 	}
 }
+
+// TestUnknownStrategyIsAnError: a misspelt -strategy fails the run
+// before it builds a workload, where it used to train error-based.
+func TestUnknownStrategyIsAnError(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-strategy", "bogus"}, &out)
+	if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Fatalf("run -strategy bogus: %v, want an error naming the strategy", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("run -strategy bogus printed before failing:\n%s", out.String())
+	}
+}

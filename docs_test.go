@@ -335,7 +335,6 @@ func TestFlagSurface(t *testing.T) {
 		"qpplint":    "json",
 		"qppserve":   "addr models sf seed per-template strategy parallel",
 		"qpptrain":   "sf per-template test-per-template seed out load strategy parallel cpuprofile memprofile",
-		"tpchgen":    "sf seed out tables",
 	}
 	mains, err := filepath.Glob("cmd/*/main.go")
 	if err != nil {

@@ -65,4 +65,19 @@ func main() {
 	}
 	fmt.Println("\nExpected shape (paper): learned models beat the cost baseline by a wide")
 	fmt.Println("margin, and plan-level is the strongest on a fixed, known workload.")
+
+	// The same plan-level method predicts other performance metrics
+	// (Section 7 of the paper), each scored against its own observed value.
+	fmt.Println("\n  plan-level metric           test MRE")
+	for _, metric := range []qperf.Metric{qperf.MetricPagesRead, qperf.MetricRowsOut} {
+		p, err := qperf.TrainMetricPredictor(train, metric)
+		if err != nil {
+			log.Fatal(err)
+		}
+		mre, _, err := qperf.MeanRelativeError(p, test)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  %-26s %7.1f%%\n", metric, 100*mre)
+	}
 }

@@ -60,7 +60,7 @@ func Rules() []Rule {
 
 // Pass carries one package through one rule. Mod gives interprocedural
 // rules the whole-module view (call graph, taint summaries); for a
-// single-package Check it contains just that package.
+// module of one package it contains just that package.
 type Pass struct {
 	Pkg      *Package
 	Mod      *Module
@@ -77,14 +77,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Rule:    p.rule,
 		Message: fmt.Sprintf(format, args...),
 	})
-}
-
-// Check runs the given rules (all registered rules when nil) over one
-// package and returns the unsuppressed findings sorted by position. The
-// package is analyzed as a single-package module; use NewModule +
-// Module.Check for cross-package interprocedural context.
-func Check(pkg *Package, rules []Rule) []Finding {
-	return NewModule([]*Package{pkg}).Check(pkg, rules)
 }
 
 // Check runs rules (all registered rules when nil) over one package of

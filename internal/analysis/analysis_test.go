@@ -25,10 +25,11 @@ func ruleByName(t *testing.T, name string) Rule {
 
 func loadFixture(t *testing.T, fixture, asPath string) *Package {
 	t.Helper()
-	pkg, err := LoadDir(filepath.Join("testdata", "src", fixture), asPath)
+	pkgs, err := LoadDirs([]struct{ Dir, AsPath string }{{filepath.Join("testdata", "src", fixture), asPath}})
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", fixture, err)
 	}
+	pkg := pkgs[0]
 	for _, e := range pkg.TypeErrors {
 		t.Fatalf("fixture %s has type errors: %v", fixture, e)
 	}
@@ -41,7 +42,7 @@ func loadFixture(t *testing.T, fixture, asPath string) *Package {
 func checkFixture(t *testing.T, ruleName, fixture, asPath string) {
 	t.Helper()
 	pkg := loadFixture(t, fixture, asPath)
-	findings := Check(pkg, []Rule{ruleByName(t, ruleName)})
+	findings := NewModule([]*Package{pkg}).Check(pkg, []Rule{ruleByName(t, ruleName)})
 
 	type lineKey struct {
 		file string
@@ -93,7 +94,7 @@ func TestNondeterminismRule(t *testing.T) {
 
 func TestNondeterminismIgnoresNonCorePackages(t *testing.T) {
 	pkg := loadFixture(t, "nondet", "example.com/nondet")
-	if findings := Check(pkg, []Rule{ruleByName(t, "nondeterminism")}); len(findings) != 0 {
+	if findings := NewModule([]*Package{pkg}).Check(pkg, []Rule{ruleByName(t, "nondeterminism")}); len(findings) != 0 {
 		t.Fatalf("nondeterminism fired outside the deterministic core: %v", findings)
 	}
 }
@@ -113,7 +114,7 @@ func TestHotAllocCoversServingPackages(t *testing.T) {
 
 func TestHotAllocIgnoresColdPackages(t *testing.T) {
 	pkg := loadFixture(t, "hotalloc", "example.com/hotalloc")
-	if findings := Check(pkg, []Rule{ruleByName(t, "hotalloc")}); len(findings) != 0 {
+	if findings := NewModule([]*Package{pkg}).Check(pkg, []Rule{ruleByName(t, "hotalloc")}); len(findings) != 0 {
 		t.Fatalf("hotalloc fired outside the hot-path packages: %v", findings)
 	}
 }
@@ -140,7 +141,7 @@ func TestSuppressionComments(t *testing.T) {
 			pkg := loadFixture(t, tc.fixture, tc.asPath)
 			rule := ruleByName(t, tc.rule)
 
-			suppressed := Check(pkg, []Rule{rule})
+			suppressed := NewModule([]*Package{pkg}).Check(pkg, []Rule{rule})
 
 			// Re-run without the suppression filter.
 			var raw []Finding
@@ -175,7 +176,7 @@ func TestRuleRegistry(t *testing.T) {
 
 func TestFindingFormat(t *testing.T) {
 	pkg := loadFixture(t, "floateq", "example.com/floateq")
-	findings := Check(pkg, []Rule{ruleByName(t, "floateq")})
+	findings := NewModule([]*Package{pkg}).Check(pkg, []Rule{ruleByName(t, "floateq")})
 	if len(findings) == 0 {
 		t.Fatal("no findings to format")
 	}

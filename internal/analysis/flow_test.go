@@ -107,7 +107,7 @@ func TestHotAllocEscapes(t *testing.T) {
 
 func TestHotAllocEscapesNeedHotPackage(t *testing.T) {
 	pkg := loadFixture(t, "hotalloc2", "example.com/hotalloc2")
-	if findings := Check(pkg, []Rule{ruleByName(t, "hotalloc")}); len(findings) != 0 {
+	if findings := NewModule([]*Package{pkg}).Check(pkg, []Rule{ruleByName(t, "hotalloc")}); len(findings) != 0 {
 		t.Fatalf("escape checks fired outside the hot-path packages: %v", findings)
 	}
 }
@@ -139,7 +139,7 @@ func TestHotAllocRowStorage(t *testing.T) {
 // stale ignore is reported, the live one is not.
 func TestUnusedIgnore(t *testing.T) {
 	pkg := loadFixture(t, "suppress", "example.com/suppress")
-	findings := Check(pkg, nil)
+	findings := NewModule([]*Package{pkg}).Check(pkg, nil)
 	if len(findings) != 1 {
 		t.Fatalf("want exactly the stale-ignore finding, got %v", findings)
 	}
@@ -150,7 +150,7 @@ func TestUnusedIgnore(t *testing.T) {
 
 	// A partial run must not report staleness: an ignore for an
 	// unselected rule is not stale.
-	if got := Check(pkg, []Rule{ruleByName(t, "floateq")}); len(got) != 0 {
+	if got := NewModule([]*Package{pkg}).Check(pkg, []Rule{ruleByName(t, "floateq")}); len(got) != 0 {
 		t.Fatalf("partial run reported %v", got)
 	}
 }
@@ -158,7 +158,7 @@ func TestUnusedIgnore(t *testing.T) {
 // TestJSONReportRoundTrip encodes a report and decodes it back.
 func TestJSONReportRoundTrip(t *testing.T) {
 	pkg := loadFixture(t, "floateq", "example.com/floateq")
-	findings := Check(pkg, []Rule{ruleByName(t, "floateq")})
+	findings := NewModule([]*Package{pkg}).Check(pkg, []Rule{ruleByName(t, "floateq")})
 	if len(findings) == 0 {
 		t.Fatal("no findings to report")
 	}

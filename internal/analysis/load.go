@@ -262,41 +262,3 @@ func moduleDirs(root string) ([]string, error) {
 	})
 	return dirs, err
 }
-
-// LoadDir parses and type-checks a single directory as one package under
-// the given import path, resolving only standard-library imports. It
-// exists for fixture packages under testdata, where the import path
-// doubles as a way to exercise path-gated rules.
-func LoadDir(dir, asPath string) (*Package, error) {
-	pkgs, err := LoadDirs([]struct{ Dir, AsPath string }{{dir, asPath}})
-	if err != nil {
-		return nil, err
-	}
-	return pkgs[0], nil
-}
-
-// LoadDirs type-checks several fixture directories as one mini-module:
-// each entry maps an import path to a directory, checked in slice order
-// with earlier packages importable by later ones. It exists for
-// interprocedural fixtures, where a core package must call into a
-// helper package to exercise cross-package chains.
-func LoadDirs(dirs []struct{ Dir, AsPath string }) ([]*Package, error) {
-	l := newLoader()
-	var out []*Package
-	for _, d := range dirs {
-		names, err := filepath.Glob(filepath.Join(d.Dir, "*.go"))
-		if err != nil {
-			return nil, err
-		}
-		if len(names) == 0 {
-			return nil, fmt.Errorf("analysis: no .go files in %s", d.Dir)
-		}
-		pkg, err := l.check(l, d.AsPath, d.Dir, names)
-		if err != nil {
-			return nil, err
-		}
-		l.reg[d.AsPath] = pkg.Types
-		out = append(out, pkg)
-	}
-	return out, nil
-}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -206,4 +207,30 @@ func TestLoadModuleExportTestBridge(t *testing.T) {
 			t.Errorf("%s: type errors %v", path, pkg.TypeErrors)
 		}
 	}
+}
+
+// LoadDirs type-checks several fixture directories as one mini-module:
+// each entry maps an import path to a directory, checked in slice order
+// with earlier packages importable by later ones. It exists for
+// interprocedural fixtures, where a core package must call into a
+// helper package to exercise cross-package chains.
+func LoadDirs(dirs []struct{ Dir, AsPath string }) ([]*Package, error) {
+	l := newLoader()
+	var out []*Package
+	for _, d := range dirs {
+		names, err := filepath.Glob(filepath.Join(d.Dir, "*.go"))
+		if err != nil {
+			return nil, err
+		}
+		if len(names) == 0 {
+			return nil, fmt.Errorf("analysis: no .go files in %s", d.Dir)
+		}
+		pkg, err := l.check(l, d.AsPath, d.Dir, names)
+		if err != nil {
+			return nil, err
+		}
+		l.reg[d.AsPath] = pkg.Types
+		out = append(out, pkg)
+	}
+	return out, nil
 }

@@ -179,14 +179,6 @@ func (s *SVR) NumSupportVectors() int { return len(s.coef) }
 // that was loaded, not fitted).
 func (s *SVR) Iterations() int { return s.lastIters }
 
-// Converged reports whether the last Fit stopped by itself (no pair
-// violating the KKT conditions by Tol or more was left, or a step could
-// not move) and not because it ran into the iteration cap: MaxIter, or
-// max(10000, 200 per row) by default. A capped fit is still a usable
-// model, only not the optimum. False for a model that was loaded, not
-// fitted.
-func (s *SVR) Converged() bool { return s.lastIters < s.lastCap }
-
 // smoSolver carries the state of Solver_NU on the 2l-variable dual.
 //
 // Every quantity the selection and the step read is -y*G, which is the

@@ -30,9 +30,6 @@ type CCounter struct {
 // Inc adds one.
 func (c *CCounter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *CCounter) Add(n int64) { c.v.Add(n) }
-
 // Load returns the current value.
 func (c *CCounter) Load() int64 { return c.v.Load() }
 
@@ -126,9 +123,6 @@ func (h *CHist) Observe(v float64) {
 		h.buckets[b-cHistMinExp].Add(1)
 	}
 }
-
-// Count returns the number of observations so far.
-func (h *CHist) Count() int64 { return h.count.Load() }
 
 // Snapshot converts the current state into a plain Histogram. The
 // returned histogram's count is the sum of the bucket counts read, so

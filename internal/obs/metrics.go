@@ -136,14 +136,6 @@ func (h *Histogram) Max() float64 {
 	return h.max
 }
 
-// Mean returns the arithmetic mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
 // Bucket is one (index, count) pair of a histogram dump.
 type Bucket struct {
 	Index int
@@ -209,9 +201,6 @@ func (r *Registry) Add(name string, v float64) { r.counters[name] += v }
 // Inc increments a counter by one.
 func (r *Registry) Inc(name string) { r.Add(name, 1) }
 
-// Counter reads a counter (0 when absent).
-func (r *Registry) Counter(name string) float64 { return r.counters[name] }
-
 // Observe records a value into the named histogram, creating it on first
 // use.
 func (r *Registry) Observe(name string, v float64) {
@@ -222,9 +211,6 @@ func (r *Registry) Observe(name string, v float64) {
 	}
 	h.Observe(v)
 }
-
-// Hist returns the named histogram, or nil.
-func (r *Registry) Hist(name string) *Histogram { return r.hists[name] }
 
 // CounterNames lists counters in sorted order.
 func (r *Registry) CounterNames() []string { return sortedKeys(r.counters) }

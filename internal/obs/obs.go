@@ -102,25 +102,6 @@ func (p *ClassProfile) Record(opClass string, self Breakdown) {
 	b.Add(self)
 }
 
-// Classes lists the recorded operator classes in sorted order.
-func (p *ClassProfile) Classes() []string { return sortedKeys(p.classes) }
-
-// Get returns the accumulated breakdown for one operator class.
-func (p *ClassProfile) Get(opClass string) Breakdown {
-	if b := p.classes[opClass]; b != nil {
-		return *b
-	}
-	return Breakdown{}
-}
-
-// Merge accumulates another profile into p, iterating classes in sorted
-// order so repeated merges are deterministic.
-func (p *ClassProfile) Merge(o *ClassProfile) {
-	for _, class := range sortedKeys(o.classes) {
-		p.Record(class, *o.classes[class])
-	}
-}
-
 // RecordInto publishes the profile as registry counters named
 // <prefix>.<class>.<field>, e.g. "profile.Seq Scan.io_s".
 func (p *ClassProfile) RecordInto(reg *Registry, prefix string) {

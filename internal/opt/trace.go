@@ -44,15 +44,6 @@ func (t *JoinTrace) AppendKey(buf []byte) []byte {
 	return buf
 }
 
-// Steps returns the total number of recorded merge steps.
-func (t *JoinTrace) Steps() int {
-	n := 0
-	for _, b := range t.Blocks {
-		n += len(b)
-	}
-	return n
-}
-
 // PlanTraced plans stmt exactly like Plan while recording the join-order
 // merge trace of every query block. The returned trace replays through
 // PlanReplay to skip the DP search on future statements with the same

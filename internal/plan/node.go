@@ -492,14 +492,6 @@ func (n *Node) CardQError() float64 {
 	return act / est
 }
 
-// SubPlanList returns every sub-tree of the main operator tree (including
-// the root itself), in pre-order.
-func (n *Node) SubPlanList() []*Node {
-	var out []*Node
-	n.WalkTree(func(m *Node) { out = append(out, m) })
-	return out
-}
-
 // String renders a one-line summary for errors and logs.
 func (n *Node) String() string {
 	if n.Table != "" {

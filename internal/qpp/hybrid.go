@@ -1,6 +1,8 @@
 package qpp
 
 import (
+	"fmt"
+
 	"qpp/internal/mlearn"
 	"qpp/internal/plan"
 )
@@ -225,6 +227,20 @@ func (s Strategy) String() string {
 	default:
 		return "error-based"
 	}
+}
+
+// ParseStrategy reads a strategy's command-line name: size, frequency or
+// error.
+func ParseStrategy(name string) (Strategy, error) {
+	switch name {
+	case "size":
+		return SizeBased, nil
+	case "frequency":
+		return FrequencyBased, nil
+	case "error":
+		return ErrorBased, nil
+	}
+	return 0, fmt.Errorf("qpp: unknown hybrid strategy %q (want size, frequency or error)", name)
 }
 
 // HybridConfig tunes Algorithm 1.

@@ -91,3 +91,21 @@ func MetricFloor(m Metric) float64 {
 func MetricRelativeError(m Metric, actual, estimate float64) float64 {
 	return mlearn.RelativeErrorFloor(actual, estimate, MetricFloor(m))
 }
+
+// MeanMetricRelativeError is MeanRelativeError for a model of metric m:
+// each prediction is scored against the record's observed value of m
+// with MetricRelativeError.
+func MeanMetricRelativeError(recs []*QueryRecord, m Metric, predict func(*QueryRecord) (float64, error)) (float64, error) {
+	if len(recs) == 0 {
+		return 0, nil
+	}
+	var s float64
+	for _, r := range recs {
+		v, err := predict(r)
+		if err != nil {
+			return 0, err
+		}
+		s += MetricRelativeError(m, MetricValue(r, m), v)
+	}
+	return s / float64(len(recs)), nil
+}

@@ -239,9 +239,6 @@ func (pm *PlanModel) InRange(features []float64, margin float64) bool {
 	return true
 }
 
-// SelectedFeatures returns the chosen feature column indices.
-func (pm *PlanModel) SelectedFeatures() []int { return append([]int(nil), pm.cols...) }
-
 // PlanLevelPredictor is the paper's plan-level QPP method: a single model
 // over whole-query Table-1 features, predicting latency or whichever other
 // Metric it was trained on.

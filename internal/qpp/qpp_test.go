@@ -270,6 +270,29 @@ func TestHybridStrategiesDiffer(t *testing.T) {
 	t.Logf("first candidates: %v", orders)
 }
 
+func TestParseStrategy(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want qpp.Strategy
+		ok   bool
+	}{
+		{"size", qpp.SizeBased, true},
+		{"frequency", qpp.FrequencyBased, true},
+		{"error", qpp.ErrorBased, true},
+		{"frequncy", 0, false},
+		{"error-based", 0, false},
+		{"", 0, false},
+	} {
+		got, err := qpp.ParseStrategy(tc.name)
+		if tc.ok && (err != nil || got != tc.want) {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("ParseStrategy(%q) = %v, want an error", tc.name, got)
+		}
+	}
+}
+
 func TestOnlinePrediction(t *testing.T) {
 	ds := testDataset(t)
 	recs := opOnly(ds.Records)

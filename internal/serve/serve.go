@@ -159,9 +159,6 @@ func (s *Server) Publish(snap *Snapshot) (old *Snapshot) {
 	return old
 }
 
-// Current returns the snapshot new requests would use.
-func (s *Server) Current() *Snapshot { return s.snap.Load() }
-
 // wrap instruments a status-returning handler with the endpoint's
 // lock-free counters and latency histogram.
 func (s *Server) wrap(em *endpointMetrics, h func(http.ResponseWriter, *http.Request) int) http.HandlerFunc {

@@ -35,12 +35,8 @@ func cmPositions(h uint64) [CountMinDepth]uint32 {
 	return pos
 }
 
-// Add observes key count times and returns the updated estimate.
-func (c *CountMin) Add(key []byte, count uint64) uint64 {
-	return c.AddHash(Hash64(key), count)
-}
-
-// AddHash is Add over a pre-hashed key.
+// AddHash observes the key that hashes to h (Hash64) count times and
+// returns its updated estimate.
 func (c *CountMin) AddHash(h uint64, count uint64) uint64 {
 	pos := cmPositions(h)
 	c.n += count
@@ -53,23 +49,3 @@ func (c *CountMin) AddHash(h uint64, count uint64) uint64 {
 	}
 	return min
 }
-
-// Estimate returns the (over-)estimated count of key.
-func (c *CountMin) Estimate(key []byte) uint64 {
-	return c.EstimateHash(Hash64(key))
-}
-
-// EstimateHash is Estimate over a pre-hashed key.
-func (c *CountMin) EstimateHash(h uint64) uint64 {
-	pos := cmPositions(h)
-	min := ^uint64(0)
-	for i := 0; i < CountMinDepth; i++ {
-		if v := c.rows[i][pos[i]]; v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// N returns the total number of observations.
-func (c *CountMin) N() uint64 { return c.n }

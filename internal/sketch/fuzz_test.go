@@ -37,15 +37,15 @@ func FuzzSketch(f *testing.F) {
 		prevHLL := 0.0
 		for i := 0; i+9 <= len(data); i += 9 {
 			key := data[i+1 : i+9]
-			h.Add(key)
+			h.AddHash(Hash64(key))
 			// HLL estimates are monotone under inserts: registers only grow.
 			if est := h.Estimate(); est < prevHLL {
 				t.Fatalf("hll estimate shrank: %g -> %g", prevHLL, est)
 			} else {
 				prevHLL = est
 			}
-			before := cm.Estimate(key)
-			after := cm.Add(key, 1)
+			before := cm.EstimateHash(Hash64(key))
+			after := cm.AddHash(Hash64(key), 1)
 			if after < before+1 {
 				t.Fatalf("countmin estimate not monotone: %d then add -> %d", before, after)
 			}

@@ -24,11 +24,8 @@ type HLL struct {
 // NewHLL returns an empty HyperLogLog sketch.
 func NewHLL() *HLL { return &HLL{reg: make([]uint8, hllM)} }
 
-// Add observes one key.
-func (h *HLL) Add(key []byte) { h.AddHash(Hash64(key)) }
-
-// AddHash observes a pre-hashed key; Add and AddHash(Hash64(key)) are
-// interchangeable, letting callers share one hash across sketches.
+// AddHash observes one key by its Hash64, letting callers share one hash
+// across sketches.
 func (h *HLL) AddHash(v uint64) {
 	idx := v >> (64 - HLLPrecision)
 	w := v << HLLPrecision
@@ -105,10 +102,4 @@ func hllTau(x float64) float64 {
 			return z / 3
 		}
 	}
-}
-
-// RelativeErrorBound is the sketch's standard relative error,
-// 1.04/sqrt(m) — the theoretical bound the property tests pin.
-func (h *HLL) RelativeErrorBound() float64 {
-	return 1.04 / math.Sqrt(hllM)
 }

@@ -11,12 +11,8 @@ import (
 // compacted weight, so over L = log2(N/cap) levels the deterministic
 // worst-case rank error is L·N/(2·cap). At cap 2048 and N = 10^6 that
 // is ≈ 0.22%·N — comfortably inside the 1%-of-N budget a 100-bin
-// equi-depth histogram needs (QuantileBinsMax).
+// equi-depth histogram needs.
 const QuantileCap = 2048
-
-// QuantileBinsMax is the largest bin count the sketch's rank-error
-// budget covers: boundaries for bins <= this are within N/bins ranks.
-const QuantileBinsMax = 100
 
 // Quantile is a deterministic streaming quantile sketch in the
 // Manku-Rajagopalan-Lindsay compaction family. Level l holds items
@@ -61,9 +57,6 @@ func (q *Quantile) Add(v float64) {
 		q.compactFrom(0)
 	}
 }
-
-// N returns the number of observations.
-func (q *Quantile) N() uint64 { return q.n }
 
 // Min and Max are the exact observed extremes (undefined before any Add).
 func (q *Quantile) Min() float64 { return q.min }

@@ -14,7 +14,7 @@
 //   - Count-Min: estimates never underestimate; overestimate bounded by
 //     e/width * N per row with probability 1-(1/e)^depth.
 //   - Quantile: rank error of any reported boundary is at most N/bins
-//     for bins <= QuantileBinsMax (the compaction budget is sized so the
+//     for bins <= 100 (the compaction budget is sized so the
 //     deterministic worst case stays under 1%).
 package sketch
 

@@ -32,7 +32,7 @@ func TestHLLWithinTheoreticalBound(t *testing.T) {
 				default:
 					buf = strconv.AppendInt(buf, rng.Int63(), 10)
 				}
-				h.Add(buf)
+				h.AddHash(Hash64(buf))
 			}
 			est := h.Estimate()
 			rel := math.Abs(est-float64(n)) / float64(n)
@@ -97,10 +97,10 @@ func hllRandomKeysError(seed int64) float64 {
 	var buf [8]byte
 	for i := 0; i < n; i++ {
 		binary.LittleEndian.PutUint64(buf[:], base+uint64(i)*step)
-		h.Add(buf[:])
+		h.AddHash(Hash64(buf[:]))
 		// Duplicates must not move the estimate.
 		if i%7 == 0 {
-			h.Add(buf[:])
+			h.AddHash(Hash64(buf[:]))
 		}
 	}
 	return (h.Estimate() - float64(n)) / float64(n)
@@ -121,7 +121,7 @@ func TestCountMinNeverUnderestimates(t *testing.T) {
 			// Zipf-ish skew: small ids dominate.
 			id := int64(float64(rng.Intn(1000)) * rng.Float64() * rng.Float64())
 			buf = strconv.AppendInt(buf[:0], id, 10)
-			cm.Add(buf, 1)
+			cm.AddHash(Hash64(buf), 1)
 			exact[string(buf)]++
 		}
 		keys := make([]string, 0, len(exact))
@@ -130,7 +130,7 @@ func TestCountMinNeverUnderestimates(t *testing.T) {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			if cm.Estimate([]byte(k)) < exact[k] {
+			if cm.EstimateHash(Hash64([]byte(k))) < exact[k] {
 				return false
 			}
 		}
@@ -153,7 +153,7 @@ func TestCountMinOverestimateBound(t *testing.T) {
 	var buf []byte
 	for i := 0; i < n; i++ {
 		buf = strconv.AppendInt(buf[:0], rng.Int63n(5000), 10)
-		cm.Add(buf, 1)
+		cm.AddHash(Hash64(buf), 1)
 		exact[string(buf)]++
 	}
 	eps := math.E / float64(CountMinWidth)
@@ -164,7 +164,7 @@ func TestCountMinOverestimateBound(t *testing.T) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		est := cm.Estimate([]byte(k))
+		est := cm.EstimateHash(Hash64([]byte(k)))
 		if float64(est-exact[k]) > slack {
 			t.Fatalf("key %s: estimate %d exceeds exact %d by more than %f", k, est, exact[k], slack)
 		}
@@ -190,7 +190,7 @@ func TestTopKFindsHeavyHitters(t *testing.T) {
 			id = 10 + rng.Int63n(100000)
 		}
 		buf = strconv.AppendInt(buf[:0], id, 10)
-		est := cm.Add(buf, 1)
+		est := cm.AddHash(Hash64(buf), 1)
 		tk.Offer(buf, Hash64(buf), est)
 		exact[string(buf)]++
 	}
@@ -421,7 +421,7 @@ func TestHashDeterminism(t *testing.T) {
 	var buf []byte
 	for i := 0; i < 100000; i++ {
 		buf = strconv.AppendInt(buf[:0], int64(i), 10)
-		h.Add(buf)
+		h.AddHash(Hash64(buf))
 	}
 	zeros := 0
 	for _, r := range h.reg {
@@ -444,10 +444,10 @@ func BenchmarkSketchInsert(b *testing.B) {
 				switch kind {
 				case "hll":
 					buf = strconv.AppendInt(buf[:0], int64(i), 10)
-					h.Add(buf)
+					h.AddHash(Hash64(buf))
 				case "countmin":
 					buf = strconv.AppendInt(buf[:0], int64(i), 10)
-					cm.Add(buf, 1)
+					cm.AddHash(Hash64(buf), 1)
 				default:
 					q.Add(float64(i))
 				}

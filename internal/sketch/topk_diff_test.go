@@ -143,7 +143,7 @@ func TestTopKMatchesMapOracle(t *testing.T) {
 				buf = strconv.AppendInt(buf[:0], id, 10)
 				count := uint64(rng.Intn(50))
 				if st.cmCounts {
-					count = cm.Add(buf, 1)
+					count = cm.AddHash(Hash64(buf), 1)
 				}
 				got.Offer(buf, st.hash(buf), count)
 				want.Offer(buf, count)

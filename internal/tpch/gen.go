@@ -3,8 +3,6 @@ package tpch
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 
 	"qpp/internal/parallel"
 	"qpp/internal/storage"
@@ -297,29 +295,4 @@ func genOrdersAndLineitems(rng *rand.Rand, nOrd, nCust, nPart, nSupp int) (types
 		)
 	}
 	return types.NewRows(orderWidth, orders), types.NewRows(lineWidth, lines)
-}
-
-// LoadCSVDir builds a database from the CSV files cmd/tpchgen writes (one
-// per table, named <table>.csv), re-analyzing statistics on load through
-// the same loader Generate uses.
-func LoadCSVDir(dir string) (*storage.Database, error) {
-	db := storage.NewDatabase(Schema())
-	var tables []storage.TableRows
-	for _, name := range db.Schema.TableNames() {
-		meta, _ := db.Schema.Table(name)
-		f, err := os.Open(filepath.Join(dir, name+".csv"))
-		if err != nil {
-			return nil, fmt.Errorf("tpch: load %s: %w", name, err)
-		}
-		rows, err := storage.ReadCSV(meta, f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("tpch: load %s: %w", name, err)
-		}
-		tables = append(tables, storage.TableRows{Name: name, Rows: rows})
-	}
-	if err := db.LoadTables(tables); err != nil {
-		return nil, err
-	}
-	return db, nil
 }

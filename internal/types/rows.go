@@ -7,9 +7,9 @@ import "fmt"
 // zero-width rows still has a length). A row is an offset into the array,
 // not a slice header of its own: Row(i) builds the view on demand.
 //
-// Rows is the one representation of a set of rows from the generator and
-// the CSV reader through the loader, ANALYZE and the table itself. Its
-// values are never written once it is built.
+// Rows is the one representation of a set of rows from the generator
+// through the loader, ANALYZE and the table itself. Its values are never
+// written once it is built.
 type Rows struct {
 	vals []Value
 	w, n int

@@ -329,7 +329,7 @@ func Equal(a, b Value) bool {
 	return Compare(a, b) == 0
 }
 
-// String renders the value for display and CSV export.
+// String renders the value for display.
 func (v Value) String() string {
 	switch v.Kind() {
 	case KindNull:

@@ -121,20 +121,6 @@ func (t Totals) Sub(o Totals) Totals {
 	}
 }
 
-// Add returns the component-wise sum t + o.
-func (t Totals) Add(o Totals) Totals {
-	return Totals{
-		Now:         t.Now + o.Now,
-		IOTime:      t.IOTime + o.IOTime,
-		CPUTime:     t.CPUTime + o.CPUTime,
-		NumericTime: t.NumericTime + o.NumericTime,
-		HiddenCPU:   t.HiddenCPU + o.HiddenCPU,
-		PagesRead:   t.PagesRead + o.PagesRead,
-		CacheHits:   t.CacheHits + o.CacheHits,
-		SpillPages:  t.SpillPages + o.SpillPages,
-	}
-}
-
 // NewClock builds a clock with a cold buffer cache. The seed drives the
 // per-query noise; the same (profile, seed) always yields identical times.
 func NewClock(prof DeviceProfile, seed int64) *Clock {

@@ -54,9 +54,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	return &Engine{db: db}, nil
 }
 
-// DB exposes the underlying database (schema, tables, statistics).
-func (e *Engine) DB() *storage.Database { return e.db }
-
 // Plan compiles a SQL query to a costed physical plan.
 func (e *Engine) Plan(query string) (*plan.Node, error) {
 	return opt.PlanSQL(e.db, query)
@@ -114,37 +111,17 @@ func (e *Engine) RunTraced(query string, seed int64) (*QueryResult, *obs.Trace, 
 	return &QueryResult{Rows: res.Rows, Plan: node, Elapsed: res.Elapsed}, tr, nil
 }
 
-// ExplainAnalyze runs the query and renders the plan with actual times.
-func (e *Engine) ExplainAnalyze(query string, seed int64) (string, error) {
-	res, err := e.Run(query, seed)
-	if err != nil {
-		return "", err
-	}
-	return plan.Explain(res.Plan), nil
-}
-
-// Record converts an executed query into a training/test record.
-func (r *QueryResult) Record(template int, query string) *Query {
-	return &Query{rec: &qpp.QueryRecord{Template: template, SQL: query, Root: r.Plan, Time: r.Elapsed}}
-}
-
 // Query is one executed, instrumented query usable for training or
 // prediction.
 type Query struct {
 	rec *qpp.QueryRecord
 }
 
-// Template returns the TPC-H template number (0 for ad-hoc queries).
+// Template returns the TPC-H template number.
 func (q *Query) Template() int { return q.rec.Template }
-
-// SQL returns the query text.
-func (q *Query) SQL() string { return q.rec.SQL }
 
 // Latency returns the observed execution latency in virtual seconds.
 func (q *Query) Latency() float64 { return q.rec.Time }
-
-// Plan returns the instrumented plan.
-func (q *Query) Plan() *plan.Node { return q.rec.Root }
 
 // Workload is an executed query set.
 type Workload struct {
@@ -195,21 +172,11 @@ func wrapRecords(recs []*qpp.QueryRecord) *Workload {
 	return w
 }
 
-// NewWorkload wraps already-executed queries.
-func NewWorkload(queries []*Query) *Workload {
-	return &Workload{queries: append([]*Query(nil), queries...)}
-}
-
 // Queries returns the workload's queries.
 func (w *Workload) Queries() []*Query { return append([]*Query(nil), w.queries...) }
 
 // Len reports the number of queries.
 func (w *Workload) Len() int { return len(w.queries) }
-
-// Filter keeps only queries from the given templates.
-func (w *Workload) Filter(templates []int) *Workload {
-	return wrapRecords(workload.FilterTemplates(w.records(), templates))
-}
 
 // SplitTemplate partitions into (other templates, the held-out template) —
 // the paper's dynamic-workload protocol.
@@ -268,9 +235,8 @@ type HybridStrategy = qpp.Strategy
 
 // Hybrid strategies.
 const (
-	SizeBased      = qpp.SizeBased
-	FrequencyBased = qpp.FrequencyBased
-	ErrorBased     = qpp.ErrorBased
+	SizeBased  = qpp.SizeBased
+	ErrorBased = qpp.ErrorBased
 )
 
 // TrainHybrid runs Algorithm 1 (Section 3.4) with the given strategy.
@@ -305,20 +271,17 @@ func (p predictor) Name() string                      { return p.name }
 func (p predictor) Predict(q *Query) (float64, error) { return p.fn(q) }
 
 // MeanRelativeError evaluates a predictor over a workload with the paper's
-// metric; queries the predictor cannot handle (ErrSubqueryPlan) are
-// skipped and counted.
+// metric, against the observed value of the metric the predictor was
+// trained on (latency unless it came from TrainMetricPredictor); queries
+// the predictor cannot handle (ErrSubqueryPlan) are skipped and counted.
 func MeanRelativeError(p Predictor, test *Workload) (mre float64, skipped int, err error) {
-	return qpp.MeanRelativeError(test.records(), func(r *qpp.QueryRecord) (float64, error) {
-		return p.Predict(&Query{rec: r})
-	})
+	predict := func(r *qpp.QueryRecord) (float64, error) { return p.Predict(&Query{rec: r}) }
+	if mp, ok := p.(metricPredictor); ok {
+		mre, err := qpp.MeanMetricRelativeError(test.records(), mp.metric, predict)
+		return mre, 0, err
+	}
+	return qpp.MeanRelativeError(test.records(), predict)
 }
-
-// Templates lists the 18 supported TPC-H templates.
-func Templates() []int { return append([]int(nil), tpch.Templates...) }
-
-// OperatorLevelTemplates lists the 14 templates usable with operator-level
-// prediction (no init-/sub-plan structures).
-func OperatorLevelTemplates() []int { return append([]int(nil), tpch.OperatorLevelTemplates...) }
 
 // GenerateQuery produces one random instance of a TPC-H template.
 func GenerateQuery(template int, seed int64) (string, error) {
@@ -339,19 +302,24 @@ type Metric = qpp.Metric
 
 // Prediction metrics.
 const (
-	MetricLatency   = qpp.MetricLatency
 	MetricPagesRead = qpp.MetricPagesRead
 	MetricRowsOut   = qpp.MetricRowsOut
 )
 
 // TrainMetricPredictor fits a plan-level model for an arbitrary metric
-// (disk pages read, result cardinality, or latency).
+// (disk pages read or result cardinality).
 func TrainMetricPredictor(train *Workload, metric Metric) (Predictor, error) {
 	m, err := qpp.TrainPlanLevelMetric(train.records(), metric, qpp.FeatEstimates, qpp.DefaultPlanModelConfig())
 	if err != nil {
 		return nil, err
 	}
-	return predictor{"plan-level/" + metric.String(), func(q *Query) (float64, error) {
+	return metricPredictor{predictor{"plan-level/" + metric.String(), func(q *Query) (float64, error) {
 		return m.Predict(q.rec), nil
-	}}, nil
+	}}, metric}, nil
+}
+
+// metricPredictor is a predictor of a metric other than latency.
+type metricPredictor struct {
+	predictor
+	metric Metric
 }

@@ -22,7 +22,7 @@
 #                    (AVX2 and, where the CPU has it, AVX-512: bit-identical
 #                    to the portable passes, in bounds of their padding,
 #                    with one -v run logging which row passes ran), the memo's
-#                    once-per-key test, the shared online-cache test,
+#                    once-per-key test, the shared online predictor test,
 #                    the executor's arena-safety and table-immutability
 #                    tests, the packed tables' lifetime and row-view tests,
 #                    TestConcurrentColdPlans (cold plans on several
@@ -37,7 +37,10 @@
 #                    marking with kind-tag pointers stored in blocks it
 #                    does not scan); with the lock-analysis lint rules gone
 #                    (DESIGN.md §7) this stage is what catches an
-#                    unguarded access to a mutex-protected field
+#                    unguarded access to a mutex-protected field; the
+#                    full suite it runs also holds the exported-name
+#                    guard, TestEveryExportedNameIsRead, which fails on
+#                    an exported name only its own package's tests read
 #   6. coverage    — statement coverage floor over the -short suite
 #   7. fuzz smoke  — 5s of FuzzParse on the SQL grammar
 #   8. serve smoke — 5s of FuzzPredictRequest on the qppserve /predict
