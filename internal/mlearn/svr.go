@@ -21,7 +21,6 @@ type SVR struct {
 
 	sv        *Matrix   // support vectors (rows)
 	lastIters int       // SMO iterations used by the last Fit
-	lastCap   int       // iteration cap the last Fit ran under
 	coef      []float64 // alpha_i - alpha_i^* per support vector
 	b         float64   // bias term
 	gamma     float64   // resolved gamma actually used
@@ -70,7 +69,7 @@ func (s *SVR) Fit(x *Matrix, y []float64) error {
 	if maxIter <= 0 {
 		maxIter = max(10000, 200*l)
 	}
-	s.lastIters, s.lastCap = sol.solve(maxIter), maxIter
+	s.lastIters = sol.solve(maxIter)
 
 	// Collapse to alpha - alpha* and keep only support vectors.
 	var svRows [][]float64

@@ -329,8 +329,9 @@ func cpuinfoRowPass() rowPassLevel {
 	return passPortable
 }
 
-// TestSVRReportsCappedFit pins Iterations and Converged: a fit that ran
-// into MaxIter says so, the same fit left alone converges.
+// TestSVRReportsCappedFit pins Iterations: a fit that ran into MaxIter
+// used all of it, the same fit under a cap it does not reach stops
+// below it, and a model that was never fitted ran none.
 func TestSVRReportsCappedFit(t *testing.T) {
 	forEachRowPass(t, requireCappedFitReported)
 }
@@ -338,24 +339,25 @@ func TestSVRReportsCappedFit(t *testing.T) {
 func requireCappedFitReported(t *testing.T) {
 	p := smoShape{l: 30, d: 3, c: 10, nu: 0.5, seed: 5}.problem("capped fit")
 	free := NewNuSVR(p.svr.C, p.svr.Nu)
+	free.MaxIter = 10000 // the default cap at 30 rows
 	if err := free.Fit(p.x, p.y); err != nil {
 		t.Fatal(err)
 	}
-	if !free.Converged() || free.Iterations() < 8 {
-		t.Fatalf("uncapped fit: converged=%v after %d iterations", free.Converged(), free.Iterations())
+	if free.Iterations() >= free.MaxIter || free.Iterations() < 8 {
+		t.Fatalf("fit under a cap of %d stopped after %d iterations", free.MaxIter, free.Iterations())
 	}
 	capped := NewNuSVR(p.svr.C, p.svr.Nu)
 	capped.MaxIter = free.Iterations() / 2
 	if err := capped.Fit(p.x, p.y); err != nil {
 		t.Fatal(err)
 	}
-	if capped.Converged() || capped.Iterations() != capped.MaxIter {
-		t.Fatalf("fit capped at %d: converged=%v after %d iterations", capped.MaxIter, capped.Converged(), capped.Iterations())
+	if capped.Iterations() != capped.MaxIter {
+		t.Fatalf("fit capped at %d stopped after %d iterations", capped.MaxIter, capped.Iterations())
 	}
 	if math.IsNaN(capped.Predict(p.x.Row(0))) {
 		t.Fatal("a capped fit must still predict")
 	}
-	if (&SVR{}).Converged() {
-		t.Fatal("a model that was never fitted reports convergence")
+	if n := (&SVR{}).Iterations(); n != 0 {
+		t.Fatalf("a model that was never fitted reports %d iterations", n)
 	}
 }

@@ -58,7 +58,7 @@ func (p *planner) bestJoinNodes(l, r *joinTree, edges []joinEdge) *joinTree {
 	keysEqual := func(skip int) (f plan.Scalar) {
 		for i, k := range keys {
 			if i != skip {
-				f = andScalars(f, &plan.Bin{Op: plan.BEq, K: types.KindBool,
+				f = andScalars(nil, f, &plan.Bin{Op: plan.BEq, K: types.KindBool,
 					L: colRef(l.schema, k.lCol, 0), R: colRef(r.schema, k.rCol, len(l.schema))})
 			}
 		}

@@ -30,10 +30,10 @@ type binder struct {
 	sc     *scope      // name-resolution scope of the current block
 	schema []schemaCol // binding target: operator output columns
 	corr   *subCtx     // non-nil while binding inside a correlated subquery
-	// hook intercepts expressions before structural binding; used by the
-	// aggregation layer to map aggregate calls and group expressions onto
-	// aggregate-output columns.
-	hook func(e sql.Expr) (plan.Scalar, bool, error)
+	// agg, set on an aggregating block's output binder, maps aggregate
+	// calls and group expressions onto aggregate-output columns before
+	// structural binding (bindAggregate).
+	agg *aggScope
 }
 
 // offsetOf finds the schema offset of (rel, col).
@@ -43,8 +43,8 @@ func (b *binder) offsetOf(rel, col int) (int, bool) {
 
 // bind converts an expression to a bound scalar.
 func (b *binder) bind(e sql.Expr) (plan.Scalar, error) {
-	if b.hook != nil {
-		if s, handled, err := b.hook(e); handled {
+	if b.agg != nil {
+		if s, handled, err := b.bindAggregate(e); handled {
 			return s, err
 		}
 	}
@@ -52,7 +52,7 @@ func (b *binder) bind(e sql.Expr) (plan.Scalar, error) {
 	case *sql.ColumnRef:
 		return b.bindColumn(v)
 	case *sql.Literal:
-		return &plan.Const{V: v.Value}, nil
+		return constScalars.New(b.p.mem, plan.Const{V: v.Value}), nil
 	case *sql.BinaryExpr:
 		return b.bindBinary(v)
 	case *sql.NotExpr:
@@ -60,15 +60,15 @@ func (b *binder) bind(e sql.Expr) (plan.Scalar, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &plan.Not{E: inner}, nil
+		return notScalars.New(b.p.mem, plan.Not{E: inner}), nil
 	case *sql.NegExpr:
 		inner, err := b.bind(v.E)
 		if err != nil {
 			return nil, err
 		}
-		return &plan.Neg{E: inner}, nil
+		return negScalars.New(b.p.mem, plan.Neg{E: inner}), nil
 	case *sql.CaseExpr:
-		out := &plan.Case{}
+		out := caseScalars.New(b.p.mem, plan.Case{})
 		for _, w := range v.Whens {
 			cond, err := b.bind(w.Cond)
 			if err != nil {
@@ -78,7 +78,7 @@ func (b *binder) bind(e sql.Expr) (plan.Scalar, error) {
 			if err != nil {
 				return nil, err
 			}
-			out.Whens = append(out.Whens, plan.When{Cond: cond, Then: then})
+			out.Whens = planWhens.Append(b.p.mem, out.Whens, plan.When{Cond: cond, Then: then})
 		}
 		if v.Else != nil {
 			els, err := b.bind(v.Else)
@@ -97,13 +97,13 @@ func (b *binder) bind(e sql.Expr) (plan.Scalar, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := &plan.In{E: ex, Negated: v.Negated}
+		out := inScalars.New(b.p.mem, plan.In{E: ex, Negated: v.Negated})
 		for _, item := range v.List {
 			s, err := b.bind(item)
 			if err != nil {
 				return nil, err
 			}
-			out.List = append(out.List, s)
+			out.List = scalars.Append(b.p.mem, out.List, s)
 		}
 		return out, nil
 	case *sql.BetweenExpr:
@@ -119,7 +119,7 @@ func (b *binder) bind(e sql.Expr) (plan.Scalar, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &plan.Between{E: ex, Lo: lo, Hi: hi, Negated: v.Negated}, nil
+		return betweenScalar.New(b.p.mem, plan.Between{E: ex, Lo: lo, Hi: hi, Negated: v.Negated}), nil
 	case *sql.LikeExpr:
 		ex, err := b.bind(v.E)
 		if err != nil {
@@ -134,7 +134,7 @@ func (b *binder) bind(e sql.Expr) (plan.Scalar, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &plan.IsNull{E: inner, Negated: v.Negated}, nil
+		return isNullScalars.New(b.p.mem, plan.IsNull{E: inner, Negated: v.Negated}), nil
 	case *sql.ExtractExpr:
 		if v.Field != "year" {
 			return nil, fmt.Errorf("opt: EXTRACT(%s) not supported", v.Field)
@@ -146,7 +146,7 @@ func (b *binder) bind(e sql.Expr) (plan.Scalar, error) {
 		if kindKnownNot(inner, types.KindDate) {
 			return nil, fmt.Errorf("opt: EXTRACT(year) requires a date operand, got %s", inner.Kind())
 		}
-		return &plan.ExtractYear{E: inner}, nil
+		return yearScalars.New(b.p.mem, plan.ExtractYear{E: inner}), nil
 	case *sql.SubstringExpr:
 		inner, err := b.bind(v.E)
 		if err != nil {
@@ -160,7 +160,7 @@ func (b *binder) bind(e sql.Expr) (plan.Scalar, error) {
 		if !sok || !lok || start.Kind() != types.KindInt || length.Kind() != types.KindInt {
 			return nil, fmt.Errorf("opt: SUBSTRING requires constant integer bounds")
 		}
-		return &plan.Substring{E: inner, Start: int(start.I()), Len: int(length.I())}, nil
+		return substrScalars.New(b.p.mem, plan.Substring{E: inner, Start: int(start.I()), Len: int(length.I())}), nil
 	case *sql.SubqueryExpr:
 		return b.bindScalarSubquery(v.Sub)
 	case *sql.ExistsExpr:
@@ -192,7 +192,7 @@ func (b *binder) bindColumn(ref *sql.ColumnRef) (plan.Scalar, error) {
 		if !ok {
 			return nil, fmt.Errorf("opt: column %s not available in this operator's schema", ref.SQL())
 		}
-		return &plan.Col{Idx: off, K: b.p.column(b.schema[off]).Type, Name: ref.SQL()}, nil
+		return b.p.col(plan.Col{Idx: off, K: b.p.column(b.schema[off]).Type, Name: ref.SQL()}), nil
 	}
 	// Correlated reference into the enclosing block.
 	if b.corr != nil && b.corr.outerScope != nil {
@@ -201,15 +201,15 @@ func (b *binder) bindColumn(ref *sql.ColumnRef) (plan.Scalar, error) {
 			kind := b.corr.outerScope.relByID(orel).cols[ocol].Type
 			for _, r := range b.corr.refs {
 				if r.rel == orel && r.col == ocol {
-					return &plan.ParamRef{Idx: r.slot, K: kind}, nil
+					return paramRefs.New(b.p.mem, plan.ParamRef{Idx: r.slot, K: kind}), nil
 				}
 			}
 			slot := b.p.allocParam()
-			b.corr.refs = append(b.corr.refs, outerRef{rel: orel, col: ocol, kind: kind, slot: slot})
-			return &plan.ParamRef{Idx: slot, K: kind}, nil
+			b.corr.refs = outerRefs.Append(b.p.mem, b.corr.refs, outerRef{rel: orel, col: ocol, kind: kind, slot: slot})
+			return paramRefs.New(b.p.mem, plan.ParamRef{Idx: slot, K: kind}), nil
 		}
 	}
-	return nil, err
+	return nil, fmt.Errorf("%w: %s", err, ref.SQL())
 }
 
 func (b *binder) bindBinary(v *sql.BinaryExpr) (plan.Scalar, error) {
@@ -223,7 +223,7 @@ func (b *binder) bindBinary(v *sql.BinaryExpr) (plan.Scalar, error) {
 		if v.Op == sql.OpSub {
 			n = -n
 		}
-		return &plan.DateAdd{E: inner, N: n, Unit: iv.Unit}, nil
+		return dateAdds.New(b.p.mem, plan.DateAdd{E: inner, N: n, Unit: iv.Unit}), nil
 	}
 	l, err := b.bind(v.L)
 	if err != nil {
@@ -274,13 +274,13 @@ func (b *binder) bindBinary(v *sql.BinaryExpr) (plan.Scalar, error) {
 	default:
 		return nil, fmt.Errorf("opt: unsupported operator %q", v.Op)
 	}
-	return &plan.Bin{Op: op, L: l, R: r, K: kind}, nil
+	return binScalars.New(b.p.mem, plan.Bin{Op: op, L: l, R: r, K: kind}), nil
 }
 
 // bindScalarSubquery plans an uncorrelated scalar subquery as an init-plan
 // or a correlated one as a sub-plan, returning the referencing scalar.
 func (b *binder) bindScalarSubquery(stmt *sql.SelectStmt) (plan.Scalar, error) {
-	corr := &subCtx{outerScope: b.sc}
+	corr := subCtxs.New(b.p.mem, subCtx{outerScope: b.sc})
 	node, err := b.p.planSelect(stmt, corr)
 	if err != nil {
 		return nil, err
@@ -291,65 +291,66 @@ func (b *binder) bindScalarSubquery(stmt *sql.SelectStmt) (plan.Scalar, error) {
 	}
 	if len(corr.refs) == 0 {
 		slot := b.p.allocParam()
-		b.p.initPlans = append(b.p.initPlans, node)
-		b.p.initSlots = append(b.p.initSlots, slot)
-		return &plan.ParamRef{Idx: slot, K: kind}, nil
+		b.p.initPlans = nodeLists.Append(b.p.mem, b.p.initPlans, node)
+		b.p.initSlots = intLists.Append(b.p.mem, b.p.initSlots, slot)
+		return paramRefs.New(b.p.mem, plan.ParamRef{Idx: slot, K: kind}), nil
 	}
 	// Correlated: register sub-plan; arguments are the outer columns bound
 	// against the *current* schema.
-	args := make([]plan.Scalar, len(corr.refs))
-	slots := make([]int, len(corr.refs))
+	args := scalars.Make(b.p.mem, len(corr.refs))
+	slots := intLists.Make(b.p.mem, len(corr.refs))
 	for i, r := range corr.refs {
 		off, ok := b.offsetOf(r.rel, r.col)
 		if !ok {
 			return nil, fmt.Errorf("opt: correlated column (rel %d, col %d) not available where sub-plan is evaluated", r.rel, r.col)
 		}
-		args[i] = &plan.Col{Idx: off, K: r.kind, Name: b.p.column(b.schema[off]).Name}
+		args[i] = b.p.col(plan.Col{Idx: off, K: r.kind, Name: b.p.column(b.schema[off]).Name})
 		slots[i] = r.slot
 	}
 	idx := len(b.p.subPlans)
-	b.p.subPlans = append(b.p.subPlans, node)
-	b.p.subArgSlots = append(b.p.subArgSlots, slots)
-	return &plan.SubPlan{Idx: idx, Args: args, Mode: plan.SubPlanScalar, K: kind}, nil
+	b.p.subPlans = nodeLists.Append(b.p.mem, b.p.subPlans, node)
+	b.p.subArgSlots = slotLists.Append(b.p.mem, b.p.subArgSlots, slots)
+	return subPlanRefs.New(b.p.mem, plan.SubPlan{Idx: idx, Args: args, Mode: plan.SubPlanScalar, K: kind}), nil
 }
 
 // bindExistsSubquery handles EXISTS used in a context where decorrelation
 // was not possible: it plans the subquery wrapped in count(*) over LIMIT 1
 // and compares the count against zero.
 func (b *binder) bindExistsSubquery(stmt *sql.SelectStmt, negated bool) (plan.Scalar, error) {
-	corr := &subCtx{outerScope: b.sc}
-	node, err := b.p.planSelect(stmt, corr)
+	p := b.p
+	corr := subCtxs.New(p.mem, subCtx{outerScope: b.sc})
+	node, err := p.planSelect(stmt, corr)
 	if err != nil {
 		return nil, err
 	}
-	lim := &plan.Node{Op: plan.OpLimit, Children: []*plan.Node{node}, Cols: node.Cols, LimitN: 1}
-	b.p.costLimit(lim)
-	agg := &plan.Node{
+	lim := p.node(plan.Node{Op: plan.OpLimit, Children: p.children(node), Cols: node.Cols, LimitN: 1})
+	p.costLimit(lim)
+	agg := p.node(plan.Node{
 		Op:       plan.OpAggregate,
-		Children: []*plan.Node{lim},
-		Cols:     []plan.Column{{Name: "exists", K: types.KindInt, Width: 8}},
-		Agg:      &plan.AggPayload{Aggs: []plan.AggSpec{{Func: plan.AggCount, K: types.KindInt}}},
-	}
-	b.p.costAggregate(agg, 1)
-	args := make([]plan.Scalar, len(corr.refs))
-	slots := make([]int, len(corr.refs))
+		Children: p.children(lim),
+		Cols:     columns.Clone(p.mem, []plan.Column{{Name: "exists", K: types.KindInt, Width: 8}}),
+		Agg:      aggPayloads.New(p.mem, plan.AggPayload{Aggs: aggSpecs.Clone(p.mem, []plan.AggSpec{{Func: plan.AggCount, K: types.KindInt}})}),
+	})
+	p.costAggregate(agg, 1)
+	args := scalars.Make(p.mem, len(corr.refs))
+	slots := intLists.Make(p.mem, len(corr.refs))
 	for i, r := range corr.refs {
 		off, ok := b.offsetOf(r.rel, r.col)
 		if !ok {
 			return nil, fmt.Errorf("opt: correlated EXISTS column not available at evaluation site")
 		}
-		args[i] = &plan.Col{Idx: off, K: r.kind, Name: b.p.column(b.schema[off]).Name}
+		args[i] = p.col(plan.Col{Idx: off, K: r.kind, Name: p.column(b.schema[off]).Name})
 		slots[i] = r.slot
 	}
-	idx := len(b.p.subPlans)
-	b.p.subPlans = append(b.p.subPlans, agg)
-	b.p.subArgSlots = append(b.p.subArgSlots, slots)
+	idx := len(p.subPlans)
+	p.subPlans = nodeLists.Append(p.mem, p.subPlans, agg)
+	p.subArgSlots = slotLists.Append(p.mem, p.subArgSlots, slots)
 	mode := plan.SubPlanExists
 	cmp := plan.BGt
 	if negated {
 		mode = plan.SubPlanNotExists
 		cmp = plan.BEq
 	}
-	sub := &plan.SubPlan{Idx: idx, Args: args, Mode: mode, K: types.KindInt}
-	return &plan.Bin{Op: cmp, L: sub, R: &plan.Const{V: types.Int(0)}, K: types.KindBool}, nil
+	sub := subPlanRefs.New(p.mem, plan.SubPlan{Idx: idx, Args: args, Mode: mode, K: types.KindInt})
+	return binScalars.New(p.mem, plan.Bin{Op: cmp, L: sub, R: constScalars.New(p.mem, plan.Const{V: types.Int(0)}), K: types.KindBool}), nil
 }

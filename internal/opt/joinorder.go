@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 
+	"qpp/internal/arena"
 	"qpp/internal/catalog"
 	"qpp/internal/plan"
 	"qpp/internal/types"
@@ -133,7 +134,7 @@ func (p *planner) orderJoins(scans []*joinTree, edges []joinEdge) (*joinTree, er
 // the block are an error (replay callers fall back to cold planning),
 // never a panic.
 func (p *planner) applySteps(scans []*joinTree, steps []JoinStep, edges []joinEdge) (*joinTree, error) {
-	sets := make([]relSet, len(scans), len(scans)+len(steps))
+	sets := relSets.Make(p.mem, len(scans)+len(steps))[:len(scans)]
 	var full relSet
 	for i, t := range scans {
 		sets[i] = t.set
@@ -160,7 +161,7 @@ func (p *planner) applySteps(scans []*joinTree, steps []JoinStep, edges []joinEd
 		return scans[0], nil
 	}
 	lay := p.layOut(scans, steps, full)
-	live := slices.Clone(scans) // fragments not yet consumed
+	live := treeLists.Clone(p.mem, scans) // fragments not yet consumed
 	find := func(s relSet) *joinTree {
 		i := slices.IndexFunc(live, func(t *joinTree) bool { return t.set == s })
 		t := live[i]
@@ -219,7 +220,7 @@ func (p *planner) layOut(scans []*joinTree, steps []JoinStep, full relSet) block
 		}
 		return n
 	}
-	b := blockLayout{stretches: make([]stretch, 1, 2*len(steps)+1)}
+	b := blockLayout{stretches: stretches.Make(p.mem, 2*len(steps)+1)[:1]}
 	b.stretches[0] = stretch{full, 0, width(full)}
 	for i := len(steps) - 1; i >= 0; i-- {
 		l, r := relSet(steps[i].L), relSet(steps[i].R)
@@ -227,7 +228,7 @@ func (p *planner) layOut(scans []*joinTree, steps []JoinStep, full relSet) block
 		mid := out.lo + width(l)
 		b.stretches = append(b.stretches, stretch{l, out.lo, mid}, stretch{r, mid, out.hi})
 	}
-	b.schema = make([]schemaCol, width(full))
+	b.schema = schemaCols.Make(p.mem, width(full))
 	for _, t := range scans {
 		copy(b.schema[b.find(t.set).lo:], t.schema)
 	}
@@ -327,7 +328,7 @@ func (p *planner) searchJoins(scans []*joinTree, edges []joinEdge) ([]JoinStep, 
 		leaves:    mem.leaves,
 		mem:       mem,
 		workBytes: p.workBytes(),
-		steps:     make([]JoinStep, 0, n-1),
+		steps:     joinSteps.Make(p.mem, n-1)[:0],
 	}
 	base := mem.base
 	for i, t := range scans {
@@ -616,15 +617,15 @@ func (p *planner) bestJoin(l, r *joinTree, edges []joinEdge, outSchema []schemaC
 		}
 	}
 
-	j := &plan.JoinPayload{Type: plan.JoinInner}
-	n := &plan.Node{Cols: outCols, Join: j}
+	j := joinPayloads.New(p.mem, plan.JoinPayload{Type: plan.JoinInner})
+	n := p.node(plan.Node{Cols: outCols, Join: j})
 	switch best {
 	case hashJoin:
-		hash := &plan.Node{Op: plan.OpHash, Children: []*plan.Node{r.node}, Cols: r.node.Cols}
+		hash := p.node(plan.Node{Op: plan.OpHash, Children: p.children(r.node), Cols: r.node.Cols})
 		hashE.fill(hash, 1)
-		n.Op, n.Children = plan.OpHashJoin, []*plan.Node{l.node, hash}
-		j.HashKeysL = make([]plan.Scalar, len(keys))
-		j.HashKeysR = make([]plan.Scalar, len(keys))
+		n.Op, n.Children = plan.OpHashJoin, p.children(l.node, hash)
+		j.HashKeysL = scalars.Make(p.mem, len(keys))
+		j.HashKeysR = scalars.Make(p.mem, len(keys))
 		for i, k := range keys {
 			j.HashKeysL[i] = p.colRef(l.schema, k.lCol, 0)
 			j.HashKeysR[i] = p.colRef(r.schema, k.rCol, 0)
@@ -633,38 +634,38 @@ func (p *planner) bestJoin(l, r *joinTree, edges []joinEdge, outSchema []schemaC
 			n.Est.Pages = spillPages
 		}
 	case indexLoop:
-		idx := &plan.Node{
+		idx := p.node(plan.Node{
 			Op: plan.OpIndexScan, Table: ri.table, Alias: ri.alias,
 			Cols:   r.node.Cols,
 			Filter: r.node.Filter,
-			Lookup: &plan.LookupPayload{Exprs: []plan.Scalar{p.colRef(l.schema, keys[lookupKey].lCol, 0)}},
-		}
+			Lookup: lookups.New(p.mem, plan.LookupPayload{Exprs: scalars.Clone(p.mem, []plan.Scalar{p.colRef(l.schema, keys[lookupKey].lCol, 0)})}),
+		})
 		lookupE.fill(idx, r.node.Est.Selectivity)
 		idx.Est.Pages = lookupPages
-		n.Op, n.Children = plan.OpNestedLoop, []*plan.Node{l.node, idx}
+		n.Op, n.Children = plan.OpNestedLoop, p.children(l.node, idx)
 		j.Filter = p.keysEqual(keys, lookupKey, l.schema, r.schema)
 	case materialLoop:
-		mat := &plan.Node{Op: plan.OpMaterialize, Children: []*plan.Node{r.node}, Cols: r.node.Cols}
+		mat := p.node(plan.Node{Op: plan.OpMaterialize, Children: p.children(r.node), Cols: r.node.Cols})
 		matE.fill(mat, 1)
-		n.Op, n.Children = plan.OpNestedLoop, []*plan.Node{l.node, mat}
+		n.Op, n.Children = plan.OpNestedLoop, p.children(l.node, mat)
 		j.Filter = p.keysEqual(keys, -1, l.schema, r.schema)
 	case mergeJoin:
 		n.Op = plan.OpMergeJoin
-		n.Children = []*plan.Node{
-			orderedScan(li, l.node, lOrd, lOrdPages),
-			orderedScan(ri, r.node, rOrd, rOrdPages),
-		}
-		j.MergeKeysL = []int{keys[0].lCol}
-		j.MergeKeysR = []int{keys[0].rCol}
+		n.Children = p.children(
+			p.orderedScan(li, l.node, lOrd, lOrdPages),
+			p.orderedScan(ri, r.node, rOrd, rOrdPages),
+		)
+		j.MergeKeysL = intLists.Clone(p.mem, []int{keys[0].lCol})
+		j.MergeKeysR = intLists.Clone(p.mem, []int{keys[0].rCol})
 	}
 	bestE.fill(n, 1)
-	return &joinTree{set: l.set.union(r.set), node: n, schema: outSchema}
+	return p.tree(joinTree{set: l.set.union(r.set), node: n, schema: outSchema})
 }
 
 // colRef references column off of schema at position base+off of a row.
 func (p *planner) colRef(schema []schemaCol, off, base int) *plan.Col {
 	c := p.column(schema[off])
-	return &plan.Col{Idx: base + off, K: c.Type, Name: c.Name}
+	return p.col(plan.Col{Idx: base + off, K: c.Type, Name: c.Name})
 }
 
 // keysEqual is every key but keys[skip] as a predicate on the joined row
@@ -672,8 +673,8 @@ func (p *planner) colRef(schema []schemaCol, off, base int) *plan.Col {
 func (p *planner) keysEqual(keys []joinKey, skip int, l, r []schemaCol) (f plan.Scalar) {
 	for i, k := range keys {
 		if i != skip {
-			f = andScalars(f, &plan.Bin{Op: plan.BEq, K: types.KindBool,
-				L: p.colRef(l, k.lCol, 0), R: p.colRef(r, k.rCol, len(l))})
+			f = andScalars(p.mem, f, binScalars.New(p.mem, plan.Bin{Op: plan.BEq, K: types.KindBool,
+				L: p.colRef(l, k.lCol, 0), R: p.colRef(r, k.rCol, len(l))}))
 		}
 	}
 	return f
@@ -687,12 +688,12 @@ func orderedScanEst(st *catalog.TableStats, seq *plan.Node) (e est, pages float6
 
 // orderedScan converts a SeqScan into the full Index Scan priced by
 // orderedScanEst, which yields rows in primary-key order.
-func orderedScan(ri *relInfo, seq *plan.Node, e est, pages float64) *plan.Node {
-	idx := &plan.Node{
+func (p *planner) orderedScan(ri *relInfo, seq *plan.Node, e est, pages float64) *plan.Node {
+	idx := p.node(plan.Node{
 		Op: plan.OpIndexScan, Table: ri.table, Alias: ri.alias,
 		Cols:   seq.Cols,
 		Filter: seq.Filter,
-	}
+	})
 	e.fill(idx, seq.Est.Selectivity)
 	idx.Est.Pages = pages
 	return idx
@@ -714,12 +715,14 @@ func firstRel(s relSet) int {
 	return bits.TrailingZeros64(uint64(s))
 }
 
-func andScalars(a, b plan.Scalar) plan.Scalar {
-	if a == nil {
-		return b
+// andScalars is the conjunction of x and y, either of which may be nil, in
+// mem's memory.
+func andScalars(mem *arena.Arena, x, y plan.Scalar) plan.Scalar {
+	if x == nil {
+		return y
 	}
-	if b == nil {
-		return a
+	if y == nil {
+		return x
 	}
-	return &plan.Bin{Op: plan.BAnd, L: a, R: b, K: types.KindBool}
+	return binScalars.New(mem, plan.Bin{Op: plan.BAnd, L: x, R: y, K: types.KindBool})
 }

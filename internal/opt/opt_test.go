@@ -317,11 +317,11 @@ func TestSplitConjuncts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conjs := splitConjuncts(stmt.Where)
+	conjs := splitConjuncts(nil, stmt.Where)
 	if len(conjs) != 3 {
 		t.Fatalf("conjuncts %d", len(conjs))
 	}
-	if joinConjuncts(nil) != nil {
+	if joinConjuncts(nil, nil) != nil {
 		t.Fatal("empty join")
 	}
 }
@@ -331,7 +331,7 @@ func TestConstValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conjs := splitConjuncts(stmt.Where)
+	conjs := splitConjuncts(nil, stmt.Where)
 	be := conjs[0].(*sql.BinaryExpr)
 	v, ok := constValue(be.R)
 	if !ok || v.String() != "1995-01-01" {

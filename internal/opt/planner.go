@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"qpp/internal/arena"
 	"qpp/internal/catalog"
 	"qpp/internal/plan"
 	"qpp/internal/sql"
@@ -16,7 +17,8 @@ import (
 // init-plans / sub-plans destined for the root node.
 type planner struct {
 	db           *storage.Database
-	relByID      []*relInfo // indexed by id; an id's slot exists from newRelID on
+	mem          *arena.Arena // where the plan and the scratch come from; nil: the heap
+	relByID      []*relInfo   // indexed by id; an id's slot exists from newRelID on
 	workMemPages int
 
 	initPlans   []*plan.Node
@@ -41,8 +43,18 @@ type planner struct {
 
 // Plan compiles a parsed SELECT into a costed physical plan over db.
 func Plan(db *storage.Database, stmt *sql.SelectStmt) (*plan.Node, error) {
-	p := &planner{db: db, workMemPages: 256}
-	return p.run(stmt)
+	return PlanIn(nil, db, stmt)
+}
+
+// PlanIn is Plan with the plan and the planner's scratch carved from a
+// (the heap when a is nil): the plan is valid until a is released.
+func PlanIn(a *arena.Arena, db *storage.Database, stmt *sql.SelectStmt) (*plan.Node, error) {
+	return newPlanner(a, db).run(stmt)
+}
+
+// newPlanner returns a planner over db allocating from a.
+func newPlanner(a *arena.Arena, db *storage.Database) *planner {
+	return planners.New(a, planner{db: db, mem: a, workMemPages: 256})
 }
 
 // run plans the statement and attaches the collected init-plan / sub-plan
@@ -53,22 +65,28 @@ func (p *planner) run(stmt *sql.SelectStmt) (*plan.Node, error) {
 		return nil, err
 	}
 	if p.numParams > 0 || len(p.initPlans) > 0 || len(p.subPlans) > 0 {
-		root.Root = &plan.RootPayload{
+		root.Root = rootPayloads.New(p.mem, plan.RootPayload{
 			InitPlans: p.initPlans, InitPlanSlots: p.initSlots,
 			SubPlans: p.subPlans, SubPlanArgSlots: p.subArgSlots,
 			NumParams: p.numParams,
-		}
+		})
 	}
 	return root, nil
 }
 
 // PlanSQL parses and plans a SQL string.
 func PlanSQL(db *storage.Database, query string) (*plan.Node, error) {
-	stmt, err := sql.Parse(query)
+	return PlanSQLIn(nil, db, query)
+}
+
+// PlanSQLIn is PlanSQL with the statement and the plan carved from a (the
+// heap when a is nil): both are valid until a is released.
+func PlanSQLIn(a *arena.Arena, db *storage.Database, query string) (*plan.Node, error) {
+	stmt, err := sql.ParseIn(a, query)
 	if err != nil {
 		return nil, err
 	}
-	return Plan(db, stmt)
+	return PlanIn(a, db, stmt)
 }
 
 func (p *planner) allocParam() int {
@@ -82,7 +100,7 @@ func (p *planner) newRelID() int {
 	if id >= 64 {
 		panic("opt: too many relations in one statement")
 	}
-	p.relByID = append(p.relByID, nil)
+	p.relByID = relLists.Append(p.mem, p.relByID, nil)
 	return id
 }
 
@@ -94,27 +112,30 @@ type semiEntry struct {
 	sub       *plan.Node // planned subquery; output columns are the keys
 }
 
+// leftJoinSpec is a LEFT OUTER JOIN of a query block awaiting
+// application on top of its inner join tree.
+type leftJoinSpec struct {
+	ri *relInfo
+	on sql.Expr
+}
+
 // planSelect plans one query block. corr is non-nil when this block is a
 // correlated subquery of an enclosing block.
 func (p *planner) planSelect(stmt *sql.SelectStmt, corr *subCtx) (*plan.Node, error) {
 	if len(stmt.Items) == 0 {
 		return nil, fmt.Errorf("opt: empty select list")
 	}
-	sc := &scope{}
+	sc := scopes.New(p.mem, scope{})
 	if corr != nil {
 		sc.outer = corr.outerScope
 	}
 
 	var dpRels []*relInfo
-	type leftJoinSpec struct {
-		ri *relInfo
-		on sql.Expr
-	}
 	var lefts []leftJoinSpec
 	var extraConj []sql.Expr
 
 	addRel := func(fi *sql.FromItem) (*relInfo, error) {
-		ri := &relInfo{id: p.newRelID(), alias: fi.Alias}
+		ri := relInfos.New(p.mem, relInfo{id: p.newRelID(), alias: fi.Alias})
 		if fi.Table != "" {
 			meta, ok := p.db.Schema.Table(fi.Table)
 			if !ok {
@@ -131,7 +152,7 @@ func (p *planner) planSelect(stmt *sql.SelectStmt, corr *subCtx) (*plan.Node, er
 				return nil, err
 			}
 			ri.sub = sub
-			cols := make([]catalog.Column, len(sub.Cols))
+			cols := catColumns.Make(p.mem, len(sub.Cols))
 			for i, c := range sub.Cols {
 				cols[i] = catalog.Column{Name: c.Name, Type: c.K}
 			}
@@ -139,7 +160,7 @@ func (p *planner) planSelect(stmt *sql.SelectStmt, corr *subCtx) (*plan.Node, er
 			ri.cols = cols
 		}
 		p.relByID[ri.id] = ri
-		sc.rels = append(sc.rels, ri)
+		sc.rels = relLists.Append(p.mem, sc.rels, ri)
 		return ri, nil
 	}
 
@@ -148,7 +169,7 @@ func (p *planner) planSelect(stmt *sql.SelectStmt, corr *subCtx) (*plan.Node, er
 		if err != nil {
 			return nil, err
 		}
-		dpRels = append(dpRels, ri)
+		dpRels = relLists.Append(p.mem, dpRels, ri)
 	}
 	for i := range stmt.Joins {
 		j := &stmt.Joins[i]
@@ -157,10 +178,10 @@ func (p *planner) planSelect(stmt *sql.SelectStmt, corr *subCtx) (*plan.Node, er
 			return nil, err
 		}
 		if j.Type == sql.JoinLeft {
-			lefts = append(lefts, leftJoinSpec{ri: ri, on: j.On})
+			lefts = leftLists.Append(p.mem, lefts, leftJoinSpec{ri: ri, on: j.On})
 		} else {
-			dpRels = append(dpRels, ri)
-			extraConj = append(extraConj, splitConjuncts(j.On)...)
+			dpRels = relLists.Append(p.mem, dpRels, ri)
+			extraConj = sqlExprs.Append(p.mem, extraConj, splitConjuncts(p.mem, j.On)...)
 		}
 	}
 
@@ -169,9 +190,10 @@ func (p *planner) planSelect(stmt *sql.SelectStmt, corr *subCtx) (*plan.Node, er
 		dpSet = dpSet.with(ri.id)
 	}
 
-	// Classify WHERE conjuncts.
-	conjuncts := append(splitConjuncts(stmt.Where), extraConj...)
-	locals := map[int][]sql.Expr{}
+	// Classify WHERE conjuncts. locals is indexed by relation id: every
+	// relation of this block has one by now.
+	conjuncts := sqlExprs.Append(p.mem, splitConjuncts(p.mem, stmt.Where), extraConj...)
+	locals := sqlExprLists.Make(p.mem, len(p.relByID))
 	var edges []joinEdge
 	var semis []semiEntry
 	var residuals []sql.Expr
@@ -179,10 +201,10 @@ func (p *planner) planSelect(stmt *sql.SelectStmt, corr *subCtx) (*plan.Node, er
 	for _, c := range conjuncts {
 		if ex, ok := c.(*sql.ExistsExpr); ok {
 			if se, ok := p.decorrelateExists(ex, sc); ok {
-				semis = append(semis, se)
+				semis = semiLists.Append(p.mem, semis, se)
 				continue
 			}
-			residuals = append(residuals, c)
+			residuals = sqlExprs.Append(p.mem, residuals, c)
 			continue
 		}
 		if in, ok := c.(*sql.InExpr); ok && in.Sub != nil {
@@ -190,34 +212,34 @@ func (p *planner) planSelect(stmt *sql.SelectStmt, corr *subCtx) (*plan.Node, er
 			if err != nil {
 				return nil, err
 			}
-			semis = append(semis, se)
+			semis = semiLists.Append(p.mem, semis, se)
 			continue
 		}
 		rels := p.freeRels(c, sc)
 		if rels&^dpSet != 0 {
 			// Touches a LEFT-joined relation: apply after the outer join.
-			residuals = append(residuals, c)
+			residuals = sqlExprs.Append(p.mem, residuals, c)
 			continue
 		}
 		switch rels.count() {
 		case 0:
-			residuals = append(residuals, c)
+			residuals = sqlExprs.Append(p.mem, residuals, c)
 		case 1:
 			id := firstRel(rels)
-			locals[id] = append(locals[id], c)
+			locals[id] = sqlExprs.Append(p.mem, locals[id], c)
 		case 2:
 			if e, ok := p.asEquiEdge(c, sc); ok {
-				edges = append(edges, e)
+				edges = joinEdges.Append(p.mem, edges, e)
 			} else {
-				residuals = append(residuals, c)
+				residuals = sqlExprs.Append(p.mem, residuals, c)
 			}
 		default:
-			residuals = append(residuals, c)
+			residuals = sqlExprs.Append(p.mem, residuals, c)
 		}
 	}
 
 	// Base scans and join ordering.
-	scans := make([]*joinTree, 0, len(dpRels))
+	scans := treeLists.Make(p.mem, len(dpRels))[:0]
 	for _, ri := range dpRels {
 		t, err := p.buildScan(ri, locals[ri.id], sc, corr)
 		if err != nil {
@@ -246,7 +268,7 @@ func (p *planner) planSelect(stmt *sql.SelectStmt, corr *subCtx) (*plan.Node, er
 
 	// Residual predicates at the top of the join tree.
 	if len(residuals) > 0 {
-		b := &binder{p: p, sc: sc, schema: tree.schema, corr: corr}
+		b := p.newBinder(sc, tree.schema, corr)
 		var f plan.Scalar
 		sel := 1.0
 		for _, c := range residuals {
@@ -254,49 +276,49 @@ func (p *planner) planSelect(stmt *sql.SelectStmt, corr *subCtx) (*plan.Node, er
 			if err != nil {
 				return nil, err
 			}
-			f = andScalars(f, s)
+			f = andScalars(p.mem, f, s)
 			sel *= p.filterSelectivity(c, sc)
 		}
-		tree.node.Filter = andScalars(tree.node.Filter, f)
+		tree.node.Filter = andScalars(p.mem, tree.node.Filter, f)
 		tree.node.Est.Rows = max(1, tree.node.Est.Rows*sel)
 	}
 
 	// Aggregation / projection.
-	outNode, _, _, orderIdx, err := p.planOutput(stmt, tree, sc, corr)
+	outNode, out, err := p.planOutput(stmt, tree, sc, corr)
 	if err != nil {
 		return nil, err
 	}
 
 	// DISTINCT via hashed grouping over the projected columns.
 	if stmt.Distinct {
-		groups := make([]plan.Scalar, len(outNode.Cols))
+		groups := scalars.Make(p.mem, len(outNode.Cols))
 		for i, c := range outNode.Cols {
-			groups[i] = &plan.Col{Idx: i, K: c.K, Name: c.Name}
+			groups[i] = p.col(plan.Col{Idx: i, K: c.K, Name: c.Name})
 		}
-		d := &plan.Node{
-			Op: plan.OpHashAggregate, Children: []*plan.Node{outNode},
-			Cols: outNode.Cols, Agg: &plan.AggPayload{GroupBy: groups},
-		}
+		d := p.node(plan.Node{
+			Op: plan.OpHashAggregate, Children: p.children(outNode),
+			Cols: outNode.Cols, Agg: aggPayloads.New(p.mem, plan.AggPayload{GroupBy: groups}),
+		})
 		p.costAggregate(d, max(1, outNode.Est.Rows/2))
 		outNode = d
 	}
 
 	// ORDER BY, LIMIT.
 	if len(stmt.OrderBy) > 0 {
-		keys := make([]plan.SortKey, len(stmt.OrderBy))
+		keys := sortKeys.Make(p.mem, len(stmt.OrderBy))
 		for i, o := range stmt.OrderBy {
-			idx, ok := orderIdx(o.E)
+			idx, ok := out.index(o.E)
 			if !ok {
 				return nil, fmt.Errorf("opt: ORDER BY expression %q must appear in the select list", o.E.SQL())
 			}
 			keys[i] = plan.SortKey{Col: idx, Desc: o.Desc}
 		}
-		s := &plan.Node{Op: plan.OpSort, Children: []*plan.Node{outNode}, Cols: outNode.Cols, Sort: &plan.SortPayload{Keys: keys}}
+		s := p.node(plan.Node{Op: plan.OpSort, Children: p.children(outNode), Cols: outNode.Cols, Sort: sortPayloads.New(p.mem, plan.SortPayload{Keys: keys})})
 		p.costSort(s)
 		outNode = s
 	}
 	if stmt.Limit >= 0 {
-		l := &plan.Node{Op: plan.OpLimit, Children: []*plan.Node{outNode}, Cols: outNode.Cols, LimitN: stmt.Limit}
+		l := p.node(plan.Node{Op: plan.OpLimit, Children: p.children(outNode), Cols: outNode.Cols, LimitN: stmt.Limit})
 		p.costLimit(l)
 		outNode = l
 	}
@@ -318,10 +340,106 @@ func containsSubquery(e sql.Expr) bool {
 	return found
 }
 
+// output is a query block's select list as planOutput bound it: what its
+// ORDER BY keys resolve against.
+type output struct {
+	names   []string      // each item's output column name
+	scalars []plan.Scalar // each item, bound
+	b       *binder       // binds an ORDER BY expression as the items were
+}
+
+// index is the select-list position of ORDER BY expression e: an alias
+// match first, then a structural match against the bound items.
+func (o *output) index(e sql.Expr) (int, bool) {
+	if ref, ok := e.(*sql.ColumnRef); ok && ref.Table == "" {
+		for i, n := range o.names {
+			if n == ref.Name {
+				return i, true
+			}
+		}
+	}
+	s, err := o.b.bind(e)
+	if err != nil {
+		return 0, false
+	}
+	for i, is := range o.scalars {
+		if plan.SameText(is, s) {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// aggScope is what an aggregating block's output binder maps onto
+// aggregate-output columns: the group expressions, the aggregate calls
+// met so far (HAVING's first, then the items'), and the binder of the
+// join output beneath, which binds aggregate arguments.
+type aggScope struct {
+	join   *binder
+	groups []plan.Scalar
+	specs  []plan.AggSpec
+}
+
+// bindAggregate intercepts, for an aggregating block's output binder b,
+// aggregate calls and group-expression matches, mapping them to
+// aggregate-output columns; handled is false for anything else, which
+// binds structurally.
+func (b *binder) bindAggregate(e sql.Expr) (s plan.Scalar, handled bool, err error) {
+	p, g := b.p, b.agg
+	if fc, ok := e.(*sql.FuncCall); ok && fc.IsAggregate() {
+		var arg plan.Scalar
+		if !fc.Star && len(fc.Args) > 0 {
+			a, err := g.join.bind(fc.Args[0])
+			if err != nil {
+				return nil, true, err
+			}
+			arg = a
+		}
+		spec := plan.AggSpec{Func: aggFuncOf(fc.Name), Arg: arg, Distinct: fc.Distinct}
+		spec.K = aggResultKind(spec)
+		for j, s := range g.specs {
+			if s.SameText(spec) {
+				return p.col(plan.Col{Idx: len(g.groups) + j, K: s.K}), true, nil
+			}
+		}
+		g.specs = aggSpecs.Append(p.mem, g.specs, spec)
+		b.schema = p.computedSchema(len(g.groups) + len(g.specs))
+		return p.col(plan.Col{Idx: len(g.groups) + len(g.specs) - 1, K: spec.K}), true, nil
+	}
+	// Whole-expression match against a group expression. Skip expressions
+	// containing aggregates or subqueries: binding them here would be wrong
+	// (aggregates) or cause duplicate init-plan registration (subqueries);
+	// recursion handles both.
+	if exprHasAgg(e) || containsSubquery(e) {
+		return nil, false, nil
+	}
+	if s, err := g.join.bind(e); err == nil {
+		for i, gs := range g.groups {
+			if plan.SameText(gs, s) {
+				return p.col(plan.Col{Idx: i, K: gs.Kind()}), true, nil
+			}
+		}
+		if _, isRef := e.(*sql.ColumnRef); isRef {
+			return nil, true, fmt.Errorf("opt: column %q must appear in GROUP BY or an aggregate", e.SQL())
+		}
+	}
+	return nil, false, nil
+}
+
+// computedSchema is the schema of n computed columns, an aggregate's
+// output.
+func (p *planner) computedSchema(n int) []schemaCol {
+	cols := schemaCols.Make(p.mem, n)
+	for i := range cols {
+		cols[i] = schemaCol{rel: -1, col: int32(i)}
+	}
+	return cols
+}
+
 // planOutput handles grouping, HAVING and projection, returning the output
-// node plus a resolver mapping ORDER BY expressions to output columns.
-func (p *planner) planOutput(stmt *sql.SelectStmt, tree *joinTree, sc *scope, corr *subCtx) (*plan.Node, []plan.Scalar, []string, func(sql.Expr) (int, bool), error) {
-	joinBinder := &binder{p: p, sc: sc, schema: tree.schema, corr: corr}
+// node and the bound select list ORDER BY resolves against.
+func (p *planner) planOutput(stmt *sql.SelectStmt, tree *joinTree, sc *scope, corr *subCtx) (*plan.Node, output, error) {
+	joinBinder := p.newBinder(sc, tree.schema, corr)
 
 	hasAgg := len(stmt.GroupBy) > 0 || stmt.Having != nil
 	for _, it := range stmt.Items {
@@ -330,115 +448,60 @@ func (p *planner) planOutput(stmt *sql.SelectStmt, tree *joinTree, sc *scope, co
 		}
 	}
 
-	itemNames := make([]string, len(stmt.Items))
+	out := output{names: strs.Make(p.mem, len(stmt.Items)), b: joinBinder}
 	for i, it := range stmt.Items {
-		itemNames[i] = itemName(it, i)
+		out.names[i] = itemName(it, i)
 	}
 
 	var outNode *plan.Node
-	var itemScalars []plan.Scalar
-	var bindOut func(e sql.Expr) (plan.Scalar, error)
-
 	if hasAgg {
 		// Bind group expressions against the join output.
-		groups := make([]plan.Scalar, len(stmt.GroupBy))
-		for i, g := range stmt.GroupBy {
-			s, err := joinBinder.bind(g)
+		g := aggScopes.New(p.mem, aggScope{join: joinBinder, groups: scalars.Make(p.mem, len(stmt.GroupBy))})
+		for i, ge := range stmt.GroupBy {
+			s, err := joinBinder.bind(ge)
 			if err != nil {
-				return nil, nil, nil, nil, err
+				return nil, output{}, err
 			}
-			groups[i] = s
+			g.groups[i] = s
 		}
-		var specs []plan.AggSpec
-
-		// The transforming binder intercepts aggregate calls and
-		// group-expression matches, mapping them to aggregate-output
-		// columns; anything else recurses structurally.
-		outSchema := func() []schemaCol {
-			cols := make([]schemaCol, len(groups)+len(specs))
-			for i := range cols {
-				cols[i] = schemaCol{rel: -1, col: int32(i)}
-			}
-			return cols
-		}
-		aggBinder := &binder{p: p, sc: sc, schema: nil, corr: corr}
-		aggBinder.hook = func(e sql.Expr) (plan.Scalar, bool, error) {
-			if fc, ok := e.(*sql.FuncCall); ok && fc.IsAggregate() {
-				var arg plan.Scalar
-				if !fc.Star && len(fc.Args) > 0 {
-					a, err := joinBinder.bind(fc.Args[0])
-					if err != nil {
-						return nil, true, err
-					}
-					arg = a
-				}
-				spec := plan.AggSpec{Func: aggFuncOf(fc.Name), Arg: arg, Distinct: fc.Distinct}
-				spec.K = aggResultKind(spec)
-				for j, s := range specs {
-					if s.SameText(spec) {
-						return &plan.Col{Idx: len(groups) + j, K: s.K}, true, nil
-					}
-				}
-				specs = append(specs, spec)
-				aggBinder.schema = outSchema()
-				return &plan.Col{Idx: len(groups) + len(specs) - 1, K: spec.K}, true, nil
-			}
-			// Whole-expression match against a group expression. Skip
-			// expressions containing aggregates or subqueries: binding them
-			// here would be wrong (aggregates) or cause duplicate init-plan
-			// registration (subqueries); recursion handles both.
-			if exprHasAgg(e) || containsSubquery(e) {
-				return nil, false, nil
-			}
-			if s, err := joinBinder.bind(e); err == nil {
-				for i, g := range groups {
-					if plan.SameText(g, s) {
-						return &plan.Col{Idx: i, K: g.Kind()}, true, nil
-					}
-				}
-				if _, isRef := e.(*sql.ColumnRef); isRef {
-					return nil, true, fmt.Errorf("opt: column %q must appear in GROUP BY or an aggregate", e.SQL())
-				}
-			}
-			return nil, false, nil
-		}
-		aggBinder.schema = outSchema()
-		bindOut = aggBinder.bind
+		aggBinder := p.newBinder(sc, p.computedSchema(len(g.groups)), corr)
+		aggBinder.agg = g
+		out.b = aggBinder
 
 		// HAVING first (may add aggregate specs), then items.
 		var having plan.Scalar
 		if stmt.Having != nil {
-			h, err := bindOut(stmt.Having)
+			h, err := aggBinder.bind(stmt.Having)
 			if err != nil {
-				return nil, nil, nil, nil, err
+				return nil, output{}, err
 			}
 			having = h
 		}
-		itemScalars = make([]plan.Scalar, len(stmt.Items))
+		out.scalars = scalars.Make(p.mem, len(stmt.Items))
 		for i, it := range stmt.Items {
-			s, err := bindOut(it.E)
+			s, err := aggBinder.bind(it.E)
 			if err != nil {
-				return nil, nil, nil, nil, err
+				return nil, output{}, err
 			}
-			itemScalars[i] = s
+			out.scalars[i] = s
 		}
 
 		inputRows := tree.node.Est.Rows
 		groupsEst := p.estimateGroups(stmt.GroupBy, sc, inputRows)
-		aggCols := make([]plan.Column, 0, len(groups)+len(specs))
-		for i, g := range groups {
+		aggCols := columns.Make(p.mem, len(g.groups)+len(g.specs))
+		for i, gs := range g.groups {
 			name := ""
 			if ref, ok := stmt.GroupBy[i].(*sql.ColumnRef); ok {
 				name = ref.Name
 			}
 			w := 8.0
-			if g.Kind() == types.KindString {
+			if gs.Kind() == types.KindString {
 				w = 16
 			}
-			aggCols = append(aggCols, plan.Column{Name: name, K: g.Kind(), Width: w})
+			aggCols[i] = plan.Column{Name: name, K: gs.Kind(), Width: w}
 		}
-		for _, s := range specs {
-			aggCols = append(aggCols, plan.Column{Name: s.String(), K: s.K, Width: 8})
+		for j, s := range g.specs {
+			aggCols[len(g.groups)+j] = plan.Column{Name: s.String(), K: s.K, Width: 8}
 		}
 
 		// Hashed vs sorted grouping, by whether the hash table fits in
@@ -452,18 +515,18 @@ func (p *planner) planOutput(stmt *sql.SelectStmt, tree *joinTree, sc *scope, co
 			if groupBytes > p.workBytes() {
 				op = plan.OpGroupAgg
 				// Sort the join output on the group keys first.
-				sortKeys := make([]plan.SortKey, 0, len(groups))
+				keys := sortKeys.Make(p.mem, len(g.groups))[:0]
 				ok := true
-				for _, g := range groups {
-					col, isCol := g.(*plan.Col)
+				for _, gs := range g.groups {
+					col, isCol := gs.(*plan.Col)
 					if !isCol {
 						ok = false
 						break
 					}
-					sortKeys = append(sortKeys, plan.SortKey{Col: col.Idx})
+					keys = append(keys, plan.SortKey{Col: col.Idx})
 				}
 				if ok {
-					s := &plan.Node{Op: plan.OpSort, Children: []*plan.Node{child}, Cols: child.Cols, Sort: &plan.SortPayload{Keys: sortKeys}}
+					s := p.node(plan.Node{Op: plan.OpSort, Children: p.children(child), Cols: child.Cols, Sort: sortPayloads.New(p.mem, plan.SortPayload{Keys: keys})})
 					p.costSort(s)
 					child = s
 				} else {
@@ -471,32 +534,31 @@ func (p *planner) planOutput(stmt *sql.SelectStmt, tree *joinTree, sc *scope, co
 				}
 			}
 		}
-		agg := &plan.Node{
-			Op: op, Children: []*plan.Node{child},
-			Cols: aggCols, Agg: &plan.AggPayload{GroupBy: groups, Aggs: specs}, Filter: having,
-		}
+		agg := p.node(plan.Node{
+			Op: op, Children: p.children(child),
+			Cols: aggCols, Agg: aggPayloads.New(p.mem, plan.AggPayload{GroupBy: g.groups, Aggs: g.specs}), Filter: having,
+		})
 		p.costAggregate(agg, groupsEst)
 		if having != nil {
 			agg.Est.Rows = max(1, agg.Est.Rows*defaultRangeSel)
 		}
 		outNode = agg
 	} else {
-		bindOut = joinBinder.bind
-		itemScalars = make([]plan.Scalar, len(stmt.Items))
+		out.scalars = scalars.Make(p.mem, len(stmt.Items))
 		for i, it := range stmt.Items {
-			s, err := bindOut(it.E)
+			s, err := joinBinder.bind(it.E)
 			if err != nil {
-				return nil, nil, nil, nil, err
+				return nil, output{}, err
 			}
-			itemScalars[i] = s
+			out.scalars[i] = s
 		}
 		outNode = tree.node
 	}
 
 	// Projection node unless the items are exactly the input columns.
-	identity := len(itemScalars) == len(outNode.Cols)
+	identity := len(out.scalars) == len(outNode.Cols)
 	if identity {
-		for i, s := range itemScalars {
+		for i, s := range out.scalars {
 			col, ok := s.(*plan.Col)
 			if !ok || col.Idx != i {
 				identity = false
@@ -507,49 +569,27 @@ func (p *planner) planOutput(stmt *sql.SelectStmt, tree *joinTree, sc *scope, co
 	if identity {
 		// Rename in place; the node is fresh (agg) or a scan/join whose
 		// column names remain valid.
-		cols := append([]plan.Column(nil), outNode.Cols...)
+		cols := columns.Clone(p.mem, outNode.Cols)
 		for i := range cols {
-			cols[i].Name = itemNames[i]
+			cols[i].Name = out.names[i]
 		}
 		outNode.Cols = cols
 	} else {
-		cols := make([]plan.Column, len(itemScalars))
+		cols := columns.Make(p.mem, len(out.scalars))
 		var ops float64
-		for i, s := range itemScalars {
+		for i, s := range out.scalars {
 			w := 8.0
 			if s.Kind() == types.KindString {
 				w = 16
 			}
-			cols[i] = plan.Column{Name: itemNames[i], K: s.Kind(), Width: w}
+			cols[i] = plan.Column{Name: out.names[i], K: s.Kind(), Width: w}
 			ops += s.Cost().Ops
 		}
-		proj := &plan.Node{Op: plan.OpResult, Children: []*plan.Node{outNode}, Cols: cols, Proj: &plan.ProjPayload{Exprs: itemScalars}}
+		proj := p.node(plan.Node{Op: plan.OpResult, Children: p.children(outNode), Cols: cols, Proj: projPayloads.New(p.mem, plan.ProjPayload{Exprs: out.scalars})})
 		p.costResult(proj, ops, 1)
 		outNode = proj
 	}
-
-	// ORDER BY resolver: alias match first, then structural match against
-	// the bound item expressions.
-	orderIdx := func(e sql.Expr) (int, bool) {
-		if ref, ok := e.(*sql.ColumnRef); ok && ref.Table == "" {
-			for i, n := range itemNames {
-				if n == ref.Name {
-					return i, true
-				}
-			}
-		}
-		s, err := bindOut(e)
-		if err != nil {
-			return 0, false
-		}
-		for i, is := range itemScalars {
-			if plan.SameText(is, s) {
-				return i, true
-			}
-		}
-		return 0, false
-	}
-	return outNode, itemScalars, itemNames, orderIdx, nil
+	return outNode, out, nil
 }
 
 func aggWidth(cols []plan.Column) float64 {
@@ -586,8 +626,8 @@ func (p *planner) estimateGroups(groupBy []sql.Expr, sc *scope, inputRows float6
 // an index scan (the shape PostgreSQL produces for correlated sub-plans
 // like Q2's).
 func (p *planner) buildScan(ri *relInfo, localConj []sql.Expr, sc *scope, corr *subCtx) (*joinTree, error) {
-	schema := schemaOf(ri)
-	b := &binder{p: p, sc: sc, schema: schema, corr: corr}
+	schema := p.schemaOf(ri)
+	b := p.newBinder(sc, schema, corr)
 
 	// Look for a usable PK-leading equality predicate first.
 	var lookupKey plan.Scalar
@@ -631,7 +671,7 @@ func (p *planner) buildScan(ri *relInfo, localConj []sql.Expr, sc *scope, corr *
 		if err != nil {
 			return nil, err
 		}
-		filter = andScalars(filter, s)
+		filter = andScalars(p.mem, filter, s)
 		sel *= p.filterSelectivity(c, sc)
 		filterOps += s.Cost().Ops
 	}
@@ -647,19 +687,19 @@ func (p *planner) buildScan(ri *relInfo, localConj []sql.Expr, sc *scope, corr *
 		}
 		if lookupKey != nil {
 			meta, _ := p.db.Schema.Table(ri.table)
-			node := &plan.Node{
+			node := p.node(plan.Node{
 				Op: plan.OpIndexScan, Table: ri.table, Alias: ri.alias, Filter: filter, Cols: st.ScanCols,
-				Lookup: &plan.LookupPayload{Consts: []plan.Scalar{lookupKey}},
-			}
+				Lookup: lookups.New(p.mem, plan.LookupPayload{Consts: scalars.Clone(p.mem, []plan.Scalar{lookupKey})}),
+			})
 			p.costIndexScan(node, p.pkMatches(ri, meta.PrimaryKey[0], st), float64(st.Pages), sel)
-			return &joinTree{set: relSet(0).with(ri.id), node: node, schema: schema}, nil
+			return p.tree(joinTree{set: relSet(0).with(ri.id), node: node, schema: schema}), nil
 		}
-		node := &plan.Node{Op: plan.OpSeqScan, Table: ri.table, Alias: ri.alias, Filter: filter, Cols: st.ScanCols}
+		node := p.node(plan.Node{Op: plan.OpSeqScan, Table: ri.table, Alias: ri.alias, Filter: filter, Cols: st.ScanCols})
 		p.costSeqScan(node, float64(st.RowCount), float64(st.Pages), sel, filterOps)
-		return &joinTree{set: relSet(0).with(ri.id), node: node, schema: schema}, nil
+		return p.tree(joinTree{set: relSet(0).with(ri.id), node: node, schema: schema}), nil
 	}
-	node := &plan.Node{Op: plan.OpSubqueryScan, Alias: ri.alias, Children: []*plan.Node{ri.sub}, Filter: filter}
-	cols := make([]plan.Column, len(ri.cols))
+	node := p.node(plan.Node{Op: plan.OpSubqueryScan, Alias: ri.alias, Children: p.children(ri.sub), Filter: filter})
+	cols := columns.Make(p.mem, len(ri.cols))
 	for i, c := range ri.cols {
 		w := 8.0
 		if c.Type == types.KindString {
@@ -669,7 +709,7 @@ func (p *planner) buildScan(ri *relInfo, localConj []sql.Expr, sc *scope, corr *
 	}
 	node.Cols = cols
 	p.costSubqueryScan(node, sel, filterOps)
-	return &joinTree{set: relSet(0).with(ri.id), node: node, schema: schema}, nil
+	return p.tree(joinTree{set: relSet(0).with(ri.id), node: node, schema: schema}), nil
 }
 
 // asEquiEdge recognizes colref = colref conjuncts across two relations.
@@ -693,7 +733,7 @@ func (p *planner) asEquiEdge(c sql.Expr, sc *scope) (joinEdge, bool) {
 
 // applyLeftJoin attaches a LEFT OUTER JOIN to the current tree.
 func (p *planner) applyLeftJoin(tree *joinTree, ri *relInfo, on sql.Expr, sc *scope, corr *subCtx) (*joinTree, error) {
-	conjs := splitConjuncts(on)
+	conjs := splitConjuncts(p.mem, on)
 	var rightLocal []sql.Expr
 	var keysConj []joinEdge
 	var filterConj []sql.Expr
@@ -704,22 +744,23 @@ func (p *planner) applyLeftJoin(tree *joinTree, ri *relInfo, on sql.Expr, sc *sc
 		case rels == riSet:
 			// Inner-side-only ON predicates can be pushed into the scan
 			// without changing LEFT JOIN semantics.
-			rightLocal = append(rightLocal, c)
+			rightLocal = sqlExprs.Append(p.mem, rightLocal, c)
 		case rels.count() == 2 && rels.has(ri.id):
 			if e, ok := p.asEquiEdge(c, sc); ok {
-				keysConj = append(keysConj, e)
+				keysConj = joinEdges.Append(p.mem, keysConj, e)
 			} else {
-				filterConj = append(filterConj, c)
+				filterConj = sqlExprs.Append(p.mem, filterConj, c)
 			}
 		default:
-			filterConj = append(filterConj, c)
+			filterConj = sqlExprs.Append(p.mem, filterConj, c)
 		}
 	}
 	right, err := p.buildScan(ri, rightLocal, sc, corr)
 	if err != nil {
 		return nil, err
 	}
-	outSchema := append(append([]schemaCol{}, tree.schema...), right.schema...)
+	outSchema := schemaCols.Make(p.mem, len(tree.schema)+len(right.schema))
+	copy(outSchema[copy(outSchema, tree.schema):], right.schema)
 	var kl, kr []plan.Scalar
 	joinSel := 1.0
 	for _, e := range keysConj {
@@ -732,38 +773,38 @@ func (p *planner) applyLeftJoin(tree *joinTree, ri *relInfo, on sql.Expr, sc *sc
 			return nil, fmt.Errorf("opt: left join key not available")
 		}
 		rOff, _ := offsetIn(right.schema, rRel, rCol)
-		kl = append(kl, p.colRef(tree.schema, lOff, 0))
-		kr = append(kr, p.colRef(right.schema, rOff, 0))
+		kl = scalars.Append(p.mem, kl, p.colRef(tree.schema, lOff, 0))
+		kr = scalars.Append(p.mem, kr, p.colRef(right.schema, rOff, 0))
 		ndv := math.Max(p.ndvOf(lRel, lCol, tree.node.Est.Rows), p.ndvOf(rRel, rCol, right.node.Est.Rows)) // see keyNDV
 		joinSel /= max(1, ndv)
 	}
 	var joinFilter plan.Scalar
-	fb := &binder{p: p, sc: sc, schema: outSchema, corr: corr}
+	fb := p.newBinder(sc, outSchema, corr)
 	for _, c := range filterConj {
 		s, err := fb.bind(c)
 		if err != nil {
 			return nil, err
 		}
-		joinFilter = andScalars(joinFilter, s)
+		joinFilter = andScalars(p.mem, joinFilter, s)
 	}
-	hash := &plan.Node{Op: plan.OpHash, Children: []*plan.Node{right.node}, Cols: right.node.Cols}
+	hash := p.node(plan.Node{Op: plan.OpHash, Children: p.children(right.node), Cols: right.node.Cols})
 	p.costHash(hash)
-	node := &plan.Node{
+	node := p.node(plan.Node{
 		Op:       plan.OpHashJoin,
-		Children: []*plan.Node{tree.node, hash},
+		Children: p.children(tree.node, hash),
 		Cols:     p.planColumns(outSchema),
-		Join:     &plan.JoinPayload{Type: plan.JoinLeft, HashKeysL: kl, HashKeysR: kr, Filter: joinFilter},
-	}
+		Join:     joinPayloads.New(p.mem, plan.JoinPayload{Type: plan.JoinLeft, HashKeysL: kl, HashKeysR: kr, Filter: joinFilter}),
+	})
 	joinRows := math.Max(tree.node.Est.Rows, tree.node.Est.Rows*right.node.Est.Rows*joinSel) // see keyNDV
 	p.costHashJoin(node, joinRows)
-	return &joinTree{set: tree.set.union(right.set), node: node, schema: outSchema}, nil
+	return p.tree(joinTree{set: tree.set.union(right.set), node: node, schema: outSchema}), nil
 }
 
 // applySemi attaches a hash semi or anti join for a decorrelated
 // EXISTS/IN subquery.
 func (p *planner) applySemi(tree *joinTree, se semiEntry, sc *scope, corr *subCtx) (*joinTree, error) {
-	b := &binder{p: p, sc: sc, schema: tree.schema, corr: corr}
-	kl := make([]plan.Scalar, len(se.outerKeys))
+	b := p.newBinder(sc, tree.schema, corr)
+	kl := scalars.Make(p.mem, len(se.outerKeys))
 	for i, e := range se.outerKeys {
 		s, err := b.bind(e)
 		if err != nil {
@@ -771,14 +812,14 @@ func (p *planner) applySemi(tree *joinTree, se semiEntry, sc *scope, corr *subCt
 		}
 		kl[i] = s
 	}
-	kr := make([]plan.Scalar, len(se.sub.Cols))
+	kr := scalars.Make(p.mem, len(se.sub.Cols))
 	for i, c := range se.sub.Cols {
-		kr[i] = &plan.Col{Idx: i, K: c.K, Name: c.Name}
+		kr[i] = p.col(plan.Col{Idx: i, K: c.K, Name: c.Name})
 	}
 	if len(kr) != len(kl) {
 		return nil, fmt.Errorf("opt: semi join key arity mismatch (%d vs %d)", len(kl), len(kr))
 	}
-	hash := &plan.Node{Op: plan.OpHash, Children: []*plan.Node{se.sub}, Cols: se.sub.Cols}
+	hash := p.node(plan.Node{Op: plan.OpHash, Children: p.children(se.sub), Cols: se.sub.Cols})
 	p.costHash(hash)
 	op := plan.OpHashSemiJoin
 	jt := plan.JoinSemi
@@ -786,14 +827,14 @@ func (p *planner) applySemi(tree *joinTree, se semiEntry, sc *scope, corr *subCt
 		op = plan.OpHashAntiJoin
 		jt = plan.JoinAnti
 	}
-	node := &plan.Node{
+	node := p.node(plan.Node{
 		Op:       op,
-		Children: []*plan.Node{tree.node, hash},
+		Children: p.children(tree.node, hash),
 		Cols:     tree.node.Cols,
-		Join:     &plan.JoinPayload{Type: jt, HashKeysL: kl, HashKeysR: kr},
-	}
+		Join:     joinPayloads.New(p.mem, plan.JoinPayload{Type: jt, HashKeysL: kl, HashKeysR: kr}),
+	})
 	p.costHashJoin(node, max(1, tree.node.Est.Rows*defaultSel))
-	return &joinTree{set: tree.set, node: node, schema: tree.schema}, nil
+	return p.tree(joinTree{set: tree.set, node: node, schema: tree.schema}), nil
 }
 
 // decorrelateExists rewrites EXISTS (select … where outer = inner and …)
@@ -810,39 +851,39 @@ func (p *planner) decorrelateExists(ex *sql.ExistsExpr, sc *scope) (semiEntry, b
 	}
 	var outerKeys, innerKeys []sql.Expr
 	var rest []sql.Expr
-	for _, c := range splitConjuncts(sub.Where) {
+	for _, c := range splitConjuncts(p.mem, sub.Where) {
 		if be, ok := c.(*sql.BinaryExpr); ok && be.Op == sql.OpEq {
 			lo := p.isOuterRef(be.L, subScope, sc)
 			ro := p.isOuterRef(be.R, subScope, sc)
 			li := p.resolvesLocally(be.L, subScope)
 			riL := p.resolvesLocally(be.R, subScope)
 			if lo && riL {
-				outerKeys = append(outerKeys, be.L)
-				innerKeys = append(innerKeys, be.R)
+				outerKeys = sqlExprs.Append(p.mem, outerKeys, be.L)
+				innerKeys = sqlExprs.Append(p.mem, innerKeys, be.R)
 				continue
 			}
 			if ro && li {
-				outerKeys = append(outerKeys, be.R)
-				innerKeys = append(innerKeys, be.L)
+				outerKeys = sqlExprs.Append(p.mem, outerKeys, be.R)
+				innerKeys = sqlExprs.Append(p.mem, innerKeys, be.L)
 				continue
 			}
 		}
 		if p.hasOuterRefs(c, subScope, sc) {
 			return semiEntry{}, false
 		}
-		rest = append(rest, c)
+		rest = sqlExprs.Append(p.mem, rest, c)
 	}
 	if len(outerKeys) == 0 {
 		return semiEntry{}, false
 	}
-	synthetic := &sql.SelectStmt{
+	synthetic := sqlSelects.New(p.mem, sql.SelectStmt{
 		From:  sub.From,
 		Limit: -1,
-	}
+	})
 	for _, ik := range innerKeys {
-		synthetic.Items = append(synthetic.Items, sql.SelectItem{E: ik})
+		synthetic.Items = sqlItems.Append(p.mem, synthetic.Items, sql.SelectItem{E: ik})
 	}
-	synthetic.Where = joinConjuncts(rest)
+	synthetic.Where = joinConjuncts(p.mem, rest)
 	node, err := p.planSelect(synthetic, nil)
 	if err != nil {
 		return semiEntry{}, false
@@ -852,7 +893,7 @@ func (p *planner) decorrelateExists(ex *sql.ExistsExpr, sc *scope) (semiEntry, b
 
 // decorrelateIn turns expr IN (uncorrelated subquery) into a semi join.
 func (p *planner) decorrelateIn(in *sql.InExpr, sc *scope) (semiEntry, error) {
-	probe := &subCtx{outerScope: sc}
+	probe := subCtxs.New(p.mem, subCtx{outerScope: sc})
 	node, err := p.planSelect(in.Sub, probe)
 	if err != nil {
 		return semiEntry{}, err
@@ -860,7 +901,7 @@ func (p *planner) decorrelateIn(in *sql.InExpr, sc *scope) (semiEntry, error) {
 	if len(probe.refs) > 0 {
 		return semiEntry{}, fmt.Errorf("opt: correlated IN subqueries are not supported")
 	}
-	return semiEntry{anti: in.Negated, outerKeys: []sql.Expr{in.E}, sub: node}, nil
+	return semiEntry{anti: in.Negated, outerKeys: sqlExprs.Clone(p.mem, []sql.Expr{in.E}), sub: node}, nil
 }
 
 // isOuterRef reports whether e is a column reference resolving only in the
@@ -907,14 +948,15 @@ func (p *planner) hasOuterRefs(e sql.Expr, local *scope, outer *scope) bool {
 	return found
 }
 
-// splitConjuncts flattens a predicate into its AND-ed conjuncts. The
-// accumulator form fills one slice, counted first, instead of a quadratic
-// append chain over the deep AND trees TPC-H WHERE clauses produce.
-func splitConjuncts(e sql.Expr) []sql.Expr {
+// splitConjuncts flattens a predicate into its AND-ed conjuncts, in a's
+// memory. The accumulator form fills one slice, counted first, instead of
+// a quadratic append chain over the deep AND trees TPC-H WHERE clauses
+// produce.
+func splitConjuncts(a *arena.Arena, e sql.Expr) []sql.Expr {
 	if e == nil {
 		return nil
 	}
-	return appendConjuncts(make([]sql.Expr, 0, countConjuncts(e)), e)
+	return appendConjuncts(sqlExprs.Make(a, countConjuncts(e))[:0], e)
 }
 
 // countConjuncts is len(splitConjuncts(e)) for a non-nil e.
@@ -932,14 +974,15 @@ func appendConjuncts(out []sql.Expr, e sql.Expr) []sql.Expr {
 	return append(out, e)
 }
 
-// joinConjuncts rebuilds an AND tree (nil for an empty list).
-func joinConjuncts(conjs []sql.Expr) sql.Expr {
+// joinConjuncts rebuilds an AND tree in a's memory (nil for an empty
+// list).
+func joinConjuncts(a *arena.Arena, conjs []sql.Expr) sql.Expr {
 	var out sql.Expr
 	for _, c := range conjs {
 		if out == nil {
 			out = c
 		} else {
-			out = &sql.BinaryExpr{Op: sql.OpAnd, L: out, R: c}
+			out = sqlBinaries.New(a, sql.BinaryExpr{Op: sql.OpAnd, L: out, R: c})
 		}
 	}
 	return out

@@ -37,8 +37,8 @@ type schemaCol struct {
 }
 
 // schemaOf builds the output schema description of a single relation.
-func schemaOf(r *relInfo) []schemaCol {
-	out := make([]schemaCol, len(r.cols))
+func (p *planner) schemaOf(r *relInfo) []schemaCol {
+	out := schemaCols.Make(p.mem, len(r.cols))
 	for i := range out {
 		out[i] = schemaCol{rel: int32(r.id), col: int32(i)}
 	}
@@ -52,7 +52,7 @@ func (p *planner) column(sc schemaCol) catalog.Column {
 
 // planColumns converts a schema to plan node column metadata.
 func (p *planner) planColumns(schema []schemaCol) []plan.Column {
-	out := make([]plan.Column, len(schema))
+	out := columns.Make(p.mem, len(schema))
 	for i, sc := range schema {
 		c := p.column(sc)
 		out[i] = plan.Column{Name: c.Name, K: c.Type, Width: colWidth(c.Type)}
@@ -74,7 +74,9 @@ var (
 )
 
 // resolve finds (relID, colIdx) for a column reference within this scope
-// only (no outer chaining).
+// only (no outer chaining). It fails with errAmbiguous or errNotFound
+// bare: most failures are probes that try the next scope, so the caller
+// that reports one names the column.
 func (s *scope) resolve(ref *sql.ColumnRef) (int, int, error) {
 	foundRel, foundCol := -1, -1
 	for _, r := range s.rels {
@@ -84,14 +86,14 @@ func (s *scope) resolve(ref *sql.ColumnRef) (int, int, error) {
 		for ci, c := range r.cols {
 			if c.Name == ref.Name {
 				if foundRel >= 0 {
-					return 0, 0, fmt.Errorf("%w: %s", errAmbiguous, ref.SQL())
+					return 0, 0, errAmbiguous
 				}
 				foundRel, foundCol = r.id, ci
 			}
 		}
 	}
 	if foundRel < 0 {
-		return 0, 0, fmt.Errorf("%w: %s", errNotFound, ref.SQL())
+		return 0, 0, errNotFound
 	}
 	return foundRel, foundCol, nil
 }
@@ -174,10 +176,10 @@ func (p *planner) addFreeRels(set *relSet, e sql.Expr, inner, sc *scope) {
 // Its derived-table columns carry names only: nothing reads a kind from
 // such a scope.
 func (p *planner) scopeForStmt(stmt *sql.SelectStmt, outer *scope) (*scope, error) {
-	sc := &scope{outer: outer}
+	sc := scopes.New(p.mem, scope{outer: outer})
 	id := 0
 	addItem := func(fi *sql.FromItem) error {
-		ri := &relInfo{id: id, alias: fi.Alias}
+		ri := relInfos.New(p.mem, relInfo{id: id, alias: fi.Alias})
 		id++
 		if fi.Table != "" {
 			meta, ok := p.db.Schema.Table(fi.Table)
@@ -190,13 +192,13 @@ func (p *planner) scopeForStmt(stmt *sql.SelectStmt, outer *scope) (*scope, erro
 			}
 			ri.cols = meta.Columns
 		} else {
-			ri.cols = make([]catalog.Column, len(fi.Sub.Items))
+			ri.cols = catColumns.Make(p.mem, len(fi.Sub.Items))
 			for i, it := range fi.Sub.Items {
 				ri.cols[i].Name = itemName(it, i)
 			}
 			renameColumns(ri.cols, fi.ColAliases)
 		}
-		sc.rels = append(sc.rels, ri)
+		sc.rels = relLists.Append(p.mem, sc.rels, ri)
 		return nil
 	}
 	for i := range stmt.From {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"qpp/internal/arena"
 	"qpp/internal/plan"
 	"qpp/internal/sql"
 	"qpp/internal/storage"
@@ -50,7 +51,8 @@ func (t *JoinTrace) AppendKey(buf []byte) []byte {
 // structure (different literals), producing bit-identical plans whenever
 // a fresh search would pick the same join order.
 func PlanTraced(db *storage.Database, stmt *sql.SelectStmt) (*plan.Node, *JoinTrace, error) {
-	p := &planner{db: db, workMemPages: 256, rec: &JoinTrace{}}
+	p := newPlanner(nil, db)
+	p.rec = &JoinTrace{}
 	root, err := p.run(stmt)
 	if err != nil {
 		return nil, nil, err
@@ -67,7 +69,15 @@ func PlanTraced(db *storage.Database, stmt *sql.SelectStmt) (*plan.Node, *JoinTr
 // stmt and the trace returns an error (callers fall back to cold
 // planning); it never panics.
 func PlanReplay(db *storage.Database, stmt *sql.SelectStmt, trace *JoinTrace) (*plan.Node, error) {
-	p := &planner{db: db, workMemPages: 256, replay: trace}
+	return PlanReplayIn(nil, db, stmt, trace)
+}
+
+// PlanReplayIn is PlanReplay with the plan and the planner's scratch
+// carved from a (the heap when a is nil): the plan is valid until a is
+// released.
+func PlanReplayIn(a *arena.Arena, db *storage.Database, stmt *sql.SelectStmt, trace *JoinTrace) (*plan.Node, error) {
+	p := newPlanner(a, db)
+	p.replay = trace
 	root, err := p.run(stmt)
 	if err != nil {
 		return nil, err

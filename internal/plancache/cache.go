@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"qpp/internal/arena"
 	"qpp/internal/opt"
 	"qpp/internal/plan"
 	"qpp/internal/sql"
@@ -129,7 +130,7 @@ func Build(db *storage.Database, queries []string, _ Config) (*Cache, error) {
 		if _, ok := c.exact[d.query]; ok {
 			continue
 		}
-		if node, out, err := c.planHit(c.templates[d.sig], d.stmt); err == nil {
+		if node, out, err := c.planHit(nil, c.templates[d.sig], d.stmt); err == nil {
 			c.exact[d.query] = exactEntry{node: node, outcome: out}
 		}
 	}
@@ -159,10 +160,18 @@ func addCandidate(cs []*candAcc, trace *opt.JoinTrace, key []byte) []*candAcc {
 // asking for that text; the prediction path only reads plans, so sharing
 // is safe there. Any other query goes through rebind.
 func (c *Cache) Plan(query string) (*plan.Node, Outcome, error) {
+	return c.PlanIn(nil, query)
+}
+
+// PlanIn is Plan with the parse and every plan it builds carved from a
+// (the heap when a is nil): a rebound or cold plan is valid until a is
+// released. A memo hit returns the memo's own plan, which is on the heap
+// and never a's.
+func (c *Cache) PlanIn(a *arena.Arena, query string) (*plan.Node, Outcome, error) {
 	if e, ok := c.exact[query]; ok {
 		return e.node, e.outcome, nil
 	}
-	return c.rebind(query)
+	return c.rebind(a, query)
 }
 
 // rebind serves a query without the memo, so every plan it returns is
@@ -171,31 +180,31 @@ func (c *Cache) Plan(query string) (*plan.Node, Outcome, error) {
 // skipping the DP join search. A request that does not parse returns the
 // parser's error; a replay failure falls back to cold planning, so a hit
 // never does worse than the optimizer alone.
-func (c *Cache) rebind(query string) (*plan.Node, Outcome, error) {
+func (c *Cache) rebind(a *arena.Arena, query string) (*plan.Node, Outcome, error) {
 	sig, err := scanSignature(query, nil)
 	t, ok := c.templates[sig]
 	if err != nil || !ok {
-		node, err := opt.PlanSQL(c.db, query)
+		node, err := opt.PlanSQLIn(a, c.db, query)
 		return node, OutcomeMiss, err
 	}
-	stmt, err := sql.Parse(query)
+	stmt, err := sql.ParseIn(a, query)
 	if err != nil {
 		return nil, OutcomeMiss, err
 	}
-	if node, out, err := c.planHit(t, stmt); err == nil {
+	if node, out, err := c.planHit(a, t, stmt); err == nil {
 		return node, out, nil
 	}
-	node, err := opt.Plan(c.db, stmt)
+	node, err := opt.PlanIn(a, c.db, stmt)
 	return node, OutcomeMiss, err
 }
 
 // planHit replays every candidate of t over stmt and returns the plan
 // with the least Est.TotalCost, the first on ties. The planner never
 // mutates its input AST, so one statement serves every replay.
-func (c *Cache) planHit(t *template, stmt *sql.SelectStmt) (*plan.Node, Outcome, error) {
+func (c *Cache) planHit(a *arena.Arena, t *template, stmt *sql.SelectStmt) (*plan.Node, Outcome, error) {
 	var best *plan.Node
 	for _, trace := range t.candidates {
-		p, err := opt.PlanReplay(c.db, stmt, trace)
+		p, err := opt.PlanReplayIn(a, c.db, stmt, trace)
 		if err != nil {
 			return nil, OutcomeMiss, err
 		}

@@ -121,7 +121,7 @@ func TestCachedPlanBitIdentical(t *testing.T) {
 		}
 		// The rebind path, not the memo: this test executes the plan, and
 		// execution writes to the nodes the memo shares.
-		cached, out, err := cache.rebind(q)
+		cached, out, err := cache.rebind(nil, q)
 		if err != nil {
 			t.Fatalf("template %d: %v", tmpl, err)
 		}
@@ -377,7 +377,7 @@ func TestBuildSkipsBadDraw(t *testing.T) {
 	if len(cache.templates) != 1 || cache.ExactLen() != 1 {
 		t.Fatalf("%d templates, %d memo entries; want 1 of each", len(cache.templates), cache.ExactLen())
 	}
-	if _, out, err := cache.rebind(genSQL(t, 4, 3)); err != nil || out != OutcomeHit {
+	if _, out, err := cache.rebind(nil, genSQL(t, 4, 3)); err != nil || out != OutcomeHit {
 		t.Fatalf("fresh draw: outcome %d, err %v; want a hit", out, err)
 	}
 	if _, _, err := cache.Plan(bad); err == nil {
@@ -397,7 +397,7 @@ func TestCacheMissAndFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unknown signature: cold plan, miss.
-	node, out, err := cache.rebind("select count(*) from lineitem")
+	node, out, err := cache.rebind(nil, "select count(*) from lineitem")
 	if err != nil || node == nil {
 		t.Fatalf("miss path: %v", err)
 	}
@@ -405,7 +405,7 @@ func TestCacheMissAndFallback(t *testing.T) {
 		t.Fatalf("outcome %d, want miss", out)
 	}
 	// Unparsable query: error surfaces.
-	if _, _, err := cache.rebind("select from from"); err == nil {
+	if _, _, err := cache.rebind(nil, "select from from"); err == nil {
 		t.Fatal("garbage SQL must error")
 	}
 	// Corrupted candidate trace: the hit path fails internally and Plan
@@ -413,7 +413,7 @@ func TestCacheMissAndFallback(t *testing.T) {
 	for _, tpl := range cache.templates {
 		tpl.candidates[0].Blocks = [][]opt.JoinStep{{{L: 1, R: 2}}}
 	}
-	node, out, err = cache.rebind(q)
+	node, out, err = cache.rebind(nil, q)
 	if err != nil || node == nil {
 		t.Fatalf("fallback path: %v", err)
 	}

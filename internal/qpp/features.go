@@ -15,6 +15,7 @@ package qpp
 import (
 	"fmt"
 
+	"qpp/internal/arena"
 	"qpp/internal/plan"
 )
 
@@ -97,8 +98,21 @@ var planOpSlot = func() map[plan.OpType]int {
 // no "actual" cost). Only the operator tree is traversed; init-/sub-plan
 // features are folded into the owning tree's totals.
 func PlanFeatures(root *plan.Node, mode FeatureMode) []float64 {
-	return planFeatures(make([]float64, len(planFeatureNames)), root, mode)
+	return PlanFeaturesIn(nil, root, mode)
 }
+
+// PlanFeaturesIn is PlanFeatures with the vector carved from a (the heap
+// when a is nil): it is valid until a is released.
+func PlanFeaturesIn(a *arena.Arena, root *plan.Node, mode FeatureMode) []float64 {
+	return planFeatures(featureVecs.Make(a, len(planFeatureNames)), root, mode)
+}
+
+// The slabs of the predict-side scratch a request arena carves: feature
+// vectors and the hybrid predictor's signature buffer.
+var (
+	featureVecs = arena.NewSlab[float64]()
+	sigBufs     = arena.NewSlab[byte]()
+)
 
 // planFeatures is PlanFeatures into f, which must be zero and
 // NumPlanFeatures long.

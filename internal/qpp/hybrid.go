@@ -3,6 +3,7 @@ package qpp
 import (
 	"fmt"
 
+	"qpp/internal/arena"
 	"qpp/internal/mlearn"
 	"qpp/internal/plan"
 )
@@ -193,10 +194,16 @@ func (h *HybridPredictor) predictNode(n *plan.Node, sig *[]byte) (st, rt float64
 
 // Predict estimates a query's latency.
 func (h *HybridPredictor) Predict(rec *QueryRecord) (float64, error) {
+	return h.PredictIn(nil, rec)
+}
+
+// PredictIn is Predict with its signature buffer carved from a (the heap
+// when a is nil).
+func (h *HybridPredictor) PredictIn(a *arena.Arena, rec *QueryRecord) (float64, error) {
 	if rec.Root.HasSubqueryStructures() {
 		return 0, ErrSubqueryPlan
 	}
-	sig := make([]byte, 0, 512) // grows if one plan's signature is longer
+	sig := sigBufs.Make(a, 512)[:0] // grows if one plan's signature is longer
 	_, rt := h.predictNode(rec.Root, &sig)
 	return rt, nil
 }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"qpp/internal/plancache"
@@ -62,8 +63,8 @@ func predictAllocs(t *testing.T, s *Server, sql string) float64 {
 // TestPredictAllocationBudget pins what one /predict allocates on each
 // planning path — a memoized training text, a rebound fresh draw of a
 // trained template, and a cold plan of every template — at the count
-// measured when plan nodes shed their per-operator payloads and scans
-// shared their table's columns, plus 10 %.
+// measured when the parse, the plan and the predict-side scratch moved
+// into the pooled request arena, plus 10 %.
 func TestPredictAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -112,9 +113,42 @@ func TestPredictAllocationBudget(t *testing.T) {
 // TestPredictColdBytesBudget pins the bytes one cold /predict allocates,
 // averaged over a fresh draw of every template: the garbage a plan cache
 // miss makes, which sets how often the collector runs under cold traffic.
-// The budget is the measurement when plan nodes shed their per-operator
-// payloads and scans shared their table's columns, plus 10 %.
+// The budget is the measurement when the parse, the plan and the
+// predict-side scratch moved into the pooled request arena, plus 10 %.
 func TestPredictColdBytesBudget(t *testing.T) {
+	var payloads [][]byte
+	for _, tmpl := range tpch.Templates {
+		payloads = append(payloads, []byte(predictBody(t, templateSQL(t, tmpl, 1))))
+	}
+	got := coldBytes(t, "/predict", payloads)
+	t.Logf("cold: %.0f bytes per request (measured %d)", got, budgetColdBytes)
+	if limit := budgetColdBytes * 1.1; got > limit {
+		t.Errorf("cold: %.0f bytes per request, budget %.0f (measured %d + 10 %%)", got, limit, budgetColdBytes)
+	}
+}
+
+// TestPredictBatchColdBytesBudget pins the bytes one cold /predict/batch
+// of a fresh draw of every template allocates: each item is planned in a
+// request arena of its own, so the batch's garbage is its decoded texts
+// and its results, not 18 plans. The budget is the measurement plus 10 %.
+func TestPredictBatchColdBytesBudget(t *testing.T) {
+	var items []string
+	for _, tmpl := range tpch.Templates {
+		items = append(items, predictBody(t, templateSQL(t, tmpl, 1)))
+	}
+	got := coldBytes(t, "/predict/batch", [][]byte{[]byte(`{"queries": [` + strings.Join(items, ",") + `]}`)})
+	t.Logf("cold batch of %d: %.0f bytes per request (measured %d)", len(items), got, budgetBatchColdBytes)
+	if limit := budgetBatchColdBytes * 1.1; got > limit {
+		t.Errorf("cold batch: %.0f bytes per request, budget %.0f (measured %d + 10 %%)", got, limit, budgetBatchColdBytes)
+	}
+}
+
+// coldBytes is the mean bytes one request to target with each payload
+// allocates process-wide on a server without a plan cache, after one
+// warm-up pass: the request and the recorder are reused, as the
+// benchmark's probe reuses them.
+func coldBytes(t *testing.T, target string, payloads [][]byte) float64 {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
@@ -122,11 +156,7 @@ func TestPredictColdBytesBudget(t *testing.T) {
 	cacheless := *snap
 	cacheless.Cache = nil
 	cold := New(db, &cacheless, Options{Now: (&fakeClock{}).now})
-	var payloads [][]byte
-	for _, tmpl := range tpch.Templates {
-		payloads = append(payloads, []byte(predictBody(t, templateSQL(t, tmpl, 1))))
-	}
-	req, err := http.NewRequest(http.MethodPost, "/predict", nil)
+	req, err := http.NewRequest(http.MethodPost, target, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +185,7 @@ func TestPredictColdBytesBudget(t *testing.T) {
 		serveAll()
 	}
 	runtime.ReadMemStats(&after)
-	got := float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds*len(payloads))
-	t.Logf("cold: %.0f bytes per request (measured %d)", got, budgetColdBytes)
-	if limit := budgetColdBytes * 1.1; got > limit {
-		t.Errorf("cold: %.0f bytes per request, budget %.0f (measured %d + 10 %%)", got, limit, budgetColdBytes)
-	}
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds*len(payloads))
 }
 
 func tpchName(tmpl int) string { return "T" + strconv.Itoa(tmpl) }
@@ -169,16 +195,19 @@ func tpchName(tmpl int) string { return "T" + strconv.Itoa(tmpl) }
 // signature lookup, copied every model input row and decoded through a
 // json.Decoder measured 59 (memo), 464 (rebind) and 148–720 (cold); plan
 // nodes carrying every operator's fields and scans building their columns
-// per query, 25, 310 and 125–389.
+// per query, 25, 310 and 125–389; plan nodes with per-operator payloads
+// and shared scan columns, 25, 286 and 115–344.
 const (
-	budgetMemo   = 25
-	budgetRebind = 286
+	budgetMemo   = 22
+	budgetRebind = 32
 	// budgetColdBytes is TestPredictColdBytesBudget's; the 616-byte plan
-	// nodes measured 27 100.
-	budgetColdBytes = 17100
+	// nodes measured 27 100, the 256-byte ones on the heap 17 100.
+	budgetColdBytes = 2700
+	// budgetBatchColdBytes is TestPredictBatchColdBytesBudget's, 18 items.
+	budgetBatchColdBytes = 51100
 )
 
 var budgetCold = map[int]float64{
-	1: 172, 2: 344, 3: 176, 4: 157, 5: 229, 6: 115, 7: 287, 8: 320, 9: 250,
-	10: 218, 11: 260, 12: 220, 13: 155, 14: 164, 15: 300, 18: 213, 19: 338, 22: 292,
+	1: 37, 2: 29, 3: 27, 4: 25, 5: 27, 6: 26, 7: 31, 8: 33, 9: 25,
+	10: 27, 11: 30, 12: 42, 13: 27, 14: 37, 15: 37, 18: 24, 19: 25, 22: 32,
 }

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+
+	"qpp/internal/arena"
 )
 
 // decodeWithDecoder is how the handlers read a body before decodeBody:
@@ -22,7 +24,15 @@ func decodeWithDecoder(w http.ResponseWriter, r *http.Request, v any) error {
 // replaced: the same value and the same error text for well-formed
 // bodies, every malformed seed of FuzzPredictRequest, trailing data,
 // bare scalars, bodies at and over the cap, and a body whose read fails.
+// The body is read into a request arena that is released, poisoned,
+// before the values are compared: nothing decoded may refer to it.
 func TestDecodeBodyMatchesDecoder(t *testing.T) {
+	pool := &arena.Pool{Poison: poison}
+	decodeInArena := func(w http.ResponseWriter, r *http.Request, v any) error {
+		a := pool.Get()
+		defer pool.Put(a)
+		return decodeBody(a, w, r, v)
+	}
 	bodies := []string{
 		``, ` `, `{`, `}`, `null`, `[]`, `{"sql": null}`, `{"sql": 42}`, `{"sql": ""}`,
 		`{"sql": "select 1"}`, `{"sql": "select 1"} `, `{"sql": "select 1"}{"sql": "x"}`,
@@ -58,7 +68,7 @@ func TestDecodeBodyMatchesDecoder(t *testing.T) {
 	}
 	for _, body := range bodies {
 		for _, mode := range []struct{ chunked, failing bool }{{false, false}, {true, false}, {false, true}} {
-			gotV, gotErr := decode(decodeBody, body, mode.chunked, mode.failing)
+			gotV, gotErr := decode(decodeInArena, body, mode.chunked, mode.failing)
 			wantV, wantErr := decode(decodeWithDecoder, body, mode.chunked, mode.failing)
 			if gotErr != wantErr || !reflect.DeepEqual(gotV, wantV) {
 				short := body

@@ -18,6 +18,14 @@
 //	POST /reload         build/load a new snapshot from the configured
 //	                     source and swap it in (JSON)
 //
+// Memory: each /predict, /predict/batch item and /explain parses, plans
+// and scores its query in one request arena (internal/arena) taken from
+// the server's pool, and the request body is read into it; the arena is
+// released once the response is written, on every exit path. Responses
+// are built from ordinary Go strings, maps and floats, so nothing written
+// aliases pooled memory, and a memoized plan the plan cache returns is
+// its own, on the heap.
+//
 // Concurrency model: the model snapshot is a copy-on-write
 // atomic.Pointer. The /predict read path performs zero lock
 // acquisitions — one atomic pointer load picks the snapshot for the
@@ -40,6 +48,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"qpp/internal/arena"
 	"qpp/internal/obs"
 	"qpp/internal/opt"
 	"qpp/internal/plan"
@@ -108,6 +117,7 @@ type Server struct {
 	now    func() float64
 	reload func() (*Snapshot, error)
 	mux    *http.ServeMux
+	mem    *arena.Pool // request arenas; nil (tests only): the heap
 
 	mPredict, mBatch, mExplain, mMetrics, mHealth, mReload endpointMetrics
 }
@@ -121,6 +131,7 @@ func New(db *storage.Database, snap *Snapshot, opts Options) *Server {
 		now:    opts.Now,
 		reload: opts.Reload,
 		mux:    http.NewServeMux(),
+		mem:    new(arena.Pool),
 	}
 	if s.now == nil {
 		start := time.Now()
@@ -266,12 +277,13 @@ var jsonContentType = []string{"application/json"}
 // decodeBody decodes the request body into v as a json.Decoder reading
 // it would — the first JSON value, whatever follows it ignored, with the
 // Decoder's error texts — but reads the body once, into a buffer of its
-// Content-Length, and unmarshals it there. Only a body that is not
+// Content-Length carved from a, and unmarshals it there (decoded strings
+// are copies, so nothing in v refers to a). Only a body that is not
 // exactly one JSON value (a syntax error, trailing data, a failed read)
 // goes to a Decoder, over the bytes already read, for the value or error
 // reading the body itself would have given.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	body, readErr := readBody(http.MaxBytesReader(w, r.Body, bodyCap), r.ContentLength)
+func decodeBody(a *arena.Arena, w http.ResponseWriter, r *http.Request, v any) error {
+	body, readErr := readBody(a, http.MaxBytesReader(w, r.Body, bodyCap), r.ContentLength)
 	if readErr == nil {
 		var syntax *json.SyntaxError
 		if err := json.Unmarshal(body, v); !errors.As(err, &syntax) {
@@ -281,16 +293,16 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return json.NewDecoder(&bodyReplay{body, readErr}).Decode(v)
 }
 
-// readBody reads r to its end into a buffer sized for size bytes (a
+// readBody reads r to its end into a buffer of a sized for size bytes (a
 // request's Content-Length: -1 when unknown, and 0 on a request built
 // in process with a body but no length; the read stops at bodyCap
 // anyway). It returns what it read and the error that ended the read,
 // nil at EOF.
-func readBody(r io.Reader, size int64) ([]byte, error) {
+func readBody(a *arena.Arena, r io.Reader, size int64) ([]byte, error) {
 	if size <= 0 || size > bodyCap {
 		size = 1024
 	}
-	buf := make([]byte, 0, size+1) // +1: the read that sees EOF needs room
+	buf := bodyBytes.Make(a, int(size)+1)[:0] // +1: the read that sees EOF needs room
 	for {
 		n, err := r.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
@@ -301,10 +313,17 @@ func readBody(r io.Reader, size int64) ([]byte, error) {
 			return buf, err
 		}
 		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
+			buf = bodyBytes.Append(a, buf, 0)[:len(buf)]
 		}
 	}
 }
+
+// The slabs of what a request carves besides its parse, plan and
+// features: the body and the query record the models read.
+var (
+	bodyBytes = arena.NewSlab[byte]()
+	records   = arena.NewSlab[qpp.QueryRecord]()
+)
 
 // bodyReplay reads back a body readBody returned, then the error that
 // ended the original read (io.EOF when there was none).
@@ -330,34 +349,34 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) i
 	return writeJSON(w, status, ErrorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// planSQL compiles SQL against the serving database, converting any
-// planner panic on pathological input into an error: the handler
+// planSQL compiles SQL against the serving database in a, converting
+// any planner panic on pathological input into an error: the handler
 // contract is "never panic, answer 200 or a structured 4xx".
-func planSQL(db *storage.Database, sql string) (node *plan.Node, err error) {
+func planSQL(a *arena.Arena, db *storage.Database, sql string) (node *plan.Node, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("internal plan error: %v", p)
 		}
 	}()
-	return opt.PlanSQL(db, sql)
+	return opt.PlanSQLIn(a, db, sql)
 }
 
-// planFor compiles one query through the snapshot's parametric plan
+// planFor compiles one query in a through the snapshot's parametric plan
 // cache when present (a hit parses the request and skips the join-order
 // search), cold-planning otherwise. Counter accounting lives here so every
 // predict path reports cache behaviour; panics convert to errors per the
 // planSQL contract.
-func (s *Server) planFor(snap *Snapshot, sqlText string) (node *plan.Node, err error) {
+func (s *Server) planFor(a *arena.Arena, snap *Snapshot, sqlText string) (node *plan.Node, err error) {
 	if snap.Cache == nil {
 		s.cacheMisses.Inc()
-		return planSQL(s.db, sqlText)
+		return planSQL(a, s.db, sqlText)
 	}
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("internal plan error: %v", p)
 		}
 	}()
-	node, outcome, err := snap.Cache.Plan(sqlText)
+	node, outcome, err := snap.Cache.PlanIn(a, sqlText)
 	if err != nil {
 		return nil, err
 	}
@@ -377,18 +396,18 @@ func (s *Server) planFor(snap *Snapshot, sqlText string) (node *plan.Node, err e
 // ±Inf or negative.
 var errNotALatency = errors.New("non-finite or negative model output")
 
-// predictOne plans one query and runs every model in the snapshot over
-// it. The snapshot is passed in by the caller so one request (or one
-// batch) observes exactly one snapshot.
-func (s *Server) predictOne(snap *Snapshot, sql string) (*PredictResult, int, string) {
+// predictOne plans one query in a and runs every model in the snapshot
+// over it. The snapshot is passed in by the caller so one request (or one
+// batch) observes exactly one snapshot. The result holds nothing of a.
+func (s *Server) predictOne(a *arena.Arena, snap *Snapshot, sql string) (*PredictResult, int, string) {
 	if strings.TrimSpace(sql) == "" {
 		return nil, http.StatusBadRequest, "empty sql"
 	}
-	node, err := s.planFor(snap, sql)
+	node, err := s.planFor(a, snap, sql)
 	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Sprintf("plan: %v", err)
 	}
-	rec := &qpp.QueryRecord{SQL: sql, Root: node}
+	rec := records.New(a, qpp.QueryRecord{SQL: sql, Root: node})
 	res := &PredictResult{
 		ModelVersion: snap.Version,
 		Predictions:  map[string]float64{},
@@ -411,14 +430,14 @@ func (s *Server) predictOne(snap *Snapshot, sql string) (*PredictResult, int, st
 		res.Skipped[model] = err.Error()
 	}
 	// One Table-1 vector serves the plan-level model and the confidence check.
-	feats := qpp.PlanFeatures(node, snap.Plan.Mode)
+	feats := qpp.PlanFeaturesIn(a, node, snap.Plan.Mode)
 	offer("plan-level", snap.Plan.Model.Predict(feats), nil)
 	if snap.Baseline != nil {
 		offer("cost-model", snap.Baseline.Predict(rec), nil)
 	}
 	op, err := snap.Hybrid.Ops.Predict(rec, qpp.ChildTimesPredicted)
 	offer("operator-level", op, err)
-	hy, err := snap.Hybrid.Predict(rec)
+	hy, err := snap.Hybrid.PredictIn(a, rec)
 	offer("hybrid", hy, err)
 	served := false
 	for _, model := range [...]string{"hybrid", "plan-level", "operator-level"} {
@@ -438,17 +457,20 @@ func (s *Server) predictOne(snap *Snapshot, sql string) (*PredictResult, int, st
 	return res, http.StatusOK, ""
 }
 
-// handlePredict serves POST /predict.
+// handlePredict serves POST /predict in one request arena, released once
+// the response is written.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		return writeError(w, http.StatusMethodNotAllowed, "use POST")
 	}
+	a := s.mem.Get()
+	defer s.mem.Put(a)
 	var req PredictRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := decodeBody(a, w, r, &req); err != nil {
 		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	snap := s.snap.Load()
-	res, status, msg := s.predictOne(snap, req.SQL)
+	res, status, msg := s.predictOne(a, snap, req.SQL)
 	if msg != "" {
 		return writeError(w, status, "%s", msg)
 	}
@@ -456,13 +478,18 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 }
 
 // handleBatch serves POST /predict/batch. One snapshot load covers the
-// whole batch: results are mutually consistent by construction.
+// whole batch: results are mutually consistent by construction. The body
+// is read into one request arena, released once the response is written,
+// and each item is planned and scored in an arena of its own, released
+// once the item's result is built.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		return writeError(w, http.StatusMethodNotAllowed, "use POST")
 	}
+	a := s.mem.Get()
+	defer s.mem.Put(a)
 	var req BatchRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := decodeBody(a, w, r, &req); err != nil {
 		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	if len(req.Queries) == 0 {
@@ -477,7 +504,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 		Results:      make([]BatchItem, len(req.Queries)),
 	}
 	for i := range req.Queries {
-		res, _, msg := s.predictOne(snap, req.Queries[i].SQL)
+		res, _, msg := s.predictItem(snap, req.Queries[i].SQL)
 		if msg != "" {
 			out.Results[i].Error = msg
 		} else {
@@ -485,6 +512,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 		}
 	}
 	return writeJSON(w, http.StatusOK, out)
+}
+
+// predictItem is predictOne in an arena of its own.
+func (s *Server) predictItem(snap *Snapshot, sql string) (*PredictResult, int, string) {
+	a := s.mem.Get()
+	defer s.mem.Put(a)
+	return s.predictOne(a, snap, sql)
 }
 
 // handleExplain serves GET /explain: the costed plan tree plus the
@@ -518,7 +552,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) int {
 		}
 		sql = qs[0].SQL
 	}
-	node, err := planSQL(s.db, sql)
+	a := s.mem.Get()
+	defer s.mem.Put(a) // after the text below is rendered and written
+	node, err := planSQL(a, s.db, sql)
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, "plan: %v", err)
 	}
@@ -528,7 +564,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) int {
 	buf.WriteString(plan.Explain(node))
 	buf.WriteString("\n-- plan features (Table 1):\n")
 	names := qpp.PlanFeatureNames()
-	feats := qpp.PlanFeatures(node, snap.Plan.Mode)
+	feats := qpp.PlanFeaturesIn(a, node, snap.Plan.Mode)
 	for i, name := range names {
 		//qpplint:ignore hotalloc explain is a human-facing debug endpoint; one Fprintf per feature row is fine
 		fmt.Fprintf(&buf, "%-22s %g\n", name, feats[i])

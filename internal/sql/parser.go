@@ -2,10 +2,10 @@ package sql
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
+	"qpp/internal/arena"
 	"qpp/internal/types"
 )
 
@@ -13,8 +13,13 @@ import (
 // lexical error anywhere in the input is reported before any parse error:
 // the parser reads tokens straight from a Scanner with two tokens of
 // lookahead, and only when it fails is the rest of the input scanned.
-func Parse(input string) (*SelectStmt, error) {
-	p := &parser{sc: NewScanner(input), src: input}
+func Parse(input string) (*SelectStmt, error) { return ParseIn(nil, input) }
+
+// ParseIn is Parse with the statement's nodes and lists carved from a (the
+// heap when a is nil): the AST is valid until a is released. Token texts,
+// and so every name and string literal in it, are ordinary strings.
+func ParseIn(a *arena.Arena, input string) (*SelectStmt, error) {
+	p := &parser{sc: NewScanner(input), src: input, mem: a}
 	if p.t0, p.lexErr = p.sc.Next(); p.lexErr == nil {
 		p.t1, p.lexErr = p.sc.Next()
 	}
@@ -56,7 +61,36 @@ type parser struct {
 	t0, t1 Token
 	lexErr error
 	src    string
+	mem    *arena.Arena
 }
+
+// The slabs of every AST node and list a parse allocates.
+var (
+	selects     = arena.NewSlab[SelectStmt]()
+	selectItems = arena.NewSlab[SelectItem]()
+	fromItems   = arena.NewSlab[FromItem]()
+	joinClauses = arena.NewSlab[Join]()
+	orderItems  = arena.NewSlab[OrderItem]()
+	exprLists   = arena.NewSlab[Expr]()
+	names       = arena.NewSlab[string]()
+	whens       = arena.NewSlab[WhenClause]()
+	binaries    = arena.NewSlab[BinaryExpr]()
+	columnRefs  = arena.NewSlab[ColumnRef]()
+	literals    = arena.NewSlab[Literal]()
+	intervals   = arena.NewSlab[Interval]()
+	nots        = arena.NewSlab[NotExpr]()
+	negs        = arena.NewSlab[NegExpr]()
+	funcCalls   = arena.NewSlab[FuncCall]()
+	cases       = arena.NewSlab[CaseExpr]()
+	ins         = arena.NewSlab[InExpr]()
+	existsExprs = arena.NewSlab[ExistsExpr]()
+	betweens    = arena.NewSlab[BetweenExpr]()
+	likes       = arena.NewSlab[LikeExpr]()
+	isNulls     = arena.NewSlab[IsNullExpr]()
+	subqueries  = arena.NewSlab[SubqueryExpr]()
+	extracts    = arena.NewSlab[ExtractExpr]()
+	substrings  = arena.NewSlab[SubstringExpr]()
+)
 
 func (p *parser) peek() Token  { return p.t0 }
 func (p *parser) peek2() Token { return p.t1 }
@@ -112,7 +146,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	if err := p.expectKw("select"); err != nil {
 		return nil, err
 	}
-	stmt := &SelectStmt{Limit: -1}
+	stmt := selects.New(p.mem, SelectStmt{Limit: -1})
 	stmt.Distinct = p.matchKw("distinct")
 
 	// Each list gathers in a buffer on the stack and is copied out once, at
@@ -144,7 +178,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			break
 		}
 	}
-	stmt.Items = slices.Clone(items)
+	stmt.Items = selectItems.Clone(p.mem, items)
 
 	if err := p.expectKw("from"); err != nil {
 		return nil, err
@@ -160,7 +194,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			break
 		}
 	}
-	stmt.From = slices.Clone(from)
+	stmt.From = fromItems.Clone(p.mem, from)
 
 	// Explicit JOIN clauses.
 	for {
@@ -194,7 +228,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			stmt.Joins = append(stmt.Joins, Join{Type: jt, Item: fi, On: on})
+			stmt.Joins = joinClauses.Append(p.mem, stmt.Joins, Join{Type: jt, Item: fi, On: on})
 		}
 	}
 joinsDone:
@@ -221,7 +255,7 @@ joinsDone:
 				break
 			}
 		}
-		stmt.GroupBy = slices.Clone(groups)
+		stmt.GroupBy = exprLists.Clone(p.mem, groups)
 	}
 	if p.matchKw("having") {
 		e, err := p.parseExpr()
@@ -251,7 +285,7 @@ joinsDone:
 				break
 			}
 		}
-		stmt.OrderBy = slices.Clone(order)
+		stmt.OrderBy = orderItems.Clone(p.mem, order)
 	}
 	if p.matchKw("limit") {
 		t := p.next()
@@ -307,7 +341,7 @@ func (p *parser) parseFromItem() (FromItem, error) {
 			if t.Kind != TokIdent {
 				return fi, p.errorf("expected column alias")
 			}
-			fi.ColAliases = append(fi.ColAliases, t.Text)
+			fi.ColAliases = names.Append(p.mem, fi.ColAliases, t.Text)
 			if !p.matchOp(",") {
 				break
 			}
@@ -333,7 +367,7 @@ func (p *parser) parseOr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: OpOr, L: l, R: r}
+		l = binaries.New(p.mem, BinaryExpr{Op: OpOr, L: l, R: r})
 	}
 	return l, nil
 }
@@ -352,7 +386,7 @@ func (p *parser) parseAnd() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryExpr{Op: OpAnd, L: l, R: r}
+			l = binaries.New(p.mem, BinaryExpr{Op: OpAnd, L: l, R: r})
 			continue
 		}
 		return l, nil
@@ -366,7 +400,7 @@ func (p *parser) parseNot() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &NotExpr{E: e}, nil
+		return nots.New(p.mem, NotExpr{E: e}), nil
 	}
 	return p.parsePredicate()
 }
@@ -388,7 +422,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &BinaryExpr{Op: op, L: l, R: r}, nil
+			return binaries.New(p.mem, BinaryExpr{Op: op, L: l, R: r}), nil
 		}
 	}
 	if p.matchKw("is") {
@@ -396,7 +430,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 		if err := p.expectKw("null"); err != nil {
 			return nil, err
 		}
-		return &IsNullExpr{E: l, Negated: neg}, nil
+		return isNulls.New(p.mem, IsNullExpr{E: l, Negated: neg}), nil
 	}
 	negated := false
 	if t := p.peek(); t.Kind == TokIdent && t.Text == "not" {
@@ -411,7 +445,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 		if err := p.expectOp("("); err != nil {
 			return nil, err
 		}
-		in := &InExpr{E: l, Negated: negated}
+		in := ins.New(p.mem, InExpr{E: l, Negated: negated})
 		if p.peek().Kind == TokIdent && p.peek().Text == "select" {
 			sub, err := p.parseSelect()
 			if err != nil {
@@ -424,7 +458,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				in.List = append(in.List, e)
+				in.List = exprLists.Append(p.mem, in.List, e)
 				if !p.matchOp(",") {
 					break
 				}
@@ -439,7 +473,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 		if t.Kind != TokString {
 			return nil, p.errorf("expected pattern string after LIKE")
 		}
-		return &LikeExpr{E: l, Pattern: t.Text, Negated: negated}, nil
+		return likes.New(p.mem, LikeExpr{E: l, Pattern: t.Text, Negated: negated}), nil
 	case p.matchKw("between"):
 		lo, err := p.parseAdditive()
 		if err != nil {
@@ -452,7 +486,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &BetweenExpr{E: l, Lo: lo, Hi: hi, Negated: negated}, nil
+		return betweens.New(p.mem, BetweenExpr{E: l, Lo: lo, Hi: hi, Negated: negated}), nil
 	}
 	return l, nil
 }
@@ -469,13 +503,13 @@ func (p *parser) parseAdditive() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryExpr{Op: OpAdd, L: l, R: r}
+			l = binaries.New(p.mem, BinaryExpr{Op: OpAdd, L: l, R: r})
 		case p.matchOp("-"):
 			r, err := p.parseMultiplicative()
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryExpr{Op: OpSub, L: l, R: r}
+			l = binaries.New(p.mem, BinaryExpr{Op: OpSub, L: l, R: r})
 		default:
 			return l, nil
 		}
@@ -494,13 +528,13 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryExpr{Op: OpMul, L: l, R: r}
+			l = binaries.New(p.mem, BinaryExpr{Op: OpMul, L: l, R: r})
 		case p.matchOp("/"):
 			r, err := p.parseUnary()
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryExpr{Op: OpDiv, L: l, R: r}
+			l = binaries.New(p.mem, BinaryExpr{Op: OpDiv, L: l, R: r})
 		default:
 			return l, nil
 		}
@@ -513,7 +547,7 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &NegExpr{E: e}, nil
+		return negs.New(p.mem, NegExpr{E: e}), nil
 	}
 	p.matchOp("+")
 	return p.parsePrimary()
@@ -529,16 +563,16 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, p.errorf("bad number %q", t.Text)
 			}
-			return &Literal{Value: types.Float(f)}, nil
+			return literals.New(p.mem, Literal{Value: types.Float(f)}), nil
 		}
 		n, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
 			return nil, p.errorf("bad number %q", t.Text)
 		}
-		return &Literal{Value: types.Int(n)}, nil
+		return literals.New(p.mem, Literal{Value: types.Int(n)}), nil
 	case TokString:
 		p.next()
-		return &Literal{Value: types.Str(t.Text)}, nil
+		return literals.New(p.mem, Literal{Value: types.Str(t.Text)}), nil
 	case TokOp:
 		if t.Text == "(" {
 			p.next()
@@ -550,7 +584,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 				if err := p.expectOp(")"); err != nil {
 					return nil, err
 				}
-				return &SubqueryExpr{Sub: sub}, nil
+				return subqueries.New(p.mem, SubqueryExpr{Sub: sub}), nil
 			}
 			e, err := p.parseExpr()
 			if err != nil {
@@ -573,7 +607,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, p.errorf("bad date %q", lit.Text)
 			}
-			return &Literal{Value: types.Date(d)}, nil
+			return literals.New(p.mem, Literal{Value: types.Date(d)}), nil
 		case "interval":
 			p.next()
 			lit := p.next()
@@ -592,10 +626,10 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if u != "day" && u != "month" && u != "year" {
 				return nil, p.errorf("unsupported interval unit %q", unit.Text)
 			}
-			return &Interval{N: n, Unit: u}, nil
+			return intervals.New(p.mem, Interval{N: n, Unit: u}), nil
 		case "case":
 			p.next()
-			c := &CaseExpr{}
+			c := cases.New(p.mem, CaseExpr{})
 			for p.matchKw("when") {
 				cond, err := p.parseExpr()
 				if err != nil {
@@ -608,7 +642,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				c.Whens = append(c.Whens, WhenClause{Cond: cond, Then: then})
+				c.Whens = whens.Append(p.mem, c.Whens, WhenClause{Cond: cond, Then: then})
 			}
 			if len(c.Whens) == 0 {
 				return nil, p.errorf("CASE requires at least one WHEN")
@@ -644,7 +678,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err := p.expectOp(")"); err != nil {
 				return nil, err
 			}
-			return &ExistsExpr{Sub: sub, Negated: negated}, nil
+			return existsExprs.New(p.mem, ExistsExpr{Sub: sub, Negated: negated}), nil
 		case "extract":
 			p.next()
 			if err := p.expectOp("("); err != nil {
@@ -664,7 +698,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err := p.expectOp(")"); err != nil {
 				return nil, err
 			}
-			return &ExtractExpr{Field: field.Text, From: e}, nil
+			return extracts.New(p.mem, ExtractExpr{Field: field.Text, From: e}), nil
 		case "substring":
 			p.next()
 			if err := p.expectOp("("); err != nil {
@@ -691,10 +725,10 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err := p.expectOp(")"); err != nil {
 				return nil, err
 			}
-			return &SubstringExpr{E: e, Start: start, Len: length}, nil
+			return substrings.New(p.mem, SubstringExpr{E: e, Start: start, Len: length}), nil
 		case "null":
 			p.next()
-			return &Literal{Value: types.Null}, nil
+			return literals.New(p.mem, Literal{Value: types.Null}), nil
 		}
 		if reserved[t.Text] {
 			return nil, p.errorf("unexpected keyword %q", t.Text)
@@ -703,7 +737,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		// Function call?
 		if p.peek().Kind == TokOp && p.peek().Text == "(" {
 			p.next()
-			f := &FuncCall{Name: t.Text}
+			f := funcCalls.New(p.mem, FuncCall{Name: t.Text})
 			if p.matchKw("distinct") {
 				f.Distinct = true
 			}
@@ -715,7 +749,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 					if err != nil {
 						return nil, err
 					}
-					f.Args = append(f.Args, e)
+					f.Args = exprLists.Append(p.mem, f.Args, e)
 					if !p.matchOp(",") {
 						break
 					}
@@ -732,9 +766,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if col.Kind != TokIdent {
 				return nil, p.errorf("expected column after %q.", t.Text)
 			}
-			return &ColumnRef{Table: t.Text, Name: col.Text}, nil
+			return columnRefs.New(p.mem, ColumnRef{Table: t.Text, Name: col.Text}), nil
 		}
-		return &ColumnRef{Name: t.Text}, nil
+		return columnRefs.New(p.mem, ColumnRef{Name: t.Text}), nil
 	}
 	return nil, p.errorf("unexpected token %q", t.Text)
 }

@@ -23,6 +23,9 @@
 #                    to the portable passes, in bounds of their padding,
 #                    with one -v run logging which row passes ran), the memo's
 #                    once-per-key test, the shared online predictor test,
+#                    the poisoned request-arena test (concurrent
+#                    /predict and /predict/batch on arenas overwritten
+#                    as they are released),
 #                    the executor's arena-safety and table-immutability
 #                    tests, the packed tables' lifetime and row-view tests,
 #                    TestConcurrentColdPlans (cold plans on several
@@ -148,14 +151,18 @@ go test -race ./... "$@"
 # over one memo) and the once-per-key memo test run three more times,
 # so a double training that only some interleavings produce cannot land.
 # The shared online predictor test is the only place one OnlinePredictor
-# decides signatures for several goroutines.
-banner "go test -race -short -count=3 (training differentials, SMO kernels, memo once-per-key, shared online predictor, arena safety, packed tables and their row views, concurrent cold plans, value layout, concurrent datagen and ANALYZE)"
+# decides signatures for several goroutines. The poisoned request-arena
+# test is the only one that serves /predict and /predict/batch
+# concurrently from pooled arenas overwritten on release, and which arena
+# a request gets differs from run to run.
+banner "go test -race -short -count=3 (training differentials, SMO kernels, memo once-per-key, shared online predictor, poisoned request arenas, arena safety, packed tables and their row views, concurrent cold plans, value layout, concurrent datagen and ANALYZE)"
 go test -race -short -count=3 -run 'TestSMOMatchesReferenceSolver|TestSMOKernelsMatchPortable|TestSMOKernelsStayInBounds' ./internal/mlearn
 # One subtest per row pass the host ran (portable, avx2, avx512): the log
 # shows whether the AVX-512 kernels were exercised on this machine.
 go test -short -count=1 -v -run '^TestSMOKernelsMatchPortable$' ./internal/mlearn
 go test -race -short -count=3 -run 'TestEvalHybridMatchesReference|TestTrainHybridMatchesReference|TestOperatorModelsMatchReferenceTrainer|TestTrainMemoTrainsOncePerKey|TestOnlinePredictorConcurrentUse' ./internal/qpp
 go test -race -short -count=3 -run 'TestTrainMemoDoesNotChangeFigures' ./internal/experiments
+go test -race -short -count=3 -run 'TestPoisonedArenaConcurrentRequests' ./internal/serve
 # Which pooled arena a Run gets differs from run to run under -race
 # (sync.Pool.Put drops items at random), so one pass is weak evidence that
 # recycled row memory is never observable.
